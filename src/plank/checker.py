@@ -15,7 +15,7 @@ Diagnostics serialize as ``FILE:LINE:COL: error[TAG]: MESSAGE``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .env import (
@@ -26,9 +26,9 @@ from .env import (
     RuleEnv,
     apply_form_subst,
     build_global_env,
+    decl_sorts,
     infer_rule_env,
     match_sort,
-    strip,
 )
 from .terms import (
     AssocForm,
@@ -55,7 +55,6 @@ from .terms import (
     Span,
     Term,
     Var,
-    VariableDecl,
     all_idents,
     fresh_var,
     non_assoc_vars,
@@ -161,7 +160,7 @@ def _is_sort(x) -> bool:
 
 
 def _instantiated_forms(sig: ConSig, expected: Sort) -> tuple[Form, ...] | None:
-    subst = match_sort(sig.result, strip(expected))
+    subst = match_sort(sig.result, expected)
     if subst is None:
         return None
     return tuple(apply_form_subst(f, subst) for f in sig.forms)
@@ -211,7 +210,7 @@ def check_term(st: CheckState, t: Term, expected: Sort) -> list[CheckError]:
             # pattern could exist there.
             if t.head in st.gamma.fun:
                 sort_name = expected.name if isinstance(expected, SortCons) else None
-                if sort_name in st.gamma.sorts_with_data():
+                if sort_name in st.gamma.sorts_with_data:
                     return [_err(
                         "SMP-Data", t,
                         f"scheme {t.head} cannot appear inside a pattern at sort "
@@ -219,38 +218,14 @@ def check_term(st: CheckState, t: Term, expected: Sort) -> list[CheckError]:
                     )]
             return _check_construction(st, t, expected, "SMP-Data", TermContext.IN_PAT)
         if isinstance(t, MetaApp):
-            return _check_pattern_meta(st, t, expected, "SMP-Meta", require_distinct=True)
+            return _check_term_meta(st, t, expected, "SMP-Meta")
         return _check_variable(st, t, expected, "SMP-Var", need_hasvar=True)
 
     if tc is TermContext.CON:
         if isinstance(t, Construction):
             return _check_construction(st, t, expected, "SMC-Cons", TermContext.CON)
         if isinstance(t, MetaApp):
-            mf = st.delta.meta.get(t.meta)
-            if mf is None:
-                return [_err("SMC-Meta", t, f"meta-variable {t.meta} has no meta-form")]
-            if not _is_sort(mf.result):
-                return [_err(
-                    "SMC-Meta", t,
-                    f"catch-all meta-variable {t.meta} cannot be used as a term",
-                )]
-            if strip(mf.result) != strip(expected):
-                return [_err(
-                    "SMC-Meta", t,
-                    f"meta-variable {t.meta} produces {render(mf.result)}, expected "
-                    f"{render(expected)}",
-                )]
-            if len(t.args) != len(mf.arg_sorts):
-                return [_err(
-                    "SMC-Meta", t,
-                    f"meta-variable {t.meta} takes {len(mf.arg_sorts)} argument(s), "
-                    f"got {len(t.args)}",
-                )]
-            errors: list[CheckError] = []
-            sub = replace(st, tc=TermContext.SUB)
-            for a, s in zip(t.args, mf.arg_sorts):
-                errors.extend(check_term(sub, a, s))
-            return errors
+            return _check_term_meta(st, t, expected, "SMC-Meta")
         return _check_variable(st, t, expected, "SMC-Var", need_hasvar=True)
 
     # SUB: substitution arguments of a contraction meta-application.
@@ -272,48 +247,57 @@ def check_term(st: CheckState, t: Term, expected: Sort) -> list[CheckError]:
     return check_term(replace(st, tc=TermContext.CON), t, expected)
 
 
-def _check_pattern_meta(st: CheckState, t: MetaApp, expected: Sort, tag: str,
-                        require_distinct: bool) -> list[CheckError]:
-    """Pattern meta-application: arguments are distinct bound variables."""
+def _check_term_meta(st: CheckState, t: MetaApp, expected: Sort, tag: str
+                     ) -> list[CheckError]:
+    """A meta-application used as a term, in a pattern or a contraction."""
     mf = st.delta.meta.get(t.meta)
     if mf is None:
         return [_err(tag, t, f"meta-variable {t.meta} has no meta-form")]
     if not _is_sort(mf.result):
         return [_err(tag, t, f"catch-all meta-variable {t.meta} cannot be used as a term")]
-    if strip(mf.result) != strip(expected):
+    if mf.result != expected:
         return [_err(
             tag, t,
             f"meta-variable {t.meta} produces {render(mf.result)}, expected "
             f"{render(expected)}",
         )]
-    return _check_meta_binder_args(st, t.meta, t.args, mf, t, tag, require_distinct)
+    return _check_meta_args(st, t, mf, tag)
 
 
-def _check_meta_binder_args(st: CheckState, meta: Ident, args, mf: MetaForm, node,
-                            tag: str, require_distinct: bool) -> list[CheckError]:
-    if len(args) != len(mf.arg_sorts):
+def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: str
+                     ) -> list[CheckError]:
+    """Arguments of a meta-variable with meta-form ``mf``.
+
+    In a pattern they are bound variables of the declared sorts, pairwise
+    distinct except for a catch-all's; in a contraction they are
+    substitution arguments.
+    """
+    if len(m.args) != len(mf.arg_sorts):
         return [_err(
-            tag, node,
-            f"meta-variable {meta} takes {len(mf.arg_sorts)} argument(s), got {len(args)}",
+            tag, m,
+            f"meta-variable {m.meta} takes {len(mf.arg_sorts)} argument(s), got {len(m.args)}",
         )]
+    if st.tc is not TermContext.IN_PAT:
+        sub = replace(st, tc=TermContext.SUB)
+        return [e for a, s in zip(m.args, mf.arg_sorts) for e in check_term(sub, a, s)]
     seen: set[Ident] = set()
-    for a, s in zip(args, mf.arg_sorts):
+    for a, s in zip(m.args, mf.arg_sorts):
         if not isinstance(a, Var):
             return [_err(
-                tag, node,
-                f"pattern arguments of {meta} must be bound variables, got {render(a)}",
+                tag, m,
+                f"pattern arguments of {m.meta} must be bound variables, got {render(a)}",
             )]
         if a.name not in st.bound:
             return [_err(tag, a, f"{a.name} is not bound in the enclosing pattern")]
         have = st.delta.var.get(a.name)
-        if have is None or strip(have) != strip(s):
+        if have is None or have != s:
             got = "no sort" if have is None else render(have)
             return [_err(
                 tag, a,
-                f"argument {a.name} of {meta} has {got}, expected {render(s)}",
+                f"argument {a.name} of {m.meta} has {got}, expected {render(s)}",
             )]
-        if require_distinct and a.name in seen:
-            return [_err(tag, a, f"arguments of {meta} must be pairwise distinct variables")]
+        if isinstance(m, MetaApp) and a.name in seen:
+            return [_err(tag, a, f"arguments of {m.meta} must be pairwise distinct variables")]
         seen.add(a.name)
     return []
 
@@ -325,7 +309,7 @@ def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
     have = st.delta.var.get(t.name)
     if have is None:
         return [_err(tag, t, f"variable {t.name} has no sort in this rule")]
-    if strip(have) != strip(expected):
+    if have != expected:
         return [_err(
             tag, t,
             f"variable {t.name} has sort {render(have)}, expected {render(expected)}",
@@ -338,7 +322,7 @@ def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
         waived = (
             t.name in st.bound
             and isinstance(expected, SortCons)
-            and expected.name not in st.gamma.sorts_with_data()
+            and expected.name not in st.gamma.sorts_with_data
         )
         if not waived and not (
             isinstance(expected, SortCons) and expected.name in st.gamma.hasvar
@@ -380,7 +364,7 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[CheckError]:
                 binders.append(w)
         var = dict(st.delta.var)
         for w, s in zip(binders, f.binder_sorts):
-            var[w] = strip(s)
+            var[w] = s
         inner = replace(
             st,
             delta=RuleEnv(var, st.delta.meta),
@@ -427,55 +411,30 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
         return [_err(tag, a, f"meta-variable {a.meta} has no meta-form")]
     if not isinstance(mf.result, AssocForm):
         return [_err(tag, a, f"meta-variable {a.meta} is not a catch-all")]
-    if strip(mf.result.key_sort) != strip(key_sort) or strip(mf.result.value_sort) != strip(val_sort):
+    if mf.result != AssocForm(key_sort, val_sort):
         return [_err(
             tag, a,
             f"catch-all {a.meta} covers {render(mf.result)}, expected "
             f"{{{render(key_sort)}:{render(val_sort)}}}",
         )]
-    if st.tc is TermContext.IN_PAT:
-        # Distinctness is not required of catch-all arguments.
-        return _check_meta_binder_args(st, a.meta, a.args, mf, a, tag, require_distinct=False)
-    if len(a.args) != len(mf.arg_sorts):
-        return [_err(
-            tag, a,
-            f"meta-variable {a.meta} takes {len(mf.arg_sorts)} argument(s), got {len(a.args)}",
-        )]
-    errors = []
-    sub = replace(st, tc=TermContext.SUB)
-    for x, s in zip(a.args, mf.arg_sorts):
-        errors.extend(check_term(sub, x, s))
-    return errors
+    return _check_meta_args(st, a, mf, tag)
 
 
 # ---------------------------------------------------------------------------
 # Declarations and scripts
 
 
-def _decl_sorts(d: Declaration) -> list[Sort]:
-    if isinstance(d, (DataDecl, SchemeDecl)):
-        sorts = [d.sort]
-        for f in d.forms:
-            if isinstance(f, ScopeForm):
-                sorts.extend(f.binder_sorts)
-                sorts.append(f.body_sort)
-            else:
-                sorts.extend([f.key_sort, f.value_sort])
-        return sorts
-    return [d.sort]
-
-
 def check_declaration(gamma: GlobalEnv, d: Declaration) -> list[CheckError]:
     """Check one declaration against an assembled global environment."""
+    if isinstance(d, RuleDecl):
+        return _check_rule(gamma, d, *infer_rule_env(gamma, d))
     errors: list[CheckError] = []
-    for s in _decl_sorts(d):
+    for s in decl_sorts(d):
         errors.extend(check_sort(gamma, s))
 
     if isinstance(d, DataDecl):
         sig = gamma.con.get(d.name)
-        if sig is None or sig != ConSig(strip(d.sort), tuple(
-            apply_form_subst(f, {}) for f in d.forms
-        )):
+        if sig is None or sig != ConSig(d.sort, d.forms):
             errors.append(_err(
                 "SD-Data", d, f"data constructor {d.name} is not recorded with this signature"
             ))
@@ -487,9 +446,7 @@ def check_declaration(gamma: GlobalEnv, d: Declaration) -> list[CheckError]:
 
     if isinstance(d, SchemeDecl):
         sig = gamma.con.get(d.name)
-        if sig is None or sig != ConSig(strip(d.sort), tuple(
-            apply_form_subst(f, {}) for f in d.forms
-        )):
+        if sig is None or sig != ConSig(d.sort, d.forms):
             errors.append(_err(
                 "SD-Fun", d, f"scheme {d.name} is not recorded with this signature"
             ))
@@ -497,19 +454,21 @@ def check_declaration(gamma: GlobalEnv, d: Declaration) -> list[CheckError]:
             errors.append(_err("SD-Fun", d, f"scheme {d.name} is not in the scheme set"))
         return errors
 
-    if isinstance(d, VariableDecl):
-        if not isinstance(d.sort, SortCons):
-            errors.append(_err(
-                "SD-Var", d, "a 'variable' declaration needs a named sort"
-            ))
-        elif d.sort.name not in gamma.hasvar:
-            errors.append(_err(
-                "SD-Var", d, f"sort {d.sort.name} is not recorded as having variables"
-            ))
-        return errors
+    if not isinstance(d.sort, SortCons):
+        errors.append(_err(
+            "SD-Var", d, "a 'variable' declaration needs a named sort"
+        ))
+    elif d.sort.name not in gamma.hasvar:
+        errors.append(_err(
+            "SD-Var", d, f"sort {d.sort.name} is not recorded as having variables"
+        ))
+    return errors
 
-    # Rule declaration.
-    delta, env_errors = infer_rule_env(gamma, d)
+
+def _check_rule(gamma: GlobalEnv, d: RuleDecl, delta: RuleEnv,
+                env_errors: list[EnvError]) -> list[CheckError]:
+    """Check a rule against its inferred environment and inference diagnostics."""
+    errors = check_sort(gamma, d.sort)
     if env_errors:
         errors.extend(CheckError(e.code, e.span, e.message) for e in env_errors)
         return errors
@@ -530,9 +489,12 @@ def check_script(script: Script) -> ScriptCheck:
     errors = [CheckError(e.code, e.span, e.message) for e in env_errors]
     rule_envs: list[RuleEnv] = []
     for d in script.declarations:
-        errors.extend(check_declaration(gamma, d))
         if isinstance(d, RuleDecl):
-            rule_envs.append(infer_rule_env(gamma, d)[0])
+            delta, env_errors = infer_rule_env(gamma, d)
+            rule_envs.append(delta)
+            errors.extend(_check_rule(gamma, d, delta, env_errors))
+        else:
+            errors.extend(check_declaration(gamma, d))
     return ScriptCheck(gamma, rule_envs, errors)
 
 
@@ -547,7 +509,7 @@ def subject_env(gamma: GlobalEnv, t: Term, sort: Sort) -> RuleEnv:
     def walk(x: Term, expected: Sort, scope: frozenset[Ident]) -> None:
         if isinstance(x, Var):
             if x.name not in scope:
-                delta.var.setdefault(x.name, strip(expected))
+                delta.var.setdefault(x.name, expected)
             return
         if isinstance(x, MetaApp):
             return
@@ -564,19 +526,15 @@ def subject_env(gamma: GlobalEnv, t: Term, sort: Sort) -> RuleEnv:
                 for e in p.entries:
                     if isinstance(e, MapEntry):
                         if e.key not in scope:
-                            delta.var.setdefault(e.key, strip(f.key_sort))
+                            delta.var.setdefault(e.key, f.key_sort)
                         walk(e.value, f.value_sort, scope)
                     elif isinstance(e, NotKey) and e.key not in scope:
-                        delta.var.setdefault(e.key, strip(f.key_sort))
+                        delta.var.setdefault(e.key, f.key_sort)
 
     # Binder sorts are supplied locally during checking; only free variables
     # need entries here, but recording binders too is harmless.
     walk(t, sort, frozenset())
     return delta
-
-
-def _subject_delta_with_binders(gamma: GlobalEnv, t: Term, sort: Sort) -> RuleEnv:
-    return subject_env(gamma, t, sort)
 
 
 def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEnv, list[CheckError]]:
@@ -592,7 +550,7 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
     sig = gamma.con.get(t.head)
     if sig is None:
         return None, RuleEnv(), [_err("SMC-Cons", t, f"constructor {t.head} is not declared")]
-    sort = strip(sig.result)
+    sort = sig.result
     if _has_sort_vars(sort):
         return None, RuleEnv(), [_err(
             "SMC-Cons", t,

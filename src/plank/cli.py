@@ -1,8 +1,14 @@
 """Command-line driver: check a script, or normalize a term under it.
 
-Exit codes: 0 success, 1 sorting errors (including an ill-sorted input
-term), 2 parse or I/O errors, 3 normalization ran out of steps.  For
-``normalize`` stdout carries only the result term; diagnostics and the
+Exit codes:
+
+    0  success
+    1  sorting errors, including an ill-sorted input term
+    2  parse or I/O errors
+    3  normalization ran out of steps
+    4  input nested too deeply to process (``error[depth]``)
+
+For ``normalize`` stdout carries only the result term; diagnostics and the
 optional trace go to stderr.
 """
 
@@ -21,7 +27,6 @@ __all__ = ["CliConfig", "main", "run_check", "run_normalize"]
 
 @dataclass
 class CliConfig:
-    command: str
     script_path: str
     term_text: str | None = None
     max_steps: int = 10000
@@ -107,7 +112,8 @@ def run_normalize(cfg: CliConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="plank", description=__doc__)
+    ap = argparse.ArgumentParser(prog="plank", description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="parse and sort-check a script")
@@ -127,17 +133,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
-    if ns.command == "check":
-        cfg = CliConfig("check", ns.script)
-        return run_check(cfg)
-    if ns.max_steps <= 0:
+    if ns.command == "normalize" and ns.max_steps <= 0:
         print("error: --max-steps must be positive", file=sys.stderr)
         return 2
-    cfg = CliConfig(
-        "normalize", ns.script, term_text=ns.term, max_steps=ns.max_steps,
-        trace=ns.trace, ascii_output=not ns.unicode,
-    )
-    return run_normalize(cfg)
+    try:
+        if ns.command == "check":
+            return run_check(CliConfig(ns.script))
+        return run_normalize(CliConfig(
+            ns.script, term_text=ns.term, max_steps=ns.max_steps,
+            trace=ns.trace, ascii_output=not ns.unicode,
+        ))
+    except RecursionError:
+        print("error[depth]: input nested too deeply to process", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

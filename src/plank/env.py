@@ -16,13 +16,12 @@ from .terms import (
     AssocForm,
     AssocPiece,
     CatchAll,
-    Construction,
     DataDecl,
+    Declaration,
     Form,
     Ident,
     MapEntry,
     MetaApp,
-    NotKey,
     RuleDecl,
     SchemeDecl,
     ScopeForm,
@@ -67,21 +66,15 @@ class GlobalEnv:
     rank maps each sort constructor to its arity (fixed at the first
     occurrence in declaration order); hasvar holds the sort names declared
     ``variable``; con maps term constructors to signatures; fun is the set of
-    scheme constructors.
+    scheme constructors; sorts_with_data holds the result sort names of the
+    constructors in con that are not schemes.
     """
 
     rank: dict[Ident, int] = field(default_factory=dict)
     hasvar: set[Ident] = field(default_factory=set)
     con: dict[Ident, ConSig] = field(default_factory=dict)
     fun: set[Ident] = field(default_factory=set)
-
-    def sorts_with_data(self) -> set[Ident]:
-        """Names of sorts that have at least one data constructor."""
-        out: set[Ident] = set()
-        for name, sig in self.con.items():
-            if name not in self.fun and isinstance(sig.result, SortCons):
-                out.add(sig.result.name)
-        return out
+    sorts_with_data: set[Ident] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -140,19 +133,12 @@ def match_sort(declared: Sort, expected: Sort, subst: dict[Ident, Sort] | None =
             if seen is None:
                 out[d.name] = e
                 return True
-            return strip(seen) == strip(e)
+            return seen == e
         if isinstance(e, SortCons) and d.name == e.name and len(d.args) == len(e.args):
             return all(go(x, y) for x, y in zip(d.args, e.args))
         return False
 
     return out if go(declared, expected) else None
-
-
-def strip(s: Sort) -> Sort:
-    """Drop source spans so sorts compare structurally."""
-    if isinstance(s, SortVar):
-        return SortVar(s.name)
-    return SortCons(s.name, tuple(strip(a) for a in s.args))
 
 
 def apply_sort_subst(s: Sort, subst: dict[Ident, Sort]) -> Sort:
@@ -176,19 +162,17 @@ def apply_form_subst(f: Form, subst: dict[Ident, Sort]) -> Form:
 # Global environment assembly
 
 
-def _sorts_of_decl(d) -> list[Sort]:
+def decl_sorts(d: Declaration) -> list[Sort]:
+    """Every sort written in a declaration: its own and its forms'."""
+    sorts = [d.sort]
     if isinstance(d, (DataDecl, SchemeDecl)):
-        sorts = [d.sort]
         for f in d.forms:
             if isinstance(f, ScopeForm):
                 sorts.extend(f.binder_sorts)
                 sorts.append(f.body_sort)
             else:
                 sorts.extend([f.key_sort, f.value_sort])
-        return sorts
-    if isinstance(d, (VariableDecl, RuleDecl)):
-        return [d.sort]
-    return []
+    return sorts
 
 
 def _record_ranks(rank: dict[Ident, int], s: Sort) -> None:
@@ -212,11 +196,11 @@ def build_global_env(script: Script) -> tuple[GlobalEnv, list[EnvError]]:
     errors: list[EnvError] = []
 
     for d in script.declarations:
-        for s in _sorts_of_decl(d):
+        for s in decl_sorts(d):
             _record_ranks(gamma.rank, s)
 
         if isinstance(d, (DataDecl, SchemeDecl)):
-            sig = ConSig(strip(d.sort), tuple(apply_form_subst(f, {}) for f in d.forms))
+            sig = ConSig(d.sort, d.forms)
             if isinstance(d, DataDecl):
                 if not isinstance(d.sort, SortCons):
                     errors.append(EnvError(
@@ -248,6 +232,10 @@ def build_global_env(script: Script) -> tuple[GlobalEnv, list[EnvError]]:
                 gamma.hasvar.add(d.sort.name)
             # a sort-variable subject is rejected by the checker (SD-Var)
 
+    gamma.sorts_with_data = {
+        sig.result.name for name, sig in gamma.con.items()
+        if name not in gamma.fun and isinstance(sig.result, SortCons)
+    }
     return gamma, errors
 
 
@@ -272,37 +260,50 @@ def infer_rule_env(gamma: GlobalEnv, rule: RuleDecl) -> tuple[RuleEnv, list[EnvE
     def note_var(name: Ident, sort: Sort, scope: dict[Ident, Sort]) -> None:
         if name in scope:
             return
-        delta.var.setdefault(name, strip(sort))
+        delta.var.setdefault(name, sort)
 
-    def demand_meta(m: MetaApp | CatchAll, form: MetaForm | None, in_lhs: bool,
-                    result: Sort | AssocForm) -> None:
+    def readable_form(m: MetaApp | CatchAll, result: Sort | AssocForm,
+                      scope: dict[Ident, Sort]) -> MetaForm | None:
+        # The meta-form an lhs occurrence forces, or None when some argument
+        # is not a variable with a known sort (left to the checker).
+        arg_sorts: list[Sort] = []
+        for a in m.args:
+            s = None
+            if isinstance(a, Var):
+                s = scope.get(a.name) or delta.var.get(a.name)
+            if s is None:
+                return None
+            arg_sorts.append(s)
+        return MetaForm(tuple(arg_sorts), result)
+
+    def walk_meta(m: MetaApp | CatchAll, result: Sort | AssocForm,
+                  scope: dict[Ident, Sort], in_lhs: bool) -> None:
         # On the lhs the full meta-form is forced; on the rhs only the arity
         # and result are demanded (argument sorts flow from the meta-form).
         seen = delta.meta.get(m.meta)
-        if seen is None:
-            if in_lhs and form is not None:
-                delta.meta[m.meta] = form
-            return
         if in_lhs:
-            # An occurrence whose argument sorts are unreadable is left to the
-            # checker; only readable occurrences feed conflict detection.
-            if form is not None and form != seen:
+            form = readable_form(m, result, scope)
+            if seen is None:
+                if form is not None:
+                    delta.meta[m.meta] = form
+            elif form is not None and form != seen:
+                # Only readable occurrences feed conflict detection.
                 errors.append(EnvError(
                     "MetaFormConflict", m.span,
                     f"meta-variable {m.meta} used as {form} but earlier as {seen}",
                 ))
             return
-        if len(m.args) != len(seen.arg_sorts) or _result_key(result) != _result_key(seen.result):
+        if seen is None:
+            return
+        if len(m.args) != len(seen.arg_sorts) or result != seen.result:
             errors.append(EnvError(
                 "MetaFormConflict", m.span,
                 f"meta-variable {m.meta} used with {len(m.args)} argument(s) at "
                 f"{render(result)} but its meta-form is {seen}",
             ))
-
-    def _result_key(r: Sort | AssocForm):
-        if isinstance(r, AssocForm):
-            return ("assoc", strip(r.key_sort), strip(r.value_sort))
-        return ("sort", strip(r))
+        if len(m.args) == len(seen.arg_sorts):
+            for a, s in zip(m.args, seen.arg_sorts):
+                walk_term(a, s, scope, in_lhs)
 
     def walk_term(t: Term, expected: Sort | None, scope: dict[Ident, Sort], in_lhs: bool) -> None:
         if expected is None:
@@ -311,30 +312,12 @@ def infer_rule_env(gamma: GlobalEnv, rule: RuleDecl) -> tuple[RuleEnv, list[EnvE
             note_var(t.name, expected, scope)
             return
         if isinstance(t, MetaApp):
-            if in_lhs:
-                arg_sorts: list[Sort] = []
-                readable = True
-                for a in t.args:
-                    if isinstance(a, Var):
-                        s = scope.get(a.name) or delta.var.get(a.name)
-                        if s is not None:
-                            arg_sorts.append(strip(s))
-                            continue
-                    readable = False
-                    break
-                form = MetaForm(tuple(arg_sorts), strip(expected)) if readable else None
-                demand_meta(t, form, True, strip(expected))
-            else:
-                demand_meta(t, None, False, strip(expected))
-                seen = delta.meta.get(t.meta)
-                if seen is not None and len(seen.arg_sorts) == len(t.args):
-                    for a, s in zip(t.args, seen.arg_sorts):
-                        walk_term(a, s, scope, in_lhs)
+            walk_meta(t, expected, scope, in_lhs)
             return
         sig = gamma.con.get(t.head)
         if sig is None:
             return
-        subst = match_sort(sig.result, strip(expected))
+        subst = match_sort(sig.result, expected)
         if subst is None:
             return
         forms = [apply_form_subst(f, subst) for f in sig.forms]
@@ -342,43 +325,20 @@ def infer_rule_env(gamma: GlobalEnv, rule: RuleDecl) -> tuple[RuleEnv, list[EnvE
             if isinstance(piece, ScopePiece) and isinstance(form, ScopeForm):
                 inner = dict(scope)
                 for b, s in zip(piece.binders, form.binder_sorts):
-                    inner[b] = strip(s)
-                    delta.var.setdefault(b, strip(s))
+                    inner[b] = s
+                    delta.var.setdefault(b, s)
                 walk_term(piece.body, form.body_sort, inner, in_lhs)
             elif isinstance(piece, AssocPiece) and isinstance(form, AssocForm):
                 for e in piece.entries:
-                    walk_assoc(e, form, scope, in_lhs)
+                    if isinstance(e, CatchAll):
+                        walk_meta(e, form, scope, in_lhs)
+                        continue
+                    note_var(e.key, form.key_sort, scope)
+                    if isinstance(e, MapEntry):
+                        walk_term(e.value, form.value_sort, scope, in_lhs)
 
-    def walk_assoc(e, form: AssocForm, scope: dict[Ident, Sort], in_lhs: bool) -> None:
-        if isinstance(e, MapEntry):
-            note_var(e.key, form.key_sort, scope)
-            walk_term(e.value, form.value_sort, scope, in_lhs)
-        elif isinstance(e, NotKey):
-            note_var(e.key, form.key_sort, scope)
-        else:
-            result = AssocForm(strip(form.key_sort), strip(form.value_sort))
-            if in_lhs:
-                arg_sorts: list[Sort] = []
-                readable = True
-                for a in e.args:
-                    if isinstance(a, Var):
-                        s = scope.get(a.name) or delta.var.get(a.name)
-                        if s is not None:
-                            arg_sorts.append(strip(s))
-                            continue
-                    readable = False
-                    break
-                mf = MetaForm(tuple(arg_sorts), result) if readable else None
-                demand_meta(e, mf, True, result)
-            else:
-                demand_meta(e, None, False, result)
-                seen = delta.meta.get(e.meta)
-                if seen is not None and len(seen.arg_sorts) == len(e.args):
-                    for a, s in zip(e.args, seen.arg_sorts):
-                        walk_term(a, s, scope, False)
-
-    walk_term(rule.lhs, strip(rule.sort), {}, True)
-    walk_term(rule.rhs, strip(rule.sort), {}, False)
+    walk_term(rule.lhs, rule.sort, {}, True)
+    walk_term(rule.rhs, rule.sort, {}, False)
 
     for m in sorted(meta_vars(rule.rhs)):
         if m not in lhs_metas:

@@ -8,7 +8,7 @@ extension and one declaration per ``;``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .terms import (
     AssocForm,

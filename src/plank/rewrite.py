@@ -135,18 +135,10 @@ def substitute(body: Term, binding: Mapping[Ident, Term]) -> Term:
 
     def assoc(e: Association, sub: dict[Ident, Term]) -> Association:
         if isinstance(e, MapEntry):
-            return MapEntry(key(e.key, sub), go(e.value, sub))
+            return MapEntry(_key_through(sub, e.key), go(e.value, sub))
         if isinstance(e, NotKey):
-            return NotKey(key(e.key, sub))
+            return NotKey(_key_through(sub, e.key))
         return CatchAll(e.meta, tuple(go(a, sub) for a in e.args))
-
-    def key(k: Ident, sub: dict[Ident, Term]) -> Ident:
-        r = sub.get(k)
-        if r is None:
-            return k
-        if isinstance(r, Var):
-            return r.name
-        raise EngineError(f"cannot substitute non-variable {render(r)} for key {k}")
 
     return go(body, dict(binding))
 
@@ -161,16 +153,24 @@ class _NoMatch(Exception):
 
 class _Matcher:
     """One matching attempt; collects bindings and defers association pieces
-    until their pattern keys are resolvable."""
+    until their pattern keys are resolvable.
 
-    def __init__(self, gamma: GlobalEnv | None, pattern: Term, subject: Term):
-        self.gamma = gamma
-        self.val = Valuation()
-        self.avoid = all_idents(pattern) | all_idents(subject)
+    Canonical binder names avoid every name of the terms the matcher was
+    built from.  That set is built on the first ``canonical`` call, not up
+    front: most attempts fail at the head, before any binder is reached, and
+    the set costs a walk of the whole subject.
+    """
+
+    def __init__(self, terms: Sequence[Term], val: Valuation | None = None):
+        self.val = val or Valuation()
+        self.terms = terms
+        self.avoid: set[Ident] | None = None
         # (pattern entries, subject entries, penv, senv, bound)
         self.pending: list[tuple] = []
 
     def canonical(self, hint: Ident) -> Ident:
+        if self.avoid is None:
+            self.avoid = set().union(*map(all_idents, self.terms))
         c = fresh_var(hint, self.avoid)
         self.avoid.add(c)
         return c
@@ -347,7 +347,7 @@ def _subject_entries(p: AssocPiece) -> list[tuple[Ident, Term]]:
     return list(out.items())
 
 
-def match_term(gamma: GlobalEnv | None, pattern: Term, subject: Term) -> Valuation | None:
+def match_term(pattern: Term, subject: Term) -> Valuation | None:
     """Match a checked rule pattern against a ground subject fragment.
 
     Returns the valuation, or None when the subject does not match.  The
@@ -355,7 +355,7 @@ def match_term(gamma: GlobalEnv | None, pattern: Term, subject: Term) -> Valuati
     so replaying the valuation into the pattern rebuilds the subject up to
     alpha-equivalence.
     """
-    m = _Matcher(gamma, pattern, subject)
+    m = _Matcher((pattern, subject))
     try:
         m.term(pattern, subject, {}, {}, ())
         m.drain_pending()
@@ -373,12 +373,9 @@ def match_assoc(pattern: Sequence[Association], subject: Sequence[tuple[Ident, T
     optional catch-all receives the remaining entries in subject order; with
     no catch-all the remainder must be empty.
     """
-    m = _Matcher(None, Construction(Ident("Match")), Construction(Ident("Match")))
-    m.val = Valuation(
+    m = _Matcher([v for _, v in subject], Valuation(
         dict(partial.meta_bind), dict(partial.assoc_bind), dict(partial.var_bind)
-    )
-    for _, v in subject:
-        m.avoid |= all_idents(v)
+    ))
     try:
         m.match_assoc_entries((tuple(pattern), list(subject), {}, {}, ()),
                               concrete_fallback=True)
@@ -475,6 +472,7 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = ()) -> Term:
 
 
 def _key_through(sub: Mapping[Ident, Term], k: Ident) -> Ident:
+    """The key ``k`` after substitution: only a variable can stand there."""
     r = sub.get(k)
     if r is None:
         return k
@@ -572,7 +570,7 @@ def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term
             return None
         if sub.head in gamma.fun:
             for rule in rules:
-                val = match_term(gamma, rule.decl.lhs, sub)
+                val = match_term(rule.decl.lhs, sub)
                 if val is not None:
                     new = contract(rule.decl.rhs, val, avoid)
                     return new, RewriteStep(path, rule.index, val)

@@ -6,7 +6,14 @@ meta-application ``#m(T1, ..., Tn)``.  Identifiers fall into three lexical
 categories: constructors start with an uppercase letter, variables with a
 lowercase letter, and meta-variables with ``#``.
 
-All AST values are immutable after construction and safe to share.
+All AST values are immutable after construction and safe to share.  Spans
+take no part in equality or hashing.
+
+The name queries (``free_vars``, ``all_idents``, ...) share one traversal
+that collects names by the role they play in a term: ``VAR`` for a
+variable occurrence, ``BINDER`` for a name bound by a scope piece, ``KEY``
+for the key of a map or absence entry, and ``META`` for a meta-application
+or catch-all.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Union
 
 
 class Category(Enum):
@@ -389,142 +396,74 @@ def render(node: Node, *, unicode: bool = False) -> str:
 # Binding-aware utilities
 
 
-def free_vars(t: Term) -> set[Ident]:
-    """Variables occurring in ``t`` outside the scope of any binder.
+# Roles a name can play in a term, for ``_names``.
+VAR, BINDER, KEY, META = 1, 2, 4, 8
 
-    Association keys count as occurrences (bound keys are not free).
+
+def _names(t: Term, roles: int, *, free: bool = False, assoc: bool = True) -> set[Ident]:
+    """The names playing any of ``roles`` in ``t``.
+
+    With ``free`` a variable or key inside the scope of a binder of the same
+    name is left out; without ``assoc`` association lists are skipped whole.
     """
     out: set[Ident] = set()
 
     def go(x: Term, bound: frozenset[Ident]) -> None:
         if isinstance(x, Var):
-            if x.name not in bound:
+            if roles & VAR and not (free and x.name in bound):
                 out.add(x.name)
-        elif isinstance(x, MetaApp):
+            return
+        if isinstance(x, MetaApp):
+            if roles & META:
+                out.add(x.meta)
             for a in x.args:
                 go(a, bound)
-        else:
-            for p in x.args:
-                if isinstance(p, ScopePiece):
-                    go(p.body, bound | set(p.binders))
-                else:
-                    for e in p.entries:
-                        if isinstance(e, MapEntry):
-                            if e.key not in bound:
-                                out.add(e.key)
-                            go(e.value, bound)
-                        elif isinstance(e, NotKey):
-                            if e.key not in bound:
-                                out.add(e.key)
-                        else:
-                            for a in e.args:
-                                go(a, bound)
+            return
+        for p in x.args:
+            if isinstance(p, ScopePiece):
+                if roles & BINDER:
+                    out.update(p.binders)
+                go(p.body, bound | set(p.binders) if free else bound)
+            elif assoc:
+                for e in p.entries:
+                    if isinstance(e, CatchAll):
+                        if roles & META:
+                            out.add(e.meta)
+                        for a in e.args:
+                            go(a, bound)
+                        continue
+                    if roles & KEY and not (free and e.key in bound):
+                        out.add(e.key)
+                    if isinstance(e, MapEntry):
+                        go(e.value, bound)
 
     go(t, frozenset())
     return out
 
 
+def free_vars(t: Term) -> set[Ident]:
+    """Variables and keys of ``t`` outside the scope of a binder of their name."""
+    return _names(t, VAR | KEY, free=True)
+
+
 def non_assoc_vars(t: Term) -> set[Ident]:
-    """All variable occurrences of ``t`` (free or bound, including binder
-    positions) except occurrences located inside an association list."""
-    out: set[Ident] = set()
-
-    def go(x: Term) -> None:
-        if isinstance(x, Var):
-            out.add(x.name)
-        elif isinstance(x, MetaApp):
-            for a in x.args:
-                go(a)
-        else:
-            for p in x.args:
-                if isinstance(p, ScopePiece):
-                    out.update(p.binders)
-                    go(p.body)
-                # association contents are skipped entirely
-
-    go(t)
-    return out
+    """Variables and binders of ``t`` (free or bound) outside association lists."""
+    return _names(t, VAR | BINDER, assoc=False)
 
 
 def all_idents(t: Term) -> set[Ident]:
     """Every variable name occurring anywhere in ``t`` (binders, keys, bodies)."""
-    out: set[Ident] = set()
-
-    def go(x: Term) -> None:
-        if isinstance(x, Var):
-            out.add(x.name)
-        elif isinstance(x, MetaApp):
-            for a in x.args:
-                go(a)
-        else:
-            for p in x.args:
-                if isinstance(p, ScopePiece):
-                    out.update(p.binders)
-                    go(p.body)
-                else:
-                    for e in p.entries:
-                        if isinstance(e, MapEntry):
-                            out.add(e.key)
-                            go(e.value)
-                        elif isinstance(e, NotKey):
-                            out.add(e.key)
-                        else:
-                            for a in e.args:
-                                go(a)
-
-    go(t)
-    return out
+    return _names(t, VAR | BINDER | KEY)
 
 
 def bound_vars(t: Term) -> set[Ident]:
     """Every name appearing in a binder position somewhere in ``t``."""
-    out: set[Ident] = set()
-
-    def go(x: Term) -> None:
-        if isinstance(x, MetaApp):
-            for a in x.args:
-                go(a)
-        elif isinstance(x, Construction):
-            for p in x.args:
-                if isinstance(p, ScopePiece):
-                    out.update(p.binders)
-                    go(p.body)
-                else:
-                    for e in p.entries:
-                        if isinstance(e, MapEntry):
-                            go(e.value)
-                        elif isinstance(e, CatchAll):
-                            for a in e.args:
-                                go(a)
-
-    go(t)
-    return out
+    return _names(t, BINDER)
 
 
 def meta_vars(t: Term) -> set[Ident]:
     """Every meta-variable name occurring in ``t`` (including catch-alls)."""
-    out: set[Ident] = set()
-
-    def go(x: Term) -> None:
-        if isinstance(x, MetaApp):
-            out.add(x.meta)
-            for a in x.args:
-                go(a)
-        elif isinstance(x, Construction):
-            for p in x.args:
-                if isinstance(p, ScopePiece):
-                    go(p.body)
-                else:
-                    for e in p.entries:
-                        if isinstance(e, MapEntry):
-                            go(e.value)
-                        elif isinstance(e, CatchAll):
-                            out.add(e.meta)
-                            for a in e.args:
-                                go(a)
-
-    go(t)
-    return out
+    return _names(t, META)
 
 
 def fresh_var(hint: Ident, avoid: Iterable[Ident]) -> Ident:

@@ -1,0 +1,35 @@
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import BETA_ETA
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "plank.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_deep_input_ends_with_a_depth_diagnostic(tmp_path):
+    script = tmp_path / "beta_eta.plank"
+    script.write_text(BETA_ETA, encoding="utf-8")
+    depth = 3000
+    term = "Lam([x]" * depth + "x" + ")" * depth
+    done = run_cli("normalize", str(script), "--term", term)
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert "error[depth]" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_shallow_input_still_normalizes(tmp_path):
+    script = tmp_path / "beta_eta.plank"
+    script.write_text(BETA_ETA, encoding="utf-8")
+    done = run_cli("normalize", str(script), "--term", "Ap(Lam([x]x), Lam([y]y))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "Lam([y]y)\n", "")

@@ -85,8 +85,11 @@ class TestBuildGlobalEnv:
     def test_sorts_with_data(self, ex1, ex2):
         g1, _ = build_global_env(ex1)
         g2, _ = build_global_env(ex2)
-        assert g1.sorts_with_data() == set()
-        assert g2.sorts_with_data() == {"L"}
+        assert g1.sorts_with_data == set()
+        assert g2.sorts_with_data == {"L"}
+        # A name declared both data and scheme counts as a scheme.
+        g3, _ = build_global_env(parse_script("L data C(L); L scheme C(L); M data D(L);"))
+        assert g3.sorts_with_data == {"M"}
 
 
 class TestInferRuleEnv:

@@ -91,65 +91,64 @@ def alpha_equal_up_to_entry_order(a, b):
 
 
 class TestMatchTerm:
-    def test_beta_redex(self, ex1, ex1_checked):
+    def test_beta_redex(self, ex1):
         beta = ex1.rules[0].lhs
         subject = t("Ap(Lam([x]x), Lam([y]y))")
-        val = match_term(ex1_checked.gamma, beta, subject)
+        val = match_term(beta, subject)
         assert val is not None
         m = val.meta_bind["#M"]
         assert len(m.params) == 1 and m.body == Var(m.params[0])
         n = val.meta_bind["#N"]
         assert n.params == () and n.body == t("Lam([y]y)")
 
-    def test_eta_absence(self, ex1, ex1_checked):
+    def test_eta_absence(self, ex1):
         eta = ex1.rules[1].lhs
         # x occurs where #M() forbids it
-        assert match_term(ex1_checked.gamma, eta, t("Lam([x]Ap(x, x))")) is None
+        assert match_term(eta, t("Lam([x]Ap(x, x))")) is None
         # and matches when it does not
-        val = match_term(ex1_checked.gamma, eta, t("Lam([x]Ap(Lam([y]y), x))"))
+        val = match_term(eta, t("Lam([x]Ap(Lam([y]y), x))"))
         assert val is not None
         assert alpha_equal(val.meta_bind["#M"].body, t("Lam([y]y)"))
 
-    def test_env_lookup(self, ex2, ex2_checked):
+    def test_env_lookup(self, ex2):
         lookup = ex2.rules[2].lhs
         subject = t("Eval(a, {a : One(), b : Two()})")
-        val = match_term(ex2_checked.gamma, lookup, subject)
+        val = match_term(lookup, subject)
         assert val is not None
         assert val.var_bind == {"x": "a"}
         assert val.meta_bind["#V"].body == t("One()")
         assert val.assoc_bind["#env"].entries == ((Ident("b"), t("Two()")),)
 
-    def test_head_mismatch(self, ex1, ex1_checked):
+    def test_head_mismatch(self, ex1):
         beta = ex1.rules[0].lhs
-        assert match_term(ex1_checked.gamma, beta, t("Lam([x]x)")) is None
+        assert match_term(beta, t("Lam([x]x)")) is None
 
-    def test_bound_variable_occurrence_matches_same_binder(self, ex1, ex1_checked):
+    def test_bound_variable_occurrence_matches_same_binder(self, ex1):
         eta = ex1.rules[1].lhs  # Lam([x]Ap(#M(), x))
-        assert match_term(ex1_checked.gamma, eta, t("Lam([u]Ap(Lam([v]v), u))")) is not None
+        assert match_term(eta, t("Lam([u]Ap(Lam([v]v), u))")) is not None
         # second argument must be exactly the binder
-        assert match_term(ex1_checked.gamma, eta, t("Lam([u]Ap(Lam([v]v), w))")) is None
+        assert match_term(eta, t("Lam([u]Ap(Lam([v]v), w))")) is None
 
-    def test_free_pattern_variable_must_not_capture(self, ex2, ex2_checked):
+    def test_free_pattern_variable_must_not_capture(self, ex2):
         lookup = ex2.rules[2].lhs  # Eval(x, {#env; x : #V})
         # the subject variable is bound inside the fragment: no match
         subject = t("Eval(Lam([a]a), {b : One()})")
-        assert match_term(ex2_checked.gamma, lookup, subject) is None
+        assert match_term(lookup, subject) is None
 
-    def test_nonlinear_meta_requires_equal_fragments(self, ex1, ex1_checked):
-        gamma = ex1_checked.gamma
+    def test_nonlinear_meta_requires_equal_fragments(self):
         pattern = t("Ap(#M(), #M())")
-        assert match_term(gamma, pattern, t("Ap(Lam([x]x), Lam([y]y))")) is not None
-        assert match_term(gamma, pattern, t("Ap(Lam([x]x), Ap(x, x))")) is None
+        assert match_term(pattern, t("Ap(Lam([x]x), Lam([y]y))")) is not None
+        assert match_term(pattern, t("Ap(Lam([x]x), Ap(x, x))")) is None
 
-    def test_match_replay_reproduces_subject(self, ex1, ex2, ex1_checked, ex2_checked):
+    def test_match_replay_reproduces_subject(self, ex1, ex2):
         cases = [
-            (ex1_checked.gamma, ex1.rules[0].lhs, t("Ap(Lam([x]x), Lam([y]y))")),
-            (ex1_checked.gamma, ex1.rules[1].lhs, t("Lam([x]Ap(Lam([y]y), x))")),
-            (ex2_checked.gamma, ex2.rules[2].lhs, t("Eval(a, {a : One(), b : Two()})")),
-            (ex2_checked.gamma, ex2.rules[3].lhs, t("Apply(Lam([x]x), Lam([y]y), {c : One()})")),
+            (ex1.rules[0].lhs, t("Ap(Lam([x]x), Lam([y]y))")),
+            (ex1.rules[1].lhs, t("Lam([x]Ap(Lam([y]y), x))")),
+            (ex2.rules[2].lhs, t("Eval(a, {a : One(), b : Two()})")),
+            (ex2.rules[3].lhs, t("Apply(Lam([x]x), Lam([y]y), {c : One()})")),
         ]
-        for gamma, pattern, subject in cases:
-            val = match_term(gamma, pattern, subject)
+        for pattern, subject in cases:
+            val = match_term(pattern, subject)
             assert val is not None
             assert alpha_equal_up_to_entry_order(replay(pattern, val, subject), subject)
 
