@@ -42,7 +42,6 @@ from .rewrite import (
     RewriteStep,
     Valuation,
     contract,
-    match_assoc,
     match_term,
     normalize,
     prepare_rules,

@@ -24,15 +24,14 @@ from .env import (
     GlobalEnv,
     MetaForm,
     RuleEnv,
-    apply_form_subst,
     build_global_env,
     decl_sorts,
     infer_rule_env,
-    match_sort,
+    instantiated_forms,
+    walk_sorts,
 )
 from .terms import (
     AssocForm,
-    AssocPiece,
     Association,
     CatchAll,
     Construction,
@@ -55,11 +54,8 @@ from .terms import (
     Span,
     Term,
     Var,
-    all_idents,
-    fresh_var,
     non_assoc_vars,
     render,
-    replace_free_var,
 )
 
 __all__ = [
@@ -102,8 +98,9 @@ class CheckState:
     """Context threaded through term checking.
 
     ``v`` is the set of rule-side variables usable as association keys;
-    ``bound`` is the chain of binders in scope (duplicate-free: shadowing
-    binders are renamed on entry).
+    ``bound`` is the chain of binders in scope.  A name may repeat in it:
+    an inner binder shadows an outer one, and ``delta.var`` holds the
+    innermost binder's sort.
     """
 
     gamma: GlobalEnv
@@ -159,19 +156,12 @@ def _is_sort(x) -> bool:
     return isinstance(x, (SortCons, SortVar))
 
 
-def _instantiated_forms(sig: ConSig, expected: Sort) -> tuple[Form, ...] | None:
-    subst = match_sort(sig.result, expected)
-    if subst is None:
-        return None
-    return tuple(apply_form_subst(f, subst) for f in sig.forms)
-
-
 def _check_construction(st: CheckState, t: Construction, expected: Sort, tag: str,
                         piece_tc: TermContext) -> list[CheckError]:
     sig = st.gamma.con.get(t.head)
     if sig is None:
         return [_err(tag, t, f"constructor {t.head} is not declared")]
-    forms = _instantiated_forms(sig, expected)
+    forms = instantiated_forms(sig, expected)
     if forms is None:
         return [_err(
             tag, t,
@@ -350,27 +340,10 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[CheckError]:
                 f"scope binds {len(p.binders)} variable(s) but the form declares "
                 f"{len(f.binder_sorts)} (BinderArityMismatch)",
             )]
-        # Shadowing binders are renamed before extending the environment so
-        # the bound chain stays duplicate-free.
-        body = p.body
-        binders: list[Ident] = []
-        for w in p.binders:
-            if w in st.bound or w in binders:
-                avoid = set(st.bound) | set(binders) | all_idents(body) | set(st.delta.var)
-                w2 = fresh_var(w, avoid)
-                body = replace_free_var(body, w, w2)
-                binders.append(w2)
-            else:
-                binders.append(w)
         var = dict(st.delta.var)
-        for w, s in zip(binders, f.binder_sorts):
-            var[w] = s
-        inner = replace(
-            st,
-            delta=RuleEnv(var, st.delta.meta),
-            bound=st.bound + tuple(binders),
-        )
-        return check_term(inner, body, f.body_sort)
+        var.update(zip(p.binders, f.binder_sorts))
+        inner = replace(st, delta=RuleEnv(var, st.delta.meta), bound=st.bound + p.binders)
+        return check_term(inner, p.body, f.body_sort)
 
     if not isinstance(f, AssocForm):
         return [_err("SP-Assoc", p, "association argument where a scope form is declared")]
@@ -502,46 +475,12 @@ def check_script(script: Script) -> ScriptCheck:
 # Ground subjects (inputs to normalization)
 
 
-def subject_env(gamma: GlobalEnv, t: Term, sort: Sort) -> RuleEnv:
-    """Assign sorts to the free variables of a ground subject by position."""
-    delta = RuleEnv()
-
-    def walk(x: Term, expected: Sort, scope: frozenset[Ident]) -> None:
-        if isinstance(x, Var):
-            if x.name not in scope:
-                delta.var.setdefault(x.name, expected)
-            return
-        if isinstance(x, MetaApp):
-            return
-        sig = gamma.con.get(x.head)
-        if sig is None:
-            return
-        forms = _instantiated_forms(sig, expected)
-        if forms is None:
-            return
-        for p, f in zip(x.args, forms):
-            if isinstance(p, ScopePiece) and isinstance(f, ScopeForm):
-                walk(p.body, f.body_sort, scope | set(p.binders))
-            elif isinstance(p, AssocPiece) and isinstance(f, AssocForm):
-                for e in p.entries:
-                    if isinstance(e, MapEntry):
-                        if e.key not in scope:
-                            delta.var.setdefault(e.key, f.key_sort)
-                        walk(e.value, f.value_sort, scope)
-                    elif isinstance(e, NotKey) and e.key not in scope:
-                        delta.var.setdefault(e.key, f.key_sort)
-
-    # Binder sorts are supplied locally during checking; only free variables
-    # need entries here, but recording binders too is harmless.
-    walk(t, sort, frozenset())
-    return delta
-
-
 def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEnv, list[CheckError]]:
     """Determine a ground term's sort and check it in contraction context.
 
     The sort is read off the head constructor's declaration; free variables
-    receive the sorts their positions demand.
+    receive the sorts their positions demand, by the walk that infers rule
+    environments, run as on a right-hand side with no meta-forms.
     """
     if not isinstance(t, Construction):
         return None, RuleEnv(), [_err(
@@ -557,7 +496,8 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
             f"cannot determine a ground sort for {t.head}: its declared sort "
             f"{render(sort)} is polymorphic",
         )]
-    delta = subject_env(gamma, t, sort)
+    delta = RuleEnv()
+    walk_sorts(gamma, t, sort, delta, {}, in_lhs=False)
     st = CheckState(gamma, delta, frozenset(non_assoc_vars(t)), TermContext.CON)
     return sort, delta, check_term(st, t, sort)
 

@@ -39,7 +39,7 @@ def _load_script(cfg: CliConfig):
     try:
         with open(cfg.script_path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"{cfg.script_path}: error[io]: {exc}", file=sys.stderr)
         return None, 2
     try:

@@ -158,6 +158,15 @@ def apply_form_subst(f: Form, subst: dict[Ident, Sort]) -> Form:
     )
 
 
+def instantiated_forms(sig: ConSig, expected: Sort) -> tuple[Form, ...] | None:
+    """A constructor's argument forms at an expected result sort, or None
+    when its declared result sort does not match."""
+    subst = match_sort(sig.result, expected)
+    if subst is None:
+        return None
+    return tuple(apply_form_subst(f, subst) for f in sig.forms)
+
+
 # ---------------------------------------------------------------------------
 # Global environment assembly
 
@@ -246,21 +255,46 @@ def build_global_env(script: Script) -> tuple[GlobalEnv, list[EnvError]]:
 def infer_rule_env(gamma: GlobalEnv, rule: RuleDecl) -> tuple[RuleEnv, list[EnvError]]:
     """Infer the rule environment by one traversal of each side.
 
-    Binder variables take their sorts from the enclosing constructor's
-    declared form; free pattern variables take the sort demanded by their
-    position; a meta-variable's meta-form is read off its first left-hand
-    occurrence.  Later occurrences (either side) must demand a consistent
-    meta-form or MetaFormConflict results; meta-variables used only on the
-    right-hand side yield UnboundMetaOnRhs.
+    Free pattern variables take the sort demanded by their first position;
+    binder variables take their sorts from the enclosing constructor's
+    declared form, within their scope only.  A name bound somewhere but
+    never free gets its first binder's sort; where a name is both, the free
+    variable's sort wins.  A meta-variable's meta-form is read off its first
+    left-hand occurrence.  Later occurrences (either side) must demand a
+    consistent meta-form or MetaFormConflict results; meta-variables used
+    only on the right-hand side yield UnboundMetaOnRhs.
     """
     delta = RuleEnv()
-    errors: list[EnvError] = []
-    lhs_metas = meta_vars(rule.lhs)
+    binders: dict[Ident, Sort] = {}
+    errors = walk_sorts(gamma, rule.lhs, rule.sort, delta, binders, in_lhs=True)
+    errors += walk_sorts(gamma, rule.rhs, rule.sort, delta, binders, in_lhs=False)
+    for b, s in binders.items():
+        delta.var.setdefault(b, s)
 
-    def note_var(name: Ident, sort: Sort, scope: dict[Ident, Sort]) -> None:
-        if name in scope:
-            return
-        delta.var.setdefault(name, sort)
+    lhs_metas = meta_vars(rule.lhs)
+    for m in sorted(meta_vars(rule.rhs)):
+        if m not in lhs_metas:
+            errors.append(EnvError(
+                "UnboundMetaOnRhs", rule.span,
+                f"meta-variable {m} occurs in the contraction but not in the pattern",
+            ))
+
+    return delta, errors
+
+
+def walk_sorts(gamma: GlobalEnv, t: Term, expected: Sort, delta: RuleEnv,
+               binders: dict[Ident, Sort], *, in_lhs: bool) -> list[EnvError]:
+    """One sort-directed walk of a rule side or of a ground subject.
+
+    A free variable or key gets the sort its first position demands, in
+    ``delta.var``.  A binder's sort holds inside its scope, where an inner
+    binder shadows an outer one and hides free variables of its name; the
+    first sort seen for each binder name also goes to ``binders``.  On the
+    left-hand side a meta-application records its meta-form in
+    ``delta.meta``; elsewhere it must agree with the recorded one, and the
+    disagreements are returned.
+    """
+    errors: list[EnvError] = []
 
     def readable_form(m: MetaApp | CatchAll, result: Sort | AssocForm,
                       scope: dict[Ident, Sort]) -> MetaForm | None:
@@ -277,7 +311,7 @@ def infer_rule_env(gamma: GlobalEnv, rule: RuleDecl) -> tuple[RuleEnv, list[EnvE
         return MetaForm(tuple(arg_sorts), result)
 
     def walk_meta(m: MetaApp | CatchAll, result: Sort | AssocForm,
-                  scope: dict[Ident, Sort], in_lhs: bool) -> None:
+                  scope: dict[Ident, Sort]) -> None:
         # On the lhs the full meta-form is forced; on the rhs only the arity
         # and result are demanded (argument sorts flow from the meta-form).
         seen = delta.meta.get(m.meta)
@@ -303,48 +337,36 @@ def infer_rule_env(gamma: GlobalEnv, rule: RuleDecl) -> tuple[RuleEnv, list[EnvE
             ))
         if len(m.args) == len(seen.arg_sorts):
             for a, s in zip(m.args, seen.arg_sorts):
-                walk_term(a, s, scope, in_lhs)
+                walk(a, s, scope)
 
-    def walk_term(t: Term, expected: Sort | None, scope: dict[Ident, Sort], in_lhs: bool) -> None:
-        if expected is None:
+    def walk(x: Term, expected: Sort, scope: dict[Ident, Sort]) -> None:
+        if isinstance(x, Var):
+            if x.name not in scope:
+                delta.var.setdefault(x.name, expected)
             return
-        if isinstance(t, Var):
-            note_var(t.name, expected, scope)
+        if isinstance(x, MetaApp):
+            walk_meta(x, expected, scope)
             return
-        if isinstance(t, MetaApp):
-            walk_meta(t, expected, scope, in_lhs)
+        sig = gamma.con.get(x.head)
+        forms = instantiated_forms(sig, expected) if sig is not None else None
+        if forms is None:
             return
-        sig = gamma.con.get(t.head)
-        if sig is None:
-            return
-        subst = match_sort(sig.result, expected)
-        if subst is None:
-            return
-        forms = [apply_form_subst(f, subst) for f in sig.forms]
-        for piece, form in zip(t.args, forms):
+        for piece, form in zip(x.args, forms):
             if isinstance(piece, ScopePiece) and isinstance(form, ScopeForm):
                 inner = dict(scope)
                 for b, s in zip(piece.binders, form.binder_sorts):
                     inner[b] = s
-                    delta.var.setdefault(b, s)
-                walk_term(piece.body, form.body_sort, inner, in_lhs)
+                    binders.setdefault(b, s)
+                walk(piece.body, form.body_sort, inner)
             elif isinstance(piece, AssocPiece) and isinstance(form, AssocForm):
                 for e in piece.entries:
                     if isinstance(e, CatchAll):
-                        walk_meta(e, form, scope, in_lhs)
+                        walk_meta(e, form, scope)
                         continue
-                    note_var(e.key, form.key_sort, scope)
+                    if e.key not in scope:
+                        delta.var.setdefault(e.key, form.key_sort)
                     if isinstance(e, MapEntry):
-                        walk_term(e.value, form.value_sort, scope, in_lhs)
+                        walk(e.value, form.value_sort, scope)
 
-    walk_term(rule.lhs, rule.sort, {}, True)
-    walk_term(rule.rhs, rule.sort, {}, False)
-
-    for m in sorted(meta_vars(rule.rhs)):
-        if m not in lhs_metas:
-            errors.append(EnvError(
-                "UnboundMetaOnRhs", rule.span,
-                f"meta-variable {m} occurs in the contraction but not in the pattern",
-            ))
-
-    return delta, errors
+    walk(t, expected, {})
+    return errors

@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .env import GlobalEnv, RuleEnv
 from .terms import (
     AssocPiece,
-    Association,
     CatchAll,
     Construction,
     Ident,
@@ -50,7 +49,6 @@ __all__ = [
     "Valuation",
     "contract",
     "format_step",
-    "match_assoc",
     "match_term",
     "normalize",
     "prepare_rules",
@@ -161,8 +159,8 @@ class _Matcher:
     the set costs a walk of the whole subject.
     """
 
-    def __init__(self, terms: Sequence[Term], val: Valuation | None = None):
-        self.val = val or Valuation()
+    def __init__(self, terms: Sequence[Term]):
+        self.val = Valuation()
         self.terms = terms
         self.avoid: set[Ident] | None = None
         # (pattern entries, subject entries, penv, senv, bound)
@@ -256,13 +254,11 @@ class _Matcher:
 
     # -- association pieces --------------------------------------------------
 
-    def resolve_key(self, w: Ident, penv: dict, concrete_fallback: bool) -> Ident:
+    def resolve_key(self, w: Ident, penv: dict) -> Ident:
         if w in penv:
             return penv[w]
         if w in self.val.var_bind:
             return self.val.var_bind[w]
-        if concrete_fallback:
-            return w
         raise _NoMatch
 
     def resolvable(self, item) -> bool:
@@ -273,7 +269,7 @@ class _Matcher:
             if isinstance(e, (MapEntry, NotKey))
         )
 
-    def match_assoc_entries(self, item, concrete_fallback: bool = False) -> None:
+    def match_assoc_entries(self, item) -> None:
         p_entries, s_entries, penv, senv, bound = item
         subject = {k: v for k, v in s_entries}
         catchalls = [e for e in p_entries if isinstance(e, CatchAll)]
@@ -284,13 +280,13 @@ class _Matcher:
         named: set[Ident] = set()
         for e in p_entries:
             if isinstance(e, MapEntry):
-                k = self.resolve_key(e.key, penv, concrete_fallback)
+                k = self.resolve_key(e.key, penv)
                 if k not in subject:
                     raise _NoMatch
                 named.add(k)
                 self.term(e.value, subject[k], penv, senv, bound)
             elif isinstance(e, NotKey):
-                k = self.resolve_key(e.key, penv, concrete_fallback)
+                k = self.resolve_key(e.key, penv)
                 if k in subject:
                     raise _NoMatch
         remainder = [(k, v) for k, v in subject.items() if k not in named]
@@ -359,26 +355,6 @@ def match_term(pattern: Term, subject: Term) -> Valuation | None:
     try:
         m.term(pattern, subject, {}, {}, ())
         m.drain_pending()
-    except _NoMatch:
-        return None
-    return m.val
-
-
-def match_assoc(pattern: Sequence[Association], subject: Sequence[tuple[Ident, Term]],
-                partial: Valuation) -> Valuation | None:
-    """Match a pattern association list against subject entries.
-
-    ``partial`` supplies variable bindings for keys resolved elsewhere; a key
-    not bound there is taken concretely (it denotes itself).  The single
-    optional catch-all receives the remaining entries in subject order; with
-    no catch-all the remainder must be empty.
-    """
-    m = _Matcher([v for _, v in subject], Valuation(
-        dict(partial.meta_bind), dict(partial.assoc_bind), dict(partial.var_bind)
-    ))
-    try:
-        m.match_assoc_entries((tuple(pattern), list(subject), {}, {}, ()),
-                              concrete_fallback=True)
     except _NoMatch:
         return None
     return m.val

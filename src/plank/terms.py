@@ -447,18 +447,17 @@ def free_vars(t: Term) -> set[Ident]:
 
 
 def non_assoc_vars(t: Term) -> set[Ident]:
-    """Variables and binders of ``t`` (free or bound) outside association lists."""
-    return _names(t, VAR | BINDER, assoc=False)
+    """Free variables of ``t`` that occur outside association lists.
+
+    Binder positions and bound occurrences do not count, so the result
+    does not depend on binder names.
+    """
+    return _names(t, VAR, free=True, assoc=False)
 
 
 def all_idents(t: Term) -> set[Ident]:
     """Every variable name occurring anywhere in ``t`` (binders, keys, bodies)."""
     return _names(t, VAR | BINDER | KEY)
-
-
-def bound_vars(t: Term) -> set[Ident]:
-    """Every name appearing in a binder position somewhere in ``t``."""
-    return _names(t, BINDER)
 
 
 def meta_vars(t: Term) -> set[Ident]:
@@ -476,37 +475,6 @@ def fresh_var(hint: Ident, avoid: Iterable[Ident]) -> Ident:
     while f"{hint}{i}" in taken:
         i += 1
     return Ident(f"{hint}{i}")
-
-
-def replace_free_var(t: Term, old: Ident, new: Ident) -> Term:
-    """Rename free occurrences of ``old`` (including key positions) to ``new``.
-
-    The caller must pick ``new`` fresh for ``t``; no capture check is done.
-    """
-
-    def go(x: Term) -> Term:
-        if isinstance(x, Var):
-            return Var(new, span=x.span) if x.name == old else x
-        if isinstance(x, MetaApp):
-            return MetaApp(x.meta, tuple(go(a) for a in x.args), span=x.span)
-        return Construction(x.head, tuple(piece(p) for p in x.args), span=x.span)
-
-    def piece(p: Piece) -> Piece:
-        if isinstance(p, ScopePiece):
-            if old in p.binders:
-                return p
-            return ScopePiece(p.binders, go(p.body), span=p.span)
-        return AssocPiece(tuple(assoc(e) for e in p.entries), span=p.span)
-
-    def assoc(e: Association) -> Association:
-        if isinstance(e, MapEntry):
-            key = new if e.key == old else e.key
-            return MapEntry(key, go(e.value), span=e.span)
-        if isinstance(e, NotKey):
-            return NotKey(new if e.key == old else e.key, span=e.span)
-        return CatchAll(e.meta, tuple(go(a) for a in e.args), span=e.span)
-
-    return go(t)
 
 
 def alpha_equal(a: Term, b: Term) -> bool:

@@ -1,8 +1,19 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
-from plank import build_global_env, check_script, parse_script, parse_term
+from plank import (
+    build_global_env,
+    check_script,
+    normalize,
+    parse_script,
+    parse_term,
+    prepare_rules,
+    render,
+)
 from plank.checker import (
     CheckState,
     TermContext,
@@ -16,10 +27,20 @@ from plank.checker import (
 from plank.env import MetaForm, RuleEnv
 from plank.terms import (
     AssocForm,
+    AssocPiece,
+    CatchAll,
+    Construction,
     Ident,
+    MapEntry,
+    MetaApp,
+    NotKey,
+    RuleDecl,
     ScopeForm,
+    ScopePiece,
+    Script,
     SortCons,
     SortVar,
+    Var,
     non_assoc_vars,
 )
 from conftest import CBV_EVAL
@@ -220,8 +241,8 @@ class TestCheckPiece:
     def test_shadowed_binder_is_freshened(self, g1):
         st = state(g1, TermContext.IN_PAT, meta={"#M": MetaForm((L, L), L)},
                    var={"x": L}, bound=("x",))
-        # inner [x] shadows the outer one; the checker renames it so the
-        # bound chain stays duplicate-free and the meta still checks
+        # inner [x] shadows the outer one; both arguments of the meta name
+        # the inner binder
         piece = parse_term("F([x]#M(x, x))").args[0]
         errors = check_piece(st, piece, ScopeForm((L,), L))
         assert [e.rule for e in errors] == ["SMP-Meta"]  # still not distinct
@@ -317,3 +338,146 @@ class TestGroundSubject:
             sort, _, errors = check_ground_subject(g2, parse_term(text))
             assert errors == []
             assert sort == L
+
+
+# ---------------------------------------------------------------------------
+# Binder names: verdicts hold up to renaming of binders
+
+BINDERS = parse_script("""\
+A data Ca();
+A variable;
+B data Cb();
+B data Lb([A]B);
+B variable;
+L data Done();
+L data Lam([L]L);
+L variable;
+B scheme F([A]B, B);
+L scheme K(L, {L:L});
+""")
+
+_FORMS = {d.name: d.forms for d in BINDERS.declarations if hasattr(d, "forms")}
+_DATA = {"A": ["Ca"], "B": ["Cb", "Lb"], "L": ["Done", "Lam"]}
+_SCHEME = {"B": "F", "L": "K"}
+
+
+def _tags(rule):
+    """Diagnostic tags of one rule, given as text or as a declaration."""
+    if isinstance(rule, str):
+        rule = parse_script(rule).rules[0]
+    result = check_script(Script(BINDERS.declarations + (rule,)))
+    return Counter(e.rule for e in result.errors)
+
+
+def _random_rule(rng):
+    """A rule over ``BINDERS`` whose binders, free variables, keys and meta
+    arguments are all drawn from x, y, z; often ill-sorted."""
+
+    def name():
+        return Ident(rng.choice("xyz"))
+
+    def term(sort, depth, pat):
+        r = rng.random()
+        if depth <= 0 or r < 0.3:
+            return Var(name())
+        if r < 0.55:
+            args = tuple(Var(name()) if pat or rng.random() < 0.7
+                         else term(rng.choice("ABL"), depth - 1, pat)
+                         for _ in range(rng.randint(0, 2)))
+            return MetaApp(Ident(rng.choice(["#M", "#N"] if pat else ["#M"])), args)
+        heads = list(_DATA[sort])
+        if not pat and sort in _SCHEME:
+            heads.append(_SCHEME[sort])
+        if rng.random() < 0.1:
+            heads = [h for hs in _DATA.values() for h in hs]
+        return construction(rng.choice(heads), depth - 1, pat)
+
+    def construction(head, depth, pat):
+        pieces = []
+        for f in _FORMS[head]:
+            if isinstance(f, ScopeForm):
+                k = len(f.binder_sorts) if rng.random() < 0.95 else 0
+                pieces.append(ScopePiece(tuple(name() for _ in range(k)),
+                                         term(f.body_sort.name, depth, pat)))
+                continue
+            entries = []
+            for _ in range(rng.randint(0, 3)):
+                r = rng.random()
+                if r < 0.5:
+                    entries.append(MapEntry(name(), term("L", depth, pat)))
+                elif r < 0.7:
+                    entries.append(NotKey(name()))
+                else:
+                    args = tuple(Var(name()) for _ in range(rng.randint(0, 1)))
+                    entries.append(CatchAll(Ident("#E"), args))
+            pieces.append(AssocPiece(tuple(entries)))
+        return Construction(Ident(head), tuple(pieces))
+
+    sort = rng.choice("BL")
+    return RuleDecl(SortCons(Ident(sort)), construction(_SCHEME[sort], 3, True),
+                    term(sort, 3, False))
+
+
+def _rename_apart(t):
+    """``t`` with every binder renamed to a new name b1, b2, ..."""
+    count = [0]
+
+    def go(x, env):
+        if isinstance(x, Var):
+            return Var(env.get(x.name, x.name))
+        if isinstance(x, MetaApp):
+            return MetaApp(x.meta, tuple(go(a, env) for a in x.args))
+        return Construction(x.head, tuple(piece(p, env) for p in x.args))
+
+    def piece(p, env):
+        if isinstance(p, ScopePiece):
+            inner = dict(env)
+            for b in p.binders:
+                count[0] += 1
+                inner[b] = Ident(f"b{count[0]}")
+            return ScopePiece(tuple(inner[b] for b in p.binders), go(p.body, inner))
+        entries = []
+        for e in p.entries:
+            if isinstance(e, MapEntry):
+                entries.append(MapEntry(env.get(e.key, e.key), go(e.value, env)))
+            elif isinstance(e, NotKey):
+                entries.append(NotKey(env.get(e.key, e.key)))
+            else:
+                entries.append(CatchAll(e.meta, tuple(go(a, env) for a in e.args)))
+        return AssocPiece(tuple(entries))
+
+    return go(t, {})
+
+
+class TestBinderNames:
+    FREE_BESIDE_BINDER = "B rule F([x]#M(x), x) -> x;"
+    KEY_BESIDE_BINDER = "L rule K(Lam([y]Lam([z]#M(z))), {y : #X}) -> Done();"
+
+    def test_free_variable_keeps_its_sort_beside_a_binder(self):
+        for rule in (self.FREE_BESIDE_BINDER, "B rule F([y]#M(y), x) -> x;"):
+            assert _tags(rule) == Counter(), rule
+
+    def test_engine_fires_the_rule_with_a_free_variable_beside_a_binder(self):
+        script = parse_script(render(BINDERS) + "\n" + self.FREE_BESIDE_BINDER)
+        gamma = build_global_env(script)[0]
+        rules = prepare_rules(gamma, script.rules)
+        out = normalize(gamma, rules, parse_term("F([x]Cb(), b)"))
+        assert render(out.term) == "b"
+
+    def test_a_binder_does_not_make_a_key_occur_elsewhere(self):
+        variant = "L rule K(Lam([w]Lam([z]#M(z))), {y : #X}) -> Done();"
+        for rule in (self.KEY_BESIDE_BINDER, variant):
+            assert _tags(rule) == Counter({"SA-Map": 1}), rule
+
+    def test_a_subject_key_needs_a_free_occurrence(self):
+        gamma = build_global_env(BINDERS)[0]
+        for text in ("K(Lam([y]Lam([z]z)), {y : Done()})", "K(Lam([w]Lam([z]z)), {y : Done()})"):
+            _, _, errors = check_ground_subject(gamma, parse_term(text))
+            assert [e.rule for e in errors] == ["SA-Map"], text
+
+    def test_diagnostic_tags_do_not_depend_on_binder_names(self):
+        rng = random.Random(0)
+        for _ in range(1000):
+            rule = _random_rule(rng)
+            apart = RuleDecl(rule.sort, _rename_apart(rule.lhs), _rename_apart(rule.rhs))
+            assert _tags(rule) == _tags(apart), render(rule)

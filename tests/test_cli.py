@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import BETA_ETA
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -33,3 +35,15 @@ def test_shallow_input_still_normalizes(tmp_path):
     script.write_text(BETA_ETA, encoding="utf-8")
     done = run_cli("normalize", str(script), "--term", "Ap(Lam([x]x), Lam([y]y))")
     assert (done.returncode, done.stdout, done.stderr) == (0, "Lam([y]y)\n", "")
+
+
+@pytest.mark.parametrize("command", [["check"], ["normalize", "--term", "Lam([x]x)"]],
+                         ids=["check", "normalize"])
+def test_non_utf8_script_is_an_io_error(tmp_path, command):
+    script = tmp_path / "latin1.plank"
+    script.write_bytes("L scheme Lam([L]L); // caf\u00e9\n".encode("latin-1"))
+    done = run_cli(command[0], str(script), *command[1:])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "error[io]" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -5,12 +5,15 @@
 * Rendered normal forms and (position, rule) sequences on fixed inputs are
   byte-identical to the recorded ones, including every fresh name.
 * ``check_script`` infers each rule environment once.
+* Full diagnostics of ill-sorted rules whose binders are all distinct from
+  each other and from free names are byte-identical to the recorded ones.
 * Every exported name, and every name the benchmark's traced run wraps,
-  still resolves.
+  still resolves, and no module imports a name it never uses.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -150,6 +153,64 @@ def test_check_script_infers_each_rule_env_once(monkeypatch, source):
 
 
 # ---------------------------------------------------------------------------
+# Diagnostics
+
+PIN_SIGNATURE = """\
+A data Ca();
+A variable;
+B data Cb();
+B data Lb([A]B);
+B variable;
+L data Done();
+L data Lam([L]L);
+L variable;
+B scheme F([A]B, B);
+L scheme K(L, {L:L});
+"""
+
+# Recorded before binders were scoped lexically in the checker.
+PINNED = [
+    ("B rule F([a]#M(c), Cb()) -> Cb();",
+     ["pin.plank:11:13: error[SMP-Meta]: meta-variable #M has no meta-form"]),
+    ("B rule F([a]Lb([b]#M(a, a)), Cb()) -> Cb();",
+     ["pin.plank:11:25: error[SMP-Meta]: arguments of #M must be pairwise distinct variables"]),
+    ("B rule F([a]Lb([b]Cb()), Lb([c]c)) -> Cb();",
+     ["pin.plank:11:32: error[SMP-Var]: variable c has sort A, expected B"]),
+    ("B rule F([a]#M(a), Cb()) -> Lb([b]b);",
+     ["pin.plank:11:35: error[SMC-Var]: variable b has sort A, expected B"]),
+    ("L rule K(Done(), {x : #X}) -> Done();",
+     ["pin.plank:11:19: error[SA-Map]: association key x does not occur outside an "
+      "association (KeyNotElsewhere)"]),
+    ("L rule K(Lam([a]Lam([b]#M(b))), {x : #X, #E}) -> K(Done(), {y : Done()});",
+     ["pin.plank:11:34: error[SA-Map]: association key x does not occur outside an "
+      "association (KeyNotElsewhere)",
+      "pin.plank:11:61: error[SA-Map]: association key y does not occur outside an "
+      "association (KeyNotElsewhere)"]),
+    ("L rule K(x, {~x:}) -> K(x, {~x:});",
+     ["pin.plank:11:29: error[SAP-Not]: absence entries are only allowed in patterns "
+      "(NotKeyInContraction)"]),
+    ("B rule F([a]#M(a), #M) -> Cb();",
+     ["pin.plank:11:20: error[MetaFormConflict]: meta-variable #M used as () => B but "
+      "earlier as (A) => B"]),
+    ("B rule F([a]#M(a), Cb()) -> #M;",
+     ["pin.plank:11:29: error[MetaFormConflict]: meta-variable #M used with 0 argument(s) "
+      "at B but its meta-form is (A) => B"]),
+    ("B rule F([a]Cb(), Cb()) -> #Q;",
+     ["pin.plank:11:1: error[UnboundMetaOnRhs]: meta-variable #Q occurs in the "
+      "contraction but not in the pattern"]),
+    ("L rule K(Lam([a]#M(a)), {#E}) -> Lam([b]#M(Ca()));",
+     ["pin.plank:11:44: error[SMS-Cons]: cannot substitute a non-variable at sort L, "
+      "which admits syntactic variables"]),
+]
+
+
+@pytest.mark.parametrize("rule,expected", PINNED, ids=[str(i) for i in range(len(PINNED))])
+def test_pinned_diagnostics(rule, expected):
+    result = check_script(parse_script(PIN_SIGNATURE + rule + "\n", file="pin.plank"))
+    assert [e.format() for e in result.errors] == expected
+
+
+# ---------------------------------------------------------------------------
 # Tooling guard
 
 
@@ -170,3 +231,30 @@ def test_every_traced_name_resolves():
     for name, (module_name, attr) in tracing.TRACED.items():
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{name}: {module_name}.{attr}"
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: list[str] = []
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in used and name not in exported]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # A name listed in ``__all__`` is a re-export; the package ``__init__``
+    # consists of re-exports.
+    assert _unused_imports("from x import a, b\n__all__ = ['b']\n") == ["a"]
+    modules = sorted((REPO / "src" / "plank").glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        if path.name != "__init__.py":
+            assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name

@@ -7,7 +7,6 @@ from plank import (
     alpha_equal,
     check_script,
     contract,
-    match_assoc,
     match_term,
     normalize,
     parse_script,
@@ -154,51 +153,36 @@ class TestMatchTerm:
 
 
 class TestMatchAssoc:
+    """Association pieces through ``match_term``; each key is resolved by a
+    variable occurrence outside the list."""
+
     def test_resolved_key(self):
-        pattern = parse_term("E({#env; x : #V})").args[0].entries
-        partial = Valuation(var_bind={Ident("x"): Ident("a")})
-        out = match_assoc(pattern, [(Ident("a"), t("One()"))], partial)
+        out = match_term(t("E(x, {#env; x : #V})"), t("E(a, {a : One()})"))
         assert out is not None
         assert out.meta_bind["#V"].body == t("One()")
         assert out.assoc_bind["#env"].entries == ()
 
     def test_not_key_present_fails(self):
-        pattern = parse_term("E({~x:})").args[0].entries
-        partial = Valuation(var_bind={Ident("x"): Ident("a")})
-        assert match_assoc(pattern, [(Ident("a"), t("One()"))], partial) is None
+        assert match_term(t("E(x, {~x:})"), t("E(a, {a : One()})")) is None
 
     def test_not_key_absent_succeeds(self):
-        pattern = parse_term("E({~x:})").args[0].entries
-        partial = Valuation(var_bind={Ident("x"): Ident("a")})
-        assert match_assoc(pattern, [], partial) is not None
+        assert match_term(t("E(x, {~x:})"), t("E(a, {})")) is not None
         # without a catch-all any leftover entry blocks the match
-        assert match_assoc(pattern, [(Ident("b"), t("One()"))], partial) is None
+        assert match_term(t("E(x, {~x:})"), t("E(a, {b : One()})")) is None
 
     def test_empty_catchall(self):
-        pattern = parse_term("E({#env})").args[0].entries
-        out = match_assoc(pattern, [], Valuation())
+        out = match_term(t("E({#env})"), t("E({})"))
         assert out is not None
         assert out.assoc_bind["#env"].entries == ()
 
     def test_no_catchall_requires_exact(self):
-        pattern = parse_term("E({x : #V})").args[0].entries
-        partial = Valuation(var_bind={Ident("x"): Ident("a")})
-        assert match_assoc(pattern, [(Ident("a"), t("One()")), (Ident("b"), t("Two()"))],
-                           partial) is None
+        assert match_term(t("E(x, {x : #V})"), t("E(a, {a : One(), b : Two()})")) is None
 
     def test_remainder_in_subject_order(self):
-        pattern = parse_term("E({#env; x : #V})").args[0].entries
-        partial = Valuation(var_bind={Ident("x"): Ident("b")})
-        subject = [(Ident("a"), t("One()")), (Ident("b"), t("Two()")), (Ident("c"), t("Three()"))]
-        out = match_assoc(pattern, subject, partial)
+        out = match_term(t("E(x, {#env; x : #V})"),
+                         t("E(b, {a : One(), b : Two(), c : Three()})"))
         assert out is not None
         assert [k for k, _ in out.assoc_bind["#env"].entries] == ["a", "c"]
-
-    def test_concrete_key_fallback(self):
-        pattern = parse_term("E({a : #V})").args[0].entries
-        out = match_assoc(pattern, [(Ident("a"), t("One()"))], Valuation())
-        assert out is not None
-        assert out.meta_bind["#V"].body == t("One()")
 
 
 class TestSubstitute:
