@@ -102,6 +102,9 @@ def substitute(body: Term, binding: Mapping[Ident, Term]) -> Term:
     """
     if not binding:
         return body
+    # Free variables per replacement, computed once per call.  Keyed by id;
+    # each entry keeps its term alive, so no id is reused while it stands.
+    fv_memo: dict[int, tuple[Term, set[Ident]]] = {}
 
     def go(t: Term, sub: dict[Ident, Term]) -> Term:
         if isinstance(t, Var):
@@ -118,7 +121,10 @@ def substitute(body: Term, binding: Mapping[Ident, Term]) -> Term:
             return p
         clash = set()
         for r in inner.values():
-            clash |= free_vars(r)
+            hit = fv_memo.get(id(r))
+            if hit is None:
+                hit = fv_memo[id(r)] = (r, free_vars(r))
+            clash |= hit[1]
         binders = list(p.binders)
         body2 = p.body
         if clash & set(binders):
@@ -138,7 +144,10 @@ def substitute(body: Term, binding: Mapping[Ident, Term]) -> Term:
             return NotKey(_key_through(sub, e.key))
         return CatchAll(e.meta, tuple(go(a, sub) for a in e.args))
 
-    return go(body, dict(binding))
+    try:
+        return go(body, dict(binding))
+    finally:
+        fv_memo.clear()  # the closures are a cycle; let the replacements go now
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +161,11 @@ class _NoMatch(Exception):
 class _Matcher:
     """One matching attempt; collects bindings and defers association pieces
     until their pattern keys are resolvable.
+
+    Subject binders are renamed to canonical names as the descent enters
+    them, and subject association keys are seen through the same map, so a
+    key bound inside the subject compares with the pattern's keys under its
+    canonical name.
 
     Canonical binder names avoid every name of the terms the matcher was
     built from.  That set is built on the first ``canonical`` call, not up
@@ -215,13 +229,14 @@ class _Matcher:
             return
         if not isinstance(sp, AssocPiece):
             raise _NoMatch
-        entries = _subject_entries(sp)
+        entries = [(senv.get(k, k), v) for k, v in _subject_entries(sp)]
         self.pending.append((pp.entries, entries, dict(penv), dict(senv), bound))
 
     def bind_meta(self, p: MetaApp, s: Term, penv: dict, senv: dict, bound: tuple) -> None:
         params = self._meta_params(p.meta, p.args, penv)
         fragment = self._rename(s, senv)
-        if (free_vars(fragment) & set(bound)) - set(params):
+        forbidden = set(bound) - set(params)
+        if forbidden and free_vars(fragment) & forbidden:
             raise _NoMatch  # a forbidden binder occurs in the fragment
         self._record_meta(p.meta, Abstraction(params, fragment))
 
@@ -296,12 +311,13 @@ class _Matcher:
             return
         ca = catchalls[0]
         params = self._meta_params(ca.meta, ca.args, penv)
+        forbidden = set(bound) - set(params)
         captured = []
         for k, v in remainder:
-            if k in bound and k not in params:
+            if k in forbidden:
                 raise _NoMatch
             frag = self._rename(v, senv)
-            if (free_vars(frag) & set(bound)) - set(params):
+            if forbidden and free_vars(frag) & forbidden:
                 raise _NoMatch
             captured.append((k, frag))
         self._record_assoc(ca.meta, AssocBinding(params, tuple(captured)))
@@ -373,23 +389,33 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = ()) -> Term:
     every name in the valuation, and all names generated so far.  Binders on
     the right side are freshened the same way, so spliced association entries
     can never collide with introduced keys.
+
+    ``avoid`` and the valuation's names are read only when a fresh name is
+    drawn: a right side with no binder and no unbound variable never
+    iterates ``avoid``.
     """
-    taken = set(avoid)
-    for ab in val.meta_bind.values():
-        taken |= set(ab.params) | all_idents(ab.body)
-    for binding in val.assoc_bind.values():
-        taken |= set(binding.params)
-        for k, v in binding.entries:
-            taken.add(k)
-            taken |= all_idents(v)
-    taken |= set(val.var_bind.values())
+    taken: set[Ident] | None = None
+
+    def fresh(hint: Ident) -> Ident:
+        nonlocal taken
+        if taken is None:
+            taken = set(avoid)
+            for ab in val.meta_bind.values():
+                taken |= set(ab.params) | all_idents(ab.body)
+            for binding in val.assoc_bind.values():
+                taken |= set(binding.params)
+                for k, v in binding.entries:
+                    taken.add(k)
+                    taken |= all_idents(v)
+            taken |= set(val.var_bind.values())
+        name = fresh_var(hint, taken)
+        taken.add(name)
+        return name
 
     rho: dict[Ident, Ident] = dict(val.var_bind)
     for w in sorted(free_vars(rhs)):
         if w not in rho:
-            w2 = fresh_var(w, taken)
-            taken.add(w2)
-            rho[w] = w2
+            rho[w] = fresh(w)
 
     def go(t: Term, rho: dict[Ident, Ident]) -> Term:
         if isinstance(t, Var):
@@ -412,8 +438,7 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = ()) -> Term:
             rho2 = dict(rho)
             binders = []
             for b in p.binders:
-                b2 = fresh_var(b, taken)
-                taken.add(b2)
+                b2 = fresh(b)
                 rho2[b] = b2
                 binders.append(b2)
             return ScopePiece(tuple(binders), go(p.body, rho2))
@@ -532,24 +557,41 @@ def _check_single_catchall(t: Term, index: int) -> None:
                         _check_single_catchall(e.value, index)
 
 
+class _TermNames:
+    """Every name of a term, walked only when first iterated."""
+
+    def __init__(self, t: Term):
+        self.term: Term | None = t
+
+    def __iter__(self):
+        return iter(all_idents(self.term))
+
+
 def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term
                  ) -> tuple[Term, RewriteStep] | None:
     """Contract the leftmost-outermost matching redex, or return None.
 
-    Only scheme-headed constructions are tried, in rule declaration order;
-    the search descends under binders and into association values.
+    Rules are tried by head: at a scheme-headed construction only the rules
+    whose pattern has that head, in declaration order.  A rule with another
+    head could not match there, so the redex and rule chosen are those of
+    trying every rule.  The search descends under binders and into
+    association values.  Fresh names avoid every name of ``t``, which is
+    walked only when a contraction draws a fresh name.
     """
-    avoid = all_idents(t)
+    by_head: dict[Ident, list[RewriteRule]] = {}
+    for rule in rules:
+        if rule.decl.lhs.head in gamma.fun:
+            by_head.setdefault(rule.decl.lhs.head, []).append(rule)
+    names = _TermNames(t)
 
     def visit(sub: Term, path: tuple[int, ...]) -> tuple[Term, RewriteStep] | None:
         if not isinstance(sub, Construction):
             return None
-        if sub.head in gamma.fun:
-            for rule in rules:
-                val = match_term(rule.decl.lhs, sub)
-                if val is not None:
-                    new = contract(rule.decl.rhs, val, avoid)
-                    return new, RewriteStep(path, rule.index, val)
+        for rule in by_head.get(sub.head, ()):
+            val = match_term(rule.decl.lhs, sub)
+            if val is not None:
+                new = contract(rule.decl.rhs, val, names)
+                return new, RewriteStep(path, rule.index, val)
         for i, p in enumerate(sub.args):
             if isinstance(p, ScopePiece):
                 hit = visit(p.body, path + (i,))
@@ -568,7 +610,12 @@ def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term
                             return Construction(sub.head, args), hit[1]
         return None
 
-    return visit(t, ())
+    try:
+        return visit(t, ())
+    finally:
+        # visit, and the closures inside contract, are reference cycles that
+        # live until a cyclic collection; they must not keep t alive.
+        names.term = None
 
 
 def normalize(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term,

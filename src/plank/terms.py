@@ -468,7 +468,7 @@ def meta_vars(t: Term) -> set[Ident]:
 def fresh_var(hint: Ident, avoid: Iterable[Ident]) -> Ident:
     """A variable name not in ``avoid``: ``hint`` itself when available,
     otherwise ``hint`` suffixed with the smallest positive integer."""
-    taken = set(avoid)
+    taken = avoid if isinstance(avoid, (set, frozenset)) else set(avoid)
     if hint not in taken:
         return Ident(hint)
     i = 1

@@ -5,6 +5,10 @@
 * Rendered normal forms and (position, rule) sequences on fixed inputs are
   byte-identical to the recorded ones, including every fresh name.
 * ``check_script`` infers each rule environment once.
+* The engine walks a term's names only when it draws a fresh name, and no
+  reference cycle it leaves behind keeps a rewritten term alive.
+* The ``--trace`` text of a run whose fresh names collide with the
+  subject's names is byte-identical to the recorded one.
 * Full diagnostics of ill-sorted rules whose binders are all distinct from
   each other and from free names are byte-identical to the recorded ones.
 * Every exported name, and every name the benchmark's traced run wraps,
@@ -14,17 +18,23 @@
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import importlib.util
 import pkgutil
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import plank
 import plank.checker
+import plank.rewrite
+from plank.cli import main
 from plank import check_script, normalize, parse_script, parse_term, prepare_rules, render
 from plank.env import ConSig, MetaForm, infer_rule_env
+from plank.terms import all_idents
 
 from conftest import BETA_ETA, CBV_EVAL
 
@@ -150,6 +160,76 @@ def test_check_script_infers_each_rule_env_once(monkeypatch, source):
     assert result.ok
     assert calls == list(script.rules)
     assert len(result.rule_envs) == len(script.rules)
+
+
+def test_beta_eta_walks_names_only_for_canonical_binders(monkeypatch):
+    # No beta/eta right side draws a fresh name, so the only name walks left
+    # are the matcher's, for the canonical names of the binders it enters.
+    callers = []
+
+    def recording(t):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return all_idents(t)
+
+    monkeypatch.setattr(plank.rewrite, "all_idents", recording)
+    script = parse_script(BETA_ETA)
+    checked = check_script(script)
+    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+    result = normalize(checked.gamma, rules, parse_term(_mult(4)))
+    assert render(result.term) == f"Lam([g]Lam([x]{_ap_g(16)}))"
+    assert callers and set(callers) == {"canonical"}
+
+
+@pytest.mark.parametrize("source,term,steps", [
+    (BETA_ETA, _mult(2), 7),
+    (CBV_EVAL, _identity_chain(2), 9),
+], ids=["mult-2", "chain-2"])
+def test_no_cycle_keeps_a_rewritten_term_alive(source, term, steps):
+    script = parse_script(source)
+    checked = check_script(script)
+    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+    root = parse_term(term)
+    ref = weakref.ref(root)
+    gc.disable()
+    try:
+        result = normalize(checked.gamma, rules, root)
+        del root
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert len(result.steps) == steps
+
+
+# The subject already holds x, x1, z and z1, so every fresh binder and every
+# call-by-value z is suffixed.  Recorded before the lazy name sets.
+COLLIDING_TERM = "Eval(Ap(Lam([x1]Ap(x1, z)), Lam([x]z1)), {z : Lam([y]y), z1 : Lam([x]x)})"
+COLLIDING_TRACE = """\
+step 1 at [] by rule 1 (L rule Eval(Ap(#F, #A), {#env}) -> Apply(Eval(#F, {#env}), Eval(#A, {#env}), {#env}))
+Apply(Eval(Lam([x1]Ap(x1, z)), {z : Lam([y]y), z1 : Lam([x]x)}), Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)}), {z : Lam([y]y), z1 : Lam([x]x)})
+step 2 at [0] by rule 0 (L rule Eval(Lam([x]#B(x)), {#env}) -> Lam([x]#B(x)))
+Apply(Lam([x3]Ap(x3, z)), Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)}), {z : Lam([y]y), z1 : Lam([x]x)})
+step 3 at [] by rule 3 (L rule Apply(Lam([x]#B(x)), #V, {#env}) -> Eval(#B(z), {#env, z : #V}))
+Eval(Ap(z2, z), {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})})
+step 4 at [] by rule 1 (L rule Eval(Ap(#F, #A), {#env}) -> Apply(Eval(#F, {#env}), Eval(#A, {#env}), {#env}))
+Apply(Eval(z2, {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})}), Eval(z, {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})}), {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})})
+step 5 at [0] by rule 2 (L rule Eval(x, {#env, x : #V}) -> #V)
+Apply(Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)}), Eval(z, {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})}), {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})})
+step 6 at [0] by rule 0 (L rule Eval(Lam([x]#B(x)), {#env}) -> Lam([x]#B(x)))
+Apply(Lam([x2]z1), Eval(z, {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})}), {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})})
+step 7 at [] by rule 3 (L rule Apply(Lam([x]#B(x)), #V, {#env}) -> Eval(#B(z), {#env, z : #V}))
+Eval(z1, {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)}), z3 : Eval(z, {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})})})
+step 8 at [] by rule 2 (L rule Eval(x, {#env, x : #V}) -> #V)
+Lam([x]x)
+"""
+
+
+def test_trace_of_colliding_fresh_names(tmp_path, capsys):
+    path = tmp_path / "cbv.plank"
+    path.write_text(CBV_EVAL, encoding="utf-8")
+    assert main(["normalize", str(path), "--trace", "--term", COLLIDING_TERM]) == 0
+    out, err = capsys.readouterr()
+    assert out == "Lam([x]x)\n"
+    assert err == COLLIDING_TRACE
 
 
 # ---------------------------------------------------------------------------

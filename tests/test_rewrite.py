@@ -5,6 +5,7 @@ import pytest
 from plank import (
     NormalStatus,
     alpha_equal,
+    check_ground_subject,
     check_script,
     contract,
     match_term,
@@ -290,6 +291,70 @@ class TestContract:
         # the binder x would capture the image's free x; it is renamed
         assert alpha_equal(out, t("Lam([w]Ap(w, x))"))
         assert out == t("Lam([x1]Ap(x1, x))")
+
+
+    def test_avoid_read_only_when_a_fresh_name_is_drawn(self, ex2):
+        class Unreadable:
+            def __iter__(self):
+                raise AssertionError("avoid was read")
+
+        class Counted:
+            reads = 0
+
+            def __iter__(self):
+                Counted.reads += 1
+                return iter([Ident("z")])
+
+        # Rule 2's right side #V draws no name: avoid stays unread.
+        val = Valuation(meta_bind={Ident("#V"): Abstraction((), t("Lam([y]y)"))})
+        assert contract(ex2.rules[2].rhs, val, avoid=Unreadable()) == t("Lam([y]y)")
+        # Rule 3's right side draws the fresh z: avoid is read, once.
+        val = Valuation(
+            meta_bind={
+                Ident("#B"): Abstraction((Ident("p"),), t("p")),
+                Ident("#V"): Abstraction((), t("One()")),
+            },
+            assoc_bind={Ident("#env"): AssocBinding((), ())},
+        )
+        with pytest.raises(AssertionError, match="avoid was read"):
+            contract(ex2.rules[3].rhs, val, avoid=Unreadable())
+        assert contract(ex2.rules[3].rhs, val, avoid=Counted()) == t("Eval(z1, {z1 : One()})")
+        assert Counted.reads == 1
+
+
+class TestBoundKeys:
+    """Association keys bound inside the redex are matched under the binder."""
+
+    SIGNATURE = "L data Lam([L]L); L data E({L:L}); L data G({L:L}); L data One(); L variable;"
+    SPLICE = "L scheme H(L); L rule H(Lam([x]E({#rest(x)}))) -> Lam([w]G({#rest(w)}));"
+
+    @pytest.mark.parametrize("rule,subject,expected,steps", [
+        # #rest takes no parameter, so it may not capture the bound key y.
+        ("L scheme F(L); L rule F(Lam([x]E({#rest}))) -> G({#rest});",
+         "F(Lam([y]E({y : One()})))", "F(Lam([y]E({y : One()})))", 0),
+        # The captured key follows its binder to the right side's w.
+        (SPLICE, "H(Lam([y]E({y : One()})))", "Lam([w]G({w : One()}))", 1),
+        (SPLICE, "H(Lam([y]E({y : y})))", "Lam([w]G({w : w}))", 1),
+        # The pattern key x finds the subject key bound by the same binder.
+        ("L scheme F(L); L rule F(Lam([x]E({x : #V}))) -> #V;",
+         "F(Lam([x]E({x : One()})))", "One()", 1),
+        # ~x: sees the bound key y and blocks the rule.
+        ("L scheme N(L); L rule N(Lam([x]E({~x:, #rest}))) -> One();",
+         "N(Lam([y]E({y : One()})))", "N(Lam([y]E({y : One()})))", 0),
+    ], ids=["unparameterised-catchall", "spliced-key", "spliced-key-and-value",
+            "named-key", "absent-key"])
+    def test_bound_key(self, rule, subject, expected, steps):
+        script = parse_script(self.SIGNATURE + rule)
+        checked = check_script(script)
+        assert checked.ok, [e.format() for e in checked.errors]
+        term = t(subject)
+        assert check_ground_subject(checked.gamma, term)[2] == []
+        rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+        result = normalize(checked.gamma, rules, term)
+        assert render(result.term) == expected
+        assert len(result.steps) == steps
+        # subject reduction: the result is as well sorted as the subject
+        assert check_ground_subject(checked.gamma, result.term)[2] == []
 
 
 class TestRewriteStep:
