@@ -15,7 +15,7 @@ Diagnostics serialize as ``FILE:LINE:COL: error[TAG]: MESSAGE``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .env import (
@@ -174,7 +174,7 @@ def _check_construction(st: CheckState, t: Construction, expected: Sort, tag: st
             f"constructor {t.head} expects {len(forms)} argument(s), got {len(t.args)}",
         )]
     errors: list[CheckError] = []
-    inner = replace(st, tc=piece_tc)
+    inner = CheckState(st.gamma, st.delta, st.v, piece_tc, st.bound)
     for p, f in zip(t.args, forms):
         errors.extend(check_piece(inner, p, f))
     return errors
@@ -234,7 +234,7 @@ def check_term(st: CheckState, t: Term, expected: Sort) -> list[CheckError]:
             f"cannot substitute a non-variable at sort {render(expected)}, which "
             "admits syntactic variables",
         )]
-    return check_term(replace(st, tc=TermContext.CON), t, expected)
+    return check_term(CheckState(st.gamma, st.delta, st.v, TermContext.CON, st.bound), t, expected)
 
 
 def _check_term_meta(st: CheckState, t: MetaApp, expected: Sort, tag: str
@@ -268,7 +268,7 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
             f"meta-variable {m.meta} takes {len(mf.arg_sorts)} argument(s), got {len(m.args)}",
         )]
     if st.tc is not TermContext.IN_PAT:
-        sub = replace(st, tc=TermContext.SUB)
+        sub = CheckState(st.gamma, st.delta, st.v, TermContext.SUB, st.bound)
         return [e for a, s in zip(m.args, mf.arg_sorts) for e in check_term(sub, a, s)]
     seen: set[Ident] = set()
     for a, s in zip(m.args, mf.arg_sorts):
@@ -342,7 +342,8 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[CheckError]:
             )]
         var = dict(st.delta.var)
         var.update(zip(p.binders, f.binder_sorts))
-        inner = replace(st, delta=RuleEnv(var, st.delta.meta), bound=st.bound + p.binders)
+        inner = CheckState(st.gamma, RuleEnv(var, st.delta.meta), st.v, st.tc,
+                           st.bound + p.binders)
         return check_term(inner, p.body, f.body_sort)
 
     if not isinstance(f, AssocForm):
@@ -365,7 +366,7 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
                 "(KeyNotElsewhere)",
             ))
         errors.extend(check_term(st, Var(a.key, span=a.span), key_sort))
-        extended = replace(st, v=st.v | non_assoc_vars(a.value))
+        extended = CheckState(st.gamma, st.delta, st.v | non_assoc_vars(a.value), st.tc, st.bound)
         errors.extend(check_term(extended, a.value, val_sort))
         return errors
 

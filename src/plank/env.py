@@ -164,6 +164,8 @@ def instantiated_forms(sig: ConSig, expected: Sort) -> tuple[Form, ...] | None:
     subst = match_sort(sig.result, expected)
     if subst is None:
         return None
+    if not subst:  # a monomorphic signature: the declared forms as they are
+        return sig.forms
     return tuple(apply_form_subst(f, subst) for f in sig.forms)
 
 

@@ -4,18 +4,27 @@ Accepts both the Unicode spellings (``→``, ``⟨⟩``, ``¬``) and their ASCII
 equivalents (``->``, ``<>``, ``~``).  Whitespace is insignificant and ``//``
 starts a line comment.  Script files conventionally use the ``.plank``
 extension and one declaration per ``;``.
+
+The lexer is one compiled pattern run with ``finditer``, one named group
+per token class.  A column is the character offset from the start of the
+line plus one, so a tab or a carriage return counts as one column.  A
+comment does not advance the column: input that ends in a comment without
+a newline reports end of input at the comment's first column.  Each
+distinct word becomes one ``Ident`` per call, and its token kind follows
+from its first character.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terms import (
     AssocForm,
     AssocPiece,
     Association,
     CatchAll,
-    Category,
     Construction,
     DataDecl,
     Declaration,
@@ -37,7 +46,6 @@ from .terms import (
     Term,
     Var,
     VariableDecl,
-    ident_category,
     render,
 )
 
@@ -92,67 +100,55 @@ _PUNCT = {
     "→": "->",
 }
 
+# One alternative per token class, tried in order; ``other`` is any single
+# character no class accepts (``.`` stops only at ``\n``, which ``nl`` takes).
+_TOKEN_RE = re.compile(
+    r"(?P<nl>\n)|(?P<blank>[ \t\r]+)|(?P<comment>//[^\n]*)|(?P<arrow>->)"
+    r"|(?P<punct>[()\[\]{},;:<>⟨⟩~¬→])|(?P<word>[#A-Za-z][A-Za-z0-9_]*)|(?P<other>.)"
+)
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str  # "con", "var", "meta", "->", "(", ... or "eof"
-    text: str
+    text: str  # an Ident for "con", "var" and "meta"
     span: Span
 
 
 def _lex(text: str, file: str) -> tuple[list[_Token], list[ParseError]]:
     tokens: list[_Token] = []
     errors: list[ParseError] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def here(width: int = 1) -> Span:
-        return Span(file, line, col, line, col + max(width - 1, 0))
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    words: dict[str, tuple[str, Ident]] = {}
+    line, line_start, group, m = 1, 0, None, None
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group == "blank" or group == "comment":
+            continue
+        if group == "nl":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("->", "->", here(2)))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, here()))
-            i += 1
-            col += 1
-            continue
-        if ch == "#" or ch.isascii() and ch.isalpha():
-            j = i + 1
-            while j < n and (text[j].isascii() and (text[j].isalnum() or text[j] == "_")):
-                j += 1
-            word = text[i:j]
-            span = Span(file, line, col, line, col + (j - i) - 1)
-            kind = {
-                Category.CONSTRUCTOR: "con",
-                Category.VARIABLE: "var",
-                Category.META: "meta",
-            }[ident_category(word)]
-            tokens.append(_Token(kind, word, span))
-            col += j - i
-            i = j
-            continue
-        errors.append(ParseError(here(), f"unexpected character {ch!r}"))
-        i += 1
-        col += 1
-
+        col = m.start() - line_start + 1
+        if group == "word":
+            word = m.group()
+            hit = words.get(word)
+            if hit is None:
+                first = word[0]
+                kind = "meta" if first == "#" else "con" if first.isupper() else "var"
+                hit = words[word] = (kind, Ident(word))
+            span = Span(file, line, col, line, col + len(word) - 1)
+            tokens.append(_Token(hit[0], hit[1], span))
+        elif group == "punct":
+            ch = m.group()
+            tokens.append(_Token(_PUNCT[ch], ch, Span(file, line, col, line, col)))
+        elif group == "arrow":
+            tokens.append(_Token("->", "->", Span(file, line, col, line, col + 1)))
+        else:
+            errors.append(ParseError(Span(file, line, col, line, col),
+                                     f"unexpected character {m.group()!r}"))
+    # A comment does not advance the column, so input that ends in one puts
+    # end of input at the comment's first column.
+    end = m.start() if group == "comment" else len(text)
+    col = end - line_start + 1
     tokens.append(_Token("eof", "", Span(file, line, col, line, col)))
     return tokens, errors
 
@@ -169,8 +165,8 @@ class _Parser:
         self.pos = 0
         self.file = file
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -197,7 +193,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "var":
             self.next()
-            return SortVar(Ident(tok.text), span=tok.span)
+            return SortVar(tok.text, span=tok.span)
         if tok.kind != "con":
             self.fail(f"expected a sort, found {tok.text or 'end of input'!r}", ("sort",))
         self.next()
@@ -210,7 +206,7 @@ class _Parser:
                 items.append(self.sort())
             self.expect(">", "'>'")
             args = tuple(items)
-        return SortCons(Ident(tok.text), args, span=self.span_from(tok.span))
+        return SortCons(tok.text, args, span=self.span_from(tok.span))
 
     def form(self) -> Form:
         tok = self.peek()
@@ -240,13 +236,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "var":
             self.next()
-            return Var(Ident(tok.text), span=tok.span)
+            return Var(tok.text, span=tok.span)
         if tok.kind == "meta":
             self.next()
             args: tuple[Term, ...] = ()
             if self.peek().kind == "(":
                 args = self.term_args()
-            return MetaApp(Ident(tok.text), args, span=self.span_from(tok.span))
+            return MetaApp(tok.text, args, span=self.span_from(tok.span))
         if tok.kind == "con":
             self.next()
             pieces: list[Piece] = []
@@ -258,7 +254,7 @@ class _Parser:
                         self.next()
                         pieces.append(self.piece())
                 self.expect(")", "')'")
-            return Construction(Ident(tok.text), tuple(pieces), span=self.span_from(tok.span))
+            return Construction(tok.text, tuple(pieces), span=self.span_from(tok.span))
         self.fail(f"expected a term, found {tok.text or 'end of input'!r}", ("term",))
 
     def term_args(self) -> tuple[Term, ...]:
@@ -278,10 +274,10 @@ class _Parser:
             self.next()
             binders: list[Ident] = []
             if self.peek().kind != "]":
-                binders.append(Ident(self.expect("var", "a binder variable").text))
+                binders.append(self.expect("var", "a binder variable").text)
                 while self.peek().kind == ",":
                     self.next()
-                    binders.append(Ident(self.expect("var", "a binder variable").text))
+                    binders.append(self.expect("var", "a binder variable").text)
             self.expect("]", "']'")
             if len(set(binders)) != len(binders):
                 self.fail("binders in one scope must be pairwise distinct", span=tok.span)
@@ -306,18 +302,18 @@ class _Parser:
             self.next()
             key = self.expect("var", "a key variable")
             self.expect(":", "':'")
-            return NotKey(Ident(key.text), span=self.span_from(tok.span))
+            return NotKey(key.text, span=self.span_from(tok.span))
         if tok.kind == "meta":
             self.next()
             args: tuple[Term, ...] = ()
             if self.peek().kind == "(":
                 args = self.term_args()
-            return CatchAll(Ident(tok.text), args, span=self.span_from(tok.span))
+            return CatchAll(tok.text, args, span=self.span_from(tok.span))
         if tok.kind == "var":
             self.next()
             self.expect(":", "':'")
             value = self.term()
-            return MapEntry(Ident(tok.text), value, span=self.span_from(tok.span))
+            return MapEntry(tok.text, value, span=self.span_from(tok.span))
         self.fail(
             f"expected an association entry, found {tok.text or 'end of input'!r}",
             ("'~'", "meta-variable", "key variable"),
@@ -346,7 +342,7 @@ class _Parser:
             rhs = self.term()
             self.expect(";", "';'")
             return RuleDecl(sort, lhs, rhs, span=self.span_from(start))
-        name = Ident(self.expect("con", "a constructor name").text)
+        name = self.expect("con", "a constructor name").text
         self.expect("(", "'('")
         forms: list[Form] = []
         if self.peek().kind != ")":

@@ -380,7 +380,8 @@ def match_term(pattern: Term, subject: Term) -> Valuation | None:
 # Contraction
 
 
-def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = ()) -> Term:
+def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = (), *,
+             _rhs_vars: Sequence[Ident] | None = None) -> Term:
     """Instantiate a rule's right side with a valuation.
 
     Variables pass through the valuation's variable bindings; right-side
@@ -392,7 +393,8 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = ()) -> Term:
 
     ``avoid`` and the valuation's names are read only when a fresh name is
     drawn: a right side with no binder and no unbound variable never
-    iterates ``avoid``.
+    iterates ``avoid``.  The engine passes ``_rhs_vars``, the rule's
+    ``sorted(free_vars(rhs))`` computed once by ``prepare_rules``.
     """
     taken: set[Ident] | None = None
 
@@ -413,7 +415,9 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = ()) -> Term:
         return name
 
     rho: dict[Ident, Ident] = dict(val.var_bind)
-    for w in sorted(free_vars(rhs)):
+    if _rhs_vars is None:
+        _rhs_vars = sorted(free_vars(rhs))
+    for w in _rhs_vars:
         if w not in rho:
             rho[w] = fresh(w)
 
@@ -488,11 +492,13 @@ def _key_through(sub: Mapping[Ident, Term], k: Ident) -> Ident:
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """A rule ready for the engine, paired with its inferred environment."""
+    """A rule ready for the engine, paired with its inferred environment
+    and the sorted free variables of its right side."""
 
     decl: RuleDecl
     env: RuleEnv
     index: int
+    rhs_vars: tuple[Ident, ...]
 
 
 @dataclass(frozen=True)
@@ -535,7 +541,7 @@ def prepare_rules(gamma: GlobalEnv, rules: Sequence[RuleDecl],
             raise EngineError(f"rule {i} pattern is not a construction")
         _check_single_catchall(decl.lhs, i)
         env = envs[i] if envs is not None else infer_rule_env(gamma, decl)[0]
-        out.append(RewriteRule(decl, env, i))
+        out.append(RewriteRule(decl, env, i, tuple(sorted(free_vars(decl.rhs)))))
     return out
 
 
@@ -590,7 +596,7 @@ def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term
         for rule in by_head.get(sub.head, ()):
             val = match_term(rule.decl.lhs, sub)
             if val is not None:
-                new = contract(rule.decl.rhs, val, names)
+                new = contract(rule.decl.rhs, val, names, _rhs_vars=rule.rhs_vars)
                 return new, RewriteStep(path, rule.index, val)
         for i, p in enumerate(sub.args):
             if isinstance(p, ScopePiece):

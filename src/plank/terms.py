@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 
 class Category(Enum):
@@ -66,8 +66,7 @@ class Ident(str):
         return ident_category(self)
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Source location; positions are 1-based and inclusive."""
 
     file: str

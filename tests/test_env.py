@@ -6,7 +6,7 @@ import pytest
 
 from plank import build_global_env, check_script, infer_rule_env, parse_script
 from plank.checker import CheckState, TermContext, check_term
-from plank.env import ConSig, MetaForm
+from plank.env import ConSig, MetaForm, instantiated_forms
 from plank.terms import (
     AssocForm,
     Ident,
@@ -90,6 +90,19 @@ class TestBuildGlobalEnv:
         # A name declared both data and scheme counts as a scheme.
         g3, _ = build_global_env(parse_script("L data C(L); L scheme C(L); M data D(L);"))
         assert g3.sorts_with_data == {"M"}
+
+
+class TestInstantiatedForms:
+    def test_monomorphic_forms_are_returned_as_declared(self, ex2):
+        gamma, _ = build_global_env(ex2)
+        sig = gamma.con["Lam"]
+        assert instantiated_forms(sig, L) is sig.forms
+        assert instantiated_forms(sig, SortCons(Ident("M"))) is None
+
+    def test_polymorphic_forms_are_instantiated(self):
+        gamma, _ = build_global_env(parse_script("Box<a> data B(a, [a]Box<a>);"))
+        box = SortCons(Ident("Box"), (L,))
+        assert instantiated_forms(gamma.con["B"], box) == (plain(L), ScopeForm((L,), box))
 
 
 class TestInferRuleEnv:

@@ -4,13 +4,16 @@
   span-stripping copies of sorts and forms.
 * Rendered normal forms and (position, rule) sequences on fixed inputs are
   byte-identical to the recorded ones, including every fresh name.
-* ``check_script`` infers each rule environment once.
-* The engine walks a term's names only when it draws a fresh name, and no
-  reference cycle it leaves behind keeps a rewritten term alive.
+* ``check_script`` infers each rule environment once, and the lexer
+  classifies each distinct word once.
+* The engine walks a term's names only when it draws a fresh name, finds
+  each right side's free variables once per rule, and no reference cycle
+  it leaves behind keeps a rewritten term alive.
 * The ``--trace`` text of a run whose fresh names collide with the
   subject's names is byte-identical to the recorded one.
 * Full diagnostics of ill-sorted rules whose binders are all distinct from
-  each other and from free names are byte-identical to the recorded ones.
+  each other and from free names, and of malformed scripts, are
+  byte-identical to the recorded ones.
 * Every exported name, and every name the benchmark's traced run wraps,
   still resolves, and no module imports a name it never uses.
 """
@@ -22,6 +25,7 @@ import gc
 import importlib
 import importlib.util
 import pkgutil
+import re
 import sys
 import weakref
 from pathlib import Path
@@ -31,10 +35,19 @@ import pytest
 import plank
 import plank.checker
 import plank.rewrite
+import plank.terms
 from plank.cli import main
-from plank import check_script, normalize, parse_script, parse_term, prepare_rules, render
+from plank import (
+    ParseFailure,
+    check_script,
+    normalize,
+    parse_script,
+    parse_term,
+    prepare_rules,
+    render,
+)
 from plank.env import ConSig, MetaForm, infer_rule_env
-from plank.terms import all_idents
+from plank.terms import all_idents, free_vars
 
 from conftest import BETA_ETA, CBV_EVAL
 
@@ -162,6 +175,29 @@ def test_check_script_infers_each_rule_env_once(monkeypatch, source):
     assert len(result.rule_envs) == len(script.rules)
 
 
+def test_lexer_classifies_each_distinct_word_once(monkeypatch):
+    # The corpus pair 25 times, each copy's sort and constructor names with
+    # their own suffix: 325 declarations, as in the benchmark's script.
+    copies = []
+    for i in range(25):
+        text = BETA_ETA + CBV_EVAL
+        copies.append(re.sub(r"(?<![#A-Za-z0-9_])[A-Z][A-Za-z0-9_]*",
+                             lambda m: f"{m.group()}q{i}", text))
+    text = "\n".join(copies)
+    words = set(re.findall(r"[#A-Za-z][A-Za-z0-9_]*", text))
+    calls = []
+    original = plank.terms.ident_category
+
+    def counting(word):
+        calls.append(word)
+        return original(word)
+
+    monkeypatch.setattr(plank.terms, "ident_category", counting)
+    script = parse_script(text)
+    assert len(script.declarations) == 325
+    assert len(calls) <= len(words)
+
+
 def test_beta_eta_walks_names_only_for_canonical_binders(monkeypatch):
     # No beta/eta right side draws a fresh name, so the only name walks left
     # are the matcher's, for the canonical names of the binders it enters.
@@ -178,6 +214,27 @@ def test_beta_eta_walks_names_only_for_canonical_binders(monkeypatch):
     result = normalize(checked.gamma, rules, parse_term(_mult(4)))
     assert render(result.term) == f"Lam([g]Lam([x]{_ap_g(16)}))"
     assert callers and set(callers) == {"canonical"}
+
+
+def test_right_side_free_variables_are_computed_once_per_rule(monkeypatch):
+    # prepare_rules sorts each right side's free variables once; contraction
+    # then reads them from the rule instead of walking the right side again.
+    callers = []
+
+    def recording(t):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return free_vars(t)
+
+    monkeypatch.setattr(plank.rewrite, "free_vars", recording)
+    script = parse_script(CBV_EVAL)
+    checked = check_script(script)
+    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+    assert callers == ["prepare_rules"] * len(script.rules)
+    assert [r.rhs_vars for r in rules] == [tuple(sorted(free_vars(d.rhs))) for d in script.rules]
+    callers.clear()
+    result = normalize(checked.gamma, rules, parse_term(_identity_chain(10)))
+    assert render(result.term) == "Lam([x]x)"
+    assert "contract" not in callers
 
 
 @pytest.mark.parametrize("source,term,steps", [
@@ -287,6 +344,75 @@ PINNED = [
 @pytest.mark.parametrize("rule,expected", PINNED, ids=[str(i) for i in range(len(PINNED))])
 def test_pinned_diagnostics(rule, expected):
     result = check_script(parse_script(PIN_SIGNATURE + rule + "\n", file="pin.plank"))
+    assert [e.format() for e in result.errors] == expected
+
+
+# Recorded before the lexer became one compiled pattern.
+MALFORMED_BASE = "L data Lam([L]L);\nL data Ap(L, L);\nL variable;\n"
+MALFORMED = [
+    ("missing-semicolon", MALFORMED_BASE + "L scheme F(L)\nL rule F(x) -> x;\n",
+     ["bad.plank:5:1: error[parse]: expected ';', found 'L'"]),
+    ("unclosed-paren", MALFORMED_BASE + "L scheme F(L;\n",
+     ["bad.plank:4:13: error[parse]: expected ')', found ';'"]),
+    ("stray-character", MALFORMED_BASE + "L scheme F(L) $;\n",
+     ["bad.plank:4:15: error[parse]: unexpected character '$'"]),
+    ("bad-keyword", MALFORMED_BASE + "L schema F(L);\n",
+     ["bad.plank:4:3: error[parse]: expected 'data', 'scheme', 'variable', or 'rule', "
+      "found 'schema'"]),
+    ("duplicate-binders", MALFORMED_BASE + "L scheme F(L);\nL rule F(Lam([x, x]x)) -> x;\n",
+     ["bad.plank:5:14: error[parse]: binders in one scope must be pairwise distinct"]),
+    ("eof-in-comment", MALFORMED_BASE + "L scheme F(L) // no end",
+     ["bad.plank:4:15: error[parse]: expected ';', found 'end of input'"]),
+    ("two-bad-declarations", MALFORMED_BASE + "L scheme F(;\nL data (L);\nL scheme G(L);\n",
+     ["bad.plank:4:12: error[parse]: expected a sort, found ';'",
+      "bad.plank:5:8: error[parse]: expected a constructor name, found '('"]),
+    ("missing-arrow", MALFORMED_BASE + "L scheme F(L);\nL rule F(x) x;\n",
+     ["bad.plank:5:13: error[parse]: expected '->', found 'x'"]),
+    ("bad-sort-argument", "L<;> data C();\n",
+     ["bad.plank:1:3: error[parse]: expected a sort, found ';'",
+      "bad.plank:1:4: error[parse]: expected a sort, found '>'"]),
+    ("assoc-entry", "L scheme E({L:L});\nL rule E({(}) -> E({});\n",
+     ["bad.plank:2:11: error[parse]: expected an association entry, found '('"]),
+    ("lone-dash", "L scheme F(L);\nL rule F(x) - > x;\n",
+     ["bad.plank:2:13: error[parse]: unexpected character '-'",
+      "bad.plank:2:15: error[parse]: expected '->', found '>'"]),
+    ("sort-expected", "scheme F(L);\n",
+     ["bad.plank:1:8: error[parse]: expected 'data', 'scheme', 'variable', or 'rule', "
+      "found 'F'"]),
+    ("unicode-and-junk", "L scheme F(L) → ⟨ ¬ é 9;\nL data G(L)",
+     ["bad.plank:1:21: error[parse]: unexpected character 'é'",
+      "bad.plank:1:23: error[parse]: unexpected character '9'",
+      "bad.plank:1:15: error[parse]: expected ';', found '→'",
+      "bad.plank:2:12: error[parse]: expected ';', found 'end of input'"]),
+]
+
+
+@pytest.mark.parametrize("text,expected", [m[1:] for m in MALFORMED],
+                         ids=[m[0] for m in MALFORMED])
+def test_pinned_parse_errors(text, expected):
+    with pytest.raises(ParseFailure) as exc:
+        parse_script(text, file="bad.plank")
+    assert [e.format() for e in exc.value.errors] == expected
+
+
+ILL_SORTED_BASE = (
+    "L data Lam([L]L);\nL data Ap(L, L);\nL variable;\nL scheme F(L);\nB data T();\n"
+)
+ILL_SORTED = [
+    ("wrong-sort", ILL_SORTED_BASE + "L rule F(T()) -> x;\n",
+     ["ill.plank:6:10: error[SMP-Data]: construction T has sort B, which does not match "
+      "the expected sort L"]),
+    ("undeclared", ILL_SORTED_BASE + "L rule F(Lam([x]Q(x))) -> Ap(x, T());\n",
+     ["ill.plank:6:17: error[SMP-Data]: constructor Q is not declared",
+      "ill.plank:6:33: error[SMC-Cons]: construction T has sort B, which does not match "
+      "the expected sort L"]),
+]
+
+
+@pytest.mark.parametrize("text,expected", [c[1:] for c in ILL_SORTED],
+                         ids=[c[0] for c in ILL_SORTED])
+def test_pinned_check_errors_of_parsed_scripts(text, expected):
+    result = check_script(parse_script(text, file="ill.plank"))
     assert [e.format() for e in result.errors] == expected
 
 
