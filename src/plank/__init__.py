@@ -10,7 +10,6 @@ contraction, and normalization, and ``cli`` wires everything into the
 """
 
 from .checker import (
-    CheckError,
     CheckState,
     ScriptCheck,
     TermContext,
@@ -24,14 +23,13 @@ from .checker import (
 )
 from .env import (
     ConSig,
-    EnvError,
     GlobalEnv,
     MetaForm,
     RuleEnv,
     build_global_env,
     infer_rule_env,
 )
-from .parser import ParseError, ParseFailure, parse_script, parse_term, render
+from .parser import ParseFailure, parse_script, parse_term, render
 from .rewrite import (
     Abstraction,
     AssocBinding,
@@ -57,6 +55,7 @@ from .terms import (
     Construction,
     DataDecl,
     Declaration,
+    Diagnostic,
     Form,
     Ident,
     MapEntry,

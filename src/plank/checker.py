@@ -8,9 +8,8 @@ Checking a rule term happens in one of four contexts:
 * ``SUB``    -- a substitution argument, i.e. an immediate child of a
   meta-application in a contraction.
 
-Every diagnostic carries the tag of the violated rule or side condition
+Every ``Diagnostic`` carries the tag of the violated rule or side condition
 (``SMP-Meta``, ``SA-Map``, ...) so callers can pin the exact failure.
-Diagnostics serialize as ``FILE:LINE:COL: error[TAG]: MESSAGE``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from enum import Enum
 
 from .env import (
     ConSig,
-    EnvError,
     GlobalEnv,
     MetaForm,
     RuleEnv,
@@ -37,6 +35,7 @@ from .terms import (
     Construction,
     DataDecl,
     Declaration,
+    Diagnostic,
     Form,
     Ident,
     MapEntry,
@@ -51,15 +50,14 @@ from .terms import (
     Sort,
     SortCons,
     SortVar,
-    Span,
     Term,
     Var,
+    all_idents,
     non_assoc_vars,
     render,
 )
 
 __all__ = [
-    "CheckError",
     "CheckState",
     "ScriptCheck",
     "TermContext",
@@ -81,23 +79,12 @@ class TermContext(Enum):
 
 
 @dataclass(frozen=True)
-class CheckError:
-    """A sorting diagnostic named after the violated rule or side condition."""
-
-    rule: str
-    span: Span | None
-    message: str
-
-    def format(self, default_file: str = "<input>") -> str:
-        where = str(self.span) if self.span else f"{default_file}:1:1"
-        return f"{where}: error[{self.rule}]: {self.message}"
-
-
-@dataclass(frozen=True)
 class CheckState:
     """Context threaded through term checking.
 
-    ``v`` is the set of rule-side variables usable as association keys;
+    ``v`` is the set of names usable as association keys: on a rule side,
+    its free variables outside association lists (KeyNotElsewhere, which
+    keeps pattern keys resolvable); on a ground subject, every name of it.
     ``bound`` is the chain of binders in scope.  A name may repeat in it:
     an inner binder shadows an outer one, and ``delta.var`` holds the
     innermost binder's sort.
@@ -116,26 +103,26 @@ class ScriptCheck:
 
     gamma: GlobalEnv
     rule_envs: list[RuleEnv]
-    errors: list[CheckError]
+    errors: list[Diagnostic]
 
     @property
     def ok(self) -> bool:
         return not self.errors
 
 
-def _err(rule: str, node, message: str) -> CheckError:
-    return CheckError(rule, getattr(node, "span", None), message)
+def _err(rule: str, node, message: str) -> Diagnostic:
+    return Diagnostic(rule, getattr(node, "span", None), message)
 
 
 # ---------------------------------------------------------------------------
 # Sorts
 
 
-def check_sort(gamma: GlobalEnv, s: Sort) -> list[CheckError]:
+def check_sort(gamma: GlobalEnv, s: Sort) -> list[Diagnostic]:
     """Sorts are well-formed when every constructor is used at its rank."""
     if isinstance(s, SortVar):
         return []
-    errors: list[CheckError] = []
+    errors: list[Diagnostic] = []
     rank = gamma.rank.get(s.name)
     if rank is None or rank != len(s.args):
         have = "unknown" if rank is None else str(rank)
@@ -157,7 +144,7 @@ def _is_sort(x) -> bool:
 
 
 def _check_construction(st: CheckState, t: Construction, expected: Sort, tag: str,
-                        piece_tc: TermContext) -> list[CheckError]:
+                        piece_tc: TermContext) -> list[Diagnostic]:
     sig = st.gamma.con.get(t.head)
     if sig is None:
         return [_err(tag, t, f"constructor {t.head} is not declared")]
@@ -173,14 +160,14 @@ def _check_construction(st: CheckState, t: Construction, expected: Sort, tag: st
             tag, t,
             f"constructor {t.head} expects {len(forms)} argument(s), got {len(t.args)}",
         )]
-    errors: list[CheckError] = []
+    errors: list[Diagnostic] = []
     inner = CheckState(st.gamma, st.delta, st.v, piece_tc, st.bound)
     for p, f in zip(t.args, forms):
         errors.extend(check_piece(inner, p, f))
     return errors
 
 
-def check_term(st: CheckState, t: Term, expected: Sort) -> list[CheckError]:
+def check_term(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
     """Check a term at the expected sort in the state's term context."""
     tc = st.tc
 
@@ -238,7 +225,7 @@ def check_term(st: CheckState, t: Term, expected: Sort) -> list[CheckError]:
 
 
 def _check_term_meta(st: CheckState, t: MetaApp, expected: Sort, tag: str
-                     ) -> list[CheckError]:
+                     ) -> list[Diagnostic]:
     """A meta-application used as a term, in a pattern or a contraction."""
     mf = st.delta.meta.get(t.meta)
     if mf is None:
@@ -255,7 +242,7 @@ def _check_term_meta(st: CheckState, t: MetaApp, expected: Sort, tag: str
 
 
 def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: str
-                     ) -> list[CheckError]:
+                     ) -> list[Diagnostic]:
     """Arguments of a meta-variable with meta-form ``mf``.
 
     In a pattern they are bound variables of the declared sorts, pairwise
@@ -293,7 +280,7 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
 
 
 def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
-                    need_hasvar: bool) -> list[CheckError]:
+                    need_hasvar: bool) -> list[Diagnostic]:
     if not isinstance(t, Var):
         return [_err(tag, t, f"expected a variable, got {render(t)}")]
     have = st.delta.var.get(t.name)
@@ -329,7 +316,7 @@ def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
 # Pieces and associations
 
 
-def check_piece(st: CheckState, p: Piece, f: Form) -> list[CheckError]:
+def check_piece(st: CheckState, p: Piece, f: Form) -> list[Diagnostic]:
     """Check a construction argument against its declared form."""
     if isinstance(p, ScopePiece):
         if not isinstance(f, ScopeForm):
@@ -348,17 +335,17 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[CheckError]:
 
     if not isinstance(f, AssocForm):
         return [_err("SP-Assoc", p, "association argument where a scope form is declared")]
-    errors: list[CheckError] = []
+    errors: list[Diagnostic] = []
     for e in p.entries:
         errors.extend(check_association(st, e, f.key_sort, f.value_sort))
     return errors
 
 
 def check_association(st: CheckState, a: Association, key_sort: Sort,
-                      val_sort: Sort) -> list[CheckError]:
+                      val_sort: Sort) -> list[Diagnostic]:
     """Check one association entry at the given key and value sorts."""
     if isinstance(a, MapEntry):
-        errors: list[CheckError] = []
+        errors: list[Diagnostic] = []
         if a.key not in st.v and a.key not in st.bound:
             errors.append(_err(
                 "SA-Map", a,
@@ -398,11 +385,11 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
 # Declarations and scripts
 
 
-def check_declaration(gamma: GlobalEnv, d: Declaration) -> list[CheckError]:
+def check_declaration(gamma: GlobalEnv, d: Declaration) -> list[Diagnostic]:
     """Check one declaration against an assembled global environment."""
     if isinstance(d, RuleDecl):
         return _check_rule(gamma, d, *infer_rule_env(gamma, d))
-    errors: list[CheckError] = []
+    errors: list[Diagnostic] = []
     for s in decl_sorts(d):
         errors.extend(check_sort(gamma, s))
 
@@ -440,12 +427,11 @@ def check_declaration(gamma: GlobalEnv, d: Declaration) -> list[CheckError]:
 
 
 def _check_rule(gamma: GlobalEnv, d: RuleDecl, delta: RuleEnv,
-                env_errors: list[EnvError]) -> list[CheckError]:
+                env_errors: list[Diagnostic]) -> list[Diagnostic]:
     """Check a rule against its inferred environment and inference diagnostics."""
     errors = check_sort(gamma, d.sort)
     if env_errors:
-        errors.extend(CheckError(e.code, e.span, e.message) for e in env_errors)
-        return errors
+        return errors + env_errors
     lhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.lhs)), TermContext.PAT)
     errors.extend(check_term(lhs_state, d.lhs, d.sort))
     rhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.rhs)), TermContext.CON)
@@ -459,8 +445,7 @@ def check_script(script: Script) -> ScriptCheck:
     All diagnostics are collected; the per-rule environments come back in
     declaration order regardless of success.
     """
-    gamma, env_errors = build_global_env(script)
-    errors = [CheckError(e.code, e.span, e.message) for e in env_errors]
+    gamma, errors = build_global_env(script)
     rule_envs: list[RuleEnv] = []
     for d in script.declarations:
         if isinstance(d, RuleDecl):
@@ -476,12 +461,15 @@ def check_script(script: Script) -> ScriptCheck:
 # Ground subjects (inputs to normalization)
 
 
-def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEnv, list[CheckError]]:
+def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEnv, list[Diagnostic]]:
     """Determine a ground term's sort and check it in contraction context.
 
     The sort is read off the head constructor's declaration; free variables
     receive the sorts their positions demand, by the walk that infers rule
     environments, run as on a right-hand side with no meta-forms.
+    KeyNotElsewhere is a formation condition on rule sides only: rewriting
+    can drop a key's last other occurrence, so every name of the subject
+    may stand as a key.
     """
     if not isinstance(t, Construction):
         return None, RuleEnv(), [_err(
@@ -499,7 +487,7 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
         )]
     delta = RuleEnv()
     walk_sorts(gamma, t, sort, delta, {}, in_lhs=False)
-    st = CheckState(gamma, delta, frozenset(non_assoc_vars(t)), TermContext.CON)
+    st = CheckState(gamma, delta, frozenset(all_idents(t)), TermContext.CON)
     return sort, delta, check_term(st, t, sort)
 
 

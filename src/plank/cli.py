@@ -3,7 +3,8 @@
 Exit codes:
 
     0  success
-    1  sorting errors, including an ill-sorted input term
+    1  sorting errors, including an ill-sorted input term, or a rule the
+       engine cannot run, such as two catch-alls in one list (``error[engine]``)
     2  parse or I/O errors
     3  normalization ran out of steps
     4  input nested too deeply to process (``error[depth]``)
@@ -15,99 +16,80 @@ optional trace go to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
-from dataclasses import dataclass
 
 from .checker import check_ground_subject, check_script
 from .parser import ParseFailure, parse_script, parse_term, render
 from .rewrite import EngineError, NormalStatus, format_step, normalize, prepare_rules
+from .terms import Diagnostic
 
-__all__ = ["CliConfig", "main", "run_check", "run_normalize"]
-
-
-@dataclass
-class CliConfig:
-    script_path: str
-    term_text: str | None = None
-    max_steps: int = 10000
-    trace: bool = False
-    ascii_output: bool = True
+__all__ = ["main", "run_check", "run_normalize"]
 
 
-def _load_script(cfg: CliConfig):
-    """Returns (script, exit_code); on failure the script is None."""
+def _report(errors: list[Diagnostic], default_file: str) -> None:
+    for e in errors:
+        print(e.format(default_file), file=sys.stderr)
+
+
+def _load_checked(path: str):
+    """Returns (script, check, exit_code); on failure both are None."""
     try:
-        with open(cfg.script_path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"{cfg.script_path}: error[io]: {exc}", file=sys.stderr)
-        return None, 2
+        print(f"{path}: error[io]: {exc}", file=sys.stderr)
+        return None, None, 2
     try:
-        script = parse_script(text, file=cfg.script_path)
+        script = parse_script(text, file=path)
     except ParseFailure as exc:
-        for e in exc.errors:
-            print(e.format(), file=sys.stderr)
-        return None, 2
-    return script, 0
-
-
-def run_check(cfg: CliConfig) -> int:
-    script, code = _load_script(cfg)
-    if script is None:
-        return code
+        _report(exc.errors, path)
+        return None, None, 2
     result = check_script(script)
     if not result.ok:
-        for e in result.errors:
-            print(e.format(cfg.script_path), file=sys.stderr)
-        return 1
-    n = len(script.declarations)
-    m = len(script.rules)
-    print(f"ok: {n} declarations, {m} rules")
-    return 0
+        _report(result.errors, path)
+        return None, None, 1
+    return script, result, 0
 
 
-def run_normalize(cfg: CliConfig) -> int:
-    script, code = _load_script(cfg)
-    if script is None:
+def run_check(path: str) -> int:
+    script, result, code = _load_checked(path)
+    if result is not None:
+        print(f"ok: {len(script.declarations)} declarations, {len(script.rules)} rules")
+    return code
+
+
+def run_normalize(path: str, term_text: str, max_steps: int, trace: bool,
+                  unicode: bool) -> int:
+    script, result, code = _load_checked(path)
+    if result is None:
         return code
-    result = check_script(script)
-    if not result.ok:
-        for e in result.errors:
-            print(e.format(cfg.script_path), file=sys.stderr)
-        return 1
-    assert cfg.term_text is not None
     try:
-        term = parse_term(cfg.term_text, file="<term>")
+        term = parse_term(term_text, file="<term>")
     except ParseFailure as exc:
-        for e in exc.errors:
-            print(e.format(), file=sys.stderr)
+        _report(exc.errors, "<term>")
         return 2
     _, _, errors = check_ground_subject(result.gamma, term)
     if errors:
-        for e in errors:
-            print(e.format("<term>"), file=sys.stderr)
+        _report(errors, "<term>")
         return 1
     try:
         rules = prepare_rules(result.gamma, script.rules, result.rule_envs)
     except EngineError as exc:
-        print(f"{cfg.script_path}: error[engine]: {exc}", file=sys.stderr)
+        print(f"{path}: error[engine]: {exc}", file=sys.stderr)
         return 1
 
-    unicode_out = not cfg.ascii_output
-    counter = [0]
+    numbers = itertools.count(1)
 
-    def trace(t, step):
-        counter[0] += 1
-        print(
-            format_step(counter[0], step, rules[step.rule_index], t, unicode=unicode_out),
-            file=sys.stderr,
-        )
+    def log_step(t, step):
+        print(format_step(next(numbers), step, rules[step.rule_index], t, unicode=unicode),
+              file=sys.stderr)
 
     outcome = normalize(
-        result.gamma, rules, term, fuel=cfg.max_steps,
-        on_step=trace if cfg.trace else None,
+        result.gamma, rules, term, fuel=max_steps,
+        on_step=log_step if trace else None,
     )
-    print(render(outcome.term, unicode=unicode_out))
+    print(render(outcome.term, unicode=unicode))
     return 0 if outcome.status is NormalStatus.NORMAL_FORM else 3
 
 
@@ -138,11 +120,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         if ns.command == "check":
-            return run_check(CliConfig(ns.script))
-        return run_normalize(CliConfig(
-            ns.script, term_text=ns.term, max_steps=ns.max_steps,
-            trace=ns.trace, ascii_output=not ns.unicode,
-        ))
+            return run_check(ns.script)
+        return run_normalize(ns.script, ns.term, ns.max_steps, ns.trace, ns.unicode)
     except RecursionError:
         print("error[depth]: input nested too deeply to process", file=sys.stderr)
         return 4

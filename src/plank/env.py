@@ -18,6 +18,7 @@ from .terms import (
     CatchAll,
     DataDecl,
     Declaration,
+    Diagnostic,
     Form,
     Ident,
     MapEntry,
@@ -30,7 +31,6 @@ from .terms import (
     Sort,
     SortCons,
     SortVar,
-    Span,
     Term,
     Var,
     VariableDecl,
@@ -40,7 +40,6 @@ from .terms import (
 
 __all__ = [
     "ConSig",
-    "EnvError",
     "GlobalEnv",
     "MetaForm",
     "RuleEnv",
@@ -99,19 +98,6 @@ class RuleEnv:
 
     var: dict[Ident, Sort] = field(default_factory=dict)
     meta: dict[Ident, MetaForm] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class EnvError:
-    """Environment construction or inference diagnostic."""
-
-    code: str  # DuplicateConstructor, NonVariableSortParameter, MetaFormConflict, ...
-    span: Span | None
-    message: str
-
-    def format(self, default_file: str = "<input>") -> str:
-        where = str(self.span) if self.span else f"{default_file}:1:1"
-        return f"{where}: error[{self.code}]: {self.message}"
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +181,7 @@ def _record_ranks(rank: dict[Ident, int], s: Sort) -> None:
             _record_ranks(rank, a)
 
 
-def build_global_env(script: Script) -> tuple[GlobalEnv, list[EnvError]]:
+def build_global_env(script: Script) -> tuple[GlobalEnv, list[Diagnostic]]:
     """Assemble the global environment from a script.
 
     Identical re-declarations are idempotent; conflicting ones produce
@@ -204,7 +190,7 @@ def build_global_env(script: Script) -> tuple[GlobalEnv, list[EnvError]]:
     consistency of sort uses is left to the sort checker.
     """
     gamma = GlobalEnv()
-    errors: list[EnvError] = []
+    errors: list[Diagnostic] = []
 
     for d in script.declarations:
         for s in decl_sorts(d):
@@ -214,7 +200,7 @@ def build_global_env(script: Script) -> tuple[GlobalEnv, list[EnvError]]:
             sig = ConSig(d.sort, d.forms)
             if isinstance(d, DataDecl):
                 if not isinstance(d.sort, SortCons):
-                    errors.append(EnvError(
+                    errors.append(Diagnostic(
                         "NonVariableSortParameter", d.span,
                         f"data constructor {d.name} needs a named result sort",
                     ))
@@ -223,7 +209,7 @@ def build_global_env(script: Script) -> tuple[GlobalEnv, list[EnvError]]:
                     if not all(isinstance(a, SortVar) for a in params) or len(
                         {a.name for a in params if isinstance(a, SortVar)}
                     ) != len(params):
-                        errors.append(EnvError(
+                        errors.append(Diagnostic(
                             "NonVariableSortParameter", d.span,
                             f"result sort parameters of data constructor {d.name} "
                             "must be distinct sort variables",
@@ -232,7 +218,7 @@ def build_global_env(script: Script) -> tuple[GlobalEnv, list[EnvError]]:
             if prev is None:
                 gamma.con[d.name] = sig
             elif prev != sig:
-                errors.append(EnvError(
+                errors.append(Diagnostic(
                     "DuplicateConstructor", d.span,
                     f"constructor {d.name} already declared with a different signature",
                 ))
@@ -254,7 +240,7 @@ def build_global_env(script: Script) -> tuple[GlobalEnv, list[EnvError]]:
 # Rule environment inference
 
 
-def infer_rule_env(gamma: GlobalEnv, rule: RuleDecl) -> tuple[RuleEnv, list[EnvError]]:
+def infer_rule_env(gamma: GlobalEnv, rule: RuleDecl) -> tuple[RuleEnv, list[Diagnostic]]:
     """Infer the rule environment by one traversal of each side.
 
     Free pattern variables take the sort demanded by their first position;
@@ -276,7 +262,7 @@ def infer_rule_env(gamma: GlobalEnv, rule: RuleDecl) -> tuple[RuleEnv, list[EnvE
     lhs_metas = meta_vars(rule.lhs)
     for m in sorted(meta_vars(rule.rhs)):
         if m not in lhs_metas:
-            errors.append(EnvError(
+            errors.append(Diagnostic(
                 "UnboundMetaOnRhs", rule.span,
                 f"meta-variable {m} occurs in the contraction but not in the pattern",
             ))
@@ -285,7 +271,7 @@ def infer_rule_env(gamma: GlobalEnv, rule: RuleDecl) -> tuple[RuleEnv, list[EnvE
 
 
 def walk_sorts(gamma: GlobalEnv, t: Term, expected: Sort, delta: RuleEnv,
-               binders: dict[Ident, Sort], *, in_lhs: bool) -> list[EnvError]:
+               binders: dict[Ident, Sort], *, in_lhs: bool) -> list[Diagnostic]:
     """One sort-directed walk of a rule side or of a ground subject.
 
     A free variable or key gets the sort its first position demands, in
@@ -296,7 +282,7 @@ def walk_sorts(gamma: GlobalEnv, t: Term, expected: Sort, delta: RuleEnv,
     ``delta.meta``; elsewhere it must agree with the recorded one, and the
     disagreements are returned.
     """
-    errors: list[EnvError] = []
+    errors: list[Diagnostic] = []
 
     def readable_form(m: MetaApp | CatchAll, result: Sort | AssocForm,
                       scope: dict[Ident, Sort]) -> MetaForm | None:
@@ -324,7 +310,7 @@ def walk_sorts(gamma: GlobalEnv, t: Term, expected: Sort, delta: RuleEnv,
                     delta.meta[m.meta] = form
             elif form is not None and form != seen:
                 # Only readable occurrences feed conflict detection.
-                errors.append(EnvError(
+                errors.append(Diagnostic(
                     "MetaFormConflict", m.span,
                     f"meta-variable {m.meta} used as {form} but earlier as {seen}",
                 ))
@@ -332,7 +318,7 @@ def walk_sorts(gamma: GlobalEnv, t: Term, expected: Sort, delta: RuleEnv,
         if seen is None:
             return
         if len(m.args) != len(seen.arg_sorts) or result != seen.result:
-            errors.append(EnvError(
+            errors.append(Diagnostic(
                 "MetaFormConflict", m.span,
                 f"meta-variable {m.meta} used with {len(m.args)} argument(s) at "
                 f"{render(result)} but its meta-form is {seen}",

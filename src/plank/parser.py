@@ -17,7 +17,6 @@ from its first character.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .terms import (
@@ -28,6 +27,7 @@ from .terms import (
     Construction,
     DataDecl,
     Declaration,
+    Diagnostic,
     Form,
     Ident,
     MapEntry,
@@ -50,7 +50,6 @@ from .terms import (
 )
 
 __all__ = [
-    "ParseError",
     "ParseFailure",
     "parse_script",
     "parse_term",
@@ -58,22 +57,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParseError:
-    """A single syntax diagnostic."""
-
-    span: Span
-    message: str
-    expected: tuple[str, ...] = ()
-
-    def format(self) -> str:
-        return f"{self.span}: error[parse]: {self.message}"
-
-
 class ParseFailure(Exception):
-    """Raised when parsing fails; carries every recovered diagnostic."""
+    """Raised when parsing fails; carries every recovered diagnostic, each
+    tagged ``parse``."""
 
-    def __init__(self, errors: list[ParseError]):
+    def __init__(self, errors: list[Diagnostic]):
         super().__init__("; ".join(e.message for e in errors) or "parse failure")
         self.errors = errors
 
@@ -114,9 +102,9 @@ class _Token(NamedTuple):
     span: Span
 
 
-def _lex(text: str, file: str) -> tuple[list[_Token], list[ParseError]]:
+def _lex(text: str, file: str) -> tuple[list[_Token], list[Diagnostic]]:
     tokens: list[_Token] = []
-    errors: list[ParseError] = []
+    errors: list[Diagnostic] = []
     words: dict[str, tuple[str, Ident]] = {}
     line, line_start, group, m = 1, 0, None, None
     for m in _TOKEN_RE.finditer(text):
@@ -143,8 +131,8 @@ def _lex(text: str, file: str) -> tuple[list[_Token], list[ParseError]]:
         elif group == "arrow":
             tokens.append(_Token("->", "->", Span(file, line, col, line, col + 1)))
         else:
-            errors.append(ParseError(Span(file, line, col, line, col),
-                                     f"unexpected character {m.group()!r}"))
+            span = Span(file, line, col, line, col)
+            errors.append(Diagnostic("parse", span, f"unexpected character {m.group()!r}"))
     # A comment does not advance the column, so input that ends in one puts
     # end of input at the comment's first column.
     end = m.start() if group == "comment" else len(text)
@@ -174,13 +162,13 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def fail(self, message: str, expected: tuple[str, ...] = (), span: Span | None = None):
-        raise ParseFailure([ParseError(span or self.peek().span, message, expected)])
+    def fail(self, message: str, span: Span | None = None):
+        raise ParseFailure([Diagnostic("parse", span or self.peek().span, message)])
 
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            self.fail(f"expected {what}, found {tok.text or 'end of input'!r}", (what,))
+            self.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
         return self.next()
 
     def span_from(self, start: Span) -> Span:
@@ -195,7 +183,7 @@ class _Parser:
             self.next()
             return SortVar(tok.text, span=tok.span)
         if tok.kind != "con":
-            self.fail(f"expected a sort, found {tok.text or 'end of input'!r}", ("sort",))
+            self.fail(f"expected a sort, found {tok.text or 'end of input'!r}")
         self.next()
         args: tuple[Sort, ...] = ()
         if self.peek().kind == "<":
@@ -255,7 +243,7 @@ class _Parser:
                         pieces.append(self.piece())
                 self.expect(")", "')'")
             return Construction(tok.text, tuple(pieces), span=self.span_from(tok.span))
-        self.fail(f"expected a term, found {tok.text or 'end of input'!r}", ("term",))
+        self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
     def term_args(self) -> tuple[Term, ...]:
         self.expect("(", "'('")
@@ -314,10 +302,7 @@ class _Parser:
             self.expect(":", "':'")
             value = self.term()
             return MapEntry(tok.text, value, span=self.span_from(tok.span))
-        self.fail(
-            f"expected an association entry, found {tok.text or 'end of input'!r}",
-            ("'~'", "meta-variable", "key variable"),
-        )
+        self.fail(f"expected an association entry, found {tok.text or 'end of input'!r}")
 
     # -- declarations ----------------------------------------------------------
 
@@ -327,8 +312,7 @@ class _Parser:
         kw = self.peek()
         if kw.kind != "var" or kw.text not in _KEYWORDS:
             self.fail(
-                f"expected 'data', 'scheme', 'variable', or 'rule', found {kw.text or 'end of input'!r}",
-                _KEYWORDS,
+                f"expected 'data', 'scheme', 'variable', or 'rule', found {kw.text or 'end of input'!r}"
             )
         self.next()
         if kw.text == "variable":
@@ -337,7 +321,7 @@ class _Parser:
         if kw.text == "rule":
             lhs = self.term()
             if self.peek().kind != "->":
-                self.fail(f"expected '->', found {self.peek().text or 'end of input'!r}", ("'->'",))
+                self.fail(f"expected '->', found {self.peek().text or 'end of input'!r}")
             self.next()
             rhs = self.term()
             self.expect(";", "';'")
@@ -359,7 +343,8 @@ class _Parser:
 def parse_script(text: str, file: str = "<input>") -> Script:
     """Parse a whole script.
 
-    Raises ParseFailure carrying one ParseError per syntax violation; after an
+    Raises ParseFailure carrying one ``parse`` Diagnostic per syntax
+    violation, lexer and parser errors together in source order; after an
     error the parser recovers at the next declaration boundary (``;``).
     """
     tokens, errors = _lex(text, file)
@@ -375,6 +360,7 @@ def parse_script(text: str, file: str = "<input>") -> Script:
             if p.peek().kind == ";":
                 p.next()
     if errors:
+        errors.sort(key=lambda e: (e.span.start_line, e.span.start_col))
         raise ParseFailure(errors)
     return Script(tuple(decls))
 

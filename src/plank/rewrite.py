@@ -503,7 +503,7 @@ class RewriteRule:
 
 @dataclass(frozen=True)
 class RewriteStep:
-    """One reduction: where, by which rule, and with which valuation.
+    """One reduction: where, and by which rule.
 
     The position path alternates construction argument indices with, for
     association arguments, the entry index within the list.
@@ -511,7 +511,6 @@ class RewriteStep:
 
     position: tuple[int, ...]
     rule_index: int
-    valuation: Valuation
 
 
 class NormalStatus(Enum):
@@ -597,7 +596,7 @@ def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term
             val = match_term(rule.decl.lhs, sub)
             if val is not None:
                 new = contract(rule.decl.rhs, val, names, _rhs_vars=rule.rhs_vars)
-                return new, RewriteStep(path, rule.index, val)
+                return new, RewriteStep(path, rule.index)
         for i, p in enumerate(sub.args):
             if isinstance(p, ScopePiece):
                 hit = visit(p.body, path + (i,))

@@ -8,6 +8,8 @@ lowercase letter, and meta-variables with ``#``.
 
 All AST values are immutable after construction and safe to share.  Spans
 take no part in equality or hashing.
+``Diagnostic`` is the one diagnostic type of the parser, the environment
+builder and the checker.
 
 The name queries (``free_vars``, ``all_idents``, ...) share one traversal
 that collects names by the role they play in a term: ``VAR`` for a
@@ -77,6 +79,20 @@ class Span(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    """``FILE:LINE:COL: error[RULE]: MESSAGE``; ``rule`` names the violated
+    sorting rule (``SA-Map``), environment condition or ``parse``."""
+
+    rule: str
+    span: Span | None
+    message: str
+
+    def format(self, default_file: str = "<input>") -> str:
+        where = str(self.span) if self.span else f"{default_file}:1:1"
+        return f"{where}: error[{self.rule}]: {self.message}"
 
 
 # Spans never participate in equality so that structurally identical nodes

@@ -47,3 +47,26 @@ def test_non_utf8_script_is_an_io_error(tmp_path, command):
     assert done.stdout == ""
     assert "error[io]" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+TWO_CATCH_ALLS = """\
+L data Nil();
+L variable;
+L scheme F({L:L});
+L rule F({#a, #b}) -> Nil();
+"""
+
+
+def test_a_rule_the_engine_cannot_run_is_an_engine_error(tmp_path):
+    # The sort discipline admits two catch-alls in one list; matching them
+    # would not be deterministic, so the engine refuses the rule.
+    script = tmp_path / "two.plank"
+    script.write_text(TWO_CATCH_ALLS, encoding="utf-8")
+    checked = run_cli("check", str(script))
+    assert (checked.returncode, checked.stderr) == (0, "")
+    done = run_cli("normalize", str(script), "--term", "F({})")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "error[engine]" in done.stderr
+    assert "MultipleCatchAll" in done.stderr
+    assert "Traceback" not in done.stderr

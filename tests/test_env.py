@@ -69,7 +69,7 @@ class TestBuildGlobalEnv:
 
     def test_conflicting_redeclaration(self):
         gamma, errors = build_global_env(parse_script("L data A(); L data A(L);"))
-        assert [e.code for e in errors] == ["DuplicateConstructor"]
+        assert [e.rule for e in errors] == ["DuplicateConstructor"]
         assert gamma.con["A"] == ConSig(L, ())  # first declaration wins
 
     def test_identical_redeclaration_is_idempotent(self):
@@ -78,9 +78,9 @@ class TestBuildGlobalEnv:
 
     def test_non_variable_sort_parameter(self):
         _, errors = build_global_env(parse_script("Box<L> data B(L);"))
-        assert [e.code for e in errors] == ["NonVariableSortParameter"]
+        assert [e.rule for e in errors] == ["NonVariableSortParameter"]
         _, errors = build_global_env(parse_script("Pair<a, a> data P(a);"))
-        assert [e.code for e in errors] == ["NonVariableSortParameter"]
+        assert [e.rule for e in errors] == ["NonVariableSortParameter"]
 
     def test_sorts_with_data(self, ex1, ex2):
         g1, _ = build_global_env(ex1)
@@ -152,7 +152,7 @@ class TestInferRuleEnv:
         gamma, _ = build_global_env(ex2)
         script = parse_script("L rule Eval(#F, {#env}) -> Apply(#F, #Z, {#env});")
         delta, errors = infer_rule_env(gamma, script.rules[0])
-        assert [e.code for e in errors] == ["UnboundMetaOnRhs"]
+        assert [e.rule for e in errors] == ["UnboundMetaOnRhs"]
         assert "#Z" not in delta.meta
 
     def test_meta_form_conflict_across_lhs(self, ex1):
@@ -161,13 +161,13 @@ class TestInferRuleEnv:
         _, errors = infer_rule_env(gamma, rule)
         # one conflict per inconsistent occurrence (the second lhs use and the
         # nullary rhs use both disagree with (L) => L)
-        assert {e.code for e in errors} == {"MetaFormConflict"}
+        assert {e.rule for e in errors} == {"MetaFormConflict"}
 
     def test_meta_form_conflict_on_rhs_arity(self, ex1):
         gamma, _ = build_global_env(ex1)
         rule = parse_script("L rule Ap(Lam([x]#M(x)), #N) -> #M(#N, #N);").rules[0]
         _, errors = infer_rule_env(gamma, rule)
-        assert [e.code for e in errors] == ["MetaFormConflict"]
+        assert [e.rule for e in errors] == ["MetaFormConflict"]
 
     def test_same_sorts_different_arg_names_ok(self, ex1):
         gamma, _ = build_global_env(ex1)
