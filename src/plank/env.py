@@ -204,16 +204,13 @@ def build_global_env(script: Script) -> tuple[GlobalEnv, list[Diagnostic]]:
                         "NonVariableSortParameter", d.span,
                         f"data constructor {d.name} needs a named result sort",
                     ))
-                else:
-                    params = [a for a in d.sort.args]
-                    if not all(isinstance(a, SortVar) for a in params) or len(
-                        {a.name for a in params if isinstance(a, SortVar)}
-                    ) != len(params):
-                        errors.append(Diagnostic(
-                            "NonVariableSortParameter", d.span,
-                            f"result sort parameters of data constructor {d.name} "
-                            "must be distinct sort variables",
-                        ))
+                elif (len({a.name for a in d.sort.args if isinstance(a, SortVar)})
+                      != len(d.sort.args)):
+                    errors.append(Diagnostic(
+                        "NonVariableSortParameter", d.span,
+                        f"result sort parameters of data constructor {d.name} "
+                        "must be distinct sort variables",
+                    ))
             prev = gamma.con.get(d.name)
             if prev is None:
                 gamma.con[d.name] = sig

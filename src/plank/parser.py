@@ -17,7 +17,7 @@ from its first character.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .terms import (
     AssocForm,
@@ -165,15 +165,29 @@ class _Parser:
     def fail(self, message: str, span: Span | None = None):
         raise ParseFailure([Diagnostic("parse", span or self.peek().span, message)])
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str | None = None) -> _Token:
+        """The next token, which must be of ``kind``; ``what`` names it in the
+        error, by default the quoted punctuation ``kind`` itself."""
         tok = self.peek()
         if tok.kind != kind:
-            self.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
+            self.fail(f"expected {what or repr(kind)}, found {tok.text or 'end of input'!r}")
         return self.next()
 
     def span_from(self, start: Span) -> Span:
         prev = self.tokens[max(self.pos - 1, 0)].span
         return Span(self.file, start.start_line, start.start_col, prev.end_line, prev.end_col)
+
+    def listed(self, item: Callable[[], object], close: str, seps: tuple[str, ...] = (",",)
+               ) -> list:
+        """Zero or more ``item``s separated by any of ``seps``, then ``close``."""
+        items = []
+        if self.peek().kind != close:
+            items.append(item())
+            while self.peek().kind in seps:
+                self.next()
+                items.append(item())
+        self.expect(close)
+        return items
 
     # -- sorts ---------------------------------------------------------------
 
@@ -192,7 +206,7 @@ class _Parser:
             while self.peek().kind == ",":
                 self.next()
                 items.append(self.sort())
-            self.expect(">", "'>'")
+            self.expect(">")
             args = tuple(items)
         return SortCons(tok.text, args, span=self.span_from(tok.span))
 
@@ -200,21 +214,15 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "[":
             self.next()
-            binders = []
-            if self.peek().kind != "]":
-                binders.append(self.sort())
-                while self.peek().kind == ",":
-                    self.next()
-                    binders.append(self.sort())
-            self.expect("]", "']'")
+            binders = self.listed(self.sort, "]")
             body = self.sort()
             return ScopeForm(tuple(binders), body, span=self.span_from(tok.span))
         if tok.kind == "{":
             self.next()
             key = self.sort()
-            self.expect(":", "':'")
+            self.expect(":")
             value = self.sort()
-            self.expect("}", "'}'")
+            self.expect("}")
             return AssocForm(key, value, span=self.span_from(tok.span))
         return ScopeForm((), self.sort(), span=tok.span)
 
@@ -236,50 +244,26 @@ class _Parser:
             pieces: list[Piece] = []
             if self.peek().kind == "(":
                 self.next()
-                if self.peek().kind != ")":
-                    pieces.append(self.piece())
-                    while self.peek().kind == ",":
-                        self.next()
-                        pieces.append(self.piece())
-                self.expect(")", "')'")
+                pieces = self.listed(self.piece, ")")
             return Construction(tok.text, tuple(pieces), span=self.span_from(tok.span))
         self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
     def term_args(self) -> tuple[Term, ...]:
-        self.expect("(", "'('")
-        args: list[Term] = []
-        if self.peek().kind != ")":
-            args.append(self.term())
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.term())
-        self.expect(")", "')'")
-        return tuple(args)
+        self.expect("(")
+        return tuple(self.listed(self.term, ")"))
 
     def piece(self) -> Piece:
         tok = self.peek()
         if tok.kind == "[":
             self.next()
-            binders: list[Ident] = []
-            if self.peek().kind != "]":
-                binders.append(self.expect("var", "a binder variable").text)
-                while self.peek().kind == ",":
-                    self.next()
-                    binders.append(self.expect("var", "a binder variable").text)
-            self.expect("]", "']'")
+            binders = self.listed(lambda: self.expect("var", "a binder variable").text, "]")
             if len(set(binders)) != len(binders):
                 self.fail("binders in one scope must be pairwise distinct", span=tok.span)
             body = self.term()
             return ScopePiece(tuple(binders), body, span=self.span_from(tok.span))
         if tok.kind == "{":
             self.next()
-            entries: list[Association] = []
-            if self.peek().kind != "}":
-                entries.append(self.association())
-                while self.peek().kind in (",", ";"):
-                    self.next()
-                    entries.append(self.association())
-            self.expect("}", "'}'")
+            entries = self.listed(self.association, "}", (",", ";"))
             return AssocPiece(tuple(entries), span=self.span_from(tok.span))
         body = self.term()
         return ScopePiece((), body, span=body.span)
@@ -289,7 +273,7 @@ class _Parser:
         if tok.kind == "~":
             self.next()
             key = self.expect("var", "a key variable")
-            self.expect(":", "':'")
+            self.expect(":")
             return NotKey(key.text, span=self.span_from(tok.span))
         if tok.kind == "meta":
             self.next()
@@ -299,7 +283,7 @@ class _Parser:
             return CatchAll(tok.text, args, span=self.span_from(tok.span))
         if tok.kind == "var":
             self.next()
-            self.expect(":", "':'")
+            self.expect(":")
             value = self.term()
             return MapEntry(tok.text, value, span=self.span_from(tok.span))
         self.fail(f"expected an association entry, found {tok.text or 'end of input'!r}")
@@ -316,7 +300,7 @@ class _Parser:
             )
         self.next()
         if kw.text == "variable":
-            self.expect(";", "';'")
+            self.expect(";")
             return VariableDecl(sort, span=self.span_from(start))
         if kw.text == "rule":
             lhs = self.term()
@@ -324,18 +308,12 @@ class _Parser:
                 self.fail(f"expected '->', found {self.peek().text or 'end of input'!r}")
             self.next()
             rhs = self.term()
-            self.expect(";", "';'")
+            self.expect(";")
             return RuleDecl(sort, lhs, rhs, span=self.span_from(start))
         name = self.expect("con", "a constructor name").text
-        self.expect("(", "'('")
-        forms: list[Form] = []
-        if self.peek().kind != ")":
-            forms.append(self.form())
-            while self.peek().kind == ",":
-                self.next()
-                forms.append(self.form())
-        self.expect(")", "')'")
-        self.expect(";", "';'")
+        self.expect("(")
+        forms = self.listed(self.form, ")")
+        self.expect(";")
         cls = DataDecl if kw.text == "data" else SchemeDecl
         return cls(sort, name, tuple(forms), span=self.span_from(start))
 
@@ -371,10 +349,7 @@ def parse_term(text: str, file: str = "<term>") -> Term:
     if errors:
         raise ParseFailure(errors)
     p = _Parser(tokens, file)
-    try:
-        t = p.term()
-        if p.peek().kind != "eof":
-            p.fail(f"trailing input after term: {p.peek().text!r}")
-    except ParseFailure as exc:
-        raise ParseFailure(exc.errors) from None
+    t = p.term()
+    if p.peek().kind != "eof":
+        p.fail(f"trailing input after term: {p.peek().text!r}")
     return t

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .env import GlobalEnv, RuleEnv
+from .env import GlobalEnv, RuleEnv, infer_rule_env
 from .terms import (
     AssocPiece,
+    Association,
     CatchAll,
     Construction,
     Ident,
@@ -68,9 +69,6 @@ class Abstraction:
     params: tuple[Ident, ...]
     body: Term
 
-    def __str__(self) -> str:
-        return "(" + ", ".join(self.params) + ") -> " + render(self.body)
-
 
 @dataclass(frozen=True)
 class AssocBinding:
@@ -99,55 +97,59 @@ def substitute(body: Term, binding: Mapping[Ident, Term]) -> Term:
     Binders colliding with free variables of the replacements are renamed.
     A key position can only receive a variable; anything else raises
     EngineError (the sorting discipline rules it out for checked rules).
+    The walk is ``_subst``; its memo of the replacements' free variables
+    lives for this call only.
     """
     if not binding:
         return body
-    # Free variables per replacement, computed once per call.  Keyed by id;
-    # each entry keeps its term alive, so no id is reused while it stands.
-    fv_memo: dict[int, tuple[Term, set[Ident]]] = {}
+    return _subst(body, dict(binding), {})
 
-    def go(t: Term, sub: dict[Ident, Term]) -> Term:
-        if isinstance(t, Var):
-            return sub.get(t.name, t)
-        if isinstance(t, MetaApp):
-            return MetaApp(t.meta, tuple(go(a, sub) for a in t.args))
-        return Construction(t.head, tuple(piece(p, sub) for p in t.args))
 
-    def piece(p: Piece, sub: dict[Ident, Term]) -> Piece:
-        if isinstance(p, AssocPiece):
-            return AssocPiece(tuple(assoc(e, sub) for e in p.entries))
-        inner = {w: r for w, r in sub.items() if w not in p.binders}
-        if not inner:
-            return p
-        clash = set()
-        for r in inner.values():
-            hit = fv_memo.get(id(r))
-            if hit is None:
-                hit = fv_memo[id(r)] = (r, free_vars(r))
-            clash |= hit[1]
-        binders = list(p.binders)
-        body2 = p.body
-        if clash & set(binders):
-            avoid = clash | all_idents(body2) | set(binders) | set(inner)
-            for i, b in enumerate(binders):
-                if b in clash:
-                    b2 = fresh_var(b, avoid)
-                    avoid.add(b2)
-                    body2 = go(body2, {b: Var(b2)})
-                    binders[i] = b2
-        return ScopePiece(tuple(binders), go(body2, inner))
+# ``fv_memo`` maps ``id(r)`` to ``(r, free_vars(r))`` for each replacement
+# ``r`` met at a scope piece; each entry keeps its term alive, so no id is
+# reused while it stands.
+_FvMemo = dict[int, tuple[Term, set[Ident]]]
 
-    def assoc(e: Association, sub: dict[Ident, Term]) -> Association:
-        if isinstance(e, MapEntry):
-            return MapEntry(_key_through(sub, e.key), go(e.value, sub))
-        if isinstance(e, NotKey):
-            return NotKey(_key_through(sub, e.key))
-        return CatchAll(e.meta, tuple(go(a, sub) for a in e.args))
 
-    try:
-        return go(body, dict(binding))
-    finally:
-        fv_memo.clear()  # the closures are a cycle; let the replacements go now
+def _subst(t: Term, sub: dict[Ident, Term], fv_memo: _FvMemo) -> Term:
+    if isinstance(t, Var):
+        return sub.get(t.name, t)
+    if isinstance(t, MetaApp):
+        return MetaApp(t.meta, tuple(_subst(a, sub, fv_memo) for a in t.args))
+    return Construction(t.head, tuple(_subst_piece(p, sub, fv_memo) for p in t.args))
+
+
+def _subst_piece(p: Piece, sub: dict[Ident, Term], fv_memo: _FvMemo) -> Piece:
+    if isinstance(p, AssocPiece):
+        return AssocPiece(tuple(_subst_assoc(e, sub, fv_memo) for e in p.entries))
+    inner = {w: r for w, r in sub.items() if w not in p.binders}
+    if not inner:
+        return p
+    clash = set()
+    for r in inner.values():
+        hit = fv_memo.get(id(r))
+        if hit is None:
+            hit = fv_memo[id(r)] = (r, free_vars(r))
+        clash |= hit[1]
+    binders = list(p.binders)
+    body2 = p.body
+    if clash & set(binders):
+        avoid = clash | all_idents(body2) | set(binders) | set(inner)
+        for i, b in enumerate(binders):
+            if b in clash:
+                b2 = fresh_var(b, avoid)
+                avoid.add(b2)
+                body2 = _subst(body2, {b: Var(b2)}, fv_memo)
+                binders[i] = b2
+    return ScopePiece(tuple(binders), _subst(body2, inner, fv_memo))
+
+
+def _subst_assoc(e: Association, sub: dict[Ident, Term], fv_memo: _FvMemo) -> Association:
+    if isinstance(e, MapEntry):
+        return MapEntry(_key_through(sub, e.key), _subst(e.value, sub, fv_memo))
+    if isinstance(e, NotKey):
+        return NotKey(_key_through(sub, e.key))
+    return CatchAll(e.meta, tuple(_subst(a, sub, fv_memo) for a in e.args))
 
 
 # ---------------------------------------------------------------------------
@@ -421,59 +423,63 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = (), *,
         if w not in rho:
             rho[w] = fresh(w)
 
-    def go(t: Term, rho: dict[Ident, Ident]) -> Term:
-        if isinstance(t, Var):
-            name = rho.get(t.name)
-            if name is None:
-                raise EngineError(f"no binding for variable {t.name} (MissingBinding)")
-            return Var(name)
-        if isinstance(t, MetaApp):
-            ab = val.meta_bind.get(t.meta)
-            if ab is None:
-                raise EngineError(f"no binding for meta-variable {t.meta} (MissingBinding)")
-            if len(ab.params) != len(t.args):
-                raise EngineError(f"arity mismatch instantiating {t.meta}")
-            args = [go(a, rho) for a in t.args]
-            return substitute(ab.body, dict(zip(ab.params, args)))
-        return Construction(t.head, tuple(piece(p, rho) for p in t.args))
+    return _inst(rhs, rho, val, fresh)
 
-    def piece(p: Piece, rho: dict[Ident, Ident]) -> Piece:
-        if isinstance(p, ScopePiece):
-            rho2 = dict(rho)
-            binders = []
-            for b in p.binders:
-                b2 = fresh(b)
-                rho2[b] = b2
-                binders.append(b2)
-            return ScopePiece(tuple(binders), go(p.body, rho2))
-        entries: list[tuple[Ident, Term]] = []
-        for e in p.entries:
-            if isinstance(e, MapEntry):
-                k = rho.get(e.key)
-                if k is None:
-                    raise EngineError(f"no binding for key {e.key} (MissingBinding)")
-                entries.append((k, go(e.value, rho)))
-            elif isinstance(e, NotKey):
-                raise EngineError("an absence entry cannot be contracted")
-            else:
-                binding = val.assoc_bind.get(e.meta)
-                if binding is None:
-                    raise EngineError(
-                        f"no binding for catch-all {e.meta} (MissingBinding)"
-                    )
-                if len(binding.params) != len(e.args):
-                    raise EngineError(f"arity mismatch instantiating {e.meta}")
-                args = [go(a, rho) for a in e.args]
-                sub = dict(zip(binding.params, args))
-                for k, v in binding.entries:
-                    entries.append((_key_through(sub, k), substitute(v, sub)))
-        # Later duplicate keys override earlier ones, keeping first position.
-        merged: dict[Ident, Term] = {}
-        for k, v in entries:
-            merged[k] = v
-        return AssocPiece(tuple(MapEntry(k, v) for k, v in merged.items()))
 
-    return go(rhs, rho)
+def _inst(t: Term, rho: dict[Ident, Ident], val: Valuation,
+          fresh: Callable[[Ident], Ident]) -> Term:
+    if isinstance(t, Var):
+        name = rho.get(t.name)
+        if name is None:
+            raise EngineError(f"no binding for variable {t.name} (MissingBinding)")
+        return Var(name)
+    if isinstance(t, MetaApp):
+        ab = val.meta_bind.get(t.meta)
+        if ab is None:
+            raise EngineError(f"no binding for meta-variable {t.meta} (MissingBinding)")
+        if len(ab.params) != len(t.args):
+            raise EngineError(f"arity mismatch instantiating {t.meta}")
+        args = [_inst(a, rho, val, fresh) for a in t.args]
+        return substitute(ab.body, dict(zip(ab.params, args)))
+    return Construction(t.head, tuple(_inst_piece(p, rho, val, fresh) for p in t.args))
+
+
+def _inst_piece(p: Piece, rho: dict[Ident, Ident], val: Valuation,
+                fresh: Callable[[Ident], Ident]) -> Piece:
+    if isinstance(p, ScopePiece):
+        rho2 = dict(rho)
+        binders = []
+        for b in p.binders:
+            b2 = fresh(b)
+            rho2[b] = b2
+            binders.append(b2)
+        return ScopePiece(tuple(binders), _inst(p.body, rho2, val, fresh))
+    entries: list[tuple[Ident, Term]] = []
+    for e in p.entries:
+        if isinstance(e, MapEntry):
+            k = rho.get(e.key)
+            if k is None:
+                raise EngineError(f"no binding for key {e.key} (MissingBinding)")
+            entries.append((k, _inst(e.value, rho, val, fresh)))
+        elif isinstance(e, NotKey):
+            raise EngineError("an absence entry cannot be contracted")
+        else:
+            binding = val.assoc_bind.get(e.meta)
+            if binding is None:
+                raise EngineError(
+                    f"no binding for catch-all {e.meta} (MissingBinding)"
+                )
+            if len(binding.params) != len(e.args):
+                raise EngineError(f"arity mismatch instantiating {e.meta}")
+            args = [_inst(a, rho, val, fresh) for a in e.args]
+            sub = dict(zip(binding.params, args))
+            for k, v in binding.entries:
+                entries.append((_key_through(sub, k), substitute(v, sub)))
+    # Later duplicate keys override earlier ones, keeping first position.
+    merged: dict[Ident, Term] = {}
+    for k, v in entries:
+        merged[k] = v
+    return AssocPiece(tuple(MapEntry(k, v) for k, v in merged.items()))
 
 
 def _key_through(sub: Mapping[Ident, Term], k: Ident) -> Ident:
@@ -532,8 +538,6 @@ def prepare_rules(gamma: GlobalEnv, rules: Sequence[RuleDecl],
     Rejects patterns whose association lists carry more than one catch-all:
     matching them would not be deterministic (MultipleCatchAll).
     """
-    from .env import infer_rule_env  # local import to keep module load light
-
     out: list[RewriteRule] = []
     for i, decl in enumerate(rules):
         if not isinstance(decl.lhs, Construction):
@@ -562,14 +566,9 @@ def _check_single_catchall(t: Term, index: int) -> None:
                         _check_single_catchall(e.value, index)
 
 
-class _TermNames:
-    """Every name of a term, walked only when first iterated."""
-
-    def __init__(self, t: Term):
-        self.term: Term | None = t
-
-    def __iter__(self):
-        return iter(all_idents(self.term))
+def _term_names(t: Term) -> Iterator[Ident]:
+    """Every name of ``t``; the walk runs only when first iterated."""
+    yield from all_idents(t)
 
 
 def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term
@@ -579,48 +578,43 @@ def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term
     Rules are tried by head: at a scheme-headed construction only the rules
     whose pattern has that head, in declaration order.  A rule with another
     head could not match there, so the redex and rule chosen are those of
-    trying every rule.  The search descends under binders and into
-    association values.  Fresh names avoid every name of ``t``, which is
-    walked only when a contraction draws a fresh name.
+    trying every rule.  The search, ``_visit``, descends under binders and
+    into association values.  Fresh names avoid every name of ``t``, which
+    is walked only when a contraction draws a fresh name.
     """
     by_head: dict[Ident, list[RewriteRule]] = {}
     for rule in rules:
         if rule.decl.lhs.head in gamma.fun:
             by_head.setdefault(rule.decl.lhs.head, []).append(rule)
-    names = _TermNames(t)
+    return _visit(t, (), by_head, _term_names(t))
 
-    def visit(sub: Term, path: tuple[int, ...]) -> tuple[Term, RewriteStep] | None:
-        if not isinstance(sub, Construction):
-            return None
-        for rule in by_head.get(sub.head, ()):
-            val = match_term(rule.decl.lhs, sub)
-            if val is not None:
-                new = contract(rule.decl.rhs, val, names, _rhs_vars=rule.rhs_vars)
-                return new, RewriteStep(path, rule.index)
-        for i, p in enumerate(sub.args):
-            if isinstance(p, ScopePiece):
-                hit = visit(p.body, path + (i,))
-                if hit is not None:
-                    new_piece = ScopePiece(p.binders, hit[0])
-                    args = sub.args[:i] + (new_piece,) + sub.args[i + 1:]
-                    return Construction(sub.head, args), hit[1]
-            else:
-                for j, e in enumerate(p.entries):
-                    if isinstance(e, MapEntry):
-                        hit = visit(e.value, path + (i, j))
-                        if hit is not None:
-                            entry = MapEntry(e.key, hit[0])
-                            entries = p.entries[:j] + (entry,) + p.entries[j + 1:]
-                            args = sub.args[:i] + (AssocPiece(entries),) + sub.args[i + 1:]
-                            return Construction(sub.head, args), hit[1]
+
+def _visit(sub: Term, path: tuple[int, ...], by_head: dict[Ident, list[RewriteRule]],
+           names: Iterable[Ident]) -> tuple[Term, RewriteStep] | None:
+    if not isinstance(sub, Construction):
         return None
-
-    try:
-        return visit(t, ())
-    finally:
-        # visit, and the closures inside contract, are reference cycles that
-        # live until a cyclic collection; they must not keep t alive.
-        names.term = None
+    for rule in by_head.get(sub.head, ()):
+        val = match_term(rule.decl.lhs, sub)
+        if val is not None:
+            new = contract(rule.decl.rhs, val, names, _rhs_vars=rule.rhs_vars)
+            return new, RewriteStep(path, rule.index)
+    for i, p in enumerate(sub.args):
+        if isinstance(p, ScopePiece):
+            hit = _visit(p.body, path + (i,), by_head, names)
+            if hit is not None:
+                new_piece = ScopePiece(p.binders, hit[0])
+                args = sub.args[:i] + (new_piece,) + sub.args[i + 1:]
+                return Construction(sub.head, args), hit[1]
+        else:
+            for j, e in enumerate(p.entries):
+                if isinstance(e, MapEntry):
+                    hit = _visit(e.value, path + (i, j), by_head, names)
+                    if hit is not None:
+                        entry = MapEntry(e.key, hit[0])
+                        entries = p.entries[:j] + (entry,) + p.entries[j + 1:]
+                        args = sub.args[:i] + (AssocPiece(entries),) + sub.args[i + 1:]
+                        return Construction(sub.head, args), hit[1]
+    return None
 
 
 def normalize(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term,
@@ -653,10 +647,6 @@ def format_step(number: int, step: RewriteStep, rule: RewriteRule, term: Term,
                 *, unicode: bool = False) -> str:
     """One trace record: the step header line plus the rendered term."""
     pos = "[" + ",".join(str(i) for i in step.position) + "]"
-    decl = rule.decl
-    header = (
-        f"step {number} at {pos} by rule {rule.index} "
-        f"({render(decl.sort, unicode=unicode)} rule {render(decl.lhs, unicode=unicode)}"
-        f" -> {render(decl.rhs, unicode=unicode)})"
-    )
+    decl = render(rule.decl, unicode=unicode).removesuffix(";")
+    header = f"step {number} at {pos} by rule {rule.index} ({decl})"
     return header + "\n" + render(term, unicode=unicode)

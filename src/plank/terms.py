@@ -101,58 +101,53 @@ def _span_field():
     return field(default=None, compare=False, repr=False, kw_only=True)
 
 
+class _Node:
+    """Base of the AST node classes: ``str`` gives the canonical rendering."""
+
+    def __str__(self) -> str:
+        return render(self)
+
+
 # ---------------------------------------------------------------------------
 # Sorts and argument forms
 
 
 @dataclass(frozen=True)
-class SortCons:
+class SortCons(_Node):
     """An applied sort constructor ``s<S1, ..., Sn>``; ``s<>`` prints as ``s``."""
 
     name: Ident
     args: tuple["Sort", ...] = ()
     span: Span | None = _span_field()
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class SortVar:
+class SortVar(_Node):
     """A sort variable, written with a lowercase name."""
 
     name: Ident
     span: Span | None = _span_field()
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 Sort = Union[SortCons, SortVar]
 
 
 @dataclass(frozen=True)
-class ScopeForm:
+class ScopeForm(_Node):
     """Argument form ``[S1, ..., Sn]S``; a plain argument has no binder sorts."""
 
     binder_sorts: tuple[Sort, ...]
     body_sort: Sort
     span: Span | None = _span_field()
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class AssocForm:
+class AssocForm(_Node):
     """Argument form ``{S:S'}`` for association-list arguments."""
 
     key_sort: Sort
     value_sort: Sort
     span: Span | None = _span_field()
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 Form = Union[ScopeForm, AssocForm]
@@ -163,100 +158,76 @@ Form = Union[ScopeForm, AssocForm]
 
 
 @dataclass(frozen=True)
-class Construction:
+class Construction(_Node):
     """``c(P1, ..., Pn)``.  Arity against the declared forms is the checker's job."""
 
     head: Ident
     args: tuple["Piece", ...] = ()
     span: Span | None = _span_field()
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: Ident
     span: Span | None = _span_field()
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class MetaApp:
+class MetaApp(_Node):
     """``#m(T1, ..., Tn)``; a bare ``#m`` is the zero-argument application."""
 
     meta: Ident
     args: tuple["Term", ...] = ()
     span: Span | None = _span_field()
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 Term = Union[Construction, Var, MetaApp]
 
 
 @dataclass(frozen=True)
-class ScopePiece:
+class ScopePiece(_Node):
     """``[v1, ..., vn]T``; binders are pairwise distinct and scope over the body."""
 
     binders: tuple[Ident, ...]
     body: Term
     span: Span | None = _span_field()
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class AssocPiece:
+class AssocPiece(_Node):
     """``{A1, ..., An}``: an ordered association list."""
 
     entries: tuple["Association", ...]
     span: Span | None = _span_field()
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 Piece = Union[ScopePiece, AssocPiece]
 
 
 @dataclass(frozen=True)
-class MapEntry:
+class MapEntry(_Node):
     """``v : T`` maps a variable key to a term."""
 
     key: Ident
     value: Term
     span: Span | None = _span_field()
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class NotKey:
+class NotKey(_Node):
     """``~v:`` asserts the key is absent; only meaningful in patterns."""
 
     key: Ident
     span: Span | None = _span_field()
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class CatchAll:
+class CatchAll(_Node):
     """``#m(...)`` inside an association list: the remainder of the map."""
 
     meta: Ident
     args: tuple[Term, ...] = ()
     span: Span | None = _span_field()
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 Association = Union[MapEntry, NotKey, CatchAll]
@@ -267,57 +238,42 @@ Association = Union[MapEntry, NotKey, CatchAll]
 
 
 @dataclass(frozen=True)
-class DataDecl:
+class DataDecl(_Node):
     sort: Sort
     name: Ident
     forms: tuple[Form, ...]
     span: Span | None = _span_field()
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class SchemeDecl:
+class SchemeDecl(_Node):
     sort: Sort
     name: Ident
     forms: tuple[Form, ...]
     span: Span | None = _span_field()
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class VariableDecl:
+class VariableDecl(_Node):
     sort: Sort
     span: Span | None = _span_field()
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class RuleDecl:
+class RuleDecl(_Node):
     sort: Sort
     lhs: Term
     rhs: Term
     span: Span | None = _span_field()
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 Declaration = Union[DataDecl, SchemeDecl, VariableDecl, RuleDecl]
 
 
 @dataclass(frozen=True)
-class Script:
+class Script(_Node):
     declarations: tuple[Declaration, ...] = ()
     span: Span | None = _span_field()
-
-    def __str__(self) -> str:
-        return render(self)
 
     @property
     def rules(self) -> tuple[RuleDecl, ...]:
@@ -498,58 +454,59 @@ def alpha_equal(a: Term, b: Term) -> bool:
     Free variables and meta-variables compare by name; association lists
     compare entry by entry in order.
     """
-    counter = 0
+    return _alpha(a, b, {}, {})
 
-    def var_eq(x: Ident, y: Ident, ma: dict[Ident, int], mb: dict[Ident, int]) -> bool:
-        ax, ay = ma.get(x), mb.get(y)
-        if ax is None and ay is None:
-            return x == y
-        return ax is not None and ax == ay
 
-    def go(x: Term, y: Term, ma: dict[Ident, int], mb: dict[Ident, int]) -> bool:
-        nonlocal counter
-        if isinstance(x, Var) and isinstance(y, Var):
-            return var_eq(x.name, y.name, ma, mb)
-        if isinstance(x, MetaApp) and isinstance(y, MetaApp):
-            return (
-                x.meta == y.meta
-                and len(x.args) == len(y.args)
-                and all(go(p, q, ma, mb) for p, q in zip(x.args, y.args))
-            )
-        if isinstance(x, Construction) and isinstance(y, Construction):
-            if x.head != y.head or len(x.args) != len(y.args):
-                return False
-            return all(piece(p, q, ma, mb) for p, q in zip(x.args, y.args))
-        return False
+# ``ma`` and ``mb`` map the binders in scope on each side to one ``object()``
+# mark per binder pair, so two bound names agree when their marks are the same.
+def _alpha_name(x: Ident, y: Ident, ma: dict[Ident, object], mb: dict[Ident, object]) -> bool:
+    ax, ay = ma.get(x), mb.get(y)
+    if ax is None and ay is None:
+        return x == y
+    return ax is ay
 
-    def piece(p: Piece, q: Piece, ma: dict[Ident, int], mb: dict[Ident, int]) -> bool:
-        nonlocal counter
-        if isinstance(p, ScopePiece) and isinstance(q, ScopePiece):
-            if len(p.binders) != len(q.binders):
-                return False
-            ma2, mb2 = dict(ma), dict(mb)
-            for u, v in zip(p.binders, q.binders):
-                counter += 1
-                ma2[u] = counter
-                mb2[v] = counter
-            return go(p.body, q.body, ma2, mb2)
-        if isinstance(p, AssocPiece) and isinstance(q, AssocPiece):
-            if len(p.entries) != len(q.entries):
-                return False
-            return all(assoc(e, f, ma, mb) for e, f in zip(p.entries, q.entries))
-        return False
 
-    def assoc(e: Association, f: Association, ma, mb) -> bool:
-        if isinstance(e, MapEntry) and isinstance(f, MapEntry):
-            return var_eq(e.key, f.key, ma, mb) and go(e.value, f.value, ma, mb)
-        if isinstance(e, NotKey) and isinstance(f, NotKey):
-            return var_eq(e.key, f.key, ma, mb)
-        if isinstance(e, CatchAll) and isinstance(f, CatchAll):
-            return (
-                e.meta == f.meta
-                and len(e.args) == len(f.args)
-                and all(go(p, q, ma, mb) for p, q in zip(e.args, f.args))
-            )
-        return False
+def _alpha(x: Term, y: Term, ma: dict[Ident, object], mb: dict[Ident, object]) -> bool:
+    if isinstance(x, Var) and isinstance(y, Var):
+        return _alpha_name(x.name, y.name, ma, mb)
+    if isinstance(x, MetaApp) and isinstance(y, MetaApp):
+        return (
+            x.meta == y.meta
+            and len(x.args) == len(y.args)
+            and all(_alpha(p, q, ma, mb) for p, q in zip(x.args, y.args))
+        )
+    if isinstance(x, Construction) and isinstance(y, Construction):
+        if x.head != y.head or len(x.args) != len(y.args):
+            return False
+        return all(_alpha_piece(p, q, ma, mb) for p, q in zip(x.args, y.args))
+    return False
 
-    return go(a, b, {}, {})
+
+def _alpha_piece(p: Piece, q: Piece, ma: dict[Ident, object], mb: dict[Ident, object]) -> bool:
+    if isinstance(p, ScopePiece) and isinstance(q, ScopePiece):
+        if len(p.binders) != len(q.binders):
+            return False
+        ma2, mb2 = dict(ma), dict(mb)
+        for u, v in zip(p.binders, q.binders):
+            ma2[u] = mb2[v] = object()
+        return _alpha(p.body, q.body, ma2, mb2)
+    if isinstance(p, AssocPiece) and isinstance(q, AssocPiece):
+        if len(p.entries) != len(q.entries):
+            return False
+        return all(_alpha_assoc(e, f, ma, mb) for e, f in zip(p.entries, q.entries))
+    return False
+
+
+def _alpha_assoc(e: Association, f: Association, ma: dict[Ident, object],
+                 mb: dict[Ident, object]) -> bool:
+    if isinstance(e, MapEntry) and isinstance(f, MapEntry):
+        return _alpha_name(e.key, f.key, ma, mb) and _alpha(e.value, f.value, ma, mb)
+    if isinstance(e, NotKey) and isinstance(f, NotKey):
+        return _alpha_name(e.key, f.key, ma, mb)
+    if isinstance(e, CatchAll) and isinstance(f, CatchAll):
+        return (
+            e.meta == f.meta
+            and len(e.args) == len(f.args)
+            and all(_alpha(p, q, ma, mb) for p, q in zip(e.args, f.args))
+        )
+    return False

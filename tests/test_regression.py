@@ -8,8 +8,8 @@
 * ``check_script`` infers each rule environment once, and the lexer
   classifies each distinct word once.
 * The engine walks a term's names only when it draws a fresh name, finds
-  each right side's free variables once per rule, and no reference cycle
-  it leaves behind keeps a rewritten term alive.
+  each right side's free variables once per rule, and leaves no reference
+  cycle that holds a term, an abstraction, a binding or a valuation.
 * The ``--trace`` text of a run whose fresh names collide with the
   subject's names is byte-identical to the recorded one.
 * Full diagnostics of ill-sorted rules whose binders are all distinct from
@@ -50,7 +50,17 @@ from plank import (
     render,
 )
 from plank.env import ConSig, MetaForm, infer_rule_env
-from plank.terms import all_idents, free_vars
+from plank.rewrite import Abstraction, AssocBinding, Valuation
+from plank.terms import (
+    AssocPiece,
+    Construction,
+    MapEntry,
+    MetaApp,
+    ScopePiece,
+    Var,
+    all_idents,
+    free_vars,
+)
 
 from conftest import BETA_ETA, CBV_EVAL
 
@@ -270,22 +280,36 @@ def test_right_side_free_variables_are_computed_once_per_rule(monkeypatch):
     assert "contract" not in callers
 
 
+_ENGINE_VALUES = (Construction, Var, MetaApp, ScopePiece, AssocPiece, MapEntry,
+                  Abstraction, AssocBinding, Valuation)
+
+
 @pytest.mark.parametrize("source,term,steps", [
     (BETA_ETA, _mult(2), 7),
     (CBV_EVAL, _identity_chain(2), 9),
 ], ids=["mult-2", "chain-2"])
 def test_no_cycle_keeps_a_rewritten_term_alive(source, term, steps):
+    # The engine's walks take their state as arguments, so no reference cycle
+    # holds a term, an abstraction, a captured binding or a valuation: with
+    # the collector off they are all freed by reference counting alone.
     script = parse_script(source)
     checked = check_script(script)
     rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
     root = parse_term(term)
     ref = weakref.ref(root)
+    gc.collect()
     gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         result = normalize(checked.gamma, rules, root)
         del root
         assert ref() is None
+        gc.collect()
+        kept = sorted({type(o).__name__ for o in gc.garbage if isinstance(o, _ENGINE_VALUES)})
+        assert kept == []
     finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
         gc.enable()
     assert len(result.steps) == steps
 

@@ -457,12 +457,15 @@ class TestPrepareRules:
         rules = prepare_rules(result.gamma, script.rules, result.rule_envs)
         assert len(rules) == 1
 
-    def test_trace_format(self, ex1_checked, ex1_rules):
+    @pytest.mark.parametrize("unicode,arrow", [(False, "->"), (True, "→")],
+                             ids=["ascii", "unicode"])
+    def test_trace_format(self, ex1_checked, ex1_rules, unicode, arrow):
+        # The header spells the rule's arrow as the rest of the trace does.
         term, step = rewrite_step(
             ex1_checked.gamma, ex1_rules, t("Ap(Lam([x]x), Lam([y]y))")
         )
-        line = format_step(1, step, ex1_rules[step.rule_index], term)
+        line = format_step(1, step, ex1_rules[step.rule_index], term, unicode=unicode)
         assert line.splitlines()[0] == (
-            "step 1 at [] by rule 0 (L rule Ap(Lam([x]#M(x)), #N) -> #M(#N))"
+            f"step 1 at [] by rule 0 (L rule Ap(Lam([x]#M(x)), #N) {arrow} #M(#N))"
         )
         assert line.splitlines()[1] == "Lam([y]y)"
