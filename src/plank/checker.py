@@ -487,7 +487,7 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
         )]
     delta = RuleEnv()
     walk_sorts(gamma, t, sort, delta, {}, in_lhs=False)
-    st = CheckState(gamma, delta, frozenset(all_idents(t)), TermContext.CON)
+    st = CheckState(gamma, delta, all_idents(t), TermContext.CON)
     return sort, delta, check_term(st, t, sort)
 
 

@@ -290,6 +290,26 @@ class _Parser:
 
     # -- declarations ----------------------------------------------------------
 
+    def recover(self) -> None:
+        """Skip past the next ``;`` after which a declaration can start: end
+        of input, or a sort name followed by ``<`` or a keyword.
+
+        A ``;`` inside a sort's ``<...>`` is therefore not a boundary, while
+        an unclosed ``(`` swallows nothing past the next declaration.
+        """
+        while True:
+            tok = self.next()
+            if tok.kind == "eof":
+                return
+            if tok.kind != ";":
+                continue
+            head = self.peek()
+            if head.kind == "eof":
+                return
+            after = self.tokens[self.pos + 1]  # the last token is eof, so there is one
+            if head.kind in ("con", "var") and (after.kind == "<" or after.text in _KEYWORDS):
+                return
+
     def declaration(self) -> Declaration:
         start = self.peek().span
         sort = self.sort()
@@ -323,7 +343,8 @@ def parse_script(text: str, file: str = "<input>") -> Script:
 
     Raises ParseFailure carrying one ``parse`` Diagnostic per syntax
     violation, lexer and parser errors together in source order; after an
-    error the parser recovers at the next declaration boundary (``;``).
+    error the parser recovers at the next declaration boundary (see
+    ``_Parser.recover``).
     """
     tokens, errors = _lex(text, file)
     p = _Parser(tokens, file)
@@ -333,10 +354,7 @@ def parse_script(text: str, file: str = "<input>") -> Script:
             decls.append(p.declaration())
         except ParseFailure as exc:
             errors.extend(exc.errors)
-            while p.peek().kind not in (";", "eof"):
-                p.next()
-            if p.peek().kind == ";":
-                p.next()
+            p.recover()
     if errors:
         errors.sort(key=lambda e: (e.span.start_line, e.span.start_col))
         raise ParseFailure(errors)

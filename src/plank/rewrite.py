@@ -171,8 +171,9 @@ class _Matcher:
 
     Canonical binder names avoid every name of the terms the matcher was
     built from.  That set is built on the first ``canonical`` call, not up
-    front: most attempts fail at the head, before any binder is reached, and
-    the set costs a walk of the whole subject.
+    front: most attempts fail at the head, before any binder is reached.  It
+    is the union of the terms' ``all_idents``, which each term object keeps
+    once built, so only the nodes that no earlier query reached are walked.
     """
 
     def __init__(self, terms: Sequence[Term]):
@@ -395,8 +396,11 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = (), *,
 
     ``avoid`` and the valuation's names are read only when a fresh name is
     drawn: a right side with no binder and no unbound variable never
-    iterates ``avoid``.  The engine passes ``_rhs_vars``, the rule's
-    ``sorted(free_vars(rhs))`` computed once by ``prepare_rules``.
+    iterates ``avoid``.  The valuation's names are the ``all_idents`` of its
+    fragments, kept on each fragment once built, so a fragment that was
+    queried before, or that shares its subterms with one, costs little.
+    The engine passes ``_rhs_vars``, the rule's ``sorted(free_vars(rhs))``
+    computed once by ``prepare_rules``.
     """
     taken: set[Ident] | None = None
 
@@ -567,7 +571,7 @@ def _check_single_catchall(t: Term, index: int) -> None:
 
 
 def _term_names(t: Term) -> Iterator[Ident]:
-    """Every name of ``t``; the walk runs only when first iterated."""
+    """Every name of ``t``, asked of ``all_idents`` only when first iterated."""
     yield from all_idents(t)
 
 
@@ -580,7 +584,10 @@ def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term
     head could not match there, so the redex and rule chosen are those of
     trying every rule.  The search, ``_visit``, descends under binders and
     into association values.  Fresh names avoid every name of ``t``, which
-    is walked only when a contraction draws a fresh name.
+    are asked for only when a contraction draws a fresh name.  Each term
+    object keeps its names once built, and a step rebuilds only the path
+    from the root to the redex, so that query walks the nodes built since
+    the last one, not the whole tree.
     """
     by_head: dict[Ident, list[RewriteRule]] = {}
     for rule in rules:

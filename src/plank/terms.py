@@ -11,11 +11,14 @@ take no part in equality or hashing.
 ``Diagnostic`` is the one diagnostic type of the parser, the environment
 builder and the checker.
 
-The name queries (``free_vars``, ``all_idents``, ...) share one traversal
+``free_vars``, ``non_assoc_vars`` and ``meta_vars`` share one traversal
 that collects names by the role they play in a term: ``VAR`` for a
-variable occurrence, ``BINDER`` for a name bound by a scope piece, ``KEY``
-for the key of a map or absence entry, and ``META`` for a meta-application
-or catch-all.
+variable occurrence, ``KEY`` for the key of a map or absence entry, and
+``META`` for a meta-application or catch-all.  ``all_idents`` is the
+engine's name query, asked whenever a fresh name must avoid every name of
+a term.  Each construction and meta-application keeps its answer, so a
+query walks only the nodes that no earlier query reached: on a term that
+shares its subterms, the nodes a rewrite step built.
 """
 
 from __future__ import annotations
@@ -368,7 +371,7 @@ def render(node: Node, *, unicode: bool = False) -> str:
 
 
 # Roles a name can play in a term, for ``_names``.
-VAR, BINDER, KEY, META = 1, 2, 4, 8
+VAR, KEY, META = 1, 2, 4
 
 
 def _names(t: Term, roles: int, *, free: bool = False, assoc: bool = True) -> set[Ident]:
@@ -392,8 +395,6 @@ def _names(t: Term, roles: int, *, free: bool = False, assoc: bool = True) -> se
             return
         for p in x.args:
             if isinstance(p, ScopePiece):
-                if roles & BINDER:
-                    out.update(p.binders)
                 go(p.body, bound | set(p.binders) if free else bound)
             elif assoc:
                 for e in p.entries:
@@ -426,9 +427,58 @@ def non_assoc_vars(t: Term) -> set[Ident]:
     return _names(t, VAR, free=True, assoc=False)
 
 
-def all_idents(t: Term) -> set[Ident]:
-    """Every variable name occurring anywhere in ``t`` (binders, keys, bodies)."""
-    return _names(t, VAR | BINDER | KEY)
+def all_idents(t: Term) -> frozenset[Ident]:
+    """Every variable name occurring anywhere in ``t`` (binders, keys, bodies).
+
+    The set is built once per construction or meta-application, from its
+    children's sets, and kept on that object (see ``_idents``).
+    """
+    return _idents(t)
+
+
+def _idents(t: Term) -> frozenset[Ident]:
+    # The set is stored in the node's instance dict under ``_idents``, which
+    # equality, hashing, ``repr`` and rendering never read; terms are
+    # immutable, so it never goes stale.  A ``Var`` keeps nothing.  The
+    # recursion stays here rather than in ``all_idents``, so one query is
+    # one call of it; pieces are walked inline, so it takes one frame per
+    # term level; a child's set is reused when it already holds every name.
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    names = getattr(t, "_idents", None)
+    if names is not None:
+        return names
+    loose: list[Ident] = []
+    kids: list[Term] = []
+    if isinstance(t, MetaApp):
+        kids.extend(t.args)
+    else:
+        for p in t.args:
+            if isinstance(p, ScopePiece):
+                loose.extend(p.binders)
+                kids.append(p.body)
+                continue
+            for e in p.entries:
+                if isinstance(e, CatchAll):
+                    kids.extend(e.args)
+                    continue
+                loose.append(e.key)
+                if isinstance(e, MapEntry):
+                    kids.append(e.value)
+    names = frozenset()
+    for k in kids:
+        if isinstance(k, Var):
+            loose.append(k.name)
+            continue
+        s = _idents(k)
+        if len(s) > len(names):
+            names, s = s, names
+        if not s <= names:
+            names = names | s
+    if not names.issuperset(loose):
+        names = names.union(loose)
+    object.__setattr__(t, "_idents", names)
+    return names
 
 
 def meta_vars(t: Term) -> set[Ident]:

@@ -2,9 +2,11 @@
 
 * Spans take no part in equality or hashing, so the checker needs no
   span-stripping copies of sorts and forms.
-* Rendered normal forms and (position, rule) sequences on fixed inputs are
-  byte-identical to the recorded ones, including every fresh name, and
-  every intermediate term passes ``check_ground_subject``.
+* Rendered normal forms, (position, rule) sequences and ``--trace`` text
+  on fixed inputs are byte-identical to the recorded ones, including every
+  fresh name, and every intermediate term passes ``check_ground_subject``.
+* The names ``all_idents`` keeps on each term object agree with a plain
+  walk of the tree on every intermediate term.
 * ``check_script`` infers each rule environment once, and the lexer
   classifies each distinct word once.
 * The engine walks a term's names only when it draws a fresh name, finds
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import hashlib
 import importlib
 import importlib.util
 import pkgutil
@@ -50,9 +53,10 @@ from plank import (
     render,
 )
 from plank.env import ConSig, MetaForm, infer_rule_env
-from plank.rewrite import Abstraction, AssocBinding, Valuation
+from plank.rewrite import Abstraction, AssocBinding, Valuation, format_step
 from plank.terms import (
     AssocPiece,
+    CatchAll,
     Construction,
     MapEntry,
     MetaApp,
@@ -196,6 +200,129 @@ def test_every_intermediate_term_is_well_sorted(source, term, fuel):
     for step, t in enumerate(seen):
         _, _, errors = check_ground_subject(checked.gamma, t)
         assert [e.format() for e in errors] == [], (step, render(t))
+
+
+def _pin(text):
+    """Short texts as they are, long ones as their sha256 digest."""
+    return text if len(text) <= 100 else "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded before terms kept their name sets: status, step count, rendered
+# normal form, (position, rule_index) sequence and ASCII --trace text.
+ENGINE_PINS = [
+    ("mult-4", BETA_ETA, _mult(4), 10000, "NormalForm", 11,
+     f"Lam([g]Lam([x]{_ap_g(16)}))",
+     "sha256:e67b931069e1d4d1a88d03e8e6b47b525a2c270ed03a6ee63af4f918ca252722",
+     "sha256:300464ce08102963782f38b17ec7f1fbc2a9e08502bb3d2ca36162f8574a1fe1"),
+    ("mult-6", BETA_ETA, _mult(6), 10000, "NormalForm", 15,
+     f"Lam([g]Lam([x]{_ap_g(36)}))",
+     "sha256:8e9cbce085e4c6686950526d084fe1e4d577414563a393bc29fc81c89c05b94f",
+     "sha256:5e0724c01a05278b5f27189bc0785c66eca9e1d96564457e9781ed31fd8c7aec"),
+    ("mult-8", BETA_ETA, _mult(8), 10000, "NormalForm", 19,
+     f"Lam([g]Lam([x]{_ap_g(64)}))",
+     "sha256:9684c208407ffb29496b70ba38b976d5acefcc1589d404b6a4b72a5afd81d993",
+     "sha256:a4b2066e763d07bc695a9d92cce33f59467802e880429fa7574d8b29bc210d41"),
+    ("chain-80", CBV_EVAL, _identity_chain(80), 10000, "NormalForm", 321,
+     "Lam([x]x)",
+     "sha256:136619c655485b067ad57e84090b4c825d2162f2fd19d30c26dd8977608a769f",
+     "sha256:3869959359672add413964b6758ae9d9d3cc81344dccb73c100d2de873c69a5e"),
+    ("let-10", CBV_EVAL, _let_chain(10), 10000, "NormalForm", 32,
+     "Lam([x]x)",
+     "sha256:729cc5fea8bb8fa95be5d644c4da1fd5dc34151c579bcd57003b72387f000fab",
+     "sha256:4075750c1532163fb5b5cdcb4d5f66348c58d758e86f44cfe0c901367c051226"),
+    ("omega-40", CBV_EVAL, _OMEGA, 40, "FuelExhausted", 40,
+     "sha256:cbcc9211ae15194162c411d5233e8e43398ed13dee23a89f0e64ba97f08c8e94",
+     "sha256:5cd25f8ad20a2c1a363c3450cf59b37720b993fe1f041e600e109907c5b5b315",
+     "sha256:9fcf88740db8e452cba5c9d8f12c6326478f93b6685b8da1c82132146239eff4"),
+]
+
+
+@pytest.mark.parametrize("label,source,term,fuel,status,count,rendered,steps,trace",
+                         ENGINE_PINS, ids=[p[0] for p in ENGINE_PINS])
+def test_engine_outputs_are_pinned(label, source, term, fuel, status, count, rendered,
+                                   steps, trace):
+    script = parse_script(source)
+    checked = check_script(script)
+    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+    records = []
+
+    def log_step(t, step):  # as ``plank normalize --trace`` prints it
+        records.append(format_step(len(records) + 1, step, rules[step.rule_index], t) + "\n")
+
+    result = normalize(checked.gamma, rules, parse_term(term), fuel=fuel, on_step=log_step)
+    assert result.status.value == status
+    assert len(result.steps) == count
+    assert _pin(render(result.term)) == _pin(rendered)
+    assert _pin(repr([(s.position, s.rule_index) for s in result.steps])) == steps
+    assert _pin("".join(records)) == trace
+
+
+def _tree_idents(t):
+    """Every variable name of ``t`` by a plain walk of its tree: the
+    reference for ``all_idents``."""
+    out, todo = set(), [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Var):
+            out.add(x.name)
+        elif isinstance(x, MetaApp):
+            todo.extend(x.args)
+        else:
+            for p in x.args:
+                if isinstance(p, ScopePiece):
+                    out.update(p.binders)
+                    todo.append(p.body)
+                    continue
+                for e in p.entries:
+                    if isinstance(e, CatchAll):
+                        todo.extend(e.args)
+                        continue
+                    out.add(e.key)
+                    if isinstance(e, MapEntry):
+                        todo.append(e.value)
+    return out
+
+
+def _subterms(t):
+    """Each distinct term object reachable from ``t``, once."""
+    seen, todo = {}, [t]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen[id(x)] = x
+        if isinstance(x, MetaApp):
+            todo.extend(x.args)
+        elif isinstance(x, Construction):
+            for p in x.args:
+                if isinstance(p, ScopePiece):
+                    todo.append(p.body)
+                    continue
+                for e in p.entries:
+                    if isinstance(e, CatchAll):
+                        todo.extend(e.args)
+                    elif isinstance(e, MapEntry):
+                        todo.append(e.value)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("source,term,fuel", [
+    (BETA_ETA, _mult(3), 10000),
+    (CBV_EVAL, _identity_chain(10), 10000),
+    (CBV_EVAL, _let_chain(4), 10000),
+    (CBV_EVAL, _OMEGA, 12),
+], ids=["mult-3", "chain-10", "let-4", "omega-12"])
+def test_kept_names_match_a_tree_walk_on_every_intermediate_term(source, term, fuel):
+    # The engine queries names while it rewrites, so most subterms of a later
+    # term already hold their set; every one of them must still be right.
+    script = parse_script(source)
+    checked = check_script(script)
+    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+    seen = [parse_term(term)]
+    normalize(checked.gamma, rules, seen[0], fuel=fuel, on_step=lambda t, _step: seen.append(t))
+    for step, t in enumerate(seen):
+        for sub in _subterms(t):
+            assert all_idents(sub) == _tree_idents(sub), (step, render(sub))
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +553,15 @@ MALFORMED = [
       "bad.plank:5:8: error[parse]: expected a constructor name, found '('"]),
     ("missing-arrow", MALFORMED_BASE + "L scheme F(L);\nL rule F(x) x;\n",
      ["bad.plank:5:13: error[parse]: expected '->', found 'x'"]),
+    # Recovery resumes only after a ';' where a declaration can start, so the
+    # ';' inside '<...>' no longer gives a second error at 1:4.
     ("bad-sort-argument", "L<;> data C();\n",
-     ["bad.plank:1:3: error[parse]: expected a sort, found ';'",
-      "bad.plank:1:4: error[parse]: expected a sort, found '>'"]),
+     ["bad.plank:1:3: error[parse]: expected a sort, found ';'"]),
+    ("semicolon-in-sort-arguments", "L<M; N> data C(); L data D();\n",
+     ["bad.plank:1:4: error[parse]: expected '>', found ';'"]),
+    ("unclosed-parens", "L data D(; L data E(; L data F();\n",
+     ["bad.plank:1:10: error[parse]: expected a sort, found ';'",
+      "bad.plank:1:21: error[parse]: expected a sort, found ';'"]),
     ("assoc-entry", "L scheme E({L:L});\nL rule E({(}) -> E({});\n",
      ["bad.plank:2:11: error[parse]: expected an association entry, found '('"]),
     ("lone-dash", "L scheme F(L);\nL rule F(x) - > x;\n",

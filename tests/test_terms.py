@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plank import alpha_equal, free_vars, fresh_var, non_assoc_vars, parse_term
+import plank.terms
+from plank import alpha_equal, free_vars, fresh_var, non_assoc_vars, parse_term, render
 from plank.terms import (
     Category,
     Construction,
@@ -35,6 +38,46 @@ class TestIdent:
         assert Ident("x") == "x"
         assert Ident("x") != Ident("y")
         assert len({Ident("x"), Ident("x")}) == 1
+
+
+class TestKeptNames:
+    """``all_idents`` keeps each construction's names on the object."""
+
+    def test_a_shared_node_is_walked_once(self):
+        # 16 levels of x = Ap(x, x): 65,535 constructions as a tree, 16 objects.
+        x = Var(Ident("x"))
+        for _ in range(16):
+            x = Construction(Ident("Ap"), (ScopePiece((), x), ScopePiece((), x)))
+        calls = []
+        terms_file = plank.terms.__file__
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename == terms_file:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            names = all_idents(x)
+        finally:
+            sys.setprofile(None)
+        assert names == {"x"}
+        assert calls.count("all_idents") == 1
+        assert len(calls) < 1000
+
+    def test_a_deep_term(self):
+        t = Var(Ident("x"))
+        for i in range(900):
+            t = Construction(Ident("Lam"), (ScopePiece((Ident(f"v{i % 3}"),), t),))
+        assert all_idents(t) == {"x", "v0", "v1", "v2"}
+
+    def test_kept_names_take_no_part_in_equality_or_printing(self):
+        text = "Eval(Ap(Lam([x]Ap(x, #M(y))), z), {z : Lam([y]y), w : F({#E(u), ~v:})})"
+        kept, fresh = t(text), t(text)
+        assert all_idents(kept) is all_idents(kept)
+        assert all_idents(kept) == {"x", "y", "z", "w", "u", "v"}
+        assert kept == fresh and hash(kept) == hash(fresh)
+        assert repr(kept) == repr(fresh)
+        assert render(kept) == render(fresh) == str(kept)
 
 
 class TestAlphaEqual:
