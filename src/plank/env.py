@@ -6,6 +6,9 @@ constructor's signature, and which constructors are schemes.  The rule
 environment assigns a sort to every variable of a rule and a meta-form to
 every meta-variable; it is inferred from the rule text in a single pass
 directed by first occurrences.
+
+The sort walks take their state as arguments, or as one ``_SortWalk``
+object whose methods recurse, so no call builds a reference cycle.
 """
 
 from __future__ import annotations
@@ -45,8 +48,6 @@ __all__ = [
     "RuleEnv",
     "build_global_env",
     "infer_rule_env",
-    "match_sort",
-    "apply_sort_subst",
 ]
 
 
@@ -104,27 +105,26 @@ class RuleEnv:
 # Sort instantiation
 
 
-def match_sort(declared: Sort, expected: Sort, subst: dict[Ident, Sort] | None = None
-               ) -> dict[Ident, Sort] | None:
+def match_sort(declared: Sort, expected: Sort) -> dict[Ident, Sort] | None:
     """Match a declared sort against an expected sort.
 
     Sort variables on the declared side are assignable parameters; everything
     in the expected sort is rigid.  Returns the assignment or None.
     """
-    out = dict(subst) if subst else {}
+    out: dict[Ident, Sort] = {}
+    return out if _match_sort(declared, expected, out) else None
 
-    def go(d: Sort, e: Sort) -> bool:
-        if isinstance(d, SortVar):
-            seen = out.get(d.name)
-            if seen is None:
-                out[d.name] = e
-                return True
-            return seen == e
-        if isinstance(e, SortCons) and d.name == e.name and len(d.args) == len(e.args):
-            return all(go(x, y) for x, y in zip(d.args, e.args))
-        return False
 
-    return out if go(declared, expected) else None
+def _match_sort(d: Sort, e: Sort, out: dict[Ident, Sort]) -> bool:
+    if isinstance(d, SortVar):
+        seen = out.get(d.name)
+        if seen is None:
+            out[d.name] = e
+            return True
+        return seen == e
+    if isinstance(e, SortCons) and d.name == e.name and len(d.args) == len(e.args):
+        return all(_match_sort(x, y, out) for x, y in zip(d.args, e.args))
+    return False
 
 
 def apply_sort_subst(s: Sort, subst: dict[Ident, Sort]) -> Sort:
@@ -279,9 +279,21 @@ def walk_sorts(gamma: GlobalEnv, t: Term, expected: Sort, delta: RuleEnv,
     ``delta.meta``; elsewhere it must agree with the recorded one, and the
     disagreements are returned.
     """
-    errors: list[Diagnostic] = []
+    w = _SortWalk(gamma, delta, binders, in_lhs)
+    w.walk(t, expected, {})
+    return w.errors
 
-    def readable_form(m: MetaApp | CatchAll, result: Sort | AssocForm,
+
+class _SortWalk:
+    """The state of one ``walk_sorts`` call; ``scope`` maps the binders in
+    scope to their sorts and is passed down the descent."""
+
+    def __init__(self, gamma: GlobalEnv, delta: RuleEnv, binders: dict[Ident, Sort],
+                 in_lhs: bool):
+        self.gamma, self.delta, self.binders, self.in_lhs = gamma, delta, binders, in_lhs
+        self.errors: list[Diagnostic] = []
+
+    def readable_form(self, m: MetaApp | CatchAll, result: Sort | AssocForm,
                       scope: dict[Ident, Sort]) -> MetaForm | None:
         # The meta-form an lhs occurrence forces, or None when some argument
         # is not a variable with a known sort (left to the checker).
@@ -289,25 +301,25 @@ def walk_sorts(gamma: GlobalEnv, t: Term, expected: Sort, delta: RuleEnv,
         for a in m.args:
             s = None
             if isinstance(a, Var):
-                s = scope.get(a.name) or delta.var.get(a.name)
+                s = scope.get(a.name) or self.delta.var.get(a.name)
             if s is None:
                 return None
             arg_sorts.append(s)
         return MetaForm(tuple(arg_sorts), result)
 
-    def walk_meta(m: MetaApp | CatchAll, result: Sort | AssocForm,
+    def walk_meta(self, m: MetaApp | CatchAll, result: Sort | AssocForm,
                   scope: dict[Ident, Sort]) -> None:
         # On the lhs the full meta-form is forced; on the rhs only the arity
         # and result are demanded (argument sorts flow from the meta-form).
-        seen = delta.meta.get(m.meta)
-        if in_lhs:
-            form = readable_form(m, result, scope)
+        seen = self.delta.meta.get(m.meta)
+        if self.in_lhs:
+            form = self.readable_form(m, result, scope)
             if seen is None:
                 if form is not None:
-                    delta.meta[m.meta] = form
+                    self.delta.meta[m.meta] = form
             elif form is not None and form != seen:
                 # Only readable occurrences feed conflict detection.
-                errors.append(Diagnostic(
+                self.errors.append(Diagnostic(
                     "MetaFormConflict", m.span,
                     f"meta-variable {m.meta} used as {form} but earlier as {seen}",
                 ))
@@ -315,24 +327,24 @@ def walk_sorts(gamma: GlobalEnv, t: Term, expected: Sort, delta: RuleEnv,
         if seen is None:
             return
         if len(m.args) != len(seen.arg_sorts) or result != seen.result:
-            errors.append(Diagnostic(
+            self.errors.append(Diagnostic(
                 "MetaFormConflict", m.span,
                 f"meta-variable {m.meta} used with {len(m.args)} argument(s) at "
                 f"{render(result)} but its meta-form is {seen}",
             ))
         if len(m.args) == len(seen.arg_sorts):
             for a, s in zip(m.args, seen.arg_sorts):
-                walk(a, s, scope)
+                self.walk(a, s, scope)
 
-    def walk(x: Term, expected: Sort, scope: dict[Ident, Sort]) -> None:
+    def walk(self, x: Term, expected: Sort, scope: dict[Ident, Sort]) -> None:
         if isinstance(x, Var):
             if x.name not in scope:
-                delta.var.setdefault(x.name, expected)
+                self.delta.var.setdefault(x.name, expected)
             return
         if isinstance(x, MetaApp):
-            walk_meta(x, expected, scope)
+            self.walk_meta(x, expected, scope)
             return
-        sig = gamma.con.get(x.head)
+        sig = self.gamma.con.get(x.head)
         forms = instantiated_forms(sig, expected) if sig is not None else None
         if forms is None:
             return
@@ -341,17 +353,14 @@ def walk_sorts(gamma: GlobalEnv, t: Term, expected: Sort, delta: RuleEnv,
                 inner = dict(scope)
                 for b, s in zip(piece.binders, form.binder_sorts):
                     inner[b] = s
-                    binders.setdefault(b, s)
-                walk(piece.body, form.body_sort, inner)
+                    self.binders.setdefault(b, s)
+                self.walk(piece.body, form.body_sort, inner)
             elif isinstance(piece, AssocPiece) and isinstance(form, AssocForm):
                 for e in piece.entries:
                     if isinstance(e, CatchAll):
-                        walk_meta(e, form, scope)
+                        self.walk_meta(e, form, scope)
                         continue
                     if e.key not in scope:
-                        delta.var.setdefault(e.key, form.key_sort)
+                        self.delta.var.setdefault(e.key, form.key_sort)
                     if isinstance(e, MapEntry):
-                        walk(e.value, form.value_sort, scope)
-
-    walk(t, expected, {})
-    return errors
+                        self.walk(e.value, form.value_sort, scope)

@@ -19,6 +19,10 @@ engine's name query, asked whenever a fresh name must avoid every name of
 a term.  Each construction and meta-application keeps its answer, so a
 query walks only the nodes that no earlier query reached: on a term that
 shares its subterms, the nodes a rewrite step built.
+
+Every walk here, ``render`` included, is a plain function that takes its
+state as arguments, so no call builds a reference cycle and all it leaves
+behind is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, NamedTuple, Union
 
 
@@ -289,6 +294,7 @@ Node = Union[Script, Declaration, Term, Piece, Association, Sort, Form]
 # ---------------------------------------------------------------------------
 # Rendering
 
+_ASCII = {"->": "->", "<": "<", ">": ">", "~": "~"}
 _UNI = {"->": "→", "<": "⟨", ">": "⟩", "~": "¬"}
 
 
@@ -299,71 +305,55 @@ def render(node: Node, *, unicode: bool = False) -> str:
     ``unicode=True`` the arrow, angle-bracket, and negation glyphs are used.
     Parsing the result yields a term alpha-equal to the input.
     """
-    tok = _UNI if unicode else {"->": "->", "<": "<", ">": ">", "~": "~"}
+    return _render(node, _UNI if unicode else _ASCII)
 
-    def sort(s: Sort) -> str:
-        if isinstance(s, SortVar):
-            return s.name
-        if not s.args:
-            return s.name
-        return s.name + tok["<"] + ", ".join(sort(a) for a in s.args) + tok[">"]
 
-    def form(f: Form) -> str:
-        if isinstance(f, AssocForm):
-            return "{" + sort(f.key_sort) + ":" + sort(f.value_sort) + "}"
-        if not f.binder_sorts:
-            return sort(f.body_sort)
-        return "[" + ", ".join(sort(b) for b in f.binder_sorts) + "]" + sort(f.body_sort)
-
-    def term(t: Term) -> str:
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, MetaApp):
-            if not t.args:
-                return t.meta
-            return t.meta + "(" + ", ".join(term(a) for a in t.args) + ")"
-        return t.head + "(" + ", ".join(piece(p) for p in t.args) + ")"
-
-    def piece(p: Piece) -> str:
-        if isinstance(p, AssocPiece):
-            return "{" + ", ".join(assoc(a) for a in p.entries) + "}"
-        if not p.binders:
-            return term(p.body)
-        return "[" + ", ".join(p.binders) + "]" + term(p.body)
-
-    def assoc(a: Association) -> str:
-        if isinstance(a, MapEntry):
-            return a.key + " : " + term(a.value)
-        if isinstance(a, NotKey):
-            return tok["~"] + a.key + ":"
-        if not a.args:
-            return a.meta
-        return a.meta + "(" + ", ".join(term(x) for x in a.args) + ")"
-
-    def decl(d: Declaration) -> str:
-        if isinstance(d, DataDecl):
-            return f"{sort(d.sort)} data {d.name}({', '.join(form(f) for f in d.forms)});"
-        if isinstance(d, SchemeDecl):
-            return f"{sort(d.sort)} scheme {d.name}({', '.join(form(f) for f in d.forms)});"
-        if isinstance(d, VariableDecl):
-            return f"{sort(d.sort)} variable;"
-        return f"{sort(d.sort)} rule {term(d.lhs)} {tok['->']} {term(d.rhs)};"
-
-    if isinstance(node, Script):
-        return "\n".join(decl(d) for d in node.declarations)
-    if isinstance(node, (DataDecl, SchemeDecl, VariableDecl, RuleDecl)):
-        return decl(node)
-    if isinstance(node, (SortCons, SortVar)):
-        return sort(node)
-    if isinstance(node, (ScopeForm, AssocForm)):
-        return form(node)
-    if isinstance(node, (Construction, Var, MetaApp)):
-        return term(node)
-    if isinstance(node, (ScopePiece, AssocPiece)):
-        return piece(node)
-    if isinstance(node, (MapEntry, NotKey, CatchAll)):
-        return assoc(node)
-    raise TypeError(f"cannot render {type(node).__name__}")
+def _render(n: Node, tok: dict[str, str]) -> str:
+    # Terms come first: they are what the engine renders most.  Children go
+    # through ``map``, which adds no Python frame, so a deep term renders
+    # about a third deeper than through a generator.
+    if isinstance(n, (Var, SortVar)):
+        return n.name
+    if isinstance(n, Construction):
+        return n.head + "(" + ", ".join(map(_render, n.args, repeat(tok))) + ")"
+    if isinstance(n, ScopePiece):
+        body = _render(n.body, tok)
+        if not n.binders:
+            return body
+        return "[" + ", ".join(n.binders) + "]" + body
+    if isinstance(n, (MetaApp, CatchAll)):
+        if not n.args:
+            return n.meta
+        return n.meta + "(" + ", ".join(map(_render, n.args, repeat(tok))) + ")"
+    if isinstance(n, AssocPiece):
+        return "{" + ", ".join(map(_render, n.entries, repeat(tok))) + "}"
+    if isinstance(n, MapEntry):
+        return n.key + " : " + _render(n.value, tok)
+    if isinstance(n, NotKey):
+        return tok["~"] + n.key + ":"
+    if isinstance(n, SortCons):
+        if not n.args:
+            return n.name
+        return n.name + tok["<"] + ", ".join(map(_render, n.args, repeat(tok))) + tok[">"]
+    if isinstance(n, ScopeForm):
+        body = _render(n.body_sort, tok)
+        if not n.binder_sorts:
+            return body
+        return "[" + ", ".join(map(_render, n.binder_sorts, repeat(tok))) + "]" + body
+    if isinstance(n, AssocForm):
+        return "{" + _render(n.key_sort, tok) + ":" + _render(n.value_sort, tok) + "}"
+    if isinstance(n, (DataDecl, SchemeDecl)):
+        kind = "data" if isinstance(n, DataDecl) else "scheme"
+        forms = ", ".join(map(_render, n.forms, repeat(tok)))
+        return f"{_render(n.sort, tok)} {kind} {n.name}({forms});"
+    if isinstance(n, VariableDecl):
+        return f"{_render(n.sort, tok)} variable;"
+    if isinstance(n, RuleDecl):
+        lhs, rhs = _render(n.lhs, tok), _render(n.rhs, tok)
+        return f"{_render(n.sort, tok)} rule {lhs} {tok['->']} {rhs};"
+    if isinstance(n, Script):
+        return "\n".join(map(_render, n.declarations, repeat(tok)))
+    raise TypeError(f"cannot render {type(n).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -374,48 +364,45 @@ def render(node: Node, *, unicode: bool = False) -> str:
 VAR, KEY, META = 1, 2, 4
 
 
-def _names(t: Term, roles: int, *, free: bool = False, assoc: bool = True) -> set[Ident]:
-    """The names playing any of ``roles`` in ``t``.
+def _names(x: Term, roles: int, free: bool, assoc: bool, bound: frozenset[Ident],
+           out: set[Ident]) -> set[Ident]:
+    """Add to ``out`` the names playing any of ``roles`` in ``x``; return ``out``.
 
     With ``free`` a variable or key inside the scope of a binder of the same
-    name is left out; without ``assoc`` association lists are skipped whole.
+    name, or in ``bound``, is left out; without ``assoc`` association lists
+    are skipped whole.
     """
-    out: set[Ident] = set()
-
-    def go(x: Term, bound: frozenset[Ident]) -> None:
-        if isinstance(x, Var):
-            if roles & VAR and not (free and x.name in bound):
-                out.add(x.name)
-            return
-        if isinstance(x, MetaApp):
-            if roles & META:
-                out.add(x.meta)
-            for a in x.args:
-                go(a, bound)
-            return
-        for p in x.args:
-            if isinstance(p, ScopePiece):
-                go(p.body, bound | set(p.binders) if free else bound)
-            elif assoc:
-                for e in p.entries:
-                    if isinstance(e, CatchAll):
-                        if roles & META:
-                            out.add(e.meta)
-                        for a in e.args:
-                            go(a, bound)
-                        continue
-                    if roles & KEY and not (free and e.key in bound):
-                        out.add(e.key)
-                    if isinstance(e, MapEntry):
-                        go(e.value, bound)
-
-    go(t, frozenset())
+    if isinstance(x, Var):
+        if roles & VAR and not (free and x.name in bound):
+            out.add(x.name)
+        return out
+    if isinstance(x, MetaApp):
+        if roles & META:
+            out.add(x.meta)
+        for a in x.args:
+            _names(a, roles, free, assoc, bound, out)
+        return out
+    for p in x.args:
+        if isinstance(p, ScopePiece):
+            _names(p.body, roles, free, assoc, bound | set(p.binders) if free else bound, out)
+        elif assoc:
+            for e in p.entries:
+                if isinstance(e, CatchAll):
+                    if roles & META:
+                        out.add(e.meta)
+                    for a in e.args:
+                        _names(a, roles, free, assoc, bound, out)
+                    continue
+                if roles & KEY and not (free and e.key in bound):
+                    out.add(e.key)
+                if isinstance(e, MapEntry):
+                    _names(e.value, roles, free, assoc, bound, out)
     return out
 
 
 def free_vars(t: Term) -> set[Ident]:
     """Variables and keys of ``t`` outside the scope of a binder of their name."""
-    return _names(t, VAR | KEY, free=True)
+    return _names(t, VAR | KEY, True, True, frozenset(), set())
 
 
 def non_assoc_vars(t: Term) -> set[Ident]:
@@ -424,7 +411,7 @@ def non_assoc_vars(t: Term) -> set[Ident]:
     Binder positions and bound occurrences do not count, so the result
     does not depend on binder names.
     """
-    return _names(t, VAR, free=True, assoc=False)
+    return _names(t, VAR, True, False, frozenset(), set())
 
 
 def all_idents(t: Term) -> frozenset[Ident]:
@@ -483,7 +470,7 @@ def _idents(t: Term) -> frozenset[Ident]:
 
 def meta_vars(t: Term) -> set[Ident]:
     """Every meta-variable name occurring in ``t`` (including catch-alls)."""
-    return _names(t, META)
+    return _names(t, META, False, True, frozenset(), set())
 
 
 def fresh_var(hint: Ident, avoid: Iterable[Ident]) -> Ident:

@@ -16,6 +16,7 @@ from plank import (
 )
 from plank.parser import _lex
 from plank.terms import (
+    AssocForm,
     AssocPiece,
     CatchAll,
     Construction,
@@ -24,8 +25,11 @@ from plank.terms import (
     MapEntry,
     MetaApp,
     NotKey,
+    Script,
+    ScopeForm,
     ScopePiece,
     SortCons,
+    SortVar,
     Span,
     Var,
     VariableDecl,
@@ -176,6 +180,65 @@ class TestRender:
         assert render(decl.sort) == "Box<a>"
         assert render(decl.sort, unicode=True) == "Box⟨a⟩"
         assert parse_script("Box⟨a⟩ data B(a);").declarations[0] == decl
+
+
+# One node of each class, built directly, and its text in both spellings,
+# recorded before ``render`` became one function over a token table.
+_L, _A = SortCons(Ident("L")), SortVar(Ident("a"))
+_BOX = SortCons(Ident("Box"), (_A, _L))
+_X, _C = Var(Ident("x")), Construction(Ident("C"))
+_F = SchemeDecl(_L, Ident("F"), (ScopeForm((_L,), _L),))
+PINNED_RENDER = [
+    ("sort-var", _A, "a", "a"),
+    ("sort-no-args", _L, "L", "L"),
+    ("sort-args", SortCons(Ident("Pair"), (_BOX, _L)), "Pair<Box<a, L>, L>", "Pair⟨Box⟨a, L⟩, L⟩"),
+    ("form-plain", ScopeForm((), _BOX), "Box<a, L>", "Box⟨a, L⟩"),
+    ("form-scope", ScopeForm((_L, _A), _BOX), "[L, a]Box<a, L>", "[L, a]Box⟨a, L⟩"),
+    ("form-assoc", AssocForm(_L, _BOX), "{L:Box<a, L>}", "{L:Box⟨a, L⟩}"),
+    ("data", DataDecl(_BOX, Ident("D"), (ScopeForm((), _A), AssocForm(_L, _A))),
+     "Box<a, L> data D(a, {L:a});", "Box⟨a, L⟩ data D(a, {L:a});"),
+    ("scheme", _F, "L scheme F([L]L);", "L scheme F([L]L);"),
+    ("scheme-no-forms", SchemeDecl(_L, Ident("K"), ()), "L scheme K();", "L scheme K();"),
+    ("variable", VariableDecl(_BOX), "Box<a, L> variable;", "Box⟨a, L⟩ variable;"),
+    ("rule", RuleDecl(_L, MetaApp(Ident("#m"), (_X,)), _C), "L rule #m(x) -> C();", "L rule #m(x) → C();"),
+    ("var", _X, "x", "x"),
+    ("cons-empty", _C, "C()", "C()"),
+    ("meta-bare", MetaApp(Ident("#m")), "#m", "#m"),
+    ("meta-args", MetaApp(Ident("#m"), (_X, _C)), "#m(x, C())", "#m(x, C())"),
+    ("piece-plain", ScopePiece((), _X), "x", "x"),
+    ("piece-scope", ScopePiece((Ident("x"), Ident("y")), Construction(
+        Ident("Ap"), (ScopePiece((), _X), ScopePiece((), Var(Ident("y")))))),
+     "[x, y]Ap(x, y)", "[x, y]Ap(x, y)"),
+    ("piece-assoc-empty", AssocPiece(()), "{}", "{}"),
+    ("piece-assoc", AssocPiece((MapEntry(Ident("x"), _C), NotKey(Ident("y")), CatchAll(Ident("#e")))),
+     "{x : C(), ~y:, #e}", "{x : C(), ¬y:, #e}"),
+    ("map-entry", MapEntry(Ident("x"), MetaApp(Ident("#v"))), "x : #v", "x : #v"),
+    ("not-key", NotKey(Ident("y")), "~y:", "¬y:"),
+    ("catch-all-bare", CatchAll(Ident("#env")), "#env", "#env"),
+    ("catch-all-args", CatchAll(Ident("#env"), (_X, _C)), "#env(x, C())", "#env(x, C())"),
+    ("cons", Construction(Ident("Eval"), (ScopePiece((Ident("x"),), _X),
+                                          AssocPiece((CatchAll(Ident("#e")), NotKey(Ident("z")))))),
+     "Eval([x]x, {#e, ~z:})", "Eval([x]x, {#e, ¬z:})"),
+    ("script", Script((VariableDecl(_L), _F, RuleDecl(
+        _L, Construction(Ident("F"), (ScopePiece((Ident("x"),), MetaApp(Ident("#m"), (_X,))),)),
+        MetaApp(Ident("#m"), (_C,))))),
+     "L variable;\nL scheme F([L]L);\nL rule F([x]#m(x)) -> #m(C());",
+     "L variable;\nL scheme F([L]L);\nL rule F([x]#m(x)) → #m(C());"),
+    ("script-empty", Script(), "", ""),
+]
+
+
+@pytest.mark.parametrize("node,ascii_text,unicode_text", [c[1:] for c in PINNED_RENDER],
+                         ids=[c[0] for c in PINNED_RENDER])
+def test_render_is_pinned(node, ascii_text, unicode_text):
+    assert render(node) == str(node) == ascii_text
+    assert render(node, unicode=True) == unicode_text
+
+
+@pytest.mark.parametrize("value", [Ident("x"), None], ids=["ident", "none"])
+def test_render_rejects_a_non_node(value):
+    with pytest.raises(TypeError, match="cannot render"):
+        render(value)
 
 
 class TestUnicodeAsciiEquivalence:

@@ -9,9 +9,10 @@
   walk of the tree on every intermediate term.
 * ``check_script`` infers each rule environment once, and the lexer
   classifies each distinct word once.
-* The engine walks a term's names only when it draws a fresh name, finds
-  each right side's free variables once per rule, and leaves no reference
-  cycle that holds a term, an abstraction, a binding or a valuation.
+* The engine walks a term's names only when it draws a fresh name and
+  finds each right side's free variables once per rule.  Parsing,
+  checking, normalizing and rendering leave no reference cycle at all, and
+  no nested function in the package recurses.
 * The ``--trace`` text of a run whose fresh names collide with the
   subject's names is byte-identical to the recorded one.
 * Full diagnostics of ill-sorted rules whose binders are all distinct from
@@ -53,7 +54,7 @@ from plank import (
     render,
 )
 from plank.env import ConSig, MetaForm, infer_rule_env
-from plank.rewrite import Abstraction, AssocBinding, Valuation, format_step
+from plank.rewrite import format_step
 from plank.terms import (
     AssocPiece,
     CatchAll,
@@ -407,38 +408,40 @@ def test_right_side_free_variables_are_computed_once_per_rule(monkeypatch):
     assert "contract" not in callers
 
 
-_ENGINE_VALUES = (Construction, Var, MetaApp, ScopePiece, AssocPiece, MapEntry,
-                  Abstraction, AssocBinding, Valuation)
-
-
 @pytest.mark.parametrize("source,term,steps", [
     (BETA_ETA, _mult(2), 7),
     (CBV_EVAL, _identity_chain(2), 9),
 ], ids=["mult-2", "chain-2"])
 def test_no_cycle_keeps_a_rewritten_term_alive(source, term, steps):
-    # The engine's walks take their state as arguments, so no reference cycle
-    # holds a term, an abstraction, a captured binding or a valuation: with
-    # the collector off they are all freed by reference counting alone.
-    script = parse_script(source)
-    checked = check_script(script)
-    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
-    root = parse_term(term)
-    ref = weakref.ref(root)
+    # Every walk of the front end, the checker and the engine takes its state
+    # as arguments, so no reference cycle is left behind: with the collector
+    # off, parsing, checking, normalizing and rendering leave no garbage that
+    # only the collector could free, and the subject is freed by reference
+    # counting alone.
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
+        script = parse_script(source)
+        checked = check_script(script)
+        root = parse_term(term)
+        ref = weakref.ref(root)
+        _, _, errors = check_ground_subject(checked.gamma, root)
+        rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
         result = normalize(checked.gamma, rules, root)
         del root
         assert ref() is None
+        texts = [render(n, unicode=u) for n in (script, result.term) for u in (False, True)]
         gc.collect()
-        kept = sorted({type(o).__name__ for o in gc.garbage if isinstance(o, _ENGINE_VALUES)})
-        assert kept == []
+        garbage = [type(o).__name__ for o in gc.garbage]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+    assert garbage == []
+    assert errors == [] and checked.errors == []
     assert len(result.steps) == steps
+    assert "→" in texts[1] and "->" in texts[0]
 
 
 # The subject already holds x, x1, z and z1, so every fresh binder and every
@@ -697,3 +700,60 @@ def test_no_module_imports_a_name_it_never_uses():
     for path in modules:
         if path.name != "__init__.py":
             assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def _own_scope(fn):
+    """The nodes of ``fn``'s own scope: nested functions, lambdas and classes
+    are yielded but not entered."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _recursive_closures(source: str) -> list[str]:
+    """``outer.inner`` for each nested function or named lambda that reaches
+    itself through the names it loads, directly or through the functions
+    defined beside it.  Each call of such a function builds a reference
+    cycle: the function, its closure cell and the enclosing frame."""
+    found = []
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nested = {}
+        for node in _own_scope(outer):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested[node.name] = node
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
+                nested.update((t.id, node.value) for t in node.targets if isinstance(t, ast.Name))
+        loads = {name: {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load) and n.id in nested}
+                 for name, fn in nested.items()}
+        for name in nested:
+            reached, todo = set(), [name]
+            while todo:
+                new = loads[todo.pop()] - reached
+                reached |= new
+                todo.extend(new)
+            if name in reached:
+                found.append(f"{outer.name}.{name}")
+    return found
+
+
+def test_no_nested_function_recurses():
+    sample = (
+        "def f(xs):\n"
+        "    def go(x):\n        return go(x)\n"
+        "    def a():\n        return b()\n"
+        "    def b():\n        return a()\n"
+        "    h = lambda: h\n"
+        "    def leaf():\n        return f(xs)\n"
+        "    k = lambda: leaf()\n"
+        "    xs.sort(key=lambda x: x)\n"
+        "    return go, a, h, k\n"
+    )
+    assert sorted(_recursive_closures(sample)) == ["f.a", "f.b", "f.go", "f.h"]
+    for path in sorted((REPO / "src" / "plank").glob("*.py")):
+        assert _recursive_closures(path.read_text(encoding="utf-8")) == [], path.name
