@@ -115,7 +115,7 @@ def _lex(text: str, file: str) -> tuple[list[_Token], list[Diagnostic]]:
             line += 1
             line_start = m.end()
             continue
-        col = m.start() - line_start + 1
+        span = Span(file, line, m.start() - line_start + 1)
         if group == "word":
             word = m.group()
             hit = words.get(word)
@@ -123,21 +123,18 @@ def _lex(text: str, file: str) -> tuple[list[_Token], list[Diagnostic]]:
                 first = word[0]
                 kind = "meta" if first == "#" else "con" if first.isupper() else "var"
                 hit = words[word] = (kind, Ident(word))
-            span = Span(file, line, col, line, col + len(word) - 1)
             tokens.append(_Token(hit[0], hit[1], span))
         elif group == "punct":
             ch = m.group()
-            tokens.append(_Token(_PUNCT[ch], ch, Span(file, line, col, line, col)))
+            tokens.append(_Token(_PUNCT[ch], ch, span))
         elif group == "arrow":
-            tokens.append(_Token("->", "->", Span(file, line, col, line, col + 1)))
+            tokens.append(_Token("->", "->", span))
         else:
-            span = Span(file, line, col, line, col)
             errors.append(Diagnostic("parse", span, f"unexpected character {m.group()!r}"))
     # A comment does not advance the column, so input that ends in one puts
     # end of input at the comment's first column.
     end = m.start() if group == "comment" else len(text)
-    col = end - line_start + 1
-    tokens.append(_Token("eof", "", Span(file, line, col, line, col)))
+    tokens.append(_Token("eof", "", Span(file, line, end - line_start + 1)))
     return tokens, errors
 
 
@@ -148,10 +145,9 @@ _KEYWORDS = ("data", "scheme", "variable", "rule")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], file: str):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.file = file
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -172,10 +168,6 @@ class _Parser:
         if tok.kind != kind:
             self.fail(f"expected {what or repr(kind)}, found {tok.text or 'end of input'!r}")
         return self.next()
-
-    def span_from(self, start: Span) -> Span:
-        prev = self.tokens[max(self.pos - 1, 0)].span
-        return Span(self.file, start.start_line, start.start_col, prev.end_line, prev.end_col)
 
     def listed(self, item: Callable[[], object], close: str, seps: tuple[str, ...] = (",",)
                ) -> list:
@@ -208,7 +200,7 @@ class _Parser:
                 items.append(self.sort())
             self.expect(">")
             args = tuple(items)
-        return SortCons(tok.text, args, span=self.span_from(tok.span))
+        return SortCons(tok.text, args, span=tok.span)
 
     def form(self) -> Form:
         tok = self.peek()
@@ -216,14 +208,14 @@ class _Parser:
             self.next()
             binders = self.listed(self.sort, "]")
             body = self.sort()
-            return ScopeForm(tuple(binders), body, span=self.span_from(tok.span))
+            return ScopeForm(tuple(binders), body, span=tok.span)
         if tok.kind == "{":
             self.next()
             key = self.sort()
             self.expect(":")
             value = self.sort()
             self.expect("}")
-            return AssocForm(key, value, span=self.span_from(tok.span))
+            return AssocForm(key, value, span=tok.span)
         return ScopeForm((), self.sort(), span=tok.span)
 
     # -- terms ---------------------------------------------------------------
@@ -238,14 +230,14 @@ class _Parser:
             args: tuple[Term, ...] = ()
             if self.peek().kind == "(":
                 args = self.term_args()
-            return MetaApp(tok.text, args, span=self.span_from(tok.span))
+            return MetaApp(tok.text, args, span=tok.span)
         if tok.kind == "con":
             self.next()
             pieces: list[Piece] = []
             if self.peek().kind == "(":
                 self.next()
                 pieces = self.listed(self.piece, ")")
-            return Construction(tok.text, tuple(pieces), span=self.span_from(tok.span))
+            return Construction(tok.text, tuple(pieces), span=tok.span)
         self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
     def term_args(self) -> tuple[Term, ...]:
@@ -260,11 +252,11 @@ class _Parser:
             if len(set(binders)) != len(binders):
                 self.fail("binders in one scope must be pairwise distinct", span=tok.span)
             body = self.term()
-            return ScopePiece(tuple(binders), body, span=self.span_from(tok.span))
+            return ScopePiece(tuple(binders), body, span=tok.span)
         if tok.kind == "{":
             self.next()
             entries = self.listed(self.association, "}", (",", ";"))
-            return AssocPiece(tuple(entries), span=self.span_from(tok.span))
+            return AssocPiece(tuple(entries), span=tok.span)
         body = self.term()
         return ScopePiece((), body, span=body.span)
 
@@ -274,18 +266,18 @@ class _Parser:
             self.next()
             key = self.expect("var", "a key variable")
             self.expect(":")
-            return NotKey(key.text, span=self.span_from(tok.span))
+            return NotKey(key.text, span=tok.span)
         if tok.kind == "meta":
             self.next()
             args: tuple[Term, ...] = ()
             if self.peek().kind == "(":
                 args = self.term_args()
-            return CatchAll(tok.text, args, span=self.span_from(tok.span))
+            return CatchAll(tok.text, args, span=tok.span)
         if tok.kind == "var":
             self.next()
             self.expect(":")
             value = self.term()
-            return MapEntry(tok.text, value, span=self.span_from(tok.span))
+            return MapEntry(tok.text, value, span=tok.span)
         self.fail(f"expected an association entry, found {tok.text or 'end of input'!r}")
 
     # -- declarations ----------------------------------------------------------
@@ -321,7 +313,7 @@ class _Parser:
         self.next()
         if kw.text == "variable":
             self.expect(";")
-            return VariableDecl(sort, span=self.span_from(start))
+            return VariableDecl(sort, span=start)
         if kw.text == "rule":
             lhs = self.term()
             if self.peek().kind != "->":
@@ -329,13 +321,13 @@ class _Parser:
             self.next()
             rhs = self.term()
             self.expect(";")
-            return RuleDecl(sort, lhs, rhs, span=self.span_from(start))
+            return RuleDecl(sort, lhs, rhs, span=start)
         name = self.expect("con", "a constructor name").text
         self.expect("(")
         forms = self.listed(self.form, ")")
         self.expect(";")
         cls = DataDecl if kw.text == "data" else SchemeDecl
-        return cls(sort, name, tuple(forms), span=self.span_from(start))
+        return cls(sort, name, tuple(forms), span=start)
 
 
 def parse_script(text: str, file: str = "<input>") -> Script:
@@ -347,7 +339,7 @@ def parse_script(text: str, file: str = "<input>") -> Script:
     ``_Parser.recover``).
     """
     tokens, errors = _lex(text, file)
-    p = _Parser(tokens, file)
+    p = _Parser(tokens)
     decls: list[Declaration] = []
     while p.peek().kind != "eof":
         try:
@@ -366,7 +358,7 @@ def parse_term(text: str, file: str = "<term>") -> Term:
     tokens, errors = _lex(text, file)
     if errors:
         raise ParseFailure(errors)
-    p = _Parser(tokens, file)
+    p = _Parser(tokens)
     t = p.term()
     if p.peek().kind != "eof":
         p.fail(f"trailing input after term: {p.peek().text!r}")

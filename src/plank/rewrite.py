@@ -180,7 +180,7 @@ class _Matcher:
         self.val = Valuation()
         self.terms = terms
         self.avoid: set[Ident] | None = None
-        # (pattern entries, subject entries, penv, senv, bound)
+        # (pattern entries, subject dict, penv, senv, bound)
         self.pending: list[tuple] = []
 
     def canonical(self, hint: Ident) -> Ident:
@@ -221,6 +221,9 @@ class _Matcher:
         if isinstance(pp, ScopePiece):
             if not isinstance(sp, ScopePiece) or len(pp.binders) != len(sp.binders):
                 raise _NoMatch
+            if not pp.binders:
+                self.term(pp.body, sp.body, penv, senv, bound)
+                return
             penv2, senv2 = dict(penv), dict(senv)
             fresh = []
             for w, u in zip(pp.binders, sp.binders):
@@ -232,8 +235,16 @@ class _Matcher:
             return
         if not isinstance(sp, AssocPiece):
             raise _NoMatch
-        entries = [(senv.get(k, k), v) for k, v in _subject_entries(sp)]
-        self.pending.append((pp.entries, entries, dict(penv), dict(senv), bound))
+        # Later keys override earlier ones.  Nothing mutates an environment
+        # once built, so the queued list keeps the ones it was given.
+        subject: dict[Ident, Term] = {}
+        for e in sp.entries:
+            if not isinstance(e, MapEntry):
+                raise EngineError(
+                    f"subject association lists must contain only plain entries, got {render(e)}"
+                )
+            subject[senv.get(e.key, e.key)] = e.value
+        self.pending.append((pp.entries, subject, penv, senv, bound))
 
     def bind_meta(self, p: MetaApp, s: Term, penv: dict, senv: dict, bound: tuple) -> None:
         params = self._meta_params(p.meta, p.args, penv)
@@ -288,8 +299,7 @@ class _Matcher:
         )
 
     def match_assoc_entries(self, item) -> None:
-        p_entries, s_entries, penv, senv, bound = item
-        subject = {k: v for k, v in s_entries}
+        p_entries, subject, penv, senv, bound = item
         catchalls = [e for e in p_entries if isinstance(e, CatchAll)]
         if len(catchalls) > 1:
             raise EngineError(
@@ -347,19 +357,6 @@ class _Matcher:
             else:
                 # Keys that never become resolvable: no deterministic match.
                 raise _NoMatch
-
-
-def _subject_entries(p: AssocPiece) -> list[tuple[Ident, Term]]:
-    """Subject association lists as key/value pairs, later keys overriding."""
-    out: dict[Ident, Term] = {}
-    for e in p.entries:
-        if isinstance(e, MapEntry):
-            out[e.key] = e.value
-        else:
-            raise EngineError(
-                f"subject association lists must contain only plain entries, got {render(e)}"
-            )
-    return list(out.items())
 
 
 def match_term(pattern: Term, subject: Term) -> Valuation | None:
@@ -458,13 +455,14 @@ def _inst_piece(p: Piece, rho: dict[Ident, Ident], val: Valuation,
             rho2[b] = b2
             binders.append(b2)
         return ScopePiece(tuple(binders), _inst(p.body, rho2, val, fresh))
-    entries: list[tuple[Ident, Term]] = []
+    # Later duplicate keys override earlier ones, keeping first position.
+    merged: dict[Ident, Term] = {}
     for e in p.entries:
         if isinstance(e, MapEntry):
             k = rho.get(e.key)
             if k is None:
                 raise EngineError(f"no binding for key {e.key} (MissingBinding)")
-            entries.append((k, _inst(e.value, rho, val, fresh)))
+            merged[k] = _inst(e.value, rho, val, fresh)
         elif isinstance(e, NotKey):
             raise EngineError("an absence entry cannot be contracted")
         else:
@@ -478,11 +476,7 @@ def _inst_piece(p: Piece, rho: dict[Ident, Ident], val: Valuation,
             args = [_inst(a, rho, val, fresh) for a in e.args]
             sub = dict(zip(binding.params, args))
             for k, v in binding.entries:
-                entries.append((_key_through(sub, k), substitute(v, sub)))
-    # Later duplicate keys override earlier ones, keeping first position.
-    merged: dict[Ident, Term] = {}
-    for k, v in entries:
-        merged[k] = v
+                merged[_key_through(sub, k)] = substitute(v, sub)
     return AssocPiece(tuple(MapEntry(k, v) for k, v in merged.items()))
 
 

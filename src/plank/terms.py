@@ -77,13 +77,11 @@ class Ident(str):
 
 
 class Span(NamedTuple):
-    """Source location; positions are 1-based and inclusive."""
+    """Where a node starts in its source; line and column are 1-based."""
 
     file: str
     start_line: int
     start_col: int
-    end_line: int
-    end_col: int
 
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"

@@ -263,81 +263,81 @@ LEX_TEXT = (
     "_x 9 é #9 Done()\t// trailing comment"
 )
 
-# (kind, text, start_line, start_col, end_line, end_col), recorded before
+# (kind, text, start_line, start_col), recorded before
 # the lexer became one compiled pattern.  The end of input sits at the
 # trailing comment's first column.
 LEX_TOKENS = [
-    ('con', 'L', 1, 1, 1, 1),
-    ('<', '<', 1, 2, 1, 2),
-    ('con', 'A', 1, 3, 1, 3),
-    (',', ',', 1, 4, 1, 4),
-    ('con', 'B', 1, 6, 1, 6),
-    ('>', '>', 1, 7, 1, 7),
-    ('var', 'scheme', 1, 9, 1, 14),
-    ('con', 'F', 1, 16, 1, 16),
-    ('(', '(', 1, 17, 1, 17),
-    ('[', '[', 1, 18, 1, 18),
-    ('con', 'A', 1, 19, 1, 19),
-    (']', ']', 1, 20, 1, 20),
-    ('con', 'B', 1, 21, 1, 21),
-    (',', ',', 1, 22, 1, 22),
-    ('{', '{', 1, 24, 1, 24),
-    ('con', 'A', 1, 25, 1, 25),
-    (':', ':', 1, 26, 1, 26),
-    ('con', 'B', 1, 27, 1, 27),
-    ('}', '}', 1, 28, 1, 28),
-    (')', ')', 1, 29, 1, 29),
-    (';', ';', 1, 30, 1, 30),
-    ('con', 'L', 2, 2, 2, 2),
-    ('var', 'rule', 2, 4, 2, 7),
-    ('con', 'F', 2, 9, 2, 9),
-    ('(', '(', 2, 10, 2, 10),
-    ('con', 'Lam', 2, 11, 2, 13),
-    ('(', '(', 2, 14, 2, 14),
-    ('[', '[', 2, 15, 2, 15),
-    ('var', 'x', 2, 16, 2, 16),
-    (']', ']', 2, 17, 2, 17),
-    ('meta', '#M', 2, 18, 2, 19),
-    ('(', '(', 2, 20, 2, 20),
-    ('var', 'x', 2, 21, 2, 21),
-    (')', ')', 2, 22, 2, 22),
-    (')', ')', 2, 23, 2, 23),
-    (',', ',', 2, 24, 2, 24),
-    ('{', '{', 2, 26, 2, 26),
-    ('~', '~', 2, 27, 2, 27),
-    ('var', 'k', 2, 28, 2, 28),
-    (':', ':', 2, 29, 2, 29),
-    (',', ',', 2, 30, 2, 30),
-    ('meta', '#env', 2, 32, 2, 35),
-    ('}', '}', 2, 36, 2, 36),
-    (')', ')', 2, 37, 2, 37),
-    ('->', '->', 2, 39, 2, 40),
-    ('meta', '#M', 2, 42, 2, 43),
-    ('(', '(', 2, 44, 2, 44),
-    ('var', 'k_1', 2, 45, 2, 47),
-    (')', ')', 2, 48, 2, 48),
-    ('con', 'F', 3, 1, 3, 1),
-    ('(', '(', 3, 2, 3, 2),
-    ('con', 'A', 3, 3, 3, 3),
-    (')', ')', 3, 4, 3, 4),
-    ('->', '→', 3, 6, 3, 6),
-    ('con', 'B', 3, 8, 3, 8),
-    ('<', '⟨', 3, 10, 3, 10),
-    ('con', 'C', 3, 11, 3, 11),
-    ('>', '⟩', 3, 12, 3, 12),
-    ('~', '¬', 3, 14, 3, 14),
-    ('var', 'x', 3, 16, 3, 16),
-    ('>', '>', 3, 20, 3, 20),
-    ('->', '->', 3, 22, 3, 23),
-    ('->', '->', 3, 25, 3, 26),
-    ('var', 'x', 3, 30, 3, 30),
-    (';', ';', 3, 31, 3, 31),
-    ('var', 'x', 4, 2, 4, 2),
-    ('meta', '#9', 4, 8, 4, 9),
-    ('con', 'Done', 4, 11, 4, 14),
-    ('(', '(', 4, 15, 4, 15),
-    (')', ')', 4, 16, 4, 16),
-    ('eof', '', 4, 18, 4, 18),
+    ('con', 'L', 1, 1),
+    ('<', '<', 1, 2),
+    ('con', 'A', 1, 3),
+    (',', ',', 1, 4),
+    ('con', 'B', 1, 6),
+    ('>', '>', 1, 7),
+    ('var', 'scheme', 1, 9),
+    ('con', 'F', 1, 16),
+    ('(', '(', 1, 17),
+    ('[', '[', 1, 18),
+    ('con', 'A', 1, 19),
+    (']', ']', 1, 20),
+    ('con', 'B', 1, 21),
+    (',', ',', 1, 22),
+    ('{', '{', 1, 24),
+    ('con', 'A', 1, 25),
+    (':', ':', 1, 26),
+    ('con', 'B', 1, 27),
+    ('}', '}', 1, 28),
+    (')', ')', 1, 29),
+    (';', ';', 1, 30),
+    ('con', 'L', 2, 2),
+    ('var', 'rule', 2, 4),
+    ('con', 'F', 2, 9),
+    ('(', '(', 2, 10),
+    ('con', 'Lam', 2, 11),
+    ('(', '(', 2, 14),
+    ('[', '[', 2, 15),
+    ('var', 'x', 2, 16),
+    (']', ']', 2, 17),
+    ('meta', '#M', 2, 18),
+    ('(', '(', 2, 20),
+    ('var', 'x', 2, 21),
+    (')', ')', 2, 22),
+    (')', ')', 2, 23),
+    (',', ',', 2, 24),
+    ('{', '{', 2, 26),
+    ('~', '~', 2, 27),
+    ('var', 'k', 2, 28),
+    (':', ':', 2, 29),
+    (',', ',', 2, 30),
+    ('meta', '#env', 2, 32),
+    ('}', '}', 2, 36),
+    (')', ')', 2, 37),
+    ('->', '->', 2, 39),
+    ('meta', '#M', 2, 42),
+    ('(', '(', 2, 44),
+    ('var', 'k_1', 2, 45),
+    (')', ')', 2, 48),
+    ('con', 'F', 3, 1),
+    ('(', '(', 3, 2),
+    ('con', 'A', 3, 3),
+    (')', ')', 3, 4),
+    ('->', '→', 3, 6),
+    ('con', 'B', 3, 8),
+    ('<', '⟨', 3, 10),
+    ('con', 'C', 3, 11),
+    ('>', '⟩', 3, 12),
+    ('~', '¬', 3, 14),
+    ('var', 'x', 3, 16),
+    ('>', '>', 3, 20),
+    ('->', '->', 3, 22),
+    ('->', '->', 3, 25),
+    ('var', 'x', 3, 30),
+    (';', ';', 3, 31),
+    ('var', 'x', 4, 2),
+    ('meta', '#9', 4, 8),
+    ('con', 'Done', 4, 11),
+    ('(', '(', 4, 15),
+    (')', ')', 4, 16),
+    ('eof', '', 4, 18),
 ]
 
 LEX_ERRORS = [
@@ -352,8 +352,8 @@ LEX_ERRORS = [
 
 def test_lexer_tokens_and_errors_are_pinned():
     tokens, errors = _lex(LEX_TEXT, "lex.plank")
-    assert [(t.kind, t.text, t.span.start_line, t.span.start_col, t.span.end_line,
-             t.span.end_col) for t in tokens] == LEX_TOKENS
+    assert [(t.kind, t.text, t.span.start_line, t.span.start_col)
+            for t in tokens] == LEX_TOKENS
     assert all(t.span.file == "lex.plank" for t in tokens)
     assert [e.format() for e in errors] == LEX_ERRORS
 
@@ -368,23 +368,21 @@ def test_lexer_shares_one_ident_per_word():
 
 class TestSpan:
     def test_repr_and_str(self):
-        span = Span("f.plank", 2, 3, 4, 5)
-        assert repr(span) == (
-            "Span(file='f.plank', start_line=2, start_col=3, end_line=4, end_col=5)"
-        )
+        span = Span("f.plank", 2, 3)
+        assert repr(span) == "Span(file='f.plank', start_line=2, start_col=3)"
         assert str(span) == "f.plank:2:3"
 
     def test_equality_and_hash(self):
-        span = Span("f.plank", 2, 3, 4, 5)
-        assert span == Span("f.plank", 2, 3, 4, 5)
-        assert span != Span("f.plank", 2, 3, 4, 6)
-        assert span != Span("g.plank", 2, 3, 4, 5)
-        assert hash(span) == hash(Span("f.plank", 2, 3, 4, 5))
-        assert hash(span) == hash(("f.plank", 2, 3, 4, 5))
-        assert len({span, Span("f.plank", 2, 3, 4, 5), Span("f.plank", 1, 3, 4, 5)}) == 2
+        span = Span("f.plank", 2, 3)
+        assert span == Span("f.plank", 2, 3)
+        assert span != Span("f.plank", 2, 4)
+        assert span != Span("g.plank", 2, 3)
+        assert hash(span) == hash(Span("f.plank", 2, 3))
+        assert hash(span) == hash(("f.plank", 2, 3))
+        assert len({span, Span("f.plank", 2, 3), Span("f.plank", 1, 3)}) == 2
 
     def test_fields_cannot_be_assigned(self):
-        span = Span("f.plank", 2, 3, 4, 5)
+        span = Span("f.plank", 2, 3)
         with pytest.raises(AttributeError):
             span.start_col = 9
         assert span.start_col == 3

@@ -666,17 +666,31 @@ def _last_name(node):
 
 def _unread_fields(sources: list[str]) -> list[tuple[str, str]]:
     """(class, field) of each dataclass or NamedTuple field that no source
-    reads, as an attribute or through ``getattr`` with a constant name."""
-    trees = [ast.parse(s) for s in sources]
-    fields, read = [], set()
-    for node in (n for tree in trees for n in ast.walk(tree)):
+    reads, as an attribute or through ``getattr`` with a constant name.
+
+    An attribute passed straight to the constructor of a record that
+    declares a field of that name is a copy, not a read: a field read only
+    to build another record of its kind is read by nothing."""
+    nodes = [n for s in sources for n in ast.walk(ast.parse(s))]
+    fields, declared = [], {}
+    for node in nodes:
         if isinstance(node, ast.ClassDef) and (
                 "NamedTuple" in map(_last_name, node.bases)
                 or "dataclass" in (_last_name(d.func if isinstance(d, ast.Call) else d)
                                    for d in node.decorator_list)):
-            fields += [(node.name, st.target.id) for st in node.body
-                       if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names = [st.target.id for st in node.body
+                     if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
+            fields += [(node.name, f) for f in names]
+            declared.setdefault(node.name, set()).update(names)
+    copies, read = set(), set()
+    for node in nodes:
+        if isinstance(node, ast.Call) and _last_name(node.func) in declared:
+            own = declared[_last_name(node.func)]
+            copies |= {id(a) for a in node.args + [k.value for k in node.keywords]
+                       if isinstance(a, ast.Attribute) and a.attr in own}
+    for node in nodes:
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in copies):
             read.add(node.attr)
         elif (isinstance(node, ast.Call) and _last_name(node.func) == "getattr"
               and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
@@ -685,8 +699,9 @@ def _unread_fields(sources: list[str]) -> list[tuple[str, str]]:
 
 
 def test_every_record_field_is_read():
-    record = "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n    z: int\n"
-    assert _unread_fields([record, "def f(a):\n    return a.x, getattr(a, 'z')\n"]) == [("A", "y")]
+    record = "@dataclass(frozen=True)\nclass A:\n" + "".join(f"    {f}: int\n" for f in "xyzw")
+    use = "def f(a):\n    return a.x, getattr(a, 'z'), A(a.x, 0, 0, w=a.w)\n"
+    assert _unread_fields([record, use]) == [("A", "y"), ("A", "w")]
     sources = [p.read_text(encoding="utf-8") for p in sorted((REPO / "src" / "plank").glob("*.py"))]
     assert [f for f in _unread_fields(sources) if f not in UNREAD_FIELDS_KEPT] == []
 

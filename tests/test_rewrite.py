@@ -31,6 +31,30 @@ def t(text):
     return parse_term(text)
 
 
+SIGNATURE = "L data Lam([L]L); L data A(L); L data Done(); L variable;"
+
+# A catch-all met twice, a variable met twice and a variable that is free
+# under a binder.
+BRANCH_RULES = (
+    "L scheme F({L:L}, {L:L}); L scheme G(L, L); L scheme H(L);"
+    "L rule F({#e}, {#e}) -> Done(); L rule G(x, x) -> Done(); L rule H(Lam([y]x)) -> Done();"
+)
+
+
+def checked_normalize(text, subject, fuel=100):
+    """Normalize ``subject`` under the rules of the checked script ``text``;
+    the subject and the result must both be well sorted."""
+    script = parse_script(text)
+    checked = check_script(script)
+    assert checked.ok, [e.format() for e in checked.errors]
+    term = t(subject)
+    assert check_ground_subject(checked.gamma, term)[2] == []
+    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+    result = normalize(checked.gamma, rules, term, fuel)
+    assert check_ground_subject(checked.gamma, result.term)[2] == []
+    return result
+
+
 def strip_not_keys(term):
     """Replay helper: drop absence entries before contracting a pattern."""
     from plank.terms import AssocPiece, Construction, MapEntry, NotKey, ScopePiece
@@ -140,6 +164,22 @@ class TestMatchTerm:
         assert match_term(pattern, t("Ap(Lam([x]x), Lam([y]y))")) is not None
         assert match_term(pattern, t("Ap(Lam([x]x), Ap(x, x))")) is None
 
+    @pytest.mark.parametrize("subject,fires", [
+        # The second list must capture the same entries up to alpha.
+        ("F({a : A(b)}, {a : A(b)})", True),
+        ("F({a : Lam([u]u)}, {a : Lam([v]v)})", True),
+        ("F({a : A(b)}, {a : A(c)})", False),
+        # x met twice must meet one name.
+        ("G(a, b)", False),
+        # x may not capture the subject's binder z.
+        ("H(Lam([z]z))", False),
+        ("H(Lam([z]w))", True),
+    ])
+    def test_nonlinear_and_capturing_patterns(self, subject, fires):
+        result = checked_normalize(SIGNATURE + BRANCH_RULES, subject)
+        assert render(result.term) == ("Done()" if fires else subject)
+        assert len(result.steps) == fires
+
     def test_match_replay_reproduces_subject(self, ex1, ex2):
         cases = [
             (ex1.rules[0].lhs, t("Ap(Lam([x]x), Lam([y]y))")),
@@ -184,6 +224,17 @@ class TestMatchAssoc:
                          t("E(b, {a : One(), b : Two(), c : Three()})"))
         assert out is not None
         assert [k for k, _ in out.assoc_bind["#env"].entries] == ["a", "c"]
+
+    @pytest.mark.parametrize("subject,fires", [
+        ("F({a : A(a)}, {b : A(c)}, b)", True),
+        ("F({c : A(a)}, {b : A(c)}, b)", False),
+    ])
+    def test_a_list_waits_for_a_key_bound_by_a_later_list(self, subject, fires):
+        # The first list's key y is bound only once the second list, keyed
+        # by x from the third argument, has been matched.
+        rule = "L scheme F({L:L}, {L:L}, L); L rule F({~y:, #r}, {x : A(y)}, x) -> Done();"
+        result = checked_normalize(SIGNATURE + rule, subject)
+        assert render(result.term) == ("Done()" if fires else subject)
 
 
 class TestSubstitute:
@@ -344,17 +395,9 @@ class TestBoundKeys:
     ], ids=["unparameterised-catchall", "spliced-key", "spliced-key-and-value",
             "named-key", "absent-key"])
     def test_bound_key(self, rule, subject, expected, steps):
-        script = parse_script(self.SIGNATURE + rule)
-        checked = check_script(script)
-        assert checked.ok, [e.format() for e in checked.errors]
-        term = t(subject)
-        assert check_ground_subject(checked.gamma, term)[2] == []
-        rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
-        result = normalize(checked.gamma, rules, term)
+        result = checked_normalize(self.SIGNATURE + rule, subject)
         assert render(result.term) == expected
         assert len(result.steps) == steps
-        # subject reduction: the result is as well sorted as the subject
-        assert check_ground_subject(checked.gamma, result.term)[2] == []
 
 
 class TestRewriteStep:
@@ -411,6 +454,12 @@ class TestNormalize:
         res = normalize(ex1_checked.gamma, ex1_rules, omega, 5)
         assert res.status is NormalStatus.FUEL_EXHAUSTED
         assert len(res.steps) == 5
+
+    def test_fuel_that_is_exactly_enough(self):
+        # The last step uses up the fuel; the term it leaves is normal.
+        result = checked_normalize(SIGNATURE + BRANCH_RULES, "G(a, a)", fuel=1)
+        assert result.status is NormalStatus.NORMAL_FORM
+        assert render(result.term) == "Done()" and len(result.steps) == 1
 
     def test_determinism(self, ex2_checked, ex2_rules):
         subject = t("Eval(Ap(Ap(Lam([x]x), Lam([y]y)), Lam([z]z)), {})")
