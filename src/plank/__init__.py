@@ -9,18 +9,7 @@ contraction, and normalization, and ``cli`` wires everything into the
 ``plank`` command.
 """
 
-from .checker import (
-    CheckState,
-    ScriptCheck,
-    TermContext,
-    check_association,
-    check_declaration,
-    check_ground_subject,
-    check_piece,
-    check_script,
-    check_sort,
-    check_term,
-)
+from .checker import ScriptCheck, check_ground_subject, check_script, check_term
 from .env import (
     ConSig,
     GlobalEnv,

@@ -58,15 +58,9 @@ from .terms import (
 )
 
 __all__ = [
-    "CheckState",
     "ScriptCheck",
-    "TermContext",
-    "check_association",
-    "check_declaration",
     "check_ground_subject",
-    "check_piece",
     "check_script",
-    "check_sort",
     "check_term",
 ]
 
@@ -280,7 +274,7 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
 
 
 def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
-                    need_hasvar: bool) -> list[Diagnostic]:
+                    need_hasvar: bool, key: bool = False) -> list[Diagnostic]:
     if not isinstance(t, Var):
         return [_err(tag, t, f"expected a variable, got {render(t)}")]
     have = st.delta.var.get(t.name)
@@ -295,9 +289,13 @@ def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
         # A bound variable of the rule itself is tolerated without a
         # 'variable' declaration at a pure scheme sort (one with no data
         # constructors), the same proviso that admits scheme heads in
-        # patterns there.  Free occurrences always need the declaration.
+        # patterns there.  Free occurrences always need the declaration,
+        # and so do keys: substituting for a key's binder or for a
+        # catch-all's parameter renames the key, and only at a 'variable'
+        # sort do SMS-Cons and SMS-Meta keep that substitute a variable.
         waived = (
-            t.name in st.bound
+            not key
+            and t.name in st.bound
             and isinstance(expected, SortCons)
             and expected.name not in st.gamma.sorts_with_data
         )
@@ -338,6 +336,15 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[Diagnostic]:
     errors: list[Diagnostic] = []
     for e in p.entries:
         errors.extend(check_association(st, e, f.key_sort, f.value_sort))
+    if st.tc is TermContext.IN_PAT:
+        # Which entries each catch-all would take is not determined.
+        catchalls = [e for e in p.entries if isinstance(e, CatchAll)]
+        if len(catchalls) > 1:
+            errors.append(_err(
+                "SAP-All", catchalls[1],
+                f"a pattern association list has {len(catchalls)} catch-alls, but "
+                "matching takes at most one (MultipleCatchAll)",
+            ))
     return errors
 
 
@@ -352,7 +359,7 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
                 f"association key {a.key} does not occur outside an association "
                 "(KeyNotElsewhere)",
             ))
-        errors.extend(check_term(st, Var(a.key, span=a.span), key_sort))
+        errors.extend(_check_key(st, a, key_sort))
         extended = CheckState(st.gamma, st.delta, st.v | non_assoc_vars(a.value), st.tc, st.bound)
         errors.extend(check_term(extended, a.value, val_sort))
         return errors
@@ -363,7 +370,7 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
                 "SAP-Not", a,
                 "absence entries are only allowed in patterns (NotKeyInContraction)",
             )]
-        return check_term(st, Var(a.key, span=a.span), key_sort)
+        return _check_key(st, a, key_sort)
 
     # Catch-all meta-variable.
     mf = st.delta.meta.get(a.meta)
@@ -379,6 +386,14 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
             f"{{{render(key_sort)}:{render(val_sort)}}}",
         )]
     return _check_meta_args(st, a, mf, tag)
+
+
+def _check_key(st: CheckState, a: MapEntry | NotKey, key_sort: Sort) -> list[Diagnostic]:
+    """A key is a variable of the key sort that always needs the 'variable'
+    declaration (see ``_check_variable``)."""
+    tag = "SMP-Var" if st.tc is TermContext.IN_PAT else "SMC-Var"
+    return _check_variable(st, Var(a.key, span=a.span), key_sort, tag, need_hasvar=True,
+                           key=True)
 
 
 # ---------------------------------------------------------------------------

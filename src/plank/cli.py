@@ -3,8 +3,8 @@
 Exit codes:
 
     0  success
-    1  sorting errors, including an ill-sorted input term, or a rule the
-       engine cannot run, such as two catch-alls in one list (``error[engine]``)
+    1  sorting errors, including an ill-sorted input term; or
+       ``error[engine]``, an engine bug on checked input
     2  parse or I/O errors
     3  normalization ran out of steps
     4  input nested too deeply to process (``error[depth]``)
@@ -73,22 +73,19 @@ def run_normalize(path: str, term_text: str, max_steps: int, trace: bool,
     if errors:
         _report(errors, "<term>")
         return 1
-    try:
-        rules = prepare_rules(result.gamma, script.rules, result.rule_envs)
-    except EngineError as exc:
-        print(f"{path}: error[engine]: {exc}", file=sys.stderr)
-        return 1
-
     numbers = itertools.count(1)
 
     def log_step(t, step):
         print(format_step(next(numbers), step, rules[step.rule_index], t, unicode=unicode),
               file=sys.stderr)
 
-    outcome = normalize(
-        result.gamma, rules, term, fuel=max_steps,
-        on_step=log_step if trace else None,
-    )
+    try:
+        rules = prepare_rules(result.gamma, script.rules, result.rule_envs)
+        outcome = normalize(result.gamma, rules, term, fuel=max_steps,
+                            on_step=log_step if trace else None)
+    except EngineError as exc:
+        print(f"{path}: error[engine]: {exc}", file=sys.stderr)
+        return 1
     print(render(outcome.term, unicode=unicode))
     return 0 if outcome.status is NormalStatus.NORMAL_FORM else 3
 

@@ -59,7 +59,12 @@ __all__ = [
 
 
 class EngineError(Exception):
-    """An engine invariant was violated (typically an unchecked input)."""
+    """An engine precondition failed.
+
+    Each raise site names the checker or environment diagnostic that rules
+    it out for a checked script and a well-sorted subject, so on such input
+    this is an engine bug.
+    """
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,8 @@ def substitute(body: Term, binding: Mapping[Ident, Term]) -> Term:
 
     Binders colliding with free variables of the replacements are renamed.
     A key position can only receive a variable; anything else raises
-    EngineError (the sorting discipline rules it out for checked rules).
+    EngineError.  The checker rules that out: a key's sort is declared
+    'variable', where only a variable may be substituted.
     The walk is ``_subst``; its memo of the replacements' free variables
     lives for this call only.
     """
@@ -240,6 +246,7 @@ class _Matcher:
         subject: dict[Ident, Term] = {}
         for e in sp.entries:
             if not isinstance(e, MapEntry):
+                # SAP-Not, SAC-All: checked subjects and contracta hold plain entries.
                 raise EngineError(
                     f"subject association lists must contain only plain entries, got {render(e)}"
                 )
@@ -258,6 +265,7 @@ class _Matcher:
         params = []
         for a in args:
             if not isinstance(a, Var) or a.name not in penv:
+                # SMP-Meta, SAP-All: pattern arguments are bound variables.
                 raise EngineError(
                     f"pattern argument of {meta} must be a bound variable; "
                     "was the rule checked?"
@@ -302,6 +310,7 @@ class _Matcher:
         p_entries, subject, penv, senv, bound = item
         catchalls = [e for e in p_entries if isinstance(e, CatchAll)]
         if len(catchalls) > 1:
+            # SAP-All (MultipleCatchAll); kept for callers that skip the checker.
             raise EngineError(
                 "a pattern association list has more than one catch-all meta-variable"
             )
@@ -365,7 +374,9 @@ def match_term(pattern: Term, subject: Term) -> Valuation | None:
     Returns the valuation, or None when the subject does not match.  The
     subject's bound variables are renamed to the pattern's view on the fly,
     so replaying the valuation into the pattern rebuilds the subject up to
-    alpha-equivalence.
+    alpha-equivalence.  The pattern must pass the checker; one that does
+    not may raise EngineError, for instance a pattern association list with
+    more than one catch-all (SAP-All).
     """
     m = _Matcher((pattern, subject))
     try:
@@ -430,15 +441,14 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = (), *,
 def _inst(t: Term, rho: dict[Ident, Ident], val: Valuation,
           fresh: Callable[[Ident], Ident]) -> Term:
     if isinstance(t, Var):
-        name = rho.get(t.name)
-        if name is None:
-            raise EngineError(f"no binding for variable {t.name} (MissingBinding)")
-        return Var(name)
+        return Var(rho[t.name])  # rho maps every free name and binder of the right side
     if isinstance(t, MetaApp):
         ab = val.meta_bind.get(t.meta)
         if ab is None:
+            # UnboundMetaOnRhs: a successful match binds every pattern meta-variable.
             raise EngineError(f"no binding for meta-variable {t.meta} (MissingBinding)")
         if len(ab.params) != len(t.args):
+            # SMC-Meta, SMP-Meta: both sides use the meta-form's arity.
             raise EngineError(f"arity mismatch instantiating {t.meta}")
         args = [_inst(a, rho, val, fresh) for a in t.args]
         return substitute(ab.body, dict(zip(ab.params, args)))
@@ -459,19 +469,17 @@ def _inst_piece(p: Piece, rho: dict[Ident, Ident], val: Valuation,
     merged: dict[Ident, Term] = {}
     for e in p.entries:
         if isinstance(e, MapEntry):
-            k = rho.get(e.key)
-            if k is None:
-                raise EngineError(f"no binding for key {e.key} (MissingBinding)")
-            merged[k] = _inst(e.value, rho, val, fresh)
+            merged[rho[e.key]] = _inst(e.value, rho, val, fresh)
         elif isinstance(e, NotKey):
+            # SAP-Not: absence entries stand only in patterns.
             raise EngineError("an absence entry cannot be contracted")
         else:
             binding = val.assoc_bind.get(e.meta)
             if binding is None:
-                raise EngineError(
-                    f"no binding for catch-all {e.meta} (MissingBinding)"
-                )
+                # UnboundMetaOnRhs: a successful match binds every pattern catch-all.
+                raise EngineError(f"no binding for catch-all {e.meta} (MissingBinding)")
             if len(binding.params) != len(e.args):
+                # SAC-All, SAP-All: both sides use the meta-form's arity.
                 raise EngineError(f"arity mismatch instantiating {e.meta}")
             args = [_inst(a, rho, val, fresh) for a in e.args]
             sub = dict(zip(binding.params, args))
@@ -487,6 +495,8 @@ def _key_through(sub: Mapping[Ident, Term], k: Ident) -> Ident:
         return k
     if isinstance(r, Var):
         return r.name
+    # A key's sort is declared 'variable' (SMP-Var, SMC-Var), and there
+    # nothing but a variable is substituted (SMS-Cons, SMS-Meta).
     raise EngineError(f"cannot substitute non-variable {render(r)} for key {k}")
 
 
@@ -531,37 +541,21 @@ class NormalizeResult:
 
 def prepare_rules(gamma: GlobalEnv, rules: Sequence[RuleDecl],
                   envs: Sequence[RuleEnv] | None = None) -> list[RewriteRule]:
-    """Pair rules with environments and validate engine preconditions.
+    """Pair checked rules with environments and their right sides' free
+    variables.
 
-    Rejects patterns whose association lists carry more than one catch-all:
-    matching them would not be deterministic (MultipleCatchAll).
+    The rules must pass ``check_script``.  The engine relies on the checker
+    for every formation condition; it tests only that a pattern is a
+    construction, which the index by head needs.
     """
     out: list[RewriteRule] = []
     for i, decl in enumerate(rules):
         if not isinstance(decl.lhs, Construction):
+            # SMP-Fun: a pattern is a scheme construction.
             raise EngineError(f"rule {i} pattern is not a construction")
-        _check_single_catchall(decl.lhs, i)
         env = envs[i] if envs is not None else infer_rule_env(gamma, decl)[0]
         out.append(RewriteRule(decl, env, i, tuple(sorted(free_vars(decl.rhs)))))
     return out
-
-
-def _check_single_catchall(t: Term, index: int) -> None:
-    if isinstance(t, MetaApp):
-        return
-    if isinstance(t, Construction):
-        for p in t.args:
-            if isinstance(p, ScopePiece):
-                _check_single_catchall(p.body, index)
-            else:
-                if sum(1 for e in p.entries if isinstance(e, CatchAll)) > 1:
-                    raise EngineError(
-                        f"rule {index} pattern has an association list with multiple "
-                        "catch-alls (MultipleCatchAll)"
-                    )
-                for e in p.entries:
-                    if isinstance(e, MapEntry):
-                        _check_single_catchall(e.value, index)
 
 
 def _term_names(t: Term) -> Iterator[Ident]:

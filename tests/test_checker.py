@@ -84,6 +84,17 @@ class TestCheckScript:
         # the apply rule's contraction key z is the only other casualty
         assert {e.rule for e in result.errors} == {"SMP-Var", "SMC-Var"}
 
+    def test_multiple_catchalls_rejected(self):
+        # Matching would not determine which entries each catch-all takes;
+        # a contraction may splice any number of them.
+        result = check_script(parse_script(
+            "L data One(); L variable;"
+            "L scheme F({L:L}, {L:L});"
+            "L rule F({#e1, #e2}, {}) -> F({#e1, #e2}, {});"
+        ))
+        assert [e.rule for e in result.errors] == ["SAP-All"]
+        assert "MultipleCatchAll" in result.errors[0].message
+
     def test_errors_carry_known_tags(self):
         bad = parse_script(
             "L data One(); L scheme F([L]L); L rule F([x]#M(x, x)) -> One();"
@@ -315,6 +326,34 @@ class TestCheckAssociation:
         errors = check_association(st, entry, L, L)
         # F is undeclared: the only error is the unknown constructor, not SA-Map
         assert [e.rule for e in errors] == ["SMC-Cons"]
+
+
+class TestKeys:
+    """A key's sort needs the 'variable' declaration even where a bound
+    variable of that sort is waived (a sort with no data constructors):
+    substitution renames keys, and only at a 'variable' sort does the
+    checker keep what is substituted a variable."""
+
+    SIG = "S scheme Mk(); L data A(); L data H({S:L}); L scheme F([S]L); L scheme G(L);"
+
+    @pytest.mark.parametrize("rule,tags", [
+        ("L rule F([x]#B(x)) -> G(#B(Mk()));", []),
+        ("L rule F([x]H({x : #V})) -> G(#V);", ["SMP-Var"]),
+        ("L rule F([x]H({~x:, #e(x)})) -> A();", ["SMP-Var"]),
+        ("L rule G(#V) -> F([x]H({x : #V}));", ["SMC-Var"]),
+    ], ids=["bound-variable-waived", "pattern-key", "absent-key", "contraction-key"])
+    def test_a_bound_key_needs_a_variable_sort(self, rule, tags):
+        result = check_script(parse_script(self.SIG + rule))
+        assert [e.rule for e in result.errors] == tags
+
+    def test_a_bound_subject_key_needs_a_variable_sort(self):
+        gamma = build_global_env(parse_script(self.SIG))[0]
+        _, _, errors = check_ground_subject(gamma, parse_term("F([y]H({y : A()}))"))
+        assert [e.rule for e in errors] == ["SMC-Var"]
+        _, _, errors = check_ground_subject(
+            build_global_env(parse_script(self.SIG + "S variable;"))[0],
+            parse_term("F([y]H({y : A()}))"))
+        assert errors == []
 
 
 class TestGroundSubject:

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import plank.cli
+from plank.cli import main
+from plank.rewrite import EngineError
 from conftest import BETA_ETA
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -57,16 +60,51 @@ L rule F({#a, #b}) -> Nil();
 """
 
 
-def test_a_rule_the_engine_cannot_run_is_an_engine_error(tmp_path):
-    # The sort discipline admits two catch-alls in one list; matching them
-    # would not be deterministic, so the engine refuses the rule.
+def test_two_catch_alls_in_a_pattern_list_fail_the_check(tmp_path):
+    # Matching would not determine which entries each catch-all takes.
     script = tmp_path / "two.plank"
     script.write_text(TWO_CATCH_ALLS, encoding="utf-8")
     checked = run_cli("check", str(script))
-    assert (checked.returncode, checked.stderr) == (0, "")
-    done = run_cli("normalize", str(script), "--term", "F({})")
-    assert done.returncode == 1
-    assert done.stdout == ""
-    assert "error[engine]" in done.stderr
-    assert "MultipleCatchAll" in done.stderr
-    assert "Traceback" not in done.stderr
+    assert (checked.returncode, checked.stdout) == (1, "")
+    assert "error[SAP-All]" in checked.stderr
+    assert "MultipleCatchAll" in checked.stderr
+
+
+KEYED = "S scheme Mk(); L data A(); L data H({S:L}); L scheme F([S]L); L scheme G(L);\n"
+
+
+@pytest.mark.parametrize("source,term,check_code,diagnostic", [
+    (TWO_CATCH_ALLS, "F({})", 1, "error[SAP-All]"),
+    # The subject's key y is bound at S, which has no 'variable' declaration,
+    # so a rule could substitute Mk() for it.
+    (KEYED + "L rule F([x]H({#e(x)})) -> G(H({#e(Mk())}));\n",
+     "F([y]H({y : A()}))", 0, "error[SMC-Var]"),
+    (KEYED + "L rule F([x]#B(x)) -> G(#B(Mk()));\n", "F([y]H({y : A()}))", 0, "error[SMC-Var]"),
+], ids=["two-catch-alls", "catch-all-parameter-key", "meta-parameter-key"])
+def test_check_and_normalize_agree(tmp_path, source, term, check_code, diagnostic):
+    # What normalize rejects, the checker rejects: the script, or the
+    # subject with the checker's own diagnostic, never the engine.
+    script = tmp_path / "agree.plank"
+    script.write_text(source, encoding="utf-8")
+    checked = run_cli("check", str(script))
+    done = run_cli("normalize", str(script), "--term", term)
+    assert (checked.returncode, done.returncode, done.stdout) == (check_code, 1, "")
+    assert diagnostic in done.stderr
+    if check_code:
+        assert diagnostic in checked.stderr
+    for run in (checked, done):
+        assert "error[engine]" not in run.stderr
+        assert "Traceback" not in run.stderr
+
+
+def test_an_engine_error_while_normalizing_is_reported(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise EngineError("broken invariant")
+
+    script = tmp_path / "beta_eta.plank"
+    script.write_text(BETA_ETA, encoding="utf-8")
+    monkeypatch.setattr(plank.cli, "normalize", broken)
+    assert main(["normalize", str(script), "--term", "Ap(Lam([x]x), Lam([y]y))"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{script}: error[engine]: broken invariant\n"

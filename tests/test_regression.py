@@ -21,6 +21,8 @@
 * Every exported name, and every name the benchmark's traced run wraps,
   still resolves, no module imports a name it never uses, and every record
   field is read somewhere in the package.
+* Every ``raise EngineError`` names the checker or environment diagnostic
+  that rules it out on checked input.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ import gc
 import hashlib
 import importlib
 import importlib.util
+import io
 import pkgutil
 import re
 import sys
+import tokenize
 import weakref
 from pathlib import Path
 
@@ -715,6 +719,68 @@ def test_no_module_imports_a_name_it_never_uses():
     for path in modules:
         if path.name != "__init__.py":
             assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def _diagnostic_tags(source: str) -> set[str]:
+    """String literals that reach a diagnostic's tag: the first argument of
+    ``Diagnostic`` or ``_err``, a value assigned to ``tag``, or an argument
+    passed for a parameter named ``tag``."""
+    tree = ast.parse(source)
+    slots = {"Diagnostic": 0, "_err": 0}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and "tag" in (names := [a.arg for a in fn.args.args]):
+            slots[fn.name] = names.index("tag")
+    values = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _last_name(node.func) in slots:
+            values += node.args[slots[_last_name(node.func)]:][:1]
+        elif isinstance(node, ast.Assign) and "tag" in map(_last_name, node.targets):
+            values.append(node.value)
+    return {c.value for v in values for c in ast.walk(v)
+            if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+
+
+def _untagged_engine_raises(source: str, tags: set[str]) -> list[int]:
+    """Lines of each ``raise EngineError`` whose line and the line above
+    carry no comment naming one of ``tags``."""
+    comments = {tok.start[0]: tok.string
+                for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and _last_name(node.exc.func) == "EngineError"):
+            near = comments.get(node.lineno, "") + " " + comments.get(node.lineno - 1, "")
+            if not set(re.findall(r"[\w-]+", near)) & tags:
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_every_engine_raise_names_the_diagnostic_that_rules_it_out():
+    # Each raise site is unreachable on a checked script and a well-sorted
+    # subject; its comment names the checker or environment diagnostic
+    # that makes it so.
+    tag_sample = (
+        "def _check(st, tag):\n    return _err(tag, st, 'not a tag')\n"
+        "def f(st, x):\n"
+        "    tag = 'A-One' if x else 'A-Two'\n"
+        "    return _check(st, 'A-Three') + [Diagnostic('Four', None, 'text'), _err(tag, x, 'm')]\n"
+    )
+    assert _diagnostic_tags(tag_sample) == {"A-One", "A-Two", "A-Three", "Four"}
+    tags = set().union(*(_diagnostic_tags((REPO / "src" / "plank" / name).read_text("utf-8"))
+                         for name in ("checker.py", "env.py")))
+    assert {"SAP-All", "SMP-Var", "SMS-Meta", "UnboundMetaOnRhs"} <= tags
+    sample = (
+        "def f(x):\n"
+        "    if x:\n        # SAP-All: one catch-all.\n        raise EngineError('a')\n"
+        "    if x:\n        raise EngineError('b')  # UnboundMetaOnRhs\n"
+        "    if x:\n        # SAP-Al, not a tag\n        raise EngineError('c')\n"
+        "    # SAP-All, two lines above\n\n    raise EngineError('d')\n"
+    )
+    assert _untagged_engine_raises(sample, tags) == [9, 12]
+    source = (REPO / "src" / "plank" / "rewrite.py").read_text(encoding="utf-8")
+    assert "raise EngineError" in source
+    assert _untagged_engine_raises(source, tags) == []
 
 
 def _own_scope(fn):

@@ -216,6 +216,12 @@ class TestMatchAssoc:
         assert out is not None
         assert out.assoc_bind["#env"].entries == ()
 
+    def test_two_catchalls_raise_for_an_unchecked_pattern(self):
+        # The checker reports such a pattern (SAP-All); match_term keeps a
+        # guard of its own for callers that skip the checker.
+        with pytest.raises(EngineError, match="more than one catch-all"):
+            match_term(t("E({#e1, #e2})"), t("E({a : One()})"))
+
     def test_no_catchall_requires_exact(self):
         assert match_term(t("E(x, {x : #V})"), t("E(a, {a : One(), b : Two()})")) is None
 
@@ -484,17 +490,6 @@ class TestNormalize:
 
 
 class TestPrepareRules:
-    def test_multiple_catchalls_rejected(self):
-        script = parse_script(
-            "L data One(); L variable;"
-            "L scheme F({L:L});"
-            "L rule F({#e1, #e2}) -> One();"
-        )
-        result = check_script(script)
-        assert result.ok  # the sorting discipline itself admits it
-        with pytest.raises(EngineError, match="MultipleCatchAll"):
-            prepare_rules(result.gamma, script.rules, result.rule_envs)
-
     def test_contraction_side_catchalls_fine(self):
         script = parse_script(
             "L data One(); L variable;"
