@@ -9,7 +9,7 @@ contraction, and normalization, and ``cli`` wires everything into the
 ``plank`` command.
 """
 
-from .checker import ScriptCheck, check_ground_subject, check_script, check_term
+from .checker import ScriptCheck, check_ground_subject, check_script
 from .env import (
     ConSig,
     GlobalEnv,
@@ -40,7 +40,6 @@ from .terms import (
     AssocPiece,
     Association,
     CatchAll,
-    Category,
     Construction,
     DataDecl,
     Declaration,

@@ -61,7 +61,6 @@ __all__ = [
     "ScriptCheck",
     "check_ground_subject",
     "check_script",
-    "check_term",
 ]
 
 
@@ -250,7 +249,10 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
         )]
     if st.tc is not TermContext.IN_PAT:
         sub = CheckState(st.gamma, st.delta, st.v, TermContext.SUB, st.bound)
-        return [e for a, s in zip(m.args, mf.arg_sorts) for e in check_term(sub, a, s)]
+        errors: list[Diagnostic] = []
+        for a, s in zip(m.args, mf.arg_sorts):
+            errors.extend(check_term(sub, a, s))
+        return errors
     seen: set[Ident] = set()
     for a, s in zip(m.args, mf.arg_sorts):
         if not isinstance(a, Var):
@@ -509,4 +511,4 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
 def _has_sort_vars(s: Sort) -> bool:
     if isinstance(s, SortVar):
         return True
-    return any(_has_sort_vars(a) for a in s.args)
+    return any(map(_has_sort_vars, s.args))

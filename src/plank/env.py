@@ -14,6 +14,7 @@ object whose methods recurse, so no call builds a reference cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .terms import (
     AssocForm,
@@ -123,14 +124,14 @@ def _match_sort(d: Sort, e: Sort, out: dict[Ident, Sort]) -> bool:
             return True
         return seen == e
     if isinstance(e, SortCons) and d.name == e.name and len(d.args) == len(e.args):
-        return all(_match_sort(x, y, out) for x, y in zip(d.args, e.args))
+        return all(map(_match_sort, d.args, e.args, repeat(out)))
     return False
 
 
 def apply_sort_subst(s: Sort, subst: dict[Ident, Sort]) -> Sort:
     if isinstance(s, SortVar):
         return subst.get(s.name, s)
-    return SortCons(s.name, tuple(apply_sort_subst(a, subst) for a in s.args), span=s.span)
+    return SortCons(s.name, tuple(map(apply_sort_subst, s.args, repeat(subst))), span=s.span)
 
 
 def apply_form_subst(f: Form, subst: dict[Ident, Sort]) -> Form:

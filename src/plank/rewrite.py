@@ -9,23 +9,28 @@ Contraction then instantiates a rule's right side: a meta-application
 substitutes its (contracted) arguments for the abstraction parameters,
 variables pass through the valuation, and catch-all meta-variables splice
 captured association entries back in.
+
+Substitution (``_subst``) and contraction (``_inst``) are each one function
+that dispatches once on a node's class, and a node's children go through
+``map``, so a node costs one Python frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .env import GlobalEnv, RuleEnv, infer_rule_env
 from .terms import (
     AssocPiece,
-    Association,
     CatchAll,
     Construction,
     Ident,
     MapEntry,
     MetaApp,
+    Node,
     NotKey,
     Piece,
     RuleDecl,
@@ -117,45 +122,40 @@ def substitute(body: Term, binding: Mapping[Ident, Term]) -> Term:
 _FvMemo = dict[int, tuple[Term, set[Ident]]]
 
 
-def _subst(t: Term, sub: dict[Ident, Term], fv_memo: _FvMemo) -> Term:
+def _subst(t: Node, sub: dict[Ident, Term], fv_memo: _FvMemo) -> Node:
     if isinstance(t, Var):
         return sub.get(t.name, t)
-    if isinstance(t, MetaApp):
-        return MetaApp(t.meta, tuple(_subst(a, sub, fv_memo) for a in t.args))
-    return Construction(t.head, tuple(_subst_piece(p, sub, fv_memo) for p in t.args))
-
-
-def _subst_piece(p: Piece, sub: dict[Ident, Term], fv_memo: _FvMemo) -> Piece:
-    if isinstance(p, AssocPiece):
-        return AssocPiece(tuple(_subst_assoc(e, sub, fv_memo) for e in p.entries))
-    inner = {w: r for w, r in sub.items() if w not in p.binders}
-    if not inner:
-        return p
-    clash = set()
-    for r in inner.values():
-        hit = fv_memo.get(id(r))
-        if hit is None:
-            hit = fv_memo[id(r)] = (r, free_vars(r))
-        clash |= hit[1]
-    binders = list(p.binders)
-    body2 = p.body
-    if clash & set(binders):
-        avoid = clash | all_idents(body2) | set(binders) | set(inner)
-        for i, b in enumerate(binders):
-            if b in clash:
-                b2 = fresh_var(b, avoid)
-                avoid.add(b2)
-                body2 = _subst(body2, {b: Var(b2)}, fv_memo)
-                binders[i] = b2
-    return ScopePiece(tuple(binders), _subst(body2, inner, fv_memo))
-
-
-def _subst_assoc(e: Association, sub: dict[Ident, Term], fv_memo: _FvMemo) -> Association:
-    if isinstance(e, MapEntry):
-        return MapEntry(_key_through(sub, e.key), _subst(e.value, sub, fv_memo))
-    if isinstance(e, NotKey):
-        return NotKey(_key_through(sub, e.key))
-    return CatchAll(e.meta, tuple(_subst(a, sub, fv_memo) for a in e.args))
+    if isinstance(t, Construction):
+        return Construction(t.head, tuple(map(_subst, t.args, repeat(sub), repeat(fv_memo))))
+    if isinstance(t, ScopePiece):
+        if not t.binders:
+            return ScopePiece((), _subst(t.body, sub, fv_memo))
+        inner = {w: r for w, r in sub.items() if w not in t.binders}
+        if not inner:
+            return t
+        clash = set()
+        for r in inner.values():
+            hit = fv_memo.get(id(r))
+            if hit is None:
+                hit = fv_memo[id(r)] = (r, free_vars(r))
+            clash |= hit[1]
+        binders, body = list(t.binders), t.body
+        if clash & set(binders):
+            avoid = clash | all_idents(body) | set(binders) | set(inner)
+            for i, b in enumerate(binders):
+                if b in clash:
+                    b2 = fresh_var(b, avoid)
+                    avoid.add(b2)
+                    body = _subst(body, {b: Var(b2)}, fv_memo)
+                    binders[i] = b2
+        return ScopePiece(tuple(binders), _subst(body, inner, fv_memo))
+    if isinstance(t, (MetaApp, CatchAll)):
+        return type(t)(t.meta, tuple(map(_subst, t.args, repeat(sub), repeat(fv_memo))))
+    if isinstance(t, AssocPiece):
+        return AssocPiece(tuple(map(_subst, t.entries, repeat(sub), repeat(fv_memo))))
+    if isinstance(t, MapEntry):
+        return MapEntry(_key_through(sub, t.key), _subst(t.value, sub, fv_memo))
+    return NotKey(_key_through(sub, t.key))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,10 @@ class _Matcher:
     Subject binders are renamed to canonical names as the descent enters
     them, and subject association keys are seen through the same map, so a
     key bound inside the subject compares with the pattern's keys under its
-    canonical name.
+    canonical name.  The binders a fragment may not use are the canonical
+    names in ``senv`` other than the meta's parameters.  One missing from
+    ``senv`` belongs to a shadowed subject binder, so no renamed fragment or
+    key holds it.
 
     Canonical binder names avoid every name of the terms the matcher was
     built from.  That set is built on the first ``canonical`` call, not up
@@ -186,7 +189,7 @@ class _Matcher:
         self.val = Valuation()
         self.terms = terms
         self.avoid: set[Ident] | None = None
-        # (pattern entries, subject dict, penv, senv, bound)
+        # (pattern entries, subject dict, penv, senv)
         self.pending: list[tuple] = []
 
     def canonical(self, hint: Ident) -> Ident:
@@ -198,9 +201,9 @@ class _Matcher:
 
     # -- structural descent ------------------------------------------------
 
-    def term(self, p: Term, s: Term, penv: dict, senv: dict, bound: tuple) -> None:
+    def term(self, p: Term, s: Term, penv: dict, senv: dict) -> None:
         if isinstance(p, MetaApp):
-            self.bind_meta(p, s, penv, senv, bound)
+            self.bind_meta(p, s, penv, senv)
             return
         if isinstance(p, Var):
             if not isinstance(s, Var):
@@ -221,23 +224,19 @@ class _Matcher:
         if not isinstance(s, Construction) or p.head != s.head or len(p.args) != len(s.args):
             raise _NoMatch
         for pp, sp in zip(p.args, s.args):
-            self.piece(pp, sp, penv, senv, bound)
+            self.piece(pp, sp, penv, senv)
 
-    def piece(self, pp: Piece, sp: Piece, penv: dict, senv: dict, bound: tuple) -> None:
+    def piece(self, pp: Piece, sp: Piece, penv: dict, senv: dict) -> None:
         if isinstance(pp, ScopePiece):
             if not isinstance(sp, ScopePiece) or len(pp.binders) != len(sp.binders):
                 raise _NoMatch
             if not pp.binders:
-                self.term(pp.body, sp.body, penv, senv, bound)
+                self.term(pp.body, sp.body, penv, senv)
                 return
             penv2, senv2 = dict(penv), dict(senv)
-            fresh = []
             for w, u in zip(pp.binders, sp.binders):
-                c = self.canonical(w)
-                penv2[w] = c
-                senv2[u] = c
-                fresh.append(c)
-            self.term(pp.body, sp.body, penv2, senv2, bound + tuple(fresh))
+                penv2[w] = senv2[u] = self.canonical(w)
+            self.term(pp.body, sp.body, penv2, senv2)
             return
         if not isinstance(sp, AssocPiece):
             raise _NoMatch
@@ -251,12 +250,12 @@ class _Matcher:
                     f"subject association lists must contain only plain entries, got {render(e)}"
                 )
             subject[senv.get(e.key, e.key)] = e.value
-        self.pending.append((pp.entries, subject, penv, senv, bound))
+        self.pending.append((pp.entries, subject, penv, senv))
 
-    def bind_meta(self, p: MetaApp, s: Term, penv: dict, senv: dict, bound: tuple) -> None:
+    def bind_meta(self, p: MetaApp, s: Term, penv: dict, senv: dict) -> None:
         params = self._meta_params(p.meta, p.args, penv)
         fragment = self._rename(s, senv)
-        forbidden = set(bound) - set(params)
+        forbidden = set(senv.values()) - set(params)
         if forbidden and free_vars(fragment) & forbidden:
             raise _NoMatch  # a forbidden binder occurs in the fragment
         self._record_meta(p.meta, Abstraction(params, fragment))
@@ -299,7 +298,7 @@ class _Matcher:
         raise _NoMatch
 
     def resolvable(self, item) -> bool:
-        p_entries, _, penv, _, _ = item
+        p_entries, _, penv, _ = item
         return all(
             e.key in penv or e.key in self.val.var_bind
             for e in p_entries
@@ -307,7 +306,7 @@ class _Matcher:
         )
 
     def match_assoc_entries(self, item) -> None:
-        p_entries, subject, penv, senv, bound = item
+        p_entries, subject, penv, senv = item
         catchalls = [e for e in p_entries if isinstance(e, CatchAll)]
         if len(catchalls) > 1:
             # SAP-All (MultipleCatchAll); kept for callers that skip the checker.
@@ -321,7 +320,7 @@ class _Matcher:
                 if k not in subject:
                     raise _NoMatch
                 named.add(k)
-                self.term(e.value, subject[k], penv, senv, bound)
+                self.term(e.value, subject[k], penv, senv)
             elif isinstance(e, NotKey):
                 k = self.resolve_key(e.key, penv)
                 if k in subject:
@@ -333,7 +332,7 @@ class _Matcher:
             return
         ca = catchalls[0]
         params = self._meta_params(ca.meta, ca.args, penv)
-        forbidden = set(bound) - set(params)
+        forbidden = set(senv.values()) - set(params)
         captured = []
         for k, v in remainder:
             if k in forbidden:
@@ -351,9 +350,13 @@ class _Matcher:
             return
         if len(seen.params) != len(binding.params) or len(seen.entries) != len(binding.entries):
             raise _NoMatch
+        # Both captures are maps: keys and values go through the renaming of
+        # the parameters, and each key must meet its value in the other.
         rename = {o: Var(n) for o, n in zip(seen.params, binding.params)}
-        for (k1, v1), (k2, v2) in zip(seen.entries, binding.entries):
-            if k1 != k2 or not alpha_equal(substitute(v1, rename), v2):
+        other = dict(binding.entries)
+        for k, v in seen.entries:
+            v2 = other.pop(_key_through(rename, k), None)
+            if v2 is None or not alpha_equal(substitute(v, rename), v2):
                 raise _NoMatch
 
     def drain_pending(self) -> None:
@@ -380,7 +383,7 @@ def match_term(pattern: Term, subject: Term) -> Valuation | None:
     """
     m = _Matcher((pattern, subject))
     try:
-        m.term(pattern, subject, {}, {}, ())
+        m.term(pattern, subject, {}, {})
         m.drain_pending()
     except _NoMatch:
         return None
@@ -438,10 +441,16 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = (), *,
     return _inst(rhs, rho, val, fresh)
 
 
-def _inst(t: Term, rho: dict[Ident, Ident], val: Valuation,
-          fresh: Callable[[Ident], Ident]) -> Term:
+def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
+          fresh: Callable[[Ident], Ident]) -> Term | Piece:
     if isinstance(t, Var):
         return Var(rho[t.name])  # rho maps every free name and binder of the right side
+    if isinstance(t, Construction):
+        return Construction(t.head, tuple(map(_inst, t.args, repeat(rho), repeat(val),
+                                              repeat(fresh))))
+    if isinstance(t, ScopePiece):
+        binders = tuple(map(fresh, t.binders))
+        return ScopePiece(binders, _inst(t.body, rho | dict(zip(t.binders, binders)), val, fresh))
     if isinstance(t, MetaApp):
         ab = val.meta_bind.get(t.meta)
         if ab is None:
@@ -450,24 +459,12 @@ def _inst(t: Term, rho: dict[Ident, Ident], val: Valuation,
         if len(ab.params) != len(t.args):
             # SMC-Meta, SMP-Meta: both sides use the meta-form's arity.
             raise EngineError(f"arity mismatch instantiating {t.meta}")
-        args = [_inst(a, rho, val, fresh) for a in t.args]
+        args = map(_inst, t.args, repeat(rho), repeat(val), repeat(fresh))
         return substitute(ab.body, dict(zip(ab.params, args)))
-    return Construction(t.head, tuple(_inst_piece(p, rho, val, fresh) for p in t.args))
-
-
-def _inst_piece(p: Piece, rho: dict[Ident, Ident], val: Valuation,
-                fresh: Callable[[Ident], Ident]) -> Piece:
-    if isinstance(p, ScopePiece):
-        rho2 = dict(rho)
-        binders = []
-        for b in p.binders:
-            b2 = fresh(b)
-            rho2[b] = b2
-            binders.append(b2)
-        return ScopePiece(tuple(binders), _inst(p.body, rho2, val, fresh))
-    # Later duplicate keys override earlier ones, keeping first position.
+    # An association list: later duplicate keys override earlier ones,
+    # keeping first position.
     merged: dict[Ident, Term] = {}
-    for e in p.entries:
+    for e in t.entries:
         if isinstance(e, MapEntry):
             merged[rho[e.key]] = _inst(e.value, rho, val, fresh)
         elif isinstance(e, NotKey):
@@ -481,7 +478,7 @@ def _inst_piece(p: Piece, rho: dict[Ident, Ident], val: Valuation,
             if len(binding.params) != len(e.args):
                 # SAC-All, SAP-All: both sides use the meta-form's arity.
                 raise EngineError(f"arity mismatch instantiating {e.meta}")
-            args = [_inst(a, rho, val, fresh) for a in e.args]
+            args = map(_inst, e.args, repeat(rho), repeat(val), repeat(fresh))
             sub = dict(zip(binding.params, args))
             for k, v in binding.entries:
                 merged[_key_through(sub, k)] = substitute(v, sub)

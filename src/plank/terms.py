@@ -22,7 +22,10 @@ shares its subterms, the nodes a rewrite step built.
 
 Every walk here, ``render`` included, is a plain function that takes its
 state as arguments, so no call builds a reference cycle and all it leaves
-behind is freed by reference counting.
+behind is freed by reference counting.  Each walk is one function that
+dispatches once on a node's class, and a node's children go through
+``map`` or a loop, never a generator, so a node costs at most one
+Python frame.
 """
 
 from __future__ import annotations
@@ -362,7 +365,7 @@ def _render(n: Node, tok: dict[str, str]) -> str:
 VAR, KEY, META = 1, 2, 4
 
 
-def _names(x: Term, roles: int, free: bool, assoc: bool, bound: frozenset[Ident],
+def _names(x: Term | CatchAll, roles: int, free: bool, assoc: bool, bound: frozenset[Ident],
            out: set[Ident]) -> set[Ident]:
     """Add to ``out`` the names playing any of ``roles`` in ``x``; return ``out``.
 
@@ -374,7 +377,7 @@ def _names(x: Term, roles: int, free: bool, assoc: bool, bound: frozenset[Ident]
         if roles & VAR and not (free and x.name in bound):
             out.add(x.name)
         return out
-    if isinstance(x, MetaApp):
+    if isinstance(x, (MetaApp, CatchAll)):
         if roles & META:
             out.add(x.meta)
         for a in x.args:
@@ -386,12 +389,8 @@ def _names(x: Term, roles: int, free: bool, assoc: bool, bound: frozenset[Ident]
         elif assoc:
             for e in p.entries:
                 if isinstance(e, CatchAll):
-                    if roles & META:
-                        out.add(e.meta)
-                    for a in e.args:
-                        _names(a, roles, free, assoc, bound, out)
-                    continue
-                if roles & KEY and not (free and e.key in bound):
+                    _names(e, roles, free, assoc, bound, out)
+                elif roles & KEY and not (free and e.key in bound):
                     out.add(e.key)
                 if isinstance(e, MapEntry):
                     _names(e.value, roles, free, assoc, bound, out)
@@ -501,47 +500,28 @@ def _alpha_name(x: Ident, y: Ident, ma: dict[Ident, object], mb: dict[Ident, obj
     return ax is ay
 
 
-def _alpha(x: Term, y: Term, ma: dict[Ident, object], mb: dict[Ident, object]) -> bool:
-    if isinstance(x, Var) and isinstance(y, Var):
+def _alpha(x: Node, y: Node, ma: dict[Ident, object], mb: dict[Ident, object]) -> bool:
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, Var):
         return _alpha_name(x.name, y.name, ma, mb)
-    if isinstance(x, MetaApp) and isinstance(y, MetaApp):
-        return (
-            x.meta == y.meta
-            and len(x.args) == len(y.args)
-            and all(_alpha(p, q, ma, mb) for p, q in zip(x.args, y.args))
-        )
-    if isinstance(x, Construction) and isinstance(y, Construction):
-        if x.head != y.head or len(x.args) != len(y.args):
+    if isinstance(x, Construction):
+        return x.head == y.head and len(x.args) == len(y.args) and all(
+            map(_alpha, x.args, y.args, repeat(ma), repeat(mb)))
+    if isinstance(x, ScopePiece):
+        if len(x.binders) != len(y.binders):
             return False
-        return all(_alpha_piece(p, q, ma, mb) for p, q in zip(x.args, y.args))
-    return False
-
-
-def _alpha_piece(p: Piece, q: Piece, ma: dict[Ident, object], mb: dict[Ident, object]) -> bool:
-    if isinstance(p, ScopePiece) and isinstance(q, ScopePiece):
-        if len(p.binders) != len(q.binders):
-            return False
-        ma2, mb2 = dict(ma), dict(mb)
-        for u, v in zip(p.binders, q.binders):
-            ma2[u] = mb2[v] = object()
-        return _alpha(p.body, q.body, ma2, mb2)
-    if isinstance(p, AssocPiece) and isinstance(q, AssocPiece):
-        if len(p.entries) != len(q.entries):
-            return False
-        return all(_alpha_assoc(e, f, ma, mb) for e, f in zip(p.entries, q.entries))
-    return False
-
-
-def _alpha_assoc(e: Association, f: Association, ma: dict[Ident, object],
-                 mb: dict[Ident, object]) -> bool:
-    if isinstance(e, MapEntry) and isinstance(f, MapEntry):
-        return _alpha_name(e.key, f.key, ma, mb) and _alpha(e.value, f.value, ma, mb)
-    if isinstance(e, NotKey) and isinstance(f, NotKey):
-        return _alpha_name(e.key, f.key, ma, mb)
-    if isinstance(e, CatchAll) and isinstance(f, CatchAll):
-        return (
-            e.meta == f.meta
-            and len(e.args) == len(f.args)
-            and all(_alpha(p, q, ma, mb) for p, q in zip(e.args, f.args))
-        )
-    return False
+        if x.binders:
+            ma, mb = dict(ma), dict(mb)
+            for u, v in zip(x.binders, y.binders):
+                ma[u] = mb[v] = object()
+        return _alpha(x.body, y.body, ma, mb)
+    if isinstance(x, (MetaApp, CatchAll)):
+        return x.meta == y.meta and len(x.args) == len(y.args) and all(
+            map(_alpha, x.args, y.args, repeat(ma), repeat(mb)))
+    if isinstance(x, AssocPiece):
+        return len(x.entries) == len(y.entries) and all(
+            map(_alpha, x.entries, y.entries, repeat(ma), repeat(mb)))
+    if isinstance(x, MapEntry):
+        return _alpha_name(x.key, y.key, ma, mb) and _alpha(x.value, y.value, ma, mb)
+    return isinstance(x, NotKey) and _alpha_name(x.key, y.key, ma, mb)

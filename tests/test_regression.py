@@ -11,8 +11,10 @@
   classifies each distinct word once.
 * The engine walks a term's names only when it draws a fresh name and
   finds each right side's free variables once per rule.  Parsing,
-  checking, normalizing and rendering leave no reference cycle at all, and
-  no nested function in the package recurses.
+  checking, normalizing and rendering leave no reference cycle at all, no
+  nested function in the package recurses, and no walk recurses through a
+  comprehension.  ``alpha_equal`` and ``substitute`` reach 275 and 400
+  nested scopes under the default recursion limit.
 * The ``--trace`` text of a run whose fresh names collide with the
   subject's names is byte-identical to the recorded one.
 * Full diagnostics of ill-sorted rules whose binders are all distinct from
@@ -49,6 +51,7 @@ import plank.terms
 from plank.cli import main
 from plank import (
     ParseFailure,
+    alpha_equal,
     check_ground_subject,
     check_script,
     normalize,
@@ -56,6 +59,7 @@ from plank import (
     parse_term,
     prepare_rules,
     render,
+    substitute,
 )
 from plank.env import ConSig, MetaForm, infer_rule_env
 from plank.rewrite import format_step
@@ -63,6 +67,7 @@ from plank.terms import (
     AssocPiece,
     CatchAll,
     Construction,
+    Ident,
     MapEntry,
     MetaApp,
     ScopePiece,
@@ -838,3 +843,70 @@ def test_no_nested_function_recurses():
     assert sorted(_recursive_closures(sample)) == ["f.a", "f.b", "f.go", "f.h"]
     for path in sorted((REPO / "src" / "plank").glob("*.py")):
         assert _recursive_closures(path.read_text(encoding="utf-8")) == [], path.name
+
+
+_COMPREHENSIONS = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)
+
+
+def _comprehension_recursions(source: str) -> list[str]:
+    """Each module-level function with a comprehension or generator
+    expression that loads a module-level function reaching the enclosing
+    one again, directly or through the names those functions load.  Each
+    level of such a walk spends a frame on the comprehension as well as one
+    on the call; ``map`` or a loop spends none."""
+    tree = ast.parse(source)
+    top = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+    def loads(node):
+        return {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in top}
+
+    calls = {name: loads(fn) for name, fn in top.items()}
+    found = []
+    for name, fn in top.items():
+        reached = set()
+        todo = [n for c in ast.walk(fn) if isinstance(c, _COMPREHENSIONS) for n in loads(c)]
+        while todo:
+            callee = todo.pop()
+            if callee not in reached:
+                reached.add(callee)
+                todo.extend(calls[callee])
+        if name in reached:
+            found.append(name)
+    return found
+
+
+def test_no_walk_recurses_through_a_comprehension():
+    sample = (
+        "def f(xs):\n    return [f(x) for x in xs]\n"
+        "def g(xs):\n    return all(h(x) for x in xs)\n"
+        "def h(x):\n    return g(x.kids)\n"
+        "def k(xs):\n    return list(map(k, xs)) + [leaf(x) for x in xs]\n"
+        "def leaf(x):\n    return {y: str(y) for y in x}\n"
+        "class C:\n    def m(self, xs):\n        return [self.m(x) for x in xs]\n"
+    )
+    assert _comprehension_recursions(sample) == ["f", "g"]
+    for path in sorted((REPO / "src" / "plank").glob("*.py")):
+        assert _comprehension_recursions(path.read_text(encoding="utf-8")) == [], path.name
+
+
+# ---------------------------------------------------------------------------
+# Walk depth
+
+
+def _nested_scopes(depth):
+    t = Var(Ident("y"))
+    for _ in range(depth):
+        t = Construction(Ident("Lam"), (ScopePiece((Ident("x"),), t),))
+    return t
+
+
+@pytest.mark.parametrize("depth, walk", [
+    (275, lambda t: alpha_equal(t, t)),
+    (400, lambda t: substitute(t, {Ident("y"): Var(Ident("z"))})),
+], ids=["alpha_equal", "substitute"])
+def test_walks_reach_deep_scopes_under_the_default_recursion_limit(depth, walk):
+    # Built directly, so no other walk limits the depth.  Each walk spends
+    # one frame per node; a comprehension between a node and its children
+    # would spend a second one and fall short of these depths.
+    assert walk(_nested_scopes(depth))

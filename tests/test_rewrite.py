@@ -180,6 +180,26 @@ class TestMatchTerm:
         assert render(result.term) == ("Done()" if fires else subject)
         assert len(result.steps) == fires
 
+    @pytest.mark.parametrize("subject,fires", [
+        # A key bound in each capture meets its partner through the renaming
+        # of the catch-all's parameters.
+        ("F([x]G({x : A()}), [x]G({x : A()}))", True),
+        ("F([x]G({x : A()}), [y]G({x : A()}))", False),
+        # The captures are maps: entry order does not count, values do.
+        ("H(G({x : A(), y : B()}), G({y : B(), x : A()}))", True),
+        ("H(G({x : A(), y : B()}), G({y : A(), x : B()}))", False),
+    ])
+    def test_nonlinear_catchall_compares_captures_as_maps(self, subject, fires):
+        script = (
+            "L data A(); L data B(); L data Done(); L variable; L data G({L:L});"
+            "L scheme F([L]L, [L]L); L scheme H(L, L);"
+            "L rule F([a]G({#r(a)}), [b]G({#r(b)})) -> Done();"
+            "L rule H(G({#s}), G({#s})) -> Done();"
+        )
+        result = checked_normalize(script, subject)
+        assert render(result.term) == ("Done()" if fires else subject)
+        assert len(result.steps) == fires
+
     def test_match_replay_reproduces_subject(self, ex1, ex2):
         cases = [
             (ex1.rules[0].lhs, t("Ap(Lam([x]x), Lam([y]y))")),
