@@ -21,7 +21,6 @@ from .env import (
 from .parser import ParseFailure, parse_script, parse_term, render
 from .rewrite import (
     Abstraction,
-    AssocBinding,
     EngineError,
     NormalizeResult,
     NormalStatus,

@@ -34,7 +34,6 @@ from .terms import (
     CatchAll,
     Construction,
     DataDecl,
-    Declaration,
     Diagnostic,
     Form,
     Ident,
@@ -52,6 +51,7 @@ from .terms import (
     SortVar,
     Term,
     Var,
+    VariableDecl,
     all_idents,
     non_assoc_vars,
     render,
@@ -402,10 +402,8 @@ def _check_key(st: CheckState, a: MapEntry | NotKey, key_sort: Sort) -> list[Dia
 # Declarations and scripts
 
 
-def check_declaration(gamma: GlobalEnv, d: Declaration) -> list[Diagnostic]:
-    """Check one declaration against an assembled global environment."""
-    if isinstance(d, RuleDecl):
-        return _check_rule(gamma, d, *infer_rule_env(gamma, d))
+def check_declaration(gamma: GlobalEnv, d: DataDecl | SchemeDecl | VariableDecl) -> list[Diagnostic]:
+    """Check a data, scheme or variable declaration; ``check_script`` checks rules."""
     errors: list[Diagnostic] = []
     for s in decl_sorts(d):
         errors.extend(check_sort(gamma, s))

@@ -4,11 +4,14 @@ Matching follows the classic pattern discipline: a pattern meta-application
 ``#m(w1, ..., wn)`` matches a subject fragment only when every binder of the
 enclosing scope chain that occurs in the fragment is among the ``wi``
 (absence of a binder argument rules out fragments using that binder), and it
-binds ``#m`` to the abstraction of the fragment over those binders.
-Contraction then instantiates a rule's right side: a meta-application
-substitutes its (contracted) arguments for the abstraction parameters,
-variables pass through the valuation, and catch-all meta-variables splice
-captured association entries back in.
+binds ``#m`` to the abstraction of the fragment over those binders.  A
+catch-all ``#e(w1, ..., wn)`` is bound the same way, to the abstraction of
+the association list of the entries it captured, as a meta-variable of a
+combinatory reduction system stands for one abstraction.
+Contraction then instantiates a rule's right side: a meta-application or
+catch-all substitutes its (contracted) arguments for the abstraction
+parameters, variables pass through the valuation, and a catch-all's
+entries are spliced into the list it stands in.
 
 Substitution (``_subst``) and contraction (``_inst``) are each one function
 that dispatches once on a node's class, and a node's children go through
@@ -46,7 +49,6 @@ from .terms import (
 
 __all__ = [
     "Abstraction",
-    "AssocBinding",
     "EngineError",
     "NormalizeResult",
     "NormalStatus",
@@ -74,26 +76,23 @@ class EngineError(Exception):
 
 @dataclass(frozen=True)
 class Abstraction:
-    """A fragment abstracted over the binders a pattern meta was applied to."""
+    """A fragment abstracted over the binders a pattern meta was applied to.
+
+    A meta-application's fragment is a term; a catch-all's is the
+    ``AssocPiece`` of the entries it captured.
+    """
 
     params: tuple[Ident, ...]
-    body: Term
-
-
-@dataclass(frozen=True)
-class AssocBinding:
-    """Captured association entries, abstracted over catch-all parameters."""
-
-    params: tuple[Ident, ...]
-    entries: tuple[tuple[Ident, Term], ...]
+    body: Term | AssocPiece
 
 
 @dataclass
 class Valuation:
-    """The result of matching a pattern against a subject."""
+    """The result of matching a pattern against a subject: one abstraction
+    per meta-variable, catch-alls included, and one subject variable per
+    free pattern variable."""
 
     meta_bind: dict[Ident, Abstraction] = field(default_factory=dict)
-    assoc_bind: dict[Ident, AssocBinding] = field(default_factory=dict)
     var_bind: dict[Ident, Ident] = field(default_factory=dict)
 
 
@@ -101,7 +100,7 @@ class Valuation:
 # Substitution
 
 
-def substitute(body: Term, binding: Mapping[Ident, Term]) -> Term:
+def substitute(body: Term | AssocPiece, binding: Mapping[Ident, Term]) -> Term | AssocPiece:
     """Simultaneous capture-avoiding substitution of terms for variables.
 
     Binders colliding with free variables of the replacements are renamed.
@@ -240,19 +239,21 @@ class _Matcher:
             return
         if not isinstance(sp, AssocPiece):
             raise _NoMatch
-        # Later keys override earlier ones.  Nothing mutates an environment
-        # once built, so the queued list keeps the ones it was given.
-        subject: dict[Ident, Term] = {}
+        # Each entry is filed under its key seen through ``senv``; later keys
+        # override earlier ones.  Nothing mutates an environment once built,
+        # so the queued list keeps the ones it was given.
+        subject: dict[Ident, MapEntry] = {}
         for e in sp.entries:
             if not isinstance(e, MapEntry):
                 # SAP-Not, SAC-All: checked subjects and contracta hold plain entries.
                 raise EngineError(
                     f"subject association lists must contain only plain entries, got {render(e)}"
                 )
-            subject[senv.get(e.key, e.key)] = e.value
+            subject[senv.get(e.key, e.key)] = e
         self.pending.append((pp.entries, subject, penv, senv))
 
-    def bind_meta(self, p: MetaApp, s: Term, penv: dict, senv: dict) -> None:
+    def bind_meta(self, p: MetaApp | CatchAll, s: Term | AssocPiece, penv: dict,
+                  senv: dict) -> None:
         params = self._meta_params(p.meta, p.args, penv)
         fragment = self._rename(s, senv)
         forbidden = set(senv.values()) - set(params)
@@ -272,7 +273,7 @@ class _Matcher:
             params.append(penv[a.name])
         return tuple(params)
 
-    def _rename(self, s: Term, senv: dict) -> Term:
+    def _rename(self, s: Term | AssocPiece, senv: dict) -> Term | AssocPiece:
         if not senv:
             return s
         return substitute(s, {u: Var(c) for u, c in senv.items()})
@@ -320,44 +321,17 @@ class _Matcher:
                 if k not in subject:
                     raise _NoMatch
                 named.add(k)
-                self.term(e.value, subject[k], penv, senv)
+                self.term(e.value, subject[k].value, penv, senv)
             elif isinstance(e, NotKey):
                 k = self.resolve_key(e.key, penv)
                 if k in subject:
                     raise _NoMatch
-        remainder = [(k, v) for k, v in subject.items() if k not in named]
-        if not catchalls:
-            if remainder:
-                raise _NoMatch
-            return
-        ca = catchalls[0]
-        params = self._meta_params(ca.meta, ca.args, penv)
-        forbidden = set(senv.values()) - set(params)
-        captured = []
-        for k, v in remainder:
-            if k in forbidden:
-                raise _NoMatch
-            frag = self._rename(v, senv)
-            if forbidden and free_vars(frag) & forbidden:
-                raise _NoMatch
-            captured.append((k, frag))
-        self._record_assoc(ca.meta, AssocBinding(params, tuple(captured)))
-
-    def _record_assoc(self, meta: Ident, binding: AssocBinding) -> None:
-        seen = self.val.assoc_bind.get(meta)
-        if seen is None:
-            self.val.assoc_bind[meta] = binding
-            return
-        if len(seen.params) != len(binding.params) or len(seen.entries) != len(binding.entries):
+        remainder = [e for k, e in subject.items() if k not in named]
+        if catchalls:
+            # The subject's own entries: ``bind_meta`` renames keys and values.
+            self.bind_meta(catchalls[0], AssocPiece(tuple(remainder)), penv, senv)
+        elif remainder:
             raise _NoMatch
-        # Both captures are maps: keys and values go through the renaming of
-        # the parameters, and each key must meet its value in the other.
-        rename = {o: Var(n) for o, n in zip(seen.params, binding.params)}
-        other = dict(binding.entries)
-        for k, v in seen.entries:
-            v2 = other.pop(_key_through(rename, k), None)
-            if v2 is None or not alpha_equal(substitute(v, rename), v2):
-                raise _NoMatch
 
     def drain_pending(self) -> None:
         while self.pending:
@@ -377,9 +351,12 @@ def match_term(pattern: Term, subject: Term) -> Valuation | None:
     Returns the valuation, or None when the subject does not match.  The
     subject's bound variables are renamed to the pattern's view on the fly,
     so replaying the valuation into the pattern rebuilds the subject up to
-    alpha-equivalence.  The pattern must pass the checker; one that does
-    not may raise EngineError, for instance a pattern association list with
-    more than one catch-all (SAP-All).
+    alpha-equivalence; association lists, read as maps, may come back in
+    another entry order.  A non-linear meta-variable or catch-all matches
+    only fragments that are alpha-equal once their parameters are renamed
+    alike.  The pattern must pass the checker; one that does not may raise
+    EngineError, for instance a pattern association list with more than
+    one catch-all (SAP-All).
     """
     m = _Matcher((pattern, subject))
     try:
@@ -407,9 +384,12 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = (), *,
 
     ``avoid`` and the valuation's names are read only when a fresh name is
     drawn: a right side with no binder and no unbound variable never
-    iterates ``avoid``.  The valuation's names are the ``all_idents`` of its
-    fragments, kept on each fragment once built, so a fragment that was
-    queried before, or that shares its subterms with one, costs little.
+    iterates ``avoid``.  The valuation's names are the parameters and the
+    ``all_idents`` of its fragments, kept on each fragment once built, so a
+    fragment that was queried before, or that shares its subterms with one,
+    costs little; a catch-all's captured list names its keys and the names
+    of its values.  A catch-all splices the entries of its abstraction's
+    body, with the contracted arguments substituted for the parameters.
     The engine passes ``_rhs_vars``, the rule's ``sorted(free_vars(rhs))``
     computed once by ``prepare_rules``.
     """
@@ -420,12 +400,13 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = (), *,
         if taken is None:
             taken = set(avoid)
             for ab in val.meta_bind.values():
-                taken |= set(ab.params) | all_idents(ab.body)
-            for binding in val.assoc_bind.values():
-                taken |= set(binding.params)
-                for k, v in binding.entries:
-                    taken.add(k)
-                    taken |= all_idents(v)
+                taken.update(ab.params)
+                if isinstance(ab.body, AssocPiece):
+                    for e in ab.body.entries:
+                        taken.add(e.key)
+                        taken |= all_idents(e.value)
+                else:
+                    taken |= all_idents(ab.body)
             taken |= set(val.var_bind.values())
         name = fresh_var(hint, taken)
         taken.add(name)
@@ -451,13 +432,15 @@ def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
     if isinstance(t, ScopePiece):
         binders = tuple(map(fresh, t.binders))
         return ScopePiece(binders, _inst(t.body, rho | dict(zip(t.binders, binders)), val, fresh))
-    if isinstance(t, MetaApp):
+    if isinstance(t, (MetaApp, CatchAll)):
+        # A catch-all's abstraction has an ``AssocPiece`` body, which the
+        # list below splices in.
         ab = val.meta_bind.get(t.meta)
         if ab is None:
             # UnboundMetaOnRhs: a successful match binds every pattern meta-variable.
             raise EngineError(f"no binding for meta-variable {t.meta} (MissingBinding)")
         if len(ab.params) != len(t.args):
-            # SMC-Meta, SMP-Meta: both sides use the meta-form's arity.
+            # SMC-Meta, SMP-Meta, SAC-All, SAP-All: both sides use the meta-form's arity.
             raise EngineError(f"arity mismatch instantiating {t.meta}")
         args = map(_inst, t.args, repeat(rho), repeat(val), repeat(fresh))
         return substitute(ab.body, dict(zip(ab.params, args)))
@@ -471,17 +454,8 @@ def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
             # SAP-Not: absence entries stand only in patterns.
             raise EngineError("an absence entry cannot be contracted")
         else:
-            binding = val.assoc_bind.get(e.meta)
-            if binding is None:
-                # UnboundMetaOnRhs: a successful match binds every pattern catch-all.
-                raise EngineError(f"no binding for catch-all {e.meta} (MissingBinding)")
-            if len(binding.params) != len(e.args):
-                # SAC-All, SAP-All: both sides use the meta-form's arity.
-                raise EngineError(f"arity mismatch instantiating {e.meta}")
-            args = map(_inst, e.args, repeat(rho), repeat(val), repeat(fresh))
-            sub = dict(zip(binding.params, args))
-            for k, v in binding.entries:
-                merged[_key_through(sub, k)] = substitute(v, sub)
+            for c in _inst(e, rho, val, fresh).entries:
+                merged[c.key] = c.value
     return AssocPiece(tuple(MapEntry(k, v) for k, v in merged.items()))
 
 

@@ -18,7 +18,9 @@ variable occurrence, ``KEY`` for the key of a map or absence entry, and
 engine's name query, asked whenever a fresh name must avoid every name of
 a term.  Each construction and meta-application keeps its answer, so a
 query walks only the nodes that no earlier query reached: on a term that
-shares its subterms, the nodes a rewrite step built.
+shares its subterms, the nodes a rewrite step built.  ``alpha_equal``
+reads association lists as the matcher and contraction do: as maps, whose
+plain entries compare by key, a later entry overriding an earlier one.
 
 Every walk here, ``render`` included, is a plain function that takes its
 state as arguments, so no call builds a reference cycle and all it leaves
@@ -111,7 +113,10 @@ def _span_field():
 
 
 class _Node:
-    """Base of the AST node classes: ``str`` gives the canonical rendering."""
+    """Base of the AST node classes, all slotted: ``str`` gives the canonical
+    rendering, and ``_idents`` holds the names ``all_idents`` keeps."""
+
+    __slots__ = ("_idents", "__weakref__")
 
     def __str__(self) -> str:
         return render(self)
@@ -121,7 +126,7 @@ class _Node:
 # Sorts and argument forms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortCons(_Node):
     """An applied sort constructor ``s<S1, ..., Sn>``; ``s<>`` prints as ``s``."""
 
@@ -130,7 +135,7 @@ class SortCons(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortVar(_Node):
     """A sort variable, written with a lowercase name."""
 
@@ -141,7 +146,7 @@ class SortVar(_Node):
 Sort = Union[SortCons, SortVar]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScopeForm(_Node):
     """Argument form ``[S1, ..., Sn]S``; a plain argument has no binder sorts."""
 
@@ -150,7 +155,7 @@ class ScopeForm(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssocForm(_Node):
     """Argument form ``{S:S'}`` for association-list arguments."""
 
@@ -166,7 +171,7 @@ Form = Union[ScopeForm, AssocForm]
 # Terms, pieces, associations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Construction(_Node):
     """``c(P1, ..., Pn)``.  Arity against the declared forms is the checker's job."""
 
@@ -175,13 +180,13 @@ class Construction(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(_Node):
     name: Ident
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetaApp(_Node):
     """``#m(T1, ..., Tn)``; a bare ``#m`` is the zero-argument application."""
 
@@ -193,7 +198,7 @@ class MetaApp(_Node):
 Term = Union[Construction, Var, MetaApp]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScopePiece(_Node):
     """``[v1, ..., vn]T``; binders are pairwise distinct and scope over the body."""
 
@@ -202,7 +207,7 @@ class ScopePiece(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssocPiece(_Node):
     """``{A1, ..., An}``: an ordered association list."""
 
@@ -213,7 +218,7 @@ class AssocPiece(_Node):
 Piece = Union[ScopePiece, AssocPiece]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapEntry(_Node):
     """``v : T`` maps a variable key to a term."""
 
@@ -222,7 +227,7 @@ class MapEntry(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotKey(_Node):
     """``~v:`` asserts the key is absent; only meaningful in patterns."""
 
@@ -230,7 +235,7 @@ class NotKey(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatchAll(_Node):
     """``#m(...)`` inside an association list: the remainder of the map."""
 
@@ -246,7 +251,7 @@ Association = Union[MapEntry, NotKey, CatchAll]
 # Declarations and scripts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataDecl(_Node):
     sort: Sort
     name: Ident
@@ -254,7 +259,7 @@ class DataDecl(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchemeDecl(_Node):
     sort: Sort
     name: Ident
@@ -262,13 +267,13 @@ class SchemeDecl(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariableDecl(_Node):
     sort: Sort
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleDecl(_Node):
     sort: Sort
     lhs: Term
@@ -279,7 +284,7 @@ class RuleDecl(_Node):
 Declaration = Union[DataDecl, SchemeDecl, VariableDecl, RuleDecl]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Script(_Node):
     declarations: tuple[Declaration, ...] = ()
     span: Span | None = _span_field()
@@ -365,8 +370,8 @@ def _render(n: Node, tok: dict[str, str]) -> str:
 VAR, KEY, META = 1, 2, 4
 
 
-def _names(x: Term | CatchAll, roles: int, free: bool, assoc: bool, bound: frozenset[Ident],
-           out: set[Ident]) -> set[Ident]:
+def _names(x: Term | CatchAll | AssocPiece, roles: int, free: bool, assoc: bool,
+           bound: frozenset[Ident], out: set[Ident]) -> set[Ident]:
     """Add to ``out`` the names playing any of ``roles`` in ``x``; return ``out``.
 
     With ``free`` a variable or key inside the scope of a binder of the same
@@ -383,7 +388,7 @@ def _names(x: Term | CatchAll, roles: int, free: bool, assoc: bool, bound: froze
         for a in x.args:
             _names(a, roles, free, assoc, bound, out)
         return out
-    for p in x.args:
+    for p in x.args if isinstance(x, Construction) else (x,):
         if isinstance(p, ScopePiece):
             _names(p.body, roles, free, assoc, bound | set(p.binders) if free else bound, out)
         elif assoc:
@@ -397,8 +402,9 @@ def _names(x: Term | CatchAll, roles: int, free: bool, assoc: bool, bound: froze
     return out
 
 
-def free_vars(t: Term) -> set[Ident]:
-    """Variables and keys of ``t`` outside the scope of a binder of their name."""
+def free_vars(t: Term | AssocPiece) -> set[Ident]:
+    """Variables and keys of ``t``, a term or a catch-all's captured list,
+    outside the scope of a binder of their name."""
     return _names(t, VAR | KEY, True, True, frozenset(), set())
 
 
@@ -421,9 +427,9 @@ def all_idents(t: Term) -> frozenset[Ident]:
 
 
 def _idents(t: Term) -> frozenset[Ident]:
-    # The set is stored in the node's instance dict under ``_idents``, which
-    # equality, hashing, ``repr`` and rendering never read; terms are
-    # immutable, so it never goes stale.  A ``Var`` keeps nothing.  The
+    # The set is stored in the node's ``_idents`` slot, which equality,
+    # hashing, ``repr`` and rendering never read; terms are immutable, so it
+    # never goes stale.  A ``Var`` keeps nothing.  The
     # recursion stays here rather than in ``all_idents``, so one query is
     # one call of it; pieces are walked inline, so it takes one frame per
     # term level; a child's set is reused when it already holds every name.
@@ -482,11 +488,13 @@ def fresh_var(hint: Ident, avoid: Iterable[Ident]) -> Ident:
     return Ident(f"{hint}{i}")
 
 
-def alpha_equal(a: Term, b: Term) -> bool:
+def alpha_equal(a: Term | AssocPiece, b: Term | AssocPiece) -> bool:
     """Structural equality up to consistent renaming of bound variables.
 
-    Free variables and meta-variables compare by name; association lists
-    compare entry by entry in order.
+    Free variables and meta-variables compare by name.  The plain entries
+    of two association lists compare as maps: entry order does not count,
+    and a later entry overrides an earlier one with the same key.  Absence
+    entries and catch-alls compare in order.
     """
     return _alpha(a, b, {}, {})
 
@@ -520,8 +528,21 @@ def _alpha(x: Node, y: Node, ma: dict[Ident, object], mb: dict[Ident, object]) -
         return x.meta == y.meta and len(x.args) == len(y.args) and all(
             map(_alpha, x.args, y.args, repeat(ma), repeat(mb)))
     if isinstance(x, AssocPiece):
-        return len(x.entries) == len(y.entries) and all(
-            map(_alpha, x.entries, y.entries, repeat(ma), repeat(mb)))
-    if isinstance(x, MapEntry):
-        return _alpha_name(x.key, y.key, ma, mb) and _alpha(x.value, y.value, ma, mb)
+        xmap, xrest = _assoc_view(x, ma)
+        ymap, yrest = _assoc_view(y, mb)
+        return xmap.keys() == ymap.keys() and len(xrest) == len(yrest) and all(
+            map(_alpha, xmap.values(), map(ymap.get, xmap), repeat(ma), repeat(mb))) and all(
+            map(_alpha, xrest, yrest, repeat(ma), repeat(mb)))
     return isinstance(x, NotKey) and _alpha_name(x.key, y.key, ma, mb)
+
+
+def _assoc_view(p: AssocPiece, marks: dict[Ident, object]) -> tuple[dict, list]:
+    """``p``'s plain entries as a map from each key's binder mark, or its name
+    when free, to its last value; and its other entries, in order."""
+    plain, rest = {}, []
+    for e in p.entries:
+        if isinstance(e, MapEntry):
+            plain[marks.get(e.key, e.key)] = e.value
+        else:
+            rest.append(e)
+    return plain, rest

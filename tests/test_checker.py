@@ -84,6 +84,11 @@ class TestCheckScript:
         # the apply rule's contraction key z is the only other casualty
         assert {e.rule for e in result.errors} == {"SMP-Var", "SMC-Var"}
 
+    def test_rule_with_unbound_rhs_meta(self):
+        rule = "L rule Eval(#F, {#env}) -> Apply(#F, #A, {#env});"
+        result = check_script(parse_script(CBV_EVAL + rule))
+        assert [e.rule for e in result.errors] == ["UnboundMetaOnRhs"]
+
     def test_multiple_catchalls_rejected(self):
         # Matching would not determine which entries each catch-all takes;
         # a contraction may splice any number of them.
@@ -135,11 +140,6 @@ class TestCheckDeclaration:
         finally:
             gamma.fun.clear()
             gamma.fun.update(gamma_fun_backup)
-
-    def test_rule_with_unbound_rhs_meta(self, g2):
-        rule = parse_script("L rule Eval(#F, {#env}) -> Apply(#F, #A, {#env});").rules[0]
-        errors = check_declaration(g2, rule)
-        assert [e.rule for e in errors] == ["UnboundMetaOnRhs"]
 
     def test_variable_decl_needs_named_sort(self, g2):
         decl = parse_script("a variable;").declarations[0]

@@ -19,7 +19,6 @@ from plank import (
 )
 from plank.rewrite import (
     Abstraction,
-    AssocBinding,
     EngineError,
     Valuation,
     format_step,
@@ -84,34 +83,10 @@ def replay(pattern, valuation, subject):
     return contract(strip_not_keys(pattern), valuation, free_vars(subject))
 
 
-def normalize_assoc_order(term):
-    """Sort association entries by key so comparisons ignore entry order."""
-    from plank.terms import AssocPiece, CatchAll, Construction, MapEntry, ScopePiece
-
-    def go(x):
-        if not isinstance(x, Construction):
-            return x
-        return Construction(x.head, tuple(piece(p) for p in x.args))
-
-    def piece(p):
-        if isinstance(p, ScopePiece):
-            return ScopePiece(p.binders, go(p.body))
-        entries = []
-        for e in p.entries:
-            if isinstance(e, MapEntry):
-                entries.append(MapEntry(e.key, go(e.value)))
-            else:
-                entries.append(e)
-        entries.sort(key=lambda e: (type(e).__name__, getattr(e, "key", getattr(e, "meta", ""))))
-        return AssocPiece(tuple(entries))
-
-    return go(term)
-
-
-def alpha_equal_up_to_entry_order(a, b):
-    """Replay soundness holds up to association entry order: a pattern whose
-    catch-all precedes a named key cannot reproduce the subject's order."""
-    return alpha_equal(normalize_assoc_order(a), normalize_assoc_order(b))
+def captured(*entries):
+    """A catch-all's binding with no parameters: the list of ``entries``,
+    each a ``(key, term text)`` pair."""
+    return Abstraction((), AssocPiece(tuple(MapEntry(Ident(k), t(v)) for k, v in entries)))
 
 
 class TestMatchTerm:
@@ -141,7 +116,7 @@ class TestMatchTerm:
         assert val is not None
         assert val.var_bind == {"x": "a"}
         assert val.meta_bind["#V"].body == t("One()")
-        assert val.assoc_bind["#env"].entries == ((Ident("b"), t("Two()")),)
+        assert val.meta_bind["#env"] == captured(("b", "Two()"))
 
     def test_head_mismatch(self, ex1):
         beta = ex1.rules[0].lhs
@@ -188,13 +163,16 @@ class TestMatchTerm:
         # The captures are maps: entry order does not count, values do.
         ("H(G({x : A(), y : B()}), G({y : B(), x : A()}))", True),
         ("H(G({x : A(), y : B()}), G({y : A(), x : B()}))", False),
+        # A meta-variable met twice compares its two lists the same way.
+        ("K(G({x : A(), y : B()}), G({y : B(), x : A()}))", True),
+        ("K(G({x : A(), y : B()}), G({y : A(), x : B()}))", False),
     ])
     def test_nonlinear_catchall_compares_captures_as_maps(self, subject, fires):
         script = (
             "L data A(); L data B(); L data Done(); L variable; L data G({L:L});"
-            "L scheme F([L]L, [L]L); L scheme H(L, L);"
+            "L scheme F([L]L, [L]L); L scheme H(L, L); L scheme K(L, L);"
             "L rule F([a]G({#r(a)}), [b]G({#r(b)})) -> Done();"
-            "L rule H(G({#s}), G({#s})) -> Done();"
+            "L rule H(G({#s}), G({#s})) -> Done(); L rule K(#m, #m) -> Done();"
         )
         result = checked_normalize(script, subject)
         assert render(result.term) == ("Done()" if fires else subject)
@@ -210,7 +188,9 @@ class TestMatchTerm:
         for pattern, subject in cases:
             val = match_term(pattern, subject)
             assert val is not None
-            assert alpha_equal_up_to_entry_order(replay(pattern, val, subject), subject)
+            # Lists compare as maps, so a catch-all that precedes a named
+            # key need not give back the subject's entry order.
+            assert alpha_equal(replay(pattern, val, subject), subject)
 
 
 class TestMatchAssoc:
@@ -221,7 +201,7 @@ class TestMatchAssoc:
         out = match_term(t("E(x, {#env; x : #V})"), t("E(a, {a : One()})"))
         assert out is not None
         assert out.meta_bind["#V"].body == t("One()")
-        assert out.assoc_bind["#env"].entries == ()
+        assert out.meta_bind["#env"] == captured()
 
     def test_not_key_present_fails(self):
         assert match_term(t("E(x, {~x:})"), t("E(a, {a : One()})")) is None
@@ -234,7 +214,7 @@ class TestMatchAssoc:
     def test_empty_catchall(self):
         out = match_term(t("E({#env})"), t("E({})"))
         assert out is not None
-        assert out.assoc_bind["#env"].entries == ()
+        assert out.meta_bind["#env"] == captured()
 
     def test_two_catchalls_raise_for_an_unchecked_pattern(self):
         # The checker reports such a pattern (SAP-All); match_term keeps a
@@ -249,7 +229,7 @@ class TestMatchAssoc:
         out = match_term(t("E(x, {#env; x : #V})"),
                          t("E(b, {a : One(), b : Two(), c : Three()})"))
         assert out is not None
-        assert [k for k, _ in out.assoc_bind["#env"].entries] == ["a", "c"]
+        assert [e.key for e in out.meta_bind["#env"].body.entries] == ["a", "c"]
 
     @pytest.mark.parametrize("subject,fires", [
         ("F({a : A(a)}, {b : A(c)}, b)", True),
@@ -309,8 +289,8 @@ class TestContract:
             meta_bind={
                 Ident("#B"): Abstraction((Ident("p"),), t("p")),
                 Ident("#V"): Abstraction((), t("Lam([y]y)")),
+                Ident("#env"): captured(),
             },
-            assoc_bind={Ident("#env"): AssocBinding((), ())},
         )
         out = contract(rhs, val)
         assert out == t("Eval(z, {z : Lam([y]y)})")
@@ -325,8 +305,8 @@ class TestContract:
             meta_bind={
                 Ident("#B"): Abstraction((Ident("p"),), t("p")),
                 Ident("#V"): Abstraction((), t("z")),
+                Ident("#env"): captured(("z1", "One()")),
             },
-            assoc_bind={Ident("#env"): AssocBinding((), ((Ident("z1"), t("One()")),))},
         )
         out = contract(rhs, val, avoid={Ident("z")})
         # the rhs-fresh z collides with the avoid set, the valuation image,
@@ -339,22 +319,18 @@ class TestContract:
             meta_bind={
                 Ident("#B"): Abstraction((Ident("p"),), t("Ap(p, p)")),
                 Ident("#V"): Abstraction((), t("One()")),
+                Ident("#env"): captured(),
             },
-            assoc_bind={Ident("#env"): AssocBinding((), ())},
         )
         out = contract(rhs, val)
         assert out == t("Eval(Ap(z, z), {z : One()})")
 
     def test_catchall_splice_and_override(self):
         rhs = parse_term("E({#env, z : #V})")
-        val = Valuation(
-            meta_bind={Ident("#V"): Abstraction((), t("New()"))},
-            assoc_bind={
-                Ident("#env"): AssocBinding(
-                    (), ((Ident("a"), t("One()")), (Ident("b"), t("Two()")))
-                )
-            },
-        )
+        val = Valuation(meta_bind={
+            Ident("#V"): Abstraction((), t("New()")),
+            Ident("#env"): captured(("a", "One()"), ("b", "Two()")),
+        })
         out = contract(rhs, val, avoid=set())
         assert out == t("E({a : One(), b : Two(), z : New()})")
 
@@ -390,8 +366,8 @@ class TestContract:
             meta_bind={
                 Ident("#B"): Abstraction((Ident("p"),), t("p")),
                 Ident("#V"): Abstraction((), t("One()")),
+                Ident("#env"): captured(),
             },
-            assoc_bind={Ident("#env"): AssocBinding((), ())},
         )
         with pytest.raises(AssertionError, match="avoid was read"):
             contract(ex2.rules[3].rhs, val, avoid=Unreadable())

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 import plank.terms
 from plank import alpha_equal, free_vars, fresh_var, non_assoc_vars, parse_term, render
 from plank.terms import (
+    AssocPiece,
     Category,
     Construction,
     Ident,
+    MapEntry,
     ScopePiece,
     Var,
     all_idents,
@@ -100,8 +102,22 @@ class TestAlphaEqual:
         assert not alpha_equal(t("Lam([x]y)"), t("Lam([y]y)"))
 
     def test_assoc_entries_in_order(self):
-        assert alpha_equal(t("F({a : One(), b : Two()})"), t("F({a : One(), b : Two()})"))
-        assert not alpha_equal(t("F({a : One(), b : Two()})"), t("F({b : Two(), a : One()})"))
+        # Plain entries compare as maps: their order does not count, and a
+        # later entry overrides an earlier one with the same key.
+        assert alpha_equal(t("F({a : One(), b : Two()})"), t("F({b : Two(), a : One()})"))
+        assert not alpha_equal(t("F({a : One(), b : Two()})"), t("F({a : Two(), b : One()})"))
+        assert alpha_equal(t("F({a : One(), b : Two(), a : Two()})"), t("F({b : Two(), a : Two()})"))
+        assert not alpha_equal(t("F({a : One(), b : Two(), a : Two()})"),
+                               t("F({a : One(), b : Two()})"))
+        # A bound key is its binder, wherever it stands.
+        assert alpha_equal(t("F([a, b]G({a : a, b : One()}))"), t("F([c, d]G({d : One(), c : c}))"))
+        assert not alpha_equal(t("F([a, b]G({a : a, b : One()}))"),
+                               t("F([c, d]G({c : One(), d : d}))"))
+        # Absence entries and catch-alls compare in order, apart from the
+        # plain entries.
+        assert alpha_equal(t("F({~a:, #e, b : One()})"), t("F({b : One(), ~a:, #e})"))
+        assert not alpha_equal(t("F({~a:, ~b:})"), t("F({~b:, ~a:})"))
+        assert not alpha_equal(t("F({~a:, #e})"), t("F({#e, ~a:})"))
 
     def test_not_key_and_catchall(self):
         assert alpha_equal(t("F({~a:, #env})"), t("F({~a:, #env})"))
@@ -177,12 +193,20 @@ def _terms(depth=3):
     )
 
     def extend(children):
+        # List keys come from _VARS, so an enclosing scope may bind them.
+        entries = st.lists(
+            st.tuples(st.sampled_from(_VARS), children).map(
+                lambda p: MapEntry(Ident(p[0]), p[1])
+            ),
+            max_size=3,
+        )
         pieces = st.lists(
             st.one_of(
                 children.map(lambda b: ScopePiece((), b)),
                 st.tuples(st.sampled_from(_VARS), children).map(
                     lambda p: ScopePiece((Ident(p[0]),), p[1])
                 ),
+                entries.map(lambda es: AssocPiece(tuple(es))),
             ),
             min_size=0,
             max_size=3,
@@ -195,7 +219,8 @@ def _terms(depth=3):
 
 
 def _rename_apart(term, salt):
-    """A distinct alpha-variant: rename every binder consistently."""
+    """A distinct alpha-variant: rename every binder, and the variables and
+    keys it binds, consistently."""
 
     def go(x, env):
         if isinstance(x, Var):
@@ -213,9 +238,30 @@ def _rename_apart(term, salt):
                 env2[b] = nb
                 fresh.append(nb)
             return ScopePiece(tuple(fresh), go(p.body, env2))
-        return p
+        return AssocPiece(tuple(MapEntry(env.get(e.key, e.key), go(e.value, env))
+                                for e in p.entries))
 
     return go(term, {})
+
+
+def _permute_entries(term, rnd):
+    """``term`` with the entries of every list whose keys are distinct
+    shuffled by ``rnd``; a list with a repeated key is left as it is."""
+
+    def go(x):
+        if isinstance(x, Construction):
+            return Construction(x.head, tuple(piece(p) for p in x.args))
+        return x
+
+    def piece(p):
+        if isinstance(p, ScopePiece):
+            return ScopePiece(p.binders, go(p.body))
+        entries = [MapEntry(e.key, go(e.value)) for e in p.entries]
+        if len({e.key for e in entries}) == len(entries):
+            rnd.shuffle(entries)
+        return AssocPiece(tuple(entries))
+
+    return go(term)
 
 
 @given(_terms())
@@ -233,6 +279,14 @@ def test_alpha_equal_on_renamed_variants(term):
     assert alpha_equal(term, a) and alpha_equal(a, term)
     assert alpha_equal(a, b)
     assert alpha_equal(term, b)
+
+
+@given(_terms(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_alpha_equal_ignores_the_order_of_distinct_keys(term, rnd):
+    permuted = _permute_entries(term, rnd)
+    assert alpha_equal(term, permuted) and alpha_equal(permuted, term)
+    assert alpha_equal(_rename_apart(term, "_a"), permuted)
 
 
 @given(_terms())
