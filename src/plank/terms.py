@@ -19,8 +19,9 @@ engine's name query, asked whenever a fresh name must avoid every name of
 a term.  Each construction and meta-application keeps its answer, so a
 query walks only the nodes that no earlier query reached: on a term that
 shares its subterms, the nodes a rewrite step built.  ``alpha_equal``
-reads association lists as the matcher and contraction do: as maps, whose
-plain entries compare by key, a later entry overriding an earlier one.
+reads association lists as the matcher and contraction do: each run of
+plain entries between absence entries and catch-alls is a map, in which a
+later entry overrides an earlier one with the same key.
 
 Every walk here, ``render`` included, is a plain function that takes its
 state as arguments, so no call builds a reference cycle and all it leaves
@@ -113,10 +114,9 @@ def _span_field():
 
 
 class _Node:
-    """Base of the AST node classes, all slotted: ``str`` gives the canonical
-    rendering, and ``_idents`` holds the names ``all_idents`` keeps."""
+    """Base of the AST node classes, all slotted; ``str`` renders a node."""
 
-    __slots__ = ("_idents", "__weakref__")
+    __slots__ = ("__weakref__",)
 
     def __str__(self) -> str:
         return render(self)
@@ -178,6 +178,7 @@ class Construction(_Node):
     head: Ident
     args: tuple["Piece", ...] = ()
     span: Span | None = _span_field()
+    _idents: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,6 +194,7 @@ class MetaApp(_Node):
     meta: Ident
     args: tuple["Term", ...] = ()
     span: Span | None = _span_field()
+    _idents: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
 
 Term = Union[Construction, Var, MetaApp]
@@ -427,15 +429,16 @@ def all_idents(t: Term) -> frozenset[Ident]:
 
 
 def _idents(t: Term) -> frozenset[Ident]:
-    # The set is stored in the node's ``_idents`` slot, which equality,
-    # hashing, ``repr`` and rendering never read; terms are immutable, so it
-    # never goes stale.  A ``Var`` keeps nothing.  The
-    # recursion stays here rather than in ``all_idents``, so one query is
-    # one call of it; pieces are walked inline, so it takes one frame per
-    # term level; a child's set is reused when it already holds every name.
+    # The set lives in the term's ``_idents`` field, which equality, hashing,
+    # ``repr`` and rendering never read; terms are immutable, so it never
+    # goes stale.  ``__init__`` sets it to None, as an unset slot would raise
+    # and clear an AttributeError on every first query.  A ``Var`` keeps
+    # nothing.  The recursion stays here rather than in ``all_idents``, so one
+    # query is one call of it; pieces are walked inline, so it takes one frame
+    # per term level; a child's set is reused when it already holds every name.
     if isinstance(t, Var):
         return frozenset((t.name,))
-    names = getattr(t, "_idents", None)
+    names = t._idents
     if names is not None:
         return names
     loose: list[Ident] = []
@@ -491,10 +494,12 @@ def fresh_var(hint: Ident, avoid: Iterable[Ident]) -> Ident:
 def alpha_equal(a: Term | AssocPiece, b: Term | AssocPiece) -> bool:
     """Structural equality up to consistent renaming of bound variables.
 
-    Free variables and meta-variables compare by name.  The plain entries
-    of two association lists compare as maps: entry order does not count,
-    and a later entry overrides an earlier one with the same key.  Absence
-    entries and catch-alls compare in order.
+    Free variables and meta-variables compare by name.  Absence entries and
+    catch-alls compare in order; each run of plain entries around them is a
+    map, a later entry overriding an earlier one, as the matcher reads a
+    subject list and contraction merges a right side's.  A pattern naming a
+    key twice needs both entries to match, so there ``alpha_equal`` is
+    coarser than matching; the engine compares only subject fragments.
     """
     return _alpha(a, b, {}, {})
 
@@ -508,7 +513,8 @@ def _alpha_name(x: Ident, y: Ident, ma: dict[Ident, object], mb: dict[Ident, obj
     return ax is ay
 
 
-def _alpha(x: Node, y: Node, ma: dict[Ident, object], mb: dict[Ident, object]) -> bool:
+def _alpha(x: Node | dict, y: Node | dict, ma: dict[Ident, object],
+           mb: dict[Ident, object]) -> bool:
     if type(x) is not type(y):
         return False
     if isinstance(x, Var):
@@ -528,21 +534,21 @@ def _alpha(x: Node, y: Node, ma: dict[Ident, object], mb: dict[Ident, object]) -
         return x.meta == y.meta and len(x.args) == len(y.args) and all(
             map(_alpha, x.args, y.args, repeat(ma), repeat(mb)))
     if isinstance(x, AssocPiece):
-        xmap, xrest = _assoc_view(x, ma)
-        ymap, yrest = _assoc_view(y, mb)
-        return xmap.keys() == ymap.keys() and len(xrest) == len(yrest) and all(
-            map(_alpha, xmap.values(), map(ymap.get, xmap), repeat(ma), repeat(mb))) and all(
-            map(_alpha, xrest, yrest, repeat(ma), repeat(mb)))
+        xs, ys = _assoc_view(x, ma), _assoc_view(y, mb)
+        return len(xs) == len(ys) and all(map(_alpha, xs, ys, repeat(ma), repeat(mb)))
+    if isinstance(x, dict):  # a run of plain entries, from ``_assoc_view``
+        return x.keys() == y.keys() and all(
+            map(_alpha, x.values(), map(y.get, x), repeat(ma), repeat(mb)))
     return isinstance(x, NotKey) and _alpha_name(x.key, y.key, ma, mb)
 
 
-def _assoc_view(p: AssocPiece, marks: dict[Ident, object]) -> tuple[dict, list]:
-    """``p``'s plain entries as a map from each key's binder mark, or its name
-    when free, to its last value; and its other entries, in order."""
-    plain, rest = {}, []
+def _assoc_view(p: AssocPiece, marks: dict[Ident, object]) -> list:
+    """``p``'s absence entries and catch-alls in order, between maps of the runs
+    of plain entries from key (its binder mark when bound) to last value."""
+    view: list = [{}]
     for e in p.entries:
         if isinstance(e, MapEntry):
-            plain[marks.get(e.key, e.key)] = e.value
+            view[-1][marks.get(e.key, e.key)] = e.value
         else:
-            rest.append(e)
-    return plain, rest
+            view += (e, {})
+    return view

@@ -9,7 +9,6 @@ from plank import (
     ParseFailure,
     RuleDecl,
     SchemeDecl,
-    alpha_equal,
     parse_script,
     parse_term,
     render,
@@ -35,20 +34,6 @@ from plank.terms import (
     VariableDecl,
 )
 from conftest import BETA_ETA, CBV_EVAL
-
-
-def script_alpha_equal(a, b):
-    if len(a.declarations) != len(b.declarations):
-        return False
-    for x, y in zip(a.declarations, b.declarations):
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, RuleDecl):
-            if x.sort != y.sort or not alpha_equal(x.lhs, y.lhs) or not alpha_equal(x.rhs, y.rhs):
-                return False
-        elif x != y:
-            return False
-    return True
 
 
 class TestParseScript:
@@ -77,7 +62,7 @@ class TestParseScript:
     def test_rendering_reparses(self, ex1, ex2):
         for script in (ex1, ex2):
             again = parse_script(render(script))
-            assert script_alpha_equal(script, again)
+            assert again == script
 
     def test_recovery_collects_all_errors(self):
         bad = "L scheme F(;\nL data (L);\nL scheme G(L);"
@@ -173,7 +158,7 @@ class TestRender:
     def test_unicode_round_trip(self, ex1):
         uni = render(ex1, unicode=True)
         assert "→" in uni
-        assert script_alpha_equal(parse_script(uni), ex1)
+        assert parse_script(uni) == ex1
 
     def test_sort_args_ascii_and_unicode(self):
         decl = parse_script("Box<a> data B(a);").declarations[0]
@@ -448,6 +433,6 @@ def test_random_round_trip_sample():
     for _ in range(200):
         term = random_term(rng, 3)
         again = parse_term(render(term))
-        assert alpha_equal(term, again), render(term)
+        assert again == term, render(term)
         uni = parse_term(render(term, unicode=True))
-        assert alpha_equal(term, uni), render(term, unicode=True)
+        assert uni == term, render(term, unicode=True)

@@ -113,9 +113,15 @@ class TestAlphaEqual:
         assert alpha_equal(t("F([a, b]G({a : a, b : One()}))"), t("F([c, d]G({d : One(), c : c}))"))
         assert not alpha_equal(t("F([a, b]G({a : a, b : One()}))"),
                                t("F([c, d]G({c : One(), d : d}))"))
-        # Absence entries and catch-alls compare in order, apart from the
-        # plain entries.
-        assert alpha_equal(t("F({~a:, #e, b : One()})"), t("F({b : One(), ~a:, #e})"))
+        # Absence entries and catch-alls compare in order, and a plain entry
+        # stays on its side of each: on a right side a catch-all's entries
+        # override the plain entries before it and yield to those after it.
+        assert alpha_equal(t("F({a : One(), b : Two(), #e, c : One(), d : Two()})"),
+                           t("F({b : Two(), a : One(), #e, d : Two(), c : One()})"))
+        assert alpha_equal(t("F({~a:, b : One(), c : Two()})"), t("F({~a:, c : Two(), b : One()})"))
+        assert not alpha_equal(t("F({~a:, #e, b : One()})"), t("F({b : One(), ~a:, #e})"))
+        assert not alpha_equal(t("F({#e, b : One()})"), t("F({b : One(), #e})"))
+        assert not alpha_equal(t("F({b : One(), #e, b : Two()})"), t("F({#e, b : Two()})"))
         assert not alpha_equal(t("F({~a:, ~b:})"), t("F({~b:, ~a:})"))
         assert not alpha_equal(t("F({~a:, #e})"), t("F({#e, ~a:})"))
 
