@@ -16,10 +16,29 @@ entries are spliced into the list it stands in.
 Substitution (``_subst``) and contraction (``_inst``) are each one function
 that dispatches once on a node's class, and a node's children go through
 ``map``, so a node costs one Python frame.
+
+Normalization is leftmost-outermost, one step at a time, and each search
+after the first resumes at the last redex p instead of at the root.  The
+nodes left of p are the objects the last search found to hold no redex,
+so they are skipped.  An ancestor at distance d above p is retried only
+with the rules whose pattern reaches d levels down (a scope body and an
+association value each one level): below its reach a pattern has only
+meta-variables and catch-alls used once and applied to every binder in
+scope, which match any fragment.  Two kinds of rule see a whole fragment
+and are retried at every ancestor with their head: one whose
+meta-variable or catch-all stands under a pattern binder it does not
+take, as η's ``#M()`` does, and one that uses a meta-variable or
+catch-all twice.  The search then goes on through p's new subtree and the
+right siblings along the path, deepest first: the rest of pre-order.
+This is the classic bound on redex creation in left-linear systems (Huet
+and Lévy 1991; Terese 2003, ch. 4), with the binder and non-linear
+exceptions above.  The redex and rule chosen are those of a search from
+the root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -477,13 +496,16 @@ def _key_through(sub: Mapping[Ident, Term], k: Ident) -> Ident:
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """A rule ready for the engine, paired with its inferred environment
-    and the sorted free variables of its right side."""
+    """A rule ready for the engine, paired with its inferred environment,
+    the sorted free variables of its right side, and the reach of its
+    pattern: how many levels below a node the pattern looks, ``math.inf``
+    when it sees a whole fragment (see ``_reach``)."""
 
     decl: RuleDecl
     env: RuleEnv
     index: int
     rhs_vars: tuple[Ident, ...]
+    reach: float
 
 
 @dataclass(frozen=True)
@@ -512,8 +534,8 @@ class NormalizeResult:
 
 def prepare_rules(gamma: GlobalEnv, rules: Sequence[RuleDecl],
                   envs: Sequence[RuleEnv] | None = None) -> list[RewriteRule]:
-    """Pair checked rules with environments and their right sides' free
-    variables.
+    """Pair checked rules with environments, their right sides' free
+    variables and their patterns' reach.
 
     The rules must pass ``check_script``.  The engine relies on the checker
     for every formation condition; it tests only that a pattern is a
@@ -525,8 +547,40 @@ def prepare_rules(gamma: GlobalEnv, rules: Sequence[RuleDecl],
             # SMP-Fun: a pattern is a scheme construction.
             raise EngineError(f"rule {i} pattern is not a construction")
         env = envs[i] if envs is not None else infer_rule_env(gamma, decl)[0]
-        out.append(RewriteRule(decl, env, i, tuple(sorted(free_vars(decl.rhs)))))
+        out.append(RewriteRule(decl, env, i, tuple(sorted(free_vars(decl.rhs))),
+                               _reach(decl.lhs, 0, (), set())))
     return out
+
+
+def _reach(p: Term | CatchAll, depth: int, scope: tuple[Ident, ...], seen: set[Ident]
+           ) -> float:
+    """The depth of the deepest construction or variable of pattern ``p``,
+    which stands ``depth`` levels below the root under the binders ``scope``,
+    or ``math.inf`` if ``p`` holds a meta-variable or catch-all that can
+    reject a fragment: one used twice (``seen`` holds those met so far), or
+    one that stands under a binder it does not take, shadowed ones included.
+    A scope body and an association value are each one level down.
+    """
+    if isinstance(p, Var):
+        return depth
+    if isinstance(p, (MetaApp, CatchAll)):
+        # Pattern arguments are bound variables (SMP-Meta, SAP-All).
+        taken = {a.name for a in p.args}
+        if p.meta in seen or len(set(scope)) < len(scope) or not taken.issuperset(scope):
+            return math.inf
+        seen.add(p.meta)
+        return 0
+    reach = depth
+    for piece in p.args:
+        if isinstance(piece, ScopePiece):
+            reach = max(reach, _reach(piece.body, depth + 1, scope + piece.binders, seen))
+            continue
+        for e in piece.entries:
+            if isinstance(e, MapEntry):
+                reach = max(reach, _reach(e.value, depth + 1, scope, seen))
+            elif isinstance(e, CatchAll):
+                reach = max(reach, _reach(e, depth + 1, scope, seen))
+    return reach
 
 
 def _term_names(t: Term) -> Iterator[Ident]:
@@ -534,7 +588,8 @@ def _term_names(t: Term) -> Iterator[Ident]:
     yield from all_idents(t)
 
 
-def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term
+def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term, *,
+                 after: tuple[int, ...] | None = None
                  ) -> tuple[Term, RewriteStep] | None:
     """Contract the leftmost-outermost matching redex, or return None.
 
@@ -547,40 +602,100 @@ def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term
     object keeps its names once built, and a step rebuilds only the path
     from the root to the redex, so that query walks the nodes built since
     the last one, not the whole tree.
+
+    Without ``after`` the search starts at the root.  With ``after``, ``t``
+    must be what this function returned for the step at position ``after``,
+    and the search resumes there, as the module docstring describes: it
+    walks down that path once and rebuilds it from the ancestors walked.
     """
     by_head: dict[Ident, list[RewriteRule]] = {}
     for rule in rules:
         if rule.decl.lhs.head in gamma.fun:
             by_head.setdefault(rule.decl.lhs.head, []).append(rule)
-    return _visit(t, (), by_head, _term_names(t))
+    names = _term_names(t)
+    if not after:  # from the root, or resumed at it
+        return _visit(t, (), by_head, names)
+    # Per ancestor, root first: the node, the argument and entry index the
+    # path takes (entry 0 for a scope argument), and the node's position
+    # length.
+    chain: list[tuple[Construction, int, int, int]] = []
+    sub, k = t, 0
+    while k < len(after):
+        i, p = after[k], sub.args[after[k]]
+        if isinstance(p, ScopePiece):
+            chain.append((sub, i, 0, k))
+            sub, k = p.body, k + 1
+        else:
+            chain.append((sub, i, after[k + 1], k))
+            sub, k = p.entries[after[k + 1]].value, k + 2
+    for n, (a, _, _, k) in enumerate(chain):
+        d = len(chain) - n
+        for rule in by_head.get(a.head, ()):
+            if rule.reach >= d:
+                val = match_term(rule.decl.lhs, a)
+                if val is not None:
+                    new = contract(rule.decl.rhs, val, names, _rhs_vars=rule.rhs_vars)
+                    return _rebuild(chain, n, new), RewriteStep(after[:k], rule.index)
+    n = len(chain)
+    hit = _visit(sub, after, by_head, names)
+    while hit is None and n:
+        n -= 1
+        a, i, j, k = chain[n]
+        if isinstance(a.args[i], ScopePiece):
+            hit = _visit(a, after[:k], by_head, names, i + 1, 0)
+        else:
+            hit = _visit(a, after[:k], by_head, names, i, j + 1)
+    if hit is None:
+        return None
+    return _rebuild(chain, n, hit[0]), hit[1]
 
 
 def _visit(sub: Term, path: tuple[int, ...], by_head: dict[Ident, list[RewriteRule]],
-           names: Iterable[Ident]) -> tuple[Term, RewriteStep] | None:
+           names: Iterable[Ident], i0: int = 0, j0: int = 0
+           ) -> tuple[Term, RewriteStep] | None:
+    # With (i0, j0) past (0, 0) the search resumes after one of ``sub``'s
+    # pieces: ``sub``'s own rules are not tried, and the search starts at
+    # argument i0, at entry j0 of it if it is an association list.
     if not isinstance(sub, Construction):
         return None
-    for rule in by_head.get(sub.head, ()):
-        val = match_term(rule.decl.lhs, sub)
-        if val is not None:
-            new = contract(rule.decl.rhs, val, names, _rhs_vars=rule.rhs_vars)
-            return new, RewriteStep(path, rule.index)
-    for i, p in enumerate(sub.args):
+    if not (i0 or j0):
+        for rule in by_head.get(sub.head, ()):
+            val = match_term(rule.decl.lhs, sub)
+            if val is not None:
+                new = contract(rule.decl.rhs, val, names, _rhs_vars=rule.rhs_vars)
+                return new, RewriteStep(path, rule.index)
+    for i, p in enumerate(sub.args[i0:], i0):
         if isinstance(p, ScopePiece):
             hit = _visit(p.body, path + (i,), by_head, names)
             if hit is not None:
-                new_piece = ScopePiece(p.binders, hit[0])
-                args = sub.args[:i] + (new_piece,) + sub.args[i + 1:]
-                return Construction(sub.head, args), hit[1]
-        else:
-            for j, e in enumerate(p.entries):
-                if isinstance(e, MapEntry):
-                    hit = _visit(e.value, path + (i, j), by_head, names)
-                    if hit is not None:
-                        entry = MapEntry(e.key, hit[0])
-                        entries = p.entries[:j] + (entry,) + p.entries[j + 1:]
-                        args = sub.args[:i] + (AssocPiece(entries),) + sub.args[i + 1:]
-                        return Construction(sub.head, args), hit[1]
+                return _replace(sub, i, 0, hit[0]), hit[1]
+            continue
+        for j, e in enumerate(p.entries[j0:], j0):
+            if isinstance(e, MapEntry):
+                hit = _visit(e.value, path + (i, j), by_head, names)
+                if hit is not None:
+                    return _replace(sub, i, j, hit[0]), hit[1]
+        j0 = 0
     return None
+
+
+def _replace(sub: Construction, i: int, j: int, new: Term) -> Construction:
+    """``sub`` with ``new`` for the body of argument ``i``, or for the value
+    of its entry ``j`` when that argument is an association list."""
+    p = sub.args[i]
+    if isinstance(p, ScopePiece):
+        p = ScopePiece(p.binders, new)
+    else:
+        p = AssocPiece(p.entries[:j] + (MapEntry(p.entries[j].key, new),) + p.entries[j + 1:])
+    return Construction(sub.head, sub.args[:i] + (p,) + sub.args[i + 1:])
+
+
+def _rebuild(chain: list[tuple[Construction, int, int, int]], n: int, new: Term) -> Term:
+    """The root, rebuilt from ``new`` in place of ``chain[n]``'s ancestor
+    (the subject at the path's end when ``n`` is the chain's length)."""
+    for a, i, j, _ in reversed(chain[:n]):
+        new = _replace(a, i, j, new)
+    return new
 
 
 def normalize(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term,
@@ -589,22 +704,27 @@ def normalize(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term,
               ) -> NormalizeResult:
     """Rewrite until no rule matches anywhere, or until fuel runs out.
 
-    Scheme-headed subterms with no matching rule stay in place; they are
-    simply part of the normal form.
+    Each step is one ``rewrite_step``; every search after the first resumes
+    at the previous step's position, with ``after``, and chooses the redex
+    and rule that a search from the root would.  Scheme-headed subterms
+    with no matching rule stay in place; they are simply part of the
+    normal form.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     steps: list[RewriteStep] = []
     current = t
+    after = None
     for _ in range(fuel):
-        hit = rewrite_step(gamma, rules, current)
+        hit = rewrite_step(gamma, rules, current, after=after)
         if hit is None:
             return NormalizeResult(current, steps, NormalStatus.NORMAL_FORM)
         current, step = hit
+        after = step.position
         steps.append(step)
         if on_step is not None:
             on_step(current, step)
-    if rewrite_step(gamma, rules, current) is None:
+    if rewrite_step(gamma, rules, current, after=after) is None:
         return NormalizeResult(current, steps, NormalStatus.NORMAL_FORM)
     return NormalizeResult(current, steps, NormalStatus.FUEL_EXHAUSTED)
 

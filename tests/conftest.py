@@ -30,6 +30,40 @@ L rule Apply(Lam([x]#B(x)), #V, {#env})
   → Eval(#B(z), {#env, z : #V});
 """
 
+# Rules that the search resumed after a step must retry at an ancestor
+# beyond one level above it: a non-linear meta-variable, a pattern that
+# reaches two levels down, and a catch-all under a binder it does not take.
+
+NONLINEAR = """\
+L data A(L);
+L data B();
+L scheme K(L, L);
+L scheme I(L);
+L rule K(#m, #m) -> B();
+L rule I(#x) -> #x;
+"""
+
+REACH_TWO = """\
+L data G(L);
+L data H(L);
+L data B();
+L scheme F(L);
+L scheme I(L);
+L rule F(G(H(#x))) -> #x;
+L rule I(#x) -> #x;
+"""
+
+UNTAKEN = """\
+L variable;
+L data A(L);
+L data B();
+L data Env({L:L});
+L scheme Drop([L]L);
+L scheme I(L);
+L rule Drop([x]Env({#e})) -> Env({#e});
+L rule I(#x) -> B();
+"""
+
 
 @pytest.fixture(scope="session")
 def ex1():

@@ -5,6 +5,14 @@
 * Rendered normal forms, (position, rule) sequences and ``--trace`` text
   on fixed inputs are byte-identical to the recorded ones, including every
   fresh name, and every intermediate term passes ``check_ground_subject``.
+* ``normalize`` resumes each search at the last redex: it skips the nodes
+  left of it, and retries an ancestor at distance d only with the rules
+  whose pattern reaches d levels down, or that see a whole fragment (a
+  meta-variable or catch-all under a binder it does not take, or used
+  twice).  Its (position, rule) sequences, results and statuses equal
+  those of a loop of searches from the root, on the benchmark inputs and
+  on hand-built cases of each exception.  Church mult 12 12 takes at most
+  300 match attempts, and mult 4, 6 and 8 together at most 320.
 * The names ``all_idents`` keeps on each term object agree with a plain
   walk of the tree on every intermediate term.
 * ``check_script`` infers each rule environment once, and the lexer
@@ -14,7 +22,8 @@
   checking, normalizing and rendering leave no reference cycle at all, no
   nested function in the package recurses, and no walk recurses through a
   comprehension.  ``alpha_equal`` and ``substitute`` reach 275 and 400
-  nested scopes under the default recursion limit.
+  nested scopes under the default recursion limit, and ``normalize`` a
+  redex under 450 levels of ``Lam([x]Ap(z, .))``.
 * The ``--trace`` text of a run whose fresh names collide with the
   subject's names is byte-identical to the recorded one.
 * Full diagnostics of ill-sorted rules whose binders are all distinct from
@@ -59,6 +68,7 @@ from plank import (
     parse_term,
     prepare_rules,
     render,
+    rewrite_step,
     substitute,
 )
 from plank.env import ConSig, MetaForm, infer_rule_env
@@ -76,7 +86,7 @@ from plank.terms import (
     free_vars,
 )
 
-from conftest import BETA_ETA, CBV_EVAL
+from conftest import BETA_ETA, CBV_EVAL, NONLINEAR, REACH_TWO, UNTAKEN
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -267,6 +277,68 @@ def test_engine_outputs_are_pinned(label, source, term, fuel, status, count, ren
     assert _pin("".join(records)) == trace
 
 
+
+# ---------------------------------------------------------------------------
+# Resumed search
+
+
+def _restart_normalize(gamma, rules, term, fuel):
+    """``normalize`` with every step searched from the root: the reference
+    for the search that resumes at the last redex."""
+    steps = []
+    for _ in range(fuel):
+        hit = rewrite_step(gamma, rules, term)
+        if hit is None:
+            return term, steps, "NormalForm"
+        term, step = hit
+        steps.append((step.position, step.rule_index))
+    return term, steps, "NormalForm" if rewrite_step(gamma, rules, term) is None else "FuelExhausted"
+
+
+# Each hand-built case makes a redex at an ancestor farther above the last
+# step than the rule's reach: η at a Lam three levels up once a step drops
+# the binder's last free occurrence, K(#m, #m) once a step three levels
+# down makes its arguments equal, a pattern of reach 2 at the grandparent,
+# and a catch-all that does not take x once a step four levels down drops x.
+# The last two find a redex right of the last one's path: in the next
+# argument, in the next entry of the same association list, and at the
+# first entry of the next list.
+RESUMED = [(f"mult-{n}", BETA_ETA, _mult(n), 10000, None) for n in range(2, 9)] + [
+    ("chain-80", CBV_EVAL, _identity_chain(80), 10000, None),
+    ("let-10", CBV_EVAL, _let_chain(10), 10000, None),
+    ("omega-40", CBV_EVAL, _OMEGA, 40, None),
+    ("eta-three-up", BETA_ETA, "Lam([x]Ap(Ap(z, Ap(Lam([u]z), x)), x))", 10000,
+     [((0, 0, 1), 0), ((), 1)]),
+    ("nonlinear-meta", NONLINEAR, "K(A(A(I(B()))), A(A(B())))", 10000,
+     [((0, 0, 0), 1), ((), 0)]),
+    ("reach-two", REACH_TWO, "F(G(I(H(B()))))", 10000, [((0, 0), 1), ((), 0)]),
+    ("untaken-catch-all", UNTAKEN, "Drop([x]Env({v : A(A(I(x)))}))", 10000,
+     [((0, 0, 0, 0, 0), 1), ((), 0)]),
+    ("next-argument", BETA_ETA, "Ap(Ap(Lam([x]x), z), Ap(Lam([y]y), w))", 10000,
+     [((0,), 0), ((1,), 0)]),
+    ("next-entry", UNTAKEN + "L data Two({L:L}, {L:L});",
+     "Two({a : I(B()), b : A(I(B()))}, {c : I(B())})", 10000,
+     [((0, 0), 1), ((0, 1, 0), 1), ((1, 0), 1)]),
+]
+
+
+@pytest.mark.parametrize("label,source,term,fuel,expected", RESUMED,
+                         ids=[r[0] for r in RESUMED])
+def test_resumed_search_chooses_the_redexes_of_a_search_from_the_root(label, source, term,
+                                                                      fuel, expected):
+    script = parse_script(source)
+    checked = check_script(script)
+    assert checked.ok, [e.format() for e in checked.errors]
+    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+    result = normalize(checked.gamma, rules, parse_term(term), fuel=fuel)
+    reference, steps, status = _restart_normalize(checked.gamma, rules, parse_term(term), fuel)
+    assert [(s.position, s.rule_index) for s in result.steps] == steps
+    assert render(result.term) == render(reference)
+    assert result.status.value == status
+    if expected is not None:
+        assert steps == expected
+
+
 def _tree_idents(t):
     """Every variable name of ``t`` by a plain walk of its tree: the
     reference for ``all_idents``."""
@@ -415,6 +487,30 @@ def test_right_side_free_variables_are_computed_once_per_rule(monkeypatch):
     result = normalize(checked.gamma, rules, parse_term(_identity_chain(10)))
     assert render(result.term) == "Lam([x]x)"
     assert "contract" not in callers
+
+
+@pytest.mark.parametrize("sizes, most", [((12,), 300), ((4, 6, 8), 320)],
+                         ids=["mult-12", "mult-4-6-8"])
+def test_resumed_search_skips_attempts_that_cannot_match(monkeypatch, sizes, most):
+    # Searching from the root on every step, Church mult 12 12 took 1,819
+    # match attempts and mult 4, 6 and 8 together 939; retrying at the
+    # ancestors of the last redex only the rules that can see it leaves
+    # 246 and 278.
+    attempts = []
+    original = plank.rewrite.match_term
+
+    def counting(pattern, subject):
+        attempts.append(subject)
+        return original(pattern, subject)
+
+    monkeypatch.setattr(plank.rewrite, "match_term", counting)
+    script = parse_script(BETA_ETA)
+    checked = check_script(script)
+    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+    for n in sizes:
+        result = normalize(checked.gamma, rules, parse_term(_mult(n)))
+        assert render(result.term) == f"Lam([g]Lam([x]{_ap_g(n * n)}))"
+    assert len(attempts) <= most
 
 
 @pytest.mark.parametrize("source,term,steps", [
@@ -901,12 +997,36 @@ def _nested_scopes(depth):
     return t
 
 
-@pytest.mark.parametrize("depth, walk", [
-    (275, lambda t: alpha_equal(t, t)),
-    (400, lambda t: substitute(t, {Ident("y"): Var(Ident("z"))})),
-], ids=["alpha_equal", "substitute"])
-def test_walks_reach_deep_scopes_under_the_default_recursion_limit(depth, walk):
+def _redex_under_scopes(depth):
+    """``Ap(Lam([y]y), w)`` under ``depth`` levels of ``Lam([x]Ap(z, .))``."""
+    lam, ap = Ident("Lam"), Ident("Ap")
+    t = Construction(ap, (ScopePiece((), Construction(lam, (ScopePiece((Ident("y"),),
+                                                                       Var(Ident("y"))),))),
+                          ScopePiece((), Var(Ident("w")))))
+    for _ in range(depth):
+        body = Construction(ap, (ScopePiece((), Var(Ident("z"))), ScopePiece((), t)))
+        t = Construction(lam, (ScopePiece((Ident("x"),), body),))
+    return t
+
+
+def _normalizes_in_one_step(t):
+    script = parse_script(BETA_ETA)
+    checked = check_script(script)
+    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+    result = normalize(checked.gamma, rules, t)
+    return result.status.value == "NormalForm" and len(result.steps) == 1
+
+
+@pytest.mark.parametrize("depth, build, walk", [
+    (275, _nested_scopes, lambda t: alpha_equal(t, t)),
+    (400, _nested_scopes, lambda t: substitute(t, {Ident("y"): Var(Ident("z"))})),
+    (450, _redex_under_scopes, _normalizes_in_one_step),
+], ids=["alpha_equal", "substitute", "normalize"])
+def test_walks_reach_deep_scopes_under_the_default_recursion_limit(depth, build, walk):
     # Built directly, so no other walk limits the depth.  Each walk spends
     # one frame per node; a comprehension between a node and its children
-    # would spend a second one and fall short of these depths.
-    assert walk(_nested_scopes(depth))
+    # would spend a second one and fall short of these depths.  The search
+    # from the root spends one frame per construction, two per level here;
+    # the resumed search walks down to the last redex and rebuilds the path
+    # in a loop, so it reaches no less deep.
+    assert walk(build(depth))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from plank import (
@@ -24,6 +26,8 @@ from plank.rewrite import (
     format_step,
 )
 from plank.terms import AssocPiece, Ident, MapEntry, MetaApp, NotKey, Var, free_vars
+
+from conftest import BETA_ETA, CBV_EVAL, NONLINEAR, REACH_TWO, UNTAKEN
 
 
 def t(text):
@@ -496,6 +500,28 @@ class TestPrepareRules:
         assert result.ok, [e.format() for e in result.errors]
         rules = prepare_rules(result.gamma, script.rules, result.rule_envs)
         assert len(rules) == 1
+
+    @pytest.mark.parametrize("source,reaches", [
+        (BETA_ETA, [1, math.inf]),
+        (CBV_EVAL, [1, 1, 1, 1]),
+        (NONLINEAR, [math.inf, 0]),
+        (REACH_TWO, [2, 0]),
+        (UNTAKEN, [math.inf, 0]),
+        (SIGNATURE + BRANCH_RULES, [math.inf, 1, 2]),
+        (SIGNATURE + "L scheme S([L]L); L rule S([x]Lam([x]#M(x))) -> Done();", [math.inf]),
+        (SIGNATURE + "L scheme S([L]L); L rule S([x]Lam([y]#M(y, x))) -> Done();", [1]),
+    ], ids=["beta-eta", "cbv", "nonlinear-meta", "reach-two", "untaken-catch-all",
+            "branch-rules", "shadowed-binder", "every-binder-taken"])
+    def test_pattern_reach(self, source, reaches):
+        # How far below a node each pattern looks: η's #M() does not take x,
+        # K(#m, #m) and F({#e}, {#e}) use a meta-variable twice, and under
+        # S([x]Lam([x]...)) no meta-variable can take the outer x.  A variable
+        # met twice, as in G(x, x), compares names only.
+        script = parse_script(source)
+        result = check_script(script)
+        assert result.ok, [e.format() for e in result.errors]
+        rules = prepare_rules(result.gamma, script.rules, result.rule_envs)
+        assert [r.reach for r in rules] == reaches
 
     @pytest.mark.parametrize("unicode,arrow", [(False, "->"), (True, "→")],
                              ids=["ascii", "unicode"])
