@@ -15,7 +15,17 @@ entries are spliced into the list it stands in.
 
 Substitution (``_subst``) and contraction (``_inst``) are each one function
 that dispatches once on a node's class, and a node's children go through
-``map``, so a node costs one Python frame.
+``map``, so a node costs one Python frame.  Substitution returns a
+construction itself, not a copy, when the name set the construction keeps
+shares no name with the substituted names or with any replacement's
+names: then nothing in it is replaced and none of its binders is renamed,
+so the copy would be ``==`` to it, binder names included, and every
+output renders byte for byte alike whichever sets happen to be kept.
+This is the maximal sharing of term-graph rewriting (Barendregt et al.,
+PARLE 1987).  The matcher keeps the subject's sets when it draws its
+canonical names, before it renames a fragment, so a step copies only the
+paths to the names it replaces, and shared subtrees keep their sets for
+later steps.
 
 Normalization is leftmost-outermost, one step at a time, and each search
 after the first resumes at the last redex p instead of at the root.  The
@@ -128,10 +138,30 @@ def substitute(body: Term | AssocPiece, binding: Mapping[Ident, Term]) -> Term |
     'variable', where only a variable may be substituted.
     The walk is ``_subst``; its memo of the replacements' free variables
     lives for this call only.
+
+    A construction is returned as it is, not copied, when the name set it
+    keeps (``all_idents``) holds no substituted name and no name of any
+    replacement.  Then no variable or key in it is replaced and none of its
+    binders clashes with a replacement, so the copy would be ``==`` to it,
+    with the same binder names, and the result renders byte for byte as the
+    full copy would.  Only sets already kept are read: the construction's,
+    each replacement's and a variable's own name.  No set is built here, and
+    when some replacement keeps none, nothing is shared in that call.
     """
     if not binding:
         return body
-    return _subst(body, dict(binding), {})
+    # ``guard``: the names a shared construction must not hold, or None when
+    # some replacement keeps no name set.
+    guard: set[Ident] | None = set(binding)
+    for r in binding.values():
+        if isinstance(r, Var):
+            guard.add(r.name)
+        elif r._idents is None:
+            guard = None
+            break
+        else:
+            guard |= r._idents
+    return _subst(body, dict(binding), guard, {})
 
 
 # ``fv_memo`` maps ``id(r)`` to ``(r, free_vars(r))`` for each replacement
@@ -140,14 +170,18 @@ def substitute(body: Term | AssocPiece, binding: Mapping[Ident, Term]) -> Term |
 _FvMemo = dict[int, tuple[Term, set[Ident]]]
 
 
-def _subst(t: Node, sub: dict[Ident, Term], fv_memo: _FvMemo) -> Node:
+def _subst(t: Node, sub: dict[Ident, Term], guard: set[Ident] | None, fv_memo: _FvMemo
+           ) -> Node:
     if isinstance(t, Var):
         return sub.get(t.name, t)
     if isinstance(t, Construction):
-        return Construction(t.head, tuple(map(_subst, t.args, repeat(sub), repeat(fv_memo))))
+        if guard is not None and t._idents is not None and t._idents.isdisjoint(guard):
+            return t
+        return Construction(t.head, tuple(map(_subst, t.args, repeat(sub), repeat(guard),
+                                              repeat(fv_memo))))
     if isinstance(t, ScopePiece):
         if not t.binders:
-            return ScopePiece((), _subst(t.body, sub, fv_memo))
+            return ScopePiece((), _subst(t.body, sub, guard, fv_memo))
         inner = {w: r for w, r in sub.items() if w not in t.binders}
         if not inner:
             return t
@@ -164,15 +198,19 @@ def _subst(t: Node, sub: dict[Ident, Term], fv_memo: _FvMemo) -> Node:
                 if b in clash:
                     b2 = fresh_var(b, avoid)
                     avoid.add(b2)
-                    body = _subst(body, {b: Var(b2)}, fv_memo)
+                    body = _subst(body, {b: Var(b2)}, {b, b2}, fv_memo)
                     binders[i] = b2
-        return ScopePiece(tuple(binders), _subst(body, inner, fv_memo))
+        # ``guard`` may name a substituted name these binders shadow: it
+        # only shares less than it could.
+        return ScopePiece(tuple(binders), _subst(body, inner, guard, fv_memo))
     if isinstance(t, (MetaApp, CatchAll)):
-        return type(t)(t.meta, tuple(map(_subst, t.args, repeat(sub), repeat(fv_memo))))
+        return type(t)(t.meta, tuple(map(_subst, t.args, repeat(sub), repeat(guard),
+                                         repeat(fv_memo))))
     if isinstance(t, AssocPiece):
-        return AssocPiece(tuple(map(_subst, t.entries, repeat(sub), repeat(fv_memo))))
+        return AssocPiece(tuple(map(_subst, t.entries, repeat(sub), repeat(guard),
+                                    repeat(fv_memo))))
     if isinstance(t, MapEntry):
-        return MapEntry(_key_through(sub, t.key), _subst(t.value, sub, fv_memo))
+        return MapEntry(_key_through(sub, t.key), _subst(t.value, sub, guard, fv_memo))
     return NotKey(_key_through(sub, t.key))
 
 
@@ -464,18 +502,20 @@ def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
         args = map(_inst, t.args, repeat(rho), repeat(val), repeat(fresh))
         return substitute(ab.body, dict(zip(ab.params, args)))
     # An association list: later duplicate keys override earlier ones,
-    # keeping first position.
-    merged: dict[Ident, Term] = {}
+    # keeping first position.  A catch-all's entries are spliced in as the
+    # ``MapEntry`` objects its substituted abstraction holds, not rebuilt.
+    merged: dict[Ident, MapEntry] = {}
     for e in t.entries:
         if isinstance(e, MapEntry):
-            merged[rho[e.key]] = _inst(e.value, rho, val, fresh)
+            k = rho[e.key]
+            merged[k] = MapEntry(k, _inst(e.value, rho, val, fresh))
         elif isinstance(e, NotKey):
             # SAP-Not: absence entries stand only in patterns.
             raise EngineError("an absence entry cannot be contracted")
         else:
             for c in _inst(e, rho, val, fresh).entries:
-                merged[c.key] = c.value
-    return AssocPiece(tuple(MapEntry(k, v) for k, v in merged.items()))
+                merged[c.key] = c
+    return AssocPiece(tuple(merged.values()))
 
 
 def _key_through(sub: Mapping[Ident, Term], k: Ident) -> Ident:
@@ -588,8 +628,20 @@ def _term_names(t: Term) -> Iterator[Ident]:
     yield from all_idents(t)
 
 
+def _index_by_head(gamma: GlobalEnv, rules: Sequence[RewriteRule]
+                   ) -> dict[Ident, list[RewriteRule]]:
+    """The rules whose pattern has a scheme head, by that head, in
+    declaration order."""
+    by_head: dict[Ident, list[RewriteRule]] = {}
+    for rule in rules:
+        if rule.decl.lhs.head in gamma.fun:
+            by_head.setdefault(rule.decl.lhs.head, []).append(rule)
+    return by_head
+
+
 def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term, *,
-                 after: tuple[int, ...] | None = None
+                 after: tuple[int, ...] | None = None,
+                 _by_head: dict[Ident, list[RewriteRule]] | None = None
                  ) -> tuple[Term, RewriteStep] | None:
     """Contract the leftmost-outermost matching redex, or return None.
 
@@ -607,11 +659,10 @@ def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term, *,
     must be what this function returned for the step at position ``after``,
     and the search resumes there, as the module docstring describes: it
     walks down that path once and rebuilds it from the ancestors walked.
+    ``normalize`` passes ``_by_head``, the index of ``rules`` by head that
+    it builds once.
     """
-    by_head: dict[Ident, list[RewriteRule]] = {}
-    for rule in rules:
-        if rule.decl.lhs.head in gamma.fun:
-            by_head.setdefault(rule.decl.lhs.head, []).append(rule)
+    by_head = _index_by_head(gamma, rules) if _by_head is None else _by_head
     names = _term_names(t)
     if not after:  # from the root, or resumed at it
         return _visit(t, (), by_head, names)
@@ -706,17 +757,18 @@ def normalize(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term,
 
     Each step is one ``rewrite_step``; every search after the first resumes
     at the previous step's position, with ``after``, and chooses the redex
-    and rule that a search from the root would.  Scheme-headed subterms
-    with no matching rule stay in place; they are simply part of the
-    normal form.
+    and rule that a search from the root would.  The rules are indexed by
+    head once, for every step.  Scheme-headed subterms with no matching
+    rule stay in place; they are simply part of the normal form.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     steps: list[RewriteStep] = []
     current = t
     after = None
+    by_head = _index_by_head(gamma, rules)
     for _ in range(fuel):
-        hit = rewrite_step(gamma, rules, current, after=after)
+        hit = rewrite_step(gamma, rules, current, after=after, _by_head=by_head)
         if hit is None:
             return NormalizeResult(current, steps, NormalStatus.NORMAL_FORM)
         current, step = hit
@@ -724,7 +776,7 @@ def normalize(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term,
         steps.append(step)
         if on_step is not None:
             on_step(current, step)
-    if rewrite_step(gamma, rules, current, after=after) is None:
+    if rewrite_step(gamma, rules, current, after=after, _by_head=by_head) is None:
         return NormalizeResult(current, steps, NormalStatus.NORMAL_FORM)
     return NormalizeResult(current, steps, NormalStatus.FUEL_EXHAUSTED)
 

@@ -13,10 +13,14 @@
   those of a loop of searches from the root, on the benchmark inputs and
   on hand-built cases of each exception.  Church mult 12 12 takes at most
   300 match attempts, and mult 4, 6 and 8 together at most 320.
+* Every substitution made while normalizing the pinned inputs, which
+  shares each subtree its kept name set allows, equals and renders as the
+  substitution into a copy that keeps no set and so shares nothing.
 * The names ``all_idents`` keeps on each term object agree with a plain
   walk of the tree on every intermediate term.
-* ``check_script`` infers each rule environment once, and the lexer
-  classifies each distinct word once.
+* ``check_script`` infers each rule environment once, ``normalize``
+  indexes the rules by head once, and the lexer classifies each distinct
+  word once.
 * The engine walks a term's names only when it draws a fresh name and
   finds each right side's free variables once per rule.  Parsing,
   checking, normalizing and rendering leave no reference cycle at all, no
@@ -80,6 +84,7 @@ from plank.terms import (
     Ident,
     MapEntry,
     MetaApp,
+    NotKey,
     ScopePiece,
     Var,
     all_idents,
@@ -279,6 +284,69 @@ def test_engine_outputs_are_pinned(label, source, term, fuel, status, count, ren
 
 
 # ---------------------------------------------------------------------------
+# Shared substitution
+
+
+def _unkept_copy(x):
+    """``x`` rebuilt node by node, so that no construction of it keeps a name
+    set and a substitution into it shares nothing."""
+    if isinstance(x, Var):
+        return Var(x.name)
+    if isinstance(x, Construction):
+        return Construction(x.head, tuple(map(_unkept_copy, x.args)))
+    if isinstance(x, (MetaApp, CatchAll)):
+        return type(x)(x.meta, tuple(map(_unkept_copy, x.args)))
+    if isinstance(x, ScopePiece):
+        return ScopePiece(x.binders, _unkept_copy(x.body))
+    if isinstance(x, AssocPiece):
+        return AssocPiece(tuple(map(_unkept_copy, x.entries)))
+    if isinstance(x, MapEntry):
+        return MapEntry(x.key, _unkept_copy(x.value))
+    return NotKey(x.key)
+
+
+def test_shared_substitution_equals_a_full_copy(monkeypatch):
+    # Every substitution made while normalizing the pinned cases, and two
+    # whose binders clash with a replacement's free name, shares the
+    # subtrees whose kept name sets allow it.  Replayed on copies that keep
+    # no set, so that it shares nothing, and again on the originals, whose
+    # later steps have kept more sets, it gives an equal result that renders
+    # byte for byte alike, binder names included.  Some subtree is shared in
+    # every case but chain-80, which substitutes only into variables, and
+    # ω, whose body holds its binder everywhere.
+    calls = []
+    original = plank.rewrite.substitute
+
+    def recording(body, binding):
+        out = original(body, binding)
+        calls.append((body, dict(binding), out))
+        return out
+
+    monkeypatch.setattr(plank.rewrite, "substitute", recording)
+    sharing = set()
+    clashing = [("beta-clash", BETA_ETA, "Ap(Lam([x]Ap(Lam([y]y), x)), y)", 10),
+                ("cbv-colliding", CBV_EVAL, COLLIDING_TERM, 100)]
+    cases = ENGINE_PINS + clashing
+    for label, source, term, fuel, *_ in cases:
+        script = parse_script(source)
+        checked = check_script(script)
+        rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+        calls.clear()
+        normalize(checked.gamma, rules, parse_term(term), fuel=fuel)
+        assert calls, label
+        for body, binding, out in calls:
+            copy = original(_unkept_copy(body), {w: _unkept_copy(r) for w, r in binding.items()})
+            again = original(body, binding)
+            assert copy == out == again, label
+            assert render(copy) == render(out) == render(again), label
+            if binding and isinstance(body, Construction):
+                kept = set(map(id, _subterms(body)))
+                if any(id(x) in kept for x in _subterms(out)):
+                    sharing.add(label)
+    assert sharing == {c[0] for c in cases} - {"chain-80", "omega-40"}
+
+
+# ---------------------------------------------------------------------------
 # Resumed search
 
 
@@ -425,6 +493,32 @@ def test_check_script_infers_each_rule_env_once(monkeypatch, source):
     assert result.ok
     assert calls == list(script.rules)
     assert len(result.rule_envs) == len(script.rules)
+
+
+def test_normalize_indexes_the_rules_by_head_once(monkeypatch):
+    # ``normalize`` builds the index of the rules by head once for all its
+    # steps; ``rewrite_step`` called alone builds its own on each call and
+    # chooses the pinned steps.
+    calls = []
+    original = plank.rewrite._index_by_head
+
+    def counting(gamma, rules):
+        calls.append(len(rules))
+        return original(gamma, rules)
+
+    monkeypatch.setattr(plank.rewrite, "_index_by_head", counting)
+    script = parse_script(CBV_EVAL)
+    checked = check_script(script)
+    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+    result = normalize(checked.gamma, rules, parse_term(_identity_chain(80)))
+    assert len(result.steps) == 321
+    assert calls == [len(rules)]
+    calls.clear()
+    _, steps, status = _restart_normalize(checked.gamma, rules, parse_term(_identity_chain(80)),
+                                          10000)
+    pin = next(p for p in ENGINE_PINS if p[0] == "chain-80")
+    assert status == "NormalForm" and _pin(repr(steps)) == pin[7]
+    assert len(calls) == len(steps) + 1
 
 
 def test_lexer_classifies_each_distinct_word_once(monkeypatch):

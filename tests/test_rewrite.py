@@ -25,7 +25,7 @@ from plank.rewrite import (
     Valuation,
     format_step,
 )
-from plank.terms import AssocPiece, Ident, MapEntry, MetaApp, NotKey, Var, free_vars
+from plank.terms import AssocPiece, Ident, MapEntry, MetaApp, NotKey, Var, all_idents, free_vars
 
 from conftest import BETA_ETA, CBV_EVAL, NONLINEAR, REACH_TWO, UNTAKEN
 
@@ -271,6 +271,36 @@ class TestSubstitute:
     def test_key_cannot_become_construction(self):
         with pytest.raises(EngineError):
             substitute(t("F({x : One()})"), {Ident("x"): t("One()")})
+
+    def test_shares_the_subtrees_it_leaves_unchanged(self):
+        # A construction is shared once its name set is kept and holds no
+        # substituted name and no name of a replacement; the rest is copied.
+        body = t("F(G(a, K()), H(b, Lam([y]y)))")
+        all_idents(body)
+        assert substitute(body, {Ident("c"): t("d")}) is body
+        out = substitute(body, {Ident("a"): t("d")})
+        assert render(out) == "F(G(d, K()), H(b, Lam([y]y)))"
+        g, h = body.args[0].body, body.args[1].body
+        assert out is not body and out.args[0].body is not g
+        assert out.args[0].body.args[1].body is g.args[1].body
+        assert out.args[1].body is h
+
+    def test_shares_nothing_for_a_replacement_without_a_name_set(self):
+        body = t("F(G(a), H(b))")
+        all_idents(body)
+        out = substitute(body, {Ident("a"): t("K(d)")})
+        assert render(out) == "F(G(K(d)), H(b))"
+        assert out.args[1].body is not body.args[1].body
+
+    def test_a_binder_named_like_a_replacement_is_not_shared(self):
+        # The copy renames every binder that clashes with a replacement,
+        # even where the substituted name does not occur, so such a binder
+        # is never shared.
+        body = t("F(Lam([y]x), Lam([y]y))")
+        all_idents(body)
+        out = substitute(body, {Ident("x"): t("y")})
+        assert render(out) == "F(Lam([y1]y), Lam([y1]y1))"
+        assert substitute(body, {Ident("x"): t("z")}).args[1].body is body.args[1].body
 
     def test_capture_freedom_property(self):
         body = t("Lam([y]Ap(x, y))")
