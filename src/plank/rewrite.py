@@ -22,10 +22,10 @@ names: then nothing in it is replaced and none of its binders is renamed,
 so the copy would be ``==`` to it, binder names included, and every
 output renders byte for byte alike whichever sets happen to be kept.
 This is the maximal sharing of term-graph rewriting (Barendregt et al.,
-PARLE 1987).  The matcher keeps the subject's sets when it draws its
-canonical names, before it renames a fragment, so a step copies only the
-paths to the names it replaces, and shared subtrees keep their sets for
-later steps.
+PARLE 1987).  The matcher names a subject binder by its own name unless
+the attempt has used that name already, so it walks no name set and copies
+a fragment only where a binder took a reserved name: a β step copies its
+body once, in contraction, and only the paths to the names it replaces.
 
 Normalization is leftmost-outermost, one step at a time, and each search
 after the first resumes at the last redex p instead of at the root.  The
@@ -226,33 +226,31 @@ class _Matcher:
     """One matching attempt; collects bindings and defers association pieces
     until their pattern keys are resolvable.
 
-    Subject binders are renamed to canonical names as the descent enters
-    them, and subject association keys are seen through the same map, so a
-    key bound inside the subject compares with the pattern's keys under its
-    canonical name.  The binders a fragment may not use are the canonical
-    names in ``senv`` other than the meta's parameters.  One missing from
-    ``senv`` belongs to a shadowed subject binder, so no renamed fragment or
-    key holds it.
-
-    Canonical binder names avoid every name of the terms the matcher was
-    built from.  That set is built on the first ``canonical`` call, not up
-    front: most attempts fail at the head, before any binder is reached.  It
-    is the union of the terms' ``all_idents``, which each term object keeps
-    once built, so only the nodes that no earlier query reached are walked.
+    Each subject binder the descent enters gets a canonical name: its own
+    name, or a reserved one if this attempt has used that name before, even
+    for a binder now out of scope.  So ``senv`` (subject binder in scope to
+    canonical name) and ``penv`` (pattern binder to its partner's) stay
+    injective, ``_rename`` copies a fragment only where a binder took a
+    reserved name, and subject keys are filed through ``senv`` too.  Inside
+    a binder's scope a free occurrence of its name is that binder, so a
+    renamed fragment's free name is a canonical name in ``senv`` or one that
+    no enclosing subject binder has, and the binders a fragment may not use
+    are those in ``senv`` other than the meta's parameters.  A name free in
+    the subject may still name a binder elsewhere: a pattern key that
+    resolves through ``var_bind`` to a name bound here names no key of the
+    list, and the two abstractions of a non-linear meta compare up to alpha.
     """
 
-    def __init__(self, terms: Sequence[Term]):
+    def __init__(self):
         self.val = Valuation()
-        self.terms = terms
-        self.avoid: set[Ident] | None = None
+        self.used: set[Ident] = set()
         # (pattern entries, subject dict, penv, senv)
         self.pending: list[tuple] = []
 
-    def canonical(self, hint: Ident) -> Ident:
-        if self.avoid is None:
-            self.avoid = set().union(*map(all_idents, self.terms))
-        c = fresh_var(hint, self.avoid)
-        self.avoid.add(c)
+    def canonical(self, u: Ident) -> Ident:
+        # The one place a reserved name is made: ``%`` is no identifier's.
+        c = str.__new__(Ident, f"{u}%{len(self.used)}") if u in self.used else u
+        self.used.add(c)
         return c
 
     # -- structural descent ------------------------------------------------
@@ -291,7 +289,7 @@ class _Matcher:
                 return
             penv2, senv2 = dict(penv), dict(senv)
             for w, u in zip(pp.binders, sp.binders):
-                penv2[w] = senv2[u] = self.canonical(w)
+                penv2[w] = senv2[u] = self.canonical(u)
             self.term(pp.body, sp.body, penv2, senv2)
             return
         if not isinstance(sp, AssocPiece):
@@ -331,29 +329,25 @@ class _Matcher:
         return tuple(params)
 
     def _rename(self, s: Term | AssocPiece, senv: dict) -> Term | AssocPiece:
-        if not senv:
-            return s
-        return substitute(s, {u: Var(c) for u, c in senv.items()})
+        reserved = {u: Var(c) for u, c in senv.items() if u != c}
+        return substitute(s, reserved) if reserved else s
 
     def _record_meta(self, meta: Ident, ab: Abstraction) -> None:
         seen = self.val.meta_bind.get(meta)
         if seen is None:
             self.val.meta_bind[meta] = ab
-            return
-        if len(seen.params) != len(ab.params):
-            raise _NoMatch
-        renamed = substitute(seen.body, {o: Var(n) for o, n in zip(seen.params, ab.params)})
-        if not alpha_equal(renamed, ab.body):
+        elif not alpha_equal(ScopePiece(seen.params, seen.body), ScopePiece(ab.params, ab.body)):
             raise _NoMatch
 
     # -- association pieces --------------------------------------------------
 
-    def resolve_key(self, w: Ident, penv: dict) -> Ident:
+    def resolve_key(self, w: Ident, penv: dict, senv: dict) -> Ident | None:
+        """The subject key that pattern key ``w`` names here, or None when
+        it resolves to a free name that a subject binder in scope shadows."""
         if w in penv:
             return penv[w]
-        if w in self.val.var_bind:
-            return self.val.var_bind[w]
-        raise _NoMatch
+        k = self.val.var_bind[w]  # ``resolvable``: bound by now
+        return None if k in senv else k
 
     def resolvable(self, item) -> bool:
         p_entries, _, penv, _ = item
@@ -374,13 +368,13 @@ class _Matcher:
         named: set[Ident] = set()
         for e in p_entries:
             if isinstance(e, MapEntry):
-                k = self.resolve_key(e.key, penv)
+                k = self.resolve_key(e.key, penv, senv)
                 if k not in subject:
                     raise _NoMatch
                 named.add(k)
                 self.term(e.value, subject[k].value, penv, senv)
             elif isinstance(e, NotKey):
-                k = self.resolve_key(e.key, penv)
+                k = self.resolve_key(e.key, penv, senv)
                 if k in subject:
                     raise _NoMatch
         remainder = [e for k, e in subject.items() if k not in named]
@@ -406,16 +400,17 @@ def match_term(pattern: Term, subject: Term) -> Valuation | None:
     """Match a checked rule pattern against a ground subject fragment.
 
     Returns the valuation, or None when the subject does not match.  The
-    subject's bound variables are renamed to the pattern's view on the fly,
-    so replaying the valuation into the pattern rebuilds the subject up to
+    abstractions' parameters are the subject's own binder names, but for a
+    name the attempt meets again, which gets a reserved spelling that no
+    parsed identifier has and that contraction substitutes away.  Replaying
+    the valuation into the pattern rebuilds the subject up to
     alpha-equivalence; association lists, read as maps, may come back in
     another entry order.  A non-linear meta-variable or catch-all matches
-    only fragments that are alpha-equal once their parameters are renamed
-    alike.  The pattern must pass the checker; one that does not may raise
-    EngineError, for instance a pattern association list with more than
-    one catch-all (SAP-All).
+    only abstractions that are alpha-equal.  The pattern must pass the
+    checker; one that does not may raise EngineError, for instance a
+    pattern association list with more than one catch-all (SAP-All).
     """
-    m = _Matcher((pattern, subject))
+    m = _Matcher()
     try:
         m.term(pattern, subject, {}, {})
         m.drain_pending()

@@ -97,3 +97,43 @@ def ex1_rules(ex1, ex1_checked):
 @pytest.fixture(scope="session")
 def ex2_rules(ex2, ex2_checked):
     return prepare_rules(ex2_checked.gamma, ex2.rules, ex2_checked.rule_envs)
+
+# The matcher names a subject binder by its own name, so each subject here
+# reuses a name where it could take one binder for another, or a binder for
+# a free name: the outermost of three binders named u, a free z beside a
+# binder z whose key a pattern variable names, and a binder j beside a free
+# j in the other argument of a non-linear meta-variable.  Each is
+# (label, subject, rendered normal form, steps).
+
+CLASHING_NAMES = """\
+L variable;
+L data Lam([L]L);
+L data E({L:L});
+L data G(L, L);
+L data A();
+L data Done();
+L scheme S(L);
+L scheme T(L);
+L scheme P(L, L);
+L scheme N(L, L);
+L scheme K(L, L);
+L rule S(Lam([a]Lam([b]Lam([c]#M(a))))) -> Done();
+L rule T(Lam([a]Lam([b]Lam([c]#M(c))))) -> Lam([d]#M(d));
+L rule P(x, Lam([y]E({x : #V}))) -> #V;
+L rule N(x, Lam([y]E({~x:, #e(y)}))) -> Lam([w]E({#e(w)}));
+L rule K(Lam([a]#m(a)), Lam([b]#m(b))) -> Done();
+"""
+
+CLASHING_CASES = [
+    ("triple-shadow", "S(Lam([u]Lam([u]Lam([u]u))))", "S(Lam([u]Lam([u]Lam([u]u))))", 0),
+    ("outermost-taken", "S(Lam([u]Lam([v]Lam([w]u))))", "Done()", 1),
+    ("innermost-taken", "T(Lam([u]Lam([u]Lam([u]u))))", "Lam([d]d)", 1),
+    ("bound-key", "P(z, Lam([z]E({z : A()})))", "P(z, Lam([z]E({z : A()})))", 0),
+    ("free-key", "P(z, Lam([y]E({z : A()})))", "A()", 1),
+    ("bound-absent-key", "N(z, Lam([z]E({z : A()})))", "Lam([w]E({w : A()}))", 1),
+    ("free-present-key", "N(z, Lam([y]E({z : A()})))", "N(z, Lam([y]E({z : A()})))", 0),
+    ("nonlinear-capture", "K(Lam([k]G(k, j)), Lam([j]G(j, j)))",
+     "K(Lam([k]G(k, j)), Lam([j]G(j, j)))", 0),
+    ("nonlinear-free", "K(Lam([k]G(k, j)), Lam([i]G(i, j)))", "Done()", 1),
+    ("nonlinear-reused", "K(Lam([j]G(j, j)), Lam([j]G(j, j)))", "Done()", 1),
+]

@@ -21,8 +21,9 @@
 * ``check_script`` infers each rule environment once, ``normalize``
   indexes the rules by head once, and the lexer classifies each distinct
   word once.
-* The engine walks a term's names only when it draws a fresh name and
-  finds each right side's free variables once per rule.  Parsing,
+* The matcher walks no name set: the engine walks a term's names only
+  when it draws a fresh name, and finds each right side's free variables
+  once per rule.  Parsing,
   checking, normalizing and rendering leave no reference cycle at all, no
   nested function in the package recurses, and no walk recurses through a
   comprehension.  ``alpha_equal`` and ``substitute`` reach 275 and 400
@@ -30,6 +31,10 @@
   redex under 450 levels of ``Lam([x]Ap(z, .))``.
 * The ``--trace`` text of a run whose fresh names collide with the
   subject's names is byte-identical to the recorded one.
+* Renaming a subject's binders, so that they shadow each other and take
+  names free elsewhere, changes neither the step chosen nor its result up
+  to alpha and to the fresh names the step draws.  The matcher's reserved
+  names, made in one function, reach no traced term and do not parse.
 * Full diagnostics of ill-sorted rules whose binders are all distinct from
   each other and from free names, and of malformed scripts, are
   byte-identical to the recorded ones.
@@ -43,6 +48,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import gc
 import hashlib
 import importlib
@@ -56,6 +62,7 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import plank
 import plank.checker
@@ -67,6 +74,7 @@ from plank import (
     alpha_equal,
     check_ground_subject,
     check_script,
+    match_term,
     normalize,
     parse_script,
     parse_term,
@@ -91,7 +99,15 @@ from plank.terms import (
     free_vars,
 )
 
-from conftest import BETA_ETA, CBV_EVAL, NONLINEAR, REACH_TWO, UNTAKEN
+from conftest import (
+    BETA_ETA,
+    CBV_EVAL,
+    CLASHING_CASES,
+    CLASHING_NAMES,
+    NONLINEAR,
+    REACH_TWO,
+    UNTAKEN,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -234,6 +250,9 @@ def _pin(text):
 
 # Recorded before terms kept their name sets: status, step count, rendered
 # normal form, (position, rule_index) sequence and ASCII --trace text.
+# omega-40's trace was re-pinned when the matcher kept the subject's binder
+# names: contraction's fresh binders then avoid fewer names (x2 became x1),
+# and every traced term stayed alpha-equal to the one recorded before.
 ENGINE_PINS = [
     ("mult-4", BETA_ETA, _mult(4), 10000, "NormalForm", 11,
      f"Lam([g]Lam([x]{_ap_g(16)}))",
@@ -258,7 +277,7 @@ ENGINE_PINS = [
     ("omega-40", CBV_EVAL, _OMEGA, 40, "FuelExhausted", 40,
      "sha256:cbcc9211ae15194162c411d5233e8e43398ed13dee23a89f0e64ba97f08c8e94",
      "sha256:5cd25f8ad20a2c1a363c3450cf59b37720b993fe1f041e600e109907c5b5b315",
-     "sha256:9fcf88740db8e452cba5c9d8f12c6326478f93b6685b8da1c82132146239eff4"),
+     "sha256:cc19f17a2755ec7186b1345d948be76172401d8ae9f7d7d1bb7fdc427f20da00"),
 ]
 
 
@@ -312,8 +331,9 @@ def test_shared_substitution_equals_a_full_copy(monkeypatch):
     # no set, so that it shares nothing, and again on the originals, whose
     # later steps have kept more sets, it gives an equal result that renders
     # byte for byte alike, binder names included.  Some subtree is shared in
-    # every case but chain-80, which substitutes only into variables, and
-    # ω, whose body holds its binder everywhere.
+    # every case but chain-80, which substitutes only into variables, ω,
+    # whose body holds its binder everywhere, and beta-clash, whose one
+    # substitution renames the only binder beside the replaced variable.
     calls = []
     original = plank.rewrite.substitute
 
@@ -343,7 +363,7 @@ def test_shared_substitution_equals_a_full_copy(monkeypatch):
                 kept = set(map(id, _subterms(body)))
                 if any(id(x) in kept for x in _subterms(out)):
                     sharing.add(label)
-    assert sharing == {c[0] for c in cases} - {"chain-80", "omega-40"}
+    assert sharing == {c[0] for c in cases} - {"chain-80", "omega-40", "beta-clash"}
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +564,9 @@ def test_lexer_classifies_each_distinct_word_once(monkeypatch):
     assert len(calls) <= len(words)
 
 
-def test_beta_eta_walks_names_only_for_canonical_binders(monkeypatch):
-    # No beta/eta right side draws a fresh name, so the only name walks left
-    # are the matcher's, for the canonical names of the binders it enters.
+def test_beta_eta_walks_no_names(monkeypatch):
+    # No beta/eta right side draws a fresh name, and the matcher names each
+    # subject binder by its own name, so normalizing walks no name set.
     callers = []
 
     def recording(t):
@@ -559,7 +579,7 @@ def test_beta_eta_walks_names_only_for_canonical_binders(monkeypatch):
     rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
     result = normalize(checked.gamma, rules, parse_term(_mult(4)))
     assert render(result.term) == f"Lam([g]Lam([x]{_ap_g(16)}))"
-    assert callers and set(callers) == {"canonical"}
+    assert callers == []
 
 
 def test_right_side_free_variables_are_computed_once_per_rule(monkeypatch):
@@ -644,13 +664,15 @@ def test_no_cycle_keeps_a_rewritten_term_alive(source, term, steps):
 
 
 # The subject already holds x, x1, z and z1, so every fresh binder and every
-# call-by-value z is suffixed.  Recorded before the lazy name sets.
+# call-by-value z is suffixed.  Recorded before the lazy name sets, and
+# re-pinned, each step alpha-equal to the old, when the matcher kept the
+# subject's binder names: x3 became x2 and x2 became x1.
 COLLIDING_TERM = "Eval(Ap(Lam([x1]Ap(x1, z)), Lam([x]z1)), {z : Lam([y]y), z1 : Lam([x]x)})"
 COLLIDING_TRACE = """\
 step 1 at [] by rule 1 (L rule Eval(Ap(#F, #A), {#env}) -> Apply(Eval(#F, {#env}), Eval(#A, {#env}), {#env}))
 Apply(Eval(Lam([x1]Ap(x1, z)), {z : Lam([y]y), z1 : Lam([x]x)}), Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)}), {z : Lam([y]y), z1 : Lam([x]x)})
 step 2 at [0] by rule 0 (L rule Eval(Lam([x]#B(x)), {#env}) -> Lam([x]#B(x)))
-Apply(Lam([x3]Ap(x3, z)), Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)}), {z : Lam([y]y), z1 : Lam([x]x)})
+Apply(Lam([x2]Ap(x2, z)), Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)}), {z : Lam([y]y), z1 : Lam([x]x)})
 step 3 at [] by rule 3 (L rule Apply(Lam([x]#B(x)), #V, {#env}) -> Eval(#B(z), {#env, z : #V}))
 Eval(Ap(z2, z), {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})})
 step 4 at [] by rule 1 (L rule Eval(Ap(#F, #A), {#env}) -> Apply(Eval(#F, {#env}), Eval(#A, {#env}), {#env}))
@@ -658,7 +680,7 @@ Apply(Eval(z2, {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y
 step 5 at [0] by rule 2 (L rule Eval(x, {#env, x : #V}) -> #V)
 Apply(Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)}), Eval(z, {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})}), {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})})
 step 6 at [0] by rule 0 (L rule Eval(Lam([x]#B(x)), {#env}) -> Lam([x]#B(x)))
-Apply(Lam([x2]z1), Eval(z, {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})}), {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})})
+Apply(Lam([x1]z1), Eval(z, {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})}), {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})})
 step 7 at [] by rule 3 (L rule Apply(Lam([x]#B(x)), #V, {#env}) -> Eval(#B(z), {#env, z : #V}))
 Eval(z1, {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)}), z3 : Eval(z, {z : Lam([y]y), z1 : Lam([x]x), z2 : Eval(Lam([x]z1), {z : Lam([y]y), z1 : Lam([x]x)})})})
 step 8 at [] by rule 2 (L rule Eval(x, {#env, x : #V}) -> #V)
@@ -673,6 +695,133 @@ def test_trace_of_colliding_fresh_names(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "Lam([x]x)\n"
     assert err == COLLIDING_TRACE
+
+
+# ---------------------------------------------------------------------------
+# Binder names
+
+
+def _rebind(term, pick):
+    """An alpha-variant of the ground term ``term`` whose binders take the
+    names ``pick()`` draws, so that they shadow each other and share the
+    spelling of free names elsewhere.  A drawn name that would capture a
+    free name of the binder's body, or that another binder of the same
+    scope took, gives way to the first of ``v0``, ``v1``, ... that does
+    neither."""
+
+    def go(x, env):
+        if isinstance(x, Var):
+            return Var(env.get(x.name, x.name))
+        return Construction(x.head, tuple(piece(p, env) for p in x.args))
+
+    def piece(p, env):
+        if isinstance(p, AssocPiece):
+            return AssocPiece(tuple(MapEntry(env.get(e.key, e.key), go(e.value, env))
+                                    for e in p.entries))
+        taken = {env.get(v, v) for v in free_vars(p.body) if v not in p.binders}
+        env2, names = dict(env), []
+        for b in p.binders:
+            name, i = Ident(pick()), 0
+            while name in taken or name in names:
+                name, i = Ident(f"v{i}"), i + 1
+            names.append(name)
+            env2[b] = name
+        return ScopePiece(tuple(names), go(p.body, env2))
+
+    return go(term, {})
+
+
+# Every pinned and hand-built subject: (label, script, subject, fuel).
+NAMED_CASES = ([p[:4] for p in ENGINE_PINS] + [r[:4] for r in RESUMED if r[4] is not None]
+               + [("cbv-colliding", CBV_EVAL, COLLIDING_TERM, 100)]
+               + [(c[0], CLASHING_NAMES, c[1], 10) for c in CLASHING_CASES])
+
+
+@functools.cache
+def _traced(source, term, fuel):
+    """The signature, the rules and every term of the run: the subject, each
+    step's result and the last."""
+    script = parse_script(source)
+    checked = check_script(script)
+    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+    terms = [parse_term(term)]
+    normalize(checked.gamma, rules, terms[0], fuel=fuel, on_step=lambda t, _: terms.append(t))
+    return checked.gamma, rules, terms
+
+
+def _names_in_order(t, out):
+    """``out`` extended with every name of ``t`` in pre-order."""
+    if isinstance(t, Var):
+        out.append(t.name)
+        return out
+    for p in t.args:
+        if isinstance(p, ScopePiece):
+            out.extend(p.binders)
+            _names_in_order(p.body, out)
+        else:
+            for e in p.entries:
+                out.append(e.key)
+                _names_in_order(e.value, out)
+    return out
+
+
+def _fresh_bound(result, subject):
+    """``result`` under one scope that binds the names a step from
+    ``subject`` drew fresh, in the order they first occur."""
+    drawn = free_vars(result) - free_vars(subject)
+    return ScopePiece(tuple(n for n in dict.fromkeys(_names_in_order(result, []))
+                            if n in drawn), result)
+
+
+@given(st.sampled_from(NAMED_CASES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_binder_names_do_not_change_a_step(case, data):
+    # Binders renamed to x, y and z shadow each other and take the names
+    # free elsewhere in the term; the step chosen is the same, and its
+    # result the same up to alpha and to the fresh names the step drew,
+    # which avoid the subject's binder names too (see the next test).
+    gamma, rules, terms = _traced(*case[1:])
+    term = terms[data.draw(st.integers(0, len(terms) - 1))]
+    renamed = _rebind(term, lambda: data.draw(st.sampled_from("xyz")))
+    assert alpha_equal(renamed, term)
+    hit, again = rewrite_step(gamma, rules, term), rewrite_step(gamma, rules, renamed)
+    assert (hit is None) == (again is None)
+    if hit is not None:
+        assert again[1] == hit[1]
+        assert alpha_equal(_fresh_bound(again[0], renamed), _fresh_bound(hit[0], term))
+        assert "%" not in render(again[0])
+
+
+def test_a_fresh_name_avoids_the_subject_binders(ex2_checked, ex2_rules):
+    # Found by the property above: a right side's free variable, the z of
+    # the call-by-value Apply rule, is drawn against every name of the term,
+    # bound ones included, so two alpha-variant subjects give results that
+    # differ in that name.
+    subjects = [parse_term(f"Apply(Lam([{b}]{b}), Lam([y]y), {{}})") for b in "xz"]
+    results = [render(rewrite_step(ex2_checked.gamma, ex2_rules, s)[0]) for s in subjects]
+    assert results == ["Eval(z, {z : Lam([y]y)})", "Eval(z1, {z1 : Lam([y]y)})"]
+
+
+@pytest.mark.parametrize("label,source,term,fuel", NAMED_CASES, ids=[c[0] for c in NAMED_CASES])
+def test_no_reserved_name_reaches_a_traced_term(label, source, term, fuel):
+    # The matcher's reserved canonical names stand only in valuations;
+    # every term a run traces renders to text that parses back to it.
+    for t in _traced(source, term, fuel)[2]:
+        text = render(t)
+        assert "%" not in text and parse_term(text) == t
+
+
+def test_a_reserved_name_does_not_parse():
+    # Three binders named u: the innermost, which #M takes, gets the
+    # reserved name that its abstraction holds.
+    pattern = parse_term("T(Lam([a]Lam([b]Lam([c]#M(c)))))")
+    val = match_term(pattern, parse_term("T(Lam([u]Lam([u]Lam([u]u))))"))
+    (name,) = val.meta_bind["#M"].params
+    assert val.meta_bind["#M"].body == Var(name) and "%" in name
+    with pytest.raises(ValueError):
+        Ident(name)
+    with pytest.raises(ParseFailure):
+        parse_term(f"Lam([{name}]{name})")
 
 
 # ---------------------------------------------------------------------------
@@ -976,6 +1125,39 @@ def test_every_engine_raise_names_the_diagnostic_that_rules_it_out():
     source = (REPO / "src" / "plank" / "rewrite.py").read_text(encoding="utf-8")
     assert "raise EngineError" in source
     assert _untagged_engine_raises(source, tags) == []
+
+
+def _reserved_name_makers(source: str) -> list[str]:
+    """The function around each ``str.__new__(Ident, ...)``, the one way to
+    spell an ``Ident`` past its check; ``<module>`` outside any."""
+    tree = ast.parse(source)
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # Outer functions come first, so a nested one overrides them.
+            owner.update((id(n), fn.name) for n in ast.walk(fn))
+    return [owner.get(id(node), "<module>") for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "str.__new__"
+            and node.args and ast.unparse(node.args[0]) == "Ident"]
+
+
+def test_reserved_names_are_made_in_one_place():
+    # The matcher's canonical names are the subject's own binder names and
+    # the reserved names that ``_Matcher.canonical`` alone makes; the
+    # matcher walks no name set and draws no fresh name.
+    sample = ("x = str.__new__(Ident, 'a%1')\n"
+              "def f(u):\n    def g():\n        return str.__new__(Ident, u)\n"
+              "    return Ident(u), str.__new__(str, u)\n")
+    assert _reserved_name_makers(sample) == ["<module>", "g"]
+    makers = [(path.name, fn) for path in sorted((REPO / "src" / "plank").glob("*.py"))
+              for fn in _reserved_name_makers(path.read_text(encoding="utf-8"))]
+    assert makers == [("rewrite.py", "canonical")]
+    source = (REPO / "src" / "plank" / "rewrite.py").read_text(encoding="utf-8")
+    matcher = next(n for n in ast.walk(ast.parse(source))
+                   if isinstance(n, ast.ClassDef) and n.name == "_Matcher")
+    names = {n.id for n in ast.walk(matcher) if isinstance(n, ast.Name)}
+    assert "canonical" in {n.name for n in matcher.body if isinstance(n, ast.FunctionDef)}
+    assert not names & {"all_idents", "fresh_var"}
 
 
 def _own_scope(fn):

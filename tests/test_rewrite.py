@@ -27,7 +27,15 @@ from plank.rewrite import (
 )
 from plank.terms import AssocPiece, Ident, MapEntry, MetaApp, NotKey, Var, all_idents, free_vars
 
-from conftest import BETA_ETA, CBV_EVAL, NONLINEAR, REACH_TWO, UNTAKEN
+from conftest import (
+    BETA_ETA,
+    CBV_EVAL,
+    CLASHING_CASES,
+    CLASHING_NAMES,
+    NONLINEAR,
+    REACH_TWO,
+    UNTAKEN,
+)
 
 
 def t(text):
@@ -432,6 +440,19 @@ class TestBoundKeys:
             "named-key", "absent-key"])
     def test_bound_key(self, rule, subject, expected, steps):
         result = checked_normalize(self.SIGNATURE + rule, subject)
+        assert render(result.term) == expected
+        assert len(result.steps) == steps
+
+
+class TestSubjectBinderNames:
+    """A subject binder keeps its own name in the matcher unless the attempt
+    used that name already; no binder is taken for another or for a free
+    name of the same spelling."""
+
+    @pytest.mark.parametrize("label,subject,expected,steps", CLASHING_CASES,
+                             ids=[c[0] for c in CLASHING_CASES])
+    def test_reused_names(self, label, subject, expected, steps):
+        result = checked_normalize(CLASHING_NAMES, subject)
         assert render(result.term) == expected
         assert len(result.steps) == steps
 
