@@ -71,7 +71,7 @@ class TermContext(Enum):
     SUB = "Sub"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class CheckState:
     """Context threaded through term checking.
 

@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ConSig:
     """Declared signature of a term constructor: result sort and argument forms."""
 
@@ -78,7 +78,7 @@ class GlobalEnv:
     sorts_with_data: set[Ident] = field(default_factory=set)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MetaForm:
     """A meta-variable's signature: argument sorts and a result.
 

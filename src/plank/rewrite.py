@@ -103,7 +103,7 @@ class EngineError(Exception):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Abstraction:
     """A fragment abstracted over the binders a pattern meta was applied to.
 
@@ -485,8 +485,6 @@ def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
         binders = tuple(map(fresh, t.binders))
         return ScopePiece(binders, _inst(t.body, rho | dict(zip(t.binders, binders)), val, fresh))
     if isinstance(t, (MetaApp, CatchAll)):
-        # A catch-all's abstraction has an ``AssocPiece`` body, which the
-        # list below splices in.
         ab = val.meta_bind.get(t.meta)
         if ab is None:
             # UnboundMetaOnRhs: a successful match binds every pattern meta-variable.
@@ -496,9 +494,12 @@ def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
             raise EngineError(f"arity mismatch instantiating {t.meta}")
         args = map(_inst, t.args, repeat(rho), repeat(val), repeat(fresh))
         return substitute(ab.body, dict(zip(ab.params, args)))
-    # An association list: later duplicate keys override earlier ones,
-    # keeping first position.  A catch-all's entries are spliced in as the
-    # ``MapEntry`` objects its substituted abstraction holds, not rebuilt.
+    # An association list: a later key overrides an earlier one and keeps its
+    # first position.  A catch-all's substituted entries are spliced in as they
+    # are; a lone catch-all without arguments gives its whole list, whose keys
+    # the matcher filed in a dict and so never repeat.
+    if len(t.entries) == 1 and isinstance(t.entries[0], CatchAll) and not t.entries[0].args:
+        return _inst(t.entries[0], rho, val, fresh)
     merged: dict[Ident, MapEntry] = {}
     for e in t.entries:
         if isinstance(e, MapEntry):
@@ -529,7 +530,7 @@ def _key_through(sub: Mapping[Ident, Term], k: Ident) -> Ident:
 # Rewriting strategy
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class RewriteRule:
     """A rule ready for the engine, paired with its inferred environment,
     the sorted free variables of its right side, and the reach of its
@@ -543,7 +544,7 @@ class RewriteRule:
     reach: float
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class RewriteStep:
     """One reduction: where, and by which rule.
 

@@ -6,8 +6,9 @@ meta-application ``#m(T1, ..., Tn)``.  Identifiers fall into three lexical
 categories: constructors start with an uppercase letter, variables with a
 lowercase letter, and meta-variables with ``#``.
 
-All AST values are immutable after construction and safe to share.  Spans
-take no part in equality or hashing.
+All AST values are immutable after construction and safe to share, by rule
+and not by the runtime: a lint in the tests rejects every store to a field
+of a built record.  Spans take no part in equality or hashing.
 ``Diagnostic`` is the one diagnostic type of the parser, the environment
 builder and the checker.
 
@@ -93,7 +94,7 @@ class Span(NamedTuple):
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Diagnostic:
     """``FILE:LINE:COL: error[RULE]: MESSAGE``; ``rule`` names the violated
     sorting rule (``SA-Map``), environment condition or ``parse``."""
@@ -107,8 +108,6 @@ class Diagnostic:
         return f"{where}: error[{self.rule}]: {self.message}"
 
 
-# Spans never participate in equality so that structurally identical nodes
-# compare equal regardless of where they were parsed.
 def _span_field():
     return field(default=None, compare=False, repr=False, kw_only=True)
 
@@ -126,7 +125,7 @@ class _Node:
 # Sorts and argument forms
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SortCons(_Node):
     """An applied sort constructor ``s<S1, ..., Sn>``; ``s<>`` prints as ``s``."""
 
@@ -135,7 +134,7 @@ class SortCons(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SortVar(_Node):
     """A sort variable, written with a lowercase name."""
 
@@ -146,7 +145,7 @@ class SortVar(_Node):
 Sort = Union[SortCons, SortVar]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ScopeForm(_Node):
     """Argument form ``[S1, ..., Sn]S``; a plain argument has no binder sorts."""
 
@@ -155,7 +154,7 @@ class ScopeForm(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class AssocForm(_Node):
     """Argument form ``{S:S'}`` for association-list arguments."""
 
@@ -171,7 +170,7 @@ Form = Union[ScopeForm, AssocForm]
 # Terms, pieces, associations
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Construction(_Node):
     """``c(P1, ..., Pn)``.  Arity against the declared forms is the checker's job."""
 
@@ -181,13 +180,13 @@ class Construction(_Node):
     _idents: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Var(_Node):
     name: Ident
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MetaApp(_Node):
     """``#m(T1, ..., Tn)``; a bare ``#m`` is the zero-argument application."""
 
@@ -200,7 +199,7 @@ class MetaApp(_Node):
 Term = Union[Construction, Var, MetaApp]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ScopePiece(_Node):
     """``[v1, ..., vn]T``; binders are pairwise distinct and scope over the body."""
 
@@ -209,7 +208,7 @@ class ScopePiece(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class AssocPiece(_Node):
     """``{A1, ..., An}``: an ordered association list."""
 
@@ -220,7 +219,7 @@ class AssocPiece(_Node):
 Piece = Union[ScopePiece, AssocPiece]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MapEntry(_Node):
     """``v : T`` maps a variable key to a term."""
 
@@ -229,7 +228,7 @@ class MapEntry(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class NotKey(_Node):
     """``~v:`` asserts the key is absent; only meaningful in patterns."""
 
@@ -237,7 +236,7 @@ class NotKey(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class CatchAll(_Node):
     """``#m(...)`` inside an association list: the remainder of the map."""
 
@@ -253,7 +252,7 @@ Association = Union[MapEntry, NotKey, CatchAll]
 # Declarations and scripts
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class DataDecl(_Node):
     sort: Sort
     name: Ident
@@ -261,7 +260,7 @@ class DataDecl(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SchemeDecl(_Node):
     sort: Sort
     name: Ident
@@ -269,13 +268,13 @@ class SchemeDecl(_Node):
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class VariableDecl(_Node):
     sort: Sort
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class RuleDecl(_Node):
     sort: Sort
     lhs: Term
@@ -286,7 +285,7 @@ class RuleDecl(_Node):
 Declaration = Union[DataDecl, SchemeDecl, VariableDecl, RuleDecl]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Script(_Node):
     declarations: tuple[Declaration, ...] = ()
     span: Span | None = _span_field()
@@ -430,12 +429,12 @@ def all_idents(t: Term) -> frozenset[Ident]:
 
 def _idents(t: Term) -> frozenset[Ident]:
     # The set lives in the term's ``_idents`` field, which equality, hashing,
-    # ``repr`` and rendering never read; terms are immutable, so it never
-    # goes stale.  ``__init__`` sets it to None, as an unset slot would raise
-    # and clear an AttributeError on every first query.  A ``Var`` keeps
-    # nothing.  The recursion stays here rather than in ``all_idents``, so one
-    # query is one call of it; pieces are walked inline, so it takes one frame
-    # per term level; a child's set is reused when it already holds every name.
+    # ``repr`` and rendering never read; terms are immutable, so it never goes
+    # stale.  One plain slot store keeps it; ``__init__`` sets it to None, as an
+    # unset slot would raise and clear an AttributeError on every first query.
+    # A ``Var`` keeps nothing.  The recursion stays here, not in ``all_idents``,
+    # so one query is one call of it; pieces are walked inline, so it takes one
+    # frame per term level; a child's set is reused when it holds every name.
     if isinstance(t, Var):
         return frozenset((t.name,))
     names = t._idents
@@ -470,7 +469,7 @@ def _idents(t: Term) -> frozenset[Ident]:
             names = names | s
     if not names.issuperset(loose):
         names = names.union(loose)
-    object.__setattr__(t, "_idents", names)
+    t._idents = names
     return names
 
 

@@ -16,6 +16,9 @@
 * Every substitution made while normalizing the pinned inputs, which
   shares each subtree its kept name set allows, equals and renders as the
   substitution into a copy that keeps no set and so shares nothing.
+* A right side's list that is one catch-all without arguments stands
+  for the captured list as it is, which equals its rebuild by key on
+  every call-by-value pin.
 * The names ``all_idents`` keeps on each term object agree with a plain
   walk of the tree on every intermediate term.
 * ``check_script`` infers each rule environment once, ``normalize``
@@ -41,6 +44,8 @@
 * Every exported name, and every name the benchmark's traced run wraps,
   still resolves, no module imports a name it never uses, and every record
   field is read somewhere in the package.
+* No module stores to a field of a built record, and no dataclass is
+  frozen: records are immutable by this rule, not by the runtime.
 * Every ``raise EngineError`` names the checker or environment diagnostic
   that rules it out on checked input.
 """
@@ -364,6 +369,38 @@ def test_shared_substitution_equals_a_full_copy(monkeypatch):
                 if any(id(x) in kept for x in _subterms(out)):
                     sharing.add(label)
     assert sharing == {c[0] for c in cases} - {"chain-80", "omega-40", "beta-clash"}
+
+
+def test_a_lone_catch_all_list_equals_its_merged_rebuild(monkeypatch):
+    # Contraction gives a right side's list that holds only a catch-all
+    # without arguments, such as each ``{#env}`` of the call-by-value rules,
+    # as the list the catch-all captured.  On every call-by-value pin that
+    # list equals the rebuild every other list gets: entry by entry through
+    # a dict by key, where a later key overrides an earlier one in its first
+    # position.
+    lone = []
+    original = plank.rewrite._inst
+
+    def recording(t, rho, val, fresh):
+        out = original(t, rho, val, fresh)
+        if (isinstance(t, AssocPiece) and len(t.entries) == 1
+                and isinstance(t.entries[0], CatchAll) and not t.entries[0].args):
+            assert out is val.meta_bind[t.entries[0].meta].body
+            lone.append(out)
+        return out
+
+    monkeypatch.setattr(plank.rewrite, "_inst", recording)
+    for label, source, term, fuel, *_ in ENGINE_PINS:
+        if source != CBV_EVAL:
+            continue
+        script = parse_script(source)
+        checked = check_script(script)
+        rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+        lone.clear()
+        normalize(checked.gamma, rules, parse_term(term), fuel=fuel)
+        assert lone, label
+        for out in lone:
+            assert out == AssocPiece(tuple({e.key: e for e in out.entries}.values())), label
 
 
 # ---------------------------------------------------------------------------
@@ -1052,6 +1089,92 @@ def test_every_record_field_is_read():
     assert _unread_fields([record, use]) == [("A", "y"), ("A", "w")]
     sources = [p.read_text(encoding="utf-8") for p in sorted((REPO / "src" / "plank").glob("*.py"))]
     assert [f for f in _unread_fields(sources) if f not in UNREAD_FIELDS_KEPT] == []
+
+
+# Stores to a built record's field that the immutability rule allows, as
+# (function, target).  ``all_idents`` keeps a term's name set on the term;
+# equality, hashing and ``repr`` never read it.
+RECORD_STORES_KEPT = {("_idents", "t._idents")}
+
+
+def _record_field_stores(sources: dict[str, str]) -> tuple[set[str], list[str]]:
+    """The records, dataclasses declared with ``unsafe_hash=True``, and as
+    ``"FILE:LINE: what"`` each ``frozen=True`` dataclass and each store to a
+    field of a record.
+
+    A store is an attribute assignment, augmented, annotated or in a tuple,
+    an attribute deletion, or a ``setattr``, ``delattr``, ``__setattr__`` or
+    ``__delattr__`` call, that names a record field or a name that is not a
+    constant.  ``self.<attr>`` in a method of a class that is not a record
+    sets up that object; the stores in ``RECORD_STORES_KEPT`` are allowed."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    records, fields, found = set(), set(), []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            flags = {k.arg: getattr(k.value, "value", None) for d in node.decorator_list
+                     if isinstance(d, ast.Call) and _last_name(d.func) == "dataclass"
+                     for k in d.keywords}
+            if flags.get("frozen") is True:
+                found.append(f"{name}:{node.lineno}: frozen {node.name}")
+            if flags.get("unsafe_hash") is True:
+                records.add(node.name)
+                fields.update(st.target.id for st in node.body
+                              if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name))
+    for name, tree in trees.items():
+        function, owner = {}, {}
+        for node in ast.walk(tree):  # outer first, so the innermost one wins
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function.update((id(n), node.name) for n in ast.walk(node))
+            elif isinstance(node, ast.ClassDef):
+                owner.update((id(n), node.name) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                attr = node.attr
+                if (isinstance(node.value, ast.Name) and node.value.id == "self"
+                        and owner.get(id(node)) not in records | {None}):
+                    continue
+            elif (isinstance(node, ast.Call) and len(node.args) > 1 and _last_name(node.func)
+                  in {"setattr", "delattr", "__setattr__", "__delattr__"}):
+                attr = getattr(node.args[1], "value", None)
+            else:
+                continue
+            target = ast.unparse(node)
+            if (attr is None or attr in fields) and (function.get(id(node)),
+                                                     target) not in RECORD_STORES_KEPT:
+                found.append(f"{name}:{node.lineno}: {target}")
+    return records, found
+
+
+def test_no_module_stores_to_a_built_record():
+    # Records are immutable by rule, not by the runtime: their dataclasses
+    # are not frozen, whose ``__init__`` pays an ``object.__setattr__`` call
+    # per field, so this lint keeps every field as it was built.
+    sample = (
+        "@dataclass(unsafe_hash=True, slots=True)\n"
+        "class R:\n    f: int\n    _idents: int = 0\n"
+        "    def reset(self):\n        self.f = 0\n"
+        "@dataclass(frozen=True)\nclass F:\n    h: int\n"
+        "class Walk:\n    def __init__(self, r):\n        self.f = r.other = 0\n"
+        "def f(r, name):\n"
+        "    r.f, x = 1, 2\n    r.f += 1\n    r.f: int = 2\n    del r.f\n    r.x = 3\n"
+        "    setattr(r, 'f', 0)\n    object.__setattr__(r, 'x', 0)\n    delattr(r, name)\n"
+        "def _idents(t):\n    t._idents = 1\n    u._idents = 1\n"
+        "def g(self):\n    self.f = 1\n"
+    )
+    records, found = _record_field_stores({"s": sample})
+    assert records == {"R"}
+    assert sorted(found, key=lambda f: int(f.split(":")[1])) == [
+        "s:6: self.f", "s:8: frozen F", "s:14: r.f", "s:15: r.f", "s:16: r.f", "s:17: r.f",
+        "s:19: setattr(r, 'f', 0)", "s:21: delattr(r, name)", "s:24: u._idents",
+        "s:26: self.f"]
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted((REPO / "src" / "plank").glob("*.py"))}
+    records, found = _record_field_stores(sources)
+    assert {"Construction", "Var", "Diagnostic", "CheckState", "ConSig", "MetaForm",
+            "Abstraction", "RewriteRule", "RewriteStep"} <= records
+    assert found == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import plank.terms
-from plank import alpha_equal, free_vars, fresh_var, non_assoc_vars, parse_term, render
+from plank import (
+    RewriteStep,
+    alpha_equal,
+    free_vars,
+    fresh_var,
+    non_assoc_vars,
+    parse_term,
+    render,
+)
 from plank.terms import (
     AssocPiece,
     Category,
@@ -311,3 +320,45 @@ def test_fresh_var_avoids(hint, avoid):
 def test_non_assoc_vars_bounded(term):
     assert non_assoc_vars(term) <= all_idents(term)
     assert non_assoc_vars(term) <= free_vars(term)
+
+
+def _rebuilt(x):
+    """``x`` built anew field by field, ``type(x)(*fields)``: no span, and
+    no name set kept by ``all_idents``."""
+    if isinstance(x, tuple):
+        return tuple(map(_rebuilt, x))
+    if not dataclasses.is_dataclass(x):
+        return x
+    return type(x)(*(_rebuilt(getattr(x, f.name)) for f in dataclasses.fields(x)
+                     if f.init and not f.kw_only))
+
+
+def _same_record(a, b):
+    # Equality, hash and ``repr`` read the compared fields and nothing else,
+    # and the hash is the one of their tuple, as for a frozen dataclass, so
+    # the order of a set of records does not depend on how they are built.
+    assert a == b and b == a
+    assert hash(a) == hash(b) == hash(tuple(getattr(a, f.name) for f in dataclasses.fields(a)
+                                            if f.compare))
+    assert repr(a) == repr(b)
+
+
+@given(_terms())
+@settings(max_examples=100, deadline=None)
+def test_equality_and_hash_are_field_based(term):
+    h = hash(term)
+    before = _rebuilt(term)
+    all_idents(term)
+    after = _rebuilt(term)
+    assert hash(term) == h
+    for copy in (before, after):
+        _same_record(copy, term)
+    if isinstance(term, Construction):
+        assert term._idents is not None and before._idents is None is after._idents
+
+
+@given(st.lists(st.integers(0, 3), max_size=4), st.integers(0, 5))
+def test_records_with_equal_fields_are_equal(position, rule_index):
+    a = RewriteStep(tuple(position), rule_index)
+    _same_record(a, RewriteStep(tuple(position), rule_index))
+    assert a != RewriteStep(tuple(position), rule_index + 1)
