@@ -78,16 +78,16 @@ class CheckState:
     ``v`` is the set of names usable as association keys: on a rule side,
     its free variables outside association lists (KeyNotElsewhere, which
     keeps pattern keys resolvable); on a ground subject, every name of it.
-    ``bound`` is the chain of binders in scope.  A name may repeat in it:
-    an inner binder shadows an outer one, and ``delta.var`` holds the
-    innermost binder's sort.
+    ``bound`` maps each binder in scope to its sort, an inner binder
+    replacing an outer one of the same name; ``delta.var`` gives the sort
+    of every other name.
     """
 
     gamma: GlobalEnv
     delta: RuleEnv
     v: frozenset[Ident]
     tc: TermContext
-    bound: tuple[Ident, ...] = ()
+    bound: dict[Ident, Sort]
 
 
 @dataclass
@@ -154,7 +154,7 @@ def _check_construction(st: CheckState, t: Construction, expected: Sort, tag: st
             f"constructor {t.head} expects {len(forms)} argument(s), got {len(t.args)}",
         )]
     errors: list[Diagnostic] = []
-    inner = CheckState(st.gamma, st.delta, st.v, piece_tc, st.bound)
+    inner = st if st.tc is piece_tc else CheckState(st.gamma, st.delta, st.v, piece_tc, st.bound)
     for p, f in zip(t.args, forms):
         errors.extend(check_piece(inner, p, f))
     return errors
@@ -262,12 +262,10 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
             )]
         if a.name not in st.bound:
             return [_err(tag, a, f"{a.name} is not bound in the enclosing pattern")]
-        have = st.delta.var.get(a.name)
-        if have is None or have != s:
-            got = "no sort" if have is None else render(have)
+        have = st.bound[a.name]
+        if have != s:
             return [_err(
-                tag, a,
-                f"argument {a.name} of {m.meta} has {got}, expected {render(s)}",
+                tag, a, f"argument {a.name} of {m.meta} has {render(have)}, expected {render(s)}",
             )]
         if isinstance(m, MetaApp) and a.name in seen:
             return [_err(tag, a, f"arguments of {m.meta} must be pairwise distinct variables")]
@@ -279,7 +277,7 @@ def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
                     need_hasvar: bool, key: bool = False) -> list[Diagnostic]:
     if not isinstance(t, Var):
         return [_err(tag, t, f"expected a variable, got {render(t)}")]
-    have = st.delta.var.get(t.name)
+    have = st.bound.get(t.name) or st.delta.var.get(t.name)
     if have is None:
         return [_err(tag, t, f"variable {t.name} has no sort in this rule")]
     if have != expected:
@@ -327,10 +325,8 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[Diagnostic]:
                 f"scope binds {len(p.binders)} variable(s) but the form declares "
                 f"{len(f.binder_sorts)} (BinderArityMismatch)",
             )]
-        var = dict(st.delta.var)
-        var.update(zip(p.binders, f.binder_sorts))
-        inner = CheckState(st.gamma, RuleEnv(var, st.delta.meta), st.v, st.tc,
-                           st.bound + p.binders)
+        inner = CheckState(st.gamma, st.delta, st.v, st.tc,
+                           st.bound | dict(zip(p.binders, f.binder_sorts)))
         return check_term(inner, p.body, f.body_sort)
 
     if not isinstance(f, AssocForm):
@@ -447,9 +443,9 @@ def _check_rule(gamma: GlobalEnv, d: RuleDecl, delta: RuleEnv,
     errors = check_sort(gamma, d.sort)
     if env_errors:
         return errors + env_errors
-    lhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.lhs)), TermContext.PAT)
+    lhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.lhs)), TermContext.PAT, {})
     errors.extend(check_term(lhs_state, d.lhs, d.sort))
-    rhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.rhs)), TermContext.CON)
+    rhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.rhs)), TermContext.CON, {})
     errors.extend(check_term(rhs_state, d.rhs, d.sort))
     return errors
 
@@ -502,7 +498,7 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
         )]
     delta = RuleEnv()
     walk_sorts(gamma, t, sort, delta, {}, in_lhs=False)
-    st = CheckState(gamma, delta, all_idents(t), TermContext.CON)
+    st = CheckState(gamma, delta, all_idents(t), TermContext.CON, {})
     return sort, delta, check_term(st, t, sort)
 
 

@@ -69,24 +69,7 @@ class ParseFailure(Exception):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = {
-    "(": "(",
-    ")": ")",
-    "[": "[",
-    "]": "]",
-    "{": "{",
-    "}": "}",
-    ",": ",",
-    ";": ";",
-    ":": ":",
-    "<": "<",
-    ">": ">",
-    "⟨": "<",
-    "⟩": ">",
-    "~": "~",
-    "¬": "~",
-    "→": "->",
-}
+_PUNCT = {c: c for c in "()[]{},;:<>~"} | {"⟨": "<", "⟩": ">", "¬": "~", "→": "->"}
 
 # One alternative per token class, tried in order; ``other`` is any single
 # character no class accepts (``.`` stops only at ``\n``, which ``nl`` takes).

@@ -242,7 +242,8 @@ class _Matcher:
     """
 
     def __init__(self):
-        self.val = Valuation()
+        self.meta_bind: dict[Ident, Abstraction] = {}
+        self.var_bind: dict[Ident, Ident] = {}
         self.used: set[Ident] = set()
         # (pattern entries, subject dict, penv, senv)
         self.pending: list[tuple] = []
@@ -269,9 +270,9 @@ class _Matcher:
             if s.name in senv:
                 # A free pattern variable may not capture a subject binder.
                 raise _NoMatch
-            seen = self.val.var_bind.get(p.name)
+            seen = self.var_bind.get(p.name)
             if seen is None:
-                self.val.var_bind[p.name] = s.name
+                self.var_bind[p.name] = s.name
             elif seen != s.name:
                 raise _NoMatch
             return
@@ -333,9 +334,9 @@ class _Matcher:
         return substitute(s, reserved) if reserved else s
 
     def _record_meta(self, meta: Ident, ab: Abstraction) -> None:
-        seen = self.val.meta_bind.get(meta)
+        seen = self.meta_bind.get(meta)
         if seen is None:
-            self.val.meta_bind[meta] = ab
+            self.meta_bind[meta] = ab
         elif not alpha_equal(ScopePiece(seen.params, seen.body), ScopePiece(ab.params, ab.body)):
             raise _NoMatch
 
@@ -346,13 +347,13 @@ class _Matcher:
         it resolves to a free name that a subject binder in scope shadows."""
         if w in penv:
             return penv[w]
-        k = self.val.var_bind[w]  # ``resolvable``: bound by now
+        k = self.var_bind[w]  # ``resolvable``: bound by now
         return None if k in senv else k
 
     def resolvable(self, item) -> bool:
         p_entries, _, penv, _ = item
         return all(
-            e.key in penv or e.key in self.val.var_bind
+            e.key in penv or e.key in self.var_bind
             for e in p_entries
             if isinstance(e, (MapEntry, NotKey))
         )
@@ -416,7 +417,7 @@ def match_term(pattern: Term, subject: Term) -> Valuation | None:
         m.drain_pending()
     except _NoMatch:
         return None
-    return m.val
+    return Valuation(m.meta_bind, m.var_bind)
 
 
 # ---------------------------------------------------------------------------

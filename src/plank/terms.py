@@ -36,51 +36,28 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import repeat
 from typing import Iterable, NamedTuple, Union
 
 
-class Category(Enum):
-    """Lexical category of an identifier."""
-
-    CONSTRUCTOR = "constructor"
-    VARIABLE = "variable"
-    META = "meta-variable"
+_SPELLING = re.compile(r"[A-Za-z][A-Za-z0-9_]*|#[A-Za-z0-9_]*")
 
 
-_CONSTRUCTOR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
-_VARIABLE_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
-_META_RE = re.compile(r"#[A-Za-z0-9_]*\Z")
-
-
-def ident_category(text: str) -> Category:
-    """Classify an identifier by spelling, raising ValueError if malformed."""
-    if _CONSTRUCTOR_RE.match(text):
-        return Category.CONSTRUCTOR
-    if _VARIABLE_RE.match(text):
-        return Category.VARIABLE
-    if _META_RE.match(text):
-        return Category.META
-    raise ValueError(f"not a valid identifier: {text!r}")
+def _check_spelling(text: str) -> None:
+    if not _SPELLING.fullmatch(text):
+        raise ValueError(f"not a valid identifier: {text!r}")
 
 
 class Ident(str):
-    """An identifier; equality and hashing are plain string semantics.
-
-    The category is determined entirely by the spelling, so two idents are
-    equal exactly when their category and text agree.
-    """
+    """An identifier: a letter, or ``#`` for a meta-variable, then letters,
+    digits and underscores.  Equality and hashing are plain string
+    semantics; a malformed spelling raises ValueError."""
 
     __slots__ = ()
 
     def __new__(cls, text: str) -> "Ident":
-        ident_category(text)
+        _check_spelling(text)
         return super().__new__(cls, text)
-
-    @property
-    def category(self) -> Category:
-        return ident_category(self)
 
 
 class Span(NamedTuple):

@@ -51,7 +51,7 @@ L = SortCons(Ident("L"))
 def state(gamma, tc, *, var=None, meta=None, v=(), bound=()):
     delta = RuleEnv(dict(var or {}), dict(meta or {}))
     return CheckState(gamma, delta, frozenset(Ident(x) for x in v), tc,
-                      tuple(Ident(b) for b in bound))
+                      {Ident(b): delta.var[b] for b in bound})
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +175,17 @@ class TestCheckTerm:
         errors = check_term(st, parse_term("#M(x, x)"), L)
         assert [e.rule for e in errors] == ["SMP-Meta"]
         assert "distinct" in errors[0].message
+
+    def test_meta_argument_of_another_sort_rejected(self, g2):
+        # Inference reports such a rule as MetaFormConflict first, so only a
+        # direct caller reaches this.
+        st = state(
+            g2, TermContext.IN_PAT,
+            var={"x": L}, meta={"#M": MetaForm((SortCons(Ident("B")),), L)}, bound=("x",),
+        )
+        errors = check_term(st, parse_term("#M(x)"), L)
+        assert [e.format() for e in errors] == [
+            "<term>:1:4: error[SMP-Meta]: argument x of #M has L, expected B"]
 
     def test_beta_rhs_checks_in_con(self, g1):
         st = state(
@@ -370,6 +381,18 @@ class TestGroundSubject:
     def test_ill_sorted_subject(self, g2):
         _, _, errors = check_ground_subject(g2, parse_term("Eval(Lam([y]y))"))
         assert [e.rule for e in errors] == ["SMC-Cons"]
+
+    @pytest.mark.parametrize("text,message", [
+        ("x", "a subject term must be a declared construction"),
+        ("Zap()", "constructor Zap is not declared"),
+        ("Nil()", "cannot determine a ground sort for Nil: its declared sort List<a> is "
+                  "polymorphic"),
+    ])
+    def test_subject_without_a_ground_sort(self, text, message):
+        gamma, _ = build_global_env(parse_script("L data Lam([L]L);\nList<a> data Nil();\n"))
+        sort, delta, errors = check_ground_subject(gamma, parse_term(text))
+        assert (sort, delta.var, delta.meta) == (None, {}, {})
+        assert [e.format() for e in errors] == [f"<term>:1:1: error[SMC-Cons]: {message}"]
 
     def test_unique_sort_for_ground_con_terms(self, g2, ex2):
         # any accepted ground subject has exactly the head's declared sort

@@ -198,11 +198,11 @@ class TestInferRuleEnv:
                 delta, errors = infer_rule_env(gamma, rule)
                 assert errors == []
                 lhs_state = CheckState(
-                    gamma, delta, frozenset(non_assoc_vars(rule.lhs)), TermContext.PAT
+                    gamma, delta, frozenset(non_assoc_vars(rule.lhs)), TermContext.PAT, {}
                 )
                 assert check_term(lhs_state, rule.lhs, rule.sort) == []
                 rhs_state = CheckState(
-                    gamma, delta, frozenset(non_assoc_vars(rule.rhs)), TermContext.CON
+                    gamma, delta, frozenset(non_assoc_vars(rule.rhs)), TermContext.CON, {}
                 )
                 assert check_term(rhs_state, rule.rhs, rule.sort) == []
 

@@ -329,20 +329,18 @@ def _unkept_copy(x):
     return NotKey(x.key)
 
 
-def test_shared_substitution_equals_a_full_copy(monkeypatch):
-    # Every substitution made while normalizing the pinned cases, and two
-    # whose binders clash with a replacement's free name, shares the
-    # subtrees whose kept name sets allow it.  Replayed on copies that keep
-    # no set, so that it shares nothing, and again on the originals, whose
-    # later steps have kept more sets, it gives an equal result that renders
-    # byte for byte alike, binder names included.  Some subtree is shared in
-    # every case but chain-80, which substitutes only into variables, ω,
-    # whose body holds its binder everywhere, and beta-clash, whose one
-    # substitution renames the only binder beside the replaced variable.
+def _replay_substitutions(monkeypatch, check_subject: bool) -> int:
+    """Normalize the pinned cases and two clashing ones, with or without
+    ``check_ground_subject`` first, and check every substitution made
+    against a replay; return how many replacements that are not variables
+    kept a name set when substituted."""
     calls = []
+    with_sets = 0
     original = plank.rewrite.substitute
 
     def recording(body, binding):
+        nonlocal with_sets
+        with_sets += sum(not isinstance(r, Var) and r._idents is not None for r in binding.values())
         out = original(body, binding)
         calls.append((body, dict(binding), out))
         return out
@@ -357,7 +355,10 @@ def test_shared_substitution_equals_a_full_copy(monkeypatch):
         checked = check_script(script)
         rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
         calls.clear()
-        normalize(checked.gamma, rules, parse_term(term), fuel=fuel)
+        subject = parse_term(term)
+        if check_subject:
+            check_ground_subject(checked.gamma, subject)
+        normalize(checked.gamma, rules, subject, fuel=fuel)
         assert calls, label
         for body, binding, out in calls:
             copy = original(_unkept_copy(body), {w: _unkept_copy(r) for w, r in binding.items()})
@@ -369,6 +370,27 @@ def test_shared_substitution_equals_a_full_copy(monkeypatch):
                 if any(id(x) in kept for x in _subterms(out)):
                     sharing.add(label)
     assert sharing == {c[0] for c in cases} - {"chain-80", "omega-40", "beta-clash"}
+    return with_sets
+
+
+def test_shared_substitution_equals_a_full_copy(monkeypatch):
+    # Every substitution made while normalizing the pinned cases, and two
+    # whose binders clash with a replacement's free name, shares the
+    # subtrees whose kept name sets allow it.  Replayed on copies that keep
+    # no set, so that it shares nothing, and again on the originals, whose
+    # later steps have kept more sets, it gives an equal result that renders
+    # byte for byte alike, binder names included.  Some subtree is shared in
+    # every case but chain-80, which substitutes only into variables, ω,
+    # whose body holds its binder everywhere, and beta-clash, whose one
+    # substitution renames the only binder beside the replaced variable.
+    _replay_substitutions(monkeypatch, check_subject=False)
+
+
+def test_shared_substitution_of_a_checked_subject_equals_a_full_copy(monkeypatch):
+    # ``plank normalize`` and the benchmark check the subject first, which
+    # keeps a name set on each of its constructions.  Then some replacements
+    # keep one too, and ``substitute`` builds its guard from their sets.
+    assert _replay_substitutions(monkeypatch, check_subject=True) > 0
 
 
 def test_a_lone_catch_all_list_equals_its_merged_rebuild(monkeypatch):
@@ -589,13 +611,13 @@ def test_lexer_classifies_each_distinct_word_once(monkeypatch):
     text = "\n".join(copies)
     words = set(re.findall(r"[#A-Za-z][A-Za-z0-9_]*", text))
     calls = []
-    original = plank.terms.ident_category
+    original = plank.terms._check_spelling
 
     def counting(word):
         calls.append(word)
         return original(word)
 
-    monkeypatch.setattr(plank.terms, "ident_category", counting)
+    monkeypatch.setattr(plank.terms, "_check_spelling", counting)
     script = parse_script(text)
     assert len(script.declarations) == 325
     assert len(calls) <= len(words)
@@ -910,6 +932,8 @@ PINNED = [
     ("L rule K(Lam([a]#M(a)), {#E}) -> Lam([b]#M(Ca()));",
      ["pin.plank:11:44: error[SMS-Cons]: cannot substitute a non-variable at sort L, "
       "which admits syntactic variables"]),
+    ("L rule x -> x;",
+     ["pin.plank:11:8: error[SMP-Fun]: a rule pattern must be a scheme construction"]),
 ]
 
 
@@ -985,6 +1009,14 @@ ILL_SORTED = [
      ["ill.plank:6:17: error[SMP-Data]: constructor Q is not declared",
       "ill.plank:6:33: error[SMC-Cons]: construction T has sort B, which does not match "
       "the expected sort L"]),
+    ("data-redeclared", ILL_SORTED_BASE + "B data T(L);\n",
+     ["ill.plank:6:1: error[DuplicateConstructor]: constructor T already declared with a "
+      "different signature",
+      "ill.plank:6:1: error[SD-Data]: data constructor T is not recorded with this signature"]),
+    ("scheme-redeclared", ILL_SORTED_BASE + "L scheme F(B);\n",
+     ["ill.plank:6:1: error[DuplicateConstructor]: constructor F already declared with a "
+      "different signature",
+      "ill.plank:6:1: error[SD-Fun]: scheme F is not recorded with this signature"]),
 ]
 
 

@@ -254,6 +254,18 @@ class TestMatchAssoc:
         result = checked_normalize(SIGNATURE + rule, subject)
         assert render(result.term) == ("Done()" if fires else subject)
 
+    @pytest.mark.parametrize("rule,subject,fires", [
+        ("F({~k:}, {a : W(k)}, a)", "F({}, {p : W(q)}, p)", True),
+        ("F({~k:}, {a : W(k)}, a)", "F({q : B()}, {p : W(q)}, p)", False),
+        # k is bound nowhere, so the first list never becomes resolvable.
+        ("F({~k:}, {#e}, #x)", "F({}, {}, B())", False),
+    ])
+    def test_an_absence_key_waits_for_a_later_list(self, rule, subject, fires):
+        script = ("L data A(); L data B(); L data W(L); L variable; "
+                  f"L scheme F({{L:L}}, {{L:L}}, L); L rule {rule} -> A();")
+        result = checked_normalize(script, subject)
+        assert render(result.term) == ("A()" if fires else subject)
+
 
 class TestSubstitute:
     def test_simple(self):
@@ -275,6 +287,14 @@ class TestSubstitute:
     def test_key_substitution(self):
         out = substitute(t("F({x : x})"), {Ident("x"): t("w")})
         assert out == t("F({w : w})")
+
+    @pytest.mark.parametrize("body,expected", [
+        ("F({y : x})", "F({y : w})"),  # a key that is not substituted stays
+        ("F(#M(x, y))", "F(#M(w, y))"),
+        ("F({~x:, ~y:})", "F({~w:, ~y:})"),
+    ])
+    def test_through_keys_meta_arguments_and_absence_entries(self, body, expected):
+        assert render(substitute(t(body), {Ident("x"): t("w")})) == expected
 
     def test_key_cannot_become_construction(self):
         with pytest.raises(EngineError):

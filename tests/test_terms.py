@@ -18,14 +18,12 @@ from plank import (
 )
 from plank.terms import (
     AssocPiece,
-    Category,
     Construction,
     Ident,
     MapEntry,
     ScopePiece,
     Var,
     all_idents,
-    ident_category,
 )
 
 
@@ -34,12 +32,6 @@ def t(text):
 
 
 class TestIdent:
-    def test_categories(self):
-        assert Ident("Lam").category is Category.CONSTRUCTOR
-        assert Ident("x").category is Category.VARIABLE
-        assert Ident("#M").category is Category.META
-        assert ident_category("#env") is Category.META
-
     @pytest.mark.parametrize("bad", ["", "3x", "_x", "#-", "x-y", "é"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
