@@ -50,8 +50,10 @@ from .terms import (
     SortCons,
     SortVar,
     Term,
+    VAR,
     Var,
     VariableDecl,
+    _names,
     all_idents,
     non_assoc_vars,
     render,
@@ -80,7 +82,9 @@ class CheckState:
     keeps pattern keys resolvable); on a ground subject, every name of it.
     ``bound`` maps each binder in scope to its sort, an inner binder
     replacing an outer one of the same name; ``delta.var`` gives the sort
-    of every other name.
+    of every other name.  ``absent`` collects a pattern's absence entries
+    whose key is no binder in scope, for the rule's check to look up among
+    the pattern's variables once the whole pattern is known.
     """
 
     gamma: GlobalEnv
@@ -88,6 +92,7 @@ class CheckState:
     v: frozenset[Ident]
     tc: TermContext
     bound: dict[Ident, Sort]
+    absent: list[NotKey]
 
 
 @dataclass
@@ -154,7 +159,8 @@ def _check_construction(st: CheckState, t: Construction, expected: Sort, tag: st
             f"constructor {t.head} expects {len(forms)} argument(s), got {len(t.args)}",
         )]
     errors: list[Diagnostic] = []
-    inner = st if st.tc is piece_tc else CheckState(st.gamma, st.delta, st.v, piece_tc, st.bound)
+    inner = st if st.tc is piece_tc else CheckState(st.gamma, st.delta, st.v, piece_tc, st.bound,
+                                                    st.absent)
     for p, f in zip(t.args, forms):
         errors.extend(check_piece(inner, p, f))
     return errors
@@ -214,7 +220,8 @@ def check_term(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
             f"cannot substitute a non-variable at sort {render(expected)}, which "
             "admits syntactic variables",
         )]
-    return check_term(CheckState(st.gamma, st.delta, st.v, TermContext.CON, st.bound), t, expected)
+    return check_term(CheckState(st.gamma, st.delta, st.v, TermContext.CON, st.bound, st.absent),
+                      t, expected)
 
 
 def _check_term_meta(st: CheckState, t: MetaApp, expected: Sort, tag: str
@@ -248,7 +255,7 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
             f"meta-variable {m.meta} takes {len(mf.arg_sorts)} argument(s), got {len(m.args)}",
         )]
     if st.tc is not TermContext.IN_PAT:
-        sub = CheckState(st.gamma, st.delta, st.v, TermContext.SUB, st.bound)
+        sub = CheckState(st.gamma, st.delta, st.v, TermContext.SUB, st.bound, st.absent)
         errors: list[Diagnostic] = []
         for a, s in zip(m.args, mf.arg_sorts):
             errors.extend(check_term(sub, a, s))
@@ -326,7 +333,7 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[Diagnostic]:
                 f"{len(f.binder_sorts)} (BinderArityMismatch)",
             )]
         inner = CheckState(st.gamma, st.delta, st.v, st.tc,
-                           st.bound | dict(zip(p.binders, f.binder_sorts)))
+                           st.bound | dict(zip(p.binders, f.binder_sorts)), st.absent)
         return check_term(inner, p.body, f.body_sort)
 
     if not isinstance(f, AssocForm):
@@ -358,7 +365,8 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
                 "(KeyNotElsewhere)",
             ))
         errors.extend(_check_key(st, a, key_sort))
-        extended = CheckState(st.gamma, st.delta, st.v | non_assoc_vars(a.value), st.tc, st.bound)
+        extended = CheckState(st.gamma, st.delta, st.v | non_assoc_vars(a.value), st.tc, st.bound,
+                              st.absent)
         errors.extend(check_term(extended, a.value, val_sort))
         return errors
 
@@ -368,6 +376,8 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
                 "SAP-Not", a,
                 "absence entries are only allowed in patterns (NotKeyInContraction)",
             )]
+        if a.key not in st.bound:
+            st.absent.append(a)
         return _check_key(st, a, key_sort)
 
     # Catch-all meta-variable.
@@ -443,9 +453,17 @@ def _check_rule(gamma: GlobalEnv, d: RuleDecl, delta: RuleEnv,
     errors = check_sort(gamma, d.sort)
     if env_errors:
         return errors + env_errors
-    lhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.lhs)), TermContext.PAT, {})
+    lhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.lhs)), TermContext.PAT, {}, [])
     errors.extend(check_term(lhs_state, d.lhs, d.sort))
-    rhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.rhs)), TermContext.CON, {})
+    if lhs_state.absent:
+        # KeyNotElsewhere for absence keys: the matcher resolves one through a
+        # variable bound anywhere in the pattern, after every list is matched.
+        pvars = _names(d.lhs, VAR, True, True, frozenset(), set())
+        for a in lhs_state.absent:
+            if a.key not in pvars:
+                errors.append(_err("SAP-Not", a, f"absence key {a.key} is not a variable of "
+                                   "the pattern (KeyNotElsewhere)"))
+    rhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.rhs)), TermContext.CON, {}, [])
     errors.extend(check_term(rhs_state, d.rhs, d.sort))
     return errors
 
@@ -498,7 +516,7 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
         )]
     delta = RuleEnv()
     walk_sorts(gamma, t, sort, delta, {}, in_lhs=False)
-    st = CheckState(gamma, delta, all_idents(t), TermContext.CON, {})
+    st = CheckState(gamma, delta, all_idents(t), TermContext.CON, {}, [])
     return sort, delta, check_term(st, t, sort)
 
 

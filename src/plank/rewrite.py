@@ -28,22 +28,24 @@ a fragment only where a binder took a reserved name: a β step copies its
 body once, in contraction, and only the paths to the names it replaces.
 
 Normalization is leftmost-outermost, one step at a time, and each search
-after the first resumes at the last redex p instead of at the root.  The
-nodes left of p are the objects the last search found to hold no redex,
-so they are skipped.  An ancestor at distance d above p is retried only
-with the rules whose pattern reaches d levels down (a scope body and an
-association value each one level): below its reach a pattern has only
+after the first walks down the path to the last redex p rather than
+through every node from the root; it is the same pre-order walk.  The
+nodes left of the path are the objects the last search found to hold no
+redex, so they are skipped.  Distance counts as a position does: a scope
+body is one level down and an association value two, its argument's index
+and its entry's.  An ancestor at distance d above p is retried only with
+the rules whose pattern reaches d down: below its reach a pattern has only
 meta-variables and catch-alls used once and applied to every binder in
 scope, which match any fragment.  Two kinds of rule see a whole fragment
 and are retried at every ancestor with their head: one whose
 meta-variable or catch-all stands under a pattern binder it does not
 take, as η's ``#M()`` does, and one that uses a meta-variable or
-catch-all twice.  The search then goes on through p's new subtree and the
-right siblings along the path, deepest first: the rest of pre-order.
-This is the classic bound on redex creation in left-linear systems (Huet
-and Lévy 1991; Terese 2003, ch. 4), with the binder and non-linear
-exceptions above.  The redex and rule chosen are those of a search from
-the root.
+catch-all twice.  The walk then searches p's new subtree and everything
+right of the path, and each node on the way back up rebuilds itself around
+the contractum.  This is the classic bound on redex creation in
+left-linear systems (Huet and Lévy 1991; Terese 2003, ch. 4), with the
+binder and non-linear exceptions above.  The redex and rule chosen are
+those of a search from the root.
 """
 
 from __future__ import annotations
@@ -223,8 +225,14 @@ class _NoMatch(Exception):
 
 
 class _Matcher:
-    """One matching attempt; collects bindings and defers association pieces
-    until their pattern keys are resolvable.
+    """One matching attempt; collects bindings, and queues association
+    pieces to match them in order once the descent that queued them is done.
+
+    A map entry's key is a binder in scope, a variable outside every list,
+    or one of an enclosing entry's value, matched before the inner list is
+    drained (KeyNotElsewhere, ``SA-Map``); so each list's keys are bound
+    when its turn comes.  An absence key may be bound by any value of the
+    pattern (``SAP-Not``), so absence entries are checked after every list.
 
     Each subject binder the descent enters gets a canonical name: its own
     name, or a reserved one if this attempt has used that name before, even
@@ -347,53 +355,44 @@ class _Matcher:
         it resolves to a free name that a subject binder in scope shadows."""
         if w in penv:
             return penv[w]
-        k = self.var_bind[w]  # ``resolvable``: bound by now
+        k = self.var_bind.get(w)
+        if k is None:
+            # A key is a binder in scope or a variable the pattern binds before
+            # its list drains, or at all for an absence key: SA-Map, SAP-Not.
+            raise EngineError(f"pattern key {w} is bound nowhere (KeyNotElsewhere)")
         return None if k in senv else k
 
-    def resolvable(self, item) -> bool:
-        p_entries, _, penv, _ = item
-        return all(
-            e.key in penv or e.key in self.var_bind
-            for e in p_entries
-            if isinstance(e, (MapEntry, NotKey))
-        )
-
-    def match_assoc_entries(self, item) -> None:
-        p_entries, subject, penv, senv = item
-        catchalls = [e for e in p_entries if isinstance(e, CatchAll)]
-        if len(catchalls) > 1:
-            # SAP-All (MultipleCatchAll); kept for callers that skip the checker.
-            raise EngineError(
-                "a pattern association list has more than one catch-all meta-variable"
-            )
-        named: set[Ident] = set()
-        for e in p_entries:
-            if isinstance(e, MapEntry):
-                k = self.resolve_key(e.key, penv, senv)
-                if k not in subject:
-                    raise _NoMatch
-                named.add(k)
-                self.term(e.value, subject[k].value, penv, senv)
-            elif isinstance(e, NotKey):
-                k = self.resolve_key(e.key, penv, senv)
-                if k in subject:
-                    raise _NoMatch
-        remainder = [e for k, e in subject.items() if k not in named]
-        if catchalls:
-            # The subject's own entries: ``bind_meta`` renames keys and values.
-            self.bind_meta(catchalls[0], AssocPiece(tuple(remainder)), penv, senv)
-        elif remainder:
-            raise _NoMatch
-
     def drain_pending(self) -> None:
-        while self.pending:
-            for i, item in enumerate(self.pending):
-                if self.resolvable(item):
-                    del self.pending[i]
-                    self.match_assoc_entries(item)
-                    break
-            else:
-                # Keys that never become resolvable: no deterministic match.
+        """Match the queued association lists in order, the lists queued
+        meanwhile included, and then every absence entry."""
+        absent: list[tuple[Ident, dict, dict, dict]] = []
+        for p_entries, subject, penv, senv in self.pending:
+            catchall = None
+            named: set[Ident] = set()
+            for e in p_entries:
+                if isinstance(e, MapEntry):
+                    k = self.resolve_key(e.key, penv, senv)
+                    if k not in subject:
+                        raise _NoMatch
+                    named.add(k)
+                    self.term(e.value, subject[k].value, penv, senv)
+                elif isinstance(e, NotKey):
+                    absent.append((e.key, subject, penv, senv))
+                elif catchall is None:
+                    catchall = e
+                else:
+                    # SAP-All (MultipleCatchAll); kept for callers that skip the checker.
+                    raise EngineError(
+                        "a pattern association list has more than one catch-all meta-variable"
+                    )
+            remainder = [e for k, e in subject.items() if k not in named]
+            if catchall is not None:
+                # The subject's own entries: ``bind_meta`` renames keys and values.
+                self.bind_meta(catchall, AssocPiece(tuple(remainder)), penv, senv)
+            elif remainder:
+                raise _NoMatch
+        for w, subject, penv, senv in absent:
+            if self.resolve_key(w, penv, senv) in subject:
                 raise _NoMatch
 
 
@@ -409,7 +408,8 @@ def match_term(pattern: Term, subject: Term) -> Valuation | None:
     another entry order.  A non-linear meta-variable or catch-all matches
     only abstractions that are alpha-equal.  The pattern must pass the
     checker; one that does not may raise EngineError, for instance a
-    pattern association list with more than one catch-all (SAP-All).
+    pattern association list with more than one catch-all (SAP-All) or a
+    pattern key bound nowhere (SA-Map, SAP-Not).
     """
     m = _Matcher()
     try:
@@ -535,8 +535,8 @@ def _key_through(sub: Mapping[Ident, Term], k: Ident) -> Ident:
 class RewriteRule:
     """A rule ready for the engine, paired with its inferred environment,
     the sorted free variables of its right side, and the reach of its
-    pattern: how many levels below a node the pattern looks, ``math.inf``
-    when it sees a whole fragment (see ``_reach``)."""
+    pattern: how far below a node the pattern looks, in position indices,
+    ``math.inf`` when it sees a whole fragment (see ``_reach``)."""
 
     decl: RuleDecl
     env: RuleEnv
@@ -596,7 +596,8 @@ def _reach(p: Term | CatchAll, depth: int, scope: tuple[Ident, ...], seen: set[I
     or ``math.inf`` if ``p`` holds a meta-variable or catch-all that can
     reject a fragment: one used twice (``seen`` holds those met so far), or
     one that stands under a binder it does not take, shadowed ones included.
-    A scope body and an association value are each one level down.
+    Depth counts as a position does: a scope body is one level down and an
+    association value two, its argument's index and its entry's.
     """
     if isinstance(p, Var):
         return depth
@@ -614,7 +615,7 @@ def _reach(p: Term | CatchAll, depth: int, scope: tuple[Ident, ...], seen: set[I
             continue
         for e in piece.entries:
             if isinstance(e, MapEntry):
-                reach = max(reach, _reach(e.value, depth + 1, scope, seen))
+                reach = max(reach, _reach(e.value, depth + 2, scope, seen))
             elif isinstance(e, CatchAll):
                 reach = max(reach, _reach(e, depth + 1, scope, seen))
     return reach
@@ -654,96 +655,66 @@ def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term, *,
 
     Without ``after`` the search starts at the root.  With ``after``, ``t``
     must be what this function returned for the step at position ``after``,
-    and the search resumes there, as the module docstring describes: it
-    walks down that path once and rebuilds it from the ancestors walked.
+    and the search resumes there, as the module docstring describes; it is
+    the same pre-order walk, which skips what lies left of that path and
+    retries each ancestor only with the rules that reach the old redex.
     ``normalize`` passes ``_by_head``, the index of ``rules`` by head that
     it builds once.
     """
     by_head = _index_by_head(gamma, rules) if _by_head is None else _by_head
-    names = _term_names(t)
-    if not after:  # from the root, or resumed at it
-        return _visit(t, (), by_head, names)
-    # Per ancestor, root first: the node, the argument and entry index the
-    # path takes (entry 0 for a scope argument), and the node's position
-    # length.
-    chain: list[tuple[Construction, int, int, int]] = []
-    sub, k = t, 0
-    while k < len(after):
-        i, p = after[k], sub.args[after[k]]
-        if isinstance(p, ScopePiece):
-            chain.append((sub, i, 0, k))
-            sub, k = p.body, k + 1
-        else:
-            chain.append((sub, i, after[k + 1], k))
-            sub, k = p.entries[after[k + 1]].value, k + 2
-    for n, (a, _, _, k) in enumerate(chain):
-        d = len(chain) - n
-        for rule in by_head.get(a.head, ()):
-            if rule.reach >= d:
-                val = match_term(rule.decl.lhs, a)
-                if val is not None:
-                    new = contract(rule.decl.rhs, val, names, _rhs_vars=rule.rhs_vars)
-                    return _rebuild(chain, n, new), RewriteStep(after[:k], rule.index)
-    n = len(chain)
-    hit = _visit(sub, after, by_head, names)
-    while hit is None and n:
-        n -= 1
-        a, i, j, k = chain[n]
-        if isinstance(a.args[i], ScopePiece):
-            hit = _visit(a, after[:k], by_head, names, i + 1, 0)
-        else:
-            hit = _visit(a, after[:k], by_head, names, i, j + 1)
+    hit = _visit(t, by_head, _term_names(t), after or (), 0)
     if hit is None:
         return None
-    return _rebuild(chain, n, hit[0]), hit[1]
+    term, index, *path = hit
+    path.reverse()
+    return term, RewriteStep(tuple(path), index)
 
 
-def _visit(sub: Term, path: tuple[int, ...], by_head: dict[Ident, list[RewriteRule]],
-           names: Iterable[Ident], i0: int = 0, j0: int = 0
-           ) -> tuple[Term, RewriteStep] | None:
-    # With (i0, j0) past (0, 0) the search resumes after one of ``sub``'s
-    # pieces: ``sub``'s own rules are not tried, and the search starts at
-    # argument i0, at entry j0 of it if it is an association list.
+def _visit(sub: Term, by_head: dict[Ident, list[RewriteRule]], names: Iterable[Ident],
+           after: tuple[int, ...], k: int) -> list | None:
+    """Search ``sub`` in pre-order and contract its first redex.
+
+    ``after[k:]`` is the rest of the last redex's position below ``sub``,
+    empty off that path.  ``sub`` tries only the rules that reach that far
+    down, and its children left of the path are skipped.  A hit is the
+    list ``[new sub, rule index, *position]``, the position reversed: each
+    level appends its own indices as it rebuilds itself around the
+    contractum.
+    """
     if not isinstance(sub, Construction):
         return None
-    if not (i0 or j0):
-        for rule in by_head.get(sub.head, ()):
+    n = len(after)
+    for rule in by_head.get(sub.head, ()):
+        if rule.reach >= n - k:
             val = match_term(rule.decl.lhs, sub)
             if val is not None:
-                new = contract(rule.decl.rhs, val, names, _rhs_vars=rule.rhs_vars)
-                return new, RewriteStep(path, rule.index)
-    for i, p in enumerate(sub.args[i0:], i0):
+                return [contract(rule.decl.rhs, val, names, _rhs_vars=rule.rhs_vars), rule.index]
+    args = sub.args
+    # On the path, the walk starts at the path's argument and entry; once
+    # that child is searched, ``k = n`` marks every later child off the path.
+    for i in range(after[k] if k < n else 0, len(args)):
+        p = args[i]
         if isinstance(p, ScopePiece):
-            hit = _visit(p.body, path + (i,), by_head, names)
+            hit = _visit(p.body, by_head, names, after, k + 1 if k < n else n)
             if hit is not None:
-                return _replace(sub, i, 0, hit[0]), hit[1]
+                hit[0] = Construction(sub.head, args[:i] + (ScopePiece(p.binders, hit[0]),)
+                                      + args[i + 1:])
+                hit.append(i)
+                return hit
+            k = n
             continue
-        for j, e in enumerate(p.entries[j0:], j0):
+        entries = p.entries
+        for j in range(after[k + 1] if k < n else 0, len(entries)):
+            e = entries[j]
             if isinstance(e, MapEntry):
-                hit = _visit(e.value, path + (i, j), by_head, names)
+                hit = _visit(e.value, by_head, names, after, k + 2 if k < n else n)
                 if hit is not None:
-                    return _replace(sub, i, j, hit[0]), hit[1]
-        j0 = 0
+                    p = AssocPiece(entries[:j] + (MapEntry(e.key, hit[0]),) + entries[j + 1:])
+                    hit[0] = Construction(sub.head, args[:i] + (p,) + args[i + 1:])
+                    hit += (j, i)
+                    return hit
+                k = n
     return None
-
-
-def _replace(sub: Construction, i: int, j: int, new: Term) -> Construction:
-    """``sub`` with ``new`` for the body of argument ``i``, or for the value
-    of its entry ``j`` when that argument is an association list."""
-    p = sub.args[i]
-    if isinstance(p, ScopePiece):
-        p = ScopePiece(p.binders, new)
-    else:
-        p = AssocPiece(p.entries[:j] + (MapEntry(p.entries[j].key, new),) + p.entries[j + 1:])
-    return Construction(sub.head, sub.args[:i] + (p,) + sub.args[i + 1:])
-
-
-def _rebuild(chain: list[tuple[Construction, int, int, int]], n: int, new: Term) -> Term:
-    """The root, rebuilt from ``new`` in place of ``chain[n]``'s ancestor
-    (the subject at the path's end when ``n`` is the chain's length)."""
-    for a, i, j, _ in reversed(chain[:n]):
-        new = _replace(a, i, j, new)
-    return new
 
 
 def normalize(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term,

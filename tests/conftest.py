@@ -32,7 +32,8 @@ L rule Apply(Lam([x]#B(x)), #V, {#env})
 
 # Rules that the search resumed after a step must retry at an ancestor
 # beyond one level above it: a non-linear meta-variable, a pattern that
-# reaches two levels down, and a catch-all under a binder it does not take.
+# reaches two levels down, once through two scopes and once into an
+# association value, and a catch-all under a binder it does not take.
 
 NONLINEAR = """\
 L data A(L);
@@ -50,6 +51,16 @@ L data B();
 L scheme F(L);
 L scheme I(L);
 L rule F(G(H(#x))) -> #x;
+L rule I(#x) -> #x;
+"""
+
+IN_VALUE = """\
+L variable;
+L data W(L);
+L data B();
+L scheme F({L:L}, L);
+L scheme I(L);
+L rule F({x : W(#v)}, x) -> #v;
 L rule I(#x) -> #x;
 """
 

@@ -51,7 +51,7 @@ L = SortCons(Ident("L"))
 def state(gamma, tc, *, var=None, meta=None, v=(), bound=()):
     delta = RuleEnv(dict(var or {}), dict(meta or {}))
     return CheckState(gamma, delta, frozenset(Ident(x) for x in v), tc,
-                      {Ident(b): delta.var[b] for b in bound})
+                      {Ident(b): delta.var[b] for b in bound}, [])
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +309,14 @@ class TestCheckAssociation:
         st = self.setup_state(g2, TermContext.IN_PAT)
         entry = parse_term("E({~x:})").args[0].entries[0]
         assert check_association(st, entry, L, L) == []
+
+    def test_not_key_waits_for_the_whole_pattern(self, g2):
+        # A key that is no binder in scope may be bound by any variable of
+        # the pattern, so the rule's check looks it up at the end.
+        st = self.setup_state(g2, TermContext.IN_PAT)
+        entry = parse_term("E({~y:})").args[0].entries[0]
+        assert check_association(st, entry, L, L) == []
+        assert st.absent == [entry]
 
     def test_catchall_in_pattern_and_contraction(self, g2):
         for tc in (TermContext.IN_PAT, TermContext.CON):

@@ -6,12 +6,13 @@
   on fixed inputs are byte-identical to the recorded ones, including every
   fresh name, and every intermediate term passes ``check_ground_subject``.
 * ``normalize`` resumes each search at the last redex: it skips the nodes
-  left of it, and retries an ancestor at distance d only with the rules
-  whose pattern reaches d levels down, or that see a whole fragment (a
-  meta-variable or catch-all under a binder it does not take, or used
-  twice).  Its (position, rule) sequences, results and statuses equal
-  those of a loop of searches from the root, on the benchmark inputs and
-  on hand-built cases of each exception.  Church mult 12 12 takes at most
+  left of it, and retries an ancestor at distance d, counted in position
+  indices, only with the rules whose pattern reaches d down, or that see a
+  whole fragment (a meta-variable or catch-all under a binder it does not
+  take, or used twice).  Its (position, rule) sequences, results and
+  statuses equal those of a naive pre-order search that tries every rule
+  everywhere, on the benchmark inputs and on hand-built cases of each
+  exception.  Church mult 12 12 takes at most
   300 match attempts, and mult 4, 6 and 8 together at most 320.
 * Every substitution made while normalizing the pinned inputs, which
   shares each subtree its kept name set allows, equals and renders as the
@@ -79,6 +80,7 @@ from plank import (
     alpha_equal,
     check_ground_subject,
     check_script,
+    contract,
     match_term,
     normalize,
     parse_script,
@@ -109,6 +111,7 @@ from conftest import (
     CBV_EVAL,
     CLASHING_CASES,
     CLASHING_NAMES,
+    IN_VALUE,
     NONLINEAR,
     REACH_TWO,
     UNTAKEN,
@@ -429,27 +432,70 @@ def test_a_lone_catch_all_list_equals_its_merged_rebuild(monkeypatch):
 # Resumed search
 
 
-def _restart_normalize(gamma, rules, term, fuel):
-    """``normalize`` with every step searched from the root: the reference
+def _naive_step(rules, term):
+    """The leftmost-outermost step of ``term`` with nothing skipped: a
+    pre-order walk over positions that tries every rule at every
+    construction in declaration order.  The reference for ``rewrite_step``,
+    which shares none of its search."""
+    todo = [((), term)]
+    while todo:
+        pos, sub = todo.pop()
+        if not isinstance(sub, Construction):
+            continue
+        for rule in rules:
+            val = match_term(rule.decl.lhs, sub)
+            if val is not None:
+                new = contract(rule.decl.rhs, val, all_idents(term))
+                return _put(term, pos, new), (pos, rule.index)
+        children = []
+        for i, p in enumerate(sub.args):
+            if isinstance(p, ScopePiece):
+                children.append((pos + (i,), p.body))
+                continue
+            children += [(pos + (i, j), e.value) for j, e in enumerate(p.entries)
+                         if isinstance(e, MapEntry)]
+        todo += reversed(children)
+    return None
+
+
+def _put(term, pos, new):
+    """``term`` with ``new`` at position ``pos``."""
+    if not pos:
+        return new
+    args = list(term.args)
+    p = args[pos[0]]
+    if isinstance(p, ScopePiece):
+        args[pos[0]] = ScopePiece(p.binders, _put(p.body, pos[1:], new))
+    else:
+        entries = list(p.entries)
+        e = entries[pos[1]]
+        entries[pos[1]] = MapEntry(e.key, _put(e.value, pos[2:], new))
+        args[pos[0]] = AssocPiece(tuple(entries))
+    return Construction(term.head, tuple(args))
+
+
+def _restart_normalize(rules, term, fuel):
+    """``normalize`` with every step taken by ``_naive_step``: the reference
     for the search that resumes at the last redex."""
     steps = []
     for _ in range(fuel):
-        hit = rewrite_step(gamma, rules, term)
+        hit = _naive_step(rules, term)
         if hit is None:
             return term, steps, "NormalForm"
         term, step = hit
-        steps.append((step.position, step.rule_index))
-    return term, steps, "NormalForm" if rewrite_step(gamma, rules, term) is None else "FuelExhausted"
+        steps.append(step)
+    return term, steps, "NormalForm" if _naive_step(rules, term) is None else "FuelExhausted"
 
 
 # Each hand-built case makes a redex at an ancestor farther above the last
-# step than the rule's reach: η at a Lam three levels up once a step drops
-# the binder's last free occurrence, K(#m, #m) once a step three levels
-# down makes its arguments equal, a pattern of reach 2 at the grandparent,
-# and a catch-all that does not take x once a step four levels down drops x.
-# The last two find a redex right of the last one's path: in the next
-# argument, in the next entry of the same association list, and at the
-# first entry of the next list.
+# step than one level: η at a Lam three levels up once a step drops the
+# binder's last free occurrence, K(#m, #m) once a step three levels down
+# makes its arguments equal, a pattern of reach 2 at the grandparent, one
+# of reach 2 once a step in an association value, two position indices
+# down, builds the W it looks for, and a catch-all that does not take x
+# once a step four levels down drops x.  The last two find a redex right of
+# the last one's path: in the next argument, in the next entry of the same
+# association list, and at the first entry of the next list.
 RESUMED = [(f"mult-{n}", BETA_ETA, _mult(n), 10000, None) for n in range(2, 9)] + [
     ("chain-80", CBV_EVAL, _identity_chain(80), 10000, None),
     ("let-10", CBV_EVAL, _let_chain(10), 10000, None),
@@ -459,6 +505,7 @@ RESUMED = [(f"mult-{n}", BETA_ETA, _mult(n), 10000, None) for n in range(2, 9)] 
     ("nonlinear-meta", NONLINEAR, "K(A(A(I(B()))), A(A(B())))", 10000,
      [((0, 0, 0), 1), ((), 0)]),
     ("reach-two", REACH_TWO, "F(G(I(H(B()))))", 10000, [((0, 0), 1), ((), 0)]),
+    ("in-value", IN_VALUE, "F({p : I(W(B()))}, p)", 10000, [((0, 0), 1), ((), 0)]),
     ("untaken-catch-all", UNTAKEN, "Drop([x]Env({v : A(A(I(x)))}))", 10000,
      [((0, 0, 0, 0, 0), 1), ((), 0)]),
     ("next-argument", BETA_ETA, "Ap(Ap(Lam([x]x), z), Ap(Lam([y]y), w))", 10000,
@@ -478,7 +525,7 @@ def test_resumed_search_chooses_the_redexes_of_a_search_from_the_root(label, sou
     assert checked.ok, [e.format() for e in checked.errors]
     rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
     result = normalize(checked.gamma, rules, parse_term(term), fuel=fuel)
-    reference, steps, status = _restart_normalize(checked.gamma, rules, parse_term(term), fuel)
+    reference, steps, status = _restart_normalize(rules, parse_term(term), fuel)
     assert [(s.position, s.rule_index) for s in result.steps] == steps
     assert render(result.term) == render(reference)
     assert result.status.value == status
@@ -593,10 +640,12 @@ def test_normalize_indexes_the_rules_by_head_once(monkeypatch):
     assert len(result.steps) == 321
     assert calls == [len(rules)]
     calls.clear()
-    _, steps, status = _restart_normalize(checked.gamma, rules, parse_term(_identity_chain(80)),
-                                          10000)
+    term, steps = parse_term(_identity_chain(80)), []
+    while (hit := rewrite_step(checked.gamma, rules, term)) is not None:
+        term, step = hit
+        steps.append((step.position, step.rule_index))
     pin = next(p for p in ENGINE_PINS if p[0] == "chain-80")
-    assert status == "NormalForm" and _pin(repr(steps)) == pin[7]
+    assert _pin(repr(steps)) == pin[7]
     assert len(calls) == len(steps) + 1
 
 
@@ -934,6 +983,21 @@ PINNED = [
       "which admits syntactic variables"]),
     ("L rule x -> x;",
      ["pin.plank:11:8: error[SMP-Fun]: a rule pattern must be a scheme construction"]),
+    # Recorded later.  Each meta-variable's first occurrence fixes its
+    # meta-form; a later one whose arguments are not all variables of known
+    # sorts raises no MetaFormConflict and reaches these checks.
+    ("L rule K(#E(Done()), {#E}) -> Done();",
+     ["pin.plank:11:10: error[SMP-Meta]: catch-all meta-variable #E cannot be used as a term"]),
+    ("B rule F([a]#M(a), #M(Cb())) -> Cb();",
+     ["pin.plank:11:20: error[SMP-Meta]: pattern arguments of #M must be bound variables, "
+      "got Cb()"]),
+    ("L rule K(#M, {#M(Done())}) -> Done();",
+     ["pin.plank:11:15: error[SAP-All]: meta-variable #M is not a catch-all"]),
+    # The binder x is out of scope at the absence entry, and no variable
+    # of the pattern is x.
+    ("L rule K(Lam([x]Done()), {~x:}) -> Done();",
+     ["pin.plank:11:27: error[SAP-Not]: absence key x is not a variable of the pattern "
+      "(KeyNotElsewhere)"]),
 ]
 
 
@@ -987,6 +1051,8 @@ MALFORMED = [
       "bad.plank:1:21: error[parse]: unexpected character 'é'",
       "bad.plank:1:23: error[parse]: unexpected character '9'",
       "bad.plank:2:12: error[parse]: expected ';', found 'end of input'"]),
+    ("missing-term", MALFORMED_BASE + "L scheme F(L);\nL rule F(x) -> Ap(x, );\n",
+     ["bad.plank:5:22: error[parse]: expected a term, found ')'"]),
 ]
 
 
@@ -1017,6 +1083,25 @@ ILL_SORTED = [
      ["ill.plank:6:1: error[DuplicateConstructor]: constructor F already declared with a "
       "different signature",
       "ill.plank:6:1: error[SD-Fun]: scheme F is not recorded with this signature"]),
+    # Recorded later: as in ``PINNED``, the second occurrence of #M or #e
+    # has an argument that is no variable, so it raises no MetaFormConflict.
+    ("meta-at-another-sort", ILL_SORTED_BASE + "B scheme G(L, B);\nB rule G(#M, #M(T())) -> T();\n",
+     ["ill.plank:7:14: error[SMP-Meta]: meta-variable #M produces L, expected B"]),
+    ("catch-all-at-another-form",
+     ILL_SORTED_BASE + "L scheme G({L:L}, {B:B});\nL rule G({#e}, {#e(T())}) -> F(x);\n",
+     ["ill.plank:7:17: error[SAP-All]: catch-all #e covers {L:L}, expected {B:B}"]),
+    ("data-at-a-sort-variable", ILL_SORTED_BASE + "a data Q();\n",
+     ["ill.plank:6:1: error[NonVariableSortParameter]: data constructor Q needs a named "
+      "result sort"]),
+    ("substitution-at-a-sort-variable",
+     ILL_SORTED_BASE + "a scheme P([a]a);\na rule P([x]#M(x)) -> #M(P([y]y));\n",
+     ["ill.plank:7:26: error[SMS-Cons]: cannot substitute a non-variable at sort a"]),
+    # k is bound nowhere, so the matcher could never resolve it.
+    ("absence-key-bound-nowhere",
+     "L data A();\nL data B();\nL data W(L);\nL variable;\nL scheme F({L:L}, {L:L}, L);\n"
+     "L rule F({~k:}, {#e}, #x) -> A();\n",
+     ["ill.plank:6:11: error[SAP-Not]: absence key k is not a variable of the pattern "
+      "(KeyNotElsewhere)"]),
 ]
 
 
@@ -1457,7 +1542,7 @@ def test_walks_reach_deep_scopes_under_the_default_recursion_limit(depth, build,
     # Built directly, so no other walk limits the depth.  Each walk spends
     # one frame per node; a comprehension between a node and its children
     # would spend a second one and fall short of these depths.  The search
-    # from the root spends one frame per construction, two per level here;
-    # the resumed search walks down to the last redex and rebuilds the path
-    # in a loop, so it reaches no less deep.
+    # spends one frame per construction, two per level here, whether it
+    # starts at the root or resumes: the resumed search recurses along the
+    # path to the last redex, so it reaches as deep as the first search.
     assert walk(build(depth))

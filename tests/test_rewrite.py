@@ -32,6 +32,7 @@ from conftest import (
     CBV_EVAL,
     CLASHING_CASES,
     CLASHING_NAMES,
+    IN_VALUE,
     NONLINEAR,
     REACH_TWO,
     UNTAKEN,
@@ -257,14 +258,34 @@ class TestMatchAssoc:
     @pytest.mark.parametrize("rule,subject,fires", [
         ("F({~k:}, {a : W(k)}, a)", "F({}, {p : W(q)}, p)", True),
         ("F({~k:}, {a : W(k)}, a)", "F({q : B()}, {p : W(q)}, p)", False),
-        # k is bound nowhere, so the first list never becomes resolvable.
-        ("F({~k:}, {#e}, #x)", "F({}, {}, B())", False),
     ])
     def test_an_absence_key_waits_for_a_later_list(self, rule, subject, fires):
         script = ("L data A(); L data B(); L data W(L); L variable; "
                   f"L scheme F({{L:L}}, {{L:L}}, L); L rule {rule} -> A();")
         result = checked_normalize(script, subject)
         assert render(result.term) == ("A()" if fires else subject)
+
+    @pytest.mark.parametrize("rule,subject,fires", [
+        ("F({~y:, x : W(y)}, x)", "F({p : W(q)}, p)", True),
+        ("F({~y:, x : W(y)}, x)", "F({p : W(q), q : B()}, p)", False),
+        # With a catch-all only the absence of q can block the match.
+        ("F({~y:, #r, x : W(y)}, x)", "F({p : W(q), r : B()}, p)", True),
+        ("F({~y:, #r, x : W(y)}, x)", "F({p : W(q), q : B()}, p)", False),
+    ])
+    def test_an_absence_key_waits_for_a_value_of_its_own_list(self, rule, subject, fires):
+        # y is bound only by x's value in the same list, so its absence is
+        # checked once every list has been matched.
+        script = ("L data A(); L data B(); L data W(L); L variable; "
+                  f"L scheme F({{L:L}}, L); L rule {rule} -> A();")
+        result = checked_normalize(script, subject)
+        assert render(result.term) == ("A()" if fires else subject)
+
+    @pytest.mark.parametrize("pattern", ["E({x : #V})", "E({~x:, #env})"])
+    def test_a_key_bound_nowhere_raises_for_an_unchecked_pattern(self, pattern):
+        # The checker reports such a key (SA-Map, SAP-Not); the matcher
+        # names it rather than fail on a missing binding.
+        with pytest.raises(EngineError, match="KeyNotElsewhere"):
+            match_term(t(pattern), t("E({a : One()})"))
 
 
 class TestSubstitute:
@@ -577,15 +598,18 @@ class TestPrepareRules:
         (CBV_EVAL, [1, 1, 1, 1]),
         (NONLINEAR, [math.inf, 0]),
         (REACH_TWO, [2, 0]),
+        (IN_VALUE, [2, 0]),
         (UNTAKEN, [math.inf, 0]),
         (SIGNATURE + BRANCH_RULES, [math.inf, 1, 2]),
         (SIGNATURE + "L scheme S([L]L); L rule S([x]Lam([x]#M(x))) -> Done();", [math.inf]),
         (SIGNATURE + "L scheme S([L]L); L rule S([x]Lam([y]#M(y, x))) -> Done();", [1]),
-    ], ids=["beta-eta", "cbv", "nonlinear-meta", "reach-two", "untaken-catch-all",
+    ], ids=["beta-eta", "cbv", "nonlinear-meta", "reach-two", "in-value", "untaken-catch-all",
             "branch-rules", "shadowed-binder", "every-binder-taken"])
     def test_pattern_reach(self, source, reaches):
-        # How far below a node each pattern looks: η's #M() does not take x,
-        # K(#m, #m) and F({#e}, {#e}) use a meta-variable twice, and under
+        # How far below a node each pattern looks, counted as positions
+        # count: a scope body one level and an association value two, so
+        # W in F({x : W(#v)}, x) stands at depth 2.  η's #M() does not take
+        # x, K(#m, #m) and F({#e}, {#e}) use a meta-variable twice, and under
         # S([x]Lam([x]...)) no meta-variable can take the outer x.  A variable
         # met twice, as in G(x, x), compares names only.
         script = parse_script(source)

@@ -86,6 +86,7 @@ class TestKeptNames:
 class TestAlphaEqual:
     def test_binder_renaming(self):
         assert alpha_equal(t("Lam([x]x)"), t("Lam([y]y)"))
+        assert not alpha_equal(t("Lam([x, y]x)"), t("Lam([x]x)"))
 
     def test_free_names_differ(self):
         assert not alpha_equal(t("x"), t("y"))
