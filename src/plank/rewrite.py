@@ -27,30 +27,34 @@ the attempt has used that name already, so it walks no name set and copies
 a fragment only where a binder took a reserved name: a β step copies its
 body once, in contraction, and only the paths to the names it replaces.
 
-Normalization is leftmost-outermost, one step at a time, and each search
-after the first walks down the path to the last redex p rather than
-through every node from the root; it is the same pre-order walk.  The
-nodes left of the path are the objects the last search found to hold no
-redex, so they are skipped.  Distance counts as a position does: a scope
-body is one level down and an association value two, its argument's index
-and its entry's.  An ancestor at distance d above p is retried only with
-the rules whose pattern reaches d down: below its reach a pattern has only
-meta-variables and catch-alls used once and applied to every binder in
-scope, which match any fragment.  Two kinds of rule see a whole fragment
-and are retried at every ancestor with their head: one whose
-meta-variable or catch-all stands under a pattern binder it does not
-take, as η's ``#M()`` does, and one that uses a meta-variable or
-catch-all twice.  The walk then searches p's new subtree and everything
-right of the path, and each node on the way back up rebuilds itself around
-the contractum.  This is the classic bound on redex creation in
-left-linear systems (Huet and Lévy 1991; Terese 2003, ch. 4), with the
-binder and non-linear exceptions above.  The redex and rule chosen are
-those of a search from the root.
+Normalization is leftmost-outermost, one step at a time, on a zipper of
+the term (Huet, "The Zipper", JFP 1997): the focus, which a step makes the
+contractum, and one frame per ancestor, its construction with a hole on
+the focus's branch.  Each search after the first resumes there and is the
+same pre-order walk as a search from the root: the nodes left of the path
+are the objects the last search found to hold no redex, so they are
+skipped.  Distance counts as a position does: a scope body is one level
+down and an association value two, its argument's index and its entry's.
+An ancestor at distance d above the focus is retried only with the rules
+whose pattern reaches d down, by its deepest construction or variable,
+and with its retry set.  A pattern fails structurally only on what the
+subject holds within its reach; below it the pattern has only
+meta-variables and catch-alls.  Those can still reject a fragment, for a
+binder they do not take, as η's ``#M()`` does not take x, or for a second
+occurrence that differs, but the matcher reports that failure as undoable
+only once the rest of the pattern matched, and the rule then joins the
+frame's retry set until it fires or fails structurally.  This is the
+classic bound on redex creation in left-linear systems (Huet and Lévy
+1991; Terese 2003, ch. 4), with the retry sets for the binder and
+non-linear exceptions.  The walk then searches the focus's subtree and
+moves right, else up, rebuilding an ancestor only when it climbs past
+one whose child changed.  A rule is not tried where a scope argument's
+body lacks the head, or is not the variable, that its pattern has there.
+The redex and rule chosen are those of a search from the root.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -228,6 +232,12 @@ class _Matcher:
     """One matching attempt; collects bindings, and queues association
     pieces to match them in order once the descent that queued them is done.
 
+    Two failures only a meta-variable's or catch-all's fragment causes: a
+    binder the meta may not take occurs in it, or it differs from the
+    meta's other occurrence.  Either sets ``undone`` and lets the attempt
+    go on, so an attempt that ends with ``undone`` set failed undoably: the
+    rest of the pattern matched.
+
     A map entry's key is a binder in scope, a variable outside every list,
     or one of an enclosing entry's value, matched before the inner list is
     drained (KeyNotElsewhere, ``SA-Map``); so each list's keys are bound
@@ -255,6 +265,7 @@ class _Matcher:
         self.used: set[Ident] = set()
         # (pattern entries, subject dict, penv, senv)
         self.pending: list[tuple] = []
+        self.undone = False
 
     def canonical(self, u: Ident) -> Ident:
         # The one place a reserved name is made: ``%`` is no identifier's.
@@ -322,7 +333,8 @@ class _Matcher:
         fragment = self._rename(s, senv)
         forbidden = set(senv.values()) - set(params)
         if forbidden and free_vars(fragment) & forbidden:
-            raise _NoMatch  # a forbidden binder occurs in the fragment
+            self.undone = True  # a forbidden binder occurs in the fragment
+            return
         self._record_meta(p.meta, Abstraction(params, fragment))
 
     def _meta_params(self, meta: Ident, args, penv: dict) -> tuple[Ident, ...]:
@@ -346,7 +358,7 @@ class _Matcher:
         if seen is None:
             self.meta_bind[meta] = ab
         elif not alpha_equal(ScopePiece(seen.params, seen.body), ScopePiece(ab.params, ab.body)):
-            raise _NoMatch
+            self.undone = True
 
     # -- association pieces --------------------------------------------------
 
@@ -396,7 +408,8 @@ class _Matcher:
                 raise _NoMatch
 
 
-def match_term(pattern: Term, subject: Term) -> Valuation | None:
+def match_term(pattern: Term, subject: Term, *, _undone: list | None = None
+               ) -> Valuation | None:
     """Match a checked rule pattern against a ground subject fragment.
 
     Returns the valuation, or None when the subject does not match.  The
@@ -410,12 +423,22 @@ def match_term(pattern: Term, subject: Term) -> Valuation | None:
     checker; one that does not may raise EngineError, for instance a
     pattern association list with more than one catch-all (SAP-All) or a
     pattern key bound nowhere (SA-Map, SAP-Not).
+
+    A failure is undoable when everything matched but a meta-variable's or
+    catch-all's fragment: it holds a binder the meta does not take, or a
+    non-linear meta's two fragments differ.  Only a change below the
+    pattern's reach can undo it (see ``_reach``).  The engine passes
+    ``_undone``, a list that such a failure appends True to.
     """
     m = _Matcher()
     try:
         m.term(pattern, subject, {}, {})
         m.drain_pending()
     except _NoMatch:
+        return None
+    if m.undone:
+        if _undone is not None:
+            _undone.append(True)
         return None
     return Valuation(m.meta_bind, m.var_bind)
 
@@ -534,15 +557,20 @@ def _key_through(sub: Mapping[Ident, Term], k: Ident) -> Ident:
 @dataclass(unsafe_hash=True, slots=True)
 class RewriteRule:
     """A rule ready for the engine, paired with its inferred environment,
-    the sorted free variables of its right side, and the reach of its
-    pattern: how far below a node the pattern looks, in position indices,
-    ``math.inf`` when it sees a whole fragment (see ``_reach``)."""
+    the sorted free variables of its right side, and two facts about its
+    pattern that let the search skip attempts.  ``reach`` is how far below a
+    node the pattern looks, in position units (see ``_reach``).  ``guard``
+    holds, for each scope argument whose body is a construction or a
+    variable, the argument's index and the head that body must have, or
+    None for a variable: a subject whose body differs fails there, one
+    level down (see ``_guard``)."""
 
     decl: RuleDecl
     env: RuleEnv
     index: int
     rhs_vars: tuple[Ident, ...]
-    reach: float
+    reach: int
+    guard: tuple[tuple[int, Ident | None], ...]
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -572,7 +600,7 @@ class NormalizeResult:
 def prepare_rules(gamma: GlobalEnv, rules: Sequence[RuleDecl],
                   envs: Sequence[RuleEnv] | None = None) -> list[RewriteRule]:
     """Pair checked rules with environments, their right sides' free
-    variables and their patterns' reach.
+    variables, and their patterns' reach and guard.
 
     The rules must pass ``check_script``.  The engine relies on the checker
     for every formation condition; it tests only that a pattern is a
@@ -585,45 +613,76 @@ def prepare_rules(gamma: GlobalEnv, rules: Sequence[RuleDecl],
             raise EngineError(f"rule {i} pattern is not a construction")
         env = envs[i] if envs is not None else infer_rule_env(gamma, decl)[0]
         out.append(RewriteRule(decl, env, i, tuple(sorted(free_vars(decl.rhs))),
-                               _reach(decl.lhs, 0, (), set())))
+                               _reach(decl.lhs, 0), _guard(decl.lhs)))
     return out
 
 
-def _reach(p: Term | CatchAll, depth: int, scope: tuple[Ident, ...], seen: set[Ident]
-           ) -> float:
+def _reach(p: Term, depth: int) -> int:
     """The depth of the deepest construction or variable of pattern ``p``,
-    which stands ``depth`` levels below the root under the binders ``scope``,
-    or ``math.inf`` if ``p`` holds a meta-variable or catch-all that can
-    reject a fragment: one used twice (``seen`` holds those met so far), or
-    one that stands under a binder it does not take, shadowed ones included.
-    Depth counts as a position does: a scope body is one level down and an
-    association value two, its argument's index and its entry's.
+    which stands ``depth`` levels below the root.  Depth counts as a
+    position does: a scope body is one level down and an association value
+    two, its argument's index and its entry's.
+
+    A pattern fails structurally, as ``match_term`` reports it, only on
+    what the subject holds down to this depth; below it the pattern has
+    only meta-variables and catch-alls.  Those can still reject a fragment
+    that holds a binder they do not take, or that differs from their other
+    occurrence, but that failure is undoable and the search keeps a retry
+    set for it (see ``normalize``).
     """
     if isinstance(p, Var):
         return depth
-    if isinstance(p, (MetaApp, CatchAll)):
-        # Pattern arguments are bound variables (SMP-Meta, SAP-All).
-        taken = {a.name for a in p.args}
-        if p.meta in seen or len(set(scope)) < len(scope) or not taken.issuperset(scope):
-            return math.inf
-        seen.add(p.meta)
+    if isinstance(p, MetaApp):
         return 0
     reach = depth
     for piece in p.args:
         if isinstance(piece, ScopePiece):
-            reach = max(reach, _reach(piece.body, depth + 1, scope + piece.binders, seen))
+            reach = max(reach, _reach(piece.body, depth + 1))
             continue
         for e in piece.entries:
             if isinstance(e, MapEntry):
-                reach = max(reach, _reach(e.value, depth + 2, scope, seen))
-            elif isinstance(e, CatchAll):
-                reach = max(reach, _reach(e, depth + 1, scope, seen))
+                reach = max(reach, _reach(e.value, depth + 2))
     return reach
 
 
-def _term_names(t: Term) -> Iterator[Ident]:
-    """Every name of ``t``, asked of ``all_idents`` only when first iterated."""
-    yield from all_idents(t)
+def _guard(p: Construction) -> tuple[tuple[int, Ident | None], ...]:
+    """``(index, head)`` for each scope argument of pattern ``p`` whose body
+    is a construction with that head, or a variable (head None)."""
+    guard = []
+    for i, piece in enumerate(p.args):
+        if isinstance(piece, ScopePiece):
+            if isinstance(piece.body, Construction):
+                guard.append((i, piece.body.head))
+            elif isinstance(piece.body, Var):
+                guard.append((i, None))
+    return tuple(guard)
+
+
+def _first_match(rules: Sequence[RewriteRule], t: Construction, undone: list
+                 ) -> tuple[RewriteRule | None, Valuation | None, set[int] | None]:
+    """``(rule, valuation, None)`` for the first of ``rules`` whose pattern
+    matches ``t``, tried in order through ``match_term`` with ``undone``;
+    a rule whose guard ``t`` fails is not tried.  Else ``(None, None,
+    failed)``, where ``failed`` is the set of the indices of the rules that
+    failed undoably, or None."""
+    args, failed = t.args, None
+    for rule in rules:
+        for i, head in rule.guard:
+            try:
+                body = args[i].body
+            except (AttributeError, IndexError):
+                continue  # an ill-sorted subject, which ``match_term`` rejects
+            if not (body.head == head if isinstance(body, Construction)
+                    else head is None and isinstance(body, Var)):
+                break
+        else:
+            val = match_term(rule.decl.lhs, t, _undone=undone)
+            if val is not None:
+                return rule, val, None
+            if undone:
+                undone.clear()
+                failed = {rule.index} if failed is None else failed | {rule.index}
+    return None, None, failed
 
 
 def _index_by_head(gamma: GlobalEnv, rules: Sequence[RewriteRule]
@@ -637,84 +696,226 @@ def _index_by_head(gamma: GlobalEnv, rules: Sequence[RewriteRule]
     return by_head
 
 
+# A frame of the zipper is one ancestor of the focus, a list
+# ``[node, i, j, retry, at]``.  The ancestor is ``node`` with its child on
+# the focus's branch, the body of argument ``i`` (``j`` None) or the value
+# of entry ``j`` of list ``i``, as the hole; ``node`` may hold an older
+# child there until the hole is plugged.  ``retry`` is the set of the
+# indices of the rules that failed there undoably, or None, and ``at`` is
+# the length of the ancestor's position.
+_NODE, _I, _J, _RETRY, _AT = range(5)
+
+
+def _plugged(f: list, t: Term) -> Construction:
+    """Frame ``f``'s node with ``t`` in the hole, rebuilt only if ``t`` is
+    not the child there; the frame keeps the result."""
+    node, i, j = f[_NODE], f[_I], f[_J]
+    p = node.args[i]
+    if j is None:
+        if p.body is t:
+            return node
+        p = ScopePiece(p.binders, t)
+    else:
+        entries = p.entries
+        if entries[j].value is t:
+            return node
+        p = AssocPiece(entries[:j] + (MapEntry(entries[j].key, t),) + entries[j + 1:])
+    args = node.args
+    node = f[_NODE] = Construction(node.head, args[:i] + (p,) + args[i + 1:])
+    return node
+
+
+def _next(args: tuple[Piece, ...], i: int, j: int | None) -> tuple[int, int | None, Term] | None:
+    """The child after the one at ``i``, ``j`` in pre-order, as ``(i, j,
+    child)``, or None; ``i = -1`` asks for the first child."""
+    if j is not None:
+        entries = args[i].entries
+        for j in range(j + 1, len(entries)):
+            if isinstance(entries[j], MapEntry):
+                return i, j, entries[j].value
+    for i in range(i + 1, len(args)):
+        p = args[i]
+        if isinstance(p, ScopePiece):
+            return i, None, p.body
+        for j, e in enumerate(p.entries):
+            if isinstance(e, MapEntry):
+                return i, j, e.value
+    return None
+
+
+class _Zipper:
+    """A term being normalized, held as a focus and the frames of its
+    ancestors, root first (Huet, "The Zipper", JFP 1997).
+
+    ``path`` is the focus's position, and ``retrying`` the indices of the
+    frames whose retry set is not empty, in order.  ``near[head][d - 1]``
+    lists the rules of a head whose pattern reaches d down, for d up to
+    ``reach``, the largest reach.  ``undone`` is the list every attempt
+    passes ``match_term``.  After a step the focus is the contractum.
+    Every frame's node was tried with every rule of its head, and each
+    failed either structurally, which no step deeper than its reach below
+    that node can change, or undoably, and then its index is in the frame's
+    retry set.
+    """
+
+    def __init__(self, t: Term, by_head: dict[Ident, list[RewriteRule]]):
+        self.focus = t
+        self.by_head = by_head
+        self.frames: list[list] = []
+        self.path: list[int] = []
+        self.retrying: list[int] = []
+        self.undone: list = []
+        self.reach = max((r.reach for rules in by_head.values() for r in rules), default=0)
+        self.near = {head: [[r for r in rules if r.reach >= d] for d in range(1, self.reach + 1)]
+                     for head, rules in by_head.items()}
+
+    def root(self) -> Term:
+        return self._up(len(self.frames), self.focus)
+
+    def _up(self, k: int, t: Term, top: int = 0) -> Term:
+        """Plug ``t`` into frame ``k - 1``, that frame's node into frame
+        ``k - 2``, and so on up to frame ``top``, whose node is returned."""
+        for f in reversed(self.frames[top:k]):
+            t = _plugged(f, t)
+        return t
+
+    def _names(self, k: int, redex: Term) -> Iterator[Ident]:
+        """Every name of the current term, with ``redex`` under frame
+        ``k - 1``, built only when first iterated."""
+        yield from all_idents(self._up(k, redex))
+
+    def step(self) -> RewriteStep | None:
+        """Contract the leftmost-outermost redex and focus on its
+        contractum, or focus on the root and return None."""
+        if self.frames:
+            hit = self._retry()
+            if hit is not None:
+                return hit
+        frames, path, retrying, by_head = self.frames, self.path, self.retrying, self.by_head
+        t = self.focus
+        while True:
+            if isinstance(t, Construction):
+                rules = by_head.get(t.head)
+                failed = None
+                if rules:
+                    rule, val, failed = _first_match(rules, t, self.undone)
+                    if rule is not None:
+                        return self._contract(len(frames), t, rule, val)
+                down = _next(t.args, -1, None)
+                if down is not None:
+                    i, j, child = down
+                    if failed:
+                        retrying.append(len(frames))
+                    frames.append([t, i, j, failed, len(path)])
+                    path.append(i)
+                    if j is not None:
+                        path.append(j)
+                    t = child
+                    continue
+            # Right, else up: one level rebuilt per move, where it changed.
+            while frames:
+                f = frames[-1]
+                t = _plugged(f, t)
+                del path[f[_AT]:]
+                right = _next(t.args, f[_I], f[_J])
+                if right is not None:
+                    i, j, t = right
+                    f[_I], f[_J] = i, j
+                    path.append(i)
+                    if j is not None:
+                        path.append(j)
+                    break
+                frames.pop()
+                if f[_RETRY]:
+                    retrying.pop()
+            else:
+                self.focus = t
+                return None
+
+    def _retry(self) -> RewriteStep | None:
+        """Retry, top-down, the ancestors the last step can have made a
+        redex: at distance d, the rules that reach d down, and each frame's
+        retry set.  Only the levels up to the topmost one tried are
+        rebuilt."""
+        frames, n, by_head, retrying = self.frames, len(self.path), self.by_head, self.retrying
+        top = len(frames)
+        while top and n - frames[top - 1][_AT] <= self.reach:
+            top -= 1
+        tries = []
+        for k in retrying:
+            if k >= top:
+                break
+            f = frames[k]
+            tries.append((k, [r for r in by_head[f[_NODE].head] if r.index in f[_RETRY]]))
+        for k in range(top, len(frames)):
+            f = frames[k]
+            head, d, retry = f[_NODE].head, n - f[_AT], f[_RETRY]
+            rules = self.near.get(head)
+            if rules:
+                rules = rules[d - 1]
+                if retry:
+                    rules = [r for r in by_head[head] if r.reach >= d or r.index in retry]
+                if rules:
+                    tries.append((k, rules))
+        if not tries:
+            return None
+        self._up(len(frames), self.focus, tries[0][0])
+        retried = bool(retrying)
+        for k, rules in tries:
+            f = frames[k]
+            rule, val, failed = _first_match(rules, f[_NODE], self.undone)
+            if rule is not None:
+                break
+            if f[_RETRY]:
+                failed = (failed or set()) | (f[_RETRY] - {r.index for r in rules})
+            f[_RETRY] = failed or None
+            retried = retried or failed is not None
+        if retried:
+            retrying[:] = ([k for k in retrying if k < top and frames[k][_RETRY]]
+                           + [k for k in range(top, len(frames)) if frames[k][_RETRY]])
+        if rule is None:
+            return None
+        return self._contract(k, frames[k][_NODE], rule, val)
+
+    def _contract(self, k: int, redex: Construction, rule: RewriteRule, val: Valuation
+                  ) -> RewriteStep:
+        """Contract ``redex``, the node under frame ``k - 1``, and focus on
+        the contractum."""
+        self.focus = contract(rule.decl.rhs, val, self._names(k, redex),
+                              _rhs_vars=rule.rhs_vars)
+        frames = self.frames
+        if k < len(frames):
+            del self.path[frames[k][_AT]:]
+            del frames[k:]
+            while self.retrying and self.retrying[-1] >= k:
+                self.retrying.pop()
+        return RewriteStep(tuple(self.path), rule.index)
+
+
 def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term, *,
-                 after: tuple[int, ...] | None = None,
-                 _by_head: dict[Ident, list[RewriteRule]] | None = None
-                 ) -> tuple[Term, RewriteStep] | None:
+                 _zipper: _Zipper | None = None) -> tuple[Term, RewriteStep] | None:
     """Contract the leftmost-outermost matching redex, or return None.
 
     Rules are tried by head: at a scheme-headed construction only the rules
     whose pattern has that head, in declaration order.  A rule with another
     head could not match there, so the redex and rule chosen are those of
-    trying every rule.  The search, ``_visit``, descends under binders and
-    into association values.  Fresh names avoid every name of ``t``, which
-    are asked for only when a contraction draws a fresh name.  Each term
-    object keeps its names once built, and a step rebuilds only the path
-    from the root to the redex, so that query walks the nodes built since
-    the last one, not the whole tree.
+    trying every rule.  A rule whose guard the subject fails is not tried
+    either.  The search descends under binders and into association values.
+    Fresh names avoid every name of the term, which are asked for only
+    when a contraction draws a fresh name.  Each term object keeps its names
+    once built, so that query walks only the nodes built since the last one.
 
-    Without ``after`` the search starts at the root.  With ``after``, ``t``
-    must be what this function returned for the step at position ``after``,
-    and the search resumes there, as the module docstring describes; it is
-    the same pre-order walk, which skips what lies left of that path and
-    retries each ancestor only with the rules that reach the old redex.
-    ``normalize`` passes ``_by_head``, the index of ``rules`` by head that
-    it builds once.
+    ``normalize`` passes ``_zipper``, the zipper it made of ``t``, which
+    holds the current term and the rules indexed by head once for every
+    step.  The step then resumes at the last one, as ``normalize``
+    describes, and the result holds the contractum, not the whole term,
+    which the caller rebuilds from the zipper when it needs it.
     """
-    by_head = _index_by_head(gamma, rules) if _by_head is None else _by_head
-    hit = _visit(t, by_head, _term_names(t), after or (), 0)
-    if hit is None:
+    zipper = _Zipper(t, _index_by_head(gamma, rules)) if _zipper is None else _zipper
+    step = zipper.step()
+    if step is None:
         return None
-    term, index, *path = hit
-    path.reverse()
-    return term, RewriteStep(tuple(path), index)
-
-
-def _visit(sub: Term, by_head: dict[Ident, list[RewriteRule]], names: Iterable[Ident],
-           after: tuple[int, ...], k: int) -> list | None:
-    """Search ``sub`` in pre-order and contract its first redex.
-
-    ``after[k:]`` is the rest of the last redex's position below ``sub``,
-    empty off that path.  ``sub`` tries only the rules that reach that far
-    down, and its children left of the path are skipped.  A hit is the
-    list ``[new sub, rule index, *position]``, the position reversed: each
-    level appends its own indices as it rebuilds itself around the
-    contractum.
-    """
-    if not isinstance(sub, Construction):
-        return None
-    n = len(after)
-    for rule in by_head.get(sub.head, ()):
-        if rule.reach >= n - k:
-            val = match_term(rule.decl.lhs, sub)
-            if val is not None:
-                return [contract(rule.decl.rhs, val, names, _rhs_vars=rule.rhs_vars), rule.index]
-    args = sub.args
-    # On the path, the walk starts at the path's argument and entry; once
-    # that child is searched, ``k = n`` marks every later child off the path.
-    for i in range(after[k] if k < n else 0, len(args)):
-        p = args[i]
-        if isinstance(p, ScopePiece):
-            hit = _visit(p.body, by_head, names, after, k + 1 if k < n else n)
-            if hit is not None:
-                hit[0] = Construction(sub.head, args[:i] + (ScopePiece(p.binders, hit[0]),)
-                                      + args[i + 1:])
-                hit.append(i)
-                return hit
-            k = n
-            continue
-        entries = p.entries
-        for j in range(after[k + 1] if k < n else 0, len(entries)):
-            e = entries[j]
-            if isinstance(e, MapEntry):
-                hit = _visit(e.value, by_head, names, after, k + 2 if k < n else n)
-                if hit is not None:
-                    p = AssocPiece(entries[:j] + (MapEntry(e.key, hit[0]),) + entries[j + 1:])
-                    hit[0] = Construction(sub.head, args[:i] + (p,) + args[i + 1:])
-                    hit += (j, i)
-                    return hit
-                k = n
-    return None
+    return (zipper.root() if _zipper is None else zipper.focus), step
 
 
 def normalize(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term,
@@ -723,28 +924,31 @@ def normalize(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term,
               ) -> NormalizeResult:
     """Rewrite until no rule matches anywhere, or until fuel runs out.
 
-    Each step is one ``rewrite_step``; every search after the first resumes
-    at the previous step's position, with ``after``, and chooses the redex
-    and rule that a search from the root would.  The rules are indexed by
-    head once, for every step.  Scheme-headed subterms with no matching
-    rule stay in place; they are simply part of the normal form.
+    Each step is one ``rewrite_step`` on a zipper of the term: the focus,
+    which a step makes the contractum, and the frames of its ancestors.
+    The next step first retries the ancestors top-down, and at distance d
+    above the focus only with the rules whose pattern reaches d down and
+    with the frame's retry set.  It then searches the focus's subtree, and
+    then moves right and up, rebuilding a level only where it changed.
+    The redex and rule chosen are those of a search from the root.  The
+    whole term is rebuilt only for ``on_step``, when a contraction draws a
+    fresh name, and at the end.  The rules are indexed by head once, for
+    every step.  Scheme-headed subterms with no matching rule stay in
+    place; they are simply part of the normal form.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     steps: list[RewriteStep] = []
-    current = t
-    after = None
-    by_head = _index_by_head(gamma, rules)
+    zipper = _Zipper(t, _index_by_head(gamma, rules))
     for _ in range(fuel):
-        hit = rewrite_step(gamma, rules, current, after=after, _by_head=by_head)
+        hit = rewrite_step(gamma, rules, t, _zipper=zipper)
         if hit is None:
-            return NormalizeResult(current, steps, NormalStatus.NORMAL_FORM)
-        current, step = hit
-        after = step.position
-        steps.append(step)
+            return NormalizeResult(zipper.root(), steps, NormalStatus.NORMAL_FORM)
+        steps.append(hit[1])
         if on_step is not None:
-            on_step(current, step)
-    if rewrite_step(gamma, rules, current, after=after, _by_head=by_head) is None:
+            on_step(zipper.root(), hit[1])
+    current = zipper.root()
+    if rewrite_step(gamma, rules, t, _zipper=zipper) is None:
         return NormalizeResult(current, steps, NormalStatus.NORMAL_FORM)
     return NormalizeResult(current, steps, NormalStatus.FUEL_EXHAUSTED)
 

@@ -5,15 +5,20 @@
 * Rendered normal forms, (position, rule) sequences and ``--trace`` text
   on fixed inputs are byte-identical to the recorded ones, including every
   fresh name, and every intermediate term passes ``check_ground_subject``.
-* ``normalize`` resumes each search at the last redex: it skips the nodes
-  left of it, and retries an ancestor at distance d, counted in position
-  indices, only with the rules whose pattern reaches d down, or that see a
-  whole fragment (a meta-variable or catch-all under a binder it does not
-  take, or used twice).  Its (position, rule) sequences, results and
-  statuses equal those of a naive pre-order search that tries every rule
-  everywhere, on the benchmark inputs and on hand-built cases of each
-  exception.  Church mult 12 12 takes at most
-  300 match attempts, and mult 4, 6 and 8 together at most 320.
+* ``normalize`` keeps its term as a zipper and resumes each search at the
+  last redex: it skips the nodes left of it, and retries an ancestor at
+  distance d, counted in position indices, only with the rules whose
+  pattern reaches d down and the rules that failed there undoably (a
+  meta-variable's or catch-all's fragment held a binder it does not take,
+  or differed from its other occurrence).  A rule whose argument-head guard
+  a construction fails is not tried there, and never matches there.  Its
+  (position, rule) sequences, results and statuses equal those of a naive
+  pre-order search that tries every rule everywhere, on the benchmark
+  inputs, on hand-built cases of each exception and on generated
+  well-sorted subjects.  Church mult 12 12 takes at most 34 match
+  attempts, and mult 4, 6 and 8 together at most 62.  ``normalize`` calls
+  ``rewrite_step`` once per step and once more, and ``match_term`` once
+  per attempt, so the benchmark's tracer sees them.
 * Every substitution made while normalizing the pinned inputs, which
   shares each subtree its kept name set allows, equals and renders as the
   substitution into a copy that keeps no set and so shares nothing.
@@ -32,7 +37,7 @@
   nested function in the package recurses, and no walk recurses through a
   comprehension.  ``alpha_equal`` and ``substitute`` reach 275 and 400
   nested scopes under the default recursion limit, and ``normalize`` a
-  redex under 450 levels of ``Lam([x]Ap(z, .))``.
+  redex under 450 levels of ``Lam([x]Ap(z, .))`` and one 4,999 levels down.
 * The ``--trace`` text of a run whose fresh names collide with the
   subject's names is byte-identical to the recorded one.
 * Renaming a subject's binders, so that they shadow each other and take
@@ -100,6 +105,7 @@ from plank.terms import (
     MapEntry,
     MetaApp,
     NotKey,
+    ScopeForm,
     ScopePiece,
     Var,
     all_idents,
@@ -489,9 +495,11 @@ def _restart_normalize(rules, term, fuel):
 
 # Each hand-built case makes a redex at an ancestor farther above the last
 # step than one level: η at a Lam three levels up once a step drops the
-# binder's last free occurrence, K(#m, #m) once a step three levels down
-# makes its arguments equal, a pattern of reach 2 at the grandparent, one
-# of reach 2 once a step in an association value, two position indices
+# binder's last free occurrence, η at the root once the second of two
+# steps drops it (its undoable failure there outlives the first step and
+# the move right to the second redex), K(#m, #m) once a step three levels
+# down makes its arguments equal, a pattern of reach 2 at the grandparent,
+# one of reach 2 once a step in an association value, two position indices
 # down, builds the W it looks for, and a catch-all that does not take x
 # once a step four levels down drops x.  The last two find a redex right of
 # the last one's path: in the next argument, in the next entry of the same
@@ -502,6 +510,9 @@ RESUMED = [(f"mult-{n}", BETA_ETA, _mult(n), 10000, None) for n in range(2, 9)] 
     ("omega-40", CBV_EVAL, _OMEGA, 40, None),
     ("eta-three-up", BETA_ETA, "Lam([x]Ap(Ap(z, Ap(Lam([u]z), x)), x))", 10000,
      [((0, 0, 1), 0), ((), 1)]),
+    ("eta-after-two-steps", BETA_ETA,
+     "Lam([x]Ap(Ap(Ap(Lam([y]w), x), Ap(Lam([y]w), x)), x))", 10000,
+     [((0, 0, 0), 0), ((0, 0, 1), 0), ((), 1)]),
     ("nonlinear-meta", NONLINEAR, "K(A(A(I(B()))), A(A(B())))", 10000,
      [((0, 0, 0), 1), ((), 0)]),
     ("reach-two", REACH_TWO, "F(G(I(H(B()))))", 10000, [((0, 0), 1), ((), 0)]),
@@ -532,6 +543,140 @@ def test_resumed_search_chooses_the_redexes_of_a_search_from_the_root(label, sou
     if expected is not None:
         assert steps == expected
 
+
+@functools.cache
+def _engine(source):
+    """The signature and the prepared rules of the checked script ``source``."""
+    script = parse_script(source)
+    checked = check_script(script)
+    assert checked.ok, [e.format() for e in checked.errors]
+    return checked.gamma, prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+
+
+def _draw_term(draw, gamma, sort, budget, scope):
+    """A ground term of ``sort`` drawn from the declarations in ``gamma``:
+    a binder of ``scope`` (name to sort) of that sort, a free name if the
+    sort has variables, or a construction whose result sort it is.  Binders
+    and keys are named from x, y and z, so nested binders reuse names and
+    shadow each other.  Past ``budget`` levels only leaves are drawn, or,
+    where the sort has none, a construction that binds a name."""
+    names = sorted({w for w, s in scope.items() if s == sort}
+                   | (set("xyz") if sort.name in gamma.hasvar else set()))
+    heads = sorted(h for h, sig in gamma.con.items() if sig.result == sort)
+    if budget <= 0:
+        leaves = names + [h for h in heads if not gamma.con[h].forms]
+        heads = leaves or [h for h in heads if all(
+            isinstance(f, ScopeForm) and f.binder_sorts for f in gamma.con[h].forms)]
+    else:
+        heads = names + heads
+    choice = draw(st.sampled_from(heads))
+    if choice in names:
+        return Var(Ident(choice))
+    return _draw_construction(draw, gamma, choice, budget, scope)
+
+
+def _draw_construction(draw, gamma, head, budget, scope):
+    """A construction of ``head`` whose pieces ``_draw_term`` draws."""
+    pieces = []
+    for form in gamma.con[head].forms:
+        if isinstance(form, ScopeForm):
+            binders = tuple(Ident(draw(st.sampled_from("xyz"))) for _ in form.binder_sorts)
+            inner = scope | dict(zip(binders, form.binder_sorts))
+            pieces.append(ScopePiece(binders, _draw_term(draw, gamma, form.body_sort, budget - 1,
+                                                         inner)))
+            continue
+        entries = [MapEntry(Ident(draw(st.sampled_from("xyz"))),
+                            _draw_term(draw, gamma, form.value_sort, budget - 1, scope))
+                   for _ in range(draw(st.integers(0, 2)))]
+        pieces.append(AssocPiece(tuple(entries)))
+    return Construction(Ident(head), tuple(pieces))
+
+
+@st.composite
+def _subjects(draw, gamma):
+    """Well-sorted ground subjects of the signature ``gamma``: a declared
+    construction, at most four construction levels deep before the leaves."""
+    return _draw_construction(draw, gamma, draw(st.sampled_from(sorted(gamma.con))), 4, {})
+
+
+GENERATED = {"beta-eta": BETA_ETA, "cbv": CBV_EVAL, "nonlinear-meta": NONLINEAR}
+
+
+@pytest.mark.parametrize("label", sorted(GENERATED))
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_normalize_agrees_with_a_restarted_search_on_generated_subjects(label, data):
+    # Drawn from the signature alone, every subject is well sorted, and the
+    # zipper chooses the steps, the result and the status of a naive search
+    # from the root on every step.
+    gamma, rules = _engine(GENERATED[label])
+    subject = data.draw(_subjects(gamma))
+    assert check_ground_subject(gamma, subject)[2] == [], render(subject)
+    result = normalize(gamma, rules, subject, fuel=30)
+    reference, steps, status = _restart_normalize(rules, subject, 30)
+    assert [(s.position, s.rule_index) for s in result.steps] == steps
+    assert result.status.value == status
+    assert render(result.term) == render(reference)
+
+
+def test_normalize_calls_the_traced_functions_once_per_use(monkeypatch):
+    # The benchmark's tracer times the engine by wrapping module attributes.
+    # ``normalize`` calls ``rewrite_step`` once per step and once for the
+    # last search, and each attempt the argument-head guard lets through is
+    # one call of ``match_term``: a matcher that never matches leaves the
+    # subject as it is.
+    calls, attempts = [], []
+    step, match = plank.rewrite.rewrite_step, plank.rewrite.match_term
+
+    def stepping(*args, **private):
+        calls.append(args[2])
+        return step(*args, **private)
+
+    def matching(pattern, subject, **private):
+        attempts.append((pattern, subject))
+        return match(pattern, subject, **private)
+
+    monkeypatch.setattr(plank.rewrite, "rewrite_step", stepping)
+    monkeypatch.setattr(plank.rewrite, "match_term", matching)
+    for source, term, count in [(BETA_ETA, _mult(4), 15), (CBV_EVAL, _identity_chain(10), 41)]:
+        calls.clear()
+        attempts.clear()
+        gamma, rules = _engine(source)
+        result = normalize(gamma, rules, parse_term(term))
+        assert len(calls) == len(result.steps) + 1
+        assert len(attempts) == count
+        assert all(_guard_lets_through(p, s) for p, s in attempts)
+        monkeypatch.setattr(plank.rewrite, "match_term", lambda p, s, **private: None)
+        result = normalize(gamma, rules, parse_term(term))
+        assert result.steps == [] and result.term == parse_term(term)
+        monkeypatch.setattr(plank.rewrite, "match_term", matching)
+
+
+def _guard_lets_through(pattern, subject):
+    """Whether every scope argument of ``subject`` has a body of the head
+    that ``pattern``'s has there, or is a variable where ``pattern``'s is."""
+    for p, s in zip(pattern.args, subject.args):
+        if isinstance(p, ScopePiece) and isinstance(p.body, Var):
+            if not isinstance(s.body, Var):
+                return False
+        elif isinstance(p, ScopePiece) and isinstance(p.body, Construction):
+            if not (isinstance(s.body, Construction) and s.body.head == p.body.head):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("label,source,term,fuel", [p[:4] for p in ENGINE_PINS],
+                         ids=[p[0] for p in ENGINE_PINS])
+def test_the_guard_skips_only_attempts_that_fail(label, source, term, fuel):
+    # At every construction of every term the run traces, a rule whose
+    # guard the construction fails does not match there.
+    gamma, rules, terms = _traced(source, term, fuel)
+    for t in terms:
+        for sub in _subterms(t):
+            if isinstance(sub, Construction):
+                for rule in rules:
+                    if not _guard_lets_through(rule.decl.lhs, sub):
+                        assert match_term(rule.decl.lhs, sub) is None, (label, render(sub))
 
 def _tree_idents(t):
     """Every variable name of ``t`` by a plain walk of its tree: the
@@ -711,19 +856,21 @@ def test_right_side_free_variables_are_computed_once_per_rule(monkeypatch):
     assert "contract" not in callers
 
 
-@pytest.mark.parametrize("sizes, most", [((12,), 300), ((4, 6, 8), 320)],
+@pytest.mark.parametrize("sizes, most", [((12,), 34), ((4, 6, 8), 62)],
                          ids=["mult-12", "mult-4-6-8"])
 def test_resumed_search_skips_attempts_that_cannot_match(monkeypatch, sizes, most):
     # Searching from the root on every step, Church mult 12 12 took 1,819
-    # match attempts and mult 4, 6 and 8 together 939; retrying at the
-    # ancestors of the last redex only the rules that can see it leaves
-    # 246 and 278.
+    # match attempts and mult 4, 6 and 8 together 939.  Retrying at the
+    # ancestors of the last redex only the rules that can see it left 246
+    # and 278, as η was retried at every Lam; retrying it only where it
+    # failed undoably, and skipping the attempts the argument-head guard
+    # rules out, leaves 31 and 57.
     attempts = []
     original = plank.rewrite.match_term
 
-    def counting(pattern, subject):
+    def counting(pattern, subject, **private):
         attempts.append(subject)
-        return original(pattern, subject)
+        return original(pattern, subject, **private)
 
     monkeypatch.setattr(plank.rewrite, "match_term", counting)
     script = parse_script(BETA_ETA)
@@ -1542,7 +1689,21 @@ def test_walks_reach_deep_scopes_under_the_default_recursion_limit(depth, build,
     # Built directly, so no other walk limits the depth.  Each walk spends
     # one frame per node; a comprehension between a node and its children
     # would spend a second one and fall short of these depths.  The search
-    # spends one frame per construction, two per level here, whether it
-    # starts at the root or resumes: the resumed search recurses along the
-    # path to the last redex, so it reaches as deep as the first search.
+    # spends none: it keeps the path to the focus in the zipper's frames,
+    # whether it starts at the root or resumes.
     assert walk(build(depth))
+
+
+UNFOLD = "L data S(L); L data Z(); L scheme F(L); L rule F(#x) -> S(F(#x));"
+
+
+def test_normalize_unfolds_deeper_than_the_recursion_limit():
+    # Each step unfolds F one level deeper, so the 5,000th redex stands
+    # 4,999 levels down, and the search resumes there from the zipper.  A
+    # search that recursed along the path to the last redex raised
+    # RecursionError from fuel 990 on.
+    gamma, rules = _engine(UNFOLD)
+    result = normalize(gamma, rules, parse_term("F(Z())"), fuel=5000)
+    assert result.status.value == "FuelExhausted"
+    assert len(result.steps) == 5000
+    assert len(result.steps[-1].position) == 4999

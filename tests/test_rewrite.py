@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from plank import (
@@ -553,6 +551,20 @@ class TestNormalize:
         assert res.status is NormalStatus.FUEL_EXHAUSTED
         assert len(res.steps) == 5
 
+    @pytest.mark.parametrize("subject,result,steps", [
+        ("Ap({x : Ap(Lam([y]y), y)}, z)", "Ap({x : y}, z)", [((0, 0), 0)]),
+        ("Lam({x : Ap(Lam([y]y), y)})", "Lam({x : y})", [((0, 0), 0)]),
+        ("Ap()", "Ap()", []),
+    ], ids=["list-for-scope", "list-for-binder-scope", "missing-argument"])
+    def test_an_ill_sorted_subject_only_fails_to_match(self, ex1_checked, ex1_rules, subject,
+                                                       result, steps):
+        # Outside the engine's contract, but no reason for a traceback: a
+        # piece of the wrong form, or a missing one, where a rule's guard
+        # looks is a failed match, and the search goes on below it.
+        res = normalize(ex1_checked.gamma, ex1_rules, t(subject))
+        assert render(res.term) == result
+        assert [(s.position, s.rule_index) for s in res.steps] == steps
+
     def test_fuel_that_is_exactly_enough(self):
         # The last step uses up the fuel; the term it leaves is normal.
         result = checked_normalize(SIGNATURE + BRANCH_RULES, "G(a, a)", fuel=1)
@@ -594,24 +606,26 @@ class TestPrepareRules:
         assert len(rules) == 1
 
     @pytest.mark.parametrize("source,reaches", [
-        (BETA_ETA, [1, math.inf]),
+        (BETA_ETA, [1, 2]),
         (CBV_EVAL, [1, 1, 1, 1]),
-        (NONLINEAR, [math.inf, 0]),
+        (NONLINEAR, [0, 0]),
         (REACH_TWO, [2, 0]),
         (IN_VALUE, [2, 0]),
-        (UNTAKEN, [math.inf, 0]),
-        (SIGNATURE + BRANCH_RULES, [math.inf, 1, 2]),
-        (SIGNATURE + "L scheme S([L]L); L rule S([x]Lam([x]#M(x))) -> Done();", [math.inf]),
+        (UNTAKEN, [1, 0]),
+        (SIGNATURE + BRANCH_RULES, [0, 1, 2]),
+        (SIGNATURE + "L scheme S([L]L); L rule S([x]Lam([x]#M(x))) -> Done();", [1]),
         (SIGNATURE + "L scheme S([L]L); L rule S([x]Lam([y]#M(y, x))) -> Done();", [1]),
     ], ids=["beta-eta", "cbv", "nonlinear-meta", "reach-two", "in-value", "untaken-catch-all",
             "branch-rules", "shadowed-binder", "every-binder-taken"])
     def test_pattern_reach(self, source, reaches):
         # How far below a node each pattern looks, counted as positions
         # count: a scope body one level and an association value two, so
-        # W in F({x : W(#v)}, x) stands at depth 2.  η's #M() does not take
-        # x, K(#m, #m) and F({#e}, {#e}) use a meta-variable twice, and under
-        # S([x]Lam([x]...)) no meta-variable can take the outer x.  A variable
-        # met twice, as in G(x, x), compares names only.
+        # W in F({x : W(#v)}, x) stands at depth 2 and the x of η's
+        # Lam([x]Ap(#M(), x)) at depth 2.  The reach is structural: a
+        # meta-variable or catch-all counts nothing, whether it may reject a
+        # fragment (η's #M() does not take x, K(#m, #m) and F({#e}, {#e}) use
+        # one twice, under S([x]Lam([x]...)) none can take the outer x) or
+        # not.  A variable met twice, as in G(x, x), compares names only.
         script = parse_script(source)
         result = check_script(script)
         assert result.ok, [e.format() for e in result.errors]
