@@ -11,46 +11,52 @@ combinatory reduction system stands for one abstraction.
 Contraction then instantiates a rule's right side: a meta-application or
 catch-all substitutes its (contracted) arguments for the abstraction
 parameters, variables pass through the valuation, and a catch-all's
-entries are spliced into the list it stands in.
+entries are spliced into the list it stands in.  Substitution (``_subst``)
+and contraction (``_inst``) are each one function that dispatches once on
+a node's class, so a node costs one Python frame.
 
-Substitution (``_subst``) and contraction (``_inst``) are each one function
-that dispatches once on a node's class, and a node's children go through
-``map``, so a node costs one Python frame.  Substitution returns a
-construction itself, not a copy, when the name set the construction keeps
-shares no name with the substituted names or with any replacement's
-names: then nothing in it is replaced and none of its binders is renamed,
-so the copy would be ``==`` to it, binder names included, and every
-output renders byte for byte alike whichever sets happen to be kept.
-This is the maximal sharing of term-graph rewriting (Barendregt et al.,
-PARLE 1987).  The matcher names a subject binder by its own name unless
-the attempt has used that name already, so it walks no name set and copies
-a fragment only where a binder took a reserved name: a β step copies its
-body once, in contraction, and only the paths to the names it replaces.
+Every name a valuation holds is a name of the subject it was matched
+against or a reserved ``u%n`` name: the matcher keeps each subject
+binder's own name unless the attempt has used it already, and renames only
+then.  So contraction draws its fresh names, for a right side's binders
+and its unbound variables, from one supply, the subject's names and the
+names drawn so far, and no fresh name can equal a reserved one.
 
 Normalization is leftmost-outermost, one step at a time, on a zipper of
 the term (Huet, "The Zipper", JFP 1997): the focus, which a step makes the
 contractum, and one frame per ancestor, its construction with a hole on
-the focus's branch.  Each search after the first resumes there and is the
-same pre-order walk as a search from the root: the nodes left of the path
-are the objects the last search found to hold no redex, so they are
-skipped.  Distance counts as a position does: a scope body is one level
-down and an association value two, its argument's index and its entry's.
-An ancestor at distance d above the focus is retried only with the rules
-whose pattern reaches d down, by its deepest construction or variable,
-and with its retry set.  A pattern fails structurally only on what the
-subject holds within its reach; below it the pattern has only
-meta-variables and catch-alls.  Those can still reject a fragment, for a
-binder they do not take, as η's ``#M()`` does not take x, or for a second
-occurrence that differs, but the matcher reports that failure as undoable
-only once the rest of the pattern matched, and the rule then joins the
-frame's retry set until it fires or fails structurally.  This is the
-classic bound on redex creation in left-linear systems (Huet and Lévy
-1991; Terese 2003, ch. 4), with the retry sets for the binder and
-non-linear exceptions.  The walk then searches the focus's subtree and
-moves right, else up, rebuilding an ancestor only when it climbs past
-one whose child changed.  A rule is not tried where a scope argument's
-body lacks the head, or is not the variable, that its pattern has there.
-The redex and rule chosen are those of a search from the root.
+the focus's branch.  Each search after the first resumes there, and it
+picks the redex and rule a pre-order search from the root would pick,
+where each construction tries its head's rules in declaration order.  A
+rule of another head cannot match there.  The argument has three parts.
+
+* Left of the path.  The nodes left of the focus's path are the objects
+  the last search found to hold no redex, and the step left them as they
+  were, so they are skipped.
+* Ancestors.  Every ancestor was tried with every rule of its head, and
+  each failed.  Distance counts as a position does: a scope body is one
+  level down and an association value two, its argument's index and its
+  entry's.  A rule's reach is the depth of its pattern's deepest
+  construction or variable, and a pattern fails structurally only on what
+  the subject holds within its reach; below it the pattern has only
+  meta-variables and catch-alls.  So a step d levels below an ancestor can
+  make a redex there by a structural change only for a rule that reaches d
+  down: the classic bound on redex creation in left-linear systems (Huet
+  and Lévy 1991; Terese 2003, ch. 4).  A meta-variable or catch-all can
+  still reject its fragment, for a binder it does not take, as η's
+  ``#M()`` does not take x, or for a second occurrence that differs, and
+  a step below can undo that.  The matcher reports such a failure as
+  undoable only once the rest of the pattern matched, and the rule then
+  joins the frame's retry set until it fires or fails structurally.  So
+  retrying each ancestor top-down, with the rules that reach it and its
+  retry set, finds the outermost redex on the path.
+* The argument-head guard.  A rule is not tried where a scope argument's
+  body lacks the head, or is not the variable, that its pattern has
+  there: it would fail structurally one level down.
+
+When no ancestor matches, the walk searches the focus's subtree and moves
+right, else up, rebuilding an ancestor only when it climbs past one whose
+child changed.
 """
 
 from __future__ import annotations
@@ -150,9 +156,11 @@ def substitute(body: Term | AssocPiece, binding: Mapping[Ident, Term]) -> Term |
     replacement.  Then no variable or key in it is replaced and none of its
     binders clashes with a replacement, so the copy would be ``==`` to it,
     with the same binder names, and the result renders byte for byte as the
-    full copy would.  Only sets already kept are read: the construction's,
-    each replacement's and a variable's own name.  No set is built here, and
-    when some replacement keeps none, nothing is shared in that call.
+    full copy would: the maximal sharing of term-graph rewriting
+    (Barendregt et al., PARLE 1987).  Only sets already kept are read: the
+    construction's, each replacement's and a variable's own name.  No set is
+    built here, and when some replacement keeps none, nothing is shared in
+    that call.
     """
     if not binding:
         return body
@@ -232,11 +240,9 @@ class _Matcher:
     """One matching attempt; collects bindings, and queues association
     pieces to match them in order once the descent that queued them is done.
 
-    Two failures only a meta-variable's or catch-all's fragment causes: a
-    binder the meta may not take occurs in it, or it differs from the
-    meta's other occurrence.  Either sets ``undone`` and lets the attempt
-    go on, so an attempt that ends with ``undone`` set failed undoably: the
-    rest of the pattern matched.
+    A fragment that holds a binder its meta may not take, or that differs
+    from the meta's other occurrence, sets ``undone`` and lets the attempt
+    go on; every other mismatch raises ``_NoMatch``.
 
     A map entry's key is a binder in scope, a variable outside every list,
     or one of an enclosing entry's value, matched before the inner list is
@@ -426,9 +432,8 @@ def match_term(pattern: Term, subject: Term, *, _undone: list | None = None
 
     A failure is undoable when everything matched but a meta-variable's or
     catch-all's fragment: it holds a binder the meta does not take, or a
-    non-linear meta's two fragments differ.  Only a change below the
-    pattern's reach can undo it (see ``_reach``).  The engine passes
-    ``_undone``, a list that such a failure appends True to.
+    non-linear meta's two fragments differ.  The engine passes ``_undone``,
+    a list that such a failure appends True to.
     """
     m = _Matcher()
     try:
@@ -447,27 +452,20 @@ def match_term(pattern: Term, subject: Term, *, _undone: list | None = None
 # Contraction
 
 
-def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = (), *,
+def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident], *,
              _rhs_vars: Sequence[Ident] | None = None) -> Term:
     """Instantiate a rule's right side with a valuation.
 
-    Variables pass through the valuation's variable bindings; right-side
-    variables bound by neither the valuation nor an enclosing scope are
-    replaced by one consistent fresh variable each, chosen against ``avoid``,
-    every name in the valuation, and all names generated so far.  Binders on
-    the right side are freshened the same way, so spliced association entries
-    can never collide with introduced keys.
-
-    ``avoid`` and the valuation's names are read only when a fresh name is
-    drawn: a right side with no binder and no unbound variable never
-    iterates ``avoid``.  The valuation's names are the parameters and the
-    ``all_idents`` of its fragments, kept on each fragment once built, so a
-    fragment that was queried before, or that shares its subterms with one,
-    costs little; a catch-all's captured list names its keys and the names
-    of its values.  A catch-all splices the entries of its abstraction's
-    body, with the contracted arguments substituted for the parameters.
-    The engine passes ``_rhs_vars``, the rule's ``sorted(free_vars(rhs))``
-    computed once by ``prepare_rules``.
+    ``avoid`` is every name of the subject ``val`` was matched against; the
+    engine passes every name of the whole term.  Variables pass through the
+    valuation's variable bindings.  Each right-side variable bound by
+    neither the valuation nor an enclosing scope becomes one consistent
+    fresh variable, and each right-side binder a fresh binder, drawn against
+    ``avoid`` and the names drawn so far.  ``avoid`` is read once, when the
+    first fresh name is drawn.  A catch-all splices the entries of its
+    abstraction's body, with the contracted arguments substituted for the
+    parameters.  The engine passes ``_rhs_vars``, the rule's
+    ``sorted(free_vars(rhs))`` computed once by ``prepare_rules``.
     """
     taken: set[Ident] | None = None
 
@@ -475,15 +473,6 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident] = (), *,
         nonlocal taken
         if taken is None:
             taken = set(avoid)
-            for ab in val.meta_bind.values():
-                taken.update(ab.params)
-                if isinstance(ab.body, AssocPiece):
-                    for e in ab.body.entries:
-                        taken.add(e.key)
-                        taken |= all_idents(e.value)
-                else:
-                    taken |= all_idents(ab.body)
-            taken |= set(val.var_bind.values())
         name = fresh_var(hint, taken)
         taken.add(name)
         return name
@@ -557,13 +546,8 @@ def _key_through(sub: Mapping[Ident, Term], k: Ident) -> Ident:
 @dataclass(unsafe_hash=True, slots=True)
 class RewriteRule:
     """A rule ready for the engine, paired with its inferred environment,
-    the sorted free variables of its right side, and two facts about its
-    pattern that let the search skip attempts.  ``reach`` is how far below a
-    node the pattern looks, in position units (see ``_reach``).  ``guard``
-    holds, for each scope argument whose body is a construction or a
-    variable, the argument's index and the head that body must have, or
-    None for a variable: a subject whose body differs fails there, one
-    level down (see ``_guard``)."""
+    the sorted free variables of its right side, and its pattern's
+    ``reach`` (``_reach``) and argument-head ``guard`` (``_guard``)."""
 
     decl: RuleDecl
     env: RuleEnv
@@ -619,17 +603,8 @@ def prepare_rules(gamma: GlobalEnv, rules: Sequence[RuleDecl],
 
 def _reach(p: Term, depth: int) -> int:
     """The depth of the deepest construction or variable of pattern ``p``,
-    which stands ``depth`` levels below the root.  Depth counts as a
-    position does: a scope body is one level down and an association value
-    two, its argument's index and its entry's.
-
-    A pattern fails structurally, as ``match_term`` reports it, only on
-    what the subject holds down to this depth; below it the pattern has
-    only meta-variables and catch-alls.  Those can still reject a fragment
-    that holds a binder they do not take, or that differs from their other
-    occurrence, but that failure is undoable and the search keeps a retry
-    set for it (see ``normalize``).
-    """
+    which stands ``depth`` levels below the root, counted in position
+    indices: a scope body is one level down and an association value two."""
     if isinstance(p, Var):
         return depth
     if isinstance(p, MetaApp):
@@ -751,11 +726,9 @@ class _Zipper:
     frames whose retry set is not empty, in order.  ``near[head][d - 1]``
     lists the rules of a head whose pattern reaches d down, for d up to
     ``reach``, the largest reach.  ``undone`` is the list every attempt
-    passes ``match_term``.  After a step the focus is the contractum.
-    Every frame's node was tried with every rule of its head, and each
-    failed either structurally, which no step deeper than its reach below
-    that node can change, or undoably, and then its index is in the frame's
-    retry set.
+    passes ``match_term``.  After a step the focus is the contractum, and
+    every frame's node was tried with every rule of its head and failed,
+    undoably for the rules in its retry set.
     """
 
     def __init__(self, t: Term, by_head: dict[Ident, list[RewriteRule]]):
@@ -833,9 +806,8 @@ class _Zipper:
                 return None
 
     def _retry(self) -> RewriteStep | None:
-        """Retry, top-down, the ancestors the last step can have made a
-        redex: at distance d, the rules that reach d down, and each frame's
-        retry set.  Only the levels up to the topmost one tried are
+        """Retry the ancestors top-down, each with the rules that reach it
+        and its retry set.  Only the levels up to the topmost one tried are
         rebuilt."""
         frames, n, by_head, retrying = self.frames, len(self.path), self.by_head, self.retrying
         top = len(frames)
@@ -896,19 +868,10 @@ def rewrite_step(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term, *,
                  _zipper: _Zipper | None = None) -> tuple[Term, RewriteStep] | None:
     """Contract the leftmost-outermost matching redex, or return None.
 
-    Rules are tried by head: at a scheme-headed construction only the rules
-    whose pattern has that head, in declaration order.  A rule with another
-    head could not match there, so the redex and rule chosen are those of
-    trying every rule.  A rule whose guard the subject fails is not tried
-    either.  The search descends under binders and into association values.
-    Fresh names avoid every name of the term, which are asked for only
-    when a contraction draws a fresh name.  Each term object keeps its names
-    once built, so that query walks only the nodes built since the last one.
-
-    ``normalize`` passes ``_zipper``, the zipper it made of ``t``, which
-    holds the current term and the rules indexed by head once for every
-    step.  The step then resumes at the last one, as ``normalize``
-    describes, and the result holds the contractum, not the whole term,
+    The search descends under binders and into association values, and
+    fresh names avoid every name of the term.  ``normalize`` passes
+    ``_zipper``, the zipper it made of ``t``, and the step resumes at the
+    last one; the result then holds the contractum, not the whole term,
     which the caller rebuilds from the zipper when it needs it.
     """
     zipper = _Zipper(t, _index_by_head(gamma, rules)) if _zipper is None else _zipper
@@ -924,17 +887,11 @@ def normalize(gamma: GlobalEnv, rules: Sequence[RewriteRule], t: Term,
               ) -> NormalizeResult:
     """Rewrite until no rule matches anywhere, or until fuel runs out.
 
-    Each step is one ``rewrite_step`` on a zipper of the term: the focus,
-    which a step makes the contractum, and the frames of its ancestors.
-    The next step first retries the ancestors top-down, and at distance d
-    above the focus only with the rules whose pattern reaches d down and
-    with the frame's retry set.  It then searches the focus's subtree, and
-    then moves right and up, rebuilding a level only where it changed.
-    The redex and rule chosen are those of a search from the root.  The
-    whole term is rebuilt only for ``on_step``, when a contraction draws a
-    fresh name, and at the end.  The rules are indexed by head once, for
-    every step.  Scheme-headed subterms with no matching rule stay in
-    place; they are simply part of the normal form.
+    Each step is one ``rewrite_step`` on one zipper of the term, whose
+    rules are indexed by head once.  The whole term is rebuilt only for
+    ``on_step``, when a contraction draws a fresh name, and at the end.
+    Scheme-headed subterms with no matching rule are part of the normal
+    form.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")

@@ -5,18 +5,16 @@
 * Rendered normal forms, (position, rule) sequences and ``--trace`` text
   on fixed inputs are byte-identical to the recorded ones, including every
   fresh name, and every intermediate term passes ``check_ground_subject``.
-* ``normalize`` keeps its term as a zipper and resumes each search at the
-  last redex: it skips the nodes left of it, and retries an ancestor at
-  distance d, counted in position indices, only with the rules whose
-  pattern reaches d down and the rules that failed there undoably (a
-  meta-variable's or catch-all's fragment held a binder it does not take,
-  or differed from its other occurrence).  A rule whose argument-head guard
-  a construction fails is not tried there, and never matches there.  Its
-  (position, rule) sequences, results and statuses equal those of a naive
-  pre-order search that tries every rule everywhere, on the benchmark
-  inputs, on hand-built cases of each exception and on generated
-  well-sorted subjects.  Church mult 12 12 takes at most 34 match
-  attempts, and mult 4, 6 and 8 together at most 62.  ``normalize`` calls
+* ``normalize`` resumes each search at the last redex, by the argument
+  stated in ``plank.rewrite``'s module docstring.  Its (position, rule)
+  sequences, results and statuses equal those of a naive pre-order search
+  that tries every rule everywhere, on the benchmark inputs, on hand-built
+  cases of each exception to the reach bound and on generated well-sorted
+  subjects.  Every intermediate term of a generated run is well sorted at
+  the subject's sort, a bare variable as the checker takes one below the
+  root.  A rule whose argument-head guard a construction fails never
+  matches there.  Church mult 12 12 takes at most 34 match attempts, and
+  mult 4, 6 and 8 together at most 62.  ``normalize`` calls
   ``rewrite_step`` once per step and once more, and ``match_term`` once
   per attempt, so the benchmark's tracer sees them.
 * Every substitution made while normalizing the pinned inputs, which
@@ -95,7 +93,8 @@ from plank import (
     rewrite_step,
     substitute,
 )
-from plank.env import ConSig, MetaForm, infer_rule_env
+from plank.checker import CheckState, TermContext, check_term
+from plank.env import ConSig, MetaForm, RuleEnv, infer_rule_env, walk_sorts
 from plank.rewrite import format_step
 from plank.terms import (
     AssocPiece,
@@ -611,12 +610,42 @@ def test_normalize_agrees_with_a_restarted_search_on_generated_subjects(label, d
     # from the root on every step.
     gamma, rules = _engine(GENERATED[label])
     subject = data.draw(_subjects(gamma))
-    assert check_ground_subject(gamma, subject)[2] == [], render(subject)
-    result = normalize(gamma, rules, subject, fuel=30)
+    sort, _, errors = check_ground_subject(gamma, subject)
+    assert errors == [], render(subject)
+    result = normalize(gamma, rules, subject, fuel=30,
+                       on_step=lambda term, _: _assert_sorted_as(gamma, term, sort))
     reference, steps, status = _restart_normalize(rules, subject, 30)
     assert [(s.position, s.rule_index) for s in result.steps] == steps
     assert result.status.value == status
     assert render(result.term) == render(reference)
+
+
+def _assert_sorted_as(gamma, term, sort):
+    """``term``, a step's result from a subject of ``sort``, is well sorted
+    at ``sort``: a construction as a ground subject, and a bare variable in
+    contraction context, as the checker takes one below the root."""
+    if isinstance(term, Construction):
+        have, _, errors = check_ground_subject(gamma, term)
+        assert (have, errors) == (sort, []), render(term)
+        return
+    delta = RuleEnv()
+    walk_sorts(gamma, term, sort, delta, {}, in_lhs=False)
+    state = CheckState(gamma, delta, all_idents(term), TermContext.CON, {}, [])
+    assert check_term(state, term, sort) == [], render(term)
+
+
+# Call-by-value subjects whose normal form is a bare variable of sort L,
+# which ``check_ground_subject`` rejects as a whole subject (SMC-Cons).
+@pytest.mark.parametrize("subject", ["Eval(y, {y : y})", "Apply(Lam([y]y), y, {})",
+                                     "Eval(x, {z : z, x : x})"])
+def test_every_step_of_a_variable_result_is_well_sorted(subject):
+    gamma, rules = _engine(CBV_EVAL)
+    term = parse_term(subject)
+    sort, _, errors = check_ground_subject(gamma, term)
+    assert errors == []
+    result = normalize(gamma, rules, term,
+                       on_step=lambda t, _: _assert_sorted_as(gamma, t, sort))
+    assert isinstance(result.term, Var) and result.status.value == "NormalForm"
 
 
 def test_normalize_calls_the_traced_functions_once_per_use(monkeypatch):

@@ -91,7 +91,7 @@ def strip_not_keys(term):
 
 
 def replay(pattern, valuation, subject):
-    return contract(strip_not_keys(pattern), valuation, free_vars(subject))
+    return contract(strip_not_keys(pattern), valuation, avoid=free_vars(subject))
 
 
 def captured(*entries):
@@ -362,7 +362,7 @@ class TestContract:
             Ident("#M"): Abstraction((Ident("p"),), t("p")),
             Ident("#N"): Abstraction((), t("Lam([y]y)")),
         })
-        assert contract(t("#M(#N)"), val) == t("Lam([y]y)")
+        assert contract(t("#M(#N)"), val, avoid={Ident("p"), Ident("y")}) == t("Lam([y]y)")
 
     def test_apply_rule_contraction(self, ex2):
         rhs = ex2.rules[3].rhs  # Eval(#B(z), {#env, z : #V})
@@ -373,12 +373,12 @@ class TestContract:
                 Ident("#env"): captured(),
             },
         )
-        out = contract(rhs, val)
+        out = contract(rhs, val, avoid={Ident("p"), Ident("y")})
         assert out == t("Eval(z, {z : Lam([y]y)})")
 
     def test_nullary_meta(self):
         val = Valuation(meta_bind={Ident("#M"): Abstraction((), t("One()"))})
-        assert contract(t("#M()"), val) == t("One()")
+        assert contract(t("#M()"), val, avoid=set()) == t("One()")
 
     def test_fresh_variable_avoids_collisions(self, ex2):
         rhs = ex2.rules[3].rhs
@@ -389,9 +389,10 @@ class TestContract:
                 Ident("#env"): captured(("z1", "One()")),
             },
         )
-        out = contract(rhs, val, avoid={Ident("z")})
-        # the rhs-fresh z collides with the avoid set, the valuation image,
-        # and a spliced key; z2 is the first free name
+        # the subject Apply(Lam([p]p), z, {z1 : One()}) holds z, the
+        # valuation's image, and z1, a spliced key: the rhs-fresh z collides
+        # with both, and z2 is the first free name
+        out = contract(rhs, val, avoid={Ident("p"), Ident("z"), Ident("z1")})
         assert out == t("Eval(z2, {z1 : One(), z2 : z})")
 
     def test_consistent_fresh_choice_across_occurrences(self, ex2):
@@ -403,7 +404,7 @@ class TestContract:
                 Ident("#env"): captured(),
             },
         )
-        out = contract(rhs, val)
+        out = contract(rhs, val, avoid={Ident("p")})
         assert out == t("Eval(Ap(z, z), {z : One()})")
 
     def test_catchall_splice_and_override(self):
@@ -417,14 +418,27 @@ class TestContract:
 
     def test_missing_binding_raises(self):
         with pytest.raises(EngineError):
-            contract(t("#M(#N)"), Valuation())
+            contract(t("#M(#N)"), Valuation(), avoid=set())
 
     def test_rhs_binders_freshened_against_images(self):
         val = Valuation(meta_bind={Ident("#M"): Abstraction((Ident("p"),), t("Ap(p, x)"))})
-        out = contract(t("Lam([x]#M(x))"), val)
-        # the binder x would capture the image's free x; it is renamed
+        # the subject Lam([p]Ap(p, x)) holds the image's free x, which the
+        # binder x would capture; it is renamed
+        out = contract(t("Lam([x]#M(x))"), val, avoid={Ident("p"), Ident("x")})
         assert alpha_equal(out, t("Lam([w]Ap(w, x))"))
         assert out == t("Lam([x1]Ap(x1, x))")
+
+    def test_fresh_name_avoids_every_name_of_a_matched_subject(self, ex2):
+        # A valuation that a match returns holds only names of its subject
+        # and reserved ones, so the subject's names are the whole avoid set.
+        subject = t("Apply(Lam([z]Ap(z, z1)), z, {z1 : Lam([z2]z2)})")
+        rule = ex2.rules[3]  # Apply(Lam([x]#B(x)), #V, {#env}) -> Eval(#B(z), {#env, z : #V})
+        val = match_term(rule.lhs, subject)
+        assert val is not None
+        out = contract(rule.rhs, val, avoid=all_idents(subject))
+        drawn = out.args[1].entries[-1].key
+        assert drawn not in all_idents(subject)
+        assert out == t("Eval(Ap(z3, z1), {z1 : Lam([z2]z2), z3 : z})")
 
 
     def test_avoid_read_only_when_a_fresh_name_is_drawn(self, ex2):
