@@ -458,7 +458,7 @@ def _check_rule(gamma: GlobalEnv, d: RuleDecl, delta: RuleEnv,
     if lhs_state.absent:
         # KeyNotElsewhere for absence keys: the matcher resolves one through a
         # variable bound anywhere in the pattern, after every list is matched.
-        pvars = _names(d.lhs, VAR, True, True, frozenset(), set())
+        pvars = _names(d.lhs, VAR, True, frozenset(), set())
         for a in lhs_state.absent:
             if a.key not in pvars:
                 errors.append(_err("SAP-Not", a, f"absence key {a.key} is not a variable of "

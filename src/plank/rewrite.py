@@ -47,9 +47,9 @@ rule of another head cannot match there.  The argument has three parts.
   ``#M()`` does not take x, or for a second occurrence that differs, and
   a step below can undo that.  The matcher reports such a failure as
   undoable only once the rest of the pattern matched, and the rule then
-  joins the frame's retry set until it fires or fails structurally.  So
-  retrying each ancestor top-down, with the rules that reach it and its
-  retry set, finds the outermost redex on the path.
+  joins the frame's set in the zipper's retry map until it fires or
+  fails structurally.  So retrying each ancestor top-down, with the rules
+  that reach it and its retry set, finds the outermost redex on the path.
 * The argument-head guard.  A rule is not tried where a scope argument's
   body lacks the head, or is not the variable, that its pattern has
   there: it would fail structurally one level down.
@@ -672,13 +672,12 @@ def _index_by_head(gamma: GlobalEnv, rules: Sequence[RewriteRule]
 
 
 # A frame of the zipper is one ancestor of the focus, a list
-# ``[node, i, j, retry, at]``.  The ancestor is ``node`` with its child on
-# the focus's branch, the body of argument ``i`` (``j`` None) or the value
-# of entry ``j`` of list ``i``, as the hole; ``node`` may hold an older
-# child there until the hole is plugged.  ``retry`` is the set of the
-# indices of the rules that failed there undoably, or None, and ``at`` is
-# the length of the ancestor's position.
-_NODE, _I, _J, _RETRY, _AT = range(5)
+# ``[node, i, j, at]``.  The ancestor is ``node`` with its child on the
+# focus's branch, the body of argument ``i`` (``j`` None) or the value of
+# entry ``j`` of list ``i``, as the hole; ``node`` may hold an older child
+# there until the hole is plugged.  ``at`` is the length of the ancestor's
+# position.
+_NODE, _I, _J, _AT = range(4)
 
 
 def _plugged(f: list, t: Term) -> Construction:
@@ -722,13 +721,13 @@ class _Zipper:
     """A term being normalized, held as a focus and the frames of its
     ancestors, root first (Huet, "The Zipper", JFP 1997).
 
-    ``path`` is the focus's position, and ``retrying`` the indices of the
-    frames whose retry set is not empty, in order.  ``near[head][d - 1]``
-    lists the rules of a head whose pattern reaches d down, for d up to
-    ``reach``, the largest reach.  ``undone`` is the list every attempt
-    passes ``match_term``.  After a step the focus is the contractum, and
-    every frame's node was tried with every rule of its head and failed,
-    undoably for the rules in its retry set.
+    ``path`` is the focus's position, and ``retry`` maps each frame whose
+    retry set is not empty, by index, to that set.  ``undone`` is the list
+    every attempt passes ``match_term``.  After a step the focus is the
+    contractum, and every frame's node was tried with every rule of its
+    head and failed, undoably for the rules in its retry set.  A frame d
+    levels up is tried again with its head's rules of reach d or more and
+    its retry set, so with the set alone above ``reach``, the largest reach.
     """
 
     def __init__(self, t: Term, by_head: dict[Ident, list[RewriteRule]]):
@@ -736,11 +735,9 @@ class _Zipper:
         self.by_head = by_head
         self.frames: list[list] = []
         self.path: list[int] = []
-        self.retrying: list[int] = []
+        self.retry: dict[int, set[int]] = {}
         self.undone: list = []
         self.reach = max((r.reach for rules in by_head.values() for r in rules), default=0)
-        self.near = {head: [[r for r in rules if r.reach >= d] for d in range(1, self.reach + 1)]
-                     for head, rules in by_head.items()}
 
     def root(self) -> Term:
         return self._up(len(self.frames), self.focus)
@@ -764,7 +761,7 @@ class _Zipper:
             hit = self._retry()
             if hit is not None:
                 return hit
-        frames, path, retrying, by_head = self.frames, self.path, self.retrying, self.by_head
+        frames, path, retry, by_head = self.frames, self.path, self.retry, self.by_head
         t = self.focus
         while True:
             if isinstance(t, Construction):
@@ -778,8 +775,8 @@ class _Zipper:
                 if down is not None:
                     i, j, child = down
                     if failed:
-                        retrying.append(len(frames))
-                    frames.append([t, i, j, failed, len(path)])
+                        retry[len(frames)] = failed
+                    frames.append([t, i, j, len(path)])
                     path.append(i)
                     if j is not None:
                         path.append(j)
@@ -799,8 +796,8 @@ class _Zipper:
                         path.append(j)
                     break
                 frames.pop()
-                if f[_RETRY]:
-                    retrying.pop()
+                if retry:
+                    retry.pop(len(frames), None)
             else:
                 self.focus = t
                 return None
@@ -809,45 +806,32 @@ class _Zipper:
         """Retry the ancestors top-down, each with the rules that reach it
         and its retry set.  Only the levels up to the topmost one tried are
         rebuilt."""
-        frames, n, by_head, retrying = self.frames, len(self.path), self.by_head, self.retrying
+        frames, n, by_head, retry = self.frames, len(self.path), self.by_head, self.retry
         top = len(frames)
         while top and n - frames[top - 1][_AT] <= self.reach:
             top -= 1
-        tries = []
-        for k in retrying:
-            if k >= top:
-                break
+        tries, ks = [], range(top, len(frames))
+        if retry:
+            ks = [*sorted(k for k in retry if k < top), *ks]
+        for k in ks:
             f = frames[k]
-            tries.append((k, [r for r in by_head[f[_NODE].head] if r.index in f[_RETRY]]))
-        for k in range(top, len(frames)):
-            f = frames[k]
-            head, d, retry = f[_NODE].head, n - f[_AT], f[_RETRY]
-            rules = self.near.get(head)
+            rules = by_head.get(f[_NODE].head)
             if rules:
-                rules = rules[d - 1]
-                if retry:
-                    rules = [r for r in by_head[head] if r.reach >= d or r.index in retry]
+                d, again = n - f[_AT], retry.get(k, ()) if retry else ()
+                rules = [r for r in rules if r.reach >= d or r.index in again]
                 if rules:
                     tries.append((k, rules))
-        if not tries:
-            return None
-        self._up(len(frames), self.focus, tries[0][0])
-        retried = bool(retrying)
+        if tries:
+            self._up(len(frames), self.focus, tries[0][0])
         for k, rules in tries:
-            f = frames[k]
-            rule, val, failed = _first_match(rules, f[_NODE], self.undone)
+            rule, val, failed = _first_match(rules, frames[k][_NODE], self.undone)
             if rule is not None:
-                break
-            if f[_RETRY]:
-                failed = (failed or set()) | (f[_RETRY] - {r.index for r in rules})
-            f[_RETRY] = failed or None
-            retried = retried or failed is not None
-        if retried:
-            retrying[:] = ([k for k in retrying if k < top and frames[k][_RETRY]]
-                           + [k for k in range(top, len(frames)) if frames[k][_RETRY]])
-        if rule is None:
-            return None
-        return self._contract(k, frames[k][_NODE], rule, val)
+                return self._contract(k, frames[k][_NODE], rule, val)
+            if failed:
+                retry[k] = failed
+            elif retry:
+                retry.pop(k, None)
+        return None
 
     def _contract(self, k: int, redex: Construction, rule: RewriteRule, val: Valuation
                   ) -> RewriteStep:
@@ -859,8 +843,9 @@ class _Zipper:
         if k < len(frames):
             del self.path[frames[k][_AT]:]
             del frames[k:]
-            while self.retrying and self.retrying[-1] >= k:
-                self.retrying.pop()
+            if self.retry:
+                for i in [i for i in self.retry if i >= k]:
+                    del self.retry[i]
         return RewriteStep(tuple(self.path), rule.index)
 
 

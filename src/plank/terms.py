@@ -348,42 +348,42 @@ def _render(n: Node, tok: dict[str, str]) -> str:
 VAR, KEY, META = 1, 2, 4
 
 
-def _names(x: Term | CatchAll | AssocPiece, roles: int, free: bool, assoc: bool,
+def _names(x: Term | CatchAll | AssocPiece, roles: int, assoc: bool,
            bound: frozenset[Ident], out: set[Ident]) -> set[Ident]:
     """Add to ``out`` the names playing any of ``roles`` in ``x``; return ``out``.
 
-    With ``free`` a variable or key inside the scope of a binder of the same
-    name, or in ``bound``, is left out; without ``assoc`` association lists
-    are skipped whole.
+    A variable or key inside the scope of a binder of the same name, or in
+    ``bound``, is left out; without ``assoc`` association lists are skipped
+    whole.
     """
     if isinstance(x, Var):
-        if roles & VAR and not (free and x.name in bound):
+        if roles & VAR and x.name not in bound:
             out.add(x.name)
         return out
     if isinstance(x, (MetaApp, CatchAll)):
         if roles & META:
             out.add(x.meta)
         for a in x.args:
-            _names(a, roles, free, assoc, bound, out)
+            _names(a, roles, assoc, bound, out)
         return out
     for p in x.args if isinstance(x, Construction) else (x,):
         if isinstance(p, ScopePiece):
-            _names(p.body, roles, free, assoc, bound | set(p.binders) if free else bound, out)
+            _names(p.body, roles, assoc, bound | set(p.binders), out)
         elif assoc:
             for e in p.entries:
                 if isinstance(e, CatchAll):
-                    _names(e, roles, free, assoc, bound, out)
-                elif roles & KEY and not (free and e.key in bound):
+                    _names(e, roles, assoc, bound, out)
+                elif roles & KEY and e.key not in bound:
                     out.add(e.key)
                 if isinstance(e, MapEntry):
-                    _names(e.value, roles, free, assoc, bound, out)
+                    _names(e.value, roles, assoc, bound, out)
     return out
 
 
 def free_vars(t: Term | AssocPiece) -> set[Ident]:
     """Variables and keys of ``t``, a term or a catch-all's captured list,
     outside the scope of a binder of their name."""
-    return _names(t, VAR | KEY, True, True, frozenset(), set())
+    return _names(t, VAR | KEY, True, frozenset(), set())
 
 
 def non_assoc_vars(t: Term) -> set[Ident]:
@@ -392,7 +392,7 @@ def non_assoc_vars(t: Term) -> set[Ident]:
     Binder positions and bound occurrences do not count, so the result
     does not depend on binder names.
     """
-    return _names(t, VAR, True, False, frozenset(), set())
+    return _names(t, VAR, False, frozenset(), set())
 
 
 def all_idents(t: Term) -> frozenset[Ident]:
@@ -452,7 +452,7 @@ def _idents(t: Term) -> frozenset[Ident]:
 
 def meta_vars(t: Term) -> set[Ident]:
     """Every meta-variable name occurring in ``t`` (including catch-alls)."""
-    return _names(t, META, False, True, frozenset(), set())
+    return _names(t, META, True, frozenset(), set())
 
 
 def fresh_var(hint: Ident, avoid: Iterable[Ident]) -> Ident:

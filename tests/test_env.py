@@ -104,6 +104,20 @@ class TestInstantiatedForms:
         box = SortCons(Ident("Box"), (L,))
         assert instantiated_forms(gamma.con["B"], box) == (plain(L), ScopeForm((L,), box))
 
+    def test_repeated_sort_variable_needs_equal_arguments(self):
+        gamma, errors = build_global_env(parse_script("P<a, a> scheme F(a, [a]a);"))
+        assert errors == []
+        M = SortCons(Ident("M"))
+        pair = SortCons(Ident("P"), (L, L))
+        assert instantiated_forms(gamma.con["F"], pair) == (plain(L), ScopeForm((L,), L))
+        assert instantiated_forms(gamma.con["F"], SortCons(Ident("P"), (L, M))) is None
+
+    def test_association_form_is_instantiated(self):
+        gamma, errors = build_global_env(parse_script("M<a> data Box({L:a});"))
+        assert errors == []
+        m = SortCons(Ident("M"), (L,))
+        assert instantiated_forms(gamma.con["Box"], m) == (AssocForm(L, L),)
+
 
 class TestInferRuleEnv:
     def test_beta_rule(self, ex1):

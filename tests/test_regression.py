@@ -48,6 +48,8 @@
 * Every exported name, and every name the benchmark's traced run wraps,
   still resolves, no module imports a name it never uses, and every record
   field is read somewhere in the package.
+* Every attribute that a plain class's ``__init__`` stores on ``self`` is
+  read somewhere in the package, so no dead state outlives a refactor.
 * No module stores to a field of a built record, and no dataclass is
   frozen: records are immutable by this rule, not by the runtime.
 * Every ``raise EngineError`` names the checker or environment diagnostic
@@ -496,13 +498,16 @@ def _restart_normalize(rules, term, fuel):
 # step than one level: η at a Lam three levels up once a step drops the
 # binder's last free occurrence, η at the root once the second of two
 # steps drops it (its undoable failure there outlives the first step and
-# the move right to the second redex), K(#m, #m) once a step three levels
-# down makes its arguments equal, a pattern of reach 2 at the grandparent,
-# one of reach 2 once a step in an association value, two position indices
-# down, builds the W it looks for, and a catch-all that does not take x
-# once a step four levels down drops x.  The last two find a redex right of
-# the last one's path: in the next argument, in the next entry of the same
-# association list, and at the first entry of the next list.
+# the move right to the second redex), η at the root and at a Lam inside
+# it, which hold their retry sets at once and are both above the reach
+# bound when the first step makes the inner redex, K(#m, #m) once a step
+# three levels down makes its arguments equal, a pattern of reach 2 at the
+# grandparent, one of reach 2 once a step in an association value, two
+# position indices down, builds the W it looks for, and a catch-all that
+# does not take x once a step four levels down drops x.  The last two find
+# a redex right of the last one's path: in the next argument, in the next
+# entry of the same association list, and at the first entry of the next
+# list.
 RESUMED = [(f"mult-{n}", BETA_ETA, _mult(n), 10000, None) for n in range(2, 9)] + [
     ("chain-80", CBV_EVAL, _identity_chain(80), 10000, None),
     ("let-10", CBV_EVAL, _let_chain(10), 10000, None),
@@ -512,6 +517,9 @@ RESUMED = [(f"mult-{n}", BETA_ETA, _mult(n), 10000, None) for n in range(2, 9)] 
     ("eta-after-two-steps", BETA_ETA,
      "Lam([x]Ap(Ap(Ap(Lam([y]w), x), Ap(Lam([y]w), x)), x))", 10000,
      [((0, 0, 0), 0), ((0, 0, 1), 0), ((), 1)]),
+    ("eta-inside-eta", BETA_ETA,
+     "Lam([x]Ap(Ap(f, Lam([y]Ap(Ap(Ap(Lam([u]w), y), Ap(Lam([u]w), x)), y))), x))", 10000,
+     [((0, 0, 1, 0, 0, 0), 0), ((0, 0, 1), 1), ((0, 0, 1, 1), 0), ((), 1)]),
     ("nonlinear-meta", NONLINEAR, "K(A(A(I(B()))), A(A(B())))", 10000,
      [((0, 0, 0), 1), ((), 0)]),
     ("reach-two", REACH_TWO, "F(G(I(H(B()))))", 10000, [((0, 0), 1), ((), 0)]),
@@ -1343,8 +1351,10 @@ def _last_name(node):
 
 
 def _unread_fields(sources: list[str]) -> list[tuple[str, str]]:
-    """(class, field) of each dataclass or NamedTuple field that no source
-    reads, as an attribute or through ``getattr`` with a constant name.
+    """(class, field) of each dataclass or NamedTuple field, and of each
+    attribute another class's ``__init__`` stores as ``self.X = ...``, that
+    no source reads, as an attribute or through ``getattr`` with a constant
+    name.
 
     An attribute passed straight to the constructor of a record that
     declares a field of that name is a copy, not a read: a field read only
@@ -1352,14 +1362,21 @@ def _unread_fields(sources: list[str]) -> list[tuple[str, str]]:
     nodes = [n for s in sources for n in ast.walk(ast.parse(s))]
     fields, declared = [], {}
     for node in nodes:
-        if isinstance(node, ast.ClassDef) and (
-                "NamedTuple" in map(_last_name, node.bases)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if ("NamedTuple" in map(_last_name, node.bases)
                 or "dataclass" in (_last_name(d.func if isinstance(d, ast.Call) else d)
                                    for d in node.decorator_list)):
             names = [st.target.id for st in node.body
                      if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
             fields += [(node.name, f) for f in names]
             declared.setdefault(node.name, set()).update(names)
+            continue
+        for init in node.body:
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                fields += [(node.name, t.attr) for t in ast.walk(init)
+                           if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                           and _last_name(t.value) == "self"]
     copies, read = set(), set()
     for node in nodes:
         if isinstance(node, ast.Call) and _last_name(node.func) in declared:
@@ -1380,6 +1397,10 @@ def test_every_record_field_is_read():
     record = "@dataclass(frozen=True)\nclass A:\n" + "".join(f"    {f}: int\n" for f in "xyzw")
     use = "def f(a):\n    return a.x, getattr(a, 'z'), A(a.x, 0, 0, w=a.w)\n"
     assert _unread_fields([record, use]) == [("A", "y"), ("A", "w")]
+    plain = ("class B:\n    def __init__(self, v):\n        self.u = v\n"
+             "        self.v: int = v\n        self.x, v.w = v, v\n"
+             "    def f(self):\n        return self.u\n")
+    assert _unread_fields([plain]) == [("B", "v"), ("B", "x")]
     sources = [p.read_text(encoding="utf-8") for p in sorted((REPO / "src" / "plank").glob("*.py"))]
     assert [f for f in _unread_fields(sources) if f not in UNREAD_FIELDS_KEPT] == []
 
