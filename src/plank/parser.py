@@ -5,19 +5,22 @@ equivalents (``->``, ``<>``, ``~``).  Whitespace is insignificant and ``//``
 starts a line comment.  Script files conventionally use the ``.plank``
 extension and one declaration per ``;``.
 
-The lexer is one compiled pattern run with ``finditer``, one named group
-per token class.  A column is the character offset from the start of the
-line plus one, so a tab or a carriage return counts as one column.  A
-comment does not advance the column: input that ends in a comment without
-a newline reports end of input at the comment's first column.  Each
-distinct word becomes one ``Ident`` per call, and its token kind follows
-from its first character.
+The lexer builds no record per token.  It keeps each token's kind, text
+and start offset in three parallel lists, and a table of the offsets at
+which lines start; a ``Span`` is resolved from that table with
+``bisect_right`` only when a node or a diagnostic needs one.  A column is
+the character offset from the start of the line plus one, so a tab or a
+carriage return counts as one column.  A comment does not advance the
+column: input that ends in a comment without a newline reports end of
+input at the comment's first column.  Each distinct word becomes one
+``Ident`` per call, and its token kind follows from its first character.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from bisect import bisect_right
+from typing import Callable
 
 from .terms import (
     AssocForm,
@@ -69,56 +72,48 @@ class ParseFailure(Exception):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = {c: c for c in "()[]{},;:<>~"} | {"⟨": "<", "⟩": ">", "¬": "~", "→": "->"}
+# The kind and text of each punctuation spelling; ``_lex`` adds each word it
+# meets to a copy.
+_PUNCT = {c: (k, c) for c, k in [*zip("()[]{},;:<>~⟨⟩¬", "()[]{},;:<>~<>~"),
+                                 ("→", "->"), ("->", "->")]}
 
-# One alternative per token class, tried in order; ``other`` is any single
-# character no class accepts (``.`` stops only at ``\n``, which ``nl`` takes).
-_TOKEN_RE = re.compile(
-    r"(?P<nl>\n)|(?P<blank>[ \t\r]+)|(?P<comment>//[^\n]*)|(?P<arrow>->)"
-    r"|(?P<punct>[()\[\]{},;:<>⟨⟩~¬→])|(?P<word>[#A-Za-z][A-Za-z0-9_]*)|(?P<other>.)"
-)
-
-
-class _Token(NamedTuple):
-    kind: str  # "con", "var", "meta", "->", "(", ... or "eof"
-    text: str  # an Ident for "con", "var" and "meta"
-    span: Span
+# A comment, or one token: an arrow, a word, or any other single character
+# but a blank (punctuation, or a character no token starts with).
+# ``finditer`` steps over the blanks and newlines between matches.
+_TOKEN_RE = re.compile(r"//[^\n]*|->|[#A-Za-z][A-Za-z0-9_]*|[^ \t\r\n]")
 
 
-def _lex(text: str, file: str) -> tuple[list[_Token], list[Diagnostic]]:
-    tokens: list[_Token] = []
-    errors: list[Diagnostic] = []
-    words: dict[str, tuple[str, Ident]] = {}
-    line, line_start, group, m = 1, 0, None, None
+def _lex(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """The kinds, texts and start offsets of the tokens, the last one ``eof``;
+    then the offsets of the characters no token accepts."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    bad: list[int] = []
+    seen: dict[str, tuple[str, str]] = dict(_PUNCT)
+    m = None
     for m in _TOKEN_RE.finditer(text):
-        group = m.lastgroup
-        if group == "blank" or group == "comment":
-            continue
-        if group == "nl":
-            line += 1
-            line_start = m.end()
-            continue
-        span = Span(file, line, m.start() - line_start + 1)
-        if group == "word":
-            word = m.group()
-            hit = words.get(word)
-            if hit is None:
-                first = word[0]
-                kind = "meta" if first == "#" else "con" if first.isupper() else "var"
-                hit = words[word] = (kind, Ident(word))
-            tokens.append(_Token(hit[0], hit[1], span))
-        elif group == "punct":
-            ch = m.group()
-            tokens.append(_Token(_PUNCT[ch], ch, span))
-        elif group == "arrow":
-            tokens.append(_Token("->", "->", span))
-        else:
-            errors.append(Diagnostic("parse", span, f"unexpected character {m.group()!r}"))
+        tok = m[0]
+        hit = seen.get(tok)
+        if hit is None:
+            if tok.startswith("//"):
+                continue
+            first = tok[0]
+            if first != "#" and not (first.isascii() and first.isalpha()):
+                bad.append(m.start())
+                continue
+            kind = "meta" if first == "#" else "con" if first.isupper() else "var"
+            hit = seen[tok] = (kind, Ident(tok))
+        kinds.append(hit[0])
+        texts.append(hit[1])
+        starts.append(m.start())
     # A comment does not advance the column, so input that ends in one puts
     # end of input at the comment's first column.
-    end = m.start() if group == "comment" else len(text)
-    tokens.append(_Token("eof", "", Span(file, line, end - line_start + 1)))
-    return tokens, errors
+    comment = m is not None and m.end() == len(text) and m[0].startswith("//")
+    kinds.append("eof")
+    texts.append("")
+    starts.append(m.start() if comment else len(text))
+    return kinds, texts, starts, bad
 
 
 # ---------------------------------------------------------------------------
@@ -128,38 +123,48 @@ _KEYWORDS = ("data", "scheme", "variable", "rule")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """One text's tokens and the index ``pos`` of the next one, which never
+    passes ``eof``.  Token ``i`` has kind ``kinds[i]``, text ``texts[i]`` (an
+    ``Ident`` for a word, ``""`` for ``eof``) and starts at offset
+    ``starts[i]``; ``lines`` holds the offset at which each line starts."""
+
+    def __init__(self, text: str, file: str):
+        self.kinds, self.texts, self.starts, bad = _lex(text)
+        self.lines = [0, *[m.end() for m in re.finditer("\n", text)]]
+        self.file = file
         self.pos = 0
+        self.errors = [Diagnostic("parse", self.span(o), f"unexpected character {text[o]!r}")
+                       for o in bad]
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def span(self, offset: int) -> Span:
+        """The span of the character at ``offset``."""
+        line = bisect_right(self.lines, offset)
+        return Span(self.file, line, offset - self.lines[line - 1] + 1)
 
     def fail(self, message: str, span: Span | None = None):
-        raise ParseFailure([Diagnostic("parse", span or self.peek().span, message)])
+        raise ParseFailure([Diagnostic("parse", span or self.span(self.starts[self.pos]), message)])
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        """The next token, which must be of ``kind``; ``what`` names it in the
-        error, by default the quoted punctuation ``kind`` itself."""
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {what or repr(kind)}, found {tok.text or 'end of input'!r}")
-        return self.next()
+    def expected(self, what: str):
+        self.fail(f"expected {what}, found {self.texts[self.pos] or 'end of input'!r}")
+
+    def expect(self, kind: str, what: str | None = None) -> int:
+        """The index of the next token, which must be of ``kind``; ``what``
+        names it in the error, by default the quoted punctuation ``kind``."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            self.expected(what or repr(kind))
+        self.pos = i + 1
+        return i
 
     def listed(self, item: Callable[[], object], close: str, seps: tuple[str, ...] = (",",)
                ) -> list:
         """Zero or more ``item``s separated by any of ``seps``, then ``close``."""
         items = []
-        if self.peek().kind != close:
+        kinds = self.kinds
+        if kinds[self.pos] != close:
             items.append(item())
-            while self.peek().kind in seps:
-                self.next()
+            while kinds[self.pos] in seps:
+                self.pos += 1
                 items.append(item())
         self.expect(close)
         return items
@@ -167,101 +172,95 @@ class _Parser:
     # -- sorts ---------------------------------------------------------------
 
     def sort(self) -> Sort:
-        tok = self.peek()
-        if tok.kind == "var":
-            self.next()
-            return SortVar(tok.text, span=tok.span)
-        if tok.kind != "con":
-            self.fail(f"expected a sort, found {tok.text or 'end of input'!r}")
-        self.next()
+        i = self.pos
+        kinds = self.kinds
+        if kinds[i] == "var":
+            self.pos = i + 1
+            return SortVar(self.texts[i], span=self.span(self.starts[i]))
+        if kinds[i] != "con":
+            self.expected("a sort")
+        self.pos = i + 1
         args: tuple[Sort, ...] = ()
-        if self.peek().kind == "<":
-            self.next()
+        if kinds[i + 1] == "<":
+            self.pos = i + 2
             items = [self.sort()]
-            while self.peek().kind == ",":
-                self.next()
+            while kinds[self.pos] == ",":
+                self.pos += 1
                 items.append(self.sort())
             self.expect(">")
             args = tuple(items)
-        return SortCons(tok.text, args, span=tok.span)
+        return SortCons(self.texts[i], args, span=self.span(self.starts[i]))
 
     def form(self) -> Form:
-        tok = self.peek()
-        if tok.kind == "[":
-            self.next()
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "[":
+            self.pos = i + 1
             binders = self.listed(self.sort, "]")
-            body = self.sort()
-            return ScopeForm(tuple(binders), body, span=tok.span)
-        if tok.kind == "{":
-            self.next()
+            return ScopeForm(tuple(binders), self.sort(), span=self.span(self.starts[i]))
+        if kind == "{":
+            self.pos = i + 1
             key = self.sort()
             self.expect(":")
             value = self.sort()
             self.expect("}")
-            return AssocForm(key, value, span=tok.span)
-        return ScopeForm((), self.sort(), span=tok.span)
+            return AssocForm(key, value, span=self.span(self.starts[i]))
+        body = self.sort()
+        return ScopeForm((), body, span=body.span)
 
     # -- terms ---------------------------------------------------------------
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "var":
-            self.next()
-            return Var(tok.text, span=tok.span)
-        if tok.kind == "meta":
-            self.next()
-            args: tuple[Term, ...] = ()
-            if self.peek().kind == "(":
-                args = self.term_args()
-            return MetaApp(tok.text, args, span=tok.span)
-        if tok.kind == "con":
-            self.next()
-            pieces: list[Piece] = []
-            if self.peek().kind == "(":
-                self.next()
-                pieces = self.listed(self.piece, ")")
-            return Construction(tok.text, tuple(pieces), span=tok.span)
-        self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
-
-    def term_args(self) -> tuple[Term, ...]:
-        self.expect("(")
-        return tuple(self.listed(self.term, ")"))
+        i = self.pos
+        kinds = self.kinds
+        kind = kinds[i]
+        if kind == "var":
+            self.pos = i + 1
+            return Var(self.texts[i], span=self.span(self.starts[i]))
+        if kind != "con" and kind != "meta":
+            self.expected("a term")
+        self.pos = i + 1
+        items: list = []
+        if kinds[i + 1] == "(":
+            self.pos = i + 2
+            items = self.listed(self.piece if kind == "con" else self.term, ")")
+        cls = Construction if kind == "con" else MetaApp
+        return cls(self.texts[i], tuple(items), span=self.span(self.starts[i]))
 
     def piece(self) -> Piece:
-        tok = self.peek()
-        if tok.kind == "[":
-            self.next()
-            binders = self.listed(lambda: self.expect("var", "a binder variable").text, "]")
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "[":
+            self.pos = i + 1
+            binders = self.listed(lambda: self.texts[self.expect("var", "a binder variable")],
+                                  "]")
             if len(set(binders)) != len(binders):
-                self.fail("binders in one scope must be pairwise distinct", span=tok.span)
-            body = self.term()
-            return ScopePiece(tuple(binders), body, span=tok.span)
-        if tok.kind == "{":
-            self.next()
+                self.fail("binders in one scope must be pairwise distinct",
+                          span=self.span(self.starts[i]))
+            return ScopePiece(tuple(binders), self.term(), span=self.span(self.starts[i]))
+        if kind == "{":
+            self.pos = i + 1
             entries = self.listed(self.association, "}", (",", ";"))
-            return AssocPiece(tuple(entries), span=tok.span)
+            return AssocPiece(tuple(entries), span=self.span(self.starts[i]))
         body = self.term()
         return ScopePiece((), body, span=body.span)
 
     def association(self) -> Association:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.next()
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "~":
+            self.pos = i + 1
             key = self.expect("var", "a key variable")
             self.expect(":")
-            return NotKey(key.text, span=tok.span)
-        if tok.kind == "meta":
-            self.next()
-            args: tuple[Term, ...] = ()
-            if self.peek().kind == "(":
-                args = self.term_args()
-            return CatchAll(tok.text, args, span=tok.span)
-        if tok.kind == "var":
-            self.next()
+            return NotKey(self.texts[key], span=self.span(self.starts[i]))
+        if kind == "meta":
+            meta = self.term()
+            return CatchAll(meta.meta, meta.args, span=meta.span)
+        if kind == "var":
+            self.pos = i + 1
             self.expect(":")
-            value = self.term()
-            return MapEntry(tok.text, value, span=tok.span)
-        self.fail(f"expected an association entry, found {tok.text or 'end of input'!r}")
+            return MapEntry(self.texts[i], self.term(), span=self.span(self.starts[i]))
+        self.expected("an association entry")
 
     # -- declarations ----------------------------------------------------------
 
@@ -272,45 +271,36 @@ class _Parser:
         A ``;`` inside a sort's ``<...>`` is therefore not a boundary, while
         an unclosed ``(`` swallows nothing past the next declaration.
         """
-        while True:
-            tok = self.next()
-            if tok.kind == "eof":
-                return
-            if tok.kind != ";":
-                continue
-            head = self.peek()
-            if head.kind == "eof":
-                return
-            after = self.tokens[self.pos + 1]  # the last token is eof, so there is one
-            if head.kind in ("con", "var") and (after.kind == "<" or after.text in _KEYWORDS):
-                return
+        kinds, texts, i = self.kinds, self.texts, self.pos
+        while kinds[i] != "eof":
+            i += 1
+            if kinds[i - 1] == ";" and kinds[i] in ("con", "var") and (
+                    kinds[i + 1] == "<" or texts[i + 1] in _KEYWORDS):
+                break
+        self.pos = i
 
     def declaration(self) -> Declaration:
-        start = self.peek().span
         sort = self.sort()
-        kw = self.peek()
-        if kw.kind != "var" or kw.text not in _KEYWORDS:
-            self.fail(
-                f"expected 'data', 'scheme', 'variable', or 'rule', found {kw.text or 'end of input'!r}"
-            )
-        self.next()
-        if kw.text == "variable":
+        i = self.pos
+        kw = self.texts[i]
+        if self.kinds[i] != "var" or kw not in _KEYWORDS:
+            self.expected("'data', 'scheme', 'variable', or 'rule'")
+        self.pos = i + 1
+        if kw == "variable":
             self.expect(";")
-            return VariableDecl(sort, span=start)
-        if kw.text == "rule":
+            return VariableDecl(sort, span=sort.span)
+        if kw == "rule":
             lhs = self.term()
-            if self.peek().kind != "->":
-                self.fail(f"expected '->', found {self.peek().text or 'end of input'!r}")
-            self.next()
+            self.expect("->")
             rhs = self.term()
             self.expect(";")
-            return RuleDecl(sort, lhs, rhs, span=start)
-        name = self.expect("con", "a constructor name").text
+            return RuleDecl(sort, lhs, rhs, span=sort.span)
+        name = self.texts[self.expect("con", "a constructor name")]
         self.expect("(")
         forms = self.listed(self.form, ")")
         self.expect(";")
-        cls = DataDecl if kw.text == "data" else SchemeDecl
-        return cls(sort, name, tuple(forms), span=start)
+        cls = DataDecl if kw == "data" else SchemeDecl
+        return cls(sort, name, tuple(forms), span=sort.span)
 
 
 def parse_script(text: str, file: str = "<input>") -> Script:
@@ -321,10 +311,10 @@ def parse_script(text: str, file: str = "<input>") -> Script:
     error the parser recovers at the next declaration boundary (see
     ``_Parser.recover``).
     """
-    tokens, errors = _lex(text, file)
-    p = _Parser(tokens)
+    p = _Parser(text, file)
+    errors = p.errors
     decls: list[Declaration] = []
-    while p.peek().kind != "eof":
+    while p.kinds[p.pos] != "eof":
         try:
             decls.append(p.declaration())
         except ParseFailure as exc:
@@ -338,11 +328,10 @@ def parse_script(text: str, file: str = "<input>") -> Script:
 
 def parse_term(text: str, file: str = "<term>") -> Term:
     """Parse a single term; the whole input must be consumed."""
-    tokens, errors = _lex(text, file)
-    if errors:
-        raise ParseFailure(errors)
-    p = _Parser(tokens)
+    p = _Parser(text, file)
+    if p.errors:
+        raise ParseFailure(p.errors)
     t = p.term()
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input after term: {p.peek().text!r}")
+    if p.kinds[p.pos] != "eof":
+        p.fail(f"trailing input after term: {p.texts[p.pos]!r}")
     return t

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import plank
 from plank import (
@@ -13,13 +17,14 @@ from plank import (
     parse_term,
     render,
 )
-from plank.parser import _lex
+from plank.parser import _Parser
 from plank.terms import (
     AssocForm,
     AssocPiece,
     CatchAll,
     Construction,
     DataDecl,
+    Diagnostic,
     Ident,
     MapEntry,
     MetaApp,
@@ -335,20 +340,91 @@ LEX_ERRORS = [
 ]
 
 
+def _lexed(p: _Parser) -> list[tuple[str, str, Span]]:
+    """(kind, text, span) of each token of ``p``, spans resolved by ``p``."""
+    return [(k, t, p.span(o)) for k, t, o in zip(p.kinds, p.texts, p.starts)]
+
+
 def test_lexer_tokens_and_errors_are_pinned():
-    tokens, errors = _lex(LEX_TEXT, "lex.plank")
-    assert [(t.kind, t.text, t.span.start_line, t.span.start_col)
-            for t in tokens] == LEX_TOKENS
-    assert all(t.span.file == "lex.plank" for t in tokens)
-    assert [e.format() for e in errors] == LEX_ERRORS
+    p = _Parser(LEX_TEXT, "lex.plank")
+    tokens = _lexed(p)
+    assert [(kind, text, span.start_line, span.start_col)
+            for kind, text, span in tokens] == LEX_TOKENS
+    assert all(span.file == "lex.plank" for _, _, span in tokens)
+    assert [e.format() for e in p.errors] == LEX_ERRORS
 
 
 def test_lexer_shares_one_ident_per_word():
-    tokens, _ = _lex("F(x, x, F(x))", "f")
-    words = [t.text for t in tokens if t.kind in ("con", "var")]
+    p = _Parser("F(x, x, F(x))", "f")
+    words = [t for k, t in zip(p.kinds, p.texts) if k in ("con", "var")]
     assert words == ["F", "x", "x", "F", "x"]
     assert all(isinstance(w, Ident) for w in words)
     assert words[0] is words[3] and words[1] is words[2] is words[4]
+
+
+# The lexer as it was when each token was a record: one compiled pattern run
+# with ``finditer``, one named group per token class, the line and column
+# kept as it goes.  The oracle of ``test_lexer_agrees_with_the_record_lexer``.
+_REF_PUNCT = {c: c for c in "()[]{},;:<>~"} | {"⟨": "<", "⟩": ">", "¬": "~", "→": "->"}
+_REF_TOKEN_RE = re.compile(
+    r"(?P<nl>\n)|(?P<blank>[ \t\r]+)|(?P<comment>//[^\n]*)|(?P<arrow>->)"
+    r"|(?P<punct>[()\[\]{},;:<>⟨⟩~¬→])|(?P<word>[#A-Za-z][A-Za-z0-9_]*)|(?P<other>.)"
+)
+
+
+def _reference_lex(text: str, file: str) -> tuple[list[tuple[str, str, Span]], list[Diagnostic]]:
+    tokens, errors = [], []
+    words: dict[str, tuple[str, Ident]] = {}
+    line, line_start, group, m = 1, 0, None, None
+    for m in _REF_TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group == "blank" or group == "comment":
+            continue
+        if group == "nl":
+            line += 1
+            line_start = m.end()
+            continue
+        span = Span(file, line, m.start() - line_start + 1)
+        if group == "word":
+            word = m.group()
+            hit = words.get(word)
+            if hit is None:
+                first = word[0]
+                kind = "meta" if first == "#" else "con" if first.isupper() else "var"
+                hit = words[word] = (kind, Ident(word))
+            tokens.append((hit[0], hit[1], span))
+        elif group == "punct":
+            ch = m.group()
+            tokens.append((_REF_PUNCT[ch], ch, span))
+        elif group == "arrow":
+            tokens.append(("->", "->", span))
+        else:
+            errors.append(Diagnostic("parse", span, f"unexpected character {m.group()!r}"))
+    end = m.start() if group == "comment" else len(text)
+    tokens.append(("eof", "", Span(file, line, end - line_start + 1)))
+    return tokens, errors
+
+
+# Every token class in both spellings, each blank, a comment opener and a
+# lone slash, and characters no token starts with.
+_LEX_ALPHABET = [*"()[]{},;:<>~⟨⟩¬→", "->", "-", ">", "x", "Ab", "#m", "k_1", "#",
+                 " ", "\r", "\t", "\n", "\f", "//", "/", "_", "9", "é", "rule"]
+
+
+@given(st.lists(st.sampled_from(_LEX_ALPHABET), max_size=40).map("".join),
+       st.sampled_from(["", "// c", "//", "\n// c", " // c\n"]))
+@example("x ", "// c")
+@example("x //c", "\n")
+@example("a//b", "")
+@example("x\r\n\t// ->", "")
+@settings(max_examples=300, deadline=None)
+def test_lexer_agrees_with_the_record_lexer(text, end):
+    text += end
+    tokens, errors = _reference_lex(text, "d.plank")
+    p = _Parser(text, "d.plank")
+    assert _lexed(p) == tokens
+    assert [type(t) for t in p.texts] == [type(t) for _, t, _ in tokens]
+    assert [e.format() for e in p.errors] == [e.format() for e in errors]
 
 
 class TestSpan:
@@ -426,6 +502,52 @@ def random_term(rng: random.Random, depth: int):
                     )
             pieces.append(AssocPiece(tuple(entries)))
     return Construction(Ident(rng.choice(_CONS)), tuple(pieces))
+
+
+def _nodes(node):
+    yield node
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if dataclasses.is_dataclass(child):
+                yield from _nodes(child)
+
+
+def _scattered(text: str, rng: random.Random) -> str:
+    """``text`` with blanks, newlines and comments drawn between its tokens."""
+    out = []
+    for tok in re.findall(r"[#A-Za-z][A-Za-z0-9_]*|\S", text):
+        out.append(rng.choice(["", "", " ", "\n", "\t ", "\r\n", " // a, b ]\n", "//\n  "]))
+        if out[-1] == "" and len(out) > 1 and tok[0] not in "()[]{},;:~":
+            out[-1] = " "
+        out.append(tok)
+    return "".join(out)
+
+
+def test_spans_point_at_their_names():
+    rng = random.Random(20261019)
+    for _ in range(200):
+        term = random_term(rng, 3)
+        text = _scattered(render(term), rng)
+        lines = [0] + [m.end() for m in re.finditer("\n", text)]
+        parsed = parse_term(text)
+        assert parsed == term and hash(parsed) == hash(term), text
+        for node in _nodes(parsed):
+            name = {Var: "name", Construction: "head", MetaApp: "meta"}.get(type(node))
+            if name:
+                offset = lines[node.span.start_line - 1] + node.span.start_col - 1
+                assert text.startswith(getattr(node, name), offset), (text, node)
+
+
+def test_parse_term_accepts_150_nested_levels():
+    # A level is six parser frames deep (``term``, ``listed``, ``piece``, for
+    # ``Lam`` and for ``Ap``), 900 in all; a seventh would pass the limit.
+    assert sys.getrecursionlimit() == 1000
+    depth = 150
+    term = parse_term("Lam([x]Ap(z, " * depth + "x" + "))" * depth)
+    for _ in range(depth):
+        term = term.args[0].body.args[1].body
+    assert term == Var(Ident("x"))
 
 
 def test_random_round_trip_sample():
