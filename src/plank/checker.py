@@ -26,7 +26,6 @@ from .env import (
     decl_sorts,
     infer_rule_env,
     instantiated_forms,
-    walk_sorts,
 )
 from .terms import (
     AssocForm,
@@ -82,9 +81,11 @@ class CheckState:
     keeps pattern keys resolvable); on a ground subject, every name of it.
     ``bound`` maps each binder in scope to its sort, an inner binder
     replacing an outer one of the same name; ``delta.var`` gives the sort
-    of every other name.  ``absent`` collects a pattern's absence entries
-    whose key is no binder in scope, for the rule's check to look up among
-    the pattern's variables once the whole pattern is known.
+    of every other name: inferred beforehand on a rule side, and filled by
+    the check on a ground subject, where a name takes the sort of the first
+    position the check meets it at.  ``absent`` collects a pattern's absence
+    entries whose key is no binder in scope, for the rule's check to look up
+    among the pattern's variables once the whole pattern is known.
     """
 
     gamma: GlobalEnv
@@ -284,9 +285,7 @@ def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
                     need_hasvar: bool, key: bool = False) -> list[Diagnostic]:
     if not isinstance(t, Var):
         return [_err(tag, t, f"expected a variable, got {render(t)}")]
-    have = st.bound.get(t.name) or st.delta.var.get(t.name)
-    if have is None:
-        return [_err(tag, t, f"variable {t.name} has no sort in this rule")]
+    have = st.bound.get(t.name) or st.delta.var.setdefault(t.name, expected)
     if have != expected:
         return [_err(
             tag, t,
@@ -493,9 +492,10 @@ def check_script(script: Script) -> ScriptCheck:
 def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEnv, list[Diagnostic]]:
     """Determine a ground term's sort and check it in contraction context.
 
-    The sort is read off the head constructor's declaration; free variables
-    receive the sorts their positions demand, by the walk that infers rule
-    environments, run as on a right-hand side with no meta-forms.
+    The sort is read off the head constructor's declaration.  The check
+    sorts each free name itself, at the first position it meets the name
+    at; a name first seen past a diagnostic that stops the check (an arity
+    or binder-count mismatch, an absence entry) is sorted further on.
     KeyNotElsewhere is a formation condition on rule sides only: rewriting
     can drop a key's last other occurrence, so every name of the subject
     may stand as a key.
@@ -514,10 +514,8 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
             f"cannot determine a ground sort for {t.head}: its declared sort "
             f"{render(sort)} is polymorphic",
         )]
-    delta = RuleEnv()
-    walk_sorts(gamma, t, sort, delta, {}, in_lhs=False)
-    st = CheckState(gamma, delta, all_idents(t), TermContext.CON, {}, [])
-    return sort, delta, check_term(st, t, sort)
+    st = CheckState(gamma, RuleEnv(), all_idents(t), TermContext.CON, {}, [])
+    return sort, st.delta, check_term(st, t, sort)
 
 
 def _has_sort_vars(s: Sort) -> bool:

@@ -270,7 +270,7 @@ def infer_rule_env(gamma: GlobalEnv, rule: RuleDecl) -> tuple[RuleEnv, list[Diag
 
 def walk_sorts(gamma: GlobalEnv, t: Term, expected: Sort, delta: RuleEnv,
                binders: dict[Ident, Sort], *, in_lhs: bool) -> list[Diagnostic]:
-    """One sort-directed walk of a rule side or of a ground subject.
+    """One sort-directed walk of a rule side, for ``infer_rule_env``.
 
     A free variable or key gets the sort its first position demands, in
     ``delta.var``.  A binder's sort holds inside its scope, where an inner
@@ -278,7 +278,7 @@ def walk_sorts(gamma: GlobalEnv, t: Term, expected: Sort, delta: RuleEnv,
     first sort seen for each binder name also goes to ``binders``.  On the
     left-hand side a meta-application records its meta-form in
     ``delta.meta``; elsewhere it must agree with the recorded one, and the
-    disagreements are returned.
+    disagreements are returned; tests run it on ground subjects as a reference.
     """
     w = _SortWalk(gamma, delta, binders, in_lhs)
     w.walk(t, expected, {})

@@ -24,7 +24,7 @@ from plank.checker import (
     check_sort,
     check_term,
 )
-from plank.env import MetaForm, RuleEnv
+from plank.env import MetaForm, RuleEnv, infer_rule_env
 from plank.terms import (
     AssocForm,
     AssocPiece,
@@ -402,6 +402,20 @@ class TestGroundSubject:
         assert (sort, delta.var, delta.meta) == (None, {}, {})
         assert [e.format() for e in errors] == [f"<term>:1:1: error[SMC-Cons]: {message}"]
 
+    def test_a_name_past_an_arity_error_takes_its_next_sort(self):
+        # The check sorts a subject's free names as it meets them and stops at
+        # Lb's extra argument, so x first takes the sort A of Box's second
+        # argument; no SMC-Var follows at 1:27 for the x skipped inside Lb.
+        gamma, _ = build_global_env(parse_script(
+            "A data Ca(); A variable; B data Cb(); B data Lb([A]B); B variable; "
+            "S data Box({A:B}, A);"))
+        sort, delta, errors = check_ground_subject(
+            gamma, parse_term("Box({y : Lb([b]x, Cb())}, x)"))
+        assert sort == SortCons(Ident("S"))
+        assert delta.var == {"y": SortCons(Ident("A")), "x": SortCons(Ident("A"))}
+        assert [e.format() for e in errors] == [
+            "<term>:1:10: error[SMC-Cons]: constructor Lb expects 1 argument(s), got 2"]
+
     def test_unique_sort_for_ground_con_terms(self, g2, ex2):
         # any accepted ground subject has exactly the head's declared sort
         for text in ("Lam([x]x)", "Ap(Lam([x]x), Lam([y]y))", "Eval(a, {})"):
@@ -553,3 +567,14 @@ class TestBinderNames:
             rule = _random_rule(rng)
             apart = RuleDecl(rule.sort, _rename_apart(rule.lhs), _rename_apart(rule.rhs))
             assert _tags(rule) == _tags(apart), render(rule)
+
+    def test_the_rule_check_adds_no_name_to_the_inferred_env(self):
+        # A rule's check reads each name's sort from the inferred environment;
+        # inference walks on where the check stops, so the check meets no name
+        # that inference did not sort first.
+        gamma = build_global_env(BINDERS)[0]
+        rng = random.Random(0)
+        for _ in range(1000):
+            rule = _random_rule(rng)
+            result = check_script(Script(BINDERS.declarations + (rule,)))
+            assert result.rule_envs[-1].var == infer_rule_env(gamma, rule)[0].var, render(rule)

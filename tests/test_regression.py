@@ -25,9 +25,14 @@
   every call-by-value pin.
 * The names ``all_idents`` keeps on each term object agree with a plain
   walk of the tree on every intermediate term.
-* ``check_script`` infers each rule environment once, ``normalize``
+* ``check_script`` infers each rule environment once, with one sort walk
+  per side, and a ground subject's check runs no sort walk.  ``normalize``
   indexes the rules by head once, and the lexer classifies each distinct
   word once.
+* On generated subjects, ``check_ground_subject`` gives the sort,
+  environment and diagnostics of sorting every name first and checking
+  second.  On a subject made ill-formed, the verdicts and the diagnostics
+  that stop the check agree, and the rest do wherever none stops it.
 * The matcher walks no name set: the engine walks a term's names only
   when it draws a fresh name, and finds each right side's free variables
   once per rule.  Parsing,
@@ -77,6 +82,7 @@ from hypothesis import given, settings, strategies as st
 
 import plank
 import plank.checker
+import plank.env
 import plank.rewrite
 import plank.terms
 from plank.cli import main
@@ -636,9 +642,7 @@ def _assert_sorted_as(gamma, term, sort):
         have, _, errors = check_ground_subject(gamma, term)
         assert (have, errors) == (sort, []), render(term)
         return
-    delta = RuleEnv()
-    walk_sorts(gamma, term, sort, delta, {}, in_lhs=False)
-    state = CheckState(gamma, delta, all_idents(term), TermContext.CON, {}, [])
+    state = CheckState(gamma, RuleEnv(), all_idents(term), TermContext.CON, {}, [])
     assert check_term(state, term, sort) == [], render(term)
 
 
@@ -654,6 +658,106 @@ def test_every_step_of_a_variable_result_is_well_sorted(subject):
     result = normalize(gamma, rules, term,
                        on_step=lambda t, _: _assert_sorted_as(gamma, t, sort))
     assert isinstance(result.term, Var) and result.status.value == "NormalForm"
+
+
+def _two_pass_check(gamma, subject):
+    """A subject's check as two passes: ``walk_sorts`` sorts every free name
+    at its first position, then ``check_term`` reads those sorts back."""
+    sort = gamma.con[subject.head].result
+    delta = RuleEnv()
+    walk_sorts(gamma, subject, sort, delta, {}, in_lhs=False)
+    state = CheckState(gamma, delta, all_idents(subject), TermContext.CON, {}, [])
+    return sort, delta, check_term(state, subject, sort)
+
+
+def _constructions(t):
+    """Every construction of ``t``, in pre-order."""
+    if isinstance(t, Construction):
+        yield t
+        for p in t.args:
+            if isinstance(p, ScopePiece):
+                yield from _constructions(p.body)
+            else:
+                for e in p.entries:
+                    if isinstance(e, MapEntry):
+                        yield from _constructions(e.value)
+
+
+def _swap(t, old, new):
+    """``t`` with the node ``old`` replaced by ``new``."""
+    if t is old:
+        return new
+    if not isinstance(t, Construction):
+        return t
+    return Construction(t.head, tuple(
+        ScopePiece(p.binders, _swap(p.body, old, new)) if isinstance(p, ScopePiece)
+        else AssocPiece(tuple(MapEntry(e.key, _swap(e.value, old, new))
+                              if isinstance(e, MapEntry) else e for e in p.entries))
+        for p in t.args))
+
+
+@st.composite
+def _mutated_subjects(draw, gamma):
+    """A subject of ``_subjects`` with one construction made ill-formed: one
+    argument dropped or repeated, one binder dropped, or an absence entry
+    ``~k:`` added.  A subject with no argument anywhere stays as it is."""
+    subject = draw(_subjects(gamma))
+    nodes = [c for c in _constructions(subject) if c.args]
+    if not nodes:
+        return subject
+    node = draw(st.sampled_from(nodes))
+    args = list(node.args)
+    i = draw(st.integers(0, len(args) - 1))
+    scopes = [j for j, p in enumerate(args) if isinstance(p, ScopePiece) and p.binders]
+    lists = [j for j, p in enumerate(args) if isinstance(p, AssocPiece)]
+    moves = ["drop", "repeat"] + ["unbind"] * bool(scopes) + ["absent"] * bool(lists)
+    move = draw(st.sampled_from(moves))
+    if move == "drop":
+        del args[i]
+    elif move == "repeat":
+        args.insert(i, args[i])
+    elif move == "unbind":
+        j = draw(st.sampled_from(scopes))
+        args[j] = ScopePiece(args[j].binders[:-1], args[j].body)
+    else:
+        j = draw(st.sampled_from(lists))
+        entries = list(args[j].entries)
+        entries.insert(draw(st.integers(0, len(entries))),
+                       NotKey(Ident(draw(st.sampled_from("xyz")))))
+        args[j] = AssocPiece(tuple(entries))
+    return _swap(subject, node, Construction(node.head, tuple(args)))
+
+
+def _stops(diagnostics):
+    """The diagnostics at which the check goes no deeper: an arity or a
+    binder-count mismatch, or an absence entry outside a pattern."""
+    return [e.format() for e in diagnostics
+            if "argument(s), got" in e.message or "BinderArityMismatch" in e.message
+            or e.rule == "SAP-Not"]
+
+
+@pytest.mark.parametrize("label", sorted(GENERATED))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_subject_is_sorted_by_the_walk_that_checks_it(label, data):
+    # ``check_ground_subject`` sorts each free name where its check first
+    # meets it, and agrees with sorting every name first, then checking.  Past
+    # a diagnostic that stops the check, a name first met in the skipped part
+    # takes the sort of its next occurrence, so only the follow-on
+    # diagnostics there may differ.
+    gamma = _engine(GENERATED[label])[0]
+    subject = data.draw(_subjects(gamma))
+    sort, delta, errors = check_ground_subject(gamma, subject)
+    ref_sort, ref_delta, ref_errors = _two_pass_check(gamma, subject)
+    assert (sort, delta.var, [e.format() for e in errors]) == (
+        ref_sort, ref_delta.var, [e.format() for e in ref_errors]), render(subject)
+    mutant = data.draw(_mutated_subjects(gamma))
+    errors = check_ground_subject(gamma, mutant)[2]
+    ref_errors = _two_pass_check(gamma, mutant)[2]
+    assert bool(errors) == bool(ref_errors), render(mutant)
+    assert _stops(errors) == _stops(ref_errors), render(mutant)
+    if not _stops(errors):
+        assert [e.format() for e in errors] == [e.format() for e in ref_errors], render(mutant)
 
 
 def test_normalize_calls_the_traced_functions_once_per_use(monkeypatch):
@@ -801,6 +905,29 @@ def test_check_script_infers_each_rule_env_once(monkeypatch, source):
     assert result.ok
     assert calls == list(script.rules)
     assert len(result.rule_envs) == len(script.rules)
+
+
+@pytest.mark.parametrize("source,subject", [
+    (BETA_ETA, _mult(4)), (CBV_EVAL, _identity_chain(10)),
+], ids=["beta-eta", "cbv"])
+def test_only_rule_sides_run_a_sort_walk(monkeypatch, source, subject):
+    # Inference walks each side of a rule once before the check; a ground
+    # subject's check sorts its names itself, with no walk beforehand.
+    walks = []
+
+    class Counting(plank.env._SortWalk):
+        def __init__(self, *args):
+            walks.append(args[-1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(plank.env, "_SortWalk", Counting)
+    script = parse_script(source)
+    checked = check_script(script)
+    assert checked.ok
+    assert walks == [True, False] * len(script.rules)
+    walks.clear()
+    assert check_ground_subject(checked.gamma, parse_term(subject))[2] == []
+    assert walks == []
 
 
 def test_normalize_indexes_the_rules_by_head_once(monkeypatch):
