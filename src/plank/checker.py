@@ -1,6 +1,7 @@
 """The sorting discipline for scripts, declarations, and rule terms.
 
-Checking a rule term happens in one of four contexts:
+Checking a rule term happens in one of four contexts, the members of
+``TermContext``, which the checker reads from these module names:
 
 * ``PAT``    -- the outermost pattern position (left side of a rule);
 * ``IN_PAT`` -- inside a piece of the pattern;
@@ -70,6 +71,9 @@ class TermContext(Enum):
     IN_PAT = "InPat"
     CON = "Con"
     SUB = "Sub"
+
+
+PAT, IN_PAT, CON, SUB = TermContext
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -171,15 +175,15 @@ def check_term(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
     """Check a term at the expected sort in the state's term context."""
     tc = st.tc
 
-    if tc is TermContext.PAT:
+    if tc is PAT:
         # SMP-Fun: the pattern top must be a scheme construction.
         if not isinstance(t, Construction):
             return [_err("SMP-Fun", t, "a rule pattern must be a scheme construction")]
         if t.head not in st.gamma.fun:
             return [_err("SMP-Fun", t, f"pattern head {t.head} is not a scheme")]
-        return _check_construction(st, t, expected, "SMP-Fun", TermContext.IN_PAT)
+        return _check_construction(st, t, expected, "SMP-Fun", IN_PAT)
 
-    if tc is TermContext.IN_PAT:
+    if tc is IN_PAT:
         if isinstance(t, Construction):
             # SMP-Data: inside a pattern only data constructors are allowed.
             # Exception: at a sort with no data constructors at all (a pure
@@ -193,14 +197,14 @@ def check_term(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
                         f"scheme {t.head} cannot appear inside a pattern at sort "
                         f"{render(expected)}",
                     )]
-            return _check_construction(st, t, expected, "SMP-Data", TermContext.IN_PAT)
+            return _check_construction(st, t, expected, "SMP-Data", IN_PAT)
         if isinstance(t, MetaApp):
             return _check_term_meta(st, t, expected, "SMP-Meta")
         return _check_variable(st, t, expected, "SMP-Var", need_hasvar=True)
 
-    if tc is TermContext.CON:
+    if tc is CON:
         if isinstance(t, Construction):
-            return _check_construction(st, t, expected, "SMC-Cons", TermContext.CON)
+            return _check_construction(st, t, expected, "SMC-Cons", CON)
         if isinstance(t, MetaApp):
             return _check_term_meta(st, t, expected, "SMC-Meta")
         return _check_variable(st, t, expected, "SMC-Var", need_hasvar=True)
@@ -221,8 +225,7 @@ def check_term(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
             f"cannot substitute a non-variable at sort {render(expected)}, which "
             "admits syntactic variables",
         )]
-    return check_term(CheckState(st.gamma, st.delta, st.v, TermContext.CON, st.bound, st.absent),
-                      t, expected)
+    return check_term(CheckState(st.gamma, st.delta, st.v, CON, st.bound, st.absent), t, expected)
 
 
 def _check_term_meta(st: CheckState, t: MetaApp, expected: Sort, tag: str
@@ -255,8 +258,10 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
             tag, m,
             f"meta-variable {m.meta} takes {len(mf.arg_sorts)} argument(s), got {len(m.args)}",
         )]
-    if st.tc is not TermContext.IN_PAT:
-        sub = CheckState(st.gamma, st.delta, st.v, TermContext.SUB, st.bound, st.absent)
+    if not m.args:
+        return []
+    if st.tc is not IN_PAT:
+        sub = CheckState(st.gamma, st.delta, st.v, SUB, st.bound, st.absent)
         errors: list[Diagnostic] = []
         for a, s in zip(m.args, mf.arg_sorts):
             errors.extend(check_term(sub, a, s))
@@ -331,16 +336,17 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[Diagnostic]:
                 f"scope binds {len(p.binders)} variable(s) but the form declares "
                 f"{len(f.binder_sorts)} (BinderArityMismatch)",
             )]
-        inner = CheckState(st.gamma, st.delta, st.v, st.tc,
-                           st.bound | dict(zip(p.binders, f.binder_sorts)), st.absent)
-        return check_term(inner, p.body, f.body_sort)
+        if p.binders:
+            st = CheckState(st.gamma, st.delta, st.v, st.tc,
+                            st.bound | dict(zip(p.binders, f.binder_sorts)), st.absent)
+        return check_term(st, p.body, f.body_sort)
 
     if not isinstance(f, AssocForm):
         return [_err("SP-Assoc", p, "association argument where a scope form is declared")]
     errors: list[Diagnostic] = []
     for e in p.entries:
         errors.extend(check_association(st, e, f.key_sort, f.value_sort))
-    if st.tc is TermContext.IN_PAT:
+    if st.tc is IN_PAT:
         # Which entries each catch-all would take is not determined.
         catchalls = [e for e in p.entries if isinstance(e, CatchAll)]
         if len(catchalls) > 1:
@@ -364,13 +370,14 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
                 "(KeyNotElsewhere)",
             ))
         errors.extend(_check_key(st, a, key_sort))
-        extended = CheckState(st.gamma, st.delta, st.v | non_assoc_vars(a.value), st.tc, st.bound,
-                              st.absent)
-        errors.extend(check_term(extended, a.value, val_sort))
+        names = non_assoc_vars(a.value)
+        if not names <= st.v:
+            st = CheckState(st.gamma, st.delta, st.v | names, st.tc, st.bound, st.absent)
+        errors.extend(check_term(st, a.value, val_sort))
         return errors
 
     if isinstance(a, NotKey):
-        if st.tc is not TermContext.IN_PAT:
+        if st.tc is not IN_PAT:
             return [_err(
                 "SAP-Not", a,
                 "absence entries are only allowed in patterns (NotKeyInContraction)",
@@ -381,7 +388,7 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
 
     # Catch-all meta-variable.
     mf = st.delta.meta.get(a.meta)
-    tag = "SAP-All" if st.tc is TermContext.IN_PAT else "SAC-All"
+    tag = "SAP-All" if st.tc is IN_PAT else "SAC-All"
     if mf is None:
         return [_err(tag, a, f"meta-variable {a.meta} has no meta-form")]
     if not isinstance(mf.result, AssocForm):
@@ -398,7 +405,7 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
 def _check_key(st: CheckState, a: MapEntry | NotKey, key_sort: Sort) -> list[Diagnostic]:
     """A key is a variable of the key sort that always needs the 'variable'
     declaration (see ``_check_variable``)."""
-    tag = "SMP-Var" if st.tc is TermContext.IN_PAT else "SMC-Var"
+    tag = "SMP-Var" if st.tc is IN_PAT else "SMC-Var"
     return _check_variable(st, Var(a.key, span=a.span), key_sort, tag, need_hasvar=True,
                            key=True)
 
@@ -452,7 +459,7 @@ def _check_rule(gamma: GlobalEnv, d: RuleDecl, delta: RuleEnv,
     errors = check_sort(gamma, d.sort)
     if env_errors:
         return errors + env_errors
-    lhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.lhs)), TermContext.PAT, {}, [])
+    lhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.lhs)), PAT, {}, [])
     errors.extend(check_term(lhs_state, d.lhs, d.sort))
     if lhs_state.absent:
         # KeyNotElsewhere for absence keys: the matcher resolves one through a
@@ -462,7 +469,7 @@ def _check_rule(gamma: GlobalEnv, d: RuleDecl, delta: RuleEnv,
             if a.key not in pvars:
                 errors.append(_err("SAP-Not", a, f"absence key {a.key} is not a variable of "
                                    "the pattern (KeyNotElsewhere)"))
-    rhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.rhs)), TermContext.CON, {}, [])
+    rhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.rhs)), CON, {}, [])
     errors.extend(check_term(rhs_state, d.rhs, d.sort))
     return errors
 
@@ -514,7 +521,7 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
             f"cannot determine a ground sort for {t.head}: its declared sort "
             f"{render(sort)} is polymorphic",
         )]
-    st = CheckState(gamma, RuleEnv(), all_idents(t), TermContext.CON, {}, [])
+    st = CheckState(gamma, RuleEnv(), all_idents(t), CON, {}, [])
     return sort, st.delta, check_term(st, t, sort)
 
 

@@ -148,11 +148,11 @@ def apply_form_subst(f: Form, subst: dict[Ident, Sort]) -> Form:
 def instantiated_forms(sig: ConSig, expected: Sort) -> tuple[Form, ...] | None:
     """A constructor's argument forms at an expected result sort, or None
     when its declared result sort does not match."""
+    if sig.result == expected:  # the identity substitution: the declared forms as they are
+        return sig.forms
     subst = match_sort(sig.result, expected)
     if subst is None:
         return None
-    if not subst:  # a monomorphic signature: the declared forms as they are
-        return sig.forms
     return tuple(apply_form_subst(f, subst) for f in sig.forms)
 
 
@@ -351,10 +351,12 @@ class _SortWalk:
             return
         for piece, form in zip(x.args, forms):
             if isinstance(piece, ScopePiece) and isinstance(form, ScopeForm):
-                inner = dict(scope)
-                for b, s in zip(piece.binders, form.binder_sorts):
-                    inner[b] = s
-                    self.binders.setdefault(b, s)
+                inner = scope
+                if piece.binders:
+                    inner = dict(scope)
+                    for b, s in zip(piece.binders, form.binder_sorts):
+                        inner[b] = s
+                        self.binders.setdefault(b, s)
                 self.walk(piece.body, form.body_sort, inner)
             elif isinstance(piece, AssocPiece) and isinstance(form, AssocForm):
                 for e in piece.entries:

@@ -137,9 +137,9 @@ class _Parser:
                        for o in bad]
 
     def span(self, offset: int) -> Span:
-        """The span of the character at ``offset``."""
+        """The span of the character at ``offset``, made without ``Span.__new__``."""
         line = bisect_right(self.lines, offset)
-        return Span(self.file, line, offset - self.lines[line - 1] + 1)
+        return tuple.__new__(Span, (self.file, line, offset - self.lines[line - 1] + 1))
 
     def fail(self, message: str, span: Span | None = None):
         raise ParseFailure([Diagnostic("parse", span or self.span(self.starts[self.pos]), message)])

@@ -495,6 +495,8 @@ def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
         return Construction(t.head, tuple(map(_inst, t.args, repeat(rho), repeat(val),
                                               repeat(fresh))))
     if isinstance(t, ScopePiece):
+        if not t.binders:
+            return ScopePiece((), _inst(t.body, rho, val, fresh))
         binders = tuple(map(fresh, t.binders))
         return ScopePiece(binders, _inst(t.body, rho | dict(zip(t.binders, binders)), val, fresh))
     if isinstance(t, (MetaApp, CatchAll)):

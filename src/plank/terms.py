@@ -24,6 +24,10 @@ reads association lists as the matcher and contraction do: each run of
 plain entries between absence entries and catch-alls is a map, in which a
 later entry overrides an earlier one with the same key.
 
+A plain argument is a ``ScopePiece`` with no binders.  Every walk, here
+and in the other modules, passes its scope through one unchanged: it
+copies or extends a scope only for a piece that binds.
+
 Every walk here, ``render`` included, is a plain function that takes its
 state as arguments, so no call builds a reference cycle and all it leaves
 behind is freed by reference counting.  Each walk is one function that
@@ -368,7 +372,7 @@ def _names(x: Term | CatchAll | AssocPiece, roles: int, assoc: bool,
         return out
     for p in x.args if isinstance(x, Construction) else (x,):
         if isinstance(p, ScopePiece):
-            _names(p.body, roles, assoc, bound | set(p.binders), out)
+            _names(p.body, roles, assoc, bound | set(p.binders) if p.binders else bound, out)
         elif assoc:
             for e in p.entries:
                 if isinstance(e, CatchAll):

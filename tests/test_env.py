@@ -3,10 +3,11 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from plank import build_global_env, check_script, infer_rule_env, parse_script
 from plank.checker import CheckState, TermContext, check_term
-from plank.env import ConSig, MetaForm, instantiated_forms
+from plank.env import ConSig, MetaForm, apply_form_subst, instantiated_forms, match_sort
 from plank.terms import (
     AssocForm,
     Ident,
@@ -117,6 +118,36 @@ class TestInstantiatedForms:
         assert errors == []
         m = SortCons(Ident("M"), (L,))
         assert instantiated_forms(gamma.con["Box"], m) == (AssocForm(L, L),)
+
+
+_GROUND = (L, SortCons(Ident("M")))
+_A, _B = SortVar(Ident("a")), SortVar(Ident("b"))
+
+
+def _sorts(leaves):
+    """Sorts over ``leaves`` and one binary sort constructor ``P``."""
+    return st.recursive(st.sampled_from(leaves), lambda inner: st.builds(
+        lambda args: SortCons(Ident("P"), tuple(args)), st.lists(inner, min_size=1, max_size=2)),
+        max_leaves=4)
+
+
+_RESULTS = st.one_of(_sorts(_GROUND), st.sampled_from(
+    [SortCons(Ident("P"), args) for args in ((_A,), (_A, _A), (_A, _B))]))
+_FORMS = st.lists(st.one_of(
+    st.builds(lambda bs, body: ScopeForm(tuple(bs), body),
+              st.lists(_sorts(_GROUND + (_A, _B)), max_size=2), _sorts(_GROUND + (_A, _B))),
+    st.builds(AssocForm, _sorts(_GROUND + (_A,)), _sorts(_GROUND + (_A, _B)))), max_size=3)
+
+
+@given(st.data())
+def test_instantiated_forms_substitute_the_matched_sorts(data):
+    # The forms at an expected sort equal to the declared one are returned as
+    # declared; everywhere the answer is the matched substitution applied.
+    sig = ConSig(data.draw(_RESULTS), tuple(data.draw(_FORMS)))
+    expected = data.draw(st.one_of(st.just(sig.result), _sorts(_GROUND + (_A, _B))))
+    subst = match_sort(sig.result, expected)
+    want = None if subst is None else tuple(apply_form_subst(f, subst) for f in sig.forms)
+    assert instantiated_forms(sig, expected) == want
 
 
 class TestInferRuleEnv:

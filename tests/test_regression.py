@@ -5,6 +5,9 @@
 * Rendered normal forms, (position, rule) sequences and ``--trace`` text
   on fixed inputs are byte-identical to the recorded ones, including every
   fresh name, and every intermediate term passes ``check_ground_subject``.
+  So are the diagnostics, traces, statuses, step sequences and renders of
+  every benchmark case at seeds 0-5, pinned as one digest per workload and
+  seed.
 * ``normalize`` resumes each search at the last redex, by the argument
   stated in ``plank.rewrite``'s module docstring.  Its (position, rule)
   sequences, results and statuses equal those of a naive pre-order search
@@ -26,9 +29,11 @@
 * The names ``all_idents`` keeps on each term object agree with a plain
   walk of the tree on every intermediate term.
 * ``check_script`` infers each rule environment once, with one sort walk
-  per side, and a ground subject's check runs no sort walk.  ``normalize``
-  indexes the rules by head once, and the lexer classifies each distinct
-  word once.
+  per side, and a ground subject's check runs no sort walk.  The check
+  builds a state for a rule side or a subject and then only where the
+  context, the binders in scope or the key set change, never for a plain
+  argument.  ``normalize`` indexes the rules by head once, and the lexer
+  classifies each distinct word once.
 * On generated subjects, ``check_ground_subject`` gives the sort,
   environment and diagnostics of sorting every name first and checking
   second.  On a subject made ill-formed, the verdicts and the diagnostics
@@ -56,7 +61,9 @@
 * Every attribute that a plain class's ``__init__`` stores on ``self`` is
   read somewhere in the package, so no dead state outlives a refactor.
 * No module stores to a field of a built record, and no dataclass is
-  frozen: records are immutable by this rule, not by the runtime.
+  frozen: records are immutable by this rule, not by the runtime.  The
+  checker's functions read the contexts from module names, never as
+  ``TermContext`` members.
 * Every ``raise EngineError`` names the checker or environment diagnostic
   that rules it out on checked input.
 """
@@ -71,6 +78,7 @@ import importlib
 import importlib.util
 import io
 import pkgutil
+import random
 import re
 import sys
 import tokenize
@@ -320,6 +328,78 @@ def test_engine_outputs_are_pinned(label, source, term, fuel, status, count, ren
     assert _pin(render(result.term)) == _pin(rendered)
     assert _pin(repr([(s.position, s.rule_index) for s in result.steps])) == steps
     assert _pin("".join(records)) == trace
+
+
+# ---------------------------------------------------------------------------
+# Benchmark outputs
+
+
+@functools.cache
+def _bench_workloads():
+    """``bench/workloads.py``, loaded as a module of its own; the file is only read."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  REPO / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve the module's annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def _case_outputs(case) -> list[str]:
+    """What the CLI reports on one benchmark case, ``--trace`` included: the
+    formatted diagnostics and, for a subject that checks, each traced step,
+    the status, the (position, rule) sequence and the rendered result."""
+    script = parse_script(case.script, file="script.plank")
+    checked = check_script(script)
+    out = [case.label, *(e.format("script.plank") for e in checked.errors)]
+    if case.term is None or not checked.ok:
+        return out
+    term = parse_term(case.term, file="<term>")
+    _, _, errors = check_ground_subject(checked.gamma, term)
+    out += [e.format("<term>") for e in errors]
+    if errors:
+        return out
+    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+    first = len(out)
+
+    def log_step(t, step):
+        out.append(format_step(len(out) - first + 1, step, rules[step.rule_index], t))
+
+    result = normalize(checked.gamma, rules, term, fuel=case.fuel, on_step=log_step)
+    return out + [result.status.value, repr([(s.position, s.rule_index) for s in result.steps]),
+                  render(result.term)]
+
+
+# Short sha256 digests of ``_case_outputs`` over each workload's cases at
+# seeds 0-5, recorded before plain arguments stopped opening a scope.
+BENCH_DIGESTS = {
+    ("church", 0): "d630ceeffd036e12",
+    ("church", 1): "f78713bb15e32471",
+    ("church", 2): "a9561427e1cdb6e7",
+    ("church", 3): "f405bacffe73d429",
+    ("church", 4): "c6a62f62506cda38",
+    ("church", 5): "4dd5cfe98b04a8e8",
+    ("cbv", 0): "3b1612b95ea0469a",
+    ("cbv", 1): "fe1a8bff4e075b45",
+    ("cbv", 2): "dd4c6468b5200d62",
+    ("cbv", 3): "54b15874b29f2cd1",
+    ("cbv", 4): "6b86403b76bb04f5",
+    ("cbv", 5): "a77804468d5a56ad",
+    ("script", 0): "7c26a72bbce1ffae",
+    ("script", 1): "47969ea46c757fa4",
+    ("script", 2): "189b2fb0cd504e95",
+    ("script", 3): "cf617557b8650e2a",
+    ("script", 4): "da3206f9192df2a6",
+    ("script", 5): "3a684a8f51ff5b27",
+}
+
+
+@pytest.mark.parametrize("workload,seed", sorted(BENCH_DIGESTS))
+def test_benchmark_outputs_are_pinned(workload, seed):
+    cases = _bench_workloads().WORKLOADS[workload](random.Random(seed))
+    text = "\0".join("\n".join(_case_outputs(c)) for c in cases)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == BENCH_DIGESTS[workload, seed], f"workload {workload}, seed {seed}"
 
 
 
@@ -928,6 +1008,29 @@ def test_only_rule_sides_run_a_sort_walk(monkeypatch, source, subject):
     walks.clear()
     assert check_ground_subject(checked.gamma, parse_term(subject))[2] == []
     assert walks == []
+
+
+def test_a_plain_argument_builds_no_check_state(monkeypatch):
+    # A state is built for each rule side, for a pattern's pieces, for each
+    # scope that binds, for a map value with variables the side's key set
+    # lacks, and for a meta-application's substitution arguments, if any.
+    states = []
+
+    class Counting(CheckState):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            states.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(plank.checker, "CheckState", Counting)
+    checked = check_script(parse_script(CBV_EVAL))
+    assert checked.ok
+    assert len(states) == 17
+    states.clear()
+    subject = parse_term("Eval(Ap(Lam([x]x), Lam([y]y)), {})")
+    assert check_ground_subject(checked.gamma, subject)[2] == []
+    assert len(states) == 3  # the root and one per binding scope
 
 
 def test_normalize_indexes_the_rules_by_head_once(monkeypatch):
@@ -1616,6 +1719,37 @@ def test_no_module_stores_to_a_built_record():
     assert {"Construction", "Var", "Diagnostic", "CheckState", "ConSig", "MetaForm",
             "Abstraction", "RewriteRule", "RewriteStep"} <= records
     assert found == []
+
+
+def _context_member_reads(source: str) -> list[str]:
+    """``"LINE: TermContext.MEMBER"`` for each read of a ``TermContext``
+    member in a function body; a default value or an annotation is not one."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update(
+                (node.lineno, ast.unparse(node)) for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == "TermContext")
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_the_checker_reads_contexts_from_module_names():
+    # The checker tests its context at nearly every node.  A module name
+    # (``IN_PAT``) is one global read; ``TermContext.IN_PAT`` adds a lookup
+    # on the enum class, which costs about three times as much.
+    sample = (
+        "X = TermContext.PAT\n"
+        "def f(st, tc: TermContext.CON = TermContext.SUB):\n"
+        "    if st.tc is TermContext.IN_PAT:\n        return [TermContext.CON]\n"
+        "    def g():\n        return TermContext.PAT\n"
+    )
+    assert _context_member_reads(sample) == [
+        "3: TermContext.IN_PAT", "4: TermContext.CON", "6: TermContext.PAT"]
+    source = (REPO / "src" / "plank" / "checker.py").read_text(encoding="utf-8")
+    assert _context_member_reads(source) == []
+    checker = plank.checker
+    assert [checker.PAT, checker.IN_PAT, checker.CON, checker.SUB] == list(TermContext)
 
 
 def test_no_module_imports_a_name_it_never_uses():
