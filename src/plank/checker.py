@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .env import (
-    ConSig,
     GlobalEnv,
     MetaForm,
     RuleEnv,
@@ -50,10 +49,9 @@ from .terms import (
     SortCons,
     SortVar,
     Term,
-    VAR,
     Var,
     VariableDecl,
-    _names,
+    _err,
     all_idents,
     non_assoc_vars,
     render,
@@ -113,10 +111,6 @@ class ScriptCheck:
         return not self.errors
 
 
-def _err(rule: str, node, message: str) -> Diagnostic:
-    return Diagnostic(rule, getattr(node, "span", None), message)
-
-
 # ---------------------------------------------------------------------------
 # Sorts
 
@@ -129,10 +123,8 @@ def check_sort(gamma: GlobalEnv, s: Sort) -> list[Diagnostic]:
     rank = gamma.rank.get(s.name)
     if rank is None or rank != len(s.args):
         have = "unknown" if rank is None else str(rank)
-        errors.append(_err(
-            "SS-Cons", s,
-            f"sort {s.name} applied to {len(s.args)} argument(s) but has rank {have}",
-        ))
+        errors.append(_err("SS-Cons", s, f"sort {s.name} applied to {len(s.args)} argument(s) but "
+                           f"has rank {have}"))
     for a in s.args:
         errors.extend(check_sort(gamma, a))
     return errors
@@ -142,10 +134,6 @@ def check_sort(gamma: GlobalEnv, s: Sort) -> list[Diagnostic]:
 # Terms
 
 
-def _is_sort(x) -> bool:
-    return isinstance(x, (SortCons, SortVar))
-
-
 def _check_construction(st: CheckState, t: Construction, expected: Sort, tag: str,
                         piece_tc: TermContext) -> list[Diagnostic]:
     sig = st.gamma.con.get(t.head)
@@ -153,16 +141,11 @@ def _check_construction(st: CheckState, t: Construction, expected: Sort, tag: st
         return [_err(tag, t, f"constructor {t.head} is not declared")]
     forms = instantiated_forms(sig, expected)
     if forms is None:
-        return [_err(
-            tag, t,
-            f"construction {t.head} has sort {render(sig.result)}, which does not "
-            f"match the expected sort {render(expected)}",
-        )]
+        return [_err(tag, t, f"construction {t.head} has sort {render(sig.result)}, which does "
+                     f"not match the expected sort {render(expected)}")]
     if len(t.args) != len(forms):
-        return [_err(
-            tag, t,
-            f"constructor {t.head} expects {len(forms)} argument(s), got {len(t.args)}",
-        )]
+        return [_err(tag, t, f"constructor {t.head} expects {len(forms)} argument(s), got "
+                     f"{len(t.args)}")]
     errors: list[Diagnostic] = []
     inner = st if st.tc is piece_tc else CheckState(st.gamma, st.delta, st.v, piece_tc, st.bound,
                                                     st.absent)
@@ -192,11 +175,8 @@ def check_term(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
             if t.head in st.gamma.fun:
                 sort_name = expected.name if isinstance(expected, SortCons) else None
                 if sort_name in st.gamma.sorts_with_data:
-                    return [_err(
-                        "SMP-Data", t,
-                        f"scheme {t.head} cannot appear inside a pattern at sort "
-                        f"{render(expected)}",
-                    )]
+                    return [_err("SMP-Data", t, f"scheme {t.head} cannot appear inside a pattern "
+                                 f"at sort {render(expected)}")]
             return _check_construction(st, t, expected, "SMP-Data", IN_PAT)
         if isinstance(t, MetaApp):
             return _check_term_meta(st, t, expected, "SMP-Meta")
@@ -215,16 +195,10 @@ def check_term(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
         return _check_variable(st, t, expected, "SMS-Var", need_hasvar=False)
     tag = "SMS-Cons" if isinstance(t, Construction) else "SMS-Meta"
     if not isinstance(expected, SortCons):
-        return [_err(
-            tag, t,
-            f"cannot substitute a non-variable at sort {render(expected)}",
-        )]
+        return [_err(tag, t, f"cannot substitute a non-variable at sort {render(expected)}")]
     if expected.name in st.gamma.hasvar:
-        return [_err(
-            tag, t,
-            f"cannot substitute a non-variable at sort {render(expected)}, which "
-            "admits syntactic variables",
-        )]
+        return [_err(tag, t, f"cannot substitute a non-variable at sort {render(expected)}, which "
+                     "admits syntactic variables")]
     return check_term(CheckState(st.gamma, st.delta, st.v, CON, st.bound, st.absent), t, expected)
 
 
@@ -234,14 +208,11 @@ def _check_term_meta(st: CheckState, t: MetaApp, expected: Sort, tag: str
     mf = st.delta.meta.get(t.meta)
     if mf is None:
         return [_err(tag, t, f"meta-variable {t.meta} has no meta-form")]
-    if not _is_sort(mf.result):
+    if isinstance(mf.result, AssocForm):
         return [_err(tag, t, f"catch-all meta-variable {t.meta} cannot be used as a term")]
     if mf.result != expected:
-        return [_err(
-            tag, t,
-            f"meta-variable {t.meta} produces {render(mf.result)}, expected "
-            f"{render(expected)}",
-        )]
+        return [_err(tag, t, f"meta-variable {t.meta} produces {render(mf.result)}, expected "
+                     f"{render(expected)}")]
     return _check_meta_args(st, t, mf, tag)
 
 
@@ -254,10 +225,8 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
     substitution arguments.
     """
     if len(m.args) != len(mf.arg_sorts):
-        return [_err(
-            tag, m,
-            f"meta-variable {m.meta} takes {len(mf.arg_sorts)} argument(s), got {len(m.args)}",
-        )]
+        return [_err(tag, m, f"meta-variable {m.meta} takes {len(mf.arg_sorts)} argument(s), got "
+                     f"{len(m.args)}")]
     if not m.args:
         return []
     if st.tc is not IN_PAT:
@@ -269,17 +238,14 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
     seen: set[Ident] = set()
     for a, s in zip(m.args, mf.arg_sorts):
         if not isinstance(a, Var):
-            return [_err(
-                tag, m,
-                f"pattern arguments of {m.meta} must be bound variables, got {render(a)}",
-            )]
+            return [_err(tag, m, f"pattern arguments of {m.meta} must be bound variables, got "
+                         f"{render(a)}")]
         if a.name not in st.bound:
             return [_err(tag, a, f"{a.name} is not bound in the enclosing pattern")]
         have = st.bound[a.name]
         if have != s:
-            return [_err(
-                tag, a, f"argument {a.name} of {m.meta} has {render(have)}, expected {render(s)}",
-            )]
+            return [_err(tag, a, f"argument {a.name} of {m.meta} has {render(have)}, expected "
+                         f"{render(s)}")]
         if isinstance(m, MetaApp) and a.name in seen:
             return [_err(tag, a, f"arguments of {m.meta} must be pairwise distinct variables")]
         seen.add(a.name)
@@ -292,10 +258,8 @@ def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
         return [_err(tag, t, f"expected a variable, got {render(t)}")]
     have = st.bound.get(t.name) or st.delta.var.setdefault(t.name, expected)
     if have != expected:
-        return [_err(
-            tag, t,
-            f"variable {t.name} has sort {render(have)}, expected {render(expected)}",
-        )]
+        return [_err(tag, t, f"variable {t.name} has sort {render(have)}, expected "
+                     f"{render(expected)}")]
     if need_hasvar:
         # A bound variable of the rule itself is tolerated without a
         # 'variable' declaration at a pure scheme sort (one with no data
@@ -313,11 +277,8 @@ def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
         if not waived and not (
             isinstance(expected, SortCons) and expected.name in st.gamma.hasvar
         ):
-            return [_err(
-                tag, t,
-                f"variable {t.name} occurs at sort {render(expected)}, which has no "
-                "'variable' declaration",
-            )]
+            return [_err(tag, t, f"variable {t.name} occurs at sort {render(expected)}, which has "
+                         "no 'variable' declaration")]
     return []
 
 
@@ -331,11 +292,8 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[Diagnostic]:
         if not isinstance(f, ScopeForm):
             return [_err("SP-Bind", p, "scope argument where an association form is declared")]
         if len(p.binders) != len(f.binder_sorts):
-            return [_err(
-                "SP-Bind", p,
-                f"scope binds {len(p.binders)} variable(s) but the form declares "
-                f"{len(f.binder_sorts)} (BinderArityMismatch)",
-            )]
+            return [_err("SP-Bind", p, f"scope binds {len(p.binders)} variable(s) but the form "
+                         f"declares {len(f.binder_sorts)} (BinderArityMismatch)")]
         if p.binders:
             st = CheckState(st.gamma, st.delta, st.v, st.tc,
                             st.bound | dict(zip(p.binders, f.binder_sorts)), st.absent)
@@ -350,11 +308,9 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[Diagnostic]:
         # Which entries each catch-all would take is not determined.
         catchalls = [e for e in p.entries if isinstance(e, CatchAll)]
         if len(catchalls) > 1:
-            errors.append(_err(
-                "SAP-All", catchalls[1],
-                f"a pattern association list has {len(catchalls)} catch-alls, but "
-                "matching takes at most one (MultipleCatchAll)",
-            ))
+            errors.append(_err("SAP-All", catchalls[1], "a pattern association list has "
+                               f"{len(catchalls)} catch-alls, but matching takes at most one "
+                               "(MultipleCatchAll)"))
     return errors
 
 
@@ -364,11 +320,8 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
     if isinstance(a, MapEntry):
         errors: list[Diagnostic] = []
         if a.key not in st.v and a.key not in st.bound:
-            errors.append(_err(
-                "SA-Map", a,
-                f"association key {a.key} does not occur outside an association "
-                "(KeyNotElsewhere)",
-            ))
+            errors.append(_err("SA-Map", a, f"association key {a.key} does not occur outside an "
+                               "association (KeyNotElsewhere)"))
         errors.extend(_check_key(st, a, key_sort))
         names = non_assoc_vars(a.value)
         if not names <= st.v:
@@ -378,10 +331,8 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
 
     if isinstance(a, NotKey):
         if st.tc is not IN_PAT:
-            return [_err(
-                "SAP-Not", a,
-                "absence entries are only allowed in patterns (NotKeyInContraction)",
-            )]
+            return [_err("SAP-Not", a, "absence entries are only allowed in patterns "
+                         "(NotKeyInContraction)")]
         if a.key not in st.bound:
             st.absent.append(a)
         return _check_key(st, a, key_sort)
@@ -394,11 +345,8 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
     if not isinstance(mf.result, AssocForm):
         return [_err(tag, a, f"meta-variable {a.meta} is not a catch-all")]
     if mf.result != AssocForm(key_sort, val_sort):
-        return [_err(
-            tag, a,
-            f"catch-all {a.meta} covers {render(mf.result)}, expected "
-            f"{{{render(key_sort)}:{render(val_sort)}}}",
-        )]
+        return [_err(tag, a, f"catch-all {a.meta} covers {render(mf.result)}, expected "
+                     f"{{{render(key_sort)}:{render(val_sort)}}}")]
     return _check_meta_args(st, a, mf, tag)
 
 
@@ -415,61 +363,42 @@ def _check_key(st: CheckState, a: MapEntry | NotKey, key_sort: Sort) -> list[Dia
 
 
 def check_declaration(gamma: GlobalEnv, d: DataDecl | SchemeDecl | VariableDecl) -> list[Diagnostic]:
-    """Check a data, scheme or variable declaration; ``check_script`` checks rules."""
+    """Check a data, scheme or variable declaration of ``gamma``'s script;
+    ``check_script`` checks rules.  ``build_global_env`` reports a conflicting
+    signature, and its sorts need checking only if it met a sort at two ranks."""
     errors: list[Diagnostic] = []
-    for s in decl_sorts(d):
-        errors.extend(check_sort(gamma, s))
-
+    if gamma.misranked:
+        for s in decl_sorts(d):
+            errors.extend(check_sort(gamma, s))
     if isinstance(d, DataDecl):
-        sig = gamma.con.get(d.name)
-        if sig is None or sig != ConSig(d.sort, d.forms):
-            errors.append(_err(
-                "SD-Data", d, f"data constructor {d.name} is not recorded with this signature"
-            ))
         if d.name in gamma.fun:
-            errors.append(_err(
-                "SD-Data", d, f"constructor {d.name} is declared as data but is a scheme"
-            ))
-        return errors
-
-    if isinstance(d, SchemeDecl):
-        sig = gamma.con.get(d.name)
-        if sig is None or sig != ConSig(d.sort, d.forms):
-            errors.append(_err(
-                "SD-Fun", d, f"scheme {d.name} is not recorded with this signature"
-            ))
-        elif d.name not in gamma.fun:
+            errors.append(_err("SD-Data", d, f"constructor {d.name} is declared as data "
+                               "but is a scheme"))
+    elif isinstance(d, SchemeDecl):
+        if d.name not in gamma.fun:
             errors.append(_err("SD-Fun", d, f"scheme {d.name} is not in the scheme set"))
-        return errors
-
-    if not isinstance(d.sort, SortCons):
-        errors.append(_err(
-            "SD-Var", d, "a 'variable' declaration needs a named sort"
-        ))
+    elif not isinstance(d.sort, SortCons):
+        errors.append(_err("SD-Var", d, "a 'variable' declaration needs a named sort"))
     elif d.sort.name not in gamma.hasvar:
-        errors.append(_err(
-            "SD-Var", d, f"sort {d.sort.name} is not recorded as having variables"
-        ))
+        errors.append(_err("SD-Var", d, f"sort {d.sort.name} is not recorded as having variables"))
     return errors
 
 
 def _check_rule(gamma: GlobalEnv, d: RuleDecl, delta: RuleEnv,
                 env_errors: list[Diagnostic]) -> list[Diagnostic]:
     """Check a rule against its inferred environment and inference diagnostics."""
-    errors = check_sort(gamma, d.sort)
+    errors = check_sort(gamma, d.sort) if gamma.misranked else []
     if env_errors:
         return errors + env_errors
-    lhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.lhs)), PAT, {}, [])
+    lhs_state = CheckState(gamma, delta, delta.lhs_keys, PAT, {}, [])
     errors.extend(check_term(lhs_state, d.lhs, d.sort))
-    if lhs_state.absent:
-        # KeyNotElsewhere for absence keys: the matcher resolves one through a
-        # variable bound anywhere in the pattern, after every list is matched.
-        pvars = _names(d.lhs, VAR, True, frozenset(), set())
-        for a in lhs_state.absent:
-            if a.key not in pvars:
-                errors.append(_err("SAP-Not", a, f"absence key {a.key} is not a variable of "
-                                   "the pattern (KeyNotElsewhere)"))
-    rhs_state = CheckState(gamma, delta, frozenset(non_assoc_vars(d.rhs)), CON, {}, [])
+    # KeyNotElsewhere for absence keys: the matcher resolves one through a
+    # variable bound anywhere in the pattern, after every list is matched.
+    for a in lhs_state.absent:
+        if a.key not in delta.pattern_vars:
+            errors.append(_err("SAP-Not", a, f"absence key {a.key} is not a variable of the "
+                               "pattern (KeyNotElsewhere)"))
+    rhs_state = CheckState(gamma, delta, delta.rhs_keys, CON, {}, [])
     errors.extend(check_term(rhs_state, d.rhs, d.sort))
     return errors
 
@@ -508,19 +437,16 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
     may stand as a key.
     """
     if not isinstance(t, Construction):
-        return None, RuleEnv(), [_err(
-            "SMC-Cons", t, "a subject term must be a declared construction"
-        )]
+        return None, RuleEnv(), [_err("SMC-Cons", t, "a subject term must be a declared "
+                                      "construction")]
     sig = gamma.con.get(t.head)
     if sig is None:
         return None, RuleEnv(), [_err("SMC-Cons", t, f"constructor {t.head} is not declared")]
     sort = sig.result
     if _has_sort_vars(sort):
-        return None, RuleEnv(), [_err(
-            "SMC-Cons", t,
-            f"cannot determine a ground sort for {t.head}: its declared sort "
-            f"{render(sort)} is polymorphic",
-        )]
+        return None, RuleEnv(), [_err("SMC-Cons", t, "cannot determine a ground sort for "
+                                      f"{t.head}: its declared sort {render(sort)} is "
+                                      "polymorphic")]
     st = CheckState(gamma, RuleEnv(), all_idents(t), CON, {}, [])
     return sort, st.delta, check_term(st, t, sort)
 

@@ -5,7 +5,8 @@ constructor, the sorts that admit syntactic variables, each term
 constructor's signature, and which constructors are schemes.  The rule
 environment assigns a sort to every variable of a rule and a meta-form to
 every meta-variable; it is inferred from the rule text in a single pass
-directed by first occurrences.
+directed by first occurrences, which also collects the names of each side
+that the rule's check reads.
 
 The sort walks take their state as arguments, or as one ``_SortWalk``
 object whose methods recurse, so no call builds a reference cycle.
@@ -25,6 +26,7 @@ from .terms import (
     Diagnostic,
     Form,
     Ident,
+    META,
     MapEntry,
     MetaApp,
     RuleDecl,
@@ -36,9 +38,11 @@ from .terms import (
     SortCons,
     SortVar,
     Term,
+    VAR,
     Var,
     VariableDecl,
-    meta_vars,
+    _err,
+    _names,
     render,
 )
 
@@ -65,13 +69,15 @@ class GlobalEnv:
     """Sort information assembled from a script's declarations.
 
     rank maps each sort constructor to its arity (fixed at the first
-    occurrence in declaration order); hasvar holds the sort names declared
-    ``variable``; con maps term constructors to signatures; fun is the set of
-    scheme constructors; sorts_with_data holds the result sort names of the
+    occurrence in declaration order), and misranked holds those used at
+    another arity too; hasvar holds the sort names declared ``variable``; con
+    maps term constructors to signatures; fun is the set of scheme
+    constructors; sorts_with_data holds the result sort names of the
     constructors in con that are not schemes.
     """
 
     rank: dict[Ident, int] = field(default_factory=dict)
+    misranked: set[Ident] = field(default_factory=set)
     hasvar: set[Ident] = field(default_factory=set)
     con: dict[Ident, ConSig] = field(default_factory=dict)
     fun: set[Ident] = field(default_factory=set)
@@ -94,12 +100,22 @@ class MetaForm:
         return f"({args}) => {render(self.result)}"
 
 
+# The one empty name set that rule environments share, as each set kept
+# for the run costs some 200 bytes.
+_NO_NAMES: frozenset[Ident] = frozenset()
+
+
 @dataclass
 class RuleEnv:
-    """Per-rule environment: variable sorts and meta-variable meta-forms."""
+    """Per-rule environment: variable sorts and meta-variable meta-forms; for
+    the rule's check, also each side's free variables outside association
+    lists (``lhs_keys``, ``rhs_keys``) and the pattern's anywhere."""
 
     var: dict[Ident, Sort] = field(default_factory=dict)
     meta: dict[Ident, MetaForm] = field(default_factory=dict)
+    lhs_keys: frozenset[Ident] = _NO_NAMES
+    rhs_keys: frozenset[Ident] = _NO_NAMES
+    pattern_vars: frozenset[Ident] = _NO_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +189,15 @@ def decl_sorts(d: Declaration) -> list[Sort]:
     return sorts
 
 
-def _record_ranks(rank: dict[Ident, int], s: Sort) -> None:
-    # First occurrence fixes the rank; inconsistent later uses are reported
-    # by the sort checker, not here.
+def _record_ranks(gamma: GlobalEnv, s: Sort) -> None:
+    # First occurrence fixes the rank; a later use at another arity is noted
+    # in ``misranked`` and reported by the sort checker, not here.
     if isinstance(s, SortCons):
-        rank.setdefault(s.name, len(s.args))
+        n = len(s.args)
+        if gamma.rank.setdefault(s.name, n) != n:
+            gamma.misranked.add(s.name)
         for a in s.args:
-            _record_ranks(rank, a)
+            _record_ranks(gamma, a)
 
 
 def build_global_env(script: Script) -> tuple[GlobalEnv, list[Diagnostic]]:
@@ -195,31 +213,25 @@ def build_global_env(script: Script) -> tuple[GlobalEnv, list[Diagnostic]]:
 
     for d in script.declarations:
         for s in decl_sorts(d):
-            _record_ranks(gamma.rank, s)
+            _record_ranks(gamma, s)
 
         if isinstance(d, (DataDecl, SchemeDecl)):
             sig = ConSig(d.sort, d.forms)
             if isinstance(d, DataDecl):
                 if not isinstance(d.sort, SortCons):
-                    errors.append(Diagnostic(
-                        "NonVariableSortParameter", d.span,
-                        f"data constructor {d.name} needs a named result sort",
-                    ))
+                    errors.append(_err("NonVariableSortParameter", d,
+                                       f"data constructor {d.name} needs a named result sort"))
                 elif (len({a.name for a in d.sort.args if isinstance(a, SortVar)})
                       != len(d.sort.args)):
-                    errors.append(Diagnostic(
-                        "NonVariableSortParameter", d.span,
-                        f"result sort parameters of data constructor {d.name} "
-                        "must be distinct sort variables",
-                    ))
+                    errors.append(_err("NonVariableSortParameter", d,
+                                       f"result sort parameters of data constructor {d.name} "
+                                       "must be distinct sort variables"))
             prev = gamma.con.get(d.name)
             if prev is None:
                 gamma.con[d.name] = sig
             elif prev != sig:
-                errors.append(Diagnostic(
-                    "DuplicateConstructor", d.span,
-                    f"constructor {d.name} already declared with a different signature",
-                ))
+                errors.append(_err("DuplicateConstructor", d, f"constructor {d.name} already "
+                                   "declared with a different signature"))
             if isinstance(d, SchemeDecl):
                 gamma.fun.add(d.name)
         elif isinstance(d, VariableDecl):
@@ -248,51 +260,62 @@ def infer_rule_env(gamma: GlobalEnv, rule: RuleDecl) -> tuple[RuleEnv, list[Diag
     variable's sort wins.  A meta-variable's meta-form is read off its first
     left-hand occurrence.  Later occurrences (either side) must demand a
     consistent meta-form or MetaFormConflict results; meta-variables used
-    only on the right-hand side yield UnboundMetaOnRhs.
+    only on the right-hand side yield UnboundMetaOnRhs.  The traversal also
+    collects each side's meta-variables and free variables (``_SortWalk``).
     """
     delta = RuleEnv()
     binders: dict[Ident, Sort] = {}
-    errors = walk_sorts(gamma, rule.lhs, rule.sort, delta, binders, in_lhs=True)
-    errors += walk_sorts(gamma, rule.rhs, rule.sort, delta, binders, in_lhs=False)
+    lhs = _SortWalk(gamma, delta, binders, rule.lhs, rule.sort, True)
+    rhs = _SortWalk(gamma, delta, binders, rule.rhs, rule.sort, False)
     for b, s in binders.items():
         delta.var.setdefault(b, s)
-
-    lhs_metas = meta_vars(rule.lhs)
-    for m in sorted(meta_vars(rule.rhs)):
-        if m not in lhs_metas:
-            errors.append(Diagnostic(
-                "UnboundMetaOnRhs", rule.span,
-                f"meta-variable {m} occurs in the contraction but not in the pattern",
-            ))
-
+    errors = lhs.errors + rhs.errors
+    for m in sorted(rhs.metas - lhs.metas):
+        errors.append(_err("UnboundMetaOnRhs", rule, f"meta-variable {m} occurs in the "
+                           "contraction but not in the pattern"))
+    delta.lhs_keys = frozenset(lhs.outside) or _NO_NAMES
+    delta.rhs_keys = frozenset(rhs.outside) or _NO_NAMES
+    delta.pattern_vars = frozenset(lhs.outside | lhs.inside) or _NO_NAMES
     return delta, errors
 
 
-def walk_sorts(gamma: GlobalEnv, t: Term, expected: Sort, delta: RuleEnv,
-               binders: dict[Ident, Sort], *, in_lhs: bool) -> list[Diagnostic]:
-    """One sort-directed walk of a rule side, for ``infer_rule_env``.
+class _SortWalk:
+    """One sort-directed walk of a rule side ``t`` at ``expected``, run when
+    made; tests also run it on ground subjects as a reference.  ``scope``
+    maps the binders in scope to their sorts and is passed down the descent.
 
     A free variable or key gets the sort its first position demands, in
     ``delta.var``.  A binder's sort holds inside its scope, where an inner
     binder shadows an outer one and hides free variables of its name; the
     first sort seen for each binder name also goes to ``binders``.  On the
     left-hand side a meta-application records its meta-form in
-    ``delta.meta``; elsewhere it must agree with the recorded one, and the
-    disagreements are returned; tests run it on ground subjects as a reference.
+    ``delta.meta``; elsewhere it must agree with the recorded one, or an
+    error goes to ``errors``.  The walk also collects names as ``_names``
+    would: meta-variables in ``metas``, free variables in ``out``, which is
+    ``outside`` or ``inside`` association lists, or a set thrown away under a
+    scope whose extra binders ``scope`` lacks.  Where the walk does not
+    descend, ``skip`` runs ``_names`` instead.
     """
-    w = _SortWalk(gamma, delta, binders, in_lhs)
-    w.walk(t, expected, {})
-    return w.errors
-
-
-class _SortWalk:
-    """The state of one ``walk_sorts`` call; ``scope`` maps the binders in
-    scope to their sorts and is passed down the descent."""
 
     def __init__(self, gamma: GlobalEnv, delta: RuleEnv, binders: dict[Ident, Sort],
-                 in_lhs: bool):
+                 t: Term, expected: Sort, in_lhs: bool):
         self.gamma, self.delta, self.binders, self.in_lhs = gamma, delta, binders, in_lhs
         self.errors: list[Diagnostic] = []
+        self.metas, self.outside, self.inside = set(), set(), set()
+        self.walk(t, expected, {}, self.outside)
+
+    def skip(self, parts: tuple, scope: dict[Ident, Sort], out: set[Ident]) -> None:
+        # A variable, such as a pattern meta-variable's argument, needs no walk.
+        for p in parts:
+            if isinstance(p, Var):
+                if p.name not in scope:
+                    out.add(p.name)
+                continue
+            bound = frozenset(scope)
+            _names(p, META, True, bound, self.metas)
+            _names(p, VAR, True, bound, self.inside if out is self.outside else out)
+            if out is self.outside:
+                _names(p, VAR, False, bound, out)
 
     def readable_form(self, m: MetaApp | CatchAll, result: Sort | AssocForm,
                       scope: dict[Ident, Sort]) -> MetaForm | None:
@@ -309,10 +332,13 @@ class _SortWalk:
         return MetaForm(tuple(arg_sorts), result)
 
     def walk_meta(self, m: MetaApp | CatchAll, result: Sort | AssocForm,
-                  scope: dict[Ident, Sort]) -> None:
+                  scope: dict[Ident, Sort], out: set[Ident]) -> None:
         # On the lhs the full meta-form is forced; on the rhs only the arity
         # and result are demanded (argument sorts flow from the meta-form).
+        self.metas.add(m.meta)
         seen = self.delta.meta.get(m.meta)
+        if m.args and (self.in_lhs or seen is None or len(m.args) != len(seen.arg_sorts)):
+            self.skip(m.args, scope, out)
         if self.in_lhs:
             form = self.readable_form(m, result, scope)
             if seen is None:
@@ -320,50 +346,56 @@ class _SortWalk:
                     self.delta.meta[m.meta] = form
             elif form is not None and form != seen:
                 # Only readable occurrences feed conflict detection.
-                self.errors.append(Diagnostic(
-                    "MetaFormConflict", m.span,
-                    f"meta-variable {m.meta} used as {form} but earlier as {seen}",
-                ))
+                self.errors.append(_err("MetaFormConflict", m, f"meta-variable {m.meta} "
+                                        f"used as {form} but earlier as {seen}"))
             return
         if seen is None:
             return
         if len(m.args) != len(seen.arg_sorts) or result != seen.result:
-            self.errors.append(Diagnostic(
-                "MetaFormConflict", m.span,
-                f"meta-variable {m.meta} used with {len(m.args)} argument(s) at "
-                f"{render(result)} but its meta-form is {seen}",
-            ))
+            self.errors.append(_err("MetaFormConflict", m, f"meta-variable {m.meta} used with "
+                                    f"{len(m.args)} argument(s) at {render(result)} but its "
+                                    f"meta-form is {seen}"))
         if len(m.args) == len(seen.arg_sorts):
             for a, s in zip(m.args, seen.arg_sorts):
-                self.walk(a, s, scope)
+                self.walk(a, s, scope, out)
 
-    def walk(self, x: Term, expected: Sort, scope: dict[Ident, Sort]) -> None:
+    def walk(self, x: Term, expected: Sort, scope: dict[Ident, Sort], out: set[Ident]) -> None:
         if isinstance(x, Var):
             if x.name not in scope:
                 self.delta.var.setdefault(x.name, expected)
+                out.add(x.name)
             return
         if isinstance(x, MetaApp):
-            self.walk_meta(x, expected, scope)
+            self.walk_meta(x, expected, scope, out)
             return
         sig = self.gamma.con.get(x.head)
         forms = instantiated_forms(sig, expected) if sig is not None else None
         if forms is None:
+            self.skip(x.args, scope, out)
             return
+        if len(x.args) > len(forms):
+            self.skip(x.args[len(forms):], scope, out)
         for piece, form in zip(x.args, forms):
             if isinstance(piece, ScopePiece) and isinstance(form, ScopeForm):
-                inner = scope
+                inner, into = scope, out
                 if piece.binders:
                     inner = dict(scope)
                     for b, s in zip(piece.binders, form.binder_sorts):
                         inner[b] = s
                         self.binders.setdefault(b, s)
-                self.walk(piece.body, form.body_sort, inner)
+                    if len(piece.binders) > len(form.binder_sorts):
+                        self.skip((piece,), scope, out)
+                        into = set()
+                self.walk(piece.body, form.body_sort, inner, into)
             elif isinstance(piece, AssocPiece) and isinstance(form, AssocForm):
+                into = self.inside if out is self.outside else out
                 for e in piece.entries:
                     if isinstance(e, CatchAll):
-                        self.walk_meta(e, form, scope)
+                        self.walk_meta(e, form, scope, into)
                         continue
                     if e.key not in scope:
                         self.delta.var.setdefault(e.key, form.key_sort)
                     if isinstance(e, MapEntry):
-                        self.walk(e.value, form.value_sort, scope)
+                        self.walk(e.value, form.value_sort, scope, into)
+            else:
+                self.skip((piece,), scope, out)

@@ -7,8 +7,9 @@ extension and one declaration per ``;``.
 
 The lexer builds no record per token.  It keeps each token's kind, text
 and start offset in three parallel lists, and a table of the offsets at
-which lines start; a ``Span`` is resolved from that table with
-``bisect_right`` only when a node or a diagnostic needs one.  A column is
+which lines start.  Each node keeps a ``Pos``: its first token's offset
+and the parse's one ``(file, line starts)`` pair.  The line and column are
+found in that table only when a diagnostic or a reader asks.  A column is
 the character offset from the start of the line plus one, so a tab or a
 carriage return counts as one column.  A comment does not advance the
 column: input that ends in a comment without a newline reports end of
@@ -19,7 +20,6 @@ input at the comment's first column.  Each distinct word becomes one
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from typing import Callable
 
 from .terms import (
@@ -37,6 +37,7 @@ from .terms import (
     MetaApp,
     NotKey,
     Piece,
+    Pos,
     RuleDecl,
     SchemeDecl,
     ScopeForm,
@@ -45,7 +46,6 @@ from .terms import (
     Sort,
     SortCons,
     SortVar,
-    Span,
     Term,
     Var,
     VariableDecl,
@@ -126,23 +126,21 @@ class _Parser:
     """One text's tokens and the index ``pos`` of the next one, which never
     passes ``eof``.  Token ``i`` has kind ``kinds[i]``, text ``texts[i]`` (an
     ``Ident`` for a word, ``""`` for ``eof``) and starts at offset
-    ``starts[i]``; ``lines`` holds the offset at which each line starts."""
+    ``starts[i]``; ``source`` pairs the file name with the offsets at which
+    its lines start, for every ``Pos`` of the parse.  A node's ``Pos`` is
+    made with ``tuple.__new__``, which runs no Python frame."""
 
     def __init__(self, text: str, file: str):
         self.kinds, self.texts, self.starts, bad = _lex(text)
-        self.lines = [0, *[m.end() for m in re.finditer("\n", text)]]
-        self.file = file
+        self.source = (file, (0, *[m.end() for m in re.finditer("\n", text)]))
         self.pos = 0
-        self.errors = [Diagnostic("parse", self.span(o), f"unexpected character {text[o]!r}")
-                       for o in bad]
+        self.errors = [Diagnostic("parse", Pos(o, self.source).resolve(),
+                                  f"unexpected character {text[o]!r}") for o in bad]
 
-    def span(self, offset: int) -> Span:
-        """The span of the character at ``offset``, made without ``Span.__new__``."""
-        line = bisect_right(self.lines, offset)
-        return tuple.__new__(Span, (self.file, line, offset - self.lines[line - 1] + 1))
-
-    def fail(self, message: str, span: Span | None = None):
-        raise ParseFailure([Diagnostic("parse", span or self.span(self.starts[self.pos]), message)])
+    def fail(self, message: str, i: int | None = None):
+        """Raise a ``parse`` diagnostic at token ``i``, by default the next one."""
+        at = Pos(self.starts[self.pos if i is None else i], self.source)
+        raise ParseFailure([Diagnostic("parse", at.resolve(), message)])
 
     def expected(self, what: str):
         self.fail(f"expected {what}, found {self.texts[self.pos] or 'end of input'!r}")
@@ -176,7 +174,7 @@ class _Parser:
         kinds = self.kinds
         if kinds[i] == "var":
             self.pos = i + 1
-            return SortVar(self.texts[i], span=self.span(self.starts[i]))
+            return SortVar(self.texts[i], span=tuple.__new__(Pos, (self.starts[i], self.source)))
         if kinds[i] != "con":
             self.expected("a sort")
         self.pos = i + 1
@@ -189,7 +187,7 @@ class _Parser:
                 items.append(self.sort())
             self.expect(">")
             args = tuple(items)
-        return SortCons(self.texts[i], args, span=self.span(self.starts[i]))
+        return SortCons(self.texts[i], args, span=tuple.__new__(Pos, (self.starts[i], self.source)))
 
     def form(self) -> Form:
         i = self.pos
@@ -197,14 +195,15 @@ class _Parser:
         if kind == "[":
             self.pos = i + 1
             binders = self.listed(self.sort, "]")
-            return ScopeForm(tuple(binders), self.sort(), span=self.span(self.starts[i]))
+            return ScopeForm(tuple(binders), self.sort(),
+                             span=tuple.__new__(Pos, (self.starts[i], self.source)))
         if kind == "{":
             self.pos = i + 1
             key = self.sort()
             self.expect(":")
             value = self.sort()
             self.expect("}")
-            return AssocForm(key, value, span=self.span(self.starts[i]))
+            return AssocForm(key, value, span=tuple.__new__(Pos, (self.starts[i], self.source)))
         body = self.sort()
         return ScopeForm((), body, span=body.span)
 
@@ -216,7 +215,7 @@ class _Parser:
         kind = kinds[i]
         if kind == "var":
             self.pos = i + 1
-            return Var(self.texts[i], span=self.span(self.starts[i]))
+            return Var(self.texts[i], span=tuple.__new__(Pos, (self.starts[i], self.source)))
         if kind != "con" and kind != "meta":
             self.expected("a term")
         self.pos = i + 1
@@ -225,7 +224,8 @@ class _Parser:
             self.pos = i + 2
             items = self.listed(self.piece if kind == "con" else self.term, ")")
         cls = Construction if kind == "con" else MetaApp
-        return cls(self.texts[i], tuple(items), span=self.span(self.starts[i]))
+        return cls(self.texts[i], tuple(items),
+                   span=tuple.__new__(Pos, (self.starts[i], self.source)))
 
     def piece(self) -> Piece:
         i = self.pos
@@ -235,13 +235,14 @@ class _Parser:
             binders = self.listed(lambda: self.texts[self.expect("var", "a binder variable")],
                                   "]")
             if len(set(binders)) != len(binders):
-                self.fail("binders in one scope must be pairwise distinct",
-                          span=self.span(self.starts[i]))
-            return ScopePiece(tuple(binders), self.term(), span=self.span(self.starts[i]))
+                self.fail("binders in one scope must be pairwise distinct", i)
+            return ScopePiece(tuple(binders), self.term(),
+                              span=tuple.__new__(Pos, (self.starts[i], self.source)))
         if kind == "{":
             self.pos = i + 1
             entries = self.listed(self.association, "}", (",", ";"))
-            return AssocPiece(tuple(entries), span=self.span(self.starts[i]))
+            return AssocPiece(tuple(entries),
+                              span=tuple.__new__(Pos, (self.starts[i], self.source)))
         body = self.term()
         return ScopePiece((), body, span=body.span)
 
@@ -252,14 +253,15 @@ class _Parser:
             self.pos = i + 1
             key = self.expect("var", "a key variable")
             self.expect(":")
-            return NotKey(self.texts[key], span=self.span(self.starts[i]))
+            return NotKey(self.texts[key], span=tuple.__new__(Pos, (self.starts[i], self.source)))
         if kind == "meta":
             meta = self.term()
             return CatchAll(meta.meta, meta.args, span=meta.span)
         if kind == "var":
             self.pos = i + 1
             self.expect(":")
-            return MapEntry(self.texts[i], self.term(), span=self.span(self.starts[i]))
+            return MapEntry(self.texts[i], self.term(),
+                            span=tuple.__new__(Pos, (self.starts[i], self.source)))
         self.expected("an association entry")
 
     # -- declarations ----------------------------------------------------------

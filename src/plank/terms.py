@@ -8,21 +8,25 @@ lowercase letter, and meta-variables with ``#``.
 
 All AST values are immutable after construction and safe to share, by rule
 and not by the runtime: a lint in the tests rejects every store to a field
-of a built record.  Spans take no part in equality or hashing.
-``Diagnostic`` is the one diagnostic type of the parser, the environment
-builder and the checker.
+of a built record.  A parsed node's ``span`` is a ``Pos``, after Go's
+``token.Pos``: an offset into a line table that its parse shares, resolved
+to a line and column only when read.  Positions take no part in equality
+or hashing.  ``Diagnostic``, the one diagnostic type of the parser, the
+environment builder and the checker, holds a resolved ``Span``.
 
-``free_vars``, ``non_assoc_vars`` and ``meta_vars`` share one traversal
-that collects names by the role they play in a term: ``VAR`` for a
-variable occurrence, ``KEY`` for the key of a map or absence entry, and
-``META`` for a meta-application or catch-all.  ``all_idents`` is the
-engine's name query, asked whenever a fresh name must avoid every name of
-a term.  Each construction and meta-application keeps its answer, so a
-query walks only the nodes that no earlier query reached: on a term that
-shares its subterms, the nodes a rewrite step built.  ``alpha_equal``
-reads association lists as the matcher and contraction do: each run of
-plain entries between absence entries and catch-alls is a map, in which a
-later entry overrides an earlier one with the same key.
+``free_vars`` and ``non_assoc_vars`` share one traversal, ``_names``, that
+collects names by the role they play in a term: ``VAR`` for a variable
+occurrence, ``KEY`` for the key of a map or absence entry, and ``META``
+for a meta-application or catch-all; ``env``'s rule sort walk collects
+them as it goes and calls ``_names`` only on what it skips.
+``all_idents`` is the engine's name query, asked whenever a fresh name
+must avoid every name of a term.  Each construction and meta-application
+keeps its answer, so a query walks only the nodes that no earlier query
+reached: on a term that shares its subterms, the nodes a rewrite step
+built.  ``alpha_equal`` reads association lists as the matcher and
+contraction do: each run of plain entries between absence entries and
+catch-alls is a map, in which a later entry overrides an earlier one with
+the same key.
 
 A plain argument is a ``ScopePiece`` with no binders.  Every walk, here
 and in the other modules, passes its scope through one unchanged: it
@@ -39,6 +43,7 @@ Python frame.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, NamedTuple, Union
@@ -75,6 +80,24 @@ class Span(NamedTuple):
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
+class Pos(NamedTuple):
+    """Where a parsed node starts, resolved to a ``Span`` only when read: its
+    offset, and the ``(file, line starts)`` pair its whole parse shares."""
+
+    offset: int
+    source: tuple[str, tuple[int, ...]]
+
+    def resolve(self) -> Span:
+        file, lines = self.source
+        line = bisect_right(lines, self.offset)
+        return Span(file, line, self.offset - lines[line - 1] + 1)
+
+    def __getattr__(self, name: str):  # file, start_line and start_col
+        return getattr(self.resolve(), name)
+
+    __str__ = Span.__str__
+
+
 @dataclass(unsafe_hash=True, slots=True)
 class Diagnostic:
     """``FILE:LINE:COL: error[RULE]: MESSAGE``; ``rule`` names the violated
@@ -87,6 +110,11 @@ class Diagnostic:
     def format(self, default_file: str = "<input>") -> str:
         where = str(self.span) if self.span else f"{default_file}:1:1"
         return f"{where}: error[{self.rule}]: {self.message}"
+
+
+def _err(rule: str, node: "Node", message: str) -> Diagnostic:
+    """A diagnostic at the start of a node, its position resolved now."""
+    return Diagnostic(rule, node.span and node.span.resolve(), message)
 
 
 def _span_field():
@@ -112,7 +140,7 @@ class SortCons(_Node):
 
     name: Ident
     args: tuple["Sort", ...] = ()
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -120,7 +148,7 @@ class SortVar(_Node):
     """A sort variable, written with a lowercase name."""
 
     name: Ident
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 Sort = Union[SortCons, SortVar]
@@ -132,7 +160,7 @@ class ScopeForm(_Node):
 
     binder_sorts: tuple[Sort, ...]
     body_sort: Sort
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -141,7 +169,7 @@ class AssocForm(_Node):
 
     key_sort: Sort
     value_sort: Sort
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 Form = Union[ScopeForm, AssocForm]
@@ -157,14 +185,14 @@ class Construction(_Node):
 
     head: Ident
     args: tuple["Piece", ...] = ()
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
     _idents: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(unsafe_hash=True, slots=True)
 class Var(_Node):
     name: Ident
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -173,7 +201,7 @@ class MetaApp(_Node):
 
     meta: Ident
     args: tuple["Term", ...] = ()
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
     _idents: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -186,7 +214,7 @@ class ScopePiece(_Node):
 
     binders: tuple[Ident, ...]
     body: Term
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -194,7 +222,7 @@ class AssocPiece(_Node):
     """``{A1, ..., An}``: an ordered association list."""
 
     entries: tuple["Association", ...]
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 Piece = Union[ScopePiece, AssocPiece]
@@ -206,7 +234,7 @@ class MapEntry(_Node):
 
     key: Ident
     value: Term
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -214,7 +242,7 @@ class NotKey(_Node):
     """``~v:`` asserts the key is absent; only meaningful in patterns."""
 
     key: Ident
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -223,7 +251,7 @@ class CatchAll(_Node):
 
     meta: Ident
     args: tuple[Term, ...] = ()
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 Association = Union[MapEntry, NotKey, CatchAll]
@@ -238,7 +266,7 @@ class DataDecl(_Node):
     sort: Sort
     name: Ident
     forms: tuple[Form, ...]
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -246,13 +274,13 @@ class SchemeDecl(_Node):
     sort: Sort
     name: Ident
     forms: tuple[Form, ...]
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 @dataclass(unsafe_hash=True, slots=True)
 class VariableDecl(_Node):
     sort: Sort
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -260,7 +288,7 @@ class RuleDecl(_Node):
     sort: Sort
     lhs: Term
     rhs: Term
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
 
 Declaration = Union[DataDecl, SchemeDecl, VariableDecl, RuleDecl]
@@ -269,7 +297,7 @@ Declaration = Union[DataDecl, SchemeDecl, VariableDecl, RuleDecl]
 @dataclass(unsafe_hash=True, slots=True)
 class Script(_Node):
     declarations: tuple[Declaration, ...] = ()
-    span: Span | None = _span_field()
+    span: Pos | None = _span_field()
 
     @property
     def rules(self) -> tuple[RuleDecl, ...]:
@@ -452,11 +480,6 @@ def _idents(t: Term) -> frozenset[Ident]:
         names = names.union(loose)
     t._idents = names
     return names
-
-
-def meta_vars(t: Term) -> set[Ident]:
-    """Every meta-variable name occurring in ``t`` (including catch-alls)."""
-    return _names(t, META, True, frozenset(), set())
 
 
 def fresh_var(hint: Ident, avoid: Iterable[Ident]) -> Ident:

@@ -146,6 +146,39 @@ class TestCheckDeclaration:
         errors = check_declaration(g2, decl)
         assert [e.rule for e in errors] == ["SD-Var"]
 
+    def test_redeclarations(self):
+        # An identical redeclaration is idempotent; a conflicting one is one
+        # DuplicateConstructor, with no follow-on from the declaration check.
+        base = "L data One(); L scheme F(L); L data A(L); "
+        assert check_script(parse_script(base + "L data A(L); L scheme F(L);")).errors == []
+        for again in ("L data A(L, L);", "L data A([L]L);", "L scheme F(L, L);",
+                      "L scheme F({L:L});"):
+            errors = check_script(parse_script(base + again, file="r.plank")).errors
+            assert [e.format() for e in errors] == [
+                f"r.plank:1:{len(base) + 1}: error[DuplicateConstructor]: constructor "
+                f"{again.split()[2].split('(')[0]} already declared with a different signature"
+            ], again
+
+    def test_sorts_are_checked_where_some_sort_has_two_ranks(self):
+        # Rank is fixed at a sort's first use; every later use at another
+        # arity is SS-Cons, in declaration order, rule sorts included.
+        text = ("L data One(); L<L> data Two(L, Box); Box<L> data B(L<L>); Box scheme G(L);"
+                "L variable; L rule G(x) -> x; L<L> rule G(x) -> x;")
+        errors = check_script(parse_script(text, file="r.plank")).errors
+        assert [e.format() for e in errors] == [f"r.plank:1:{line}" for line in (
+            "15: error[NonVariableSortParameter]: result sort parameters of data constructor "
+            "Two must be distinct sort variables",
+            "38: error[NonVariableSortParameter]: result sort parameters of data constructor "
+            "B must be distinct sort variables",
+            "15: error[SS-Cons]: sort L applied to 1 argument(s) but has rank 0",
+            "38: error[SS-Cons]: sort Box applied to 1 argument(s) but has rank 0",
+            "52: error[SS-Cons]: sort L applied to 1 argument(s) but has rank 0",
+            "94: error[SMP-Fun]: construction G has sort Box, which does not match the "
+            "expected sort L",
+            "105: error[SS-Cons]: sort L applied to 1 argument(s) but has rank 0",
+            "115: error[SMP-Fun]: construction G has sort Box, which does not match the "
+            "expected sort L<L>")]
+
 
 class TestCheckSort:
     def test_monomorphic_ok(self, g1):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,13 +11,19 @@ from plank.checker import CheckState, TermContext, check_term
 from plank.env import ConSig, MetaForm, apply_form_subst, instantiated_forms, match_sort
 from plank.terms import (
     AssocForm,
+    CatchAll,
     Ident,
+    MapEntry,
+    MetaApp,
     RuleDecl,
     ScopeForm,
+    ScopePiece,
     SortCons,
     SortVar,
+    Var,
     non_assoc_vars,
 )
+from test_checker import BINDERS, _random_rule
 
 L = SortCons(Ident("L"))
 
@@ -252,11 +259,95 @@ class TestInferRuleEnv:
                 assert check_term(rhs_state, rule.rhs, rule.sort) == []
 
     def test_rhs_meta_in_delta(self, ex1, ex2):
-        from plank.terms import meta_vars
-
         for script in (ex1, ex2):
             result = check_script(script)
             assert result.ok
             for rule, delta in zip(script.rules, result.rule_envs):
                 for m in meta_vars(rule.rhs):
                     assert m in delta.meta
+
+
+# ---------------------------------------------------------------------------
+# The names inference collects for the rule's check, against name walks kept
+# here as the reference
+
+
+def _reference_names(x, bound, lists, metas, free):
+    """Add the meta-variables of ``x`` to ``metas`` and its variables outside
+    the scope of a binder of their name to ``free``; keys are no variables,
+    and without ``lists`` association lists are skipped whole."""
+    if isinstance(x, Var):
+        if x.name not in bound:
+            free.add(x.name)
+    elif isinstance(x, (MetaApp, CatchAll)):
+        metas.add(x.meta)
+        for a in x.args:
+            _reference_names(a, bound, lists, metas, free)
+    else:
+        for p in x.args:
+            if isinstance(p, ScopePiece):
+                _reference_names(p.body, bound | set(p.binders), lists, metas, free)
+            elif lists:
+                for e in p.entries:
+                    if isinstance(e, CatchAll):
+                        _reference_names(e, bound, lists, metas, free)
+                    elif isinstance(e, MapEntry):
+                        _reference_names(e.value, bound, lists, metas, free)
+    return metas, free
+
+
+def meta_vars(t):
+    """Every meta-variable name occurring in ``t``, catch-alls included."""
+    return _reference_names(t, frozenset(), True, set(), set())[0]
+
+
+def _free(t, lists):
+    return _reference_names(t, frozenset(), lists, set(), set())[1]
+
+
+def _assert_collected_as_named(gamma, rule):
+    delta, errors = infer_rule_env(gamma, rule)
+    assert delta.lhs_keys == _free(rule.lhs, False) == non_assoc_vars(rule.lhs)
+    assert delta.rhs_keys == _free(rule.rhs, False) == non_assoc_vars(rule.rhs)
+    assert delta.pattern_vars == _free(rule.lhs, True)
+    unbound = [e.message.split()[1] for e in errors if e.rule == "UnboundMetaOnRhs"]
+    assert unbound == sorted(meta_vars(rule.rhs) - meta_vars(rule.lhs))
+
+
+# Rules over ``BINDERS`` at which the sort walk stops early, each with names
+# in the part it skips, outside and inside association lists.
+STOPPING_RULES = [
+    # an undeclared head
+    "L rule K(Q(x, [y]#M(y, u), {v : #P}), {x : #X}) -> Q(w, #X, {w : #R(s)});",
+    # a construction at a sort its head does not have
+    "L rule K(Cb(x, {v : #P}), {v : #X}) -> Lb(w, #X);",
+    # more arguments than forms
+    "L rule K(Lam([y]y, x, {v : #P}, #N), {x : #X}) -> Lam([y]#X, w, {u : #R});",
+    # a scope piece at an association form, and a list at a scope form
+    "L rule K({x : #X, #e}, [y]#M(u)) -> K({w : #X}, [y]#Q(t));",
+    # more binders than the form declares: the extra binder hides u
+    "L rule K(Lam([y, u]K(Q(u, v), {x : u, #e(u)})), {u : #X}) -> Lam([y, w]K(s, {w : #N(t)}));",
+    # fewer binders than the form declares
+    "B rule F([]Lb([a]#M(a, b)), c) -> Lb([]#M(c, d));",
+    # right-side metas with no meta-form, and with another arity or sort
+    "L rule K(#N, {#e}) -> K(#Z(x, K(y, {})), {#e(z)});",
+    "L rule K(Lam([y]#M(y)), {x : #N}) -> K(#M(x, Lam([z]#P(v))), {x : #N(w)});",
+    "B rule F([y]#M(y), #N) -> Lb([a]#N(a));",
+    # left-side metas applied to non-variables, and to a free variable
+    "L rule K(#M(Lam([y]x), K(u, {u : #Q})), {#e(K(v, {}))}) -> #M(w, w);",
+    "L rule K(Lam([y]#M(y, x)), {x : #N}) -> #M(x, x);",
+]
+
+
+@pytest.mark.parametrize("text", STOPPING_RULES)
+def test_collected_names_where_the_sort_walk_stops(text):
+    gamma = build_global_env(BINDERS)[0]
+    rule = parse_script(text).rules[0]
+    _assert_collected_as_named(gamma, rule)
+
+
+def test_collected_names_of_random_rules():
+    gamma = build_global_env(BINDERS)[0]
+    rng = random.Random(26)
+    for _ in range(1500):
+        _assert_collected_as_named(gamma, _random_rule(rng))

@@ -13,6 +13,8 @@ from plank import (
     ParseFailure,
     RuleDecl,
     SchemeDecl,
+    check_ground_subject,
+    check_script,
     parse_script,
     parse_term,
     render,
@@ -29,6 +31,7 @@ from plank.terms import (
     MapEntry,
     MetaApp,
     NotKey,
+    Pos,
     Script,
     ScopeForm,
     ScopePiece,
@@ -341,8 +344,8 @@ LEX_ERRORS = [
 
 
 def _lexed(p: _Parser) -> list[tuple[str, str, Span]]:
-    """(kind, text, span) of each token of ``p``, spans resolved by ``p``."""
-    return [(k, t, p.span(o)) for k, t, o in zip(p.kinds, p.texts, p.starts)]
+    """(kind, text, span) of each token of ``p``, spans resolved from ``p``'s line table."""
+    return [(k, t, Pos(o, p.source).resolve()) for k, t, o in zip(p.kinds, p.texts, p.starts)]
 
 
 def test_lexer_tokens_and_errors_are_pinned():
@@ -537,6 +540,78 @@ def test_spans_point_at_their_names():
             if name:
                 offset = lines[node.span.start_line - 1] + node.span.start_col - 1
                 assert text.startswith(getattr(node, name), offset), (text, node)
+
+
+# Declarations with every sort and form kind, to go before a random rule.
+_SKELETON = parse_script("Box<a> data B(a, [a]Box<a>, {a:L}); L variable;"
+                         "L scheme G({L:Box<L>}, [L, L]L); L data One();").declarations
+_ENDS = ["", "\n", "// end", "\r\n// end", "\t//"]
+
+
+def _positions_as_eagerly_resolved(parsed, text, file):
+    """Every node of ``parsed`` keeps a ``Pos`` at its first token that
+    resolves to the span the reference lexer gives that token."""
+    tokens, _ = _reference_lex(text, file)
+    at = dict(zip(_Parser(text, file).starts, tokens))
+    for node in _nodes(parsed):
+        if isinstance(node, Script):
+            continue
+        pos = node.span
+        assert type(pos) is Pos, node
+        kind, word, span = at[pos.offset]
+        assert (pos.file, pos.start_line, pos.start_col) == span and str(pos) == str(span)
+        first = _Parser(render(node), file)
+        assert first.kinds[0] == kind and (kind not in ("con", "var", "meta")
+                                            or first.texts[0] == word), (text, node)
+
+
+def test_positions_resolve_to_the_spans_of_their_first_tokens():
+    rng = random.Random(20261020)
+    for i in range(150):
+        term = random_term(rng, 3)
+        text = _scattered(render(term, unicode=bool(i % 2)), rng) + rng.choice(_ENDS)
+        _positions_as_eagerly_resolved(parse_term(text, file="t.plank"), text, "t.plank")
+        rule = RuleDecl(SortCons(Ident("L")), term, random_term(rng, 2))
+        script = Script(_SKELETON + (rule,))
+        # unicode spells the arrow as one character, which ``_scattered`` keeps whole
+        text = _scattered(render(script, unicode=True), rng) + rng.choice(_ENDS)
+        parsed = parse_script(text, file="s.plank")
+        assert parsed == script
+        _positions_as_eagerly_resolved(parsed, text, "s.plank")
+
+
+# One script per diagnostic source: lexer, parser, environment builder,
+# rule inference, declaration and rule checks, and a ground subject.
+_DIAGNOSED = [
+    "L data A(); é L scheme F(L);",
+    "L data A(; L scheme F([x, x]A);",
+    "L data A(); L data A(L); Box<L> data B();",
+    "L data A(); L scheme F(L); L rule F(#M) -> #N;",
+    "L data Lam([L]L); L scheme F(L, L); L rule F(Lam([x]#M(x)), #M) -> A();",
+    "L data A(); L<L> data B(); L scheme F(L); L variable; L rule F(B()) -> x;",
+    "L data A(); L variable; L scheme F({L:L}); L rule F({~k:, x : #V}) -> F({~x:});",
+]
+
+
+def test_every_diagnostic_holds_a_resolved_span():
+    errors = []
+    for text in _DIAGNOSED:
+        try:
+            checked = check_script(parse_script("\r\n\t" + text, file="d.plank"))
+        except ParseFailure as exc:
+            errors += exc.errors
+            continue
+        errors += checked.errors
+        subject = parse_term("\n  F(y, Q())" if "F(L, L)" in text else "A(x)")
+        errors += check_ground_subject(checked.gamma, subject)[2]
+    for bad in ("F(x) G", "F([x, x]x)", "F(~)"):
+        with pytest.raises(ParseFailure) as exc:
+            parse_term(bad)
+        errors += exc.value.errors
+    tags = {e.rule for e in errors}
+    assert {"parse", "DuplicateConstructor", "NonVariableSortParameter", "MetaFormConflict",
+            "UnboundMetaOnRhs", "SS-Cons", "SMP-Data", "SAP-Not", "SMC-Cons"} <= tags, tags
+    assert all(type(e.span) is Span for e in errors)
 
 
 def test_parse_term_accepts_150_nested_levels():
