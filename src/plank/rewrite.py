@@ -13,7 +13,8 @@ catch-all substitutes its (contracted) arguments for the abstraction
 parameters, variables pass through the valuation, and a catch-all's
 entries are spliced into the list it stands in.  Substitution (``_subst``)
 and contraction (``_inst``) are each one function that dispatches once on
-a node's class, so a node costs one Python frame.
+a node's class, so a node costs one Python frame, and a plain argument
+none: a construction's loop, and the matcher's, recurses on its body.
 
 Every name a valuation holds is a name of the subject it was matched
 against or a reserved ``u%n`` name: the matcher keeps each subject
@@ -64,6 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
+from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .env import GlobalEnv, RuleEnv, infer_rule_env
@@ -151,16 +153,18 @@ def substitute(body: Term | AssocPiece, binding: Mapping[Ident, Term]) -> Term |
     The walk is ``_subst``; its memo of the replacements' free variables
     lives for this call only.
 
-    A construction is returned as it is, not copied, when the name set it
+    A subtree that the substitution leaves unchanged is returned as it is,
+    not copied: the maximal sharing of term-graph rewriting (Barendregt et
+    al., PARLE 1987).  A construction is not walked when the name set it
     keeps (``all_idents``) holds no substituted name and no name of any
-    replacement.  Then no variable or key in it is replaced and none of its
-    binders clashes with a replacement, so the copy would be ``==`` to it,
-    with the same binder names, and the result renders byte for byte as the
-    full copy would: the maximal sharing of term-graph rewriting
-    (Barendregt et al., PARLE 1987).  Only sets already kept are read: the
-    construction's, each replacement's and a variable's own name.  No set is
-    built here, and when some replacement keeps none, nothing is shared in
-    that call.
+    replacement.  Only sets already kept are read: the construction's, each
+    replacement's and a variable's own name; when some replacement keeps
+    none, this guard is off for the call.  A construction or scope that is
+    walked is returned itself when each of its children comes back as the
+    same object, which needs no name set.  Either way no variable or key in
+    it is replaced and none of its binders clashes with a replacement, so a
+    copy would be ``==`` to it, with the same binder names, and the result
+    renders byte for byte as the full copy would.
     """
     if not binding:
         return body
@@ -191,11 +195,15 @@ def _subst(t: Node, sub: dict[Ident, Term], guard: set[Ident] | None, fv_memo: _
     if isinstance(t, Construction):
         if guard is not None and t._idents is not None and t._idents.isdisjoint(guard):
             return t
-        return Construction(t.head, tuple(map(_subst, t.args, repeat(sub), repeat(guard),
-                                              repeat(fv_memo))))
+        args = []
+        for p in t.args:
+            if p.__class__ is ScopePiece and not p.binders:
+                body = _subst(p.body, sub, guard, fv_memo)
+                args.append(p if body is p.body else ScopePiece((), body))
+            else:
+                args.append(_subst(p, sub, guard, fv_memo))
+        return t if all(map(is_, args, t.args)) else Construction(t.head, tuple(args))
     if isinstance(t, ScopePiece):
-        if not t.binders:
-            return ScopePiece((), _subst(t.body, sub, guard, fv_memo))
         inner = {w: r for w, r in sub.items() if w not in t.binders}
         if not inner:
             return t
@@ -205,18 +213,20 @@ def _subst(t: Node, sub: dict[Ident, Term], guard: set[Ident] | None, fv_memo: _
             if hit is None:
                 hit = fv_memo[id(r)] = (r, free_vars(r))
             clash |= hit[1]
-        binders, body = list(t.binders), t.body
+        binders, body = t.binders, t.body
         if clash & set(binders):
-            avoid = clash | all_idents(body) | set(binders) | set(inner)
+            binders, avoid = list(binders), clash | all_idents(body) | set(binders) | set(inner)
             for i, b in enumerate(binders):
                 if b in clash:
                     b2 = fresh_var(b, avoid)
                     avoid.add(b2)
                     body = _subst(body, {b: Var(b2)}, {b, b2}, fv_memo)
                     binders[i] = b2
+            binders = tuple(binders)
         # ``guard`` may name a substituted name these binders shadow: it
         # only shares less than it could.
-        return ScopePiece(tuple(binders), _subst(body, inner, guard, fv_memo))
+        body = _subst(body, inner, guard, fv_memo)
+        return t if body is t.body and binders is t.binders else ScopePiece(binders, body)
     if isinstance(t, (MetaApp, CatchAll)):
         return type(t)(t.meta, tuple(map(_subst, t.args, repeat(sub), repeat(guard),
                                          repeat(fv_memo))))
@@ -304,15 +314,15 @@ class _Matcher:
         if not isinstance(s, Construction) or p.head != s.head or len(p.args) != len(s.args):
             raise _NoMatch
         for pp, sp in zip(p.args, s.args):
-            self.piece(pp, sp, penv, senv)
+            if pp.__class__ is sp.__class__ is ScopePiece and not (pp.binders or sp.binders):
+                self.term(pp.body, sp.body, penv, senv)
+            else:
+                self.piece(pp, sp, penv, senv)
 
     def piece(self, pp: Piece, sp: Piece, penv: dict, senv: dict) -> None:
         if isinstance(pp, ScopePiece):
             if not isinstance(sp, ScopePiece) or len(pp.binders) != len(sp.binders):
                 raise _NoMatch
-            if not pp.binders:
-                self.term(pp.body, sp.body, penv, senv)
-                return
             penv2, senv2 = dict(penv), dict(senv)
             for w, u in zip(pp.binders, sp.binders):
                 penv2[w] = senv2[u] = self.canonical(u)
@@ -336,12 +346,13 @@ class _Matcher:
     def bind_meta(self, p: MetaApp | CatchAll, s: Term | AssocPiece, penv: dict,
                   senv: dict) -> None:
         params = self._meta_params(p.meta, p.args, penv)
-        fragment = self._rename(s, senv)
-        forbidden = set(senv.values()) - set(params)
-        if forbidden and free_vars(fragment) & forbidden:
-            self.undone = True  # a forbidden binder occurs in the fragment
-            return
-        self._record_meta(p.meta, Abstraction(params, fragment))
+        if senv:  # else no binder is in scope: nothing to rename or forbid
+            s = self._rename(s, senv)
+            forbidden = set(senv.values()) - set(params)
+            if forbidden and free_vars(s) & forbidden:
+                self.undone = True  # a forbidden binder occurs in the fragment
+                return
+        self._record_meta(p.meta, Abstraction(params, s))
 
     def _meta_params(self, meta: Ident, args, penv: dict) -> tuple[Ident, ...]:
         params = []
@@ -492,11 +503,14 @@ def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
     if isinstance(t, Var):
         return Var(rho[t.name])  # rho maps every free name and binder of the right side
     if isinstance(t, Construction):
-        return Construction(t.head, tuple(map(_inst, t.args, repeat(rho), repeat(val),
-                                              repeat(fresh))))
+        args = []
+        for p in t.args:
+            if p.__class__ is ScopePiece and not p.binders:
+                args.append(ScopePiece((), _inst(p.body, rho, val, fresh)))
+            else:
+                args.append(_inst(p, rho, val, fresh))
+        return Construction(t.head, tuple(args))
     if isinstance(t, ScopePiece):
-        if not t.binders:
-            return ScopePiece((), _inst(t.body, rho, val, fresh))
         binders = tuple(map(fresh, t.binders))
         return ScopePiece(binders, _inst(t.body, rho | dict(zip(t.binders, binders)), val, fresh))
     if isinstance(t, (MetaApp, CatchAll)):

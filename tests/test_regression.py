@@ -1993,6 +1993,14 @@ def _nested_scopes(depth):
     return t
 
 
+def _plain_chain(depth):
+    """``S(S(...S(x)...))``, ``depth`` constructions each with one plain argument."""
+    t = Var(Ident("x"))
+    for _ in range(depth):
+        t = Construction(Ident("S"), (ScopePiece((), t),))
+    return t
+
+
 def _redex_under_scopes(depth):
     """``Ap(Lam([y]y), w)`` under ``depth`` levels of ``Lam([x]Ap(z, .))``."""
     lam, ap = Ident("Lam"), Ident("Ap")
@@ -2017,11 +2025,14 @@ def _normalizes_in_one_step(t):
     (275, _nested_scopes, lambda t: alpha_equal(t, t)),
     (400, _nested_scopes, lambda t: substitute(t, {Ident("y"): Var(Ident("z"))})),
     (450, _redex_under_scopes, _normalizes_in_one_step),
-], ids=["alpha_equal", "substitute", "normalize"])
+    (900, _plain_chain, lambda t: substitute(t, {Ident("x"): Var(Ident("z"))})),
+    (900, _plain_chain, lambda t: match_term(t, t)),
+], ids=["alpha_equal", "substitute", "normalize", "substitute_plain", "match_term_plain"])
 def test_walks_reach_deep_scopes_under_the_default_recursion_limit(depth, build, walk):
     # Built directly, so no other walk limits the depth.  Each walk spends
     # one frame per node; a comprehension between a node and its children
-    # would spend a second one and fall short of these depths.  The search
+    # would spend a second one and fall short of these depths, and so would
+    # a frame on each plain argument, from 500 levels on.  The search
     # spends none: it keeps the path to the focus in the zipper's frames,
     # whether it starts at the root or resumes.
     assert walk(build(depth))

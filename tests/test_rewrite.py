@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+import sys
+
 import pytest
+
+import plank.rewrite
 
 from plank import (
     NormalStatus,
@@ -23,7 +29,20 @@ from plank.rewrite import (
     Valuation,
     format_step,
 )
-from plank.terms import AssocPiece, Ident, MapEntry, MetaApp, NotKey, Var, all_idents, free_vars
+from plank.terms import (
+    AssocPiece,
+    CatchAll,
+    Construction,
+    Ident,
+    MapEntry,
+    MetaApp,
+    NotKey,
+    ScopePiece,
+    Var,
+    all_idents,
+    free_vars,
+    fresh_var,
+)
 
 from conftest import (
     BETA_ETA,
@@ -35,6 +54,9 @@ from conftest import (
     REACH_TWO,
     UNTAKEN,
 )
+from test_parser import _VARS, _nodes, random_term
+
+REWRITE_FILE = plank.rewrite.__file__
 
 
 def t(text):
@@ -285,6 +307,18 @@ class TestMatchAssoc:
         with pytest.raises(EngineError, match="KeyNotElsewhere"):
             match_term(t(pattern), t("E({a : One()})"))
 
+    @pytest.mark.parametrize("pattern, subject", [
+        ("F(#M(x))", "F(One())"),  # no binder in scope
+        ("Lam([y]#M(x))", "Lam([y]One())"),
+        ("E({#env(x)})", "E({a : One()})"),
+    ])
+    def test_a_meta_argument_bound_nowhere_raises_for_an_unchecked_pattern(self, pattern,
+                                                                          subject):
+        # The checker reports it (SMP-Meta, SAP-All), with or without a
+        # binder in scope.
+        with pytest.raises(EngineError, match="must be a bound variable"):
+            match_term(t(pattern), t(subject))
+
 
 class TestSubstitute:
     def test_simple(self):
@@ -332,12 +366,15 @@ class TestSubstitute:
         assert out.args[0].body.args[1].body is g.args[1].body
         assert out.args[1].body is h
 
-    def test_shares_nothing_for_a_replacement_without_a_name_set(self):
+    def test_shares_an_unchanged_subtree_without_a_name_set(self):
+        # ``K(d)`` keeps no name set, so no construction is passed over
+        # unwalked; ``H(b)`` comes back from its walk as the same object,
+        # and its plain argument is kept as it is.
         body = t("F(G(a), H(b))")
         all_idents(body)
         out = substitute(body, {Ident("a"): t("K(d)")})
         assert render(out) == "F(G(K(d)), H(b))"
-        assert out.args[1].body is not body.args[1].body
+        assert out.args[1] is body.args[1]
 
     def test_a_binder_named_like_a_replacement_is_not_shared(self):
         # The copy renames every binder that clashes with a replacement,
@@ -354,6 +391,149 @@ class TestSubstitute:
         repl = t("Ap(y, z)")
         out = substitute(body, {Ident("x"): repl})
         assert free_vars(out) <= (free_vars(body) - {"x"}) | free_vars(repl)
+
+    def test_sharing_is_sound_on_random_terms(self):
+        # Against a reference that copies every node: the same term up to
+        # alpha and the same text, with or without a binder that clashes,
+        # and no shared subtree that holds a substituted name free where it
+        # stands.
+        rng = random.Random(1711)
+        outcomes = {"raised": 0, "no clash": 0, "clash": 0, "shared": 0}
+        for i in range(1500):
+            body = random_term(rng, 4)
+            sub = {Ident(w): Var(Ident(rng.choice(_VARS))) if rng.random() < 0.4
+                   else random_term(rng, 2) for w in rng.sample(_VARS, rng.randrange(1, 3))}
+            if i % 2:
+                all_idents(body)
+            if i % 3:
+                for r in sub.values():
+                    if not isinstance(r, Var):
+                        all_idents(r)
+            try:
+                out = substitute(body, sub)
+            except EngineError:
+                # A key stands where a non-variable is substituted.
+                with pytest.raises(EngineError):
+                    _copy_subst(body, sub)
+                outcomes["raised"] += 1
+                continue
+            ref = _copy_subst(body, sub)
+            assert alpha_equal(out, ref), (render(body), render(out), render(ref))
+            assert render(out) == render(ref)
+            binders = {b for n in _nodes(body) if isinstance(n, ScopePiece) for b in n.binders}
+            clashes = not binders.isdisjoint(set().union(*map(free_vars, sub.values())))
+            outcomes["clash" if clashes else "no clash"] += 1
+            shared = _shared_subtrees(out, body, set(sub))
+            for n, names in shared:
+                assert _free_names(n).isdisjoint(names), (render(body), render(n))
+            outcomes["shared"] += any(isinstance(n, Construction) for n, _ in shared)
+        assert min(outcomes.values()) >= 100, outcomes
+
+
+def _copy_subst(x, sub):
+    """Capture-avoiding substitution that builds every node anew, the
+    reference for ``substitute``.  It renames binders as ``substitute``
+    does: each binder that a replacement substituted under it has free, in
+    order, to the first name that is no name of the scope's body, binders
+    or substitution and none drawn before."""
+    if isinstance(x, Var):
+        return sub[x.name] if x.name in sub else Var(x.name)
+    if isinstance(x, Construction):
+        return Construction(x.head, tuple(_copy_subst(p, sub) for p in x.args))
+    if isinstance(x, ScopePiece):
+        inner = {w: r for w, r in sub.items() if w not in x.binders}
+        clash = set().union(*map(free_vars, inner.values()))
+        avoid = clash | all_idents(x.body) | set(x.binders) | set(inner)
+        binders, body = [], x.body
+        for b in x.binders:
+            if b in clash:
+                b2 = fresh_var(b, avoid)
+                avoid.add(b2)
+                body, b = _copy_subst(body, {b: Var(b2)}), b2
+            binders.append(b)
+        return ScopePiece(tuple(binders), _copy_subst(body, inner))
+    if isinstance(x, (MetaApp, CatchAll)):
+        return type(x)(x.meta, tuple(_copy_subst(a, sub) for a in x.args))
+    if isinstance(x, AssocPiece):
+        return AssocPiece(tuple(_copy_subst(e, sub) for e in x.entries))
+    key = sub.get(x.key, Var(x.key))
+    if not isinstance(key, Var):
+        raise EngineError(f"non-variable for key {x.key}")
+    if isinstance(x, MapEntry):
+        return MapEntry(key.name, _copy_subst(x.value, sub))
+    return NotKey(key.name)
+
+
+def _shared_subtrees(out, body, names):
+    """Each node of ``out`` that is a node of ``body`` itself, with the
+    names of ``names`` that no binder of ``out`` above it shadows."""
+    inside, found, todo = {id(n) for n in _nodes(body)}, [], [(out, names)]
+    while todo:
+        n, names = todo.pop()
+        if id(n) in inside:
+            found.append((n, names))
+        if isinstance(n, ScopePiece):
+            names = names - set(n.binders)
+        for f in dataclasses.fields(n):
+            v = getattr(n, f.name)
+            todo.extend((c, names) for c in (v if isinstance(v, tuple) else (v,))
+                        if dataclasses.is_dataclass(c))
+    return found
+
+
+def _free_names(n):
+    """The free variables and keys of any node of a term."""
+    if isinstance(n, ScopePiece):
+        n = Construction(Ident("X"), (n,))
+    elif isinstance(n, (MapEntry, NotKey, CatchAll)):
+        n = AssocPiece((n,))
+    return free_vars(n)
+
+
+def _frames(names, call):
+    """``call()`` and the number of calls it made of the functions of
+    ``plank.rewrite`` named in ``names``."""
+    calls = []
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == REWRITE_FILE and code.co_name in names:
+            calls.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, len(calls)
+
+
+class TestFramesPerLevel:
+    """Substitution, contraction and matching spend at most one frame on a
+    node, and none on a plain argument."""
+
+    def test_substitute(self):
+        # F, G, a, H and b: the plain arguments cost nothing.
+        body, k = t("F(G(a), H(b))"), t("K(d)")
+        out, n = _frames({"_subst"}, lambda: substitute(body, {Ident("a"): k}))
+        assert render(out) == "F(G(K(d)), H(b))"
+        assert n == 5
+
+    def test_contract(self):
+        # Call-by-value beta: Eval(#B(z), {#env, z : #V}) costs Eval, #B(z),
+        # z, the list, #env and #V.
+        rule = parse_script(CBV_EVAL).rules[3]
+        subject = t("Apply(Lam([x]Ap(x, x)), Lam([y]y), {w : Lam([v]v)})")
+        val = match_term(rule.lhs, subject)
+        out, n = _frames({"_inst"}, lambda: contract(rule.rhs, val, all_idents(subject)))
+        assert render(out) == "Eval(Ap(z, z), {w : Lam([v]v), z : Lam([y]y)})"
+        assert n == 6
+
+    def test_match_term(self):
+        # F, G, a, H and b, each matched by ``term``; ``piece`` is not called.
+        pattern, subject = t("F(G(a), H(b))"), t("F(G(a), H(b))")
+        val, n = _frames({"term", "piece"}, lambda: match_term(pattern, subject))
+        assert val is not None and n == 5
 
 
 class TestContract:
