@@ -13,8 +13,11 @@ catch-all substitutes its (contracted) arguments for the abstraction
 parameters, variables pass through the valuation, and a catch-all's
 entries are spliced into the list it stands in.  Substitution (``_subst``)
 and contraction (``_inst``) are each one function that dispatches once on
-a node's class, so a node costs one Python frame, and a plain argument
-none: a construction's loop, and the matcher's, recurses on its body.
+a node's exact class (node classes are final), so a node costs one Python
+frame, and a plain argument none: a construction's loop, and the
+matcher's, recurses on its body (substitution's looks a variable up).  An
+argument-free meta-variable or catch-all outside every binder costs no
+call: the matcher records its fragment as it is, which contraction returns.
 
 Every name a valuation holds is a name of the subject it was matched
 against or a reserved ``u%n`` name: the matcher keeps each subject
@@ -172,7 +175,7 @@ def substitute(body: Term | AssocPiece, binding: Mapping[Ident, Term]) -> Term |
     # some replacement keeps no name set.
     guard: set[Ident] | None = set(binding)
     for r in binding.values():
-        if isinstance(r, Var):
+        if r.__class__ is Var:
             guard.add(r.name)
         elif r._idents is None:
             guard = None
@@ -190,20 +193,23 @@ _FvMemo = dict[int, tuple[Term, set[Ident]]]
 
 def _subst(t: Node, sub: dict[Ident, Term], guard: set[Ident] | None, fv_memo: _FvMemo
            ) -> Node:
-    if isinstance(t, Var):
+    cls = t.__class__
+    if cls is Var:
         return sub.get(t.name, t)
-    if isinstance(t, Construction):
+    if cls is Construction:
         if guard is not None and t._idents is not None and t._idents.isdisjoint(guard):
             return t
         args = []
         for p in t.args:
             if p.__class__ is ScopePiece and not p.binders:
-                body = _subst(p.body, sub, guard, fv_memo)
-                args.append(p if body is p.body else ScopePiece((), body))
+                body = p.body
+                new = (sub.get(body.name, body) if body.__class__ is Var
+                       else _subst(body, sub, guard, fv_memo))
+                args.append(p if new is body else ScopePiece((), new))
             else:
                 args.append(_subst(p, sub, guard, fv_memo))
         return t if all(map(is_, args, t.args)) else Construction(t.head, tuple(args))
-    if isinstance(t, ScopePiece):
+    if cls is ScopePiece:
         inner = {w: r for w, r in sub.items() if w not in t.binders}
         if not inner:
             return t
@@ -227,13 +233,13 @@ def _subst(t: Node, sub: dict[Ident, Term], guard: set[Ident] | None, fv_memo: _
         # only shares less than it could.
         body = _subst(body, inner, guard, fv_memo)
         return t if body is t.body and binders is t.binders else ScopePiece(binders, body)
-    if isinstance(t, (MetaApp, CatchAll)):
-        return type(t)(t.meta, tuple(map(_subst, t.args, repeat(sub), repeat(guard),
-                                         repeat(fv_memo))))
-    if isinstance(t, AssocPiece):
+    if cls is MetaApp or cls is CatchAll:
+        return cls(t.meta, tuple(map(_subst, t.args, repeat(sub), repeat(guard),
+                                     repeat(fv_memo))))
+    if cls is AssocPiece:
         return AssocPiece(tuple(map(_subst, t.entries, repeat(sub), repeat(guard),
                                     repeat(fv_memo))))
-    if isinstance(t, MapEntry):
+    if cls is MapEntry:
         return MapEntry(_key_through(sub, t.key), _subst(t.value, sub, guard, fv_memo))
     return NotKey(_key_through(sub, t.key))
 
@@ -279,7 +285,7 @@ class _Matcher:
         self.meta_bind: dict[Ident, Abstraction] = {}
         self.var_bind: dict[Ident, Ident] = {}
         self.used: set[Ident] = set()
-        # (pattern entries, subject dict, penv, senv)
+        # (pattern entries, subject dict, penv, senv, subject list)
         self.pending: list[tuple] = []
         self.undone = False
 
@@ -292,11 +298,15 @@ class _Matcher:
     # -- structural descent ------------------------------------------------
 
     def term(self, p: Term, s: Term, penv: dict, senv: dict) -> None:
-        if isinstance(p, MetaApp):
-            self.bind_meta(p, s, penv, senv)
+        cls = p.__class__
+        if cls is MetaApp:
+            if p.args or senv:
+                self.bind_meta(p, s, penv, senv)
+            else:  # no binder to rename, forbid or abstract over
+                self._record_meta(p.meta, Abstraction((), s))
             return
-        if isinstance(p, Var):
-            if not isinstance(s, Var):
+        if cls is Var:
+            if s.__class__ is not Var:
                 raise _NoMatch
             if p.name in penv:
                 if senv.get(s.name) != penv[p.name]:
@@ -311,7 +321,7 @@ class _Matcher:
             elif seen != s.name:
                 raise _NoMatch
             return
-        if not isinstance(s, Construction) or p.head != s.head or len(p.args) != len(s.args):
+        if s.__class__ is not Construction or p.head != s.head or len(p.args) != len(s.args):
             raise _NoMatch
         for pp, sp in zip(p.args, s.args):
             if pp.__class__ is sp.__class__ is ScopePiece and not (pp.binders or sp.binders):
@@ -320,44 +330,44 @@ class _Matcher:
                 self.piece(pp, sp, penv, senv)
 
     def piece(self, pp: Piece, sp: Piece, penv: dict, senv: dict) -> None:
-        if isinstance(pp, ScopePiece):
-            if not isinstance(sp, ScopePiece) or len(pp.binders) != len(sp.binders):
+        if pp.__class__ is ScopePiece:
+            if sp.__class__ is not ScopePiece or len(pp.binders) != len(sp.binders):
                 raise _NoMatch
             penv2, senv2 = dict(penv), dict(senv)
             for w, u in zip(pp.binders, sp.binders):
                 penv2[w] = senv2[u] = self.canonical(u)
             self.term(pp.body, sp.body, penv2, senv2)
             return
-        if not isinstance(sp, AssocPiece):
+        if sp.__class__ is not AssocPiece:
             raise _NoMatch
         # Each entry is filed under its key seen through ``senv``; later keys
         # override earlier ones.  Nothing mutates an environment once built,
         # so the queued list keeps the ones it was given.
         subject: dict[Ident, MapEntry] = {}
         for e in sp.entries:
-            if not isinstance(e, MapEntry):
+            if e.__class__ is not MapEntry:
                 # SAP-Not, SAC-All: checked subjects and contracta hold plain entries.
                 raise EngineError(
                     f"subject association lists must contain only plain entries, got {render(e)}"
                 )
             subject[senv.get(e.key, e.key)] = e
-        self.pending.append((pp.entries, subject, penv, senv))
+        self.pending.append((pp.entries, subject, penv, senv, sp))
 
     def bind_meta(self, p: MetaApp | CatchAll, s: Term | AssocPiece, penv: dict,
                   senv: dict) -> None:
+        # Only under a binder: ``term`` and ``drain_pending`` record the rest.
         params = self._meta_params(p.meta, p.args, penv)
-        if senv:  # else no binder is in scope: nothing to rename or forbid
-            s = self._rename(s, senv)
-            forbidden = set(senv.values()) - set(params)
-            if forbidden and free_vars(s) & forbidden:
-                self.undone = True  # a forbidden binder occurs in the fragment
-                return
+        s = self._rename(s, senv)
+        forbidden = set(senv.values()) - set(params)
+        if forbidden and free_vars(s) & forbidden:
+            self.undone = True  # a forbidden binder occurs in the fragment
+            return
         self._record_meta(p.meta, Abstraction(params, s))
 
     def _meta_params(self, meta: Ident, args, penv: dict) -> tuple[Ident, ...]:
         params = []
         for a in args:
-            if not isinstance(a, Var) or a.name not in penv:
+            if a.__class__ is not Var or a.name not in penv:
                 # SMP-Meta, SAP-All: pattern arguments are bound variables.
                 raise EngineError(
                     f"pattern argument of {meta} must be a bound variable; "
@@ -395,17 +405,17 @@ class _Matcher:
         """Match the queued association lists in order, the lists queued
         meanwhile included, and then every absence entry."""
         absent: list[tuple[Ident, dict, dict, dict]] = []
-        for p_entries, subject, penv, senv in self.pending:
+        for p_entries, subject, penv, senv, sp in self.pending:
             catchall = None
             named: set[Ident] = set()
             for e in p_entries:
-                if isinstance(e, MapEntry):
+                if e.__class__ is MapEntry:
                     k = self.resolve_key(e.key, penv, senv)
                     if k not in subject:
                         raise _NoMatch
                     named.add(k)
                     self.term(e.value, subject[k].value, penv, senv)
-                elif isinstance(e, NotKey):
+                elif e.__class__ is NotKey:
                     absent.append((e.key, subject, penv, senv))
                 elif catchall is None:
                     catchall = e
@@ -414,11 +424,16 @@ class _Matcher:
                     raise EngineError(
                         "a pattern association list has more than one catch-all meta-variable"
                     )
-            remainder = [e for k, e in subject.items() if k not in named]
             if catchall is not None:
                 # The subject's own entries: ``bind_meta`` renames keys and values.
-                self.bind_meta(catchall, AssocPiece(tuple(remainder)), penv, senv)
-            elif remainder:
+                # With no key named and no key repeated, they are all of ``sp``.
+                if named or len(subject) != len(sp.entries):
+                    sp = AssocPiece(tuple(e for k, e in subject.items() if k not in named))
+                if catchall.args or senv:
+                    self.bind_meta(catchall, sp, penv, senv)
+                else:
+                    self._record_meta(catchall.meta, Abstraction((), sp))
+            elif len(named) != len(subject):  # an entry is left over
                 raise _NoMatch
         for w, subject, penv, senv in absent:
             if self.resolve_key(w, penv, senv) in subject:
@@ -435,11 +450,12 @@ def match_term(pattern: Term, subject: Term, *, _undone: list | None = None
     parsed identifier has and that contraction substitutes away.  Replaying
     the valuation into the pattern rebuilds the subject up to
     alpha-equivalence; association lists, read as maps, may come back in
-    another entry order.  A non-linear meta-variable or catch-all matches
-    only abstractions that are alpha-equal.  The pattern must pass the
-    checker; one that does not may raise EngineError, for instance a
-    pattern association list with more than one catch-all (SAP-All) or a
-    pattern key bound nowhere (SA-Map, SAP-Not).
+    another entry order.  A catch-all that takes all of a subject list with
+    no repeated key binds that list itself.  A non-linear meta-variable or
+    catch-all matches only abstractions that are alpha-equal.  The pattern
+    must pass the checker; one that does not may raise EngineError, for
+    instance a pattern association list with more than one catch-all
+    (SAP-All) or a pattern key bound nowhere (SA-Map, SAP-Not).
 
     A failure is undoable when everything matched but a meta-variable's or
     catch-all's fragment: it holds a binder the meta does not take, or a
@@ -500,9 +516,10 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident], *,
 
 def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
           fresh: Callable[[Ident], Ident]) -> Term | Piece:
-    if isinstance(t, Var):
+    cls = t.__class__
+    if cls is Var:
         return Var(rho[t.name])  # rho maps every free name and binder of the right side
-    if isinstance(t, Construction):
+    if cls is Construction:
         args = []
         for p in t.args:
             if p.__class__ is ScopePiece and not p.binders:
@@ -510,14 +527,16 @@ def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
             else:
                 args.append(_inst(p, rho, val, fresh))
         return Construction(t.head, tuple(args))
-    if isinstance(t, ScopePiece):
+    if cls is ScopePiece:
         binders = tuple(map(fresh, t.binders))
         return ScopePiece(binders, _inst(t.body, rho | dict(zip(t.binders, binders)), val, fresh))
-    if isinstance(t, (MetaApp, CatchAll)):
+    if cls is MetaApp or cls is CatchAll:
         ab = val.meta_bind.get(t.meta)
         if ab is None:
             # UnboundMetaOnRhs: a successful match binds every pattern meta-variable.
             raise EngineError(f"no binding for meta-variable {t.meta} (MissingBinding)")
+        if not (t.args or ab.params):
+            return ab.body  # the matched fragment itself: nothing to substitute
         if len(ab.params) != len(t.args):
             # SMC-Meta, SMP-Meta, SAC-All, SAP-All: both sides use the meta-form's arity.
             raise EngineError(f"arity mismatch instantiating {t.meta}")
@@ -527,14 +546,14 @@ def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
     # first position.  A catch-all's substituted entries are spliced in as they
     # are; a lone catch-all without arguments gives its whole list, whose keys
     # the matcher filed in a dict and so never repeat.
-    if len(t.entries) == 1 and isinstance(t.entries[0], CatchAll) and not t.entries[0].args:
+    if len(t.entries) == 1 and t.entries[0].__class__ is CatchAll and not t.entries[0].args:
         return _inst(t.entries[0], rho, val, fresh)
     merged: dict[Ident, MapEntry] = {}
     for e in t.entries:
-        if isinstance(e, MapEntry):
+        if e.__class__ is MapEntry:
             k = rho[e.key]
             merged[k] = MapEntry(k, _inst(e.value, rho, val, fresh))
-        elif isinstance(e, NotKey):
+        elif e.__class__ is NotKey:
             # SAP-Not: absence entries stand only in patterns.
             raise EngineError("an absence entry cannot be contracted")
         else:
@@ -548,7 +567,7 @@ def _key_through(sub: Mapping[Ident, Term], k: Ident) -> Ident:
     r = sub.get(k)
     if r is None:
         return k
-    if isinstance(r, Var):
+    if r.__class__ is Var:
         return r.name
     # A key's sort is declared 'variable' (SMP-Var, SMC-Var), and there
     # nothing but a variable is substituted (SMS-Cons, SMS-Meta).
@@ -608,7 +627,7 @@ def prepare_rules(gamma: GlobalEnv, rules: Sequence[RuleDecl],
     """
     out: list[RewriteRule] = []
     for i, decl in enumerate(rules):
-        if not isinstance(decl.lhs, Construction):
+        if decl.lhs.__class__ is not Construction:
             # SMP-Fun: a pattern is a scheme construction.
             raise EngineError(f"rule {i} pattern is not a construction")
         env = envs[i] if envs is not None else infer_rule_env(gamma, decl)[0]
@@ -621,17 +640,17 @@ def _reach(p: Term, depth: int) -> int:
     """The depth of the deepest construction or variable of pattern ``p``,
     which stands ``depth`` levels below the root, counted in position
     indices: a scope body is one level down and an association value two."""
-    if isinstance(p, Var):
+    if p.__class__ is Var:
         return depth
-    if isinstance(p, MetaApp):
+    if p.__class__ is MetaApp:
         return 0
     reach = depth
     for piece in p.args:
-        if isinstance(piece, ScopePiece):
+        if piece.__class__ is ScopePiece:
             reach = max(reach, _reach(piece.body, depth + 1))
             continue
         for e in piece.entries:
-            if isinstance(e, MapEntry):
+            if e.__class__ is MapEntry:
                 reach = max(reach, _reach(e.value, depth + 2))
     return reach
 
@@ -641,10 +660,10 @@ def _guard(p: Construction) -> tuple[tuple[int, Ident | None], ...]:
     is a construction with that head, or a variable (head None)."""
     guard = []
     for i, piece in enumerate(p.args):
-        if isinstance(piece, ScopePiece):
-            if isinstance(piece.body, Construction):
+        if piece.__class__ is ScopePiece:
+            if piece.body.__class__ is Construction:
                 guard.append((i, piece.body.head))
-            elif isinstance(piece.body, Var):
+            elif piece.body.__class__ is Var:
                 guard.append((i, None))
     return tuple(guard)
 
@@ -663,8 +682,8 @@ def _first_match(rules: Sequence[RewriteRule], t: Construction, undone: list
                 body = args[i].body
             except (AttributeError, IndexError):
                 continue  # an ill-sorted subject, which ``match_term`` rejects
-            if not (body.head == head if isinstance(body, Construction)
-                    else head is None and isinstance(body, Var)):
+            if not (body.head == head if body.__class__ is Construction
+                    else head is None and body.__class__ is Var):
                 break
         else:
             val = match_term(rule.decl.lhs, t, _undone=undone)
@@ -721,14 +740,14 @@ def _next(args: tuple[Piece, ...], i: int, j: int | None) -> tuple[int, int | No
     if j is not None:
         entries = args[i].entries
         for j in range(j + 1, len(entries)):
-            if isinstance(entries[j], MapEntry):
+            if entries[j].__class__ is MapEntry:
                 return i, j, entries[j].value
     for i in range(i + 1, len(args)):
         p = args[i]
-        if isinstance(p, ScopePiece):
+        if p.__class__ is ScopePiece:
             return i, None, p.body
         for j, e in enumerate(p.entries):
-            if isinstance(e, MapEntry):
+            if e.__class__ is MapEntry:
                 return i, j, e.value
     return None
 
@@ -780,7 +799,7 @@ class _Zipper:
         frames, path, retry, by_head = self.frames, self.path, self.retry, self.by_head
         t = self.focus
         while True:
-            if isinstance(t, Construction):
+            if t.__class__ is Construction:
                 rules = by_head.get(t.head)
                 failed = None
                 if rules:

@@ -35,9 +35,10 @@ copies or extends a scope only for a piece that binds.
 Every walk here, ``render`` included, is a plain function that takes its
 state as arguments, so no call builds a reference cycle and all it leaves
 behind is freed by reference counting.  Each walk is one function that
-dispatches once on a node's class, and a node's children go through
-``map`` or a loop, never a generator, so a node costs at most one
-Python frame.
+dispatches once on a node's exact class (``cls is C``; node classes are
+final: a test checks that none is subclassed), and a node's children go
+through ``map`` or a loop, never a generator, so a node costs at most
+one Python frame.
 """
 
 from __future__ import annotations
@@ -301,7 +302,7 @@ class Script(_Node):
 
     @property
     def rules(self) -> tuple[RuleDecl, ...]:
-        return tuple(d for d in self.declarations if isinstance(d, RuleDecl))
+        return tuple(d for d in self.declarations if d.__class__ is RuleDecl)
 
 
 Node = Union[Script, Declaration, Term, Piece, Association, Sort, Form]
@@ -328,48 +329,49 @@ def _render(n: Node, tok: dict[str, str]) -> str:
     # Terms come first: they are what the engine renders most.  Children go
     # through ``map``, which adds no Python frame, so a deep term renders
     # about a third deeper than through a generator.
-    if isinstance(n, (Var, SortVar)):
+    cls = n.__class__
+    if cls is Var or cls is SortVar:
         return n.name
-    if isinstance(n, Construction):
+    if cls is Construction:
         return n.head + "(" + ", ".join(map(_render, n.args, repeat(tok))) + ")"
-    if isinstance(n, ScopePiece):
+    if cls is ScopePiece:
         body = _render(n.body, tok)
         if not n.binders:
             return body
         return "[" + ", ".join(n.binders) + "]" + body
-    if isinstance(n, (MetaApp, CatchAll)):
+    if cls is MetaApp or cls is CatchAll:
         if not n.args:
             return n.meta
         return n.meta + "(" + ", ".join(map(_render, n.args, repeat(tok))) + ")"
-    if isinstance(n, AssocPiece):
+    if cls is AssocPiece:
         return "{" + ", ".join(map(_render, n.entries, repeat(tok))) + "}"
-    if isinstance(n, MapEntry):
+    if cls is MapEntry:
         return n.key + " : " + _render(n.value, tok)
-    if isinstance(n, NotKey):
+    if cls is NotKey:
         return tok["~"] + n.key + ":"
-    if isinstance(n, SortCons):
+    if cls is SortCons:
         if not n.args:
             return n.name
         return n.name + tok["<"] + ", ".join(map(_render, n.args, repeat(tok))) + tok[">"]
-    if isinstance(n, ScopeForm):
+    if cls is ScopeForm:
         body = _render(n.body_sort, tok)
         if not n.binder_sorts:
             return body
         return "[" + ", ".join(map(_render, n.binder_sorts, repeat(tok))) + "]" + body
-    if isinstance(n, AssocForm):
+    if cls is AssocForm:
         return "{" + _render(n.key_sort, tok) + ":" + _render(n.value_sort, tok) + "}"
-    if isinstance(n, (DataDecl, SchemeDecl)):
-        kind = "data" if isinstance(n, DataDecl) else "scheme"
+    if cls is DataDecl or cls is SchemeDecl:
+        kind = "data" if cls is DataDecl else "scheme"
         forms = ", ".join(map(_render, n.forms, repeat(tok)))
         return f"{_render(n.sort, tok)} {kind} {n.name}({forms});"
-    if isinstance(n, VariableDecl):
+    if cls is VariableDecl:
         return f"{_render(n.sort, tok)} variable;"
-    if isinstance(n, RuleDecl):
+    if cls is RuleDecl:
         lhs, rhs = _render(n.lhs, tok), _render(n.rhs, tok)
         return f"{_render(n.sort, tok)} rule {lhs} {tok['->']} {rhs};"
-    if isinstance(n, Script):
+    if cls is Script:
         return "\n".join(map(_render, n.declarations, repeat(tok)))
-    raise TypeError(f"cannot render {type(n).__name__}")
+    raise TypeError(f"cannot render {cls.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,26 +390,27 @@ def _names(x: Term | CatchAll | AssocPiece, roles: int, assoc: bool,
     ``bound``, is left out; without ``assoc`` association lists are skipped
     whole.
     """
-    if isinstance(x, Var):
+    cls = x.__class__
+    if cls is Var:
         if roles & VAR and x.name not in bound:
             out.add(x.name)
         return out
-    if isinstance(x, (MetaApp, CatchAll)):
+    if cls is MetaApp or cls is CatchAll:
         if roles & META:
             out.add(x.meta)
         for a in x.args:
             _names(a, roles, assoc, bound, out)
         return out
-    for p in x.args if isinstance(x, Construction) else (x,):
-        if isinstance(p, ScopePiece):
+    for p in x.args if cls is Construction else (x,):
+        if p.__class__ is ScopePiece:
             _names(p.body, roles, assoc, bound | set(p.binders) if p.binders else bound, out)
         elif assoc:
             for e in p.entries:
-                if isinstance(e, CatchAll):
+                if e.__class__ is CatchAll:
                     _names(e, roles, assoc, bound, out)
                 elif roles & KEY and e.key not in bound:
                     out.add(e.key)
-                if isinstance(e, MapEntry):
+                if e.__class__ is MapEntry:
                     _names(e.value, roles, assoc, bound, out)
     return out
 
@@ -444,31 +447,32 @@ def _idents(t: Term) -> frozenset[Ident]:
     # A ``Var`` keeps nothing.  The recursion stays here, not in ``all_idents``,
     # so one query is one call of it; pieces are walked inline, so it takes one
     # frame per term level; a child's set is reused when it holds every name.
-    if isinstance(t, Var):
+    cls = t.__class__
+    if cls is Var:
         return frozenset((t.name,))
     names = t._idents
     if names is not None:
         return names
     loose: list[Ident] = []
     kids: list[Term] = []
-    if isinstance(t, MetaApp):
+    if cls is MetaApp:
         kids.extend(t.args)
     else:
         for p in t.args:
-            if isinstance(p, ScopePiece):
+            if p.__class__ is ScopePiece:
                 loose.extend(p.binders)
                 kids.append(p.body)
                 continue
             for e in p.entries:
-                if isinstance(e, CatchAll):
+                if e.__class__ is CatchAll:
                     kids.extend(e.args)
                     continue
                 loose.append(e.key)
-                if isinstance(e, MapEntry):
+                if e.__class__ is MapEntry:
                     kids.append(e.value)
     names = frozenset()
     for k in kids:
-        if isinstance(k, Var):
+        if k.__class__ is Var:
             loose.append(k.name)
             continue
         s = _idents(k)
@@ -518,14 +522,15 @@ def _alpha_name(x: Ident, y: Ident, ma: dict[Ident, object], mb: dict[Ident, obj
 
 def _alpha(x: Node | dict, y: Node | dict, ma: dict[Ident, object],
            mb: dict[Ident, object]) -> bool:
-    if type(x) is not type(y):
+    cls = x.__class__
+    if cls is not y.__class__:
         return False
-    if isinstance(x, Var):
+    if cls is Var:
         return _alpha_name(x.name, y.name, ma, mb)
-    if isinstance(x, Construction):
+    if cls is Construction:
         return x.head == y.head and len(x.args) == len(y.args) and all(
             map(_alpha, x.args, y.args, repeat(ma), repeat(mb)))
-    if isinstance(x, ScopePiece):
+    if cls is ScopePiece:
         if len(x.binders) != len(y.binders):
             return False
         if x.binders:
@@ -533,16 +538,16 @@ def _alpha(x: Node | dict, y: Node | dict, ma: dict[Ident, object],
             for u, v in zip(x.binders, y.binders):
                 ma[u] = mb[v] = object()
         return _alpha(x.body, y.body, ma, mb)
-    if isinstance(x, (MetaApp, CatchAll)):
+    if cls is MetaApp or cls is CatchAll:
         return x.meta == y.meta and len(x.args) == len(y.args) and all(
             map(_alpha, x.args, y.args, repeat(ma), repeat(mb)))
-    if isinstance(x, AssocPiece):
+    if cls is AssocPiece:
         xs, ys = _assoc_view(x, ma), _assoc_view(y, mb)
         return len(xs) == len(ys) and all(map(_alpha, xs, ys, repeat(ma), repeat(mb)))
     if isinstance(x, dict):  # a run of plain entries, from ``_assoc_view``
         return x.keys() == y.keys() and all(
             map(_alpha, x.values(), map(y.get, x), repeat(ma), repeat(mb)))
-    return isinstance(x, NotKey) and _alpha_name(x.key, y.key, ma, mb)
+    return cls is NotKey and _alpha_name(x.key, y.key, ma, mb)
 
 
 def _assoc_view(p: AssocPiece, marks: dict[Ident, object]) -> list:
@@ -550,7 +555,7 @@ def _assoc_view(p: AssocPiece, marks: dict[Ident, object]) -> list:
     of plain entries from key (its binder mark when bound) to last value."""
     view: list = [{}]
     for e in p.entries:
-        if isinstance(e, MapEntry):
+        if e.__class__ is MapEntry:
             view[-1][marks.get(e.key, e.key)] = e.value
         else:
             view += (e, {})

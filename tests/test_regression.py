@@ -66,6 +66,8 @@
   ``TermContext`` members.
 * Every ``raise EngineError`` names the checker or environment diagnostic
   that rules it out on checked input.
+* No node class of ``plank.terms`` is subclassed, and ``rewrite`` and
+  ``terms`` test a node's class by identity, never with ``isinstance``.
 """
 
 from __future__ import annotations
@@ -1772,6 +1774,53 @@ def test_the_checker_reads_contexts_from_module_names():
     assert _context_member_reads(source) == []
     checker = plank.checker
     assert [checker.PAT, checker.IN_PAT, checker.CON, checker.SUB] == list(TermContext)
+
+
+def _node_classes() -> dict[str, type]:
+    """Every AST node class of ``plank.terms``, by name."""
+    return {name: c for name, c in vars(plank.terms).items() if isinstance(c, type)
+            and issubclass(c, plank.terms._Node) and c is not plank.terms._Node}
+
+
+def _isinstance_calls(source: str, classes: set[str]) -> list[str]:
+    """``"LINE: CALL"`` for each ``isinstance`` call that names one of
+    ``classes``, alone or in a tuple."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _last_name(node.func) == "isinstance" and \
+                len(node.args) == 2:
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(_last_name(k) in classes for k in kinds):
+                found.add((node.lineno, ast.unparse(node)))
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_node_classes_are_final():
+    # ``rewrite`` and ``terms`` dispatch on a node's exact class, which a
+    # subclass would slip past.
+    classes = _node_classes()
+    assert {"Construction", "Var", "MetaApp", "ScopePiece", "AssocPiece", "MapEntry",
+            "NotKey", "CatchAll"} <= classes.keys()
+    assert len(plank.terms._Node.__subclasses__()) == len(classes) == 17
+    for name, c in classes.items():
+        assert c.__subclasses__() == [], name
+
+
+def test_the_engine_tests_node_classes_by_identity():
+    # ``x.__class__ is C`` is one attribute read and a pointer compare;
+    # ``isinstance`` is a call that also walks the class's bases.
+    sample = (
+        "def f(x, s):\n    if isinstance(x, Var):\n"
+        "        return isinstance(x, (set, terms.MetaApp))\n"
+        "    return isinstance(s, set) or x.__class__ is Var\n"
+    )
+    classes = set(_node_classes())
+    assert _isinstance_calls(sample, classes) == [
+        "2: isinstance(x, Var)", "3: isinstance(x, (set, terms.MetaApp))"]
+    for module in ("rewrite.py", "terms.py"):
+        source = (REPO / "src" / "plank" / module).read_text(encoding="utf-8")
+        assert _isinstance_calls(source, classes) == [], module
 
 
 def test_no_module_imports_a_name_it_never_uses():

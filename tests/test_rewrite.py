@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import plank.rewrite
 
@@ -116,6 +119,65 @@ def replay(pattern, valuation, subject):
     return contract(strip_not_keys(pattern), valuation, avoid=free_vars(subject))
 
 
+# Every rule pattern of the corpus scripts, for the replay property.
+CORPUS_PATTERNS = [
+    rule.lhs
+    for text in (BETA_ETA, CBV_EVAL, NONLINEAR, REACH_TWO, IN_VALUE, UNTAKEN, CLASHING_NAMES,
+                 SIGNATURE + BRANCH_RULES)
+    for rule in parse_script(text).rules
+]
+
+# The free names of the drawn fragments, which pattern variables map to,
+# and the keys of the drawn captures: no capture holds a key the pattern
+# names, so every absence key is absent.
+_FREE = [Ident("a"), Ident("b"), Ident("c")]
+_KEYS = [Ident("k"), Ident("l")]
+
+
+def _lists(keys, values):
+    """Association lists of distinct keys, as subjects hold them."""
+    return st.dictionaries(keys, values, max_size=3).map(
+        lambda d: AssocPiece(tuple(MapEntry(k, v) for k, v in d.items())))
+
+
+def _fragments(names):
+    """Ground terms whose free variables and binders are among ``names``."""
+    leaves = st.sampled_from([*map(Var, names), Construction(Ident("One"))])
+
+    def grow(kids):
+        return st.one_of(
+            st.lists(kids, min_size=1, max_size=2).map(
+                lambda ts: Construction(Ident("G"), tuple(ScopePiece((), x) for x in ts))),
+            st.tuples(st.sampled_from(names), kids).map(
+                lambda b: Construction(Ident("Lam"), (ScopePiece((b[0],), b[1]),))),
+            _lists(st.sampled_from(names), kids).map(
+                lambda p: Construction(Ident("E"), (p,))),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=6)
+
+
+@functools.cache
+def _abstractions(arity, catchall):
+    """Abstractions over ``p0``, ``p1``, ...: terms, or a catch-all's lists."""
+    params = tuple(Ident(f"p{i}") for i in range(arity))
+    body = _fragments((*params, *_FREE))
+    if catchall:
+        body = _lists(st.sampled_from([*_KEYS, *params]), body)
+    return body.map(lambda b: Abstraction(params, b))
+
+
+def _valuation(data, pattern):
+    """A drawn valuation of every meta-variable, catch-all and free variable
+    of ``pattern``."""
+    meta_bind = {}
+    for n in _nodes(pattern):
+        if isinstance(n, (MetaApp, CatchAll)) and n.meta not in meta_bind:
+            meta_bind[n.meta] = data.draw(_abstractions(len(n.args), isinstance(n, CatchAll)))
+    var_bind = {w: data.draw(st.sampled_from(_FREE)) for w in sorted(free_vars(pattern))}
+    return Valuation(meta_bind, var_bind)
+
+
 def captured(*entries):
     """A catch-all's binding with no parameters: the list of ``entries``,
     each a ``(key, term text)`` pair."""
@@ -171,6 +233,34 @@ class TestMatchTerm:
         pattern = t("Ap(#M(), #M())")
         assert match_term(pattern, t("Ap(Lam([x]x), Lam([y]y))")) is not None
         assert match_term(pattern, t("Ap(Lam([x]x), Ap(x, x))")) is None
+        # Outside every binder too: alpha-equal fragments that are not the
+        # same object match, and different ones fail undoably.
+        pattern, undone = t("K(#m, #m)"), []
+        val = match_term(pattern, t("K(Lam([x]x), Lam([y]y))"), _undone=undone)
+        assert val is not None and undone == []
+        assert val.meta_bind["#m"] == Abstraction((), t("Lam([x]x)"))
+        assert match_term(pattern, t("K(A(), B())"), _undone=undone) is None
+        assert undone == [True]
+
+    @pytest.mark.parametrize("inner,fragment,undone", [
+        # The second u takes the reserved name u%1, so a u in the fragment
+        # is that binder, which #q does not take.
+        ("#q", "A(u)", True),
+        ("#q", "A(w)", False),
+        ("E({#q})", "E({k : A(u)})", True),
+        ("E({#q})", "E({u : A()})", True),
+        ("E({#q})", "E({k : A(w)})", False),
+    ])
+    def test_an_argument_free_meta_under_a_binder_is_renamed_and_checked(
+            self, inner, fragment, undone):
+        flags = []
+        subject = t(f"Q(Lam([u]u), Lam([u]{fragment}))")
+        val = match_term(t(f"Q(Lam([a]#p(a)), Lam([b]{inner}))"), subject, _undone=flags)
+        assert (val is None, flags) == (undone, [True] if undone else [])
+        if not undone:
+            body = subject.args[1].body.args[0].body
+            expected = body if inner == "#q" else body.args[0]
+            assert val.meta_bind["#q"] == Abstraction((), expected)
 
     @pytest.mark.parametrize("subject,fires", [
         # The second list must capture the same entries up to alpha.
@@ -211,19 +301,20 @@ class TestMatchTerm:
         assert render(result.term) == ("Done()" if fires else subject)
         assert len(result.steps) == fires
 
-    def test_match_replay_reproduces_subject(self, ex1, ex2):
-        cases = [
-            (ex1.rules[0].lhs, t("Ap(Lam([x]x), Lam([y]y))")),
-            (ex1.rules[1].lhs, t("Lam([x]Ap(Lam([y]y), x))")),
-            (ex2.rules[2].lhs, t("Eval(a, {a : One(), b : Two()})")),
-            (ex2.rules[3].lhs, t("Apply(Lam([x]x), Lam([y]y), {c : One()})")),
-        ]
-        for pattern, subject in cases:
-            val = match_term(pattern, subject)
-            assert val is not None
-            # Lists compare as maps, so a catch-all that precedes a named
-            # key need not give back the subject's entry order.
-            assert alpha_equal(replay(pattern, val, subject), subject)
+    @given(st.sampled_from(CORPUS_PATTERNS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_match_replay_reproduces_subject(self, pattern, data):
+        # The subject instantiates a corpus pattern with a drawn valuation,
+        # its binders drawn fresh, so the pattern matches it.
+        val = _valuation(data, pattern)
+        avoid = {*_FREE, *_KEYS, *(p for ab in val.meta_bind.values() for p in ab.params)}
+        subject = contract(strip_not_keys(pattern), val, avoid)
+        got = match_term(pattern, subject)
+        assert got is not None, (render(pattern), render(subject))
+        # Lists compare as maps, so a catch-all that precedes a named key
+        # need not give back the subject's entry order.
+        assert alpha_equal(replay(pattern, got, subject), subject), (
+            render(pattern), render(subject))
 
 
 class TestMatchAssoc:
@@ -257,6 +348,23 @@ class TestMatchAssoc:
 
     def test_no_catchall_requires_exact(self):
         assert match_term(t("E(x, {x : #V})"), t("E(a, {a : One(), b : Two()})")) is None
+
+    def test_a_catchall_that_takes_the_whole_list_binds_that_list(self):
+        subject = t("E({a : One(), b : Two()})")
+        out = match_term(t("E({#env})"), subject)
+        assert out.meta_bind["#env"].body is subject.args[0]
+
+    def test_a_repeated_subject_key_is_overridden_by_the_later_entry(self):
+        # The list has two entries but one key, so no catch-all takes it as
+        # it is: the later entry overrides in the capture and in a lookup.
+        subject = t("E(a, {a : A(), a : B()})")
+        whole = match_term(t("E(x, {#env})"), subject)
+        assert whole.meta_bind["#env"] == captured(("a", "B()"))
+        assert whole.meta_bind["#env"].body is not subject.args[1]
+        named = match_term(t("E(x, {#env; x : #V})"), subject)
+        assert named.meta_bind["#V"].body == t("B()")
+        assert named.meta_bind["#env"] == captured()
+        assert match_term(t("E(x, {x : #V})"), subject).meta_bind["#V"].body == t("B()")
 
     def test_remainder_in_subject_order(self):
         out = match_term(t("E(x, {#env; x : #V})"),
@@ -491,33 +599,36 @@ def _free_names(n):
 
 
 def _frames(names, call):
-    """``call()`` and the number of calls it made of the functions of
-    ``plank.rewrite`` named in ``names``."""
-    calls = []
+    """``call()`` and the number of calls it made of each function of
+    ``plank.rewrite`` named in ``names``, as a ``Counter``."""
+    calls = Counter()
 
     def profile(frame, event, _arg):
         code = frame.f_code
         if event == "call" and code.co_filename == REWRITE_FILE and code.co_name in names:
-            calls.append(code.co_name)
+            calls[code.co_name] += 1
 
     sys.setprofile(profile)
     try:
         result = call()
     finally:
         sys.setprofile(None)
-    return result, len(calls)
+    return result, calls
 
 
 class TestFramesPerLevel:
     """Substitution, contraction and matching spend at most one frame on a
-    node, and none on a plain argument."""
+    node, and none on a plain argument; an argument-free meta-variable or
+    catch-all outside every binder costs the matcher and contraction no
+    call of its own."""
 
     def test_substitute(self):
-        # F, G, a, H and b: the plain arguments cost nothing.
+        # F, G and H: a plain argument costs nothing, and a variable under
+        # one is looked up in place.
         body, k = t("F(G(a), H(b))"), t("K(d)")
         out, n = _frames({"_subst"}, lambda: substitute(body, {Ident("a"): k}))
         assert render(out) == "F(G(K(d)), H(b))"
-        assert n == 5
+        assert n == {"_subst": 3}
 
     def test_contract(self):
         # Call-by-value beta: Eval(#B(z), {#env, z : #V}) costs Eval, #B(z),
@@ -527,13 +638,36 @@ class TestFramesPerLevel:
         val = match_term(rule.lhs, subject)
         out, n = _frames({"_inst"}, lambda: contract(rule.rhs, val, all_idents(subject)))
         assert render(out) == "Eval(Ap(z, z), {w : Lam([v]v), z : Lam([y]y)})"
-        assert n == 6
+        assert n == {"_inst": 6}
+
+    def test_contract_argument_free_metas(self):
+        # Apply(Eval(#F, {#env}), Eval(#A, {#env}), {#env}) costs Apply,
+        # each Eval, its #F or #A, each list and each #env, and no
+        # substitution.
+        rule = parse_script(CBV_EVAL).rules[1]
+        subject = t("Eval(Ap(Lam([x]x), y), {w : Lam([v]v)})")
+        val = match_term(rule.lhs, subject)
+        out, n = _frames({"_inst", "substitute", "_subst"},
+                         lambda: contract(rule.rhs, val, all_idents(subject)))
+        assert render(out) == ("Apply(Eval(Lam([x]x), {w : Lam([v]v)}), "
+                               "Eval(y, {w : Lam([v]v)}), {w : Lam([v]v)})")
+        assert n == {"_inst": 11}
 
     def test_match_term(self):
         # F, G, a, H and b, each matched by ``term``; ``piece`` is not called.
         pattern, subject = t("F(G(a), H(b))"), t("F(G(a), H(b))")
         val, n = _frames({"term", "piece"}, lambda: match_term(pattern, subject))
-        assert val is not None and n == 5
+        assert val is not None and n == {"term": 5}
+
+    def test_match_argument_free_metas(self):
+        # Eval, Ap, #F and #A through ``term``, the list through ``piece``;
+        # #F, #A and #env are recorded without ``bind_meta``.
+        rule = parse_script(CBV_EVAL).rules[1]  # Eval(Ap(#F, #A), {#env})
+        subject = t("Eval(Ap(Lam([x]x), y), {w : Lam([v]v)})")
+        val, n = _frames({"term", "piece", "bind_meta", "_meta_params", "_record_meta"},
+                         lambda: match_term(rule.lhs, subject))
+        assert val is not None
+        assert n == {"term": 4, "piece": 1, "_record_meta": 3}
 
 
 class TestContract:
@@ -559,6 +693,13 @@ class TestContract:
     def test_nullary_meta(self):
         val = Valuation(meta_bind={Ident("#M"): Abstraction((), t("One()"))})
         assert contract(t("#M()"), val, avoid=set()) == t("One()")
+
+    def test_an_argument_free_meta_contracts_to_its_fragment_itself(self, ex2):
+        rule = ex2.rules[2]  # Eval(x, {#env; x : #V}) -> #V
+        subject = t("Eval(a, {b : One(), a : Lam([y]y)})")
+        val = match_term(rule.lhs, subject)
+        fragment = subject.args[1].entries[1].value
+        assert contract(rule.rhs, val, all_idents(subject)) is fragment
 
     def test_fresh_variable_avoids_collisions(self, ex2):
         rhs = ex2.rules[3].rhs
