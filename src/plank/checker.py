@@ -303,7 +303,7 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[Diagnostic]:
         return [_err("SP-Assoc", p, "association argument where a scope form is declared")]
     errors: list[Diagnostic] = []
     for e in p.entries:
-        errors.extend(check_association(st, e, f.key_sort, f.value_sort))
+        errors.extend(check_association(st, e, f))
     if st.tc is IN_PAT:
         # Which entries each catch-all would take is not determined.
         catchalls = [e for e in p.entries if isinstance(e, CatchAll)]
@@ -314,19 +314,18 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[Diagnostic]:
     return errors
 
 
-def check_association(st: CheckState, a: Association, key_sort: Sort,
-                      val_sort: Sort) -> list[Diagnostic]:
-    """Check one association entry at the given key and value sorts."""
+def check_association(st: CheckState, a: Association, f: AssocForm) -> list[Diagnostic]:
+    """Check one association entry against its list's form."""
     if isinstance(a, MapEntry):
         errors: list[Diagnostic] = []
         if a.key not in st.v and a.key not in st.bound:
             errors.append(_err("SA-Map", a, f"association key {a.key} does not occur outside an "
                                "association (KeyNotElsewhere)"))
-        errors.extend(_check_key(st, a, key_sort))
+        errors.extend(_check_key(st, a, f.key_sort))
         names = non_assoc_vars(a.value)
         if not names <= st.v:
             st = CheckState(st.gamma, st.delta, st.v | names, st.tc, st.bound, st.absent)
-        errors.extend(check_term(st, a.value, val_sort))
+        errors.extend(check_term(st, a.value, f.value_sort))
         return errors
 
     if isinstance(a, NotKey):
@@ -335,7 +334,7 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
                          "(NotKeyInContraction)")]
         if a.key not in st.bound:
             st.absent.append(a)
-        return _check_key(st, a, key_sort)
+        return _check_key(st, a, f.key_sort)
 
     # Catch-all meta-variable.
     mf = st.delta.meta.get(a.meta)
@@ -344,9 +343,8 @@ def check_association(st: CheckState, a: Association, key_sort: Sort,
         return [_err(tag, a, f"meta-variable {a.meta} has no meta-form")]
     if not isinstance(mf.result, AssocForm):
         return [_err(tag, a, f"meta-variable {a.meta} is not a catch-all")]
-    if mf.result != AssocForm(key_sort, val_sort):
-        return [_err(tag, a, f"catch-all {a.meta} covers {render(mf.result)}, expected "
-                     f"{{{render(key_sort)}:{render(val_sort)}}}")]
+    if mf.result != f:
+        return [_err(tag, a, f"catch-all {a.meta} covers {render(mf.result)}, expected {render(f)}")]
     return _check_meta_args(st, a, mf, tag)
 
 
@@ -365,7 +363,10 @@ def _check_key(st: CheckState, a: MapEntry | NotKey, key_sort: Sort) -> list[Dia
 def check_declaration(gamma: GlobalEnv, d: DataDecl | SchemeDecl | VariableDecl) -> list[Diagnostic]:
     """Check a data, scheme or variable declaration of ``gamma``'s script;
     ``check_script`` checks rules.  ``build_global_env`` reports a conflicting
-    signature, and its sorts need checking only if it met a sort at two ranks."""
+    signature, and its sorts need checking only if it met a sort at two ranks.
+    SD-Fun (a scheme is in ``gamma.fun``) and SD-Var's premise that a named
+    sort is in ``gamma.hasvar`` hold by construction of ``gamma``: it records
+    every scheme and every named 'variable' sort of the script."""
     errors: list[Diagnostic] = []
     if gamma.misranked:
         for s in decl_sorts(d):
@@ -374,13 +375,8 @@ def check_declaration(gamma: GlobalEnv, d: DataDecl | SchemeDecl | VariableDecl)
         if d.name in gamma.fun:
             errors.append(_err("SD-Data", d, f"constructor {d.name} is declared as data "
                                "but is a scheme"))
-    elif isinstance(d, SchemeDecl):
-        if d.name not in gamma.fun:
-            errors.append(_err("SD-Fun", d, f"scheme {d.name} is not in the scheme set"))
-    elif not isinstance(d.sort, SortCons):
+    elif isinstance(d, VariableDecl) and not isinstance(d.sort, SortCons):
         errors.append(_err("SD-Var", d, "a 'variable' declaration needs a named sort"))
-    elif d.sort.name not in gamma.hasvar:
-        errors.append(_err("SD-Var", d, f"sort {d.sort.name} is not recorded as having variables"))
     return errors
 
 

@@ -71,7 +71,7 @@ from itertools import repeat
 from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .env import GlobalEnv, RuleEnv, infer_rule_env
+from .env import GlobalEnv, RuleEnv
 from .terms import (
     AssocPiece,
     CatchAll,
@@ -185,14 +185,11 @@ def substitute(body: Term | AssocPiece, binding: Mapping[Ident, Term]) -> Term |
     return _subst(body, dict(binding), guard, {})
 
 
-# ``fv_memo`` maps ``id(r)`` to ``(r, free_vars(r))`` for each replacement
-# ``r`` met at a scope piece; each entry keeps its term alive, so no id is
-# reused while it stands.
-_FvMemo = dict[int, tuple[Term, set[Ident]]]
-
-
-def _subst(t: Node, sub: dict[Ident, Term], guard: set[Ident] | None, fv_memo: _FvMemo
-           ) -> Node:
+# ``fv_memo`` maps a substituted name ``w`` to ``free_vars(sub[w])``.  Names
+# key it because one memo serves one ``sub``: under every binder ``w`` still
+# maps to the same term.  A binder rename is another ``sub``, with its own memo.
+def _subst(t: Node, sub: dict[Ident, Term], guard: set[Ident] | None,
+           fv_memo: dict[Ident, set[Ident]]) -> Node:
     cls = t.__class__
     if cls is Var:
         return sub.get(t.name, t)
@@ -214,11 +211,11 @@ def _subst(t: Node, sub: dict[Ident, Term], guard: set[Ident] | None, fv_memo: _
         if not inner:
             return t
         clash = set()
-        for r in inner.values():
-            hit = fv_memo.get(id(r))
-            if hit is None:
-                hit = fv_memo[id(r)] = (r, free_vars(r))
-            clash |= hit[1]
+        for w, r in inner.items():
+            fv = fv_memo.get(w)
+            if fv is None:
+                fv = fv_memo[w] = free_vars(r)
+            clash |= fv
         binders, body = t.binders, t.body
         if clash & set(binders):
             binders, avoid = list(binders), clash | all_idents(body) | set(binders) | set(inner)
@@ -226,7 +223,7 @@ def _subst(t: Node, sub: dict[Ident, Term], guard: set[Ident] | None, fv_memo: _
                 if b in clash:
                     b2 = fresh_var(b, avoid)
                     avoid.add(b2)
-                    body = _subst(body, {b: Var(b2)}, {b, b2}, fv_memo)
+                    body = _subst(body, {b: Var(b2)}, {b, b2}, {})
                     binders[i] = b2
             binders = tuple(binders)
         # ``guard`` may name a substituted name these binders shadow: it
@@ -617,9 +614,10 @@ class NormalizeResult:
 
 
 def prepare_rules(gamma: GlobalEnv, rules: Sequence[RuleDecl],
-                  envs: Sequence[RuleEnv] | None = None) -> list[RewriteRule]:
-    """Pair checked rules with environments, their right sides' free
-    variables, and their patterns' reach and guard.
+                  envs: Sequence[RuleEnv]) -> list[RewriteRule]:
+    """Pair checked rules with their environments, ``check_script``'s
+    ``rule_envs``, their right sides' free variables, and their patterns'
+    reach and guard.
 
     The rules must pass ``check_script``.  The engine relies on the checker
     for every formation condition; it tests only that a pattern is a
@@ -630,8 +628,7 @@ def prepare_rules(gamma: GlobalEnv, rules: Sequence[RuleDecl],
         if decl.lhs.__class__ is not Construction:
             # SMP-Fun: a pattern is a scheme construction.
             raise EngineError(f"rule {i} pattern is not a construction")
-        env = envs[i] if envs is not None else infer_rule_env(gamma, decl)[0]
-        out.append(RewriteRule(decl, env, i, tuple(sorted(free_vars(decl.rhs))),
+        out.append(RewriteRule(decl, envs[i], i, tuple(sorted(free_vars(decl.rhs))),
                                _reach(decl.lhs, 0), _guard(decl.lhs)))
     return out
 

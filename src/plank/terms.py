@@ -93,11 +93,6 @@ class Pos(NamedTuple):
         line = bisect_right(lines, self.offset)
         return Span(file, line, self.offset - lines[line - 1] + 1)
 
-    def __getattr__(self, name: str):  # file, start_line and start_col
-        return getattr(self.resolve(), name)
-
-    __str__ = Span.__str__
-
 
 @dataclass(unsafe_hash=True, slots=True)
 class Diagnostic:

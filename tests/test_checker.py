@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plank import (
     build_global_env,
@@ -35,15 +36,18 @@ from plank.terms import (
     MetaApp,
     NotKey,
     RuleDecl,
+    SchemeDecl,
     ScopeForm,
     ScopePiece,
     Script,
     SortCons,
     SortVar,
     Var,
+    VariableDecl,
     non_assoc_vars,
 )
 from conftest import CBV_EVAL
+from test_regression import REPO, _diagnostic_tags
 
 L = SortCons(Ident("L"))
 
@@ -106,13 +110,16 @@ class TestCheckScript:
         )
         result = check_script(bad)
         tags = {
-            "SH", "SD-Data", "SD-Fun", "SD-Var", "SD-Rule", "SS-Cons", "SS-Var",
-            "SMP-Fun", "SMP-Data", "SMP-Meta", "SMP-Var", "SMC-Cons", "SMC-Meta",
-            "SMC-Var", "SMS-Cons", "SMS-Meta", "SMS-Var", "SP-Bind", "SP-Assoc",
-            "SA-Map", "SAP-Not", "SAP-All", "SAC-All", "DuplicateConstructor",
-            "RankMismatch", "NonVariableSortParameter", "MetaFormConflict",
-            "UnboundMetaOnRhs", "UnresolvedVariableSort",
+            "SD-Data", "SD-Var", "SS-Cons", "SMP-Fun", "SMP-Data", "SMP-Meta", "SMP-Var",
+            "SMC-Cons", "SMC-Meta", "SMC-Var", "SMS-Cons", "SMS-Meta", "SMS-Var",
+            "SP-Bind", "SP-Assoc", "SA-Map", "SAP-Not", "SAP-All", "SAC-All",
+            "DuplicateConstructor", "NonVariableSortParameter", "MetaFormConflict",
+            "UnboundMetaOnRhs",
         }
+        # Exactly the tags the source emits, so a deleted check takes its tag along.
+        emitted = set().union(*(_diagnostic_tags(path.read_text("utf-8"))
+                                for path in (REPO / "src" / "plank").glob("*.py")))
+        assert tags | {"parse"} == emitted
         assert result.errors and all(e.rule in tags for e in result.errors)
 
     def test_diagnostic_format(self):
@@ -122,6 +129,23 @@ class TestCheckScript:
         line = result.errors[0].format("demo.plank")
         assert line.startswith("demo.plank:1:")
         assert "error[SMP-Var]:" in line
+
+
+@st.composite
+def _declaration_scripts(draw):
+    """Scripts of data, scheme and variable declarations over a few names
+    and sorts: names repeat, with the same or another signature, and some
+    sorts are or hold sort variables."""
+    decls = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["data", "scheme", "variable"]))
+        sort = draw(st.sampled_from(["L", "M", "Box<L>", "Box<a>", "a", "b"]))
+        if kind == "variable":
+            decls.append(f"{sort} variable;")
+        else:
+            name, form = draw(st.sampled_from("ABF")), draw(st.sampled_from(["", "L", "[L]L"]))
+            decls.append(f"{sort} {kind} {name}({form});")
+    return parse_script(" ".join(decls))
 
 
 class TestCheckDeclaration:
@@ -140,6 +164,29 @@ class TestCheckDeclaration:
         finally:
             gamma.fun.clear()
             gamma.fun.update(gamma_fun_backup)
+
+    @given(script=_declaration_scripts())
+    @settings(max_examples=100, deadline=None)
+    def test_gamma_records_every_scheme_and_named_variable_sort(self, script):
+        # SD-Fun and SD-Var's premise that a named sort has variables hold by
+        # construction of gamma, so ``check_declaration`` does not test them.
+        gamma = build_global_env(script)[0]
+        unnamed = 0
+        for d in script.declarations:
+            if isinstance(d, SchemeDecl):
+                assert d.name in gamma.fun, render(d)
+            elif isinstance(d, VariableDecl):
+                if isinstance(d.sort, SortCons):
+                    assert d.sort.name in gamma.hasvar, render(d)
+                else:
+                    unnamed += 1
+        errors = check_script(script).errors
+        assert sum(e.rule == "SD-Var" for e in errors) == unnamed
+
+    def test_data_that_is_also_a_scheme(self):
+        errors = check_script(parse_script("L data A(); L scheme A();", file="d.plank")).errors
+        assert [e.format() for e in errors] == [
+            "d.plank:1:1: error[SD-Data]: constructor A is declared as data but is a scheme"]
 
     def test_variable_decl_needs_named_sort(self, g2):
         decl = parse_script("a variable;").declarations[0]
@@ -322,40 +369,40 @@ class TestCheckAssociation:
     def test_map_entry_ok(self, g2):
         st = self.setup_state(g2, TermContext.IN_PAT)
         entry = parse_term("E({x : #V})").args[0].entries[0]
-        assert check_association(st, entry, L, L) == []
+        assert check_association(st, entry, AssocForm(L, L)) == []
 
     def test_key_not_elsewhere(self, g2):
         st = self.setup_state(g2, TermContext.IN_PAT)
         entry = parse_term("E({y : #V})").args[0].entries[0]
-        errors = check_association(st, entry, L, L)
+        errors = check_association(st, entry, AssocForm(L, L))
         assert [e.rule for e in errors] == ["SA-Map"]
         assert "KeyNotElsewhere" in errors[0].message
 
     def test_not_key_in_contraction(self, g2):
         st = self.setup_state(g2, TermContext.CON)
         entry = parse_term("E({~x:})").args[0].entries[0]
-        errors = check_association(st, entry, L, L)
+        errors = check_association(st, entry, AssocForm(L, L))
         assert [e.rule for e in errors] == ["SAP-Not"]
         assert "NotKeyInContraction" in errors[0].message
 
     def test_not_key_ok_in_pattern(self, g2):
         st = self.setup_state(g2, TermContext.IN_PAT)
         entry = parse_term("E({~x:})").args[0].entries[0]
-        assert check_association(st, entry, L, L) == []
+        assert check_association(st, entry, AssocForm(L, L)) == []
 
     def test_not_key_waits_for_the_whole_pattern(self, g2):
         # A key that is no binder in scope may be bound by any variable of
         # the pattern, so the rule's check looks it up at the end.
         st = self.setup_state(g2, TermContext.IN_PAT)
         entry = parse_term("E({~y:})").args[0].entries[0]
-        assert check_association(st, entry, L, L) == []
+        assert check_association(st, entry, AssocForm(L, L)) == []
         assert st.absent == [entry]
 
     def test_catchall_in_pattern_and_contraction(self, g2):
         for tc in (TermContext.IN_PAT, TermContext.CON):
             st = self.setup_state(g2, tc)
             entry = parse_term("E({#env})").args[0].entries[0]
-            assert check_association(st, entry, L, L) == []
+            assert check_association(st, entry, AssocForm(L, L)) == []
 
     def test_catchall_args_in_contraction_are_substitutions(self, g2):
         st = state(
@@ -365,7 +412,7 @@ class TestCheckAssociation:
             v=("x",),
         )
         entry = parse_term("E({#env(Lam([y]y))})").args[0].entries[0]
-        errors = check_association(st, entry, L, L)
+        errors = check_association(st, entry, AssocForm(L, L))
         assert [e.rule for e in errors] == ["SMS-Cons"]
 
     def test_value_extends_v(self, g2):
@@ -375,7 +422,7 @@ class TestCheckAssociation:
             var={"x": L, "y": L}, meta={"#V": MetaForm((), L)}, v=("x",),
         )
         entry = parse_term("E({x : Ap(y, F({y : #V}))})").args[0].entries[0]
-        errors = check_association(st, entry, L, L)
+        errors = check_association(st, entry, AssocForm(L, L))
         # F is undeclared: the only error is the unknown constructor, not SA-Map
         assert [e.rule for e in errors] == ["SMC-Cons"]
 
@@ -576,9 +623,9 @@ class TestBinderNames:
 
     def test_engine_fires_the_rule_with_a_free_variable_beside_a_binder(self):
         script = parse_script(render(BINDERS) + "\n" + self.FREE_BESIDE_BINDER)
-        gamma = build_global_env(script)[0]
-        rules = prepare_rules(gamma, script.rules)
-        out = normalize(gamma, rules, parse_term("F([x]Cb(), b)"))
+        checked = check_script(script)
+        rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+        out = normalize(checked.gamma, rules, parse_term("F([x]Cb(), b)"))
         assert render(out.term) == "b"
 
     def test_a_binder_does_not_make_a_key_occur_elsewhere(self):

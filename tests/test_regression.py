@@ -85,6 +85,7 @@ import re
 import sys
 import tokenize
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -113,7 +114,7 @@ from plank import (
 )
 from plank.checker import CheckState, TermContext, check_term
 from plank.env import ConSig, MetaForm, RuleEnv, _SortWalk, infer_rule_env
-from plank.rewrite import format_step
+from plank.rewrite import NormalStatus, format_step
 from plank.terms import (
     AssocPiece,
     CatchAll,
@@ -714,6 +715,56 @@ def test_normalize_agrees_with_a_restarted_search_on_generated_subjects(label, d
     assert [(s.position, s.rule_index) for s in result.steps] == steps
     assert result.status.value == status
     assert render(result.term) == render(reference)
+
+
+def _permute_lists(draw, t):
+    """``t`` with the entries of each association list drawn into another
+    order; entries that share a key keep theirs, as a later one overrides."""
+    if not isinstance(t, Construction):
+        return t
+    pieces = []
+    for p in t.args:
+        if isinstance(p, ScopePiece):
+            pieces.append(ScopePiece(p.binders, _permute_lists(draw, p.body)))
+            continue
+        entries = [MapEntry(e.key, _permute_lists(draw, e.value)) for e in p.entries]
+        same_key = {}
+        for e in entries:
+            same_key.setdefault(e.key, []).append(e)
+        queues = {k: iter(es) for k, es in same_key.items()}
+        order = draw(st.permutations(entries))
+        pieces.append(AssocPiece(tuple(next(queues[e.key]) for e in order)))
+    return Construction(t.head, tuple(pieces))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_normal_form_does_not_depend_on_association_order(data):
+    # A list is a map, so permuting a call-by-value subject's lists changes
+    # no status, and a normal form only in list order, reached by the same
+    # rules.  The order of the steps may change: see the pin below.
+    gamma, rules = _engine(CBV_EVAL)
+    subject = data.draw(_subjects(gamma))
+    permuted = _permute_lists(data.draw, subject)
+    one, two = (normalize(gamma, rules, s, fuel=30) for s in (subject, permuted))
+    assert one.status is two.status, render(permuted)
+    if one.status is NormalStatus.NORMAL_FORM:
+        assert (Counter(s.rule_index for s in one.steps)
+                == Counter(s.rule_index for s in two.steps)), render(permuted)
+        assert alpha_equal(one.term, two.term), render(permuted)
+
+
+def test_steps_in_two_entries_follow_list_order():
+    # The leftmost-outermost search visits a list's entries in order, so
+    # redexes in two entries fire in list order: the rule sequence is not
+    # invariant under permuting a list, though the normal form is.
+    gamma, rules = _engine(CBV_EVAL)
+    runs = [normalize(gamma, rules, parse_term(text)) for text in (
+        "Apply(x, x, {x : Eval(Lam([x]x), {}), y : Eval(x, {x : x})})",
+        "Apply(x, x, {y : Eval(x, {x : x}), x : Eval(Lam([x]x), {})})")]
+    assert [[(s.position, s.rule_index) for s in r.steps] for r in runs] == [
+        [((2, 0), 0), ((2, 1), 2)], [((2, 0), 2), ((2, 1), 0)]]
+    assert alpha_equal(runs[0].term, runs[1].term)
 
 
 def _assert_sorted_as(gamma, term, sort):

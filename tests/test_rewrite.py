@@ -457,6 +457,21 @@ class TestSubstitute:
     def test_through_keys_meta_arguments_and_absence_entries(self, body, expected):
         assert render(substitute(t(body), {Ident("x"): t("w")})) == expected
 
+    def test_a_binder_rename_has_its_own_free_name_memo(self):
+        # The memo maps each substituted name to its replacement's free
+        # names.  Renaming the binder y to y1 is a substitution of its own:
+        # there y maps to y1, not to z, so the inner binder z stays.
+        out = substitute(t("F([u]y, Lam([y]Ap(x, Lam([z]y))))"),
+                         {Ident("x"): t("y"), Ident("y"): t("z")})
+        assert render(out) == "F([u]z, Lam([y1]Ap(y, Lam([z]y1))))"
+
+    def test_two_names_bound_to_one_replacement(self):
+        r = t("Ap(a, b)")
+        out = substitute(t("F([a]Ap(x, y), [b]x)"), {Ident("x"): r, Ident("y"): r})
+        assert render(out) == "F([a1]Ap(Ap(a, b), Ap(a, b)), [b1]Ap(a, b))"
+        first, second = out.args[0].body.args
+        assert first.body is r and second.body is r and out.args[1].body is r
+
     def test_key_cannot_become_construction(self):
         with pytest.raises(EngineError):
             substitute(t("F({x : One()})"), {Ident("x"): t("One()")})
