@@ -1,13 +1,14 @@
 """The sorting discipline for scripts, declarations, and rule terms.
 
-Checking a rule term happens in one of four contexts, the members of
+Checking a rule term happens under one of two judgments, the members of
 ``TermContext``, which the checker reads from these module names:
 
-* ``PAT``    -- the outermost pattern position (left side of a rule);
-* ``IN_PAT`` -- inside a piece of the pattern;
-* ``CON``    -- a contraction position (right side of a rule);
-* ``SUB``    -- a substitution argument, i.e. an immediate child of a
-  meta-application in a contraction.
+* ``IN_PAT`` -- a pattern, the left side of a rule (``SMP-*``);
+* ``CON``    -- a contraction, a rule's right side or a subject (``SMC-*``).
+
+A pattern's root (``SMP-Fun``) and a substitution argument, an immediate
+child of a contraction's meta-application (``SMS-*``), are checked by
+``check_pattern`` and ``_check_substitute``, called where they occur.
 
 Every ``Diagnostic`` carries the tag of the violated rule or side condition
 (``SMP-Meta``, ``SA-Map``, ...) so callers can pin the exact failure.
@@ -65,13 +66,11 @@ __all__ = [
 
 
 class TermContext(Enum):
-    PAT = "Pat"
     IN_PAT = "InPat"
     CON = "Con"
-    SUB = "Sub"
 
 
-PAT, IN_PAT, CON, SUB = TermContext
+IN_PAT, CON = TermContext
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -134,8 +133,8 @@ def check_sort(gamma: GlobalEnv, s: Sort) -> list[Diagnostic]:
 # Terms
 
 
-def _check_construction(st: CheckState, t: Construction, expected: Sort, tag: str,
-                        piece_tc: TermContext) -> list[Diagnostic]:
+def _check_construction(st: CheckState, t: Construction, expected: Sort, tag: str
+                        ) -> list[Diagnostic]:
     sig = st.gamma.con.get(t.head)
     if sig is None:
         return [_err(tag, t, f"constructor {t.head} is not declared")]
@@ -147,26 +146,23 @@ def _check_construction(st: CheckState, t: Construction, expected: Sort, tag: st
         return [_err(tag, t, f"constructor {t.head} expects {len(forms)} argument(s), got "
                      f"{len(t.args)}")]
     errors: list[Diagnostic] = []
-    inner = st if st.tc is piece_tc else CheckState(st.gamma, st.delta, st.v, piece_tc, st.bound,
-                                                    st.absent)
     for p, f in zip(t.args, forms):
-        errors.extend(check_piece(inner, p, f))
+        errors.extend(check_piece(st, p, f))
     return errors
+
+
+def check_pattern(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
+    """SMP-Fun: a rule's pattern is a scheme construction; ``st`` is ``IN_PAT``."""
+    if not isinstance(t, Construction):
+        return [_err("SMP-Fun", t, "a rule pattern must be a scheme construction")]
+    if t.head not in st.gamma.fun:
+        return [_err("SMP-Fun", t, f"pattern head {t.head} is not a scheme")]
+    return _check_construction(st, t, expected, "SMP-Fun")
 
 
 def check_term(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
     """Check a term at the expected sort in the state's term context."""
-    tc = st.tc
-
-    if tc is PAT:
-        # SMP-Fun: the pattern top must be a scheme construction.
-        if not isinstance(t, Construction):
-            return [_err("SMP-Fun", t, "a rule pattern must be a scheme construction")]
-        if t.head not in st.gamma.fun:
-            return [_err("SMP-Fun", t, f"pattern head {t.head} is not a scheme")]
-        return _check_construction(st, t, expected, "SMP-Fun", IN_PAT)
-
-    if tc is IN_PAT:
+    if st.tc is IN_PAT:
         if isinstance(t, Construction):
             # SMP-Data: inside a pattern only data constructors are allowed.
             # Exception: at a sort with no data constructors at all (a pure
@@ -177,19 +173,20 @@ def check_term(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
                 if sort_name in st.gamma.sorts_with_data:
                     return [_err("SMP-Data", t, f"scheme {t.head} cannot appear inside a pattern "
                                  f"at sort {render(expected)}")]
-            return _check_construction(st, t, expected, "SMP-Data", IN_PAT)
+            return _check_construction(st, t, expected, "SMP-Data")
         if isinstance(t, MetaApp):
             return _check_term_meta(st, t, expected, "SMP-Meta")
         return _check_variable(st, t, expected, "SMP-Var", need_hasvar=True)
 
-    if tc is CON:
-        if isinstance(t, Construction):
-            return _check_construction(st, t, expected, "SMC-Cons", CON)
-        if isinstance(t, MetaApp):
-            return _check_term_meta(st, t, expected, "SMC-Meta")
-        return _check_variable(st, t, expected, "SMC-Var", need_hasvar=True)
+    if isinstance(t, Construction):
+        return _check_construction(st, t, expected, "SMC-Cons")
+    if isinstance(t, MetaApp):
+        return _check_term_meta(st, t, expected, "SMC-Meta")
+    return _check_variable(st, t, expected, "SMC-Var", need_hasvar=True)
 
-    # SUB: substitution arguments of a contraction meta-application.
+
+def _check_substitute(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
+    """SMS-*: a substitution argument of a meta-application; ``st`` is ``CON``."""
     if isinstance(t, Var):
         # SMS-Var places no syntactic-variable requirement on the sort.
         return _check_variable(st, t, expected, "SMS-Var", need_hasvar=False)
@@ -199,7 +196,7 @@ def check_term(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
     if expected.name in st.gamma.hasvar:
         return [_err(tag, t, f"cannot substitute a non-variable at sort {render(expected)}, which "
                      "admits syntactic variables")]
-    return check_term(CheckState(st.gamma, st.delta, st.v, CON, st.bound, st.absent), t, expected)
+    return check_term(st, t, expected)
 
 
 def _check_term_meta(st: CheckState, t: MetaApp, expected: Sort, tag: str
@@ -229,11 +226,10 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
                      f"{len(m.args)}")]
     if not m.args:
         return []
-    if st.tc is not IN_PAT:
-        sub = CheckState(st.gamma, st.delta, st.v, SUB, st.bound, st.absent)
+    if st.tc is CON:
         errors: list[Diagnostic] = []
         for a, s in zip(m.args, mf.arg_sorts):
-            errors.extend(check_term(sub, a, s))
+            errors.extend(_check_substitute(st, a, s))
         return errors
     seen: set[Ident] = set()
     for a, s in zip(m.args, mf.arg_sorts):
@@ -386,8 +382,8 @@ def _check_rule(gamma: GlobalEnv, d: RuleDecl, delta: RuleEnv,
     errors = check_sort(gamma, d.sort) if gamma.misranked else []
     if env_errors:
         return errors + env_errors
-    lhs_state = CheckState(gamma, delta, delta.lhs_keys, PAT, {}, [])
-    errors.extend(check_term(lhs_state, d.lhs, d.sort))
+    lhs_state = CheckState(gamma, delta, delta.lhs_keys, IN_PAT, {}, [])
+    errors.extend(check_pattern(lhs_state, d.lhs, d.sort))
     # KeyNotElsewhere for absence keys: the matcher resolves one through a
     # variable bound anywhere in the pattern, after every list is matched.
     for a in lhs_state.absent:

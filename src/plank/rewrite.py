@@ -38,9 +38,9 @@ rule of another head cannot match there.  The argument has three parts.
   the last search found to hold no redex, and the step left them as they
   were, so they are skipped.
 * Ancestors.  Every ancestor was tried with every rule of its head, and
-  each failed.  Distance counts as a position does: a scope body is one
-  level down and an association value two, its argument's index and its
-  entry's.  A rule's reach is the depth of its pattern's deepest
+  each failed.  Distance counts tree levels: a scope body is one level
+  down, and so is an association value, though its position holds two
+  indices.  A rule's reach is the depth of its pattern's deepest
   construction or variable, and a pattern fails structurally only on what
   the subject holds within its reach; below it the pattern has only
   meta-variables and catch-alls.  So a step d levels below an ancestor can
@@ -635,8 +635,8 @@ def prepare_rules(gamma: GlobalEnv, rules: Sequence[RuleDecl],
 
 def _reach(p: Term, depth: int) -> int:
     """The depth of the deepest construction or variable of pattern ``p``,
-    which stands ``depth`` levels below the root, counted in position
-    indices: a scope body is one level down and an association value two."""
+    which stands ``depth`` levels below the root, counted in tree levels: a
+    scope body is one level down, and so is an association value."""
     if p.__class__ is Var:
         return depth
     if p.__class__ is MetaApp:
@@ -648,7 +648,7 @@ def _reach(p: Term, depth: int) -> int:
             continue
         for e in piece.entries:
             if e.__class__ is MapEntry:
-                reach = max(reach, _reach(e.value, depth + 2))
+                reach = max(reach, _reach(e.value, depth + 1))
     return reach
 
 
@@ -838,23 +838,22 @@ class _Zipper:
         """Retry the ancestors top-down, each with the rules that reach it
         and its retry set.  Only the levels up to the topmost one tried are
         rebuilt."""
-        frames, n, by_head, retry = self.frames, len(self.path), self.by_head, self.retry
-        top = len(frames)
-        while top and n - frames[top - 1][_AT] <= self.reach:
-            top -= 1
-        tries, ks = [], range(top, len(frames))
+        frames, by_head, retry = self.frames, self.by_head, self.retry
+        n = len(frames)
+        top = max(0, n - self.reach)
+        tries, ks = [], range(top, n)
         if retry:
             ks = [*sorted(k for k in retry if k < top), *ks]
         for k in ks:
             f = frames[k]
             rules = by_head.get(f[_NODE].head)
             if rules:
-                d, again = n - f[_AT], retry.get(k, ()) if retry else ()
+                d, again = n - k, retry.get(k, ()) if retry else ()
                 rules = [r for r in rules if r.reach >= d or r.index in again]
                 if rules:
                     tries.append((k, rules))
         if tries:
-            self._up(len(frames), self.focus, tries[0][0])
+            self._up(n, self.focus, tries[0][0])
         for k, rules in tries:
             rule, val, failed = _first_match(rules, frames[k][_NODE], self.undone)
             if rule is not None:

@@ -21,6 +21,7 @@ from plank.checker import (
     check_association,
     check_declaration,
     check_ground_subject,
+    check_pattern,
     check_piece,
     check_sort,
     check_term,
@@ -292,8 +293,8 @@ class TestCheckTerm:
         assert check_term(st, parse_term("#M(Lam([y]y))"), L) == []
 
     def test_pattern_top_must_be_scheme(self, g2):
-        st = state(g2, TermContext.PAT)
-        errors = check_term(st, parse_term("Lam([x]x)"), L)
+        st = state(g2, TermContext.IN_PAT)
+        errors = check_pattern(st, parse_term("Lam([x]x)"), L)
         assert [e.rule for e in errors] == ["SMP-Fun"]
 
     def test_scheme_inside_pattern_rejected_with_data(self, g2):
@@ -316,6 +317,14 @@ class TestCheckTerm:
         st = state(g1, TermContext.CON)
         errors = check_term(st, parse_term("Zap()"), L)
         assert [e.rule for e in errors] == ["SMC-Cons"]
+
+    @pytest.mark.parametrize("tc,tag", [(TermContext.IN_PAT, "SMP-Var"),
+                                        (TermContext.CON, "SMC-Var")])
+    def test_a_node_that_is_no_term_is_not_taken_for_a_variable(self, g1, tc, tag):
+        # A parsed term that is neither a construction nor a meta-application
+        # is a variable; only a hand-built node reaches the variable guard.
+        errors = check_term(state(g1, tc), CatchAll(Ident("#e")), L)
+        assert [(e.rule, e.message) for e in errors] == [(tag, "expected a variable, got #e")]
 
 
 class TestCheckPiece:

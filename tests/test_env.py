@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plank import build_global_env, check_script, infer_rule_env, parse_script
-from plank.checker import CheckState, TermContext, check_term
+from plank.checker import CheckState, TermContext, check_pattern, check_term
 from plank.env import ConSig, MetaForm, apply_form_subst, instantiated_forms, match_sort
 from plank.terms import (
     AssocForm,
@@ -250,9 +250,9 @@ class TestInferRuleEnv:
                 delta, errors = infer_rule_env(gamma, rule)
                 assert errors == []
                 lhs_state = CheckState(
-                    gamma, delta, frozenset(non_assoc_vars(rule.lhs)), TermContext.PAT, {}, []
+                    gamma, delta, frozenset(non_assoc_vars(rule.lhs)), TermContext.IN_PAT, {}, []
                 )
-                assert check_term(lhs_state, rule.lhs, rule.sort) == []
+                assert check_pattern(lhs_state, rule.lhs, rule.sort) == []
                 rhs_state = CheckState(
                     gamma, delta, frozenset(non_assoc_vars(rule.rhs)), TermContext.CON, {}, []
                 )

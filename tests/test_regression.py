@@ -63,7 +63,8 @@
 * No module stores to a field of a built record, and no dataclass is
   frozen: records are immutable by this rule, not by the runtime.  The
   checker's functions read the contexts from module names, never as
-  ``TermContext`` members.
+  ``TermContext`` members, and one that receives a state builds none in
+  another context.
 * Every ``raise EngineError`` names the checker or environment diagnostic
   that rules it out on checked input.
 * No node class of ``plank.terms`` is subclassed, and ``rewrite`` and
@@ -86,6 +87,7 @@ import sys
 import tokenize
 import weakref
 from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -741,8 +743,10 @@ def _permute_lists(draw, t):
 @settings(max_examples=100, deadline=None)
 def test_a_normal_form_does_not_depend_on_association_order(data):
     # A list is a map, so permuting a call-by-value subject's lists changes
-    # no status, and a normal form only in list order, reached by the same
-    # rules.  The order of the steps may change: see the pin below.
+    # no status, and a normal form only in list order and in which fresh
+    # name went where, reached by the same rules.  The order of the steps
+    # may change, and with it the order fresh names are drawn in: see the
+    # two pins below.
     gamma, rules = _engine(CBV_EVAL)
     subject = data.draw(_subjects(gamma))
     permuted = _permute_lists(data.draw, subject)
@@ -751,7 +755,18 @@ def test_a_normal_form_does_not_depend_on_association_order(data):
     if one.status is NormalStatus.NORMAL_FORM:
         assert (Counter(s.rule_index for s in one.steps)
                 == Counter(s.rule_index for s in two.steps)), render(permuted)
-        assert alpha_equal(one.term, two.term), render(permuted)
+        assert _alpha_equal_up_to_fresh_names(one.term, two.term, subject), render(permuted)
+
+
+def _alpha_equal_up_to_fresh_names(a, b, subject):
+    """``a`` and ``b``, two results from ``subject`` or from a permutation of
+    its lists, are α-equal after some bijection between the fresh names each
+    run drew: the names free in its result but not in the subject."""
+    fresh_a = sorted(free_vars(a) - free_vars(subject))
+    fresh_b = sorted(free_vars(b) - free_vars(subject))
+    return len(fresh_a) == len(fresh_b) and any(
+        alpha_equal(substitute(a, {x: Var(y) for x, y in zip(fresh_a, order)}), b)
+        for order in permutations(fresh_b))
 
 
 def test_steps_in_two_entries_follow_list_order():
@@ -765,6 +780,22 @@ def test_steps_in_two_entries_follow_list_order():
     assert [[(s.position, s.rule_index) for s in r.steps] for r in runs] == [
         [((2, 0), 0), ((2, 1), 2)], [((2, 0), 2), ((2, 1), 0)]]
     assert alpha_equal(runs[0].term, runs[1].term)
+
+
+def test_fresh_names_in_two_entries_follow_list_order():
+    # Fresh names are drawn in step order, and steps follow list order, so
+    # with two entries swapped the entry that draws z and the one that draws
+    # z1 swap too: the normal forms are α-equal only after renaming z and z1.
+    gamma, rules = _engine(CBV_EVAL)
+    value = "Apply(Lam([x]y), x, {})"
+    subjects = [parse_term(f"Apply(x, x, {{{k} : {value}, {l} : {value}}})")
+                for k, l in ("xy", "yx")]
+    runs = [normalize(gamma, rules, s) for s in subjects]
+    assert [render(r.term) for r in runs] == [
+        "Apply(x, x, {x : Eval(y, {z : x}), y : Eval(y, {z1 : x})})",
+        "Apply(x, x, {y : Eval(y, {z : x}), x : Eval(y, {z1 : x})})"]
+    assert not alpha_equal(runs[0].term, runs[1].term)
+    assert _alpha_equal_up_to_fresh_names(runs[0].term, runs[1].term, subjects[0])
 
 
 def _assert_sorted_as(gamma, term, sort):
@@ -1087,9 +1118,9 @@ def test_a_well_formed_rule_side_runs_no_name_walk(monkeypatch, source):
 
 
 def test_a_plain_argument_builds_no_check_state(monkeypatch):
-    # A state is built for each rule side, for a pattern's pieces, for each
-    # scope that binds, for a map value with variables the side's key set
-    # lacks, and for a meta-application's substitution arguments, if any.
+    # A state is built for each rule side, for each scope that binds and for
+    # a map value with variables the side's key set lacks.  A pattern's root
+    # and a substitution argument are checked in the state they arrive in.
     states = []
 
     class Counting(CheckState):
@@ -1102,7 +1133,7 @@ def test_a_plain_argument_builds_no_check_state(monkeypatch):
     monkeypatch.setattr(plank.checker, "CheckState", Counting)
     checked = check_script(parse_script(CBV_EVAL))
     assert checked.ok
-    assert len(states) == 17
+    assert len(states) == 11
     states.clear()
     subject = parse_term("Eval(Ap(Lam([x]x), Lam([y]y)), {})")
     assert check_ground_subject(checked.gamma, subject)[2] == []
@@ -1824,7 +1855,45 @@ def test_the_checker_reads_contexts_from_module_names():
     source = (REPO / "src" / "plank" / "checker.py").read_text(encoding="utf-8")
     assert _context_member_reads(source) == []
     checker = plank.checker
-    assert [checker.PAT, checker.IN_PAT, checker.CON, checker.SUB] == list(TermContext)
+    assert [checker.IN_PAT, checker.CON] == list(TermContext)
+
+
+def _state_contexts(source: str) -> list[tuple[int, str, bool, str]]:
+    """``(line, function, receives st, context)`` for each ``CheckState(...)``
+    call, in the innermost function around it; ``context`` is the source of
+    the call's fourth argument or ``tc`` keyword."""
+    tree, owner = ast.parse(source), {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+            # The walk meets an outer function first, so an inner one wins.
+            owner.update((id(node), (fn.name, "st" in params)) for node in ast.walk(fn))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _last_name(node.func) == "CheckState":
+            tc = node.args[3] if len(node.args) > 3 else next(
+                k.value for k in node.keywords if k.arg == "tc")
+            found.append((node.lineno, *owner.get(id(node), ("", False)), ast.unparse(tc)))
+    return sorted(found)
+
+
+def test_no_check_state_is_built_only_to_change_context():
+    # A state that differs from its parent only in context is one more build
+    # at every position it covers; a position with rules of its own is a
+    # function instead.  So a function that receives a state passes its
+    # context on, and only the two that start a check name one.
+    sample = (
+        "def f(st, t):\n    return g(CheckState(st.gamma, st.delta, st.v, st.tc, {}, []))\n"
+        "def h(st):\n    inner = CheckState(st.gamma, st.delta, st.v, CON, st.bound, [])\n"
+        "    def k(gamma):\n        return CheckState(gamma, None, None, tc=IN_PAT)\n"
+        "def root(gamma):\n    return CheckState(gamma, None, frozenset(), IN_PAT, {}, [])\n"
+    )
+    assert _state_contexts(sample) == [(2, "f", True, "st.tc"), (4, "h", True, "CON"),
+                                       (6, "k", False, "IN_PAT"), (8, "root", False, "IN_PAT")]
+    source = (REPO / "src" / "plank" / "checker.py").read_text(encoding="utf-8")
+    found = _state_contexts(source)
+    assert [c for c in found if c[2] and c[3] != "st.tc"] == []
+    assert {c[1] for c in found if c[3] != "st.tc"} == {"_check_rule", "check_ground_subject"}
 
 
 def _node_classes() -> dict[str, type]:

@@ -408,6 +408,15 @@ class TestMatchAssoc:
         result = checked_normalize(script, subject)
         assert render(result.term) == ("A()" if fires else subject)
 
+    def test_a_list_pattern_does_not_match_a_scope_argument(self):
+        assert match_term(t("E({#env})"), t("E(One())")) is None
+
+    def test_an_absence_entry_in_a_subject_list_raises(self):
+        # The checker reports one in a subject (SAP-Not), and no contractum
+        # holds one; the matcher names it rather than file it as a key.
+        with pytest.raises(EngineError, match="only plain entries, got ~a:"):
+            match_term(t("E({#env})"), t("E({~a:})"))
+
     @pytest.mark.parametrize("pattern", ["E({x : #V})", "E({~x:, #env})"])
     def test_a_key_bound_nowhere_raises_for_an_unchecked_pattern(self, pattern):
         # The checker reports such a key (SA-Map, SAP-Not); the matcher
@@ -756,6 +765,18 @@ class TestContract:
         with pytest.raises(EngineError):
             contract(t("#M(#N)"), Valuation(), avoid=set())
 
+    def test_an_arity_mismatch_raises(self):
+        # The checker gives a meta-variable one meta-form on both sides
+        # (SMP-Meta, SMC-Meta), so only a hand-built valuation differs.
+        val = Valuation(meta_bind={Ident("#M"): Abstraction((), t("One()"))})
+        with pytest.raises(EngineError, match="arity mismatch instantiating #M"):
+            contract(t("#M(x)"), val, avoid=set())
+
+    def test_an_absence_entry_on_a_right_side_raises(self):
+        # The checker reports it (SAP-Not); contraction has nothing to build.
+        with pytest.raises(EngineError, match="absence entry cannot be contracted"):
+            contract(t("E({~a:})"), Valuation(), avoid=set())
+
     def test_rhs_binders_freshened_against_images(self):
         val = Valuation(meta_bind={Ident("#M"): Abstraction((Ident("p"),), t("Ap(p, x)"))})
         # the subject Lam([p]Ap(p, x)) holds the image's free x, which the
@@ -915,6 +936,10 @@ class TestNormalize:
         assert render(res.term) == result
         assert [(s.position, s.rule_index) for s in res.steps] == steps
 
+    def test_fuel_must_be_positive(self, ex1_checked, ex1_rules):
+        with pytest.raises(ValueError, match="fuel must be positive"):
+            normalize(ex1_checked.gamma, ex1_rules, t("Ap(Lam([x]x), Lam([y]y))"), fuel=0)
+
     def test_fuel_that_is_exactly_enough(self):
         # The last step uses up the fuel; the term it leaves is normal.
         result = checked_normalize(SIGNATURE + BRANCH_RULES, "G(a, a)", fuel=1)
@@ -944,6 +969,14 @@ class TestNormalize:
 
 
 class TestPrepareRules:
+    def test_a_pattern_that_is_no_construction_raises(self):
+        # The checker reports it (SMP-Fun); the index by head needs a head.
+        script = parse_script(SIGNATURE + "L rule x -> Done();")
+        checked = check_script(script)
+        assert "SMP-Fun" in {e.rule for e in checked.errors}
+        with pytest.raises(EngineError, match="rule 0 pattern is not a construction"):
+            prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+
     def test_contraction_side_catchalls_fine(self):
         script = parse_script(
             "L data One(); L variable;"
@@ -960,7 +993,7 @@ class TestPrepareRules:
         (CBV_EVAL, [1, 1, 1, 1]),
         (NONLINEAR, [0, 0]),
         (REACH_TWO, [2, 0]),
-        (IN_VALUE, [2, 0]),
+        (IN_VALUE, [1, 0]),
         (UNTAKEN, [1, 0]),
         (SIGNATURE + BRANCH_RULES, [0, 1, 2]),
         (SIGNATURE + "L scheme S([L]L); L rule S([x]Lam([x]#M(x))) -> Done();", [1]),
@@ -968,9 +1001,9 @@ class TestPrepareRules:
     ], ids=["beta-eta", "cbv", "nonlinear-meta", "reach-two", "in-value", "untaken-catch-all",
             "branch-rules", "shadowed-binder", "every-binder-taken"])
     def test_pattern_reach(self, source, reaches):
-        # How far below a node each pattern looks, counted as positions
-        # count: a scope body one level and an association value two, so
-        # W in F({x : W(#v)}, x) stands at depth 2 and the x of η's
+        # How far below a node each pattern looks, counted in tree levels:
+        # a scope body and an association value one level each, so W in
+        # F({x : W(#v)}, x) stands at depth 1 and the x of η's
         # Lam([x]Ap(#M(), x)) at depth 2.  The reach is structural: a
         # meta-variable or catch-all counts nothing, whether it may reject a
         # fragment (η's #M() does not take x, K(#m, #m) and F({#e}, {#e}) use
