@@ -23,10 +23,10 @@ them as it goes and calls ``_names`` only on what it skips.
 must avoid every name of a term.  Each construction and meta-application
 keeps its answer, so a query walks only the nodes that no earlier query
 reached: on a term that shares its subterms, the nodes a rewrite step
-built.  ``alpha_equal`` reads association lists as the matcher and
-contraction do: each run of plain entries between absence entries and
-catch-alls is a map, in which a later entry overrides an earlier one with
-the same key.
+built.  ``alpha_equal`` compares nameless forms (de Bruijn levels), in
+which an association list reads as the matcher and contraction read it:
+each run of plain entries between absence entries and catch-alls is a map,
+in which a later entry overrides an earlier one with the same key.
 
 A plain argument is a ``ScopePiece`` with no binders.  Every walk, here
 and in the other modules, passes its scope through one unchanged: it
@@ -503,55 +503,30 @@ def alpha_equal(a: Term | AssocPiece, b: Term | AssocPiece) -> bool:
     key twice needs both entries to match, so there ``alpha_equal`` is
     coarser than matching; the engine compares only subject fragments.
     """
-    return _alpha(a, b, {}, {})
+    return _nameless(a, {}, 0) == _nameless(b, {}, 0)
 
 
-# ``ma`` and ``mb`` map the binders in scope on each side to one ``object()``
-# mark per binder pair, so two bound names agree when their marks are the same.
-def _alpha_name(x: Ident, y: Ident, ma: dict[Ident, object], mb: dict[Ident, object]) -> bool:
-    ax, ay = ma.get(x), mb.get(y)
-    if ax is None and ay is None:
-        return x == y
-    return ax is ay
-
-
-def _alpha(x: Node | dict, y: Node | dict, ma: dict[Ident, object],
-           mb: dict[Ident, object]) -> bool:
+def _nameless(x: Node, levels: dict[Ident, int], depth: int):
+    """``x``'s de Bruijn-level form, under the ``depth`` binders ``levels`` maps
+    to their levels: a bound name is its binder's level, an ``int``, which no
+    free name equals; a scope piece is ``(arity, body)``; a list is its absence
+    entries and catch-alls in order, between dicts of the plain entries' runs."""
     cls = x.__class__
-    if cls is not y.__class__:
-        return False
     if cls is Var:
-        return _alpha_name(x.name, y.name, ma, mb)
-    if cls is Construction:
-        return x.head == y.head and len(x.args) == len(y.args) and all(
-            map(_alpha, x.args, y.args, repeat(ma), repeat(mb)))
+        return levels.get(x.name, x.name)
     if cls is ScopePiece:
-        if len(x.binders) != len(y.binders):
-            return False
         if x.binders:
-            ma, mb = dict(ma), dict(mb)
-            for u, v in zip(x.binders, y.binders):
-                ma[u] = mb[v] = object()
-        return _alpha(x.body, y.body, ma, mb)
-    if cls is MetaApp or cls is CatchAll:
-        return x.meta == y.meta and len(x.args) == len(y.args) and all(
-            map(_alpha, x.args, y.args, repeat(ma), repeat(mb)))
+            levels = levels | dict(zip(x.binders, range(depth, depth + len(x.binders))))
+        return len(x.binders), _nameless(x.body, levels, depth + len(x.binders))
     if cls is AssocPiece:
-        xs, ys = _assoc_view(x, ma), _assoc_view(y, mb)
-        return len(xs) == len(ys) and all(map(_alpha, xs, ys, repeat(ma), repeat(mb)))
-    if isinstance(x, dict):  # a run of plain entries, from ``_assoc_view``
-        return x.keys() == y.keys() and all(
-            map(_alpha, x.values(), map(y.get, x), repeat(ma), repeat(mb)))
-    return cls is NotKey and _alpha_name(x.key, y.key, ma, mb)
-
-
-def _assoc_view(p: AssocPiece, marks: dict[Ident, object]) -> list:
-    """``p``'s absence entries and catch-alls in order, between maps of the runs
-    of plain entries from key (its binder mark when bound) to last value."""
-    view: list = [{}]
-    for e in p.entries:
-        if e.__class__ is MapEntry:
-            view[-1][marks.get(e.key, e.key)] = e.value
-        else:
-            view += (e, {})
-    return view
+        form: list = [{}]
+        for e in x.entries:
+            if e.__class__ is MapEntry:
+                form[-1][levels.get(e.key, e.key)] = _nameless(e.value, levels, depth)
+            else:
+                form += (_nameless(e, levels, depth), {})
+        return form
+    if cls is NotKey:
+        return cls, levels.get(x.key, x.key)
+    return cls, x.head if cls is Construction else x.meta, list(
+        map(_nameless, x.args, repeat(levels), repeat(depth)))

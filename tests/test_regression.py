@@ -50,7 +50,9 @@
   subject's names is byte-identical to the recorded one.
 * Renaming a subject's binders, so that they shadow each other and take
   names free elsewhere, changes neither the step chosen nor its result up
-  to alpha and to the fresh names the step draws.  The matcher's reserved
+  to alpha and to the fresh names the step draws, and on generated
+  subjects neither a run's steps nor its status.  ``alpha_equal`` agrees
+  with the benchmark's de Bruijn forms.  The matcher's reserved
   names, made in one function, reach no traced term and do not parse.
 * Full diagnostics of ill-sorted rules whose binders are all distinct from
   each other and from free names, and of malformed scripts, are
@@ -1331,22 +1333,27 @@ def test_trace_of_colliding_fresh_names(tmp_path, capsys):
 
 
 def _rebind(term, pick):
-    """An alpha-variant of the ground term ``term`` whose binders take the
-    names ``pick()`` draws, so that they shadow each other and share the
-    spelling of free names elsewhere.  A drawn name that would capture a
-    free name of the binder's body, or that another binder of the same
-    scope took, gives way to the first of ``v0``, ``v1``, ... that does
-    neither."""
+    """An alpha-variant of ``term`` whose binders take the names ``pick()``
+    draws, so that they shadow each other and share the spelling of free
+    names elsewhere.  A drawn name that would capture a free name of the
+    binder's body, or that another binder of the same scope took, gives way
+    to the first of ``v0``, ``v1``, ... that does neither."""
 
     def go(x, env):
         if isinstance(x, Var):
             return Var(env.get(x.name, x.name))
+        if isinstance(x, (MetaApp, CatchAll)):
+            return type(x)(x.meta, tuple(go(a, env) for a in x.args))
         return Construction(x.head, tuple(piece(p, env) for p in x.args))
+
+    def entry(e, env):
+        if isinstance(e, MapEntry):
+            return MapEntry(env.get(e.key, e.key), go(e.value, env))
+        return NotKey(env.get(e.key, e.key)) if isinstance(e, NotKey) else go(e, env)
 
     def piece(p, env):
         if isinstance(p, AssocPiece):
-            return AssocPiece(tuple(MapEntry(env.get(e.key, e.key), go(e.value, env))
-                                    for e in p.entries))
+            return AssocPiece(tuple(entry(e, env) for e in p.entries))
         taken = {env.get(v, v) for v in free_vars(p.body) if v not in p.binders}
         env2, names = dict(env), []
         for b in p.binders:
@@ -1429,6 +1436,85 @@ def test_a_fresh_name_avoids_the_subject_binders(ex2_checked, ex2_rules):
     subjects = [parse_term(f"Apply(Lam([{b}]{b}), Lam([y]y), {{}})") for b in "xz"]
     results = [render(rewrite_step(ex2_checked.gamma, ex2_rules, s)[0]) for s in subjects]
     assert results == ["Eval(z, {z : Lam([y]y)})", "Eval(z1, {z1 : Lam([y]y)})"]
+
+
+@pytest.mark.parametrize("label", sorted(GENERATED))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_binder_names_do_not_change_a_run(label, data):
+    # A whole run from a subject whose binders are renamed to x, y and z
+    # takes the same steps to the same status, and ends in the same term up
+    # to alpha and to a bijection of the fresh names drawn, which avoid the
+    # subject's binder names too (see the test above).
+    gamma, rules = _engine(GENERATED[label])
+    subject = data.draw(_subjects(gamma))
+    renamed = _rebind(subject, lambda: data.draw(st.sampled_from("xyz")))
+    one, two = (normalize(gamma, rules, s, fuel=30) for s in (subject, renamed))
+    assert (one.steps, one.status) == (two.steps, two.status), render(renamed)
+    assert _alpha_equal_up_to_fresh_names(one.term, two.term, subject), render(renamed)
+
+
+@st.composite
+def _open_terms(draw, lists, depth=3):
+    """Terms of every node kind over the names x, y and z: variables,
+    meta-applications and constructions, whose pieces bind up to two names
+    or, with ``lists``, hold plain entries, absence entries and catch-alls."""
+    name = st.sampled_from("xyz").map(Ident)
+    kind = draw(st.sampled_from("vmcc" if depth else "vm"))
+    if kind == "v":
+        return Var(draw(name))
+    sub = _open_terms(lists, depth - 1)
+    if kind == "m":
+        args = st.lists(sub, max_size=2 if depth else 0)
+        return MetaApp(Ident(draw(st.sampled_from(["#M", "#N"]))), tuple(draw(args)))
+    entry = st.one_of(st.builds(MapEntry, name, sub), st.builds(NotKey, name),
+                      st.lists(sub, max_size=1).map(lambda a: CatchAll(Ident("#e"), tuple(a))))
+    pieces = []
+    for _ in range(draw(st.integers(0, 3))):
+        if lists and draw(st.booleans()):
+            pieces.append(AssocPiece(tuple(draw(st.lists(entry, max_size=4)))))
+        else:
+            pieces.append(ScopePiece(tuple(draw(st.lists(name, max_size=2, unique=True))),
+                                     draw(sub)))
+    return Construction(Ident(draw(st.sampled_from(["F", "G"]))), tuple(pieces))
+
+
+def _respelled(draw, term):
+    """``term`` with one drawn word of its text, a binder, variable, key,
+    head or meta-variable, respelled as another of its kind; ``term``
+    itself when the respelling makes two binders of a scope alike."""
+    text = render(term)
+    words = list(re.finditer(r"#?[A-Za-z]\w*", text))
+    if not words:
+        return term
+    word = draw(st.sampled_from(words))
+    kind = "#e #M #N" if word[0][0] == "#" else "F G H" if word[0][0].isupper() else "x y z"
+    try:
+        return parse_term(text[:word.start()] + draw(st.sampled_from(kind.split()))
+                          + text[word.end():])
+    except ParseFailure:
+        return term
+
+
+@given(data=st.data(), lists=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_alpha_equal_agrees_with_de_bruijn_forms(data, lists):
+    # The benchmark's de Bruijn forms, with their indices counted from the
+    # innermost binder and every list kept in order, are an independent
+    # oracle: equal forms are alpha-equal, and without lists, where order
+    # cannot differ, alpha-equal terms have equal forms.  The partners are
+    # a renamed variant, always equal, and a renamed respelling, often not.
+    de_bruijn = _bench_workloads().de_bruijn
+    term = data.draw(_open_terms(lists))
+    pick = functools.partial(data.draw, st.sampled_from("xyz"))
+    renamed = _rebind(term, pick)
+    assert de_bruijn(renamed) == de_bruijn(term) and alpha_equal(renamed, term)
+    mutant = _rebind(_respelled(data.draw, term), pick)
+    same, verdict = de_bruijn(mutant) == de_bruijn(term), alpha_equal(term, mutant)
+    assert alpha_equal(mutant, term) == verdict
+    assert verdict or not same, render(mutant)
+    if not lists:
+        assert verdict == same, render(mutant)
 
 
 @pytest.mark.parametrize("label,source,term,fuel", NAMED_CASES, ids=[c[0] for c in NAMED_CASES])
