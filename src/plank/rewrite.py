@@ -19,12 +19,12 @@ matcher's, recurses on its body (substitution's looks a variable up).  An
 argument-free meta-variable or catch-all outside every binder costs no
 call: the matcher records its fragment as it is, which contraction returns.
 
-Every name a valuation holds is a name of the subject it was matched
-against or a reserved ``u%n`` name: the matcher keeps each subject
-binder's own name unless the attempt has used it already, and renames only
-then.  So contraction draws its fresh names, for a right side's binders
-and its unbound variables, from one supply, the subject's names and the
-names drawn so far, and no fresh name can equal a reserved one.
+The matcher tells binders apart by number, so each fragment a valuation
+holds is the subject's own, and a parameter is its binder's own name, or a
+reserved ``%n`` one where an inner binder of that name hides it, which the
+fragment then cannot name.  So contraction draws its fresh names, for a
+right side's binders and its unbound variables, from one supply, the
+subject's names and the names drawn so far, and meets no reserved name.
 
 Normalization is leftmost-outermost, one step at a time, on a zipper of
 the term (Huet, "The Zipper", JFP 1997): the focus, which a step makes the
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from itertools import count, repeat
 from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -263,34 +263,26 @@ class _Matcher:
     when its turn comes.  An absence key may be bound by any value of the
     pattern (``SAP-Not``), so absence entries are checked after every list.
 
-    Each subject binder the descent enters gets a canonical name: its own
-    name, or a reserved one if this attempt has used that name before, even
-    for a binder now out of scope.  So ``senv`` (subject binder in scope to
-    canonical name) and ``penv`` (pattern binder to its partner's) stay
-    injective, ``_rename`` copies a fragment only where a binder took a
-    reserved name, and subject keys are filed through ``senv`` too.  Inside
-    a binder's scope a free occurrence of its name is that binder, so a
-    renamed fragment's free name is a canonical name in ``senv`` or one that
-    no enclosing subject binder has, and the binders a fragment may not use
-    are those in ``senv`` other than the meta's parameters.  A name free in
-    the subject may still name a binder elsewhere: a pattern key that
-    resolves through ``var_bind`` to a name bound here names no key of the
-    list, and the two abstractions of a non-linear meta compare up to alpha.
+    Each pair of binders the descent enters gets the attempt's next number:
+    ``senv`` maps a subject name in scope to its binder's, ``penv`` a
+    pattern binder to its partner's, and subject keys are filed through
+    ``senv`` too.  Inside a binder's scope a free occurrence of its name is
+    that binder, so a fragment is recorded as it stands: a parameter is its
+    binder's name in ``senv``, or a reserved one (``_reserved``) for a
+    binder an inner one hides, and the names a fragment may not use are
+    the other names in ``senv``.  A name free in the subject may still name
+    a binder elsewhere: a pattern key that resolves through ``var_bind`` to
+    a name bound here names no key of the list, and the two abstractions
+    of a non-linear meta compare up to alpha.
     """
 
     def __init__(self):
         self.meta_bind: dict[Ident, Abstraction] = {}
         self.var_bind: dict[Ident, Ident] = {}
-        self.used: set[Ident] = set()
+        self.numbers = count()
         # (pattern entries, subject dict, penv, senv, subject list)
         self.pending: list[tuple] = []
         self.undone = False
-
-    def canonical(self, u: Ident) -> Ident:
-        # The one place a reserved name is made: ``%`` is no identifier's.
-        c = str.__new__(Ident, f"{u}%{len(self.used)}") if u in self.used else u
-        self.used.add(c)
-        return c
 
     # -- structural descent ------------------------------------------------
 
@@ -299,7 +291,7 @@ class _Matcher:
         if cls is MetaApp:
             if p.args or senv:
                 self.bind_meta(p, s, penv, senv)
-            else:  # no binder to rename, forbid or abstract over
+            else:  # no binder to forbid or abstract over
                 self._record_meta(p.meta, Abstraction((), s))
             return
         if cls is Var:
@@ -332,7 +324,7 @@ class _Matcher:
                 raise _NoMatch
             penv2, senv2 = dict(penv), dict(senv)
             for w, u in zip(pp.binders, sp.binders):
-                penv2[w] = senv2[u] = self.canonical(u)
+                penv2[w] = senv2[u] = next(self.numbers)
             self.term(pp.body, sp.body, penv2, senv2)
             return
         if sp.__class__ is not AssocPiece:
@@ -340,7 +332,7 @@ class _Matcher:
         # Each entry is filed under its key seen through ``senv``; later keys
         # override earlier ones.  Nothing mutates an environment once built,
         # so the queued list keeps the ones it was given.
-        subject: dict[Ident, MapEntry] = {}
+        subject: dict[Ident | int, MapEntry] = {}
         for e in sp.entries:
             if e.__class__ is not MapEntry:
                 # SAP-Not, SAC-All: checked subjects and contracta hold plain entries.
@@ -353,15 +345,15 @@ class _Matcher:
     def bind_meta(self, p: MetaApp | CatchAll, s: Term | AssocPiece, penv: dict,
                   senv: dict) -> None:
         # Only under a binder: ``term`` and ``drain_pending`` record the rest.
-        params = self._meta_params(p.meta, p.args, penv)
-        s = self._rename(s, senv)
-        forbidden = set(senv.values()) - set(params)
+        params = self._meta_params(p.meta, p.args, penv, senv)
+        forbidden = senv.keys() - params
         if forbidden and free_vars(s) & forbidden:
             self.undone = True  # a forbidden binder occurs in the fragment
             return
         self._record_meta(p.meta, Abstraction(params, s))
 
-    def _meta_params(self, meta: Ident, args, penv: dict) -> tuple[Ident, ...]:
+    def _meta_params(self, meta: Ident, args, penv: dict, senv: dict) -> tuple[Ident, ...]:
+        names = {n: u for u, n in senv.items()}
         params = []
         for a in args:
             if a.__class__ is not Var or a.name not in penv:
@@ -370,12 +362,9 @@ class _Matcher:
                     f"pattern argument of {meta} must be a bound variable; "
                     "was the rule checked?"
                 )
-            params.append(penv[a.name])
+            n = penv[a.name]
+            params.append(names[n] if n in names else _reserved(n))
         return tuple(params)
-
-    def _rename(self, s: Term | AssocPiece, senv: dict) -> Term | AssocPiece:
-        reserved = {u: Var(c) for u, c in senv.items() if u != c}
-        return substitute(s, reserved) if reserved else s
 
     def _record_meta(self, meta: Ident, ab: Abstraction) -> None:
         seen = self.meta_bind.get(meta)
@@ -386,9 +375,9 @@ class _Matcher:
 
     # -- association pieces --------------------------------------------------
 
-    def resolve_key(self, w: Ident, penv: dict, senv: dict) -> Ident | None:
-        """The subject key that pattern key ``w`` names here, or None when
-        it resolves to a free name that a subject binder in scope shadows."""
+    def resolve_key(self, w: Ident, penv: dict) -> Ident | int:
+        """What pattern key ``w`` names here: a binder's number, or a free
+        name, under which no key that a subject binder in scope binds is filed."""
         if w in penv:
             return penv[w]
         k = self.var_bind.get(w)
@@ -396,24 +385,24 @@ class _Matcher:
             # A key is a binder in scope or a variable the pattern binds before
             # its list drains, or at all for an absence key: SA-Map, SAP-Not.
             raise EngineError(f"pattern key {w} is bound nowhere (KeyNotElsewhere)")
-        return None if k in senv else k
+        return k
 
     def drain_pending(self) -> None:
         """Match the queued association lists in order, the lists queued
         meanwhile included, and then every absence entry."""
-        absent: list[tuple[Ident, dict, dict, dict]] = []
+        absent: list[tuple[Ident, dict, dict]] = []
         for p_entries, subject, penv, senv, sp in self.pending:
             catchall = None
-            named: set[Ident] = set()
+            named: set[Ident | int] = set()
             for e in p_entries:
                 if e.__class__ is MapEntry:
-                    k = self.resolve_key(e.key, penv, senv)
+                    k = self.resolve_key(e.key, penv)
                     if k not in subject:
                         raise _NoMatch
                     named.add(k)
                     self.term(e.value, subject[k].value, penv, senv)
                 elif e.__class__ is NotKey:
-                    absent.append((e.key, subject, penv, senv))
+                    absent.append((e.key, subject, penv))
                 elif catchall is None:
                     catchall = e
                 else:
@@ -422,7 +411,7 @@ class _Matcher:
                         "a pattern association list has more than one catch-all meta-variable"
                     )
             if catchall is not None:
-                # The subject's own entries: ``bind_meta`` renames keys and values.
+                # The subject's own entries, as they stand.
                 # With no key named and no key repeated, they are all of ``sp``.
                 if named or len(subject) != len(sp.entries):
                     sp = AssocPiece(tuple(e for k, e in subject.items() if k not in named))
@@ -432,27 +421,33 @@ class _Matcher:
                     self._record_meta(catchall.meta, Abstraction((), sp))
             elif len(named) != len(subject):  # an entry is left over
                 raise _NoMatch
-        for w, subject, penv, senv in absent:
-            if self.resolve_key(w, penv, senv) in subject:
+        for w, subject, penv in absent:
+            if self.resolve_key(w, penv) in subject:
                 raise _NoMatch
+
+
+def _reserved(n: int) -> Ident:
+    """Binder ``n``'s name where an inner one hides its own: ``%`` is no identifier's."""
+    return str.__new__(Ident, f"%{n}")
 
 
 def match_term(pattern: Term, subject: Term, *, _undone: list | None = None
                ) -> Valuation | None:
     """Match a checked rule pattern against a ground subject fragment.
 
-    Returns the valuation, or None when the subject does not match.  The
-    abstractions' parameters are the subject's own binder names, but for a
-    name the attempt meets again, which gets a reserved spelling that no
-    parsed identifier has and that contraction substitutes away.  Replaying
-    the valuation into the pattern rebuilds the subject up to
-    alpha-equivalence; association lists, read as maps, may come back in
-    another entry order.  A catch-all that takes all of a subject list with
-    no repeated key binds that list itself.  A non-linear meta-variable or
-    catch-all matches only abstractions that are alpha-equal.  The pattern
-    must pass the checker; one that does not may raise EngineError, for
-    instance a pattern association list with more than one catch-all
-    (SAP-All) or a pattern key bound nowhere (SA-Map, SAP-Not).
+    Returns the valuation, or None when the subject does not match.  Each
+    abstraction holds its fragment as the subject does, and its parameters
+    are their binders' own names, but for a binder an inner one of its name
+    hides, which gets a reserved spelling that no parsed identifier has and
+    that the fragment cannot hold.  Replaying the valuation into the pattern
+    rebuilds the subject up to alpha-equivalence; association lists, read
+    as maps, may come back in another entry order.  A catch-all that takes
+    all of a subject list with no repeated key binds that list itself.  A
+    non-linear meta-variable or catch-all matches only abstractions that
+    are alpha-equal.  The pattern must pass the checker; one that does not
+    may raise EngineError, for instance a pattern association list with
+    more than one catch-all (SAP-All) or a pattern key bound nowhere
+    (SA-Map, SAP-Not).
 
     A failure is undoable when everything matched but a meta-variable's or
     catch-all's fragment: it holds a binder the meta does not take, or a
@@ -488,8 +483,8 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident], *,
     ``avoid`` and the names drawn so far.  ``avoid`` is read once, when the
     first fresh name is drawn.  A catch-all splices the entries of its
     abstraction's body, with the contracted arguments substituted for the
-    parameters.  The engine passes ``_rhs_vars``, the rule's
-    ``sorted(free_vars(rhs))`` computed once by ``prepare_rules``.
+    parameters; no body holds a reserved parameter.  The engine passes
+    ``_rhs_vars``, the rule's ``sorted(free_vars(rhs))``, from ``prepare_rules``.
     """
     taken: set[Ident] | None = None
 

@@ -113,7 +113,9 @@ def ex2_rules(ex2, ex2_checked):
 # reuses a name where it could take one binder for another, or a binder for
 # a free name: the outermost of three binders named u, a free z beside a
 # binder z whose key a pattern variable names, and a binder j beside a free
-# j in the other argument of a non-linear meta-variable.  Each is
+# j in the other argument of a non-linear meta-variable.  The rules U and V
+# take, as a meta-application's or a catch-all's parameter, a binder u that
+# an inner u hides, which alone gets a reserved name.  Each is
 # (label, subject, rendered normal form, steps).
 
 CLASHING_NAMES = """\
@@ -133,6 +135,10 @@ L rule T(Lam([a]Lam([b]Lam([c]#M(c))))) -> Lam([d]#M(d));
 L rule P(x, Lam([y]E({x : #V}))) -> #V;
 L rule N(x, Lam([y]E({~x:, #e(y)}))) -> Lam([w]E({#e(w)}));
 L rule K(Lam([a]#m(a)), Lam([b]#m(b))) -> Done();
+L scheme U(L);
+L rule U(Lam([a]Lam([b]#M(a, b)))) -> Lam([d]#M(d, d));
+L scheme V(L);
+L rule V(Lam([a]Lam([b]E({#e(a)})))) -> Lam([d]E({#e(d)}));
 """
 
 CLASHING_CASES = [
@@ -147,4 +153,11 @@ CLASHING_CASES = [
      "K(Lam([k]G(k, j)), Lam([j]G(j, j)))", 0),
     ("nonlinear-free", "K(Lam([k]G(k, j)), Lam([i]G(i, j)))", "Done()", 1),
     ("nonlinear-reused", "K(Lam([j]G(j, j)), Lam([j]G(j, j)))", "Done()", 1),
+    ("hidden-param-inner", "U(Lam([u]Lam([u]u)))", "Lam([d]d)", 1),
+    ("hidden-param-unused", "U(Lam([u]Lam([u]A())))", "Lam([d]A())", 1),
+    ("hidden-outermost", "S(Lam([u]Lam([u]Lam([u]A()))))", "Done()", 1),
+    ("hidden-catch-all", "V(Lam([u]Lam([u]E({k : A()}))))", "Lam([d]E({k : A()}))", 1),
+    ("hidden-catch-all-inner", "V(Lam([u]Lam([u]E({k : u}))))",
+     "V(Lam([u]Lam([u]E({k : u}))))", 0),
+    ("catch-all-outer", "V(Lam([u]Lam([v]E({k : u}))))", "Lam([d]E({k : d}))", 1),
 ]

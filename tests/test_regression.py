@@ -38,9 +38,9 @@
   environment and diagnostics of sorting every name first and checking
   second.  On a subject made ill-formed, the verdicts and the diagnostics
   that stop the check agree, and the rest do wherever none stops it.
-* The matcher walks no name set: the engine walks a term's names only
-  when it draws a fresh name, and finds each right side's free variables
-  once per rule.  Parsing,
+* The matcher walks no name set and copies no fragment: the engine walks
+  a term's names only when it draws a fresh name, and finds each right
+  side's free variables once per rule.  Parsing,
   checking, normalizing and rendering leave no reference cycle at all, no
   nested function in the package recurses, and no walk recurses through a
   comprehension.  ``alpha_equal`` and ``substitute`` reach 275 and 400
@@ -1519,7 +1519,7 @@ def test_alpha_equal_agrees_with_de_bruijn_forms(data, lists):
 
 @pytest.mark.parametrize("label,source,term,fuel", NAMED_CASES, ids=[c[0] for c in NAMED_CASES])
 def test_no_reserved_name_reaches_a_traced_term(label, source, term, fuel):
-    # The matcher's reserved canonical names stand only in valuations;
+    # The matcher's reserved names stand only in valuations' parameters;
     # every term a run traces renders to text that parses back to it.
     for t in _traced(source, term, fuel)[2]:
         text = render(t)
@@ -1527,16 +1527,33 @@ def test_no_reserved_name_reaches_a_traced_term(label, source, term, fuel):
 
 
 def test_a_reserved_name_does_not_parse():
-    # Three binders named u: the innermost, which #M takes, gets the
-    # reserved name that its abstraction holds.
-    pattern = parse_term("T(Lam([a]Lam([b]Lam([c]#M(c)))))")
-    val = match_term(pattern, parse_term("T(Lam([u]Lam([u]Lam([u]u))))"))
+    # Three binders named u: the outermost, which #M takes and the inner
+    # ones hide, gets the reserved name; the innermost keeps its own.
+    pattern = parse_term("T(Lam([a]Lam([b]Lam([c]#M(a)))))")
+    val = match_term(pattern, parse_term("T(Lam([u]Lam([u]Lam([u]A()))))"))
     (name,) = val.meta_bind["#M"].params
-    assert val.meta_bind["#M"].body == Var(name) and "%" in name
+    assert val.meta_bind["#M"].body == parse_term("A()") and "%" in name
+    val = match_term(parse_term("T(Lam([a]Lam([b]Lam([c]#M(c)))))"),
+                     parse_term("T(Lam([u]Lam([u]Lam([u]u))))"))
+    assert (val.meta_bind["#M"].params, val.meta_bind["#M"].body) == (("u",), Var("u"))
     with pytest.raises(ValueError):
         Ident(name)
     with pytest.raises(ParseFailure):
         parse_term(f"Lam([{name}]{name})")
+
+
+def test_matching_makes_no_substitution(monkeypatch):
+    # A fragment is recorded as the subject holds it, hidden binders and
+    # all: no corpus pattern, matched against any clashing subject, copies
+    # one.
+    calls, real = [], plank.rewrite.substitute
+    monkeypatch.setattr(plank.rewrite, "substitute", lambda *a: calls.append(a) or real(*a))
+    patterns = [rule.lhs for text in (BETA_ETA, CBV_EVAL, NONLINEAR, REACH_TWO, IN_VALUE,
+                                      UNTAKEN, CLASHING_NAMES)
+                for rule in parse_script(text).rules]
+    matched = sum(match_term(p, parse_term(case[1])) is not None
+                  for case in CLASHING_CASES for p in patterns)
+    assert calls == [] and matched >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -2117,22 +2134,21 @@ def _reserved_name_makers(source: str) -> list[str]:
 
 
 def test_reserved_names_are_made_in_one_place():
-    # The matcher's canonical names are the subject's own binder names and
-    # the reserved names that ``_Matcher.canonical`` alone makes; the
-    # matcher walks no name set and draws no fresh name.
+    # The matcher's parameters are the subject's own binder names and the
+    # reserved names that ``_reserved`` alone makes; the matcher walks no
+    # name set, draws no fresh name and substitutes nothing.
     sample = ("x = str.__new__(Ident, 'a%1')\n"
               "def f(u):\n    def g():\n        return str.__new__(Ident, u)\n"
               "    return Ident(u), str.__new__(str, u)\n")
     assert _reserved_name_makers(sample) == ["<module>", "g"]
     makers = [(path.name, fn) for path in sorted((REPO / "src" / "plank").glob("*.py"))
               for fn in _reserved_name_makers(path.read_text(encoding="utf-8"))]
-    assert makers == [("rewrite.py", "canonical")]
+    assert makers == [("rewrite.py", "_reserved")]
     source = (REPO / "src" / "plank" / "rewrite.py").read_text(encoding="utf-8")
     matcher = next(n for n in ast.walk(ast.parse(source))
                    if isinstance(n, ast.ClassDef) and n.name == "_Matcher")
     names = {n.id for n in ast.walk(matcher) if isinstance(n, ast.Name)}
-    assert "canonical" in {n.name for n in matcher.body if isinstance(n, ast.FunctionDef)}
-    assert not names & {"all_idents", "fresh_var"}
+    assert not names & {"all_idents", "fresh_var", "substitute"}
 
 
 def _own_scope(fn):

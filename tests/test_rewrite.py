@@ -243,8 +243,7 @@ class TestMatchTerm:
         assert undone == [True]
 
     @pytest.mark.parametrize("inner,fragment,undone", [
-        # The second u takes the reserved name u%1, so a u in the fragment
-        # is that binder, which #q does not take.
+        # A u in the fragment is the second u, which #q does not take.
         ("#q", "A(u)", True),
         ("#q", "A(w)", False),
         ("E({#q})", "E({k : A(u)})", True),
