@@ -5,21 +5,25 @@ equivalents (``->``, ``<>``, ``~``).  Whitespace is insignificant and ``//``
 starts a line comment.  Script files conventionally use the ``.plank``
 extension and one declaration per ``;``.
 
-The lexer builds no record per token.  It keeps each token's kind, text
-and start offset in three parallel lists, and a table of the offsets at
-which lines start.  Each node keeps a ``Pos``: its first token's offset
-and the parse's one ``(file, line starts)`` pair.  The line and column are
-found in that table only when a diagnostic or a reader asks.  A column is
-the character offset from the start of the line plus one, so a tab or a
-carriage return counts as one column.  A comment does not advance the
-column: input that ends in a comment without a newline reports end of
-input at the comment's first column.  Each distinct word becomes one
-``Ident`` per call, and its token kind follows from its first character.
+The lexer runs no Python code per token: one ``findall`` gives the token
+strings, each distinct one is classified once, and ``map`` looks up the
+kinds and texts, two parallel lists.  Each node keeps a ``Pos``, after
+Go's ``go/token``: its first token's index and the parse's one
+``_Source``.  The first position resolved finds the tokens' offsets and
+the lines' starts, by a second pass that reads what the lexer dropped.  A
+column is the character offset from the start of the line plus one, so a
+tab or a carriage return counts as one column.  A comment does not
+advance the column: input that ends in a comment without a newline
+reports end of input at the comment's first column.  Each distinct word
+becomes one ``Ident`` per call, and its token kind follows from its first
+character.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from functools import cached_property
 from typing import Callable
 
 from .terms import (
@@ -46,6 +50,7 @@ from .terms import (
     Sort,
     SortCons,
     SortVar,
+    Span,
     Term,
     Var,
     VariableDecl,
@@ -72,48 +77,75 @@ class ParseFailure(Exception):
 # ---------------------------------------------------------------------------
 # Lexer
 
-# The kind and text of each punctuation spelling; ``_lex`` adds each word it
-# meets to a copy.
-_PUNCT = {c: (k, c) for c, k in [*zip("()[]{},;:<>~⟨⟩¬", "()[]{},;:<>~<>~"),
-                                 ("→", "->"), ("->", "->")]}
+# The kind of each punctuation spelling, whose text is itself; ``_lex`` adds
+# each word it meets to a copy.
+_KIND = dict([*zip("()[]{},;:<>~⟨⟩¬", "()[]{},;:<>~<>~"), ("→", "->"), ("->", "->")])
 
 # A comment, or one token: an arrow, a word, or any other single character
 # but a blank (punctuation, or a character no token starts with).
-# ``finditer`` steps over the blanks and newlines between matches.
+# ``findall`` steps over the blanks and newlines between matches.
 _TOKEN_RE = re.compile(r"//[^\n]*|->|[#A-Za-z][A-Za-z0-9_]*|[^ \t\r\n]")
 
 
-def _lex(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
-    """The kinds, texts and start offsets of the tokens, the last one ``eof``;
-    then the offsets of the characters no token accepts."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    bad: list[int] = []
-    seen: dict[str, tuple[str, str]] = dict(_PUNCT)
+def _lex(text: str) -> tuple[list[str], list[str], dict[str, str | None]]:
+    """The kinds and texts of the tokens, the last one ``eof``, and the
+    spellings that make no token: a comment, mapped to ``""``, and a
+    character no token accepts, to None.  No Python code runs per token,
+    only per distinct one."""
+    toks = _TOKEN_RE.findall(text)
+    kind, texts, dropped = dict(_KIND), dict(zip(_KIND, _KIND)), {}
+    for w in set(toks).difference(kind):
+        first = w[0]
+        if w.startswith("//"):
+            dropped[w] = ""
+        elif first != "#" and not (first.isascii() and first.isalpha()):
+            dropped[w] = None
+        else:
+            kind[w] = "meta" if first == "#" else "con" if first.isupper() else "var"
+            texts[w] = Ident(w)
+    if dropped:
+        toks = list(filter(kind.__contains__, toks))
+    return [*map(kind.__getitem__, toks), "eof"], [*map(texts.__getitem__, toks), ""], dropped
+
+
+def _offsets(text: str, dropped: dict) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """With ``_lex``'s ``dropped`` spellings, the start offsets of the tokens,
+    ``eof`` last; of the characters no token accepts; and of the lines."""
+    starts, bad = [], []
     m = None
     for m in _TOKEN_RE.finditer(text):
-        tok = m[0]
-        hit = seen.get(tok)
-        if hit is None:
-            if tok.startswith("//"):
-                continue
-            first = tok[0]
-            if first != "#" and not (first.isascii() and first.isalpha()):
-                bad.append(m.start())
-                continue
-            kind = "meta" if first == "#" else "con" if first.isupper() else "var"
-            hit = seen[tok] = (kind, Ident(tok))
-        kinds.append(hit[0])
-        texts.append(hit[1])
-        starts.append(m.start())
+        if m[0] not in dropped:
+            starts.append(m.start())
+        elif dropped[m[0]] is None:
+            bad.append(m.start())
     # A comment does not advance the column, so input that ends in one puts
     # end of input at the comment's first column.
-    comment = m is not None and m.end() == len(text) and m[0].startswith("//")
-    kinds.append("eof")
-    texts.append("")
-    starts.append(m.start() if comment else len(text))
-    return kinds, texts, starts, bad
+    starts.append(m.start() if m is not None and m.end() == len(text) and dropped.get(m[0]) == ""
+                  else len(text))
+    return starts, bad, (0, *[m.end() for m in re.finditer("\n", text)])
+
+
+class _Source:
+    """One parse's file and text, which each ``Pos`` of the parse shares.
+    The tokens' offsets and the lines' starts are found once, when the
+    first position is resolved."""
+
+    def __init__(self, file: str, text: str, dropped: dict[str, str | None]):
+        self.file, self.text, self.dropped = file, text, dropped
+
+    @cached_property
+    def offsets(self) -> tuple[list[int], list[int], tuple[int, ...]]:
+        return _offsets(self.text, self.dropped)
+
+    def resolve(self, token: int) -> Span:
+        """Where token ``token`` starts."""
+        return self.at(self.offsets[0][token])
+
+    def at(self, offset: int) -> Span:
+        """Where the character at ``offset`` is."""
+        lines = self.offsets[2]
+        line = bisect_right(lines, offset)
+        return Span(self.file, line, offset - lines[line - 1] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,23 +156,23 @@ _KEYWORDS = ("data", "scheme", "variable", "rule")
 
 class _Parser:
     """One text's tokens and the index ``pos`` of the next one, which never
-    passes ``eof``.  Token ``i`` has kind ``kinds[i]``, text ``texts[i]`` (an
-    ``Ident`` for a word, ``""`` for ``eof``) and starts at offset
-    ``starts[i]``; ``source`` pairs the file name with the offsets at which
-    its lines start, for every ``Pos`` of the parse.  A node's ``Pos`` is
-    made with ``tuple.__new__``, which runs no Python frame."""
+    passes ``eof``.  Token ``i`` has kind ``kinds[i]`` and text
+    ``texts[i]`` (an ``Ident`` for a word, ``""`` for ``eof``); a node's
+    ``Pos`` is its first token's index and the parse's ``source``, made
+    with ``tuple.__new__``, which runs no Python frame."""
 
     def __init__(self, text: str, file: str):
-        self.kinds, self.texts, self.starts, bad = _lex(text)
-        self.source = (file, (0, *[m.end() for m in re.finditer("\n", text)]))
+        self.kinds, self.texts, dropped = _lex(text)
+        self.source = source = _Source(file, text, dropped)
         self.pos = 0
-        self.errors = [Diagnostic("parse", Pos(o, self.source).resolve(),
-                                  f"unexpected character {text[o]!r}") for o in bad]
+        self.errors = [] if None not in dropped.values() else [
+            Diagnostic("parse", source.at(o), f"unexpected character {text[o]!r}")
+            for o in source.offsets[1]]
 
     def fail(self, message: str, i: int | None = None):
         """Raise a ``parse`` diagnostic at token ``i``, by default the next one."""
-        at = Pos(self.starts[self.pos if i is None else i], self.source)
-        raise ParseFailure([Diagnostic("parse", at.resolve(), message)])
+        at = self.source.resolve(self.pos if i is None else i)
+        raise ParseFailure([Diagnostic("parse", at, message)])
 
     def expected(self, what: str):
         self.fail(f"expected {what}, found {self.texts[self.pos] or 'end of input'!r}")
@@ -174,7 +206,7 @@ class _Parser:
         kinds = self.kinds
         if kinds[i] == "var":
             self.pos = i + 1
-            return SortVar(self.texts[i], span=tuple.__new__(Pos, (self.starts[i], self.source)))
+            return SortVar(self.texts[i], span=tuple.__new__(Pos, (i, self.source)))
         if kinds[i] != "con":
             self.expected("a sort")
         self.pos = i + 1
@@ -187,7 +219,7 @@ class _Parser:
                 items.append(self.sort())
             self.expect(">")
             args = tuple(items)
-        return SortCons(self.texts[i], args, span=tuple.__new__(Pos, (self.starts[i], self.source)))
+        return SortCons(self.texts[i], args, span=tuple.__new__(Pos, (i, self.source)))
 
     def form(self) -> Form:
         i = self.pos
@@ -196,14 +228,14 @@ class _Parser:
             self.pos = i + 1
             binders = self.listed(self.sort, "]")
             return ScopeForm(tuple(binders), self.sort(),
-                             span=tuple.__new__(Pos, (self.starts[i], self.source)))
+                             span=tuple.__new__(Pos, (i, self.source)))
         if kind == "{":
             self.pos = i + 1
             key = self.sort()
             self.expect(":")
             value = self.sort()
             self.expect("}")
-            return AssocForm(key, value, span=tuple.__new__(Pos, (self.starts[i], self.source)))
+            return AssocForm(key, value, span=tuple.__new__(Pos, (i, self.source)))
         body = self.sort()
         return ScopeForm((), body, span=body.span)
 
@@ -215,7 +247,7 @@ class _Parser:
         kind = kinds[i]
         if kind == "var":
             self.pos = i + 1
-            return Var(self.texts[i], span=tuple.__new__(Pos, (self.starts[i], self.source)))
+            return Var(self.texts[i], span=tuple.__new__(Pos, (i, self.source)))
         if kind != "con" and kind != "meta":
             self.expected("a term")
         self.pos = i + 1
@@ -225,7 +257,7 @@ class _Parser:
             items = self.listed(self.piece if kind == "con" else self.term, ")")
         cls = Construction if kind == "con" else MetaApp
         return cls(self.texts[i], tuple(items),
-                   span=tuple.__new__(Pos, (self.starts[i], self.source)))
+                   span=tuple.__new__(Pos, (i, self.source)))
 
     def piece(self) -> Piece:
         i = self.pos
@@ -237,12 +269,12 @@ class _Parser:
             if len(set(binders)) != len(binders):
                 self.fail("binders in one scope must be pairwise distinct", i)
             return ScopePiece(tuple(binders), self.term(),
-                              span=tuple.__new__(Pos, (self.starts[i], self.source)))
+                              span=tuple.__new__(Pos, (i, self.source)))
         if kind == "{":
             self.pos = i + 1
             entries = self.listed(self.association, "}", (",", ";"))
             return AssocPiece(tuple(entries),
-                              span=tuple.__new__(Pos, (self.starts[i], self.source)))
+                              span=tuple.__new__(Pos, (i, self.source)))
         body = self.term()
         return ScopePiece((), body, span=body.span)
 
@@ -253,7 +285,7 @@ class _Parser:
             self.pos = i + 1
             key = self.expect("var", "a key variable")
             self.expect(":")
-            return NotKey(self.texts[key], span=tuple.__new__(Pos, (self.starts[i], self.source)))
+            return NotKey(self.texts[key], span=tuple.__new__(Pos, (i, self.source)))
         if kind == "meta":
             meta = self.term()
             return CatchAll(meta.meta, meta.args, span=meta.span)
@@ -261,7 +293,7 @@ class _Parser:
             self.pos = i + 1
             self.expect(":")
             return MapEntry(self.texts[i], self.term(),
-                            span=tuple.__new__(Pos, (self.starts[i], self.source)))
+                            span=tuple.__new__(Pos, (i, self.source)))
         self.expected("an association entry")
 
     # -- declarations ----------------------------------------------------------

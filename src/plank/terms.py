@@ -9,10 +9,10 @@ lowercase letter, and meta-variables with ``#``.
 All AST values are immutable after construction and safe to share, by rule
 and not by the runtime: a lint in the tests rejects every store to a field
 of a built record.  A parsed node's ``span`` is a ``Pos``, after Go's
-``token.Pos``: an offset into a line table that its parse shares, resolved
-to a line and column only when read.  Positions take no part in equality
-or hashing.  ``Diagnostic``, the one diagnostic type of the parser, the
-environment builder and the checker, holds a resolved ``Span``.
+``token.Pos``: its first token's index in the source its parse shares,
+resolved to a line and column only when read.  Positions take no part in
+equality or hashing.  ``Diagnostic``, the one diagnostic type of the
+parser, the environment builder and the checker, holds a resolved ``Span``.
 
 ``free_vars`` and ``non_assoc_vars`` share one traversal, ``_names``, that
 collects names by the role they play in a term: ``VAR`` for a variable
@@ -44,7 +44,6 @@ one Python frame.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, NamedTuple, Union
@@ -83,15 +82,13 @@ class Span(NamedTuple):
 
 class Pos(NamedTuple):
     """Where a parsed node starts, resolved to a ``Span`` only when read: its
-    offset, and the ``(file, line starts)`` pair its whole parse shares."""
+    first token's index, and the source its whole parse shares."""
 
-    offset: int
-    source: tuple[str, tuple[int, ...]]
+    token: int
+    source: object
 
     def resolve(self) -> Span:
-        file, lines = self.source
-        line = bisect_right(lines, self.offset)
-        return Span(file, line, self.offset - lines[line - 1] + 1)
+        return self.source.resolve(self.token)
 
 
 @dataclass(unsafe_hash=True, slots=True)

@@ -2,7 +2,7 @@
 
 The reference pairs binders explicitly, one fresh object per pair, and
 tries every injective assignment of a pattern list's entries to a subject
-list's, with at most three entries per list; a catch-all takes the rest.
+list's, with at most four entries per list; a catch-all takes the rest.
 It checks absence entries and the binders a meta-variable may not use
 directly, compares the two occurrences of a non-linear meta-variable with
 ``alpha_equal``, and abstracts each fragment over fresh parameters ``p0``,
@@ -100,7 +100,7 @@ def _solve(goals, metas, var_bind, absent):
 def _solve_list(p, s, pb, sb, goals, metas, var_bind, absent):
     # A subject list is a map: a later key overrides an earlier one.
     entries = {sb.get(e.key, e.key): e for e in s.entries}
-    assert len(entries) <= 3
+    assert len(entries) <= 4
     named = [e for e in p.entries if isinstance(e, MapEntry)]
     rest_meta = [e for e in p.entries if isinstance(e, CatchAll)]
     absent = absent + [(e.key, pb, set(entries)) for e in p.entries if isinstance(e, NotKey)]
@@ -142,7 +142,7 @@ def _abstract(args, s, pb, sb):
 
 def _fragment(rng, names, depth):
     """A ground term over ``names``: variables, ``A()``, ``G``, ``Lam`` and
-    ``E`` with a list of at most two entries."""
+    ``E`` with a list of at most four entries."""
     r = rng.random()
     if depth <= 0 or r < 0.35:
         return Var(rng.choice(names)) if rng.random() < 0.7 else Construction(Ident("A"))
@@ -152,7 +152,7 @@ def _fragment(rng, names, depth):
     if r < 0.85:
         return Construction(Ident("Lam"), (ScopePiece((rng.choice(_NAMES),),
                                                       _fragment(rng, names, depth - 1)),))
-    return Construction(Ident("E"), (_entries(rng, names, rng.randint(0, 2), depth - 1),))
+    return Construction(Ident("E"), (_entries(rng, names, rng.randint(0, 4), depth - 1),))
 
 
 def _entries(rng, names, n, depth):
@@ -168,7 +168,7 @@ def _instance(rng, pattern):
         if isinstance(n, (MetaApp, CatchAll)) and n.meta not in meta_bind:
             params = tuple(Ident(f"q{i}") for i in range(len(n.args)))
             names = [*params, *_NAMES]
-            body = (_entries(rng, names, rng.randint(0, 2), 2) if isinstance(n, CatchAll)
+            body = (_entries(rng, names, rng.randint(0, 3), 2) if isinstance(n, CatchAll)
                     else _fragment(rng, names, 2))
             meta_bind[n.meta] = Abstraction(params, body)
     var_bind = {w: rng.choice(_NAMES) for w in sorted(free_vars(pattern))}
@@ -214,7 +214,7 @@ def _mutated(rng, t):
             if kind == 2 and rng.random() < 0.5:
                 if entries and rng.random() < 0.5:
                     del entries[rng.randrange(len(entries))]
-                elif len(entries) < 3:
+                elif len(entries) < 4:
                     entries.append(MapEntry(rng.choice(_NAMES), _fragment(rng, _NAMES, 1)))
             return AssocPiece(tuple(entries))
         return x

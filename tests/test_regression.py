@@ -33,7 +33,8 @@
   builds a state for a rule side or a subject and then only where the
   context, the binders in scope or the key set change, never for a plain
   argument.  ``normalize`` indexes the rules by head once, and the lexer
-  classifies each distinct word once.
+  classifies each distinct word once, runs no Python code per token, and
+  finds the tokens' offsets once per parse, only when a position is read.
 * On generated subjects, ``check_ground_subject`` gives the sort,
   environment and diagnostics of sorting every name first and checking
   second.  On a subject made ill-formed, the verdicts and the diagnostics
@@ -1170,15 +1171,19 @@ def test_normalize_indexes_the_rules_by_head_once(monkeypatch):
     assert len(calls) == len(steps) + 1
 
 
-def test_lexer_classifies_each_distinct_word_once(monkeypatch):
-    # The corpus pair 25 times, each copy's sort and constructor names with
-    # their own suffix: 325 declarations, as in the benchmark's script.
+def _script_325() -> str:
+    """The corpus pair 25 times, each copy's sort and constructor names with
+    their own suffix: 325 declarations, as in the benchmark's script."""
     copies = []
     for i in range(25):
         text = BETA_ETA + CBV_EVAL
         copies.append(re.sub(r"(?<![#A-Za-z0-9_])[A-Z][A-Za-z0-9_]*",
                              lambda m: f"{m.group()}q{i}", text))
-    text = "\n".join(copies)
+    return "\n".join(copies)
+
+
+def test_lexer_classifies_each_distinct_word_once(monkeypatch):
+    text = _script_325()
     words = set(re.findall(r"[#A-Za-z][A-Za-z0-9_]*", text))
     calls = []
     original = plank.terms._check_spelling
@@ -1191,6 +1196,60 @@ def test_lexer_classifies_each_distinct_word_once(monkeypatch):
     script = parse_script(text)
     assert len(script.declarations) == 325
     assert len(calls) <= len(words)
+
+
+def test_offsets_are_found_once_and_only_when_read(monkeypatch):
+    # A parse that reports nothing finds no token offset; one or many
+    # diagnostics, from the lexer, the parser or the checker, find them once.
+    calls = []
+    original = plank.parser._offsets
+
+    def counting(text, dropped):
+        calls.append(len(text))
+        return original(text, dropped)
+
+    monkeypatch.setattr(plank.parser, "_offsets", counting)
+    text = _script_325()
+    script = parse_script(text)
+    assert len(script.declarations) == 325 and calls == []
+    checked = check_script(script)
+    assert len(checked.errors) >= 2 and calls == [len(text)]
+    calls.clear()
+    mutant = text.replace("Apq3(L", "Apq3(é L", 1).replace("Lq7 variable;", "Lq7 variable", 1)
+    with pytest.raises(ParseFailure) as exc:
+        parse_script(mutant)
+    assert [e.format() for e in exc.value.errors] == [
+        "<input>:59:17: error[parse]: unexpected character 'é'",
+        "<input>:142:1: error[parse]: expected ';', found 'Lq7'"]
+    assert calls == [len(mutant)]
+
+
+def test_the_lexer_runs_no_python_code_per_token():
+    # Opcodes that ``_lex``'s own frame executes: about 48 per distinct word
+    # here (6,570), against about 41 per token for a loop over the tokens.
+    text = _script_325()
+    toks, words = plank.parser._TOKEN_RE.findall(text), set(re.findall(r"[#A-Za-z]\w*", text))
+    assert (len(toks) + 1, len(words)) == (6001, 138)
+    opcodes = 0
+
+    def local(frame, event, arg):
+        nonlocal opcodes
+        opcodes += event == "opcode"
+        return local
+
+    def tracer(frame, event, arg):
+        if frame.f_code is plank.parser._lex.__code__:
+            frame.f_trace_opcodes = True
+            return local
+        return None
+
+    sys.settrace(tracer)
+    try:
+        kinds = plank.parser._lex(text)[0]
+    finally:
+        sys.settrace(None)
+    assert len(kinds) == 6001
+    assert opcodes < 2 * len(kinds), opcodes
 
 
 def test_beta_eta_walks_no_names(monkeypatch):
