@@ -16,7 +16,6 @@ Every ``Diagnostic`` carries the tag of the violated rule or side condition
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .env import (
@@ -52,6 +51,7 @@ from .terms import (
     Term,
     Var,
     VariableDecl,
+    _Record,
     _err,
     all_idents,
     non_assoc_vars,
@@ -73,8 +73,7 @@ class TermContext(Enum):
 IN_PAT, CON = TermContext
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class CheckState:
+class CheckState(_Record):
     """Context threaded through term checking.
 
     ``v`` is the set of names usable as association keys: on a rule side,
@@ -89,21 +88,28 @@ class CheckState:
     among the pattern's variables once the whole pattern is known.
     """
 
-    gamma: GlobalEnv
-    delta: RuleEnv
-    v: frozenset[Ident]
-    tc: TermContext
-    bound: dict[Ident, Sort]
-    absent: list[NotKey]
+    __slots__ = _fields = ("gamma", "delta", "v", "tc", "bound", "absent")
+
+    def __init__(self, gamma: GlobalEnv, delta: RuleEnv, v: frozenset[Ident], tc: TermContext,
+                 bound: dict[Ident, Sort], absent: list[NotKey]):
+        self.gamma = gamma
+        self.delta = delta
+        self.v = v
+        self.tc = tc
+        self.bound = bound
+        self.absent = absent
 
 
-@dataclass
-class ScriptCheck:
+class ScriptCheck(_Record):
     """Result of checking a whole script."""
 
-    gamma: GlobalEnv
-    rule_envs: list[RuleEnv]
-    errors: list[Diagnostic]
+    __slots__ = _fields = ("gamma", "rule_envs", "errors")
+    __hash__ = None
+
+    def __init__(self, gamma: GlobalEnv, rule_envs: list[RuleEnv], errors: list[Diagnostic]):
+        self.gamma = gamma
+        self.rule_envs = rule_envs
+        self.errors = errors
 
     @property
     def ok(self) -> bool:
@@ -207,7 +213,7 @@ def _check_term_meta(st: CheckState, t: MetaApp, expected: Sort, tag: str
         return [_err(tag, t, f"meta-variable {t.meta} has no meta-form")]
     if isinstance(mf.result, AssocForm):
         return [_err(tag, t, f"catch-all meta-variable {t.meta} cannot be used as a term")]
-    if mf.result != expected:
+    if mf.result is not expected and mf.result != expected:
         return [_err(tag, t, f"meta-variable {t.meta} produces {render(mf.result)}, expected "
                      f"{render(expected)}")]
     return _check_meta_args(st, t, mf, tag)
@@ -239,7 +245,7 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
         if a.name not in st.bound:
             return [_err(tag, a, f"{a.name} is not bound in the enclosing pattern")]
         have = st.bound[a.name]
-        if have != s:
+        if have is not s and have != s:
             return [_err(tag, a, f"argument {a.name} of {m.meta} has {render(have)}, expected "
                          f"{render(s)}")]
         if isinstance(m, MetaApp) and a.name in seen:
@@ -253,7 +259,7 @@ def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
     if not isinstance(t, Var):
         return [_err(tag, t, f"expected a variable, got {render(t)}")]
     have = st.bound.get(t.name) or st.delta.var.setdefault(t.name, expected)
-    if have != expected:
+    if have is not expected and have != expected:
         return [_err(tag, t, f"variable {t.name} has sort {render(have)}, expected "
                      f"{render(expected)}")]
     if need_hasvar:
@@ -339,7 +345,7 @@ def check_association(st: CheckState, a: Association, f: AssocForm) -> list[Diag
         return [_err(tag, a, f"meta-variable {a.meta} has no meta-form")]
     if not isinstance(mf.result, AssocForm):
         return [_err(tag, a, f"meta-variable {a.meta} is not a catch-all")]
-    if mf.result != f:
+    if mf.result is not f and mf.result != f:
         return [_err(tag, a, f"catch-all {a.meta} covers {render(mf.result)}, expected {render(f)}")]
     return _check_meta_args(st, a, mf, tag)
 
@@ -348,7 +354,7 @@ def _check_key(st: CheckState, a: MapEntry | NotKey, key_sort: Sort) -> list[Dia
     """A key is a variable of the key sort that always needs the 'variable'
     declaration (see ``_check_variable``)."""
     tag = "SMP-Var" if st.tc is IN_PAT else "SMC-Var"
-    return _check_variable(st, Var(a.key, span=a.span), key_sort, tag, need_hasvar=True,
+    return _check_variable(st, Var(a.key, a.span), key_sort, tag, need_hasvar=True,
                            key=True)
 
 

@@ -14,7 +14,6 @@ object whose methods recurse, so no call builds a reference cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 
 from .terms import (
@@ -41,6 +40,7 @@ from .terms import (
     VAR,
     Var,
     VariableDecl,
+    _Record,
     _err,
     _names,
     render,
@@ -56,16 +56,17 @@ __all__ = [
 ]
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class ConSig:
+class ConSig(_Record):
     """Declared signature of a term constructor: result sort and argument forms."""
 
-    result: Sort
-    forms: tuple[Form, ...]
+    __slots__ = _fields = ("result", "forms")
+
+    def __init__(self, result: Sort, forms: tuple[Form, ...]):
+        self.result = result
+        self.forms = forms
 
 
-@dataclass
-class GlobalEnv:
+class GlobalEnv(_Record):
     """Sort information assembled from a script's declarations.
 
     rank maps each sort constructor to its arity (fixed at the first
@@ -76,24 +77,30 @@ class GlobalEnv:
     constructors in con that are not schemes.
     """
 
-    rank: dict[Ident, int] = field(default_factory=dict)
-    misranked: set[Ident] = field(default_factory=set)
-    hasvar: set[Ident] = field(default_factory=set)
-    con: dict[Ident, ConSig] = field(default_factory=dict)
-    fun: set[Ident] = field(default_factory=set)
-    sorts_with_data: set[Ident] = field(default_factory=set)
+    __slots__ = _fields = ("rank", "misranked", "hasvar", "con", "fun", "sorts_with_data")
+    __hash__ = None
+
+    def __init__(self):
+        self.rank: dict[Ident, int] = {}
+        self.misranked: set[Ident] = set()
+        self.hasvar: set[Ident] = set()
+        self.con: dict[Ident, ConSig] = {}
+        self.fun: set[Ident] = set()
+        self.sorts_with_data: set[Ident] = set()
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class MetaForm:
+class MetaForm(_Record):
     """A meta-variable's signature: argument sorts and a result.
 
     The result is a plain sort for ordinary meta-variables or an AssocForm
     for catch-all meta-variables that stand for a whole association list.
     """
 
-    arg_sorts: tuple[Sort, ...]
-    result: Sort | AssocForm
+    __slots__ = _fields = ("arg_sorts", "result")
+
+    def __init__(self, arg_sorts: tuple[Sort, ...], result: Sort | AssocForm):
+        self.arg_sorts = arg_sorts
+        self.result = result
 
     def __str__(self) -> str:
         args = ", ".join(render(s) for s in self.arg_sorts)
@@ -105,17 +112,21 @@ class MetaForm:
 _NO_NAMES: frozenset[Ident] = frozenset()
 
 
-@dataclass
-class RuleEnv:
+class RuleEnv(_Record):
     """Per-rule environment: variable sorts and meta-variable meta-forms; for
     the rule's check, also each side's free variables outside association
     lists (``lhs_keys``, ``rhs_keys``) and the pattern's anywhere."""
 
-    var: dict[Ident, Sort] = field(default_factory=dict)
-    meta: dict[Ident, MetaForm] = field(default_factory=dict)
-    lhs_keys: frozenset[Ident] = _NO_NAMES
-    rhs_keys: frozenset[Ident] = _NO_NAMES
-    pattern_vars: frozenset[Ident] = _NO_NAMES
+    __slots__ = _fields = ("var", "meta", "lhs_keys", "rhs_keys", "pattern_vars")
+    __hash__ = None
+
+    def __init__(self, var: dict[Ident, Sort] | None = None,
+                 meta: dict[Ident, MetaForm] | None = None):
+        self.var = {} if var is None else var
+        self.meta = {} if meta is None else meta
+        self.lhs_keys: frozenset[Ident] = _NO_NAMES
+        self.rhs_keys: frozenset[Ident] = _NO_NAMES
+        self.pattern_vars: frozenset[Ident] = _NO_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +158,7 @@ def _match_sort(d: Sort, e: Sort, out: dict[Ident, Sort]) -> bool:
 def apply_sort_subst(s: Sort, subst: dict[Ident, Sort]) -> Sort:
     if isinstance(s, SortVar):
         return subst.get(s.name, s)
-    return SortCons(s.name, tuple(map(apply_sort_subst, s.args, repeat(subst))), span=s.span)
+    return SortCons(s.name, tuple(map(apply_sort_subst, s.args, repeat(subst))), s.span)
 
 
 def apply_form_subst(f: Form, subst: dict[Ident, Sort]) -> Form:
@@ -164,7 +175,8 @@ def apply_form_subst(f: Form, subst: dict[Ident, Sort]) -> Form:
 def instantiated_forms(sig: ConSig, expected: Sort) -> tuple[Form, ...] | None:
     """A constructor's argument forms at an expected result sort, or None
     when its declared result sort does not match."""
-    if sig.result == expected:  # the identity substitution: the declared forms as they are
+    # The identity substitution: the declared forms as they are.
+    if sig.result is expected or sig.result == expected:
         return sig.forms
     subst = match_sort(sig.result, expected)
     if subst is None:
@@ -351,7 +363,8 @@ class _SortWalk:
             return
         if seen is None:
             return
-        if len(m.args) != len(seen.arg_sorts) or result != seen.result:
+        have = seen.result
+        if len(m.args) != len(seen.arg_sorts) or (result is not have and result != have):
             self.errors.append(_err("MetaFormConflict", m, f"meta-variable {m.meta} used with "
                                     f"{len(m.args)} argument(s) at {render(result)} but its "
                                     f"meta-form is {seen}"))

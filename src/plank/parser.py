@@ -196,7 +196,10 @@ class _Parser:
             while kinds[self.pos] in seps:
                 self.pos += 1
                 items.append(item())
-        self.expect(close)
+        i = self.pos
+        if kinds[i] != close:
+            self.expected(repr(close))
+        self.pos = i + 1
         return items
 
     # -- sorts ---------------------------------------------------------------
@@ -206,7 +209,7 @@ class _Parser:
         kinds = self.kinds
         if kinds[i] == "var":
             self.pos = i + 1
-            return SortVar(self.texts[i], span=tuple.__new__(Pos, (i, self.source)))
+            return SortVar(self.texts[i], tuple.__new__(Pos, (i, self.source)))
         if kinds[i] != "con":
             self.expected("a sort")
         self.pos = i + 1
@@ -219,7 +222,7 @@ class _Parser:
                 items.append(self.sort())
             self.expect(">")
             args = tuple(items)
-        return SortCons(self.texts[i], args, span=tuple.__new__(Pos, (i, self.source)))
+        return SortCons(self.texts[i], args, tuple.__new__(Pos, (i, self.source)))
 
     def form(self) -> Form:
         i = self.pos
@@ -227,17 +230,16 @@ class _Parser:
         if kind == "[":
             self.pos = i + 1
             binders = self.listed(self.sort, "]")
-            return ScopeForm(tuple(binders), self.sort(),
-                             span=tuple.__new__(Pos, (i, self.source)))
+            return ScopeForm(tuple(binders), self.sort(), tuple.__new__(Pos, (i, self.source)))
         if kind == "{":
             self.pos = i + 1
             key = self.sort()
             self.expect(":")
             value = self.sort()
             self.expect("}")
-            return AssocForm(key, value, span=tuple.__new__(Pos, (i, self.source)))
+            return AssocForm(key, value, tuple.__new__(Pos, (i, self.source)))
         body = self.sort()
-        return ScopeForm((), body, span=body.span)
+        return ScopeForm((), body, body.span)
 
     # -- terms ---------------------------------------------------------------
 
@@ -247,7 +249,7 @@ class _Parser:
         kind = kinds[i]
         if kind == "var":
             self.pos = i + 1
-            return Var(self.texts[i], span=tuple.__new__(Pos, (i, self.source)))
+            return Var(self.texts[i], tuple.__new__(Pos, (i, self.source)))
         if kind != "con" and kind != "meta":
             self.expected("a term")
         self.pos = i + 1
@@ -256,8 +258,7 @@ class _Parser:
             self.pos = i + 2
             items = self.listed(self.piece if kind == "con" else self.term, ")")
         cls = Construction if kind == "con" else MetaApp
-        return cls(self.texts[i], tuple(items),
-                   span=tuple.__new__(Pos, (i, self.source)))
+        return cls(self.texts[i], tuple(items), tuple.__new__(Pos, (i, self.source)))
 
     def piece(self) -> Piece:
         i = self.pos
@@ -268,15 +269,13 @@ class _Parser:
                                   "]")
             if len(set(binders)) != len(binders):
                 self.fail("binders in one scope must be pairwise distinct", i)
-            return ScopePiece(tuple(binders), self.term(),
-                              span=tuple.__new__(Pos, (i, self.source)))
+            return ScopePiece(tuple(binders), self.term(), tuple.__new__(Pos, (i, self.source)))
         if kind == "{":
             self.pos = i + 1
             entries = self.listed(self.association, "}", (",", ";"))
-            return AssocPiece(tuple(entries),
-                              span=tuple.__new__(Pos, (i, self.source)))
+            return AssocPiece(tuple(entries), tuple.__new__(Pos, (i, self.source)))
         body = self.term()
-        return ScopePiece((), body, span=body.span)
+        return ScopePiece((), body, body.span)
 
     def association(self) -> Association:
         i = self.pos
@@ -285,15 +284,14 @@ class _Parser:
             self.pos = i + 1
             key = self.expect("var", "a key variable")
             self.expect(":")
-            return NotKey(self.texts[key], span=tuple.__new__(Pos, (i, self.source)))
+            return NotKey(self.texts[key], tuple.__new__(Pos, (i, self.source)))
         if kind == "meta":
             meta = self.term()
-            return CatchAll(meta.meta, meta.args, span=meta.span)
+            return CatchAll(meta.meta, meta.args, meta.span)
         if kind == "var":
             self.pos = i + 1
             self.expect(":")
-            return MapEntry(self.texts[i], self.term(),
-                            span=tuple.__new__(Pos, (i, self.source)))
+            return MapEntry(self.texts[i], self.term(), tuple.__new__(Pos, (i, self.source)))
         self.expected("an association entry")
 
     # -- declarations ----------------------------------------------------------
@@ -322,19 +320,19 @@ class _Parser:
         self.pos = i + 1
         if kw == "variable":
             self.expect(";")
-            return VariableDecl(sort, span=sort.span)
+            return VariableDecl(sort, sort.span)
         if kw == "rule":
             lhs = self.term()
             self.expect("->")
             rhs = self.term()
             self.expect(";")
-            return RuleDecl(sort, lhs, rhs, span=sort.span)
+            return RuleDecl(sort, lhs, rhs, sort.span)
         name = self.texts[self.expect("con", "a constructor name")]
         self.expect("(")
         forms = self.listed(self.form, ")")
         self.expect(";")
         cls = DataDecl if kw == "data" else SchemeDecl
-        return cls(sort, name, tuple(forms), span=sort.span)
+        return cls(sort, name, tuple(forms), sort.span)
 
 
 def parse_script(text: str, file: str = "<input>") -> Script:

@@ -65,7 +65,6 @@ child changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count, repeat
 from operator import is_
@@ -86,6 +85,7 @@ from .terms import (
     ScopePiece,
     Term,
     Var,
+    _Record,
     all_idents,
     alpha_equal,
     free_vars,
@@ -120,26 +120,32 @@ class EngineError(Exception):
     """
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class Abstraction:
+class Abstraction(_Record):
     """A fragment abstracted over the binders a pattern meta was applied to.
 
     A meta-application's fragment is a term; a catch-all's is the
     ``AssocPiece`` of the entries it captured.
     """
 
-    params: tuple[Ident, ...]
-    body: Term | AssocPiece
+    __slots__ = _fields = ("params", "body")
+
+    def __init__(self, params: tuple[Ident, ...], body: Term | AssocPiece):
+        self.params = params
+        self.body = body
 
 
-@dataclass
-class Valuation:
+class Valuation(_Record):
     """The result of matching a pattern against a subject: one abstraction
     per meta-variable, catch-alls included, and one subject variable per
     free pattern variable."""
 
-    meta_bind: dict[Ident, Abstraction] = field(default_factory=dict)
-    var_bind: dict[Ident, Ident] = field(default_factory=dict)
+    __slots__ = _fields = ("meta_bind", "var_bind")
+    __hash__ = None
+
+    def __init__(self, meta_bind: dict[Ident, Abstraction] | None = None,
+                 var_bind: dict[Ident, Ident] | None = None):
+        self.meta_bind = {} if meta_bind is None else meta_bind
+        self.var_bind = {} if var_bind is None else var_bind
 
 
 # ---------------------------------------------------------------------------
@@ -570,30 +576,35 @@ def _key_through(sub: Mapping[Ident, Term], k: Ident) -> Ident:
 # Rewriting strategy
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class RewriteRule:
+class RewriteRule(_Record):
     """A rule ready for the engine, paired with its inferred environment,
     the sorted free variables of its right side, and its pattern's
     ``reach`` (``_reach``) and argument-head ``guard`` (``_guard``)."""
 
-    decl: RuleDecl
-    env: RuleEnv
-    index: int
-    rhs_vars: tuple[Ident, ...]
-    reach: int
-    guard: tuple[tuple[int, Ident | None], ...]
+    __slots__ = _fields = ("decl", "env", "index", "rhs_vars", "reach", "guard")
+
+    def __init__(self, decl: RuleDecl, env: RuleEnv, index: int, rhs_vars: tuple[Ident, ...],
+                 reach: int, guard: tuple[tuple[int, Ident | None], ...]):
+        self.decl = decl
+        self.env = env
+        self.index = index
+        self.rhs_vars = rhs_vars
+        self.reach = reach
+        self.guard = guard
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class RewriteStep:
+class RewriteStep(_Record):
     """One reduction: where, and by which rule.
 
     The position path alternates construction argument indices with, for
     association arguments, the entry index within the list.
     """
 
-    position: tuple[int, ...]
-    rule_index: int
+    __slots__ = _fields = ("position", "rule_index")
+
+    def __init__(self, position: tuple[int, ...], rule_index: int):
+        self.position = position
+        self.rule_index = rule_index
 
 
 class NormalStatus(Enum):
@@ -601,11 +612,14 @@ class NormalStatus(Enum):
     FUEL_EXHAUSTED = "FuelExhausted"
 
 
-@dataclass
-class NormalizeResult:
-    term: Term
-    steps: list[RewriteStep]
-    status: NormalStatus
+class NormalizeResult(_Record):
+    __slots__ = _fields = ("term", "steps", "status")
+    __hash__ = None
+
+    def __init__(self, term: Term, steps: list[RewriteStep], status: NormalStatus):
+        self.term = term
+        self.steps = steps
+        self.status = status
 
 
 def prepare_rules(gamma: GlobalEnv, rules: Sequence[RuleDecl],

@@ -6,13 +6,19 @@ meta-application ``#m(T1, ..., Tn)``.  Identifiers fall into three lexical
 categories: constructors start with an uppercase letter, variables with a
 lowercase letter, and meta-variables with ``#``.
 
-All AST values are immutable after construction and safe to share, by rule
-and not by the runtime: a lint in the tests rejects every store to a field
-of a built record.  A parsed node's ``span`` is a ``Pos``, after Go's
-``token.Pos``: its first token's index in the source its parse shares,
-resolved to a line and column only when read.  Positions take no part in
-equality or hashing.  ``Diagnostic``, the one diagnostic type of the
-parser, the environment builder and the checker, holds a resolved ``Span``.
+AST nodes, like the package's other records (``_Record``), are slotted
+classes whose ``__init__`` stores each field once.  They are immutable
+after construction and safe to share, by rule and not by the runtime: a
+lint in the tests rejects every store to a field of a built record.
+Equality, hashing and ``repr`` read a class's ``_fields``: records of one
+class are equal when those are, the hash is that of their tuple, and the
+``repr`` is ``Class(field=value, ...)``.  A parsed node's ``span``, its
+last ``__init__`` argument, is a ``Pos``, after Go's ``token.Pos``: its
+first token's index in the source its parse shares, resolved to a line and
+column only when read.  A node's position is none of its fields, so it
+takes no part in equality, hashing or ``repr``.  ``Diagnostic``, the one
+diagnostic type of the parser, the environment builder and the checker,
+holds a resolved ``Span`` as a field.
 
 ``free_vars`` and ``non_assoc_vars`` share one traversal, ``_names``, that
 collects names by the role they play in a term: ``VAR`` for a variable
@@ -44,8 +50,8 @@ one Python frame.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Union
 
 
@@ -91,14 +97,45 @@ class Pos(NamedTuple):
         return self.source.resolve(self.token)
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class Diagnostic:
+class _Record:
+    """Base of the records (see the module docstring).  ``_fields`` names a
+    class's fields in order, and ``_key``, made once per class, reads them
+    in one C call.  ``GlobalEnv`` and ``RuleEnv``, which their builders
+    fill in after ``__init__``, and the results ``ScriptCheck``,
+    ``Valuation`` and ``NormalizeResult`` set ``__hash__`` to None; no
+    module stores to a field of any other record."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" in cls.__dict__:
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(getattr, repeat(self), self._fields)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Diagnostic(_Record):
     """``FILE:LINE:COL: error[RULE]: MESSAGE``; ``rule`` names the violated
     sorting rule (``SA-Map``), environment condition or ``parse``."""
 
-    rule: str
-    span: Span | None
-    message: str
+    __slots__ = _fields = ("rule", "span", "message")
+
+    def __init__(self, rule: str, span: Span | None, message: str):
+        self.rule = rule
+        self.span = span
+        self.message = message
 
     def format(self, default_file: str = "<input>") -> str:
         where = str(self.span) if self.span else f"{default_file}:1:1"
@@ -110,14 +147,11 @@ def _err(rule: str, node: "Node", message: str) -> Diagnostic:
     return Diagnostic(rule, node.span and node.span.resolve(), message)
 
 
-def _span_field():
-    return field(default=None, compare=False, repr=False, kw_only=True)
+class _Node(_Record):
+    """Base of the AST node classes; ``str`` renders a node.  A node's
+    ``span``, its last ``__init__`` argument, is none of its fields."""
 
-
-class _Node:
-    """Base of the AST node classes, all slotted; ``str`` renders a node."""
-
-    __slots__ = ("__weakref__",)
+    __slots__ = ("span", "__weakref__")
 
     def __str__(self) -> str:
         return render(self)
@@ -127,42 +161,50 @@ class _Node:
 # Sorts and argument forms
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class SortCons(_Node):
     """An applied sort constructor ``s<S1, ..., Sn>``; ``s<>`` prints as ``s``."""
 
-    name: Ident
-    args: tuple["Sort", ...] = ()
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, name: Ident, args: tuple[Sort, ...] = (), span: Pos | None = None):
+        self.name = name
+        self.args = args
+        self.span = span
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class SortVar(_Node):
     """A sort variable, written with a lowercase name."""
 
-    name: Ident
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: Ident, span: Pos | None = None):
+        self.name = name
+        self.span = span
 
 
 Sort = Union[SortCons, SortVar]
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class ScopeForm(_Node):
     """Argument form ``[S1, ..., Sn]S``; a plain argument has no binder sorts."""
 
-    binder_sorts: tuple[Sort, ...]
-    body_sort: Sort
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("binder_sorts", "body_sort")
+
+    def __init__(self, binder_sorts: tuple[Sort, ...], body_sort: Sort, span: Pos | None = None):
+        self.binder_sorts = binder_sorts
+        self.body_sort = body_sort
+        self.span = span
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class AssocForm(_Node):
     """Argument form ``{S:S'}`` for association-list arguments."""
 
-    key_sort: Sort
-    value_sort: Sort
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("key_sort", "value_sort")
+
+    def __init__(self, key_sort: Sort, value_sort: Sort, span: Pos | None = None):
+        self.key_sort = key_sort
+        self.value_sort = value_sort
+        self.span = span
 
 
 Form = Union[ScopeForm, AssocForm]
@@ -172,79 +214,97 @@ Form = Union[ScopeForm, AssocForm]
 # Terms, pieces, associations
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class Construction(_Node):
     """``c(P1, ..., Pn)``.  Arity against the declared forms is the checker's job."""
 
-    head: Ident
-    args: tuple["Piece", ...] = ()
-    span: Pos | None = _span_field()
-    _idents: frozenset | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("head", "args")
+    __slots__ = _fields + ("_idents",)
+
+    def __init__(self, head: Ident, args: tuple[Piece, ...] = (), span: Pos | None = None):
+        self.head = head
+        self.args = args
+        self.span = span
+        self._idents = None
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class Var(_Node):
-    name: Ident
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: Ident, span: Pos | None = None):
+        self.name = name
+        self.span = span
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class MetaApp(_Node):
     """``#m(T1, ..., Tn)``; a bare ``#m`` is the zero-argument application."""
 
-    meta: Ident
-    args: tuple["Term", ...] = ()
-    span: Pos | None = _span_field()
-    _idents: frozenset | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("meta", "args")
+    __slots__ = _fields + ("_idents",)
+
+    def __init__(self, meta: Ident, args: tuple[Term, ...] = (), span: Pos | None = None):
+        self.meta = meta
+        self.args = args
+        self.span = span
+        self._idents = None
 
 
 Term = Union[Construction, Var, MetaApp]
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class ScopePiece(_Node):
     """``[v1, ..., vn]T``; binders are pairwise distinct and scope over the body."""
 
-    binders: tuple[Ident, ...]
-    body: Term
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("binders", "body")
+
+    def __init__(self, binders: tuple[Ident, ...], body: Term, span: Pos | None = None):
+        self.binders = binders
+        self.body = body
+        self.span = span
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class AssocPiece(_Node):
     """``{A1, ..., An}``: an ordered association list."""
 
-    entries: tuple["Association", ...]
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[Association, ...], span: Pos | None = None):
+        self.entries = entries
+        self.span = span
 
 
 Piece = Union[ScopePiece, AssocPiece]
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class MapEntry(_Node):
     """``v : T`` maps a variable key to a term."""
 
-    key: Ident
-    value: Term
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("key", "value")
+
+    def __init__(self, key: Ident, value: Term, span: Pos | None = None):
+        self.key = key
+        self.value = value
+        self.span = span
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class NotKey(_Node):
     """``~v:`` asserts the key is absent; only meaningful in patterns."""
 
-    key: Ident
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("key",)
+
+    def __init__(self, key: Ident, span: Pos | None = None):
+        self.key = key
+        self.span = span
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class CatchAll(_Node):
     """``#m(...)`` inside an association list: the remainder of the map."""
 
-    meta: Ident
-    args: tuple[Term, ...] = ()
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("meta", "args")
+
+    def __init__(self, meta: Ident, args: tuple[Term, ...] = (), span: Pos | None = None):
+        self.meta = meta
+        self.args = args
+        self.span = span
 
 
 Association = Union[MapEntry, NotKey, CatchAll]
@@ -254,43 +314,53 @@ Association = Union[MapEntry, NotKey, CatchAll]
 # Declarations and scripts
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class DataDecl(_Node):
-    sort: Sort
-    name: Ident
-    forms: tuple[Form, ...]
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("sort", "name", "forms")
+
+    def __init__(self, sort: Sort, name: Ident, forms: tuple[Form, ...], span: Pos | None = None):
+        self.sort = sort
+        self.name = name
+        self.forms = forms
+        self.span = span
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class SchemeDecl(_Node):
-    sort: Sort
-    name: Ident
-    forms: tuple[Form, ...]
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("sort", "name", "forms")
+
+    def __init__(self, sort: Sort, name: Ident, forms: tuple[Form, ...], span: Pos | None = None):
+        self.sort = sort
+        self.name = name
+        self.forms = forms
+        self.span = span
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class VariableDecl(_Node):
-    sort: Sort
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("sort",)
+
+    def __init__(self, sort: Sort, span: Pos | None = None):
+        self.sort = sort
+        self.span = span
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class RuleDecl(_Node):
-    sort: Sort
-    lhs: Term
-    rhs: Term
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("sort", "lhs", "rhs")
+
+    def __init__(self, sort: Sort, lhs: Term, rhs: Term, span: Pos | None = None):
+        self.sort = sort
+        self.lhs = lhs
+        self.rhs = rhs
+        self.span = span
 
 
 Declaration = Union[DataDecl, SchemeDecl, VariableDecl, RuleDecl]
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class Script(_Node):
-    declarations: tuple[Declaration, ...] = ()
-    span: Pos | None = _span_field()
+    __slots__ = _fields = ("declarations",)
+
+    def __init__(self, declarations: tuple[Declaration, ...] = (), span: Pos | None = None):
+        self.declarations = declarations
+        self.span = span
 
     @property
     def rules(self) -> tuple[RuleDecl, ...]:

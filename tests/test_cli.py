@@ -21,6 +21,16 @@ def run_cli(*args):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Start-up is most of a small ``plank check``; these two modules took
+    # about half of importing ``plank.cli``.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, plank.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_deep_input_ends_with_a_depth_diagnostic(tmp_path):
     script = tmp_path / "beta_eta.plank"
     script.write_text(BETA_ETA, encoding="utf-8")

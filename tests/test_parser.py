@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 import re
 import sys
@@ -514,10 +513,10 @@ def random_term(rng: random.Random, depth: int):
 
 def _nodes(node):
     yield node
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for f in node._fields:
+        value = getattr(node, f)
         for child in value if isinstance(value, tuple) else (value,):
-            if dataclasses.is_dataclass(child):
+            if isinstance(child, plank.terms._Node):
                 yield from _nodes(child)
 
 

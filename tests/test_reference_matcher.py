@@ -15,9 +15,18 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from plank import alpha_equal, contract, match_term, parse_script, render, substitute
+from plank import (
+    alpha_equal,
+    check_script,
+    contract,
+    match_term,
+    parse_script,
+    render,
+    substitute,
+)
 from plank.rewrite import Abstraction, EngineError, Valuation
 from plank.terms import (
+    AssocForm,
     AssocPiece,
     CatchAll,
     Construction,
@@ -43,9 +52,12 @@ from conftest import (
 from test_parser import _nodes
 from test_rewrite import strip_not_keys
 
-RULES = [(rule.lhs, rule.rhs)
-         for text in (BETA_ETA, CBV_EVAL, NONLINEAR, REACH_TWO, IN_VALUE, UNTAKEN, CLASHING_NAMES)
-         for rule in parse_script(text).rules]
+SCRIPTS = [parse_script(text) for text in (BETA_ETA, CBV_EVAL, NONLINEAR, REACH_TWO, IN_VALUE,
+                                            UNTAKEN, CLASHING_NAMES)]
+RULES = [(rule.lhs, rule.rhs) for script in SCRIPTS for rule in script.rules]
+# Each rule with its script's global environment.
+SIGNED = [(rule.lhs, rule.rhs, check_script(script).gamma)
+          for script in SCRIPTS for rule in script.rules]
 
 # Names of the drawn subjects: free names, keys and binders, which the
 # mutations respell into one another.  None is a reference parameter.
@@ -160,6 +172,28 @@ def _entries(rng, names, n, depth):
     return AssocPiece(tuple(MapEntry(k, _fragment(rng, names, depth)) for k in keys))
 
 
+def _drawn(rng, gamma, head, depth):
+    """A construction of ``head`` drawn from the signatures of ``gamma``
+    alone: each argument follows its declared form, a scope binds names of
+    ``_NAMES`` and a list has at most four entries keyed by them.  Below the
+    root stands a variable or a construction, of a data constructor where
+    there are any, as a pattern has only those there."""
+    def term(depth):
+        if depth <= 0 or rng.random() < 0.3:
+            return Var(rng.choice(_NAMES))
+        return _drawn(rng, gamma, rng.choice(heads), depth - 1)
+    heads = sorted(gamma.con.keys() - gamma.fun) or sorted(gamma.con)
+    args = []
+    for form in gamma.con[head].forms:
+        if isinstance(form, AssocForm):
+            keys = rng.sample(_NAMES, rng.randint(0, 4))
+            args.append(AssocPiece(tuple(MapEntry(k, term(depth)) for k in keys)))
+        else:
+            args.append(ScopePiece(tuple(rng.sample(_NAMES, len(form.binder_sorts))),
+                                   term(depth)))
+    return Construction(head, tuple(args))
+
+
 def _instance(rng, pattern):
     """A subject ``pattern`` matches: a drawn valuation contracted into it,
     with its binders respelled from ``_NAMES``."""
@@ -230,11 +264,23 @@ def _contracted(rhs, val, subject):
         return None
 
 
+def _agreed(lhs, rhs, subject) -> Valuation | None:
+    """``match_term``'s valuation, after checking that the reference matcher
+    succeeds exactly when it does, and that where both do, contracting
+    ``rhs`` under either valuation gives alpha-equal terms or fails under
+    both."""
+    val, ref = match_term(lhs, subject), reference_match(lhs, subject)
+    assert (val is None) == (ref is None), (render(lhs), render(subject))
+    if val is not None:
+        got, want = _contracted(rhs, val, subject), _contracted(rhs, ref, subject)
+        assert got == want if None in (got, want) else alpha_equal(got, want), (
+            render(lhs), render(subject))
+    return val
+
+
 def test_match_term_agrees_with_the_reference_matcher():
     # Each draw instantiates a corpus or clashing pattern, and most draws
-    # then change it; the two matchers must succeed together, and where
-    # they do, contracting the rule's right side under either valuation
-    # gives alpha-equal terms, or fails under both.
+    # then change it.
     rng = random.Random(0)
     outcomes = {True: 0, False: 0}
     reserved = 0
@@ -244,13 +290,21 @@ def test_match_term_agrees_with_the_reference_matcher():
         subject = _instance(rng, lhs)
         if rng.random() < 0.8:
             subject = _mutated(rng, subject)
-        val, ref = match_term(lhs, subject), reference_match(lhs, subject)
-        assert (val is None) == (ref is None), (render(lhs), render(subject))
+        val = _agreed(lhs, rhs, subject)
         outcomes[val is not None] += 1
         if val is not None:
-            got, want = _contracted(rhs, val, subject), _contracted(rhs, ref, subject)
-            assert got == want if None in (got, want) else alpha_equal(got, want), (
-                render(lhs), render(subject))
             reserved += any("%" in p for ab in val.meta_bind.values() for p in ab.params)
     assert min(outcomes.values()) >= draws // 10, outcomes
     assert reserved > 0
+
+
+def test_match_term_agrees_with_the_reference_on_signature_draws():
+    # Each subject is drawn from its rule's script signatures alone, with
+    # the pattern's head at the root, so nothing steers it towards a match.
+    rng = random.Random(1)
+    outcomes = {True: 0, False: 0}
+    draws = 2000
+    for _ in range(draws):
+        lhs, rhs, gamma = rng.choice(SIGNED)
+        outcomes[_agreed(lhs, rhs, _drawn(rng, gamma, lhs.head, 3)) is not None] += 1
+    assert min(outcomes.values()) >= draws // 10, outcomes

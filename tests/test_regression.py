@@ -35,6 +35,8 @@
   argument.  ``normalize`` indexes the rules by head once, and the lexer
   classifies each distinct word once, runs no Python code per token, and
   finds the tokens' offsets once per parse, only when a position is read.
+  Parsing and checking 325 declarations runs fewer than 22,000 Python
+  frames.
 * On generated subjects, ``check_ground_subject`` gives the sort,
   environment and diagnostics of sorting every name first and checking
   second.  On a subject made ill-formed, the verdicts and the diagnostics
@@ -63,8 +65,11 @@
   field is read somewhere in the package.
 * Every attribute that a plain class's ``__init__`` stores on ``self`` is
   read somewhere in the package, so no dead state outlives a refactor.
-* No module stores to a field of a built record, and no dataclass is
-  frozen: records are immutable by this rule, not by the runtime.  The
+* No module stores to a field of a built record outside its ``__init__``:
+  records are immutable by this rule, not by the runtime.  No module
+  imports ``dataclasses`` (``test_cli`` checks that importing
+  ``plank.cli`` loads neither it nor ``inspect``), and every method of a
+  package class is compiled from its own source file.  The
   checker's functions read the contexts from module names, never as
   ``TermContext`` members, and one that receives a state builds none in
   another context.
@@ -1252,6 +1257,27 @@ def test_the_lexer_runs_no_python_code_per_token():
     assert opcodes < 2 * len(kinds), opcodes
 
 
+def test_the_front_end_runs_few_python_frames():
+    # Parsing and checking the 325 declarations ran 23,225 Python frames
+    # when the records were dataclasses, whose keyword-only ``span`` made
+    # each ``__init__`` dearer, and before sorts were compared by identity
+    # first and ``listed`` closed its list inline; 21,475 after.
+    text = _script_325()
+    frames = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        frames += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        checked = check_script(parse_script(text))
+    finally:
+        sys.setprofile(None)
+    assert len(checked.rule_envs) == 150
+    assert frames < 22_000, frames
+
+
 def test_beta_eta_walks_no_names(monkeypatch):
     # No beta/eta right side draws a fresh name, and the matcher names each
     # subject binder by its own name, so normalizing walks no name set.
@@ -1848,27 +1874,56 @@ def _last_name(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
+def _records(nodes: list[ast.AST]) -> dict[str, tuple[list[str], list[str], bool]]:
+    """Each record class among ``nodes``, one that derives from ``_Record``
+    itself or through another record, by name: the names its body lists in
+    ``__slots__`` or ``_fields`` but ``__weakref__``, those with its bases',
+    and whether it is hashable, which a record changed after it is built,
+    one that sets ``__hash__`` to None, is not."""
+    classes = [n for n in nodes if isinstance(n, ast.ClassDef)]
+    records = {"_Record": ([], [], True)}
+    for _ in classes:  # a base may come after its subclasses
+        for c in classes:
+            bases = [records[b][1] for b in map(_last_name, c.bases) if b in records]
+            if not bases or c.name in records:
+                continue
+            body = [st for st in c.body if isinstance(st, ast.Assign)]
+            lists = [st.value for st in body
+                     if {"__slots__", "_fields"} & set(map(_last_name, st.targets))]
+            own = list(dict.fromkeys(n.value for v in lists for n in ast.walk(v)
+                                     if isinstance(n, ast.Constant) and n.value != "__weakref__"))
+            hashable = "__hash__" not in {_last_name(t) for st in body for t in st.targets}
+            records[c.name] = (own, [f for b in bases for f in b] + own, hashable)
+    del records["_Record"]
+    return records
+
+
 def _unread_fields(sources: list[str]) -> list[tuple[str, str]]:
-    """(class, field) of each dataclass or NamedTuple field, and of each
+    """(class, field) of each record or NamedTuple field, and of each
     attribute another class's ``__init__`` stores as ``self.X = ...``, that
     no source reads, as an attribute or through ``getattr`` with a constant
     name.
 
     An attribute passed straight to the constructor of a record that
-    declares a field of that name is a copy, not a read: a field read only
-    to build another record of its kind is read by nothing."""
+    declares a field of that name, its own or a base's, is a copy, not a
+    read: a field read only to build another record of its kind is read by
+    nothing."""
     nodes = [n for s in sources for n in ast.walk(ast.parse(s))]
+    records = _records(nodes)
     fields, declared = [], {}
     for node in nodes:
         if not isinstance(node, ast.ClassDef):
             continue
-        if ("NamedTuple" in map(_last_name, node.bases)
-                or "dataclass" in (_last_name(d.func if isinstance(d, ast.Call) else d)
-                                   for d in node.decorator_list)):
+        if node.name in records:
+            own, every, _ = records[node.name]
+            fields += [(node.name, f) for f in own]
+            declared[node.name] = set(every)
+            continue
+        if "NamedTuple" in map(_last_name, node.bases):
             names = [st.target.id for st in node.body
                      if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
             fields += [(node.name, f) for f in names]
-            declared.setdefault(node.name, set()).update(names)
+            declared[node.name] = set(names)
             continue
         for init in node.body:
             if isinstance(init, ast.FunctionDef) and init.name == "__init__":
@@ -1892,9 +1947,12 @@ def _unread_fields(sources: list[str]) -> list[tuple[str, str]]:
 
 
 def test_every_record_field_is_read():
-    record = "@dataclass(frozen=True)\nclass A:\n" + "".join(f"    {f}: int\n" for f in "xyzw")
+    record = ("class A(_Base):\n    __slots__ = _fields = ('x', 'y', 'z')\n"
+              "    def __init__(self, x, y, z, w):\n        self.x, self.y, self.z = x, y, z\n"
+              "        self.w = w\n"
+              "class _Base(_Record):\n    __slots__ = ('w', '__weakref__')\n")
     use = "def f(a):\n    return a.x, getattr(a, 'z'), A(a.x, 0, 0, w=a.w)\n"
-    assert _unread_fields([record, use]) == [("A", "y"), ("A", "w")]
+    assert _unread_fields([record, use]) == [("A", "y"), ("_Base", "w")]
     plain = ("class B:\n    def __init__(self, v):\n        self.u = v\n"
              "        self.v: int = v\n        self.x, v.w = v, v\n"
              "    def f(self):\n        return self.u\n")
@@ -1910,30 +1968,19 @@ RECORD_STORES_KEPT = {("_idents", "t._idents")}
 
 
 def _record_field_stores(sources: dict[str, str]) -> tuple[set[str], list[str]]:
-    """The records, dataclasses declared with ``unsafe_hash=True``, and as
-    ``"FILE:LINE: what"`` each ``frozen=True`` dataclass and each store to a
-    field of a record.
+    """The hashable records (``_records``), and as ``"FILE:LINE: what"``
+    each store to a field of one.
 
     A store is an attribute assignment, augmented, annotated or in a tuple,
     an attribute deletion, or a ``setattr``, ``delattr``, ``__setattr__`` or
     ``__delattr__`` call, that names a record field or a name that is not a
-    constant.  ``self.<attr>`` in a method of a class that is not a record
-    sets up that object; the stores in ``RECORD_STORES_KEPT`` are allowed."""
+    constant.  ``self.<attr>`` in a record's ``__init__`` builds the record,
+    and in a method of a class that is not a hashable record it sets up that
+    object; the stores in ``RECORD_STORES_KEPT`` are allowed."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    records, fields, found = set(), set(), []
-    for name, tree in trees.items():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            flags = {k.arg: getattr(k.value, "value", None) for d in node.decorator_list
-                     if isinstance(d, ast.Call) and _last_name(d.func) == "dataclass"
-                     for k in d.keywords}
-            if flags.get("frozen") is True:
-                found.append(f"{name}:{node.lineno}: frozen {node.name}")
-            if flags.get("unsafe_hash") is True:
-                records.add(node.name)
-                fields.update(st.target.id for st in node.body
-                              if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name))
+    every = _records([n for tree in trees.values() for n in ast.walk(tree)])
+    records = {r for r, (_, _, hashable) in every.items() if hashable}
+    fields, found = {f for r in records for f in every[r][1]}, []
     for name, tree in trees.items():
         function, owner = {}, {}
         for node in ast.walk(tree):  # outer first, so the innermost one wins
@@ -1945,7 +1992,8 @@ def _record_field_stores(sources: dict[str, str]) -> tuple[set[str], list[str]]:
             if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
                 attr = node.attr
                 if (isinstance(node.value, ast.Name) and node.value.id == "self"
-                        and owner.get(id(node)) not in records | {None}):
+                        and (owner.get(id(node)) not in records | {None}
+                             or function.get(id(node)) == "__init__")):
                     continue
             elif (isinstance(node, ast.Call) and len(node.args) > 1 and _last_name(node.func)
                   in {"setattr", "delattr", "__setattr__", "__delattr__"}):
@@ -1960,32 +2008,33 @@ def _record_field_stores(sources: dict[str, str]) -> tuple[set[str], list[str]]:
 
 
 def test_no_module_stores_to_a_built_record():
-    # Records are immutable by rule, not by the runtime: their dataclasses
-    # are not frozen, whose ``__init__`` pays an ``object.__setattr__`` call
-    # per field, so this lint keeps every field as it was built.
+    # Records are immutable by rule, not by the runtime: a frozen record's
+    # ``__init__`` would pay an ``object.__setattr__`` call per field, so
+    # this lint keeps every field as it was built.
     sample = (
-        "@dataclass(unsafe_hash=True, slots=True)\n"
-        "class R:\n    f: int\n    _idents: int = 0\n"
+        "class R(_Record):\n    _fields = ('f',)\n    __slots__ = _fields + ('_idents',)\n"
+        "    def __init__(self, f):\n        self.f = f\n        self._idents = None\n"
         "    def reset(self):\n        self.f = 0\n"
-        "@dataclass(frozen=True)\nclass F:\n    h: int\n"
+        "class M(_Record):\n    __slots__ = _fields = ('m',)\n    __hash__ = None\n"
         "class Walk:\n    def __init__(self, r):\n        self.f = r.other = 0\n"
         "def f(r, name):\n"
         "    r.f, x = 1, 2\n    r.f += 1\n    r.f: int = 2\n    del r.f\n    r.x = 3\n"
         "    setattr(r, 'f', 0)\n    object.__setattr__(r, 'x', 0)\n    delattr(r, name)\n"
-        "def _idents(t):\n    t._idents = 1\n    u._idents = 1\n"
+        "def _idents(t):\n    t._idents = 1\n    u._idents = 1\n    r.m = 1\n"
         "def g(self):\n    self.f = 1\n"
     )
     records, found = _record_field_stores({"s": sample})
     assert records == {"R"}
     assert sorted(found, key=lambda f: int(f.split(":")[1])) == [
-        "s:6: self.f", "s:8: frozen F", "s:14: r.f", "s:15: r.f", "s:16: r.f", "s:17: r.f",
-        "s:19: setattr(r, 'f', 0)", "s:21: delattr(r, name)", "s:24: u._idents",
-        "s:26: self.f"]
+        "s:8: self.f", "s:16: r.f", "s:17: r.f", "s:18: r.f", "s:19: r.f",
+        "s:21: setattr(r, 'f', 0)", "s:23: delattr(r, name)", "s:26: u._idents",
+        "s:29: self.f"]
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in sorted((REPO / "src" / "plank").glob("*.py"))}
     records, found = _record_field_stores(sources)
     assert {"Construction", "Var", "Diagnostic", "CheckState", "ConSig", "MetaForm",
             "Abstraction", "RewriteRule", "RewriteStep"} <= records
+    assert not {"GlobalEnv", "RuleEnv", "ScriptCheck", "Valuation", "NormalizeResult"} & records
     assert found == []
 
 
@@ -2103,6 +2152,50 @@ def test_the_engine_tests_node_classes_by_identity():
     for module in ("rewrite.py", "terms.py"):
         source = (REPO / "src" / "plank" / module).read_text(encoding="utf-8")
         assert _isinstance_calls(source, classes) == [], module
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that ``source`` imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # Importing ``dataclasses``, which imports ``inspect``, was about half of
+    # importing ``plank.cli``, which is most of a small ``plank check``.
+    sample = "import a.b, c\nfrom d.e import f\nfrom . import g\ndef h():\n    import i\n"
+    assert _imported_modules(sample) == {"a", "c", "d", "i"}
+    for path in sorted((REPO / "src" / "plank").glob("*.py")):
+        assert "dataclasses" not in _imported_modules(path.read_text(encoding="utf-8")), path.name
+
+
+def test_every_method_of_a_plank_class_is_compiled_from_its_source():
+    # ``cProfile`` keeps one entry per file, line and name, so methods
+    # compiled from a string, as ``dataclasses`` makes them, all share the
+    # entry ``<string>:2(__init__)``; each record's own ``__init__`` has one
+    # of its own.  Helpers that ``enum`` and ``NamedTuple`` add belong to
+    # their own modules and are left out.
+    src = REPO / "src" / "plank"
+    inits = set()
+    for info in pkgutil.iter_modules(plank.__path__):
+        module = importlib.import_module(f"plank.{info.name}")
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and cls.__module__ == module.__name__):
+                continue
+            for name, f in vars(cls).items():
+                f = getattr(getattr(f, "fget", f), "__func__", f)
+                if getattr(f, "__module__", None) != module.__name__ or not hasattr(
+                        f, "__code__"):
+                    continue
+                assert Path(f.__code__.co_filename).parent == src, (cls.__name__, name)
+                if name == "__init__":
+                    inits.add(f.__code__)
+    assert len(inits) >= 29
 
 
 def test_no_module_imports_a_name_it_never_uses():

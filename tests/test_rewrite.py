@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 import sys
@@ -605,10 +604,10 @@ def _shared_subtrees(out, body, names):
             found.append((n, names))
         if isinstance(n, ScopePiece):
             names = names - set(n.binders)
-        for f in dataclasses.fields(n):
-            v = getattr(n, f.name)
+        for f in n._fields:
+            v = getattr(n, f)
             todo.extend((c, names) for c in (v if isinstance(v, tuple) else (v,))
-                        if dataclasses.is_dataclass(c))
+                        if isinstance(c, plank.terms._Node))
     return found
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import sys
 
 import pytest
@@ -320,19 +319,17 @@ def _rebuilt(x):
     no name set kept by ``all_idents``."""
     if isinstance(x, tuple):
         return tuple(map(_rebuilt, x))
-    if not dataclasses.is_dataclass(x):
+    if not isinstance(x, plank.terms._Node):
         return x
-    return type(x)(*(_rebuilt(getattr(x, f.name)) for f in dataclasses.fields(x)
-                     if f.init and not f.kw_only))
+    return type(x)(*(_rebuilt(getattr(x, f)) for f in x._fields))
 
 
 def _same_record(a, b):
     # Equality, hash and ``repr`` read the compared fields and nothing else,
-    # and the hash is the one of their tuple, as for a frozen dataclass, so
-    # the order of a set of records does not depend on how they are built.
+    # and the hash is the one of their tuple, so the order of a set of
+    # records does not depend on how they are built.
     assert a == b and b == a
-    assert hash(a) == hash(b) == hash(tuple(getattr(a, f.name) for f in dataclasses.fields(a)
-                                            if f.compare))
+    assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in a._fields))
     assert repr(a) == repr(b)
 
 
