@@ -122,7 +122,7 @@ class ScriptCheck(_Record):
 
 def check_sort(gamma: GlobalEnv, s: Sort) -> list[Diagnostic]:
     """Sorts are well-formed when every constructor is used at its rank."""
-    if isinstance(s, SortVar):
+    if s.__class__ is SortVar:
         return []
     errors: list[Diagnostic] = []
     rank = gamma.rank.get(s.name)
@@ -159,7 +159,7 @@ def _check_construction(st: CheckState, t: Construction, expected: Sort, tag: st
 
 def check_pattern(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
     """SMP-Fun: a rule's pattern is a scheme construction; ``st`` is ``IN_PAT``."""
-    if not isinstance(t, Construction):
+    if t.__class__ is not Construction:
         return [_err("SMP-Fun", t, "a rule pattern must be a scheme construction")]
     if t.head not in st.gamma.fun:
         return [_err("SMP-Fun", t, f"pattern head {t.head} is not a scheme")]
@@ -169,35 +169,35 @@ def check_pattern(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
 def check_term(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
     """Check a term at the expected sort in the state's term context."""
     if st.tc is IN_PAT:
-        if isinstance(t, Construction):
+        if t.__class__ is Construction:
             # SMP-Data: inside a pattern only data constructors are allowed.
             # Exception: at a sort with no data constructors at all (a pure
             # scheme signature) a scheme head is tolerated, since no data
             # pattern could exist there.
             if t.head in st.gamma.fun:
-                sort_name = expected.name if isinstance(expected, SortCons) else None
+                sort_name = expected.name if expected.__class__ is SortCons else None
                 if sort_name in st.gamma.sorts_with_data:
                     return [_err("SMP-Data", t, f"scheme {t.head} cannot appear inside a pattern "
                                  f"at sort {render(expected)}")]
             return _check_construction(st, t, expected, "SMP-Data")
-        if isinstance(t, MetaApp):
+        if t.__class__ is MetaApp:
             return _check_term_meta(st, t, expected, "SMP-Meta")
         return _check_variable(st, t, expected, "SMP-Var", need_hasvar=True)
 
-    if isinstance(t, Construction):
+    if t.__class__ is Construction:
         return _check_construction(st, t, expected, "SMC-Cons")
-    if isinstance(t, MetaApp):
+    if t.__class__ is MetaApp:
         return _check_term_meta(st, t, expected, "SMC-Meta")
     return _check_variable(st, t, expected, "SMC-Var", need_hasvar=True)
 
 
 def _check_substitute(st: CheckState, t: Term, expected: Sort) -> list[Diagnostic]:
     """SMS-*: a substitution argument of a meta-application; ``st`` is ``CON``."""
-    if isinstance(t, Var):
+    if t.__class__ is Var:
         # SMS-Var places no syntactic-variable requirement on the sort.
         return _check_variable(st, t, expected, "SMS-Var", need_hasvar=False)
-    tag = "SMS-Cons" if isinstance(t, Construction) else "SMS-Meta"
-    if not isinstance(expected, SortCons):
+    tag = "SMS-Cons" if t.__class__ is Construction else "SMS-Meta"
+    if expected.__class__ is not SortCons:
         return [_err(tag, t, f"cannot substitute a non-variable at sort {render(expected)}")]
     if expected.name in st.gamma.hasvar:
         return [_err(tag, t, f"cannot substitute a non-variable at sort {render(expected)}, which "
@@ -211,7 +211,7 @@ def _check_term_meta(st: CheckState, t: MetaApp, expected: Sort, tag: str
     mf = st.delta.meta.get(t.meta)
     if mf is None:
         return [_err(tag, t, f"meta-variable {t.meta} has no meta-form")]
-    if isinstance(mf.result, AssocForm):
+    if mf.result.__class__ is AssocForm:
         return [_err(tag, t, f"catch-all meta-variable {t.meta} cannot be used as a term")]
     if mf.result is not expected and mf.result != expected:
         return [_err(tag, t, f"meta-variable {t.meta} produces {render(mf.result)}, expected "
@@ -239,7 +239,7 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
         return errors
     seen: set[Ident] = set()
     for a, s in zip(m.args, mf.arg_sorts):
-        if not isinstance(a, Var):
+        if a.__class__ is not Var:
             return [_err(tag, m, f"pattern arguments of {m.meta} must be bound variables, got "
                          f"{render(a)}")]
         if a.name not in st.bound:
@@ -248,7 +248,7 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
         if have is not s and have != s:
             return [_err(tag, a, f"argument {a.name} of {m.meta} has {render(have)}, expected "
                          f"{render(s)}")]
-        if isinstance(m, MetaApp) and a.name in seen:
+        if m.__class__ is MetaApp and a.name in seen:
             return [_err(tag, a, f"arguments of {m.meta} must be pairwise distinct variables")]
         seen.add(a.name)
     return []
@@ -256,7 +256,7 @@ def _check_meta_args(st: CheckState, m: MetaApp | CatchAll, mf: MetaForm, tag: s
 
 def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
                     need_hasvar: bool, key: bool = False) -> list[Diagnostic]:
-    if not isinstance(t, Var):
+    if t.__class__ is not Var:
         return [_err(tag, t, f"expected a variable, got {render(t)}")]
     have = st.bound.get(t.name) or st.delta.var.setdefault(t.name, expected)
     if have is not expected and have != expected:
@@ -273,11 +273,11 @@ def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
         waived = (
             not key
             and t.name in st.bound
-            and isinstance(expected, SortCons)
+            and expected.__class__ is SortCons
             and expected.name not in st.gamma.sorts_with_data
         )
         if not waived and not (
-            isinstance(expected, SortCons) and expected.name in st.gamma.hasvar
+            expected.__class__ is SortCons and expected.name in st.gamma.hasvar
         ):
             return [_err(tag, t, f"variable {t.name} occurs at sort {render(expected)}, which has "
                          "no 'variable' declaration")]
@@ -290,8 +290,8 @@ def _check_variable(st: CheckState, t: Term, expected: Sort, tag: str,
 
 def check_piece(st: CheckState, p: Piece, f: Form) -> list[Diagnostic]:
     """Check a construction argument against its declared form."""
-    if isinstance(p, ScopePiece):
-        if not isinstance(f, ScopeForm):
+    if p.__class__ is ScopePiece:
+        if f.__class__ is not ScopeForm:
             return [_err("SP-Bind", p, "scope argument where an association form is declared")]
         if len(p.binders) != len(f.binder_sorts):
             return [_err("SP-Bind", p, f"scope binds {len(p.binders)} variable(s) but the form "
@@ -301,14 +301,14 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[Diagnostic]:
                             st.bound | dict(zip(p.binders, f.binder_sorts)), st.absent)
         return check_term(st, p.body, f.body_sort)
 
-    if not isinstance(f, AssocForm):
+    if f.__class__ is not AssocForm:
         return [_err("SP-Assoc", p, "association argument where a scope form is declared")]
     errors: list[Diagnostic] = []
     for e in p.entries:
         errors.extend(check_association(st, e, f))
     if st.tc is IN_PAT:
         # Which entries each catch-all would take is not determined.
-        catchalls = [e for e in p.entries if isinstance(e, CatchAll)]
+        catchalls = [e for e in p.entries if e.__class__ is CatchAll]
         if len(catchalls) > 1:
             errors.append(_err("SAP-All", catchalls[1], "a pattern association list has "
                                f"{len(catchalls)} catch-alls, but matching takes at most one "
@@ -318,7 +318,7 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[Diagnostic]:
 
 def check_association(st: CheckState, a: Association, f: AssocForm) -> list[Diagnostic]:
     """Check one association entry against its list's form."""
-    if isinstance(a, MapEntry):
+    if a.__class__ is MapEntry:
         errors: list[Diagnostic] = []
         if a.key not in st.v and a.key not in st.bound:
             errors.append(_err("SA-Map", a, f"association key {a.key} does not occur outside an "
@@ -330,7 +330,7 @@ def check_association(st: CheckState, a: Association, f: AssocForm) -> list[Diag
         errors.extend(check_term(st, a.value, f.value_sort))
         return errors
 
-    if isinstance(a, NotKey):
+    if a.__class__ is NotKey:
         if st.tc is not IN_PAT:
             return [_err("SAP-Not", a, "absence entries are only allowed in patterns "
                          "(NotKeyInContraction)")]
@@ -343,7 +343,7 @@ def check_association(st: CheckState, a: Association, f: AssocForm) -> list[Diag
     tag = "SAP-All" if st.tc is IN_PAT else "SAC-All"
     if mf is None:
         return [_err(tag, a, f"meta-variable {a.meta} has no meta-form")]
-    if not isinstance(mf.result, AssocForm):
+    if mf.result.__class__ is not AssocForm:
         return [_err(tag, a, f"meta-variable {a.meta} is not a catch-all")]
     if mf.result is not f and mf.result != f:
         return [_err(tag, a, f"catch-all {a.meta} covers {render(mf.result)}, expected {render(f)}")]
@@ -354,7 +354,7 @@ def _check_key(st: CheckState, a: MapEntry | NotKey, key_sort: Sort) -> list[Dia
     """A key is a variable of the key sort that always needs the 'variable'
     declaration (see ``_check_variable``)."""
     tag = "SMP-Var" if st.tc is IN_PAT else "SMC-Var"
-    return _check_variable(st, Var(a.key, a.span), key_sort, tag, need_hasvar=True,
+    return _check_variable(st, Var(a.key, a.span, a.source), key_sort, tag, need_hasvar=True,
                            key=True)
 
 
@@ -373,11 +373,11 @@ def check_declaration(gamma: GlobalEnv, d: DataDecl | SchemeDecl | VariableDecl)
     if gamma.misranked:
         for s in decl_sorts(d):
             errors.extend(check_sort(gamma, s))
-    if isinstance(d, DataDecl):
+    if d.__class__ is DataDecl:
         if d.name in gamma.fun:
             errors.append(_err("SD-Data", d, f"constructor {d.name} is declared as data "
                                "but is a scheme"))
-    elif isinstance(d, VariableDecl) and not isinstance(d.sort, SortCons):
+    elif d.__class__ is VariableDecl and d.sort.__class__ is not SortCons:
         errors.append(_err("SD-Var", d, "a 'variable' declaration needs a named sort"))
     return errors
 
@@ -410,7 +410,7 @@ def check_script(script: Script) -> ScriptCheck:
     gamma, errors = build_global_env(script)
     rule_envs: list[RuleEnv] = []
     for d in script.declarations:
-        if isinstance(d, RuleDecl):
+        if d.__class__ is RuleDecl:
             delta, env_errors = infer_rule_env(gamma, d)
             rule_envs.append(delta)
             errors.extend(_check_rule(gamma, d, delta, env_errors))
@@ -434,7 +434,7 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
     can drop a key's last other occurrence, so every name of the subject
     may stand as a key.
     """
-    if not isinstance(t, Construction):
+    if t.__class__ is not Construction:
         return None, RuleEnv(), [_err("SMC-Cons", t, "a subject term must be a declared "
                                       "construction")]
     sig = gamma.con.get(t.head)
@@ -450,6 +450,6 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
 
 
 def _has_sort_vars(s: Sort) -> bool:
-    if isinstance(s, SortVar):
+    if s.__class__ is SortVar:
         return True
     return any(map(_has_sort_vars, s.args))

@@ -144,25 +144,26 @@ def match_sort(declared: Sort, expected: Sort) -> dict[Ident, Sort] | None:
 
 
 def _match_sort(d: Sort, e: Sort, out: dict[Ident, Sort]) -> bool:
-    if isinstance(d, SortVar):
+    if d.__class__ is SortVar:
         seen = out.get(d.name)
         if seen is None:
             out[d.name] = e
             return True
         return seen == e
-    if isinstance(e, SortCons) and d.name == e.name and len(d.args) == len(e.args):
+    if e.__class__ is SortCons and d.name == e.name and len(d.args) == len(e.args):
         return all(map(_match_sort, d.args, e.args, repeat(out)))
     return False
 
 
 def apply_sort_subst(s: Sort, subst: dict[Ident, Sort]) -> Sort:
-    if isinstance(s, SortVar):
+    if s.__class__ is SortVar:
         return subst.get(s.name, s)
-    return SortCons(s.name, tuple(map(apply_sort_subst, s.args, repeat(subst))), s.span)
+    return SortCons(s.name, tuple(map(apply_sort_subst, s.args, repeat(subst))), s.span,
+                    s.source)
 
 
 def apply_form_subst(f: Form, subst: dict[Ident, Sort]) -> Form:
-    if isinstance(f, AssocForm):
+    if f.__class__ is AssocForm:
         return AssocForm(
             apply_sort_subst(f.key_sort, subst), apply_sort_subst(f.value_sort, subst)
         )
@@ -191,9 +192,9 @@ def instantiated_forms(sig: ConSig, expected: Sort) -> tuple[Form, ...] | None:
 def decl_sorts(d: Declaration) -> list[Sort]:
     """Every sort written in a declaration: its own and its forms'."""
     sorts = [d.sort]
-    if isinstance(d, (DataDecl, SchemeDecl)):
+    if d.__class__ in (DataDecl, SchemeDecl):
         for f in d.forms:
-            if isinstance(f, ScopeForm):
+            if f.__class__ is ScopeForm:
                 sorts.extend(f.binder_sorts)
                 sorts.append(f.body_sort)
             else:
@@ -204,7 +205,7 @@ def decl_sorts(d: Declaration) -> list[Sort]:
 def _record_ranks(gamma: GlobalEnv, s: Sort) -> None:
     # First occurrence fixes the rank; a later use at another arity is noted
     # in ``misranked`` and reported by the sort checker, not here.
-    if isinstance(s, SortCons):
+    if s.__class__ is SortCons:
         n = len(s.args)
         if gamma.rank.setdefault(s.name, n) != n:
             gamma.misranked.add(s.name)
@@ -227,13 +228,13 @@ def build_global_env(script: Script) -> tuple[GlobalEnv, list[Diagnostic]]:
         for s in decl_sorts(d):
             _record_ranks(gamma, s)
 
-        if isinstance(d, (DataDecl, SchemeDecl)):
+        if d.__class__ in (DataDecl, SchemeDecl):
             sig = ConSig(d.sort, d.forms)
-            if isinstance(d, DataDecl):
-                if not isinstance(d.sort, SortCons):
+            if d.__class__ is DataDecl:
+                if d.sort.__class__ is not SortCons:
                     errors.append(_err("NonVariableSortParameter", d,
                                        f"data constructor {d.name} needs a named result sort"))
-                elif (len({a.name for a in d.sort.args if isinstance(a, SortVar)})
+                elif (len({a.name for a in d.sort.args if a.__class__ is SortVar})
                       != len(d.sort.args)):
                     errors.append(_err("NonVariableSortParameter", d,
                                        f"result sort parameters of data constructor {d.name} "
@@ -244,16 +245,16 @@ def build_global_env(script: Script) -> tuple[GlobalEnv, list[Diagnostic]]:
             elif prev != sig:
                 errors.append(_err("DuplicateConstructor", d, f"constructor {d.name} already "
                                    "declared with a different signature"))
-            if isinstance(d, SchemeDecl):
+            if d.__class__ is SchemeDecl:
                 gamma.fun.add(d.name)
-        elif isinstance(d, VariableDecl):
-            if isinstance(d.sort, SortCons):
+        elif d.__class__ is VariableDecl:
+            if d.sort.__class__ is SortCons:
                 gamma.hasvar.add(d.sort.name)
             # a sort-variable subject is rejected by the checker (SD-Var)
 
     gamma.sorts_with_data = {
         sig.result.name for name, sig in gamma.con.items()
-        if name not in gamma.fun and isinstance(sig.result, SortCons)
+        if name not in gamma.fun and sig.result.__class__ is SortCons
     }
     return gamma, errors
 
@@ -319,7 +320,7 @@ class _SortWalk:
     def skip(self, parts: tuple, scope: dict[Ident, Sort], out: set[Ident]) -> None:
         # A variable, such as a pattern meta-variable's argument, needs no walk.
         for p in parts:
-            if isinstance(p, Var):
+            if p.__class__ is Var:
                 if p.name not in scope:
                     out.add(p.name)
                 continue
@@ -336,7 +337,7 @@ class _SortWalk:
         arg_sorts: list[Sort] = []
         for a in m.args:
             s = None
-            if isinstance(a, Var):
+            if a.__class__ is Var:
                 s = scope.get(a.name) or self.delta.var.get(a.name)
             if s is None:
                 return None
@@ -373,12 +374,12 @@ class _SortWalk:
                 self.walk(a, s, scope, out)
 
     def walk(self, x: Term, expected: Sort, scope: dict[Ident, Sort], out: set[Ident]) -> None:
-        if isinstance(x, Var):
+        if x.__class__ is Var:
             if x.name not in scope:
                 self.delta.var.setdefault(x.name, expected)
                 out.add(x.name)
             return
-        if isinstance(x, MetaApp):
+        if x.__class__ is MetaApp:
             self.walk_meta(x, expected, scope, out)
             return
         sig = self.gamma.con.get(x.head)
@@ -389,7 +390,7 @@ class _SortWalk:
         if len(x.args) > len(forms):
             self.skip(x.args[len(forms):], scope, out)
         for piece, form in zip(x.args, forms):
-            if isinstance(piece, ScopePiece) and isinstance(form, ScopeForm):
+            if piece.__class__ is ScopePiece and form.__class__ is ScopeForm:
                 inner, into = scope, out
                 if piece.binders:
                     inner = dict(scope)
@@ -400,15 +401,15 @@ class _SortWalk:
                         self.skip((piece,), scope, out)
                         into = set()
                 self.walk(piece.body, form.body_sort, inner, into)
-            elif isinstance(piece, AssocPiece) and isinstance(form, AssocForm):
+            elif piece.__class__ is AssocPiece and form.__class__ is AssocForm:
                 into = self.inside if out is self.outside else out
                 for e in piece.entries:
-                    if isinstance(e, CatchAll):
+                    if e.__class__ is CatchAll:
                         self.walk_meta(e, form, scope, into)
                         continue
                     if e.key not in scope:
                         self.delta.var.setdefault(e.key, form.key_sort)
-                    if isinstance(e, MapEntry):
+                    if e.__class__ is MapEntry:
                         self.walk(e.value, form.value_sort, scope, into)
             else:
                 self.skip((piece,), scope, out)

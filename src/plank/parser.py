@@ -7,16 +7,17 @@ extension and one declaration per ``;``.
 
 The lexer runs no Python code per token: one ``findall`` gives the token
 strings, each distinct one is classified once, and ``map`` looks up the
-kinds and texts, two parallel lists.  Each node keeps a ``Pos``, after
-Go's ``go/token``: its first token's index and the parse's one
-``_Source``.  The first position resolved finds the tokens' offsets and
-the lines' starts, by a second pass that reads what the lexer dropped.  A
-column is the character offset from the start of the line plus one, so a
-tab or a carriage return counts as one column.  A comment does not
-advance the column: input that ends in a comment without a newline
-reports end of input at the comment's first column.  Each distinct word
-becomes one ``Ident`` per call, and its token kind follows from its first
-character.
+kinds and texts, two parallel lists.  A node's position is a token index,
+its first token's, which the parse's one ``_Source`` resolves, as Go's
+``go/token`` resolves a ``Pos`` through its ``FileSet``: each node keeps
+the bare ``int`` and the shared source.  The first position resolved
+finds the tokens' offsets and the lines' starts, by a second pass that
+reads what the lexer dropped.  A column is the character offset from the
+start of the line plus one, so a tab or a carriage return counts as one
+column.  A comment does not advance the column: input that ends in a
+comment without a newline reports end of input at the comment's first
+column.  Each distinct word becomes one ``Ident`` per call, and its token
+kind follows from its first character.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .terms import (
     MetaApp,
     NotKey,
     Piece,
-    Pos,
     RuleDecl,
     SchemeDecl,
     ScopeForm,
@@ -126,9 +126,10 @@ def _offsets(text: str, dropped: dict) -> tuple[list[int], list[int], tuple[int,
 
 
 class _Source:
-    """One parse's file and text, which each ``Pos`` of the parse shares.
-    The tokens' offsets and the lines' starts are found once, when the
-    first position is resolved."""
+    """One parse's file and text, which each node of the parse shares; it
+    resolves a node's token index to a ``Span``, as a ``go/token``
+    ``FileSet`` resolves a ``Pos``.  The tokens' offsets and the lines'
+    starts are found once, when the first position is resolved."""
 
     def __init__(self, file: str, text: str, dropped: dict[str, str | None]):
         self.file, self.text, self.dropped = file, text, dropped
@@ -157,9 +158,10 @@ _KEYWORDS = ("data", "scheme", "variable", "rule")
 class _Parser:
     """One text's tokens and the index ``pos`` of the next one, which never
     passes ``eof``.  Token ``i`` has kind ``kinds[i]`` and text
-    ``texts[i]`` (an ``Ident`` for a word, ``""`` for ``eof``); a node's
-    ``Pos`` is its first token's index and the parse's ``source``, made
-    with ``tuple.__new__``, which runs no Python frame."""
+    ``texts[i]`` (an ``Ident`` for a word, ``""`` for ``eof``).  A node's
+    position is its first token's index, passed with the parse's one
+    ``source``, which resolves it when it is read, as a ``go/token``
+    ``FileSet`` resolves a ``Pos``."""
 
     def __init__(self, text: str, file: str):
         self.kinds, self.texts, dropped = _lex(text)
@@ -209,7 +211,7 @@ class _Parser:
         kinds = self.kinds
         if kinds[i] == "var":
             self.pos = i + 1
-            return SortVar(self.texts[i], tuple.__new__(Pos, (i, self.source)))
+            return SortVar(self.texts[i], i, self.source)
         if kinds[i] != "con":
             self.expected("a sort")
         self.pos = i + 1
@@ -222,7 +224,7 @@ class _Parser:
                 items.append(self.sort())
             self.expect(">")
             args = tuple(items)
-        return SortCons(self.texts[i], args, tuple.__new__(Pos, (i, self.source)))
+        return SortCons(self.texts[i], args, i, self.source)
 
     def form(self) -> Form:
         i = self.pos
@@ -230,16 +232,16 @@ class _Parser:
         if kind == "[":
             self.pos = i + 1
             binders = self.listed(self.sort, "]")
-            return ScopeForm(tuple(binders), self.sort(), tuple.__new__(Pos, (i, self.source)))
+            return ScopeForm(tuple(binders), self.sort(), i, self.source)
         if kind == "{":
             self.pos = i + 1
             key = self.sort()
             self.expect(":")
             value = self.sort()
             self.expect("}")
-            return AssocForm(key, value, tuple.__new__(Pos, (i, self.source)))
+            return AssocForm(key, value, i, self.source)
         body = self.sort()
-        return ScopeForm((), body, body.span)
+        return ScopeForm((), body, body.span, body.source)
 
     # -- terms ---------------------------------------------------------------
 
@@ -249,7 +251,7 @@ class _Parser:
         kind = kinds[i]
         if kind == "var":
             self.pos = i + 1
-            return Var(self.texts[i], tuple.__new__(Pos, (i, self.source)))
+            return Var(self.texts[i], i, self.source)
         if kind != "con" and kind != "meta":
             self.expected("a term")
         self.pos = i + 1
@@ -258,7 +260,7 @@ class _Parser:
             self.pos = i + 2
             items = self.listed(self.piece if kind == "con" else self.term, ")")
         cls = Construction if kind == "con" else MetaApp
-        return cls(self.texts[i], tuple(items), tuple.__new__(Pos, (i, self.source)))
+        return cls(self.texts[i], tuple(items), i, self.source)
 
     def piece(self) -> Piece:
         i = self.pos
@@ -269,13 +271,13 @@ class _Parser:
                                   "]")
             if len(set(binders)) != len(binders):
                 self.fail("binders in one scope must be pairwise distinct", i)
-            return ScopePiece(tuple(binders), self.term(), tuple.__new__(Pos, (i, self.source)))
+            return ScopePiece(tuple(binders), self.term(), i, self.source)
         if kind == "{":
             self.pos = i + 1
             entries = self.listed(self.association, "}", (",", ";"))
-            return AssocPiece(tuple(entries), tuple.__new__(Pos, (i, self.source)))
+            return AssocPiece(tuple(entries), i, self.source)
         body = self.term()
-        return ScopePiece((), body, body.span)
+        return ScopePiece((), body, body.span, body.source)
 
     def association(self) -> Association:
         i = self.pos
@@ -284,14 +286,14 @@ class _Parser:
             self.pos = i + 1
             key = self.expect("var", "a key variable")
             self.expect(":")
-            return NotKey(self.texts[key], tuple.__new__(Pos, (i, self.source)))
+            return NotKey(self.texts[key], i, self.source)
         if kind == "meta":
             meta = self.term()
-            return CatchAll(meta.meta, meta.args, meta.span)
+            return CatchAll(meta.meta, meta.args, meta.span, meta.source)
         if kind == "var":
             self.pos = i + 1
             self.expect(":")
-            return MapEntry(self.texts[i], self.term(), tuple.__new__(Pos, (i, self.source)))
+            return MapEntry(self.texts[i], self.term(), i, self.source)
         self.expected("an association entry")
 
     # -- declarations ----------------------------------------------------------
@@ -320,19 +322,19 @@ class _Parser:
         self.pos = i + 1
         if kw == "variable":
             self.expect(";")
-            return VariableDecl(sort, sort.span)
+            return VariableDecl(sort, sort.span, sort.source)
         if kw == "rule":
             lhs = self.term()
             self.expect("->")
             rhs = self.term()
             self.expect(";")
-            return RuleDecl(sort, lhs, rhs, sort.span)
+            return RuleDecl(sort, lhs, rhs, sort.span, sort.source)
         name = self.texts[self.expect("con", "a constructor name")]
         self.expect("(")
         forms = self.listed(self.form, ")")
         self.expect(";")
         cls = DataDecl if kw == "data" else SchemeDecl
-        return cls(sort, name, tuple(forms), sort.span)
+        return cls(sort, name, tuple(forms), sort.span, sort.source)
 
 
 def parse_script(text: str, file: str = "<input>") -> Script:

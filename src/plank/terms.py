@@ -12,13 +12,15 @@ after construction and safe to share, by rule and not by the runtime: a
 lint in the tests rejects every store to a field of a built record.
 Equality, hashing and ``repr`` read a class's ``_fields``: records of one
 class are equal when those are, the hash is that of their tuple, and the
-``repr`` is ``Class(field=value, ...)``.  A parsed node's ``span``, its
-last ``__init__`` argument, is a ``Pos``, after Go's ``token.Pos``: its
-first token's index in the source its parse shares, resolved to a line and
-column only when read.  A node's position is none of its fields, so it
-takes no part in equality, hashing or ``repr``.  ``Diagnostic``, the one
-diagnostic type of the parser, the environment builder and the checker,
-holds a resolved ``Span`` as a field.
+``repr`` is ``Class(field=value, ...)``.  A parsed node's position is
+two slots, the last two ``__init__`` arguments: ``span``, its first
+token's index, a bare ``int``, and ``source``, the one ``_Source`` its
+whole parse shares, which resolves the index to a line and column only
+when read, as Go's ``go/token`` resolves a ``Pos`` through its
+``FileSet``.  A node's position is none of its fields, so it takes no part
+in equality, hashing or ``repr``; a node the engine builds has neither.
+``Diagnostic``, the one diagnostic type of the parser, the environment
+builder and the checker, holds a resolved ``Span`` as a field.
 
 ``free_vars`` and ``non_assoc_vars`` share one traversal, ``_names``, that
 collects names by the role they play in a term: ``VAR`` for a variable
@@ -52,7 +54,10 @@ from __future__ import annotations
 import re
 from itertools import repeat
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
+
+if TYPE_CHECKING:
+    from .parser import _Source
 
 
 _SPELLING = re.compile(r"[A-Za-z][A-Za-z0-9_]*|#[A-Za-z0-9_]*")
@@ -84,17 +89,6 @@ class Span(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"
-
-
-class Pos(NamedTuple):
-    """Where a parsed node starts, resolved to a ``Span`` only when read: its
-    first token's index, and the source its whole parse shares."""
-
-    token: int
-    source: object
-
-    def resolve(self) -> Span:
-        return self.source.resolve(self.token)
 
 
 class _Record:
@@ -143,15 +137,19 @@ class Diagnostic(_Record):
 
 
 def _err(rule: str, node: "Node", message: str) -> Diagnostic:
-    """A diagnostic at the start of a node, its position resolved now."""
-    return Diagnostic(rule, node.span and node.span.resolve(), message)
+    """A diagnostic at the start of a node: its token index, resolved now
+    through its parse's source, as ``go/token`` resolves a ``Pos`` through
+    its ``FileSet``."""
+    span = node.span
+    return Diagnostic(rule, None if span is None else node.source.resolve(span), message)
 
 
 class _Node(_Record):
-    """Base of the AST node classes; ``str`` renders a node.  A node's
-    ``span``, its last ``__init__`` argument, is none of its fields."""
+    """Base of the AST node classes; ``str`` renders a node.  A parsed
+    node's ``span`` is its first token's index and its ``source`` the
+    ``_Source`` that resolves it; neither is a field."""
 
-    __slots__ = ("span", "__weakref__")
+    __slots__ = ("span", "source")
 
     def __str__(self) -> str:
         return render(self)
@@ -166,10 +164,12 @@ class SortCons(_Node):
 
     __slots__ = _fields = ("name", "args")
 
-    def __init__(self, name: Ident, args: tuple[Sort, ...] = (), span: Pos | None = None):
+    def __init__(self, name: Ident, args: tuple[Sort, ...] = (), span: int | None = None,
+                 source: _Source | None = None):
         self.name = name
         self.args = args
         self.span = span
+        self.source = source
 
 
 class SortVar(_Node):
@@ -177,9 +177,10 @@ class SortVar(_Node):
 
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: Ident, span: Pos | None = None):
+    def __init__(self, name: Ident, span: int | None = None, source: _Source | None = None):
         self.name = name
         self.span = span
+        self.source = source
 
 
 Sort = Union[SortCons, SortVar]
@@ -190,10 +191,12 @@ class ScopeForm(_Node):
 
     __slots__ = _fields = ("binder_sorts", "body_sort")
 
-    def __init__(self, binder_sorts: tuple[Sort, ...], body_sort: Sort, span: Pos | None = None):
+    def __init__(self, binder_sorts: tuple[Sort, ...], body_sort: Sort, span: int | None = None,
+                 source: _Source | None = None):
         self.binder_sorts = binder_sorts
         self.body_sort = body_sort
         self.span = span
+        self.source = source
 
 
 class AssocForm(_Node):
@@ -201,10 +204,12 @@ class AssocForm(_Node):
 
     __slots__ = _fields = ("key_sort", "value_sort")
 
-    def __init__(self, key_sort: Sort, value_sort: Sort, span: Pos | None = None):
+    def __init__(self, key_sort: Sort, value_sort: Sort, span: int | None = None,
+                 source: _Source | None = None):
         self.key_sort = key_sort
         self.value_sort = value_sort
         self.span = span
+        self.source = source
 
 
 Form = Union[ScopeForm, AssocForm]
@@ -220,19 +225,22 @@ class Construction(_Node):
     _fields = ("head", "args")
     __slots__ = _fields + ("_idents",)
 
-    def __init__(self, head: Ident, args: tuple[Piece, ...] = (), span: Pos | None = None):
+    def __init__(self, head: Ident, args: tuple[Piece, ...] = (), span: int | None = None,
+                 source: _Source | None = None):
         self.head = head
         self.args = args
         self.span = span
+        self.source = source
         self._idents = None
 
 
 class Var(_Node):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: Ident, span: Pos | None = None):
+    def __init__(self, name: Ident, span: int | None = None, source: _Source | None = None):
         self.name = name
         self.span = span
+        self.source = source
 
 
 class MetaApp(_Node):
@@ -241,10 +249,12 @@ class MetaApp(_Node):
     _fields = ("meta", "args")
     __slots__ = _fields + ("_idents",)
 
-    def __init__(self, meta: Ident, args: tuple[Term, ...] = (), span: Pos | None = None):
+    def __init__(self, meta: Ident, args: tuple[Term, ...] = (), span: int | None = None,
+                 source: _Source | None = None):
         self.meta = meta
         self.args = args
         self.span = span
+        self.source = source
         self._idents = None
 
 
@@ -256,10 +266,12 @@ class ScopePiece(_Node):
 
     __slots__ = _fields = ("binders", "body")
 
-    def __init__(self, binders: tuple[Ident, ...], body: Term, span: Pos | None = None):
+    def __init__(self, binders: tuple[Ident, ...], body: Term, span: int | None = None,
+                 source: _Source | None = None):
         self.binders = binders
         self.body = body
         self.span = span
+        self.source = source
 
 
 class AssocPiece(_Node):
@@ -267,9 +279,11 @@ class AssocPiece(_Node):
 
     __slots__ = _fields = ("entries",)
 
-    def __init__(self, entries: tuple[Association, ...], span: Pos | None = None):
+    def __init__(self, entries: tuple[Association, ...], span: int | None = None,
+                 source: _Source | None = None):
         self.entries = entries
         self.span = span
+        self.source = source
 
 
 Piece = Union[ScopePiece, AssocPiece]
@@ -280,10 +294,12 @@ class MapEntry(_Node):
 
     __slots__ = _fields = ("key", "value")
 
-    def __init__(self, key: Ident, value: Term, span: Pos | None = None):
+    def __init__(self, key: Ident, value: Term, span: int | None = None,
+                 source: _Source | None = None):
         self.key = key
         self.value = value
         self.span = span
+        self.source = source
 
 
 class NotKey(_Node):
@@ -291,9 +307,10 @@ class NotKey(_Node):
 
     __slots__ = _fields = ("key",)
 
-    def __init__(self, key: Ident, span: Pos | None = None):
+    def __init__(self, key: Ident, span: int | None = None, source: _Source | None = None):
         self.key = key
         self.span = span
+        self.source = source
 
 
 class CatchAll(_Node):
@@ -301,10 +318,12 @@ class CatchAll(_Node):
 
     __slots__ = _fields = ("meta", "args")
 
-    def __init__(self, meta: Ident, args: tuple[Term, ...] = (), span: Pos | None = None):
+    def __init__(self, meta: Ident, args: tuple[Term, ...] = (), span: int | None = None,
+                 source: _Source | None = None):
         self.meta = meta
         self.args = args
         self.span = span
+        self.source = source
 
 
 Association = Union[MapEntry, NotKey, CatchAll]
@@ -317,39 +336,46 @@ Association = Union[MapEntry, NotKey, CatchAll]
 class DataDecl(_Node):
     __slots__ = _fields = ("sort", "name", "forms")
 
-    def __init__(self, sort: Sort, name: Ident, forms: tuple[Form, ...], span: Pos | None = None):
+    def __init__(self, sort: Sort, name: Ident, forms: tuple[Form, ...], span: int | None = None,
+                 source: _Source | None = None):
         self.sort = sort
         self.name = name
         self.forms = forms
         self.span = span
+        self.source = source
 
 
 class SchemeDecl(_Node):
     __slots__ = _fields = ("sort", "name", "forms")
 
-    def __init__(self, sort: Sort, name: Ident, forms: tuple[Form, ...], span: Pos | None = None):
+    def __init__(self, sort: Sort, name: Ident, forms: tuple[Form, ...], span: int | None = None,
+                 source: _Source | None = None):
         self.sort = sort
         self.name = name
         self.forms = forms
         self.span = span
+        self.source = source
 
 
 class VariableDecl(_Node):
     __slots__ = _fields = ("sort",)
 
-    def __init__(self, sort: Sort, span: Pos | None = None):
+    def __init__(self, sort: Sort, span: int | None = None, source: _Source | None = None):
         self.sort = sort
         self.span = span
+        self.source = source
 
 
 class RuleDecl(_Node):
     __slots__ = _fields = ("sort", "lhs", "rhs")
 
-    def __init__(self, sort: Sort, lhs: Term, rhs: Term, span: Pos | None = None):
+    def __init__(self, sort: Sort, lhs: Term, rhs: Term, span: int | None = None,
+                 source: _Source | None = None):
         self.sort = sort
         self.lhs = lhs
         self.rhs = rhs
         self.span = span
+        self.source = source
 
 
 Declaration = Union[DataDecl, SchemeDecl, VariableDecl, RuleDecl]
@@ -358,9 +384,11 @@ Declaration = Union[DataDecl, SchemeDecl, VariableDecl, RuleDecl]
 class Script(_Node):
     __slots__ = _fields = ("declarations",)
 
-    def __init__(self, declarations: tuple[Declaration, ...] = (), span: Pos | None = None):
+    def __init__(self, declarations: tuple[Declaration, ...] = (), span: int | None = None,
+                 source: _Source | None = None):
         self.declarations = declarations
         self.span = span
+        self.source = source
 
     @property
     def rules(self) -> tuple[RuleDecl, ...]:

@@ -18,7 +18,7 @@ from plank import (
     parse_term,
     render,
 )
-from plank.parser import _Parser
+from plank.parser import _Parser, _Source
 from plank.terms import (
     AssocForm,
     AssocPiece,
@@ -30,7 +30,6 @@ from plank.terms import (
     MapEntry,
     MetaApp,
     NotKey,
-    Pos,
     Script,
     ScopeForm,
     ScopePiece,
@@ -344,7 +343,7 @@ LEX_ERRORS = [
 
 def _lexed(p: _Parser) -> list[tuple[str, str, Span]]:
     """(kind, text, span) of each token of ``p``, spans resolved from ``p``'s source."""
-    return [(k, t, Pos(i, p.source).resolve()) for i, (k, t) in enumerate(zip(p.kinds, p.texts))]
+    return [(k, t, p.source.resolve(i)) for i, (k, t) in enumerate(zip(p.kinds, p.texts))]
 
 
 def test_lexer_tokens_and_errors_are_pinned():
@@ -458,7 +457,8 @@ class TestSpan:
     def test_terms_at_different_offsets_are_equal(self):
         near = parse_term("Lam([x]Ap(x, #M))")
         far = parse_term("\n\n    Lam( [x]  Ap(x,\t#M) )")
-        assert near.span != far.span
+        assert near.span == far.span == 0
+        assert near.source.resolve(near.span) != far.source.resolve(far.span)
         assert near == far and hash(near) == hash(far)
 
     def test_exported(self):
@@ -542,7 +542,7 @@ def test_spans_point_at_their_names():
         for node in _nodes(parsed):
             name = {Var: "name", Construction: "head", MetaApp: "meta"}.get(type(node))
             if name:
-                span = node.span.resolve()
+                span = node.source.resolve(node.span)
                 offset = lines[span.start_line - 1] + span.start_col - 1
                 assert text.startswith(getattr(node, name), offset), (text, node)
 
@@ -554,19 +554,22 @@ _ENDS = ["", "\n", "// end", "\r\n// end", "\t//"]
 
 
 def _positions_as_eagerly_resolved(parsed, text, file):
-    """Every node of ``parsed`` keeps a ``Pos`` at its first token that
-    resolves to the span the reference lexer gives that token."""
+    """Every node of ``parsed`` but the script keeps its first token's index,
+    an ``int``, and the parse's one ``_Source``, which resolves the index to
+    the span the reference lexer gives that token."""
     tokens, _ = _reference_lex(text, file)
+    sources = set()
     for node in _nodes(parsed):
         if isinstance(node, Script):
             continue
-        pos = node.span
-        assert type(pos) is Pos, node
-        kind, word, span = tokens[pos.token]
-        assert pos.resolve() == span
+        assert type(node.span) is int and type(node.source) is _Source, node
+        sources.add(node.source)
+        kind, word, span = tokens[node.span]
+        assert node.source.resolve(node.span) == span
         first = _Parser(render(node), file)
         assert first.kinds[0] == kind and (kind not in ("con", "var", "meta")
                                             or first.texts[0] == word), (text, node)
+    assert len(sources) == 1
 
 
 def test_positions_resolve_to_the_spans_of_their_first_tokens():
