@@ -11,13 +11,15 @@ combinatory reduction system stands for one abstraction.
 Contraction then instantiates a rule's right side: a meta-application or
 catch-all substitutes its (contracted) arguments for the abstraction
 parameters, variables pass through the valuation, and a catch-all's
-entries are spliced into the list it stands in.  Substitution (``_subst``)
-and contraction (``_inst``) are each one function that dispatches once on
-a node's exact class (node classes are final), so a node costs one Python
-frame, and a plain argument none: a construction's loop, and the
-matcher's, recurses on its body (substitution's looks a variable up).  An
-argument-free meta-variable or catch-all outside every binder costs no
-call: the matcher records its fragment as it is, which contraction returns.
+entries are spliced into the list it stands in.  Substitution renames a
+binder only where a substituted name is free below it.  Substitution
+(``_subst``) and contraction (``_inst``) are each one function that
+dispatches once on a node's exact class (node classes are final), so a
+node costs one Python frame, and a plain argument none: a construction's
+loop, and the matcher's, recurses on its body (substitution's looks a
+variable up).  An argument-free meta-variable or catch-all outside every
+binder costs no call: the matcher records its fragment as it is, which
+contraction returns.
 
 The matcher tells binders apart by number, so each fragment a valuation
 holds is the subject's own, and a parameter is its binder's own name, or a
@@ -155,62 +157,46 @@ class Valuation(_Record):
 def substitute(body: Term | AssocPiece, binding: Mapping[Ident, Term]) -> Term | AssocPiece:
     """Simultaneous capture-avoiding substitution of terms for variables.
 
-    Binders colliding with free variables of the replacements are renamed.
-    A key position can only receive a variable; anything else raises
-    EngineError.  The checker rules that out: a key's sort is declared
-    'variable', where only a variable may be substituted.
-    The walk is ``_subst``; its memo of the replacements' free variables
-    lives for this call only.
+    By the textbook rule (Curry and Feys 1958; Barendregt 1984, 2.1), a
+    scope's binder is renamed only where it is free in the replacement of
+    a name free in the scope's body.  A key position can only receive a
+    variable; anything else raises EngineError, which the checker rules
+    out by declaring a key's sort 'variable'.  The walk is ``_subst``; its
+    memo of the replacements' free variables lives for this call only.
 
     A subtree that the substitution leaves unchanged is returned as it is,
     not copied: the maximal sharing of term-graph rewriting (Barendregt et
     al., PARLE 1987).  A construction is not walked when the name set it
-    keeps (``all_idents``) holds no substituted name and no name of any
-    replacement.  Only sets already kept are read: the construction's, each
-    replacement's and a variable's own name; when some replacement keeps
-    none, this guard is off for the call.  A construction or scope that is
-    walked is returned itself when each of its children comes back as the
-    same object, which needs no name set.  Either way no variable or key in
-    it is replaced and none of its binders clashes with a replacement, so a
-    copy would be ``==`` to it, with the same binder names, and the result
-    renders byte for byte as the full copy would.
+    keeps (``all_idents``) holds no substituted name: nothing in it is
+    replaced and, by the rule above, no binder renamed.  The guard reads
+    only sets already kept, as ``check_ground_subject`` and fresh draws
+    keep them.  A walked construction or scope is returned itself when
+    each of its children comes back as the same object.
     """
     if not binding:
         return body
-    # ``guard``: the names a shared construction must not hold, or None when
-    # some replacement keeps no name set.
-    guard: set[Ident] | None = set(binding)
-    for r in binding.values():
-        if r.__class__ is Var:
-            guard.add(r.name)
-        elif r._idents is None:
-            guard = None
-            break
-        else:
-            guard |= r._idents
-    return _subst(body, dict(binding), guard, {})
+    return _subst(body, dict(binding), {})
 
 
 # ``fv_memo`` maps a substituted name ``w`` to ``free_vars(sub[w])``.  Names
 # key it because one memo serves one ``sub``: under every binder ``w`` still
 # maps to the same term.  A binder rename is another ``sub``, with its own memo.
-def _subst(t: Node, sub: dict[Ident, Term], guard: set[Ident] | None,
-           fv_memo: dict[Ident, set[Ident]]) -> Node:
+def _subst(t: Node, sub: dict[Ident, Term], fv_memo: dict[Ident, set[Ident]]) -> Node:
     cls = t.__class__
     if cls is Var:
         return sub.get(t.name, t)
     if cls is Construction:
-        if guard is not None and t._idents is not None and t._idents.isdisjoint(guard):
+        if t._idents is not None and t._idents.isdisjoint(sub):
             return t
         args = []
         for p in t.args:
             if p.__class__ is ScopePiece and not p.binders:
                 body = p.body
                 new = (sub.get(body.name, body) if body.__class__ is Var
-                       else _subst(body, sub, guard, fv_memo))
+                       else _subst(body, sub, fv_memo))
                 args.append(p if new is body else ScopePiece((), new))
             else:
-                args.append(_subst(p, sub, guard, fv_memo))
+                args.append(_subst(p, sub, fv_memo))
         return t if all(map(is_, args, t.args)) else Construction(t.head, tuple(args))
     if cls is ScopePiece:
         inner = {w: r for w, r in sub.items() if w not in t.binders}
@@ -224,26 +210,28 @@ def _subst(t: Node, sub: dict[Ident, Term], guard: set[Ident] | None,
             clash |= fv
         binders, body = t.binders, t.body
         if clash & set(binders):
+            # Substitute, and so rename, only the names free in the body.
+            fv = free_vars(body)
+            inner = {w: r for w, r in inner.items() if w in fv}
+            if not inner:
+                return t
+            clash = set().union(*map(fv_memo.__getitem__, inner))
             binders, avoid = list(binders), clash | all_idents(body) | set(binders) | set(inner)
             for i, b in enumerate(binders):
                 if b in clash:
                     b2 = fresh_var(b, avoid)
                     avoid.add(b2)
-                    body = _subst(body, {b: Var(b2)}, {b, b2}, {})
+                    body = _subst(body, {b: Var(b2)}, {})
                     binders[i] = b2
             binders = tuple(binders)
-        # ``guard`` may name a substituted name these binders shadow: it
-        # only shares less than it could.
-        body = _subst(body, inner, guard, fv_memo)
+        body = _subst(body, inner, fv_memo)
         return t if body is t.body and binders is t.binders else ScopePiece(binders, body)
     if cls is MetaApp or cls is CatchAll:
-        return cls(t.meta, tuple(map(_subst, t.args, repeat(sub), repeat(guard),
-                                     repeat(fv_memo))))
+        return cls(t.meta, tuple(map(_subst, t.args, repeat(sub), repeat(fv_memo))))
     if cls is AssocPiece:
-        return AssocPiece(tuple(map(_subst, t.entries, repeat(sub), repeat(guard),
-                                    repeat(fv_memo))))
+        return AssocPiece(tuple(map(_subst, t.entries, repeat(sub), repeat(fv_memo))))
     if cls is MapEntry:
-        return MapEntry(_key_through(sub, t.key), _subst(t.value, sub, guard, fv_memo))
+        return MapEntry(_key_through(sub, t.key), _subst(t.value, sub, fv_memo))
     return NotKey(_key_through(sub, t.key))
 
 

@@ -611,10 +611,12 @@ def test_every_diagnostic_holds_a_resolved_span():
         errors += checked.errors
         subject = parse_term("\n  F(y, Q())" if "F(L, L)" in text else "A(x)")
         errors += check_ground_subject(checked.gamma, subject)[2]
-    for bad in ("F(x) G", "F([x, x]x)", "F(~)"):
+    for bad in ("F(x) G", "F([x, x]x)", "F(~)", "F(é)"):
         with pytest.raises(ParseFailure) as exc:
             parse_term(bad)
         errors += exc.value.errors
+    # The lexer's error, which ``parse_term`` raises before it parses.
+    assert errors[-1].format() == "<term>:1:3: error[parse]: unexpected character 'é'"
     tags = {e.rule for e in errors}
     assert {"parse", "DuplicateConstructor", "NonVariableSortParameter", "MetaFormConflict",
             "UnboundMetaOnRhs", "SS-Cons", "SMP-Data", "SAP-Not", "SMC-Cons"} <= tags, tags

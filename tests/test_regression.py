@@ -138,6 +138,7 @@ from plank.terms import (
     Var,
     all_idents,
     free_vars,
+    fresh_var,
 )
 
 from conftest import (
@@ -480,7 +481,7 @@ def _replay_substitutions(monkeypatch, check_subject: bool) -> int:
                 kept = set(map(id, _subterms(body)))
                 if any(id(x) in kept for x in _subterms(out)):
                     sharing.add(label)
-    assert sharing == {c[0] for c in cases} - {"chain-80", "omega-40", "beta-clash"}
+    assert sharing == {c[0] for c in cases} - {"chain-80", "omega-40"}
     return with_sets
 
 
@@ -491,16 +492,17 @@ def test_shared_substitution_equals_a_full_copy(monkeypatch):
     # no set, so that it shares nothing, and again on the originals, whose
     # later steps have kept more sets, it gives an equal result that renders
     # byte for byte alike, binder names included.  Some subtree is shared in
-    # every case but chain-80, which substitutes only into variables, ω,
-    # whose body holds its binder everywhere, and beta-clash, whose one
-    # substitution renames the only binder beside the replaced variable.
+    # every case but chain-80, which substitutes only into variables, and ω,
+    # whose body holds its binder everywhere.  beta-clash shares ``Lam([y]y)``,
+    # whose binder clashes with the replacement but which holds no x.
     _replay_substitutions(monkeypatch, check_subject=False)
 
 
 def test_shared_substitution_of_a_checked_subject_equals_a_full_copy(monkeypatch):
     # ``plank normalize`` and the benchmark check the subject first, which
-    # keeps a name set on each of its constructions.  Then some replacements
-    # keep one too, and ``substitute`` builds its guard from their sets.
+    # keeps a name set on each of its constructions, which is what the guard
+    # reads.  Then some replacements keep one too, though the guard does not
+    # read theirs.
     assert _replay_substitutions(monkeypatch, check_subject=True) > 0
 
 
@@ -760,21 +762,40 @@ def test_a_normal_form_does_not_depend_on_association_order(data):
     gamma, rules = _engine(CBV_EVAL)
     subject = data.draw(_subjects(gamma))
     permuted = _permute_lists(data.draw, subject)
-    one, two = (normalize(gamma, rules, s, fuel=30) for s in (subject, permuted))
+    (one, drawn), (two, drawn2) = (_normalize_drawing(gamma, rules, s, 30)
+                                   for s in (subject, permuted))
     assert one.status is two.status, render(permuted)
     if one.status is NormalStatus.NORMAL_FORM:
         assert (Counter(s.rule_index for s in one.steps)
                 == Counter(s.rule_index for s in two.steps)), render(permuted)
-        assert _alpha_equal_up_to_fresh_names(one.term, two.term, subject), render(permuted)
+        assert _alpha_equal_up_to_fresh_names(one.term, drawn, two.term, drawn2), \
+            render(permuted)
 
 
-def _alpha_equal_up_to_fresh_names(a, b, subject):
-    """``a`` and ``b``, two results from ``subject`` or from a permutation of
-    its lists, are α-equal after some bijection between the fresh names each
-    run drew: the names free in its result but not in the subject."""
-    fresh_a = sorted(free_vars(a) - free_vars(subject))
-    fresh_b = sorted(free_vars(b) - free_vars(subject))
-    return len(fresh_a) == len(fresh_b) and any(
+def _normalize_drawing(gamma, rules, subject, fuel):
+    """``normalize``'s result on ``subject``, and the set of names that
+    ``fresh_var`` gave the engine in the run."""
+    drawn = set()
+
+    def drawing(hint, avoid):
+        name = fresh_var(hint, avoid)
+        drawn.add(name)
+        return name
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plank.rewrite, "fresh_var", drawing)
+        return normalize(gamma, rules, subject, fuel=fuel), drawn
+
+
+def _alpha_equal_up_to_fresh_names(a, drawn_a, b, drawn_b):
+    """``a`` and ``b``, the results of two runs that drew the names
+    ``drawn_a`` and ``drawn_b``, are α-equal after some bijection between
+    the drawn names free in each, and every other free name is the same in
+    both.  A drawn name may be one the subject held free before it left the
+    term."""
+    free_a, free_b = free_vars(a), free_vars(b)
+    fresh_a, fresh_b = sorted(free_a & drawn_a), sorted(free_b & drawn_b)
+    return free_a - drawn_a == free_b - drawn_b and len(fresh_a) == len(fresh_b) and any(
         alpha_equal(substitute(a, {x: Var(y) for x, y in zip(fresh_a, order)}), b)
         for order in permutations(fresh_b))
 
@@ -800,12 +821,13 @@ def test_fresh_names_in_two_entries_follow_list_order():
     value = "Apply(Lam([x]y), x, {})"
     subjects = [parse_term(f"Apply(x, x, {{{k} : {value}, {l} : {value}}})")
                 for k, l in ("xy", "yx")]
-    runs = [normalize(gamma, rules, s) for s in subjects]
-    assert [render(r.term) for r in runs] == [
+    (one, drawn), (two, drawn2) = (_normalize_drawing(gamma, rules, s, 10000)
+                                   for s in subjects)
+    assert [render(r.term) for r in (one, two)] == [
         "Apply(x, x, {x : Eval(y, {z : x}), y : Eval(y, {z1 : x})})",
         "Apply(x, x, {y : Eval(y, {z : x}), x : Eval(y, {z1 : x})})"]
-    assert not alpha_equal(runs[0].term, runs[1].term)
-    assert _alpha_equal_up_to_fresh_names(runs[0].term, runs[1].term, subjects[0])
+    assert not alpha_equal(one.term, two.term)
+    assert _alpha_equal_up_to_fresh_names(one.term, drawn, two.term, drawn2)
 
 
 def _assert_sorted_as(gamma, term, sort):
@@ -1565,9 +1587,24 @@ def test_binder_names_do_not_change_a_run(label, data):
     gamma, rules = _engine(GENERATED[label])
     subject = data.draw(_subjects(gamma))
     renamed = _rebind(subject, lambda: data.draw(st.sampled_from("xyz")))
-    one, two = (normalize(gamma, rules, s, fuel=30) for s in (subject, renamed))
+    (one, drawn), (two, drawn2) = (_normalize_drawing(gamma, rules, s, 30)
+                                   for s in (subject, renamed))
     assert (one.steps, one.status) == (two.steps, two.status), render(renamed)
-    assert _alpha_equal_up_to_fresh_names(one.term, two.term, subject), render(renamed)
+    assert _alpha_equal_up_to_fresh_names(one.term, drawn, two.term, drawn2), render(renamed)
+
+
+def test_a_name_free_in_a_subject_is_drawn_once_it_leaves_the_term():
+    # Found by the property above.  With its binder z, the subject keeps z
+    # in the term until Apply draws, which then draws z1; with the binder
+    # v0, the free z has left the term by then, so Apply draws z itself.
+    # The two results are equal up to the drawn names, not up to the names
+    # the subject lacks.  Fresh names drawn against the free names alone
+    # would make them equal.
+    gamma, rules = _engine(CBV_EVAL)
+    runs = [normalize(gamma, rules, parse_term(f"Apply(Eval(z, {{z : Lam([{b}]x)}}), x, {{}})"))
+            for b in ("z", "v0")]
+    assert [render(r.term) for r in runs] == ["Eval(x, {z1 : x})", "Eval(x, {z : x})"]
+    assert runs[0].steps == runs[1].steps
 
 
 @st.composite

@@ -506,15 +506,25 @@ class TestSubstitute:
         assert render(out) == "F(G(K(d)), H(b))"
         assert out.args[1] is body.args[1]
 
-    def test_a_binder_named_like_a_replacement_is_not_shared(self):
-        # The copy renames every binder that clashes with a replacement,
-        # even where the substituted name does not occur, so such a binder
-        # is never shared.
+    def test_a_binder_named_like_a_replacement_is_renamed_only_over_a_substituted_name(self):
+        # A binder that clashes with a replacement is renamed only where a
+        # substituted name occurs free in its body; elsewhere its scope is
+        # shared as it is.
         body = t("F(Lam([y]x), Lam([y]y))")
         all_idents(body)
         out = substitute(body, {Ident("x"): t("y")})
-        assert render(out) == "F(Lam([y1]y), Lam([y1]y1))"
+        assert render(out) == "F(Lam([y1]y), Lam([y]y))"
+        assert out.args[1].body is body.args[1].body
         assert substitute(body, {Ident("x"): t("z")}).args[1].body is body.args[1].body
+
+    def test_a_hidden_parameter_renames_no_binder_below_it(self):
+        # The inner u hides the u that a takes, so #M's parameter is a
+        # reserved name that its fragment cannot hold.  Substituting u for
+        # it renames no u binder, as none holds it free.
+        script = ("L data Lam([L]L); L scheme W(L, L); L variable;"
+                  "L rule W(z, Lam([a]Lam([b]#M(a)))) -> #M(z);")
+        result = checked_normalize(script, "W(u, Lam([u]Lam([u]Lam([u]u))))")
+        assert render(result.term) == "Lam([u]u)"
 
     def test_capture_freedom_property(self):
         body = t("Lam([y]Ap(x, y))")
@@ -562,16 +572,17 @@ class TestSubstitute:
 
 def _copy_subst(x, sub):
     """Capture-avoiding substitution that builds every node anew, the
-    reference for ``substitute``.  It renames binders as ``substitute``
-    does: each binder that a replacement substituted under it has free, in
-    order, to the first name that is no name of the scope's body, binders
-    or substitution and none drawn before."""
+    reference for ``substitute``.  Under a scope it substitutes only the
+    names free in the body, and it renames binders as ``substitute`` does:
+    each binder that such a name's replacement has free, in order, to the
+    first name that is no name of the scope's body, binders or remaining
+    substitution and none drawn before."""
     if isinstance(x, Var):
         return sub[x.name] if x.name in sub else Var(x.name)
     if isinstance(x, Construction):
         return Construction(x.head, tuple(_copy_subst(p, sub) for p in x.args))
     if isinstance(x, ScopePiece):
-        inner = {w: r for w, r in sub.items() if w not in x.binders}
+        inner = {w: r for w, r in sub.items() if w not in x.binders and w in free_vars(x.body)}
         clash = set().union(*map(free_vars, inner.values()))
         avoid = clash | all_idents(x.body) | set(x.binders) | set(inner)
         binders, body = [], x.body
