@@ -83,21 +83,18 @@ class CheckState(_Record):
     replacing an outer one of the same name; ``delta.var`` gives the sort
     of every other name: inferred beforehand on a rule side, and filled by
     the check on a ground subject, where a name takes the sort of the first
-    position the check meets it at.  ``absent`` collects a pattern's absence
-    entries whose key is no binder in scope, for the rule's check to look up
-    among the pattern's variables once the whole pattern is known.
+    position the check meets it at.
     """
 
-    __slots__ = _fields = ("gamma", "delta", "v", "tc", "bound", "absent")
+    __slots__ = _fields = ("gamma", "delta", "v", "tc", "bound")
 
     def __init__(self, gamma: GlobalEnv, delta: RuleEnv, v: frozenset[Ident], tc: TermContext,
-                 bound: dict[Ident, Sort], absent: list[NotKey]):
+                 bound: dict[Ident, Sort]):
         self.gamma = gamma
         self.delta = delta
         self.v = v
         self.tc = tc
         self.bound = bound
-        self.absent = absent
 
 
 class ScriptCheck(_Record):
@@ -298,7 +295,7 @@ def check_piece(st: CheckState, p: Piece, f: Form) -> list[Diagnostic]:
                          f"declares {len(f.binder_sorts)} (BinderArityMismatch)")]
         if p.binders:
             st = CheckState(st.gamma, st.delta, st.v, st.tc,
-                            st.bound | dict(zip(p.binders, f.binder_sorts)), st.absent)
+                            st.bound | dict(zip(p.binders, f.binder_sorts)))
         return check_term(st, p.body, f.body_sort)
 
     if f.__class__ is not AssocForm:
@@ -326,7 +323,7 @@ def check_association(st: CheckState, a: Association, f: AssocForm) -> list[Diag
         errors.extend(_check_key(st, a, f.key_sort))
         names = non_assoc_vars(a.value)
         if not names <= st.v:
-            st = CheckState(st.gamma, st.delta, st.v | names, st.tc, st.bound, st.absent)
+            st = CheckState(st.gamma, st.delta, st.v | names, st.tc, st.bound)
         errors.extend(check_term(st, a.value, f.value_sort))
         return errors
 
@@ -334,9 +331,12 @@ def check_association(st: CheckState, a: Association, f: AssocForm) -> list[Diag
         if st.tc is not IN_PAT:
             return [_err("SAP-Not", a, "absence entries are only allowed in patterns "
                          "(NotKeyInContraction)")]
-        if a.key not in st.bound:
-            st.absent.append(a)
-        return _check_key(st, a, f.key_sort)
+        if a.key in st.bound or a.key in st.delta.pattern_vars:
+            return _check_key(st, a, f.key_sort)
+        # KeyNotElsewhere: the matcher resolves an absence key through a
+        # variable bound anywhere in the pattern, after every list is matched.
+        return [_err("SAP-Not", a, f"absence key {a.key} is not a variable of the pattern "
+                     "(KeyNotElsewhere)"), *_check_key(st, a, f.key_sort)]
 
     # Catch-all meta-variable.
     mf = st.delta.meta.get(a.meta)
@@ -388,16 +388,8 @@ def _check_rule(gamma: GlobalEnv, d: RuleDecl, delta: RuleEnv,
     errors = check_sort(gamma, d.sort) if gamma.misranked else []
     if env_errors:
         return errors + env_errors
-    lhs_state = CheckState(gamma, delta, delta.lhs_keys, IN_PAT, {}, [])
-    errors.extend(check_pattern(lhs_state, d.lhs, d.sort))
-    # KeyNotElsewhere for absence keys: the matcher resolves one through a
-    # variable bound anywhere in the pattern, after every list is matched.
-    for a in lhs_state.absent:
-        if a.key not in delta.pattern_vars:
-            errors.append(_err("SAP-Not", a, f"absence key {a.key} is not a variable of the "
-                               "pattern (KeyNotElsewhere)"))
-    rhs_state = CheckState(gamma, delta, delta.rhs_keys, CON, {}, [])
-    errors.extend(check_term(rhs_state, d.rhs, d.sort))
+    errors.extend(check_pattern(CheckState(gamma, delta, delta.lhs_keys, IN_PAT, {}), d.lhs, d.sort))
+    errors.extend(check_term(CheckState(gamma, delta, delta.rhs_keys, CON, {}), d.rhs, d.sort))
     return errors
 
 
@@ -432,7 +424,8 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
     or binder-count mismatch, an absence entry) is sorted further on.
     KeyNotElsewhere is a formation condition on rule sides only: rewriting
     can drop a key's last other occurrence, so every name of the subject
-    may stand as a key.
+    may stand as a key.  That ``all_idents(t)`` call also keeps the name
+    sets that ``substitute``'s sharing guard reads.
     """
     if t.__class__ is not Construction:
         return None, RuleEnv(), [_err("SMC-Cons", t, "a subject term must be a declared "
@@ -445,7 +438,7 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
         return None, RuleEnv(), [_err("SMC-Cons", t, "cannot determine a ground sort for "
                                       f"{t.head}: its declared sort {render(sort)} is "
                                       "polymorphic")]
-    st = CheckState(gamma, RuleEnv(), all_idents(t), CON, {}, [])
+    st = CheckState(gamma, RuleEnv(), all_idents(t), CON, {})
     return sort, st.delta, check_term(st, t, sort)
 
 

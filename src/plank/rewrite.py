@@ -22,11 +22,11 @@ binder costs no call: the matcher records its fragment as it is, which
 contraction returns.
 
 The matcher tells binders apart by number, so each fragment a valuation
-holds is the subject's own, and a parameter is its binder's own name, or a
-reserved ``%n`` one where an inner binder of that name hides it, which the
-fragment then cannot name.  So contraction draws its fresh names, for a
-right side's binders and its unbound variables, from one supply, the
-subject's names and the names drawn so far, and meets no reserved name.
+holds is the subject's own, and a parameter is its binder's own name, or
+None where an inner binder of that name hides it, which the fragment then
+cannot name.  So contraction draws its fresh names, for a right side's
+binders and its unbound variables, from one supply, the subject's names and
+the names drawn so far.
 
 Normalization is leftmost-outermost, one step at a time, on a zipper of
 the term (Huet, "The Zipper", JFP 1997): the focus, which a step makes the
@@ -68,7 +68,7 @@ child changed.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import count, repeat
+from itertools import repeat
 from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -126,12 +126,13 @@ class Abstraction(_Record):
     """A fragment abstracted over the binders a pattern meta was applied to.
 
     A meta-application's fragment is a term; a catch-all's is the
-    ``AssocPiece`` of the entries it captured.
+    ``AssocPiece`` of the entries it captured.  A parameter is None where
+    an inner binder hides its binder, which the fragment then cannot name.
     """
 
     __slots__ = _fields = ("params", "body")
 
-    def __init__(self, params: tuple[Ident, ...], body: Term | AssocPiece):
+    def __init__(self, params: tuple[Ident | None, ...], body: Term | AssocPiece):
         self.params = params
         self.body = body
 
@@ -175,13 +176,13 @@ def substitute(body: Term | AssocPiece, binding: Mapping[Ident, Term]) -> Term |
     """
     if not binding:
         return body
-    return _subst(body, dict(binding), {})
+    return _subst(body, binding, {})
 
 
 # ``fv_memo`` maps a substituted name ``w`` to ``free_vars(sub[w])``.  Names
 # key it because one memo serves one ``sub``: under every binder ``w`` still
 # maps to the same term.  A binder rename is another ``sub``, with its own memo.
-def _subst(t: Node, sub: dict[Ident, Term], fv_memo: dict[Ident, set[Ident]]) -> Node:
+def _subst(t: Node, sub: Mapping[Ident, Term], fv_memo: dict[Ident, set[Ident]]) -> Node:
     cls = t.__class__
     if cls is Var:
         return sub.get(t.name, t)
@@ -257,23 +258,24 @@ class _Matcher:
     when its turn comes.  An absence key may be bound by any value of the
     pattern (``SAP-Not``), so absence entries are checked after every list.
 
-    Each pair of binders the descent enters gets the attempt's next number:
+    Each pair of binders the descent enters gets the attempt's next number,
+    its index in ``binders``, the subject binders in the order entered:
     ``senv`` maps a subject name in scope to its binder's, ``penv`` a
     pattern binder to its partner's, and subject keys are filed through
     ``senv`` too.  Inside a binder's scope a free occurrence of its name is
     that binder, so a fragment is recorded as it stands: a parameter is its
-    binder's name in ``senv``, or a reserved one (``_reserved``) for a
-    binder an inner one hides, and the names a fragment may not use are
-    the other names in ``senv``.  A name free in the subject may still name
-    a binder elsewhere: a pattern key that resolves through ``var_bind`` to
-    a name bound here names no key of the list, and the two abstractions
-    of a non-linear meta compare up to alpha.
+    binder's name where ``senv`` maps that name to the binder's number, or
+    None where an inner binder hides it, and the names a fragment may not
+    use are the other names in ``senv``.  A name free in the subject may
+    still name a binder elsewhere: a pattern key that resolves through
+    ``var_bind`` to a name bound here names no key of the list, and the two
+    abstractions of a non-linear meta compare up to alpha.
     """
 
     def __init__(self):
         self.meta_bind: dict[Ident, Abstraction] = {}
         self.var_bind: dict[Ident, Ident] = {}
-        self.numbers = count()
+        self.binders: list[Ident] = []
         # (pattern entries, subject dict, penv, senv, subject list)
         self.pending: list[tuple] = []
         self.undone = False
@@ -318,7 +320,8 @@ class _Matcher:
                 raise _NoMatch
             penv2, senv2 = dict(penv), dict(senv)
             for w, u in zip(pp.binders, sp.binders):
-                penv2[w] = senv2[u] = next(self.numbers)
+                penv2[w] = senv2[u] = len(self.binders)
+                self.binders.append(u)
             self.term(pp.body, sp.body, penv2, senv2)
             return
         if sp.__class__ is not AssocPiece:
@@ -339,26 +342,22 @@ class _Matcher:
     def bind_meta(self, p: MetaApp | CatchAll, s: Term | AssocPiece, penv: dict,
                   senv: dict) -> None:
         # Only under a binder: ``term`` and ``drain_pending`` record the rest.
-        params = self._meta_params(p.meta, p.args, penv, senv)
+        params = []
+        for a in p.args:
+            if a.__class__ is not Var or a.name not in penv:
+                # SMP-Meta, SAP-All: pattern arguments are bound variables.
+                raise EngineError(
+                    f"pattern argument of {p.meta} must be a bound variable; "
+                    "was the rule checked?"
+                )
+            n = penv[a.name]
+            u = self.binders[n]
+            params.append(u if senv.get(u) == n else None)
         forbidden = senv.keys() - params
         if forbidden and free_vars(s) & forbidden:
             self.undone = True  # a forbidden binder occurs in the fragment
             return
-        self._record_meta(p.meta, Abstraction(params, s))
-
-    def _meta_params(self, meta: Ident, args, penv: dict, senv: dict) -> tuple[Ident, ...]:
-        names = {n: u for u, n in senv.items()}
-        params = []
-        for a in args:
-            if a.__class__ is not Var or a.name not in penv:
-                # SMP-Meta, SAP-All: pattern arguments are bound variables.
-                raise EngineError(
-                    f"pattern argument of {meta} must be a bound variable; "
-                    "was the rule checked?"
-                )
-            n = penv[a.name]
-            params.append(names[n] if n in names else _reserved(n))
-        return tuple(params)
+        self._record_meta(p.meta, Abstraction(tuple(params), s))
 
     def _record_meta(self, meta: Ident, ab: Abstraction) -> None:
         seen = self.meta_bind.get(meta)
@@ -420,28 +419,22 @@ class _Matcher:
                 raise _NoMatch
 
 
-def _reserved(n: int) -> Ident:
-    """Binder ``n``'s name where an inner one hides its own: ``%`` is no identifier's."""
-    return str.__new__(Ident, f"%{n}")
-
-
 def match_term(pattern: Term, subject: Term, *, _undone: list | None = None
                ) -> Valuation | None:
     """Match a checked rule pattern against a ground subject fragment.
 
     Returns the valuation, or None when the subject does not match.  Each
     abstraction holds its fragment as the subject does, and its parameters
-    are their binders' own names, but for a binder an inner one of its name
-    hides, which gets a reserved spelling that no parsed identifier has and
-    that the fragment cannot hold.  Replaying the valuation into the pattern
-    rebuilds the subject up to alpha-equivalence; association lists, read
-    as maps, may come back in another entry order.  A catch-all that takes
-    all of a subject list with no repeated key binds that list itself.  A
-    non-linear meta-variable or catch-all matches only abstractions that
-    are alpha-equal.  The pattern must pass the checker; one that does not
-    may raise EngineError, for instance a pattern association list with
-    more than one catch-all (SAP-All) or a pattern key bound nowhere
-    (SA-Map, SAP-Not).
+    are their binders' own names, but None for a binder an inner one of its
+    name hides, which the fragment cannot hold.  Replaying the valuation
+    into the pattern rebuilds the subject up to alpha-equivalence;
+    association lists, read as maps, may come back in another entry order.
+    A catch-all that takes all of a subject list with no repeated key binds
+    that list itself.  A non-linear meta-variable or catch-all matches only
+    abstractions that are alpha-equal.  The pattern must pass the checker;
+    one that does not may raise EngineError, for instance a pattern
+    association list with more than one catch-all (SAP-All) or a pattern key
+    bound nowhere (SA-Map, SAP-Not).
 
     A failure is undoable when everything matched but a meta-variable's or
     catch-all's fragment: it holds a binder the meta does not take, or a
@@ -477,8 +470,9 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident], *,
     ``avoid`` and the names drawn so far.  ``avoid`` is read once, when the
     first fresh name is drawn.  A catch-all splices the entries of its
     abstraction's body, with the contracted arguments substituted for the
-    parameters; no body holds a reserved parameter.  The engine passes
-    ``_rhs_vars``, the rule's ``sorted(free_vars(rhs))``, from ``prepare_rules``.
+    parameters; a None parameter names no variable, so nothing is put for
+    it.  The engine passes ``_rhs_vars``, the rule's
+    ``sorted(free_vars(rhs))``, from ``prepare_rules``.
     """
     taken: set[Ident] | None = None
 

@@ -115,7 +115,7 @@ def ex2_rules(ex2, ex2_checked):
 # binder z whose key a pattern variable names, and a binder j beside a free
 # j in the other argument of a non-linear meta-variable.  The rules U and V
 # take, as a meta-application's or a catch-all's parameter, a binder u that
-# an inner u hides, which alone gets a reserved name.  Each is
+# an inner u hides, which alone is the parameter None.  Each is
 # (label, subject, rendered normal form, steps).
 
 CLASHING_NAMES = """\

@@ -56,7 +56,7 @@ L = SortCons(Ident("L"))
 def state(gamma, tc, *, var=None, meta=None, v=(), bound=()):
     delta = RuleEnv(dict(var or {}), dict(meta or {}))
     return CheckState(gamma, delta, frozenset(Ident(x) for x in v), tc,
-                      {Ident(b): delta.var[b] for b in bound}, [])
+                      {Ident(b): delta.var[b] for b in bound})
 
 
 @pytest.fixture(scope="module")
@@ -397,15 +397,23 @@ class TestCheckAssociation:
     def test_not_key_ok_in_pattern(self, g2):
         st = self.setup_state(g2, TermContext.IN_PAT)
         entry = parse_term("E({~x:})").args[0].entries[0]
+        st.delta.pattern_vars = frozenset({Ident("x")})
         assert check_association(st, entry, AssocForm(L, L)) == []
+        st.delta.pattern_vars = frozenset()
+        errors = check_association(st, entry, AssocForm(L, L))
+        assert [e.rule for e in errors] == ["SAP-Not"]
 
     def test_not_key_waits_for_the_whole_pattern(self, g2):
         # A key that is no binder in scope may be bound by any variable of
-        # the pattern, so the rule's check looks it up at the end.
+        # the pattern, which the rule's environment collects before the check.
         st = self.setup_state(g2, TermContext.IN_PAT)
         entry = parse_term("E({~y:})").args[0].entries[0]
+        st.delta.pattern_vars = frozenset({Ident("x"), Ident("y")})
         assert check_association(st, entry, AssocForm(L, L)) == []
-        assert st.absent == [entry]
+        st.delta.pattern_vars = frozenset({Ident("x")})
+        errors = check_association(st, entry, AssocForm(L, L))
+        assert [e.rule for e in errors] == ["SAP-Not"]
+        assert "KeyNotElsewhere" in errors[0].message
 
     def test_catchall_in_pattern_and_contraction(self, g2):
         for tc in (TermContext.IN_PAT, TermContext.CON):

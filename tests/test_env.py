@@ -250,11 +250,11 @@ class TestInferRuleEnv:
                 delta, errors = infer_rule_env(gamma, rule)
                 assert errors == []
                 lhs_state = CheckState(
-                    gamma, delta, frozenset(non_assoc_vars(rule.lhs)), TermContext.IN_PAT, {}, []
+                    gamma, delta, frozenset(non_assoc_vars(rule.lhs)), TermContext.IN_PAT, {}
                 )
                 assert check_pattern(lhs_state, rule.lhs, rule.sort) == []
                 rhs_state = CheckState(
-                    gamma, delta, frozenset(non_assoc_vars(rule.rhs)), TermContext.CON, {}, []
+                    gamma, delta, frozenset(non_assoc_vars(rule.rhs)), TermContext.CON, {}
                 )
                 assert check_term(rhs_state, rule.rhs, rule.sort) == []
 

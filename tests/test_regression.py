@@ -55,8 +55,8 @@
   names free elsewhere, changes neither the step chosen nor its result up
   to alpha and to the fresh names the step draws, and on generated
   subjects neither a run's steps nor its status.  ``alpha_equal`` agrees
-  with the benchmark's de Bruijn forms.  The matcher's reserved
-  names, made in one function, reach no traced term and do not parse.
+  with the benchmark's de Bruijn forms.  A parameter that an inner binder
+  hides is None, and no module spells an ``Ident`` past its check.
 * Full diagnostics of ill-sorted rules whose binders are all distinct from
   each other and from free names, and of malformed scripts, are
   byte-identical to the recorded ones.
@@ -538,6 +538,93 @@ def test_a_lone_catch_all_list_equals_its_merged_rebuild(monkeypatch):
             assert out == AssocPiece(tuple({e.key: e for e in out.entries}.values())), label
 
 
+# The β rule alone: η would contract the drawn ``Lam([x]Ap(A, x))`` forms,
+# which the nameless reference below does not.
+BETA = "".join(BETA_ETA.splitlines(keepends=True)[:3])
+
+
+def _beta_term(rng, depth):
+    """A term over the names x, y and z: a name, a scope or an application."""
+    r = rng.random()
+    if depth <= 0 or r < 0.4:
+        return rng.choice("xyz")
+    if r < 0.7:
+        return f"Lam([{rng.choice('xyz')}]{_beta_term(rng, depth - 1)})"
+    return f"Ap({_beta_term(rng, depth - 1)}, {_beta_term(rng, depth - 1)})"
+
+
+def _db_shift(t, d, cutoff=0):
+    """De Bruijn form ``t`` with each index ``cutoff`` or more raised by ``d``."""
+    if t[0] == "bound":
+        return ("bound", t[1] + d) if t[1] >= cutoff else t
+    if t[0] == "free":
+        return t
+    return ("con", t[1], tuple(("scope", n, _db_shift(b, d, cutoff + n)) for _, n, b in t[2]))
+
+
+def _db_subst(t, j, s):
+    """De Bruijn form ``t`` with ``s`` put for index ``j``."""
+    if t[0] == "bound":
+        return s if t[1] == j else t
+    if t[0] == "free":
+        return t
+    return ("con", t[1], tuple(("scope", n, _db_subst(b, j + n, _db_shift(s, n)))
+                               for _, n, b in t[2]))
+
+
+def _db_beta_step(t):
+    """De Bruijn form ``t`` after its leftmost-outermost β-step, or None."""
+    if t[0] != "con":
+        return None
+    if t[1] == "Ap" and t[2][0][2][:2] == ("con", "Lam"):
+        body, arg = t[2][0][2][2][0][2], t[2][1][2]
+        return _db_shift(_db_subst(body, 0, _db_shift(arg, 1)), -1)
+    for i, (_, n, b) in enumerate(t[2]):
+        r = _db_beta_step(b)
+        if r is not None:
+            return ("con", t[1], t[2][:i] + (("scope", n, r),) + t[2][i + 1:])
+    return None
+
+
+def _db_beta_normalize(t, fuel):
+    """``(term, steps, status)`` of a nameless leftmost-outermost β run."""
+    steps = 0
+    while True:
+        after = _db_beta_step(t)
+        if after is None:
+            return t, steps, "NormalForm"
+        if steps == fuel:
+            return t, steps, "FuelExhausted"
+        t, steps = after, steps + 1
+
+
+def test_beta_runs_that_rename_binders_agree_with_a_nameless_normalizer(monkeypatch):
+    # Each subject puts a redex under binders x, y and z whose function
+    # binds x and y again, so a β-step often substitutes for x under a y
+    # that the argument holds free, and ``_subst`` renames that binder.
+    gamma, rules = _engine(BETA)
+    de_bruijn = _bench_workloads().de_bruijn
+    renames = 0
+
+    def counting(hint, avoid):
+        nonlocal renames
+        renames += sys._getframe(1).f_code.co_name == "_subst"
+        return fresh_var(hint, avoid)
+
+    monkeypatch.setattr(plank.rewrite, "fresh_var", counting)
+    rng = random.Random(37)
+    draws, renamed = 3000, 0
+    for _ in range(draws):
+        a, b = _beta_term(rng, 2), _beta_term(rng, 2)
+        subject = parse_term(f"Lam([x]Lam([y]Lam([z]Ap(Lam([x]Lam([y]{b})), {a}))))")
+        renames = 0
+        result = normalize(gamma, rules, subject, fuel=30)
+        renamed += renames > 0
+        assert (de_bruijn(result.term), len(result.steps), result.status.value) == \
+            _db_beta_normalize(de_bruijn(subject), 30), render(subject)
+    assert renamed >= draws // 10, renamed
+
+
 # ---------------------------------------------------------------------------
 # Resumed search
 
@@ -838,7 +925,7 @@ def _assert_sorted_as(gamma, term, sort):
         have, _, errors = check_ground_subject(gamma, term)
         assert (have, errors) == (sort, []), render(term)
         return
-    state = CheckState(gamma, RuleEnv(), all_idents(term), TermContext.CON, {}, [])
+    state = CheckState(gamma, RuleEnv(), all_idents(term), TermContext.CON, {})
     assert check_term(state, term, sort) == [], render(term)
 
 
@@ -862,7 +949,7 @@ def _two_pass_check(gamma, subject):
     sort = gamma.con[subject.head].result
     delta = RuleEnv()
     _SortWalk(gamma, delta, {}, subject, sort, False)
-    state = CheckState(gamma, delta, all_idents(subject), TermContext.CON, {}, [])
+    state = CheckState(gamma, delta, all_idents(subject), TermContext.CON, {})
     return sort, delta, check_term(state, subject, sort)
 
 
@@ -1672,27 +1759,22 @@ def test_alpha_equal_agrees_with_de_bruijn_forms(data, lists):
 
 @pytest.mark.parametrize("label,source,term,fuel", NAMED_CASES, ids=[c[0] for c in NAMED_CASES])
 def test_no_reserved_name_reaches_a_traced_term(label, source, term, fuel):
-    # The matcher's reserved names stand only in valuations' parameters;
-    # every term a run traces renders to text that parses back to it.
+    # Every term a run traces renders to text that parses back to it.
     for t in _traced(source, term, fuel)[2]:
         text = render(t)
         assert "%" not in text and parse_term(text) == t
 
 
-def test_a_reserved_name_does_not_parse():
+def test_a_hidden_parameter_is_none():
     # Three binders named u: the outermost, which #M takes and the inner
-    # ones hide, gets the reserved name; the innermost keeps its own.
+    # ones hide, is the parameter None, which names no variable; the
+    # innermost keeps its own name.
     pattern = parse_term("T(Lam([a]Lam([b]Lam([c]#M(a)))))")
     val = match_term(pattern, parse_term("T(Lam([u]Lam([u]Lam([u]A()))))"))
-    (name,) = val.meta_bind["#M"].params
-    assert val.meta_bind["#M"].body == parse_term("A()") and "%" in name
+    assert (val.meta_bind["#M"].params, val.meta_bind["#M"].body) == ((None,), parse_term("A()"))
     val = match_term(parse_term("T(Lam([a]Lam([b]Lam([c]#M(c)))))"),
                      parse_term("T(Lam([u]Lam([u]Lam([u]u))))"))
     assert (val.meta_bind["#M"].params, val.meta_bind["#M"].body) == (("u",), Var("u"))
-    with pytest.raises(ValueError):
-        Ident(name)
-    with pytest.raises(ParseFailure):
-        parse_term(f"Lam([{name}]{name})")
 
 
 def test_matching_makes_no_substitution(monkeypatch):
@@ -1782,6 +1864,19 @@ PINNED = [
 def test_pinned_diagnostics(rule, expected):
     result = check_script(parse_script(PIN_SIGNATURE + rule + "\n", file="pin.plank"))
     assert [e.format() for e in result.errors] == expected
+
+
+def test_an_absence_key_is_reported_in_source_order():
+    # An absence key that resolves nowhere is reported at its own entry, so
+    # before a pattern error that stands after it.
+    script = ("L variable;\nL data A();\nL scheme F({L:L}, L);\n"
+              "L rule F({~y:, #e}, G(w)) -> A();\n")
+    result = check_script(parse_script(script, file="s.plank"))
+    assert [e.format() for e in result.errors] == [
+        "s.plank:4:11: error[SAP-Not]: absence key y is not a variable of the pattern "
+        "(KeyNotElsewhere)",
+        "s.plank:4:21: error[SMP-Data]: constructor G is not declared",
+    ]
 
 
 # Recorded before the lexer became one compiled pattern; lexer and parser
@@ -2162,10 +2257,10 @@ def test_no_check_state_is_built_only_to_change_context():
     # function instead.  So a function that receives a state passes its
     # context on, and only the two that start a check name one.
     sample = (
-        "def f(st, t):\n    return g(CheckState(st.gamma, st.delta, st.v, st.tc, {}, []))\n"
-        "def h(st):\n    inner = CheckState(st.gamma, st.delta, st.v, CON, st.bound, [])\n"
+        "def f(st, t):\n    return g(CheckState(st.gamma, st.delta, st.v, st.tc, {}))\n"
+        "def h(st):\n    inner = CheckState(st.gamma, st.delta, st.v, CON, st.bound)\n"
         "    def k(gamma):\n        return CheckState(gamma, None, None, tc=IN_PAT)\n"
-        "def root(gamma):\n    return CheckState(gamma, None, frozenset(), IN_PAT, {}, [])\n"
+        "def root(gamma):\n    return CheckState(gamma, None, frozenset(), IN_PAT, {})\n"
     )
     assert _state_contexts(sample) == [(2, "f", True, "st.tc"), (4, "h", True, "CON"),
                                        (6, "k", False, "IN_PAT"), (8, "root", False, "IN_PAT")]
@@ -2339,7 +2434,7 @@ def test_every_engine_raise_names_the_diagnostic_that_rules_it_out():
     assert _untagged_engine_raises(source, tags) == []
 
 
-def _reserved_name_makers(source: str) -> list[str]:
+def _unchecked_ident_makers(source: str) -> list[str]:
     """The function around each ``str.__new__(Ident, ...)``, the one way to
     spell an ``Ident`` past its check; ``<module>`` outside any."""
     tree = ast.parse(source)
@@ -2353,17 +2448,17 @@ def _reserved_name_makers(source: str) -> list[str]:
             and node.args and ast.unparse(node.args[0]) == "Ident"]
 
 
-def test_reserved_names_are_made_in_one_place():
-    # The matcher's parameters are the subject's own binder names and the
-    # reserved names that ``_reserved`` alone makes; the matcher walks no
-    # name set, draws no fresh name and substitutes nothing.
+def test_no_ident_skips_its_spelling_check():
+    # Every name is spelled as a parsed identifier: the matcher's parameters
+    # are the subject's own binder names, or None for a hidden binder.  The
+    # matcher walks no name set, draws no fresh name and substitutes nothing.
     sample = ("x = str.__new__(Ident, 'a%1')\n"
               "def f(u):\n    def g():\n        return str.__new__(Ident, u)\n"
               "    return Ident(u), str.__new__(str, u)\n")
-    assert _reserved_name_makers(sample) == ["<module>", "g"]
+    assert _unchecked_ident_makers(sample) == ["<module>", "g"]
     makers = [(path.name, fn) for path in sorted((REPO / "src" / "plank").glob("*.py"))
-              for fn in _reserved_name_makers(path.read_text(encoding="utf-8"))]
-    assert makers == [("rewrite.py", "_reserved")]
+              for fn in _unchecked_ident_makers(path.read_text(encoding="utf-8"))]
+    assert makers == []
     source = (REPO / "src" / "plank" / "rewrite.py").read_text(encoding="utf-8")
     matcher = next(n for n in ast.walk(ast.parse(source))
                    if isinstance(n, ast.ClassDef) and n.name == "_Matcher")

@@ -4,6 +4,7 @@ import functools
 import random
 import sys
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -443,6 +444,10 @@ class TestSubstitute:
         out = substitute(t("Lam([y]x)"), {Ident("x"): t("y")})
         assert out == t("Lam([y1]y)")
         assert alpha_equal(out, t("Lam([z]y)"))
+        # The mapping is only read, so a read-only one serves as it is.
+        binding = MappingProxyType({Ident("x"): t("y")})
+        assert substitute(t("Lam([y]x)"), binding) == out
+        assert dict(binding) == {Ident("x"): t("y")}
 
     def test_duplicate_occurrences(self):
         out = substitute(t("Ap(x, x)"), {Ident("x"): t("One()")})
@@ -518,9 +523,9 @@ class TestSubstitute:
         assert substitute(body, {Ident("x"): t("z")}).args[1].body is body.args[1].body
 
     def test_a_hidden_parameter_renames_no_binder_below_it(self):
-        # The inner u hides the u that a takes, so #M's parameter is a
-        # reserved name that its fragment cannot hold.  Substituting u for
-        # it renames no u binder, as none holds it free.
+        # The inner u hides the u that a takes, so #M's parameter is None,
+        # which names no variable.  Substituting u for it renames no u
+        # binder, as none holds it free.
         script = ("L data Lam([L]L); L scheme W(L, L); L variable;"
                   "L rule W(z, Lam([a]Lam([b]#M(a)))) -> #M(z);")
         result = checked_normalize(script, "W(u, Lam([u]Lam([u]Lam([u]u))))")
@@ -697,7 +702,7 @@ class TestFramesPerLevel:
         # #F, #A and #env are recorded without ``bind_meta``.
         rule = parse_script(CBV_EVAL).rules[1]  # Eval(Ap(#F, #A), {#env})
         subject = t("Eval(Ap(Lam([x]x), y), {w : Lam([v]v)})")
-        val, n = _frames({"term", "piece", "bind_meta", "_meta_params", "_record_meta"},
+        val, n = _frames({"term", "piece", "bind_meta", "_record_meta"},
                          lambda: match_term(rule.lhs, subject))
         assert val is not None
         assert n == {"term": 4, "piece": 1, "_record_meta": 3}
@@ -795,8 +800,8 @@ class TestContract:
         assert out == t("Lam([x1]Ap(x1, x))")
 
     def test_fresh_name_avoids_every_name_of_a_matched_subject(self, ex2):
-        # A valuation that a match returns holds only names of its subject
-        # and reserved ones, so the subject's names are the whole avoid set.
+        # A valuation that a match returns holds only names of its subject,
+        # so the subject's names are the whole avoid set.
         subject = t("Apply(Lam([z]Ap(z, z1)), z, {z1 : Lam([z2]z2)})")
         rule = ex2.rules[3]  # Apply(Lam([x]#B(x)), #V, {#env}) -> Eval(#B(z), {#env, z : #V})
         val = match_term(rule.lhs, subject)
