@@ -12,9 +12,11 @@ after construction and safe to share, by rule and not by the runtime: a
 lint in the tests rejects every store to a field of a built record.
 Equality, hashing and ``repr`` read a class's ``_fields``: records of one
 class are equal when those are, the hash is that of their tuple, and the
-``repr`` is ``Class(field=value, ...)``.  A parsed node's position is
-two slots, the last two ``__init__`` arguments: ``span``, its first
-token's index, a bare ``int``, and ``source``, the one ``_Source`` its
+``repr`` is ``Class(field=value, ...)``.  ``SortCons`` alone spells out
+its comparison of ``name`` and ``args``, because checking compares sorts
+at every construction; its hash stays ``_Record``'s.  A parsed node's
+position is two slots, the last two ``__init__`` arguments: ``span``, its
+first token's index, a bare ``int``, and ``source``, the one ``_Source`` its
 whole parse shares, which resolves the index to a line and column only
 when read, as Go's ``go/token`` resolves a ``Pos`` through its
 ``FileSet``.  A node's position is none of its fields, so it takes no part
@@ -94,10 +96,12 @@ class Span(NamedTuple):
 class _Record:
     """Base of the records (see the module docstring).  ``_fields`` names a
     class's fields in order, and ``_key``, made once per class, reads them
-    in one C call.  ``GlobalEnv`` and ``RuleEnv``, which their builders
-    fill in after ``__init__``, and the results ``ScriptCheck``,
-    ``Valuation`` and ``NormalizeResult`` set ``__hash__`` to None; no
-    module stores to a field of any other record."""
+    in one C call; ``SortCons``, compared at every construction a check
+    sorts, writes its ``__eq__`` out and keeps this ``__hash__``.
+    ``GlobalEnv`` and ``RuleEnv``, which their builders fill in after
+    ``__init__``, and the results ``ScriptCheck``, ``Valuation`` and
+    ``NormalizeResult`` set ``__hash__`` to None; no module stores to a
+    field of any other record."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -170,6 +174,13 @@ class SortCons(_Node):
         self.args = args
         self.span = span
         self.source = source
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is SortCons:
+            return self.name == other.name and self.args == other.args
+        return NotImplemented
+
+    __hash__ = _Record.__hash__
 
 
 class SortVar(_Node):

@@ -48,7 +48,7 @@ from plank.terms import (
     non_assoc_vars,
 )
 from conftest import CBV_EVAL
-from test_regression import REPO, _diagnostic_tags
+from test_regression import REPO, _assert_sorted_as, _diagnostic_tags, _draw_term
 
 L = SortCons(Ident("L"))
 
@@ -675,3 +675,74 @@ class TestBinderNames:
             rule = _random_rule(rng)
             result = check_script(Script(BINDERS.declarations + (rule,)))
             assert result.rule_envs[-1].var == infer_rule_env(gamma, rule)[0].var, render(rule)
+
+
+# ---------------------------------------------------------------------------
+# Checker and engine agree: accepted rules run on instances of their patterns
+
+
+def _accepted_script(rng):
+    """1-3 ``_random_rule`` rules that ``check_script`` accepts after
+    ``BINDERS``, and the check's result."""
+    while True:
+        rules = tuple(_random_rule(rng) for _ in range(rng.randint(1, 3)))
+        checked = check_script(Script(BINDERS.declarations + rules))
+        if checked.ok:
+            return rules, checked
+
+
+def _instance(draw, gamma, env, pattern):
+    """A subject that instantiates ``pattern``, a rule's left side with
+    environment ``env``.  A meta-application becomes a fragment over only
+    the binders it takes, the same one wherever it takes the same ones; a
+    catch-all becomes 0-2 entries under keys that no other name uses; an
+    absence entry is dropped, as a subject holds none."""
+    fragments = {}
+
+    def fragment(meta, args, sort):
+        scope = dict(zip((a.name for a in args), env.meta[meta].arg_sorts))
+        return _draw_term(draw, gamma, sort, 2, scope, free="")
+
+    def go(t):
+        if t.__class__ is Var:
+            return t
+        if t.__class__ is MetaApp:
+            key = (t.meta, t.args)
+            if key not in fragments:
+                fragments[key] = fragment(t.meta, t.args, env.meta[t.meta].result)
+            return fragments[key]
+        pieces = []
+        for p in t.args:
+            if p.__class__ is ScopePiece:
+                pieces.append(ScopePiece(p.binders, go(p.body)))
+                continue
+            entries = []
+            for e in p.entries:
+                if e.__class__ is MapEntry:
+                    entries.append(MapEntry(e.key, go(e.value)))
+                elif e.__class__ is CatchAll:
+                    value_sort = env.meta[e.meta].result.value_sort
+                    entries += [MapEntry(Ident(k), fragment(e.meta, e.args, value_sort))
+                                for k in draw(st.lists(st.sampled_from("uvw"), max_size=2,
+                                                       unique=True))]
+            pieces.append(AssocPiece(tuple(entries)))
+        return Construction(t.head, tuple(pieces))
+
+    return go(pattern)
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_accepted_rules_keep_instances_of_their_patterns_sorted(seed, data):
+    # The checker's formation rules exist so that rewriting is well defined:
+    # on an accepted script, no engine precondition fails (an EngineError
+    # would escape ``normalize``), and every term of the run is well sorted
+    # at the subject's sort.  Instantiated patterns make the rules fire.
+    rules, checked = _accepted_script(random.Random(seed))
+    gamma = checked.gamma
+    i = data.draw(st.integers(0, len(rules) - 1))
+    subject = _instance(data.draw, gamma, checked.rule_envs[i], rules[i].lhs)
+    sort = rules[i].sort
+    _assert_sorted_as(gamma, subject, sort)
+    normalize(gamma, prepare_rules(gamma, rules, checked.rule_envs), subject, fuel=15,
+              on_step=lambda t, _: _assert_sorted_as(gamma, t, sort))

@@ -750,15 +750,16 @@ def _engine(source):
     return checked.gamma, prepare_rules(checked.gamma, script.rules, checked.rule_envs)
 
 
-def _draw_term(draw, gamma, sort, budget, scope):
+def _draw_term(draw, gamma, sort, budget, scope, free="xyz"):
     """A ground term of ``sort`` drawn from the declarations in ``gamma``:
-    a binder of ``scope`` (name to sort) of that sort, a free name if the
-    sort has variables, or a construction whose result sort it is.  Binders
-    and keys are named from x, y and z, so nested binders reuse names and
-    shadow each other.  Past ``budget`` levels only leaves are drawn, or,
-    where the sort has none, a construction that binds a name."""
+    a binder of ``scope`` (name to sort) of that sort, a name of ``free`` if
+    the sort has variables, or a construction whose result sort it is.
+    Binders are named from x, y and z, so nested binders reuse names and
+    shadow each other; keys are names of ``free`` or binders of their sort.
+    Past ``budget`` levels only leaves are drawn, or, where the sort has
+    none, a construction that binds a name."""
     names = sorted({w for w, s in scope.items() if s == sort}
-                   | (set("xyz") if sort.name in gamma.hasvar else set()))
+                   | (set(free) if sort.name in gamma.hasvar else set()))
     heads = sorted(h for h, sig in gamma.con.items() if sig.result == sort)
     if budget <= 0:
         leaves = names + [h for h in heads if not gamma.con[h].forms]
@@ -769,10 +770,10 @@ def _draw_term(draw, gamma, sort, budget, scope):
     choice = draw(st.sampled_from(heads))
     if choice in names:
         return Var(Ident(choice))
-    return _draw_construction(draw, gamma, choice, budget, scope)
+    return _draw_construction(draw, gamma, choice, budget, scope, free)
 
 
-def _draw_construction(draw, gamma, head, budget, scope):
+def _draw_construction(draw, gamma, head, budget, scope, free="xyz"):
     """A construction of ``head`` whose pieces ``_draw_term`` draws."""
     pieces = []
     for form in gamma.con[head].forms:
@@ -780,11 +781,12 @@ def _draw_construction(draw, gamma, head, budget, scope):
             binders = tuple(Ident(draw(st.sampled_from("xyz"))) for _ in form.binder_sorts)
             inner = scope | dict(zip(binders, form.binder_sorts))
             pieces.append(ScopePiece(binders, _draw_term(draw, gamma, form.body_sort, budget - 1,
-                                                         inner)))
+                                                         inner, free)))
             continue
-        entries = [MapEntry(Ident(draw(st.sampled_from("xyz"))),
-                            _draw_term(draw, gamma, form.value_sort, budget - 1, scope))
-                   for _ in range(draw(st.integers(0, 2)))]
+        keys = sorted(set(free) | {w for w, s in scope.items() if s == form.key_sort})
+        entries = [MapEntry(Ident(draw(st.sampled_from(keys))),
+                            _draw_term(draw, gamma, form.value_sort, budget - 1, scope, free))
+                   for _ in range(draw(st.integers(0, 2)) if keys else 0)]
         pieces.append(AssocPiece(tuple(entries)))
     return Construction(Ident(head), tuple(pieces))
 
@@ -1650,7 +1652,7 @@ def test_binder_names_do_not_change_a_step(case, data):
     if hit is not None:
         assert again[1] == hit[1]
         assert alpha_equal(_fresh_bound(again[0], renamed), _fresh_bound(hit[0], term))
-        assert "%" not in render(again[0])
+        assert all(type(n) is Ident for n in all_idents(again[0]))
 
 
 def test_a_fresh_name_avoids_the_subject_binders(ex2_checked, ex2_rules):
@@ -1758,11 +1760,14 @@ def test_alpha_equal_agrees_with_de_bruijn_forms(data, lists):
 
 
 @pytest.mark.parametrize("label,source,term,fuel", NAMED_CASES, ids=[c[0] for c in NAMED_CASES])
-def test_no_reserved_name_reaches_a_traced_term(label, source, term, fuel):
-    # Every term a run traces renders to text that parses back to it.
+def test_traced_terms_hold_checked_names_and_parse_back(label, source, term, fuel):
+    # Every name of every term a run traces is an ``Ident``, whose spelling
+    # was checked when it was made, not a plain ``str`` (from a fresh name
+    # that skipped ``Ident``, say), and the term renders to text that
+    # parses back to it.
     for t in _traced(source, term, fuel)[2]:
-        text = render(t)
-        assert "%" not in text and parse_term(text) == t
+        assert all(type(n) is Ident for n in all_idents(t))
+        assert parse_term(render(t)) == t
 
 
 def test_a_hidden_parameter_is_none():
@@ -2042,7 +2047,8 @@ def _records(nodes: list[ast.AST]) -> dict[str, tuple[list[str], list[str], bool
     itself or through another record, by name: the names its body lists in
     ``__slots__`` or ``_fields`` but ``__weakref__``, those with its bases',
     and whether it is hashable, which a record changed after it is built,
-    one that sets ``__hash__`` to None, is not."""
+    one that sets ``__hash__`` to None, is not; one that names another
+    ``__hash__`` stays hashable."""
     classes = [n for n in nodes if isinstance(n, ast.ClassDef)]
     records = {"_Record": ([], [], True)}
     for _ in classes:  # a base may come after its subclasses
@@ -2055,7 +2061,8 @@ def _records(nodes: list[ast.AST]) -> dict[str, tuple[list[str], list[str], bool
                      if {"__slots__", "_fields"} & set(map(_last_name, st.targets))]
             own = list(dict.fromkeys(n.value for v in lists for n in ast.walk(v)
                                      if isinstance(n, ast.Constant) and n.value != "__weakref__"))
-            hashable = "__hash__" not in {_last_name(t) for st in body for t in st.targets}
+            hashable = not any(isinstance(st.value, ast.Constant) and st.value.value is None
+                               and "__hash__" in map(_last_name, st.targets) for st in body)
             records[c.name] = (own, [f for b in bases for f in b] + own, hashable)
     del records["_Record"]
     return records
@@ -2185,18 +2192,20 @@ def test_no_module_stores_to_a_built_record():
         "    setattr(r, 'f', 0)\n    object.__setattr__(r, 'x', 0)\n    delattr(r, name)\n"
         "def _idents(t):\n    t._idents = 1\n    u._idents = 1\n    r.m = 1\n"
         "def g(self):\n    self.f = 1\n"
+        "class H(_Record):\n    __slots__ = _fields = ('h',)\n    __hash__ = _Record.__hash__\n"
+        "def h(r):\n    r.h = 1\n"
     )
     records, found = _record_field_stores({"s": sample})
-    assert records == {"R"}
+    assert records == {"R", "H"}
     assert sorted(found, key=lambda f: int(f.split(":")[1])) == [
         "s:8: self.f", "s:16: r.f", "s:17: r.f", "s:18: r.f", "s:19: r.f",
         "s:21: setattr(r, 'f', 0)", "s:23: delattr(r, name)", "s:26: u._idents",
-        "s:29: self.f"]
+        "s:29: self.f", "s:34: r.h"]
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in sorted((REPO / "src" / "plank").glob("*.py"))}
     records, found = _record_field_stores(sources)
     assert {"Construction", "Var", "Diagnostic", "CheckState", "ConSig", "MetaForm",
-            "Abstraction", "RewriteRule", "RewriteStep"} <= records
+            "Abstraction", "RewriteRule", "RewriteStep", "SortCons"} <= records
     assert not {"GlobalEnv", "RuleEnv", "ScriptCheck", "Valuation", "NormalizeResult"} & records
     assert found == []
 

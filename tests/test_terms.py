@@ -21,6 +21,8 @@ from plank.terms import (
     Ident,
     MapEntry,
     ScopePiece,
+    SortCons,
+    SortVar,
     Var,
     all_idents,
 )
@@ -345,6 +347,61 @@ def test_equality_and_hash_are_field_based(term):
         _same_record(copy, term)
     if isinstance(term, Construction):
         assert term._idents is not None and before._idents is None is after._idents
+
+
+def _sorts():
+    # Nested sorts with 0-2 arguments; a parsed sort's position is drawn
+    # too, since equality and hashing must not read it.
+    span = st.one_of(st.none(), st.integers(0, 9))
+    leaf = st.one_of(
+        st.builds(SortVar, st.sampled_from(["a", "b"]).map(Ident), span),
+        st.builds(SortCons, st.sampled_from(["L", "T"]).map(Ident), st.just(()), span),
+    )
+    return st.recursive(leaf, lambda children: st.builds(
+        SortCons, st.sampled_from(["L", "T"]).map(Ident),
+        st.lists(children, max_size=2).map(tuple), span), max_leaves=6)
+
+
+@given(_sorts())
+@settings(max_examples=100, deadline=None)
+def test_sort_equality_and_hash_are_field_based(sort):
+    _same_record(_rebuilt(sort), sort)
+
+
+def _changed(sort, how):
+    """``sort`` with only its root's name, or only its arity, changed; a
+    sort variable's arity change makes it the constructor of its name."""
+    name = Ident(sort.name + "x")
+    if sort.__class__ is SortVar:
+        return SortVar(name) if how == "name" else SortCons(sort.name)
+    if how == "name":
+        return SortCons(name, sort.args)
+    return SortCons(sort.name, sort.args[:-1] if sort.args else (SortVar(Ident("a")),))
+
+
+@given(_sorts(), st.sampled_from(["name", "arity"]),
+       st.lists(st.tuples(st.sampled_from(["L", "T"]).map(Ident),
+                          st.one_of(st.none(), _sorts()), st.booleans()), max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_sorts_that_differ_in_one_place_are_unequal(sort, how, context):
+    changed = _changed(sort, how)
+    # Both go into the same constructors, beside the same sibling if there
+    # is one, so an outer pair differs only in a nested argument.
+    for name, sibling, first in context:
+        def put(s):
+            return SortCons(name, (s,) if sibling is None else
+                            (s, sibling) if first else (sibling, s))
+        sort, changed = put(sort), put(changed)
+    assert sort != changed and changed != sort and not sort == changed
+
+
+def test_a_sort_constructor_equals_only_a_sort_constructor():
+    cons = SortCons(Ident("L"))
+    assert cons == SortCons(Ident("L"), (), 3)
+    assert cons != SortVar(Ident("L")) and SortVar(Ident("L")) != cons
+    assert cons != "L" and "L" != cons
+    assert cons != ("L", ()) and ("L", ()) != cons
+    assert SortCons(Ident("L"), (cons,)) != ("L", (cons,))
 
 
 @given(st.lists(st.integers(0, 3), max_size=4), st.integers(0, 5))
