@@ -15,17 +15,7 @@ from plank import (
     prepare_rules,
     render,
 )
-from plank.checker import (
-    CheckState,
-    TermContext,
-    check_association,
-    check_declaration,
-    check_ground_subject,
-    check_pattern,
-    check_piece,
-    check_sort,
-    check_term,
-)
+from plank.checker import _Check, check_declaration, check_ground_subject, check_sort
 from plank.env import MetaForm, RuleEnv, infer_rule_env
 from plank.terms import (
     AssocForm,
@@ -48,15 +38,24 @@ from plank.terms import (
     non_assoc_vars,
 )
 from conftest import CBV_EVAL
-from test_regression import REPO, _assert_sorted_as, _diagnostic_tags, _draw_term
+from test_regression import (
+    CHECK_TAGS,
+    REPO,
+    _assert_sorted_as,
+    _diagnostic_tags,
+    _draw_term,
+    _subjects,
+)
 
 L = SortCons(Ident("L"))
 
 
-def state(gamma, tc, *, var=None, meta=None, v=(), bound=()):
+def walker(gamma, in_pat, *, var=None, meta=None, v=(), bound=()):
+    """A walker of one judgment over ``gamma``, with the key set ``v`` and
+    the binders in scope that its methods take after a node and a sort."""
     delta = RuleEnv(dict(var or {}), dict(meta or {}))
-    return CheckState(gamma, delta, frozenset(Ident(x) for x in v), tc,
-                      {Ident(b): delta.var[b] for b in bound})
+    return (_Check(gamma, delta, in_pat), frozenset(Ident(x) for x in v),
+            {Ident(b): delta.var[b] for b in bound})
 
 
 @pytest.fixture(scope="module")
@@ -110,18 +109,11 @@ class TestCheckScript:
             "L data One(); L scheme F([L]L); L rule F([x]#M(x, x)) -> One();"
         )
         result = check_script(bad)
-        tags = {
-            "SD-Data", "SD-Var", "SS-Cons", "SMP-Fun", "SMP-Data", "SMP-Meta", "SMP-Var",
-            "SMC-Cons", "SMC-Meta", "SMC-Var", "SMS-Cons", "SMS-Meta", "SMS-Var",
-            "SP-Bind", "SP-Assoc", "SA-Map", "SAP-Not", "SAP-All", "SAC-All",
-            "DuplicateConstructor", "NonVariableSortParameter", "MetaFormConflict",
-            "UnboundMetaOnRhs",
-        }
         # Exactly the tags the source emits, so a deleted check takes its tag along.
         emitted = set().union(*(_diagnostic_tags(path.read_text("utf-8"))
                                 for path in (REPO / "src" / "plank").glob("*.py")))
-        assert tags | {"parse"} == emitted
-        assert result.errors and all(e.rule in tags for e in result.errors)
+        assert CHECK_TAGS | {"parse"} == emitted
+        assert result.errors and all(e.rule in CHECK_TAGS for e in result.errors)
 
     def test_diagnostic_format(self):
         script = parse_script("L data One(); L scheme F(L); L rule F(x) -> One();",
@@ -249,197 +241,197 @@ class TestCheckSort:
 
 class TestCheckTerm:
     def test_repeated_meta_args_rejected(self, g2):
-        st = state(
-            g2, TermContext.IN_PAT,
+        check, v, bound = walker(
+            g2, True,
             var={"x": L}, meta={"#M": MetaForm((L, L), L)}, bound=("x",),
         )
-        errors = check_term(st, parse_term("#M(x, x)"), L)
+        errors = check.term(parse_term("#M(x, x)"), L, v, bound)
         assert [e.rule for e in errors] == ["SMP-Meta"]
         assert "distinct" in errors[0].message
 
     def test_meta_argument_of_another_sort_rejected(self, g2):
         # Inference reports such a rule as MetaFormConflict first, so only a
         # direct caller reaches this.
-        st = state(
-            g2, TermContext.IN_PAT,
+        check, v, bound = walker(
+            g2, True,
             var={"x": L}, meta={"#M": MetaForm((SortCons(Ident("B")),), L)}, bound=("x",),
         )
-        errors = check_term(st, parse_term("#M(x)"), L)
+        errors = check.term(parse_term("#M(x)"), L, v, bound)
         assert [e.format() for e in errors] == [
             "<term>:1:4: error[SMP-Meta]: argument x of #M has L, expected B"]
 
     def test_beta_rhs_checks_in_con(self, g1):
-        st = state(
-            g1, TermContext.CON,
+        check, v, bound = walker(
+            g1, False,
             var={"x": L},
             meta={"#M": MetaForm((L,), L), "#N": MetaForm((), L)},
         )
-        assert check_term(st, parse_term("#M(#N)"), L) == []
+        assert check.term(parse_term("#M(#N)"), L, v, bound) == []
 
     def test_substituted_variable_ok_at_hasvar_sort(self, g2):
-        st = state(
-            g2, TermContext.CON,
+        check, v, bound = walker(
+            g2, False,
             var={"z": L}, meta={"#B": MetaForm((L,), L)},
         )
-        assert check_term(st, parse_term("#B(z)"), L) == []
+        assert check.term(parse_term("#B(z)"), L, v, bound) == []
 
     def test_substituted_construction_rejected_at_hasvar_sort(self, g2):
-        st = state(g2, TermContext.CON, meta={"#B": MetaForm((L,), L)})
-        errors = check_term(st, parse_term("#B(Lam([y]y))"), L)
+        check, v, bound = walker(g2, False, meta={"#B": MetaForm((L,), L)})
+        errors = check.term(parse_term("#B(Lam([y]y))"), L, v, bound)
         assert [e.rule for e in errors] == ["SMS-Cons"]
 
     def test_substituted_construction_ok_without_hasvar(self, g1):
-        st = state(g1, TermContext.CON, meta={"#M": MetaForm((L,), L)})
-        assert check_term(st, parse_term("#M(Lam([y]y))"), L) == []
+        check, v, bound = walker(g1, False, meta={"#M": MetaForm((L,), L)})
+        assert check.term(parse_term("#M(Lam([y]y))"), L, v, bound) == []
 
     def test_pattern_top_must_be_scheme(self, g2):
-        st = state(g2, TermContext.IN_PAT)
-        errors = check_pattern(st, parse_term("Lam([x]x)"), L)
+        check, v, bound = walker(g2, True)
+        errors = check.pattern(parse_term("Lam([x]x)"), L, v)
         assert [e.rule for e in errors] == ["SMP-Fun"]
 
     def test_scheme_inside_pattern_rejected_with_data(self, g2):
-        st = state(g2, TermContext.IN_PAT, meta={"#A": MetaForm((), L)})
-        errors = check_term(st, parse_term("Eval(#A, {#env})"), L)
+        check, v, bound = walker(g2, True, meta={"#A": MetaForm((), L)})
+        errors = check.term(parse_term("Eval(#A, {#env})"), L, v, bound)
         assert errors and errors[0].rule == "SMP-Data"
 
     def test_scheme_inside_pattern_tolerated_without_data(self, g1):
         # a pure scheme signature has no data patterns at all
-        st = state(g1, TermContext.IN_PAT, meta={"#M": MetaForm((L,), L)},
+        check, v, bound = walker(g1, True, meta={"#M": MetaForm((L,), L)},
                    bound=("x",), var={"x": L})
-        assert check_term(st, parse_term("Lam([y]Ap(#M(y), x))"), L) == []
+        assert check.term(parse_term("Lam([y]Ap(#M(y), x))"), L, v, bound) == []
 
     def test_free_variable_needs_hasvar_even_without_data(self, g1):
-        st = state(g1, TermContext.IN_PAT, var={"x": L})
-        errors = check_term(st, parse_term("x"), L)
+        check, v, bound = walker(g1, True, var={"x": L})
+        errors = check.term(parse_term("x"), L, v, bound)
         assert [e.rule for e in errors] == ["SMP-Var"]
 
     def test_unknown_constructor_in_con(self, g1):
-        st = state(g1, TermContext.CON)
-        errors = check_term(st, parse_term("Zap()"), L)
+        check, v, bound = walker(g1, False)
+        errors = check.term(parse_term("Zap()"), L, v, bound)
         assert [e.rule for e in errors] == ["SMC-Cons"]
 
-    @pytest.mark.parametrize("tc,tag", [(TermContext.IN_PAT, "SMP-Var"),
-                                        (TermContext.CON, "SMC-Var")])
-    def test_a_node_that_is_no_term_is_not_taken_for_a_variable(self, g1, tc, tag):
+    @pytest.mark.parametrize("in_pat,tag", [(True, "SMP-Var"), (False, "SMC-Var")])
+    def test_a_node_that_is_no_term_is_not_taken_for_a_variable(self, g1, in_pat, tag):
         # A parsed term that is neither a construction nor a meta-application
         # is a variable; only a hand-built node reaches the variable guard.
-        errors = check_term(state(g1, tc), CatchAll(Ident("#e")), L)
+        check, v, bound = walker(g1, in_pat)
+        errors = check.term(CatchAll(Ident("#e")), L, v, bound)
         assert [(e.rule, e.message) for e in errors] == [(tag, "expected a variable, got #e")]
 
 
 class TestCheckPiece:
     def test_scope_piece_ok(self, g1):
-        st = state(g1, TermContext.IN_PAT, meta={"#M": MetaForm((L,), L)})
-        assert check_piece(st, parse_term("F([x]#M(x))").args[0], ScopeForm((L,), L)) == []
+        check, v, bound = walker(g1, True, meta={"#M": MetaForm((L,), L)})
+        assert check.piece(parse_term("F([x]#M(x))").args[0], ScopeForm((L,), L), v, bound) == []
 
     def test_binder_arity_mismatch(self, g1):
-        st = state(g1, TermContext.IN_PAT)
+        check, v, bound = walker(g1, True)
         piece = parse_term("F([x,y]x)").args[0]
-        errors = check_piece(st, piece, ScopeForm((L,), L))
+        errors = check.piece(piece, ScopeForm((L,), L), v, bound)
         assert [e.rule for e in errors] == ["SP-Bind"]
         assert "BinderArityMismatch" in errors[0].message
 
     def test_assoc_piece_ok(self, g2):
-        st = state(
-            g2, TermContext.IN_PAT,
+        check, v, bound = walker(
+            g2, True,
             var={"x": L},
             meta={"#env": MetaForm((), AssocForm(L, L)), "#V": MetaForm((), L)},
             v=("x",),
         )
         piece = parse_term("E({#env; x : #V})").args[0]
-        assert check_piece(st, piece, AssocForm(L, L)) == []
+        assert check.piece(piece, AssocForm(L, L), v, bound) == []
 
     def test_shadowed_binder_is_freshened(self, g1):
-        st = state(g1, TermContext.IN_PAT, meta={"#M": MetaForm((L, L), L)},
+        check, v, bound = walker(g1, True, meta={"#M": MetaForm((L, L), L)},
                    var={"x": L}, bound=("x",))
         # inner [x] shadows the outer one; both arguments of the meta name
         # the inner binder
         piece = parse_term("F([x]#M(x, x))").args[0]
-        errors = check_piece(st, piece, ScopeForm((L,), L))
+        errors = check.piece(piece, ScopeForm((L,), L), v, bound)
         assert [e.rule for e in errors] == ["SMP-Meta"]  # still not distinct
 
     def test_piece_kind_mismatch(self, g2):
-        st = state(g2, TermContext.IN_PAT)
+        check, v, bound = walker(g2, True)
         scope = parse_term("F([x]x)").args[0]
-        assert [e.rule for e in check_piece(st, scope, AssocForm(L, L))] == ["SP-Bind"]
+        assert [e.rule for e in check.piece(scope, AssocForm(L, L), v, bound)] == ["SP-Bind"]
         assoc = parse_term("F({})").args[0]
-        assert [e.rule for e in check_piece(st, assoc, ScopeForm((), L))] == ["SP-Assoc"]
+        assert [e.rule for e in check.piece(assoc, ScopeForm((), L), v, bound)] == ["SP-Assoc"]
 
 
 class TestCheckAssociation:
-    def setup_state(self, g2, tc, v=("x",)):
-        return state(
-            g2, tc,
+    def setup_walker(self, g2, in_pat, v=("x",)):
+        return walker(
+            g2, in_pat,
             var={"x": L, "y": L},
             meta={"#env": MetaForm((), AssocForm(L, L)), "#V": MetaForm((), L)},
             v=v,
         )
 
     def test_map_entry_ok(self, g2):
-        st = self.setup_state(g2, TermContext.IN_PAT)
+        check, v, bound = self.setup_walker(g2, True)
         entry = parse_term("E({x : #V})").args[0].entries[0]
-        assert check_association(st, entry, AssocForm(L, L)) == []
+        assert check.association(entry, AssocForm(L, L), v, bound) == []
 
     def test_key_not_elsewhere(self, g2):
-        st = self.setup_state(g2, TermContext.IN_PAT)
+        check, v, bound = self.setup_walker(g2, True)
         entry = parse_term("E({y : #V})").args[0].entries[0]
-        errors = check_association(st, entry, AssocForm(L, L))
+        errors = check.association(entry, AssocForm(L, L), v, bound)
         assert [e.rule for e in errors] == ["SA-Map"]
         assert "KeyNotElsewhere" in errors[0].message
 
     def test_not_key_in_contraction(self, g2):
-        st = self.setup_state(g2, TermContext.CON)
+        check, v, bound = self.setup_walker(g2, False)
         entry = parse_term("E({~x:})").args[0].entries[0]
-        errors = check_association(st, entry, AssocForm(L, L))
+        errors = check.association(entry, AssocForm(L, L), v, bound)
         assert [e.rule for e in errors] == ["SAP-Not"]
         assert "NotKeyInContraction" in errors[0].message
 
     def test_not_key_ok_in_pattern(self, g2):
-        st = self.setup_state(g2, TermContext.IN_PAT)
+        check, v, bound = self.setup_walker(g2, True)
         entry = parse_term("E({~x:})").args[0].entries[0]
-        st.delta.pattern_vars = frozenset({Ident("x")})
-        assert check_association(st, entry, AssocForm(L, L)) == []
-        st.delta.pattern_vars = frozenset()
-        errors = check_association(st, entry, AssocForm(L, L))
+        check.delta.pattern_vars = frozenset({Ident("x")})
+        assert check.association(entry, AssocForm(L, L), v, bound) == []
+        check.delta.pattern_vars = frozenset()
+        errors = check.association(entry, AssocForm(L, L), v, bound)
         assert [e.rule for e in errors] == ["SAP-Not"]
 
     def test_not_key_waits_for_the_whole_pattern(self, g2):
         # A key that is no binder in scope may be bound by any variable of
         # the pattern, which the rule's environment collects before the check.
-        st = self.setup_state(g2, TermContext.IN_PAT)
+        check, v, bound = self.setup_walker(g2, True)
         entry = parse_term("E({~y:})").args[0].entries[0]
-        st.delta.pattern_vars = frozenset({Ident("x"), Ident("y")})
-        assert check_association(st, entry, AssocForm(L, L)) == []
-        st.delta.pattern_vars = frozenset({Ident("x")})
-        errors = check_association(st, entry, AssocForm(L, L))
+        check.delta.pattern_vars = frozenset({Ident("x"), Ident("y")})
+        assert check.association(entry, AssocForm(L, L), v, bound) == []
+        check.delta.pattern_vars = frozenset({Ident("x")})
+        errors = check.association(entry, AssocForm(L, L), v, bound)
         assert [e.rule for e in errors] == ["SAP-Not"]
         assert "KeyNotElsewhere" in errors[0].message
 
     def test_catchall_in_pattern_and_contraction(self, g2):
-        for tc in (TermContext.IN_PAT, TermContext.CON):
-            st = self.setup_state(g2, tc)
+        for in_pat in (True, False):
+            check, v, bound = self.setup_walker(g2, in_pat)
             entry = parse_term("E({#env})").args[0].entries[0]
-            assert check_association(st, entry, AssocForm(L, L)) == []
+            assert check.association(entry, AssocForm(L, L), v, bound) == []
 
     def test_catchall_args_in_contraction_are_substitutions(self, g2):
-        st = state(
-            g2, TermContext.CON,
+        check, v, bound = walker(
+            g2, False,
             var={"x": L},
             meta={"#env": MetaForm((L,), AssocForm(L, L))},
             v=("x",),
         )
         entry = parse_term("E({#env(Lam([y]y))})").args[0].entries[0]
-        errors = check_association(st, entry, AssocForm(L, L))
+        errors = check.association(entry, AssocForm(L, L), v, bound)
         assert [e.rule for e in errors] == ["SMS-Cons"]
 
     def test_value_extends_v(self, g2):
         # the value's own non-association variables may justify nested keys
-        st = state(
-            g2, TermContext.CON,
+        check, v, bound = walker(
+            g2, False,
             var={"x": L, "y": L}, meta={"#V": MetaForm((), L)}, v=("x",),
         )
         entry = parse_term("E({x : Ap(y, F({y : #V}))})").args[0].entries[0]
-        errors = check_association(st, entry, AssocForm(L, L))
+        errors = check.association(entry, AssocForm(L, L), v, bound)
         # F is undeclared: the only error is the unknown constructor, not SA-Map
         assert [e.rule for e in errors] == ["SMC-Cons"]
 
@@ -744,5 +736,19 @@ def test_accepted_rules_keep_instances_of_their_patterns_sorted(seed, data):
     subject = _instance(data.draw, gamma, checked.rule_envs[i], rules[i].lhs)
     sort = rules[i].sort
     _assert_sorted_as(gamma, subject, sort)
+    normalize(gamma, prepare_rules(gamma, rules, checked.rule_envs), subject, fuel=15,
+              on_step=lambda t, _: _assert_sorted_as(gamma, t, sort))
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_accepted_rules_keep_drawn_subjects_sorted(seed, data):
+    # The same agreement on subjects drawn from the accepted script's
+    # signature alone, binders that shadow names free elsewhere included.
+    rules, checked = _accepted_script(random.Random(seed))
+    gamma = checked.gamma
+    subject = data.draw(_subjects(gamma))
+    sort, _, errors = check_ground_subject(gamma, subject)
+    assert errors == [], render(subject)
     normalize(gamma, prepare_rules(gamma, rules, checked.rule_envs), subject, fuel=15,
               on_step=lambda t, _: _assert_sorted_as(gamma, t, sort))

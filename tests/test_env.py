@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plank import build_global_env, check_script, infer_rule_env, parse_script
-from plank.checker import CheckState, TermContext, check_pattern, check_term
+from plank.checker import _Check
 from plank.env import ConSig, MetaForm, apply_form_subst, instantiated_forms, match_sort
 from plank.terms import (
     AssocForm,
@@ -249,14 +249,10 @@ class TestInferRuleEnv:
             for rule in script.rules:
                 delta, errors = infer_rule_env(gamma, rule)
                 assert errors == []
-                lhs_state = CheckState(
-                    gamma, delta, frozenset(non_assoc_vars(rule.lhs)), TermContext.IN_PAT, {}
-                )
-                assert check_pattern(lhs_state, rule.lhs, rule.sort) == []
-                rhs_state = CheckState(
-                    gamma, delta, frozenset(non_assoc_vars(rule.rhs)), TermContext.CON, {}
-                )
-                assert check_term(rhs_state, rule.rhs, rule.sort) == []
+                lhs_keys = frozenset(non_assoc_vars(rule.lhs))
+                assert _Check(gamma, delta, True).pattern(rule.lhs, rule.sort, lhs_keys) == []
+                rhs_keys = frozenset(non_assoc_vars(rule.rhs))
+                assert _Check(gamma, delta, False).term(rule.rhs, rule.sort, rhs_keys, {}) == []
 
     def test_rhs_meta_in_delta(self, ex1, ex2):
         for script in (ex1, ex2):

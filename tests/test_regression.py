@@ -30,10 +30,10 @@
   walk of the tree on every intermediate term.
 * ``check_script`` infers each rule environment once, with one sort walk
   per side, and a ground subject's check runs no sort walk.  The check
-  builds a state for a rule side or a subject and then only where the
-  context, the binders in scope or the key set change, never for a plain
-  argument.  ``normalize`` indexes the rules by head once, and the lexer
-  classifies each distinct word once, runs no Python code per token, and
+  builds one walker per rule side or subject, and only ``_check_rule`` and
+  ``check_ground_subject`` build one.  ``normalize`` indexes the rules by
+  head once, and the lexer classifies each distinct word once, runs no
+  Python code per token, and
   finds the tokens' offsets once per parse, only when a position is read.
   Parsing and checking 325 declarations runs fewer than 22,000 Python
   frames.
@@ -69,10 +69,7 @@
   records are immutable by this rule, not by the runtime.  No module
   imports ``dataclasses`` (``test_cli`` checks that importing
   ``plank.cli`` loads neither it nor ``inspect``), and every method of a
-  package class is compiled from its own source file.  The
-  checker's functions read the contexts from module names, never as
-  ``TermContext`` members, and one that receives a state builds none in
-  another context.
+  package class is compiled from its own source file.
 * Every ``raise EngineError`` names the checker or environment diagnostic
   that rules it out on checked input.
 * No node class of ``plank.terms`` is subclassed, and ``rewrite`` and
@@ -122,8 +119,8 @@ from plank import (
     rewrite_step,
     substitute,
 )
-from plank.checker import CheckState, TermContext, check_term
-from plank.env import ConSig, MetaForm, RuleEnv, _SortWalk, infer_rule_env
+from plank.checker import _Check
+from plank.env import ConSig, MetaForm, RuleEnv, _SortWalk, decl_sorts, infer_rule_env
 from plank.rewrite import NormalStatus, format_step
 from plank.terms import (
     AssocPiece,
@@ -135,6 +132,7 @@ from plank.terms import (
     NotKey,
     ScopeForm,
     ScopePiece,
+    SortVar,
     Var,
     all_idents,
     free_vars,
@@ -416,6 +414,120 @@ def test_benchmark_outputs_are_pinned(workload, seed):
     text = "\0".join("\n".join(_case_outputs(c)) for c in cases)
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert digest == BENCH_DIGESTS[workload, seed], f"workload {workload}, seed {seed}"
+
+
+# Every tag a diagnostic of the checker or of the environments can carry.
+CHECK_TAGS = {
+    "SD-Data", "SD-Var", "SS-Cons", "SMP-Fun", "SMP-Data", "SMP-Meta", "SMP-Var",
+    "SMC-Cons", "SMC-Meta", "SMC-Var", "SMS-Cons", "SMS-Meta", "SMS-Var",
+    "SP-Bind", "SP-Assoc", "SA-Map", "SAP-Not", "SAP-All", "SAC-All",
+    "DuplicateConstructor", "NonVariableSortParameter", "MetaFormConflict",
+    "UnboundMetaOnRhs",
+}
+
+# Hand-written seeds for the edited corpus below: a signature of three
+# sorts, one with a parameter, whose rules pass a variable of one sort to a
+# meta-variable that takes another (SMS-Var); and one script with the tags
+# that edits of the others rarely reach.
+PIN_SORTS = """\
+A data Ca();
+A variable;
+B data Cb();
+B data Lb([A]B);
+B variable;
+Box<a> data Bx(a);
+B scheme F([A]B, Box<B>);
+B rule F([x]#M(x), Bx(y)) -> #M(y);
+B rule F([x]#M(x), Bx(#N)) -> Lb([y]#M(y));
+"""
+PIN_RARE = """\
+L data One();
+L variable;
+a variable;
+L scheme One();
+L scheme F({L:L}, {L:L});
+L scheme G([L]L);
+Box<a> data Bx(a);
+Box scheme H(L);
+L rule F({#e1, #e2}, {}) -> F({#e1, #e2}, {});
+L rule G({}) -> One();
+L rule F({#e}, {}) -> F({~y:}, {});
+L rule G([x]#M(x)) -> G([y]#M(#M(y)));
+"""
+_TOKEN = re.compile(r"\s+|#?[A-Za-z][A-Za-z0-9_]*|->|\S")
+_WORD = re.compile(r"#?[A-Za-z]")
+
+
+def _edited_scripts(seeds, count, seed):
+    """The ``seeds``, then ``count`` copies of them with one to three edits
+    each, drawn from ``random.Random(seed)``: a word replaced by a word of
+    any seed, a variable or meta-variable by a rule side of any seed, a
+    declaration of any seed inserted after a ';', or one token dropped or
+    repeated."""
+    rng = random.Random(seed)
+    tokened = [_TOKEN.findall(s) for s in seeds]
+    words = sorted({t for ts in tokened for t in ts if _WORD.match(t)})
+    decls = sorted({d.strip() + ";" for s in seeds for d in s.split(";")[:-1]})
+    sides = sorted({render(x) for s in seeds for r in parse_script(s).rules
+                    for x in (r.lhs, r.rhs)})
+    yield from seeds
+    for _ in range(count):
+        tokens = list(rng.choice(tokened))
+        for _ in range(rng.randint(1, 3)):
+            move, i = rng.random(), rng.randrange(len(tokens))
+            if move < 0.5:
+                tokens[rng.choice([j for j, t in enumerate(tokens) if _WORD.match(t)])] = \
+                    rng.choice(words)
+            elif move < 0.65:
+                at = [j for j, t in enumerate(tokens) if _WORD.match(t) and not t[0].isupper()]
+                if at:
+                    tokens[rng.choice(at)] = rng.choice(sides)
+            elif move < 0.8:
+                tokens.insert(rng.choice([j + 1 for j, t in enumerate(tokens) if t == ";"]),
+                              " " + rng.choice(decls))
+            elif move < 0.9:
+                del tokens[i]
+            else:
+                tokens.insert(i, tokens[i])
+        yield "".join(tokens)
+
+
+def _sort_names(s):
+    """The name of every sort constructor in ``s``."""
+    if isinstance(s, SortVar):
+        return set()
+    return {s.name}.union(*map(_sort_names, s.args))
+
+
+def test_checker_outputs_are_pinned():
+    # Recorded before the checker's walks became methods of one class per
+    # rule side: the formatted diagnostics, every rule environment, and
+    # ``check_ground_subject`` on every rule side, of the edited copies of
+    # the corpus that parse.
+    seeds = [BETA_ETA, CBV_EVAL, NONLINEAR, REACH_TWO, IN_VALUE, UNTAKEN, CLASHING_NAMES,
+             PIN_SORTS, PIN_RARE]
+    lines, parsed, flagged, tags = [], 0, 0, set()
+    for text in _edited_scripts(seeds, 1500, 0):
+        try:
+            script = parse_script(text, file="c.plank")
+        except ParseFailure:
+            continue
+        checked = check_script(script)
+        parsed += 1
+        flagged += bool(checked.errors)
+        tags.update(e.rule for e in checked.errors)
+        lines += [e.format() for e in checked.errors]
+        lines += [f"{env.var!r} {env.meta!r}" for env in checked.rule_envs]
+        for rule in script.rules:
+            for side in (rule.lhs, rule.rhs):
+                sort, env, errors = check_ground_subject(checked.gamma, side)
+                lines.append(f"{sort!r} {env.var!r} {[e.format() for e in errors]}")
+        # ``check_sort`` reads a rank for every sort of a declaration.
+        for d in script.declarations:
+            for s in decl_sorts(d):
+                assert _sort_names(s) <= checked.gamma.rank.keys(), text
+    assert parsed >= 300 and flagged >= 200 and tags == CHECK_TAGS
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "3edabe1ab915dfb3"
 
 
 
@@ -752,14 +864,15 @@ def _engine(source):
 
 def _draw_term(draw, gamma, sort, budget, scope, free="xyz"):
     """A ground term of ``sort`` drawn from the declarations in ``gamma``:
-    a binder of ``scope`` (name to sort) of that sort, a name of ``free`` if
-    the sort has variables, or a construction whose result sort it is.
-    Binders are named from x, y and z, so nested binders reuse names and
-    shadow each other; keys are names of ``free`` or binders of their sort.
-    Past ``budget`` levels only leaves are drawn, or, where the sort has
-    none, a construction that binds a name."""
+    a binder of ``scope`` (name to sort) of that sort, a name of ``free``
+    that no binder in scope captures if the sort has variables, or a
+    construction whose result sort it is.  Binders are named from x, y and
+    z, so nested binders reuse names and shadow each other; keys are such
+    names of ``free`` or binders of their sort.  Past ``budget`` levels
+    only leaves are drawn, or, where the sort has none, a construction that
+    binds a name."""
     names = sorted({w for w, s in scope.items() if s == sort}
-                   | (set(free) if sort.name in gamma.hasvar else set()))
+                   | (set(free) - scope.keys() if sort.name in gamma.hasvar else set()))
     heads = sorted(h for h, sig in gamma.con.items() if sig.result == sort)
     if budget <= 0:
         leaves = names + [h for h in heads if not gamma.con[h].forms]
@@ -783,7 +896,8 @@ def _draw_construction(draw, gamma, head, budget, scope, free="xyz"):
             pieces.append(ScopePiece(binders, _draw_term(draw, gamma, form.body_sort, budget - 1,
                                                          inner, free)))
             continue
-        keys = sorted(set(free) | {w for w, s in scope.items() if s == form.key_sort})
+        keys = sorted(set(free) - scope.keys()
+                      | {w for w, s in scope.items() if s == form.key_sort})
         entries = [MapEntry(Ident(draw(st.sampled_from(keys))),
                             _draw_term(draw, gamma, form.value_sort, budget - 1, scope, free))
                    for _ in range(draw(st.integers(0, 2)) if keys else 0)]
@@ -927,8 +1041,8 @@ def _assert_sorted_as(gamma, term, sort):
         have, _, errors = check_ground_subject(gamma, term)
         assert (have, errors) == (sort, []), render(term)
         return
-    state = CheckState(gamma, RuleEnv(), all_idents(term), TermContext.CON, {})
-    assert check_term(state, term, sort) == [], render(term)
+    assert _Check(gamma, RuleEnv(), False).term(term, sort, all_idents(term), {}) == [], \
+        render(term)
 
 
 # Call-by-value subjects whose normal form is a bare variable of sort L,
@@ -947,12 +1061,11 @@ def test_every_step_of_a_variable_result_is_well_sorted(subject):
 
 def _two_pass_check(gamma, subject):
     """A subject's check as two passes: the rule sort walk sorts every free
-    name at its first position, then ``check_term`` reads those sorts back."""
+    name at its first position, then the check reads those sorts back."""
     sort = gamma.con[subject.head].result
     delta = RuleEnv()
     _SortWalk(gamma, delta, {}, subject, sort, False)
-    state = CheckState(gamma, delta, all_idents(subject), TermContext.CON, {})
-    return sort, delta, check_term(state, subject, sort)
+    return sort, delta, _Check(gamma, delta, False).term(subject, sort, all_idents(subject), {})
 
 
 def _constructions(t):
@@ -1218,7 +1331,7 @@ def test_only_rule_sides_run_a_sort_walk(monkeypatch, source, subject):
 @pytest.mark.parametrize("source", [BETA_ETA, CBV_EVAL], ids=["beta-eta", "cbv"])
 def test_a_well_formed_rule_side_runs_no_name_walk(monkeypatch, source):
     # Inference's sort walk collects the names the rule's check reads, so on
-    # a well-formed side no ``_names`` walk runs; only ``check_association``
+    # a well-formed side no ``_names`` walk runs; only ``_Check.association``
     # still asks for the free variables of each map value.
     callers = []
     original = plank.terms._names
@@ -1234,31 +1347,32 @@ def test_a_well_formed_rule_side_runs_no_name_walk(monkeypatch, source):
     script = parse_script(source)
     assert check_script(script).ok
     values = sum(render(side).count(" : ") for r in script.rules for side in (r.lhs, r.rhs))
-    assert callers == [("non_assoc_vars", "check_association")] * values
+    assert callers == [("non_assoc_vars", "association")] * values
     assert (source is CBV_EVAL) == (values > 0)
 
 
-def test_a_plain_argument_builds_no_check_state(monkeypatch):
-    # A state is built for each rule side, for each scope that binds and for
-    # a map value with variables the side's key set lacks.  A pattern's root
-    # and a substitution argument are checked in the state they arrive in.
-    states = []
+def test_each_rule_side_and_subject_builds_one_walker(monkeypatch):
+    # A walker holds one judgment over a whole rule side or subject; scopes
+    # and map values pass their binders and key sets down as arguments.
+    walkers = []
 
-    class Counting(CheckState):
-        __slots__ = ()
-
+    class Counting(_Check):
         def __init__(self, *args):
-            states.append(args)
+            walkers.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(plank.checker, "CheckState", Counting)
+    monkeypatch.setattr(plank.checker, "_Check", Counting)
     checked = check_script(parse_script(CBV_EVAL))
     assert checked.ok
-    assert len(states) == 11
-    states.clear()
+    assert len(walkers) == 8
+    walkers.clear()
     subject = parse_term("Eval(Ap(Lam([x]x), Lam([y]y)), {})")
     assert check_ground_subject(checked.gamma, subject)[2] == []
-    assert len(states) == 3  # the root and one per binding scope
+    assert len(walkers) == 1
+    source = (REPO / "src" / "plank" / "checker.py").read_text(encoding="utf-8")
+    assert _callers(source, "_Check") == {"_check_rule", "check_ground_subject"}
+    sample = "def f():\n    def g():\n        _Check()\n    return C._Check()\n_Check()\n"
+    assert _callers(sample, "_Check") == {"f", "g", ""}
 
 
 def test_normalize_indexes_the_rules_by_head_once(monkeypatch):
@@ -2204,79 +2318,21 @@ def test_no_module_stores_to_a_built_record():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in sorted((REPO / "src" / "plank").glob("*.py"))}
     records, found = _record_field_stores(sources)
-    assert {"Construction", "Var", "Diagnostic", "CheckState", "ConSig", "MetaForm",
+    assert {"Construction", "Var", "Diagnostic", "ConSig", "MetaForm",
             "Abstraction", "RewriteRule", "RewriteStep", "SortCons"} <= records
     assert not {"GlobalEnv", "RuleEnv", "ScriptCheck", "Valuation", "NormalizeResult"} & records
     assert found == []
 
 
-def _context_member_reads(source: str) -> list[str]:
-    """``"LINE: TermContext.MEMBER"`` for each read of a ``TermContext``
-    member in a function body; a default value or an annotation is not one."""
-    found = set()
-    for fn in ast.walk(ast.parse(source)):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found.update(
-                (node.lineno, ast.unparse(node)) for stmt in fn.body for node in ast.walk(stmt)
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                and isinstance(node.value, ast.Name) and node.value.id == "TermContext")
-    return [f"{line}: {text}" for line, text in sorted(found)]
-
-
-def test_the_checker_reads_contexts_from_module_names():
-    # The checker tests its context at nearly every node.  A module name
-    # (``IN_PAT``) is one global read; ``TermContext.IN_PAT`` adds a lookup
-    # on the enum class, which costs about three times as much.
-    sample = (
-        "X = TermContext.PAT\n"
-        "def f(st, tc: TermContext.CON = TermContext.SUB):\n"
-        "    if st.tc is TermContext.IN_PAT:\n        return [TermContext.CON]\n"
-        "    def g():\n        return TermContext.PAT\n"
-    )
-    assert _context_member_reads(sample) == [
-        "3: TermContext.IN_PAT", "4: TermContext.CON", "6: TermContext.PAT"]
-    source = (REPO / "src" / "plank" / "checker.py").read_text(encoding="utf-8")
-    assert _context_member_reads(source) == []
-    checker = plank.checker
-    assert [checker.IN_PAT, checker.CON] == list(TermContext)
-
-
-def _state_contexts(source: str) -> list[tuple[int, str, bool, str]]:
-    """``(line, function, receives st, context)`` for each ``CheckState(...)``
-    call, in the innermost function around it; ``context`` is the source of
-    the call's fourth argument or ``tc`` keyword."""
+def _callers(source: str, name: str) -> set[str]:
+    """The innermost function around each call of ``name`` in ``source``."""
     tree, owner = ast.parse(source), {}
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
             # The walk meets an outer function first, so an inner one wins.
-            owner.update((id(node), (fn.name, "st" in params)) for node in ast.walk(fn))
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _last_name(node.func) == "CheckState":
-            tc = node.args[3] if len(node.args) > 3 else next(
-                k.value for k in node.keywords if k.arg == "tc")
-            found.append((node.lineno, *owner.get(id(node), ("", False)), ast.unparse(tc)))
-    return sorted(found)
-
-
-def test_no_check_state_is_built_only_to_change_context():
-    # A state that differs from its parent only in context is one more build
-    # at every position it covers; a position with rules of its own is a
-    # function instead.  So a function that receives a state passes its
-    # context on, and only the two that start a check name one.
-    sample = (
-        "def f(st, t):\n    return g(CheckState(st.gamma, st.delta, st.v, st.tc, {}))\n"
-        "def h(st):\n    inner = CheckState(st.gamma, st.delta, st.v, CON, st.bound)\n"
-        "    def k(gamma):\n        return CheckState(gamma, None, None, tc=IN_PAT)\n"
-        "def root(gamma):\n    return CheckState(gamma, None, frozenset(), IN_PAT, {})\n"
-    )
-    assert _state_contexts(sample) == [(2, "f", True, "st.tc"), (4, "h", True, "CON"),
-                                       (6, "k", False, "IN_PAT"), (8, "root", False, "IN_PAT")]
-    source = (REPO / "src" / "plank" / "checker.py").read_text(encoding="utf-8")
-    found = _state_contexts(source)
-    assert [c for c in found if c[2] and c[3] != "st.tc"] == []
-    assert {c[1] for c in found if c[3] != "st.tc"} == {"_check_rule", "check_ground_subject"}
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    return {owner.get(id(node), "") for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _last_name(node.func) == name}
 
 
 def _node_classes() -> dict[str, type]:
@@ -2383,18 +2439,23 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def _diagnostic_tags(source: str) -> set[str]:
     """String literals that reach a diagnostic's tag: the first argument of
-    ``Diagnostic`` or ``_err``, a value assigned to ``tag``, or an argument
-    passed for a parameter named ``tag``."""
+    ``Diagnostic`` or ``_err``, a value assigned to ``tag`` or to a tag
+    table (a name that ends in ``_TAGS``), or an argument passed for a
+    parameter named ``tag``, which a method's call passes one place before
+    its position after ``self``."""
     tree = ast.parse(source)
     slots = {"Diagnostic": 0, "_err": 0}
+    methods = {id(fn) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for fn in c.body}
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef) and "tag" in (names := [a.arg for a in fn.args.args]):
-            slots[fn.name] = names.index("tag")
+            slots[fn.name] = names.index("tag") - (id(fn) in methods)
     values = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and _last_name(node.func) in slots:
             values += node.args[slots[_last_name(node.func)]:][:1]
-        elif isinstance(node, ast.Assign) and "tag" in map(_last_name, node.targets):
+        elif isinstance(node, ast.Assign) and any(
+                name == "tag" or name.endswith("_TAGS")
+                for name in map(_last_name, node.targets) if name):
             values.append(node.value)
     return {c.value for v in values for c in ast.walk(v)
             if isinstance(c, ast.Constant) and isinstance(c.value, str)}
@@ -2425,8 +2486,12 @@ def test_every_engine_raise_names_the_diagnostic_that_rules_it_out():
         "def f(st, x):\n"
         "    tag = 'A-One' if x else 'A-Two'\n"
         "    return _check(st, 'A-Three') + [Diagnostic('Four', None, 'text'), _err(tag, x, 'm')]\n"
+        "_X_TAGS = ('Five', 'Six')\n_OTHER = ('not a tag',)\n"
+        "class C:\n    def check(self, t, tag):\n        return _err(tag, t, 'not a tag')\n"
+        "    def g(self, t):\n        return self.check(t, 'Seven', 'not a tag')\n"
     )
-    assert _diagnostic_tags(tag_sample) == {"A-One", "A-Two", "A-Three", "Four"}
+    assert _diagnostic_tags(tag_sample) == {"A-One", "A-Two", "A-Three", "Four", "Five", "Six",
+                                            "Seven"}
     tags = set().union(*(_diagnostic_tags((REPO / "src" / "plank" / name).read_text("utf-8"))
                          for name in ("checker.py", "env.py")))
     assert {"SAP-All", "SMP-Var", "SMS-Meta", "UnboundMetaOnRhs"} <= tags
