@@ -44,11 +44,12 @@ copies or extends a scope only for a piece that binds.
 
 Every walk here, ``render`` included, is a plain function that takes its
 state as arguments, so no call builds a reference cycle and all it leaves
-behind is freed by reference counting.  Each walk is one function that
-dispatches once on a node's exact class (``cls is C``; node classes are
-final: a test checks that none is subclassed), and a node's children go
-through ``map`` or a loop, never a generator, so a node costs at most
-one Python frame.
+behind is freed by reference counting.  Each walk dispatches once on a
+node's exact class (``cls is C``; node classes are final: a test checks
+that none is subclassed) and calls itself on the children in a loop: in
+CPython 3.11 a call from ``map`` or ``str.join`` re-enters the interpreter,
+which is slower and takes a second recursion level.  ``rewrite._subst`` and
+``_inst`` still ``map``: engine edits wait for a bench of the per-step cost.
 """
 
 from __future__ import annotations
@@ -96,10 +97,8 @@ class Span(NamedTuple):
 class _Record:
     """Base of the records (see the module docstring).  ``_fields`` names a
     class's fields in order, and ``_key``, made once per class, reads them
-    in one C call; ``SortCons``, compared at every construction a check
-    sorts, writes its ``__eq__`` out and keeps this ``__hash__``.
-    ``GlobalEnv`` and ``RuleEnv``, which their builders fill in after
-    ``__init__``, and the results ``ScriptCheck``, ``Valuation`` and
+    in one C call.  ``GlobalEnv`` and ``RuleEnv``, which their builders fill
+    in after ``__init__``, and the results ``ScriptCheck``, ``Valuation`` and
     ``NormalizeResult`` set ``__hash__`` to None; no module stores to a
     field of any other record."""
 
@@ -423,56 +422,65 @@ def render(node: Node, *, unicode: bool = False) -> str:
     ``unicode=True`` the arrow, angle-bracket, and negation glyphs are used.
     Parsing the result yields a term alpha-equal to the input.
     """
-    return _render(node, _UNI if unicode else _ASCII)
+    _render_into(node, out := [""], _UNI if unicode else _ASCII)
+    return "".join(out)
 
 
-def _render(n: Node, tok: dict[str, str]) -> str:
-    # Terms come first: they are what the engine renders most.  Children go
-    # through ``map``, which adds no Python frame, so a deep term renders
-    # about a third deeper than through a generator.
+def _render_into(n: Node, out: list[str], tok: dict[str, str]) -> None:
+    # Appends ``n``'s text to ``out`` (never empty), pieces and entries in their
+    # parent's frame; ``close`` replaces the last ``sep`` or ends the last piece.
     cls = n.__class__
     if cls is Var or cls is SortVar:
-        return n.name
+        out.append(n.name)
+        return
     if cls is Construction:
-        return n.head + "(" + ", ".join(map(_render, n.args, repeat(tok))) + ")"
-    if cls is ScopePiece:
-        body = _render(n.body, tok)
-        if not n.binders:
-            return body
-        return "[" + ", ".join(n.binders) + "]" + body
-    if cls is MetaApp or cls is CatchAll:
-        if not n.args:
-            return n.meta
-        return n.meta + "(" + ", ".join(map(_render, n.args, repeat(tok))) + ")"
-    if cls is AssocPiece:
-        return "{" + ", ".join(map(_render, n.entries, repeat(tok))) + "}"
-    if cls is MapEntry:
-        return n.key + " : " + _render(n.value, tok)
-    if cls is NotKey:
-        return tok["~"] + n.key + ":"
-    if cls is SortCons:
-        if not n.args:
-            return n.name
-        return n.name + tok["<"] + ", ".join(map(_render, n.args, repeat(tok))) + tok[">"]
-    if cls is ScopeForm:
-        body = _render(n.body_sort, tok)
-        if not n.binder_sorts:
-            return body
-        return "[" + ", ".join(map(_render, n.binder_sorts, repeat(tok))) + "]" + body
-    if cls is AssocForm:
-        return "{" + _render(n.key_sort, tok) + ":" + _render(n.value_sort, tok) + "}"
-    if cls is DataDecl or cls is SchemeDecl:
-        kind = "data" if cls is DataDecl else "scheme"
-        forms = ", ".join(map(_render, n.forms, repeat(tok)))
-        return f"{_render(n.sort, tok)} {kind} {n.name}({forms});"
-    if cls is VariableDecl:
-        return f"{_render(n.sort, tok)} variable;"
-    if cls is RuleDecl:
-        lhs, rhs = _render(n.lhs, tok), _render(n.rhs, tok)
-        return f"{_render(n.sort, tok)} rule {lhs} {tok['->']} {rhs};"
-    if cls is Script:
-        return "\n".join(map(_render, n.declarations, repeat(tok)))
-    raise TypeError(f"cannot render {cls.__name__}")
+        out += n.head, "("
+        kids, sep, close = n.args, ", ", ")"
+    elif cls is AssocPiece:
+        out.append("{")
+        kids, sep, close = n.entries, ", ", "}"
+    elif cls is MetaApp or cls is CatchAll or cls is SortCons:
+        head, bra, ket = (n.name, tok["<"], tok[">"]) if cls is SortCons else (n.meta, "(", ")")
+        out += (head, bra) if n.args else (head,)
+        kids, sep, close = n.args, ", ", ket if n.args else ""
+    elif cls is ScopePiece or cls is MapEntry:
+        kids, sep, close = (n,), "", ""
+    elif cls is NotKey:
+        kids, sep, close = (), "", tok["~"] + n.key + ":"
+    elif cls is ScopeForm:
+        for i, s in enumerate(n.binder_sorts):
+            out.append(", " if i else "[")
+            _render_into(s, out, tok)
+        out.append("]" if n.binder_sorts else "")
+        kids, sep, close = (n.body_sort,), "", ""
+    elif cls is AssocForm:
+        out.append("{")
+        kids, sep, close = (n.key_sort, n.value_sort), ":", "}"
+    elif cls is DataDecl or cls is SchemeDecl:
+        _render_into(n.sort, out, tok)
+        out += " data " if cls is DataDecl else " scheme ", n.name, "("
+        kids, sep, close = n.forms, ", ", ");"
+    elif cls is VariableDecl:
+        kids, sep, close = (n.sort,), "", " variable;"
+    elif cls is RuleDecl:
+        _render_into(n.sort, out, tok)
+        out.append(" rule ")
+        kids, sep, close = (n.lhs, n.rhs), f" {tok['->']} ", ";"
+    elif cls is Script:
+        kids, sep, close = n.declarations, "\n", ""
+    else:
+        raise TypeError(f"cannot render {cls.__name__}")
+    for k in kids:
+        if k.__class__ is ScopePiece:
+            if k.binders:
+                out += "[", ", ".join(k.binders), "]"
+            k = k.body
+        elif k.__class__ is MapEntry:
+            out += k.key, " : "
+            k = k.value
+        _render_into(k, out, tok)
+        out.append(sep)
+    out[-1] = close if kids else out[-1] + close
 
 
 # ---------------------------------------------------------------------------
@@ -634,5 +642,7 @@ def _nameless(x: Node, levels: dict[Ident, int], depth: int):
         return form
     if cls is NotKey:
         return cls, levels.get(x.key, x.key)
-    return cls, x.head if cls is Construction else x.meta, list(
-        map(_nameless, x.args, repeat(levels), repeat(depth)))
+    form = [cls, x.head if cls is Construction else x.meta]
+    for a in x.args:
+        form.append(_nameless(a, levels, depth))
+    return form

@@ -43,6 +43,17 @@ def test_deep_input_ends_with_a_depth_diagnostic(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_a_deep_normal_form_prints(tmp_path):
+    # Each step unfolds F one level deeper, so the budget ends 800 levels
+    # down; the result renders whole and the run ends out of fuel.
+    script = tmp_path / "unfold.plank"
+    script.write_text("L data S(L); L data Z(); L scheme F(L); L rule F(#x) -> S(F(#x));",
+                      encoding="utf-8")
+    done = run_cli("normalize", str(script), "--term", "F(Z())", "--max-steps", "800")
+    assert (done.returncode, done.stderr) == (3, "")
+    assert done.stdout == "S(" * 800 + "F(Z())" + ")" * 800 + "\n"
+
+
 def test_shallow_input_still_normalizes(tmp_path):
     script = tmp_path / "beta_eta.plank"
     script.write_text(BETA_ETA, encoding="utf-8")

@@ -2682,19 +2682,24 @@ def _normalizes_in_one_step(t):
 
 
 @pytest.mark.parametrize("depth, build, walk", [
-    (275, _nested_scopes, lambda t: alpha_equal(t, t)),
+    (400, _nested_scopes, lambda t: alpha_equal(t, t)),
     (400, _nested_scopes, lambda t: substitute(t, {Ident("y"): Var(Ident("z"))})),
     (450, _redex_under_scopes, _normalizes_in_one_step),
     (900, _plain_chain, lambda t: substitute(t, {Ident("x"): Var(Ident("z"))})),
     (900, _plain_chain, lambda t: match_term(t, t)),
-], ids=["alpha_equal", "substitute", "normalize", "substitute_plain", "match_term_plain"])
+    (400, _redex_under_scopes, render),
+    (900, _plain_chain, render),
+], ids=["alpha_equal", "substitute", "normalize", "substitute_plain", "match_term_plain",
+        "render", "render_plain"])
 def test_walks_reach_deep_scopes_under_the_default_recursion_limit(depth, build, walk):
     # Built directly, so no other walk limits the depth.  Each walk spends
     # one frame per node; a comprehension between a node and its children
     # would spend a second one and fall short of these depths, and so would
-    # a frame on each plain argument, from 500 levels on.  The search
-    # spends none: it keeps the path to the focus in the zipper's frames,
-    # whether it starts at the root or resumes.
+    # a frame on each plain argument, from 500 levels on, or a call from
+    # ``map`` or ``str.join``, which counts as a second level.  ``render``
+    # spends one frame per term level: a piece renders in its construction's
+    # frame.  The search spends none: it keeps the path to the focus in the
+    # zipper's frames, whether it starts at the root or resumes.
     assert walk(build(depth))
 
 

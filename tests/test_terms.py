@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,16 +17,30 @@ from plank import (
     render,
 )
 from plank.terms import (
+    AssocForm,
     AssocPiece,
+    CatchAll,
     Construction,
+    DataDecl,
     Ident,
     MapEntry,
+    MetaApp,
+    NotKey,
+    RuleDecl,
+    SchemeDecl,
+    ScopeForm,
     ScopePiece,
+    Script,
     SortCons,
     SortVar,
     Var,
+    VariableDecl,
+    _ASCII,
+    _UNI,
     all_idents,
 )
+from test_checker import BINDERS, _random_rule
+from test_regression import GENERATED, _engine, _subjects
 
 
 def t(text):
@@ -409,3 +424,93 @@ def test_records_with_equal_fields_are_equal(position, rule_index):
     a = RewriteStep(tuple(position), rule_index)
     _same_record(a, RewriteStep(tuple(position), rule_index))
     assert a != RewriteStep(tuple(position), rule_index + 1)
+
+
+def _recursive_render(n, tok):
+    """The renderer that joins its children's strings at every level, as
+    ``render`` did before it appended to one buffer."""
+    cls = n.__class__
+    if cls is Var or cls is SortVar:
+        return n.name
+    if cls is Construction:
+        return n.head + "(" + ", ".join(map(_recursive_render, n.args, repeat(tok))) + ")"
+    if cls is ScopePiece:
+        body = _recursive_render(n.body, tok)
+        if not n.binders:
+            return body
+        return "[" + ", ".join(n.binders) + "]" + body
+    if cls is MetaApp or cls is CatchAll:
+        if not n.args:
+            return n.meta
+        return n.meta + "(" + ", ".join(map(_recursive_render, n.args, repeat(tok))) + ")"
+    if cls is AssocPiece:
+        return "{" + ", ".join(map(_recursive_render, n.entries, repeat(tok))) + "}"
+    if cls is MapEntry:
+        return n.key + " : " + _recursive_render(n.value, tok)
+    if cls is NotKey:
+        return tok["~"] + n.key + ":"
+    if cls is SortCons:
+        if not n.args:
+            return n.name
+        args = ", ".join(map(_recursive_render, n.args, repeat(tok)))
+        return n.name + tok["<"] + args + tok[">"]
+    if cls is ScopeForm:
+        body = _recursive_render(n.body_sort, tok)
+        if not n.binder_sorts:
+            return body
+        return "[" + ", ".join(map(_recursive_render, n.binder_sorts, repeat(tok))) + "]" + body
+    if cls is AssocForm:
+        key, value = _recursive_render(n.key_sort, tok), _recursive_render(n.value_sort, tok)
+        return "{" + key + ":" + value + "}"
+    if cls is DataDecl or cls is SchemeDecl:
+        kind = "data" if cls is DataDecl else "scheme"
+        forms = ", ".join(map(_recursive_render, n.forms, repeat(tok)))
+        return f"{_recursive_render(n.sort, tok)} {kind} {n.name}({forms});"
+    if cls is VariableDecl:
+        return f"{_recursive_render(n.sort, tok)} variable;"
+    if cls is RuleDecl:
+        lhs, rhs = _recursive_render(n.lhs, tok), _recursive_render(n.rhs, tok)
+        return f"{_recursive_render(n.sort, tok)} rule {lhs} {tok['->']} {rhs};"
+    assert cls is Script
+    return "\n".join(map(_recursive_render, n.declarations, repeat(tok)))
+
+
+def _with_parts(node):
+    """``node`` and, for a construction, its pieces and their list entries."""
+    nodes = [node]
+    for p in node.args if node.__class__ is Construction else ():
+        nodes += [p, *p.entries] if p.__class__ is AssocPiece else [p]
+    return nodes
+
+
+@st.composite
+def _rendered_nodes(draw):
+    """Nodes of every kind: a ground subject of a generated signature under
+    0-3 binders; a ``_random_rule`` rule (absence entries, catch-alls), its
+    sides and its script; or declarations whose forms take sort parameters."""
+    kind = draw(st.sampled_from(["subject", "rule", "declaration"]))
+    if kind == "subject":
+        gamma = _engine(GENERATED[draw(st.sampled_from(sorted(GENERATED)))])[0]
+        subject = draw(_subjects(gamma))
+        binders = draw(st.lists(st.sampled_from(_VARS).map(Ident), max_size=3, unique=True))
+        return _with_parts(Construction(Ident("Bind"), (ScopePiece(tuple(binders), subject),)))
+    if kind == "rule":
+        rule = _random_rule(draw(st.randoms(use_true_random=False)))
+        return [rule, rule.sort, *_with_parts(rule.lhs), *_with_parts(rule.rhs),
+                Script(BINDERS.declarations + (rule,))]
+    a, b = draw(_sorts()), draw(_sorts())
+    decl = DataDecl(a, Ident("C"), (ScopeForm((a, b), b), ScopeForm((), a), AssocForm(b, a)))
+    return [decl, SchemeDecl(b, Ident("F"), ()), VariableDecl(a), Script((decl,)), Script()]
+
+
+@given(_rendered_nodes())
+@settings(max_examples=100, deadline=None)
+def test_render_agrees_with_a_recursive_renderer(nodes):
+    # One buffer joined once spells every node as string joins at every
+    # level do, in both spellings, and a rendered term parses back.
+    for node in nodes:
+        for tok, unicode in ((_ASCII, False), (_UNI, True)):
+            text = render(node, unicode=unicode)
+            assert text == _recursive_render(node, tok)
+            if node.__class__ in (Construction, Var, MetaApp):
+                assert alpha_equal(parse_term(text), node), text
