@@ -18,8 +18,9 @@ dispatches once on a node's exact class (node classes are final), so a
 node costs one Python frame, and a plain argument none: a construction's
 loop, and the matcher's, recurses on its body (substitution's looks a
 variable up).  An argument-free meta-variable or catch-all outside every
-binder costs no call: the matcher records its fragment as it is, which
-contraction returns.
+binder needs no abstraction: the matcher records its fragment as it is,
+with no ``bind_meta`` call, and contraction spends one ``_inst`` frame on
+it, which returns that fragment and substitutes nothing.
 
 The matcher tells binders apart by number, so each fragment a valuation
 holds is the subject's own, and a parameter is its binder's own name, or

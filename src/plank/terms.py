@@ -33,10 +33,16 @@ them as it goes and calls ``_names`` only on what it skips.
 must avoid every name of a term.  Each construction and meta-application
 keeps its answer, so a query walks only the nodes that no earlier query
 reached: on a term that shares its subterms, the nodes a rewrite step
-built.  ``alpha_equal`` compares nameless forms (de Bruijn levels), in
-which an association list reads as the matcher and contraction read it:
-each run of plain entries between absence entries and catch-alls is a map,
-in which a later entry overrides an earlier one with the same key.
+built.  The sets one query builds from a node's own names (its binders,
+keys and variable children) are hash-consed (Filliâtre and Conchon,
+"Type-safe modular hash-consing", 2006): a frozenset takes at least 216 B,
+three times a construction, and equal subterms, such as the identity chain's
+81 copies of ``Lam([y]y)``, would each keep a copy.  The memo lives for that
+query only, so no table outlives it.  ``alpha_equal`` compares nameless
+forms (de Bruijn levels), in which an association list reads as the matcher
+and contraction read it: each run of plain entries between absence entries
+and catch-alls is a map, in which a later entry overrides an earlier one
+with the same key.
 
 A plain argument is a ``ScopePiece`` with no binders.  Every walk, here
 and in the other modules, passes its scope through one unchanged: it
@@ -66,11 +72,6 @@ if TYPE_CHECKING:
 _SPELLING = re.compile(r"[A-Za-z][A-Za-z0-9_]*|#[A-Za-z0-9_]*")
 
 
-def _check_spelling(text: str) -> None:
-    if not _SPELLING.fullmatch(text):
-        raise ValueError(f"not a valid identifier: {text!r}")
-
-
 class Ident(str):
     """An identifier: a letter, or ``#`` for a meta-variable, then letters,
     digits and underscores.  Equality and hashing are plain string
@@ -79,7 +80,8 @@ class Ident(str):
     __slots__ = ()
 
     def __new__(cls, text: str) -> "Ident":
-        _check_spelling(text)
+        if not _SPELLING.fullmatch(text):
+            raise ValueError(f"not a valid identifier: {text!r}")
         return super().__new__(cls, text)
 
 
@@ -543,12 +545,13 @@ def all_idents(t: Term) -> frozenset[Ident]:
     """Every variable name occurring anywhere in ``t`` (binders, keys, bodies).
 
     The set is built once per construction or meta-application, from its
-    children's sets, and kept on that object (see ``_idents``).
+    children's sets, and kept on that object; equal sets that one query
+    builds are one object (see ``_idents``).
     """
-    return _idents(t)
+    return _idents(t, {})
 
 
-def _idents(t: Term) -> frozenset[Ident]:
+def _idents(t: Term, memo: dict[frozenset[Ident], frozenset[Ident]]) -> frozenset[Ident]:
     # The set lives in the term's ``_idents`` field, which equality, hashing,
     # ``repr`` and rendering never read; terms are immutable, so it never goes
     # stale.  One plain slot store keeps it; ``__init__`` sets it to None, as an
@@ -556,6 +559,11 @@ def _idents(t: Term) -> frozenset[Ident]:
     # A ``Var`` keeps nothing.  The recursion stays here, not in ``all_idents``,
     # so one query is one call of it; pieces are walked inline, so it takes one
     # frame per term level; a child's set is reused when it holds every name.
+    # The set a node builds from its loose names is hash-consed through
+    # ``memo``, the query's own ``{set: set}`` table: the node keeps the first
+    # equal set the query built, as a frozenset costs 216 B or more.  A reused
+    # child's set is kept already, and a union of two children's sets is rare
+    # enough on the bench that looking it up costs more than it saves.
     cls = t.__class__
     if cls is Var:
         return frozenset((t.name,))
@@ -584,13 +592,14 @@ def _idents(t: Term) -> frozenset[Ident]:
         if k.__class__ is Var:
             loose.append(k.name)
             continue
-        s = _idents(k)
+        s = _idents(k, memo)
         if len(s) > len(names):
             names, s = s, names
         if not s <= names:
             names = names | s
     if not names.issuperset(loose):
         names = names.union(loose)
+        names = memo.setdefault(names, names)
     t._idents = names
     return names
 
@@ -624,7 +633,11 @@ def _nameless(x: Node, levels: dict[Ident, int], depth: int):
     """``x``'s de Bruijn-level form, under the ``depth`` binders ``levels`` maps
     to their levels: a bound name is its binder's level, an ``int``, which no
     free name equals; a scope piece is ``(arity, body)``; a list is its absence
-    entries and catch-alls in order, between dicts of the plain entries' runs."""
+    entries and catch-alls in order, between dicts of the plain entries' runs.
+    A construction walks its scope pieces inline and adds each one's arity and
+    body straight to its own form, so the form nests one container per term
+    level, as deep as ``==`` then compares it: an ``int`` is always followed
+    by one body, and a list piece's form is a list that starts with a dict."""
     cls = x.__class__
     if cls is Var:
         return levels.get(x.name, x.name)
@@ -632,6 +645,18 @@ def _nameless(x: Node, levels: dict[Ident, int], depth: int):
         if x.binders:
             levels = levels | dict(zip(x.binders, range(depth, depth + len(x.binders))))
         return len(x.binders), _nameless(x.body, levels, depth + len(x.binders))
+    if cls is Construction:
+        form = [cls, x.head]
+        for p in x.args:
+            if p.__class__ is AssocPiece:
+                form.append(_nameless(p, levels, depth))
+            elif p.binders:
+                n = len(p.binders)
+                inner = levels | dict(zip(p.binders, range(depth, depth + n)))
+                form += n, _nameless(p.body, inner, depth + n)
+            else:
+                form += 0, _nameless(p.body, levels, depth)
+        return form
     if cls is AssocPiece:
         form: list = [{}]
         for e in x.entries:
@@ -642,7 +667,7 @@ def _nameless(x: Node, levels: dict[Ident, int], depth: int):
         return form
     if cls is NotKey:
         return cls, levels.get(x.key, x.key)
-    form = [cls, x.head if cls is Construction else x.meta]
+    form = [cls, x.meta]
     for a in x.args:
         form.append(_nameless(a, levels, depth))
     return form

@@ -1415,20 +1415,24 @@ def _script_325() -> str:
     return "\n".join(_tagged(BETA_ETA, f"b{i}") + _tagged(CBV_EVAL, f"c{i}") for i in range(25))
 
 
-def test_lexer_classifies_each_distinct_word_once(monkeypatch):
+def test_lexer_classifies_each_distinct_word_once():
+    # Counts the frames of ``Ident.__new__``, which checks each spelling.
     text = _script_325()
     words = set(re.findall(r"[#A-Za-z][A-Za-z0-9_]*", text))
     calls = []
-    original = plank.terms._check_spelling
+    code = Ident.__new__.__code__
 
-    def counting(word):
-        calls.append(word)
-        return original(word)
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_locals["text"])
 
-    monkeypatch.setattr(plank.terms, "_check_spelling", counting)
-    script = parse_script(text)
+    sys.setprofile(profile)
+    try:
+        script = parse_script(text)
+    finally:
+        sys.setprofile(None)
     assert len(script.declarations) == 325
-    assert len(calls) <= len(words)
+    assert calls and len(calls) <= len(words)
 
 
 def test_offsets_are_found_once_and_only_when_read(monkeypatch):
@@ -2683,14 +2687,15 @@ def _normalizes_in_one_step(t):
 
 @pytest.mark.parametrize("depth, build, walk", [
     (400, _nested_scopes, lambda t: alpha_equal(t, t)),
+    (450, _redex_under_scopes, lambda t: alpha_equal(t, t)),
     (400, _nested_scopes, lambda t: substitute(t, {Ident("y"): Var(Ident("z"))})),
     (450, _redex_under_scopes, _normalizes_in_one_step),
     (900, _plain_chain, lambda t: substitute(t, {Ident("x"): Var(Ident("z"))})),
     (900, _plain_chain, lambda t: match_term(t, t)),
     (400, _redex_under_scopes, render),
     (900, _plain_chain, render),
-], ids=["alpha_equal", "substitute", "normalize", "substitute_plain", "match_term_plain",
-        "render", "render_plain"])
+], ids=["alpha_equal", "alpha_equal_redex", "substitute", "normalize", "substitute_plain",
+        "match_term_plain", "render", "render_plain"])
 def test_walks_reach_deep_scopes_under_the_default_recursion_limit(depth, build, walk):
     # Built directly, so no other walk limits the depth.  Each walk spends
     # one frame per node; a comprehension between a node and its children
@@ -2699,7 +2704,9 @@ def test_walks_reach_deep_scopes_under_the_default_recursion_limit(depth, build,
     # ``map`` or ``str.join``, which counts as a second level.  ``render``
     # spends one frame per term level: a piece renders in its construction's
     # frame.  The search spends none: it keeps the path to the focus in the
-    # zipper's frames, whether it starts at the root or resumes.
+    # zipper's frames, whether it starts at the root or resumes.  ``alpha_equal``
+    # also compares nested forms with ``==``, which recurses once per
+    # container, so a construction's form holds its scope pieces' parts inline.
     assert walk(build(depth))
 
 

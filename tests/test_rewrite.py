@@ -656,9 +656,10 @@ def _frames(names, call):
 
 class TestFramesPerLevel:
     """Substitution, contraction and matching spend at most one frame on a
-    node, and none on a plain argument; an argument-free meta-variable or
-    catch-all outside every binder costs the matcher and contraction no
-    call of its own."""
+    node, and none on a plain argument.  For an argument-free meta-variable
+    or catch-all outside every binder the matcher spends no ``bind_meta``
+    call, and contraction one ``_inst`` frame, which returns the fragment
+    and substitutes nothing."""
 
     def test_substitute(self):
         # F, G and H: a plain argument costs nothing, and a variable under

@@ -89,6 +89,28 @@ class TestKeptNames:
             t = Construction(Ident("Lam"), (ScopePiece((Ident(f"v{i % 3}"),), t),))
         assert all_idents(t) == {"x", "v0", "v1", "v2"}
 
+    def test_equal_sets_one_query_builds_are_one_object(self):
+        # The identity chain of 80 holds 81 copies of Lam([y]y), each of which
+        # builds {y}; one query keeps one of those sets, and a second query,
+        # on a term no query reached, builds its own.
+        def lams(text):
+            term, found = t(text), []
+            all_idents(term)
+            while term.head == "Ap":
+                found.append(term.args[0].body)
+                term = term.args[1].body
+            return found + [term]
+
+        chain = "Lam([y]y)"
+        for _ in range(80):
+            chain = f"Ap(Lam([y]y), {chain})"
+        first, second = lams(chain), lams(chain)
+        assert len(first) == 81 and all(lam.head == "Lam" for lam in first)
+        assert len({id(lam._idents) for lam in first}) == 1
+        assert len({id(lam._idents) for lam in second}) == 1
+        assert first[0]._idents == second[0]._idents == {"y"}
+        assert first[0]._idents is not second[0]._idents
+
     def test_kept_names_take_no_part_in_equality_or_printing(self):
         text = "Eval(Ap(Lam([x]Ap(x, #M(y))), z), {z : Lam([y]y), w : F({#E(u), ~v:})})"
         kept, fresh = t(text), t(text)
