@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable
 
 from .terms import (
     AssocForm,

@@ -68,10 +68,10 @@ child changed.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from itertools import repeat
 from operator import is_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .env import GlobalEnv, RuleEnv
 from .terms import (

@@ -22,7 +22,10 @@ when read, as Go's ``go/token`` resolves a ``Pos`` through its
 ``FileSet``.  A node's position is none of its fields, so it takes no part
 in equality, hashing or ``repr``; a node the engine builds has neither.
 ``Diagnostic``, the one diagnostic type of the parser, the environment
-builder and the checker, holds a resolved ``Span`` as a field.
+builder and the checker, holds a resolved ``Span``, a ``namedtuple``: the
+runtime rejects a store to its fields, which a ``_Record`` could do only by
+a ``__setattr__`` guard that slows every store.  Aliases such as ``Term``
+are ``X | Y`` unions, and no module imports ``typing``.
 
 ``free_vars`` and ``non_assoc_vars`` share one traversal, ``_names``, that
 collects names by the role they play in a term: ``VAR`` for a variable
@@ -61,12 +64,10 @@ which is slower and takes a second recursion level.  ``rewrite._subst`` and
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
-
-if TYPE_CHECKING:
-    from .parser import _Source
 
 
 _SPELLING = re.compile(r"[A-Za-z][A-Za-z0-9_]*|#[A-Za-z0-9_]*")
@@ -85,12 +86,10 @@ class Ident(str):
         return super().__new__(cls, text)
 
 
-class Span(NamedTuple):
+class Span(namedtuple("Span", ("file", "start_line", "start_col"))):
     """Where a node starts in its source; line and column are 1-based."""
 
-    file: str
-    start_line: int
-    start_col: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"
@@ -195,7 +194,7 @@ class SortVar(_Node):
         self.source = source
 
 
-Sort = Union[SortCons, SortVar]
+Sort = SortCons | SortVar
 
 
 class ScopeForm(_Node):
@@ -224,7 +223,7 @@ class AssocForm(_Node):
         self.source = source
 
 
-Form = Union[ScopeForm, AssocForm]
+Form = ScopeForm | AssocForm
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +269,7 @@ class MetaApp(_Node):
         self._idents = None
 
 
-Term = Union[Construction, Var, MetaApp]
+Term = Construction | Var | MetaApp
 
 
 class ScopePiece(_Node):
@@ -298,7 +297,7 @@ class AssocPiece(_Node):
         self.source = source
 
 
-Piece = Union[ScopePiece, AssocPiece]
+Piece = ScopePiece | AssocPiece
 
 
 class MapEntry(_Node):
@@ -338,7 +337,7 @@ class CatchAll(_Node):
         self.source = source
 
 
-Association = Union[MapEntry, NotKey, CatchAll]
+Association = MapEntry | NotKey | CatchAll
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +389,7 @@ class RuleDecl(_Node):
         self.source = source
 
 
-Declaration = Union[DataDecl, SchemeDecl, VariableDecl, RuleDecl]
+Declaration = DataDecl | SchemeDecl | VariableDecl | RuleDecl
 
 
 class Script(_Node):
@@ -407,7 +406,7 @@ class Script(_Node):
         return tuple(d for d in self.declarations if d.__class__ is RuleDecl)
 
 
-Node = Union[Script, Declaration, Term, Piece, Association, Sort, Form]
+Node = Script | Declaration | Term | Piece | Association | Sort | Form
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+from types import FunctionType
+
 import pytest
 
 from plank import check_script, parse_script, prepare_rules
@@ -74,6 +77,39 @@ L scheme I(L);
 L rule Drop([x]Env({#e})) -> Env({#e});
 L rule I(#x) -> B();
 """
+
+
+def _sets_hooks(test, module) -> bool:
+    """Whether ``test``, or a function of ``module`` that it names, calls
+    ``sys.settrace`` or ``sys.setprofile``."""
+    codes = [test.__code__] + [f.__code__ for name in test.__code__.co_names
+                               if isinstance(f := getattr(module, name, None), FunctionType)]
+    return any({"settrace", "setprofile"}.intersection(c.co_names) for c in codes)
+
+
+def _stand_in(frame, event, arg):
+    return None
+
+
+@pytest.fixture(autouse=True)
+def _keeps_tracer_and_profiler(request):
+    # A test that installs a tracer or a profiler puts back the one it
+    # found, so that coverage.py or cProfile over the suite keeps its own.
+    # Where none was found, putting back None looks the same as clearing,
+    # so a test that sets hooks runs under stand-ins.  Any hook slows the
+    # interpreter about twofold, so no other test does.
+    outer = sys.gettrace(), sys.getprofile()
+    if not _sets_hooks(request.function, request.module):
+        yield
+        assert (sys.gettrace(), sys.getprofile()) == outer
+        return
+    sys.settrace(_stand_in)
+    sys.setprofile(_stand_in)
+    yield
+    found = sys.gettrace(), sys.getprofile()
+    sys.settrace(outer[0])
+    sys.setprofile(outer[1])
+    assert found == (_stand_in, _stand_in)
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,45 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import plank.cli
+from plank import (
+    ParseFailure,
+    check_ground_subject,
+    check_script,
+    parse_script,
+    parse_term,
+    render,
+)
 from plank.cli import main
 from plank.rewrite import EngineError
-from conftest import BETA_ETA
+from conftest import (
+    BETA_ETA,
+    CBV_EVAL,
+    CLASHING_NAMES,
+    IN_VALUE,
+    NONLINEAR,
+    REACH_TWO,
+    UNTAKEN,
+)
+from test_checker import _instance
+from test_regression import (
+    CHECK_TAGS,
+    PIN_RARE,
+    PIN_SORTS,
+    _TOKEN,
+    _assert_sorted_as,
+    _edited_scripts,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -21,11 +50,12 @@ def run_cli(*args):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # Start-up is most of a small ``plank check``; these two modules took
-    # about half of importing ``plank.cli``.
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # Start-up is most of a small ``plank check``; the first two modules took
+    # about half of importing ``plank.cli``, and ``typing`` about 5 ms more.
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = "import sys, plank.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    code = ("import sys, plank.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))")
     done = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
@@ -129,3 +159,90 @@ def test_an_engine_error_while_normalizing_is_reported(tmp_path, monkeypatch, ca
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"{script}: error[engine]: broken invariant\n"
+
+
+# ---------------------------------------------------------------------------
+# The contract on edited inputs
+
+# The seeds of ``test_checker_outputs_are_pinned``'s corpus, and edited
+# copies of them under another seed.
+SEEDS = [BETA_ETA, CBV_EVAL, NONLINEAR, REACH_TWO, IN_VALUE, UNTAKEN, CLASHING_NAMES, PIN_SORTS,
+         PIN_RARE]
+EDITED = list(_edited_scripts(SEEDS, 300, 16))[len(SEEDS):]
+# Every tag a line of the command line's stderr can carry, and the exit
+# codes the ``plank.cli`` docstring lists.
+CLI_TAGS = CHECK_TAGS | {"parse", "io", "engine", "depth"}
+EXIT_CODES = {int(c) for c in re.findall(r"^    (\d)  ", plank.cli.__doc__, re.M)}
+
+
+def _edited_term(draw, text):
+    """Term text made from a rule side of ``text``: the side as it stands
+    or, where ``text`` is a seed, an instance of a left side (an edited copy
+    may leave a sort with no finite term to draw); then maybe one token
+    dropped or repeated.  It is ``x`` where ``text`` does not check, as no
+    run then reads the term."""
+    try:
+        script = parse_script(text)
+    except ParseFailure:
+        return "x"
+    checked = check_script(script)
+    if not (checked.ok and script.rules):
+        return "x"
+    i = draw(st.integers(0, len(script.rules) - 1))
+    rule = script.rules[i]
+    how = draw(st.sampled_from(["instance"] * (text in SEEDS) + ["lhs", "rhs"]))
+    if how == "instance":
+        side = _instance(draw, checked.gamma, checked.rule_envs[i], rule.lhs)
+    else:
+        side = getattr(rule, how)
+    tokens = _TOKEN.findall(render(side))
+    at, move = draw(st.integers(0, len(tokens) - 1)), draw(st.sampled_from("kkdr"))
+    tokens[at:at + 1] = {"k": [tokens[at]], "d": [], "r": [tokens[at]] * 2}[move]
+    return "".join(tokens)
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(data=st.data())
+@settings(max_examples=250, deadline=None)
+def test_edited_inputs_keep_the_contract(tmp_path_factory, data):
+    # Edited scripts, also with CRLF line ends, a NUL or a byte that is not
+    # UTF-8, or emptied, and terms made from their rule sides end in a
+    # documented exit code and in diagnostics the package emits, never in a
+    # traceback.
+    text = data.draw(st.sampled_from(SEEDS) | st.sampled_from(EDITED))
+    form = data.draw(st.sampled_from(["utf-8"] * 5 + ["crlf", "nul", "latin-1", "empty"]))
+    cut = data.draw(st.integers(0, len(text)))
+    raw = {"utf-8": text.encode(), "crlf": text.replace("\n", "\r\n").encode(),
+           "nul": (text[:cut] + "\0" + text[cut:]).encode(),
+           "latin-1": text[:cut].encode() + b"\xe9" + text[cut:].encode(), "empty": b""}[form]
+    path = tmp_path_factory.getbasetemp() / "edited.plank"
+    path.write_bytes(raw)
+    term, argv = None, [data.draw(st.sampled_from(["check"] + ["normalize"] * 3)), str(path)]
+    if argv[0] == "normalize":
+        term = _edited_term(data.draw, text)
+        argv += [f"--term={term}", *["--trace"] * data.draw(st.booleans()),
+                 f"--max-steps={data.draw(st.sampled_from([40, 1]))}"]
+    code, out, err = _run_main(argv)
+    assert code in EXIT_CODES, (argv, err)
+    assert "Traceback" not in err
+    assert set(re.findall(r"error\[(.*?)\]", err)) <= CLI_TAGS, err
+    # ``run_normalize`` reaches the engine only once the script and the
+    # term have both checked, so no ``error[engine]`` can follow both.
+    assert "error[engine]" not in err, (argv, err)
+    if code not in (0, 3):
+        return
+    assert out.count("\n") == 1 and out.endswith("\n"), out
+    if term is None:
+        return
+    gamma = check_script(parse_script(path.read_text(encoding="utf-8"))).gamma
+    _assert_sorted_as(gamma, parse_term(out), check_ground_subject(gamma, parse_term(term))[0])
+    if code == 0:
+        # A normal form reached within a budget is reached within any
+        # larger one, and nothing else changes.
+        assert _run_main(argv[:-1] + [f"--max-steps={10**18}"]) == (code, out, err)

@@ -68,8 +68,8 @@
 * No module stores to a field of a built record outside its ``__init__``:
   records are immutable by this rule, not by the runtime.  No module
   imports ``dataclasses`` (``test_cli`` checks that importing
-  ``plank.cli`` loads neither it nor ``inspect``), and every method of a
-  package class is compiled from its own source file.
+  ``plank.cli`` loads neither it, ``inspect`` nor ``typing``), and every
+  method of a package class is compiled from its own source file.
 * Every ``raise EngineError`` names the checker or environment diagnostic
   that rules it out on checked input.
 * No node class of ``plank.terms`` is subclassed, and ``rewrite`` and
@@ -1426,11 +1426,12 @@ def test_lexer_classifies_each_distinct_word_once():
         if event == "call" and frame.f_code is code:
             calls.append(frame.f_locals["text"])
 
+    outer = sys.getprofile()
     sys.setprofile(profile)
     try:
         script = parse_script(text)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     assert len(script.declarations) == 325
     assert calls and len(calls) <= len(words)
 
@@ -1488,11 +1489,12 @@ def test_the_lexer_runs_no_python_code_per_token():
             return local
         return None
 
+    outer = sys.gettrace()
     sys.settrace(tracer)
     try:
         kinds = plank.parser._lex(text)[0]
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     assert len(kinds) == 6001
     assert opcodes < 2 * len(kinds), opcodes
 
@@ -1511,11 +1513,12 @@ def test_the_front_end_runs_few_python_frames():
         nonlocal frames
         frames += event == "call"
 
+    outer = sys.getprofile()
     sys.setprofile(profile)
     try:
         checked = check_script(parse_script(text))
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     assert len(checked.rule_envs) == 150
     assert frames < 22_000, frames
 
@@ -2187,7 +2190,8 @@ def _records(nodes: list[ast.AST]) -> dict[str, tuple[list[str], list[str], bool
 
 
 def _unread_fields(sources: list[str]) -> list[tuple[str, str]]:
-    """(class, field) of each record or NamedTuple field, and of each
+    """(class, field) of each record field, of each field of a class whose
+    base is a ``namedtuple(name, (field, ...))`` call, and of each
     attribute another class's ``__init__`` stores as ``self.X = ...``, that
     no source reads, as an attribute or through ``getattr`` with a constant
     name.
@@ -2207,9 +2211,10 @@ def _unread_fields(sources: list[str]) -> list[tuple[str, str]]:
             fields += [(node.name, f) for f in own]
             declared[node.name] = set(every)
             continue
-        if "NamedTuple" in map(_last_name, node.bases):
-            names = [st.target.id for st in node.body
-                     if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
+        made = [b for b in node.bases
+                if isinstance(b, ast.Call) and _last_name(b.func) == "namedtuple"]
+        if made:
+            names = [n.value for n in ast.walk(made[0].args[1]) if isinstance(n, ast.Constant)]
             fields += [(node.name, f) for f in names]
             declared[node.name] = set(names)
             continue
@@ -2245,6 +2250,8 @@ def test_every_record_field_is_read():
              "        self.v: int = v\n        self.x, v.w = v, v\n"
              "    def f(self):\n        return self.u\n")
     assert _unread_fields([plain]) == [("B", "v"), ("B", "x")]
+    position = "class P(namedtuple('P', ('p', 'q'))):\n    __slots__ = ()\n"
+    assert _unread_fields([position, "def g(p):\n    return p.p, P(p.q, 0)\n"]) == [("P", "q")]
     sources = [p.read_text(encoding="utf-8") for p in sorted((REPO / "src" / "plank").glob("*.py"))]
     assert [f for f in _unread_fields(sources) if f not in UNREAD_FIELDS_KEPT] == []
 
@@ -2410,7 +2417,7 @@ def test_every_method_of_a_plank_class_is_compiled_from_its_source():
     # ``cProfile`` keeps one entry per file, line and name, so methods
     # compiled from a string, as ``dataclasses`` makes them, all share the
     # entry ``<string>:2(__init__)``; each record's own ``__init__`` has one
-    # of its own.  Helpers that ``enum`` and ``NamedTuple`` add belong to
+    # of its own.  Helpers that ``enum`` and ``namedtuple`` add belong to
     # their own modules and are left out.
     src = REPO / "src" / "plank"
     inits = set()

@@ -646,11 +646,12 @@ def _frames(names, call):
         if event == "call" and code.co_filename == REWRITE_FILE and code.co_name in names:
             calls[code.co_name] += 1
 
+    outer = sys.getprofile()
     sys.setprofile(profile)
     try:
         result = call()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     return result, calls
 
 

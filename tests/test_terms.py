@@ -74,11 +74,12 @@ class TestKeptNames:
             if event == "call" and frame.f_code.co_filename == terms_file:
                 calls.append(frame.f_code.co_name)
 
+        outer = sys.getprofile()
         sys.setprofile(profile)
         try:
             names = all_idents(x)
         finally:
-            sys.setprofile(None)
+            sys.setprofile(outer)
         assert names == {"x"}
         assert calls.count("all_idents") == 1
         assert len(calls) < 1000
