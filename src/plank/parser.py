@@ -7,10 +7,12 @@ extension and one declaration per ``;``.
 
 The lexer runs no Python code per token: one ``findall`` gives the token
 strings, each distinct one is classified once, and ``map`` looks up the
-kinds and texts, two parallel lists.  A node's position is a token index,
-its first token's, which the parse's one ``_Source`` resolves, as Go's
-``go/token`` resolves a ``Pos`` through its ``FileSet``: each node keeps
-the bare ``int`` and the shared source.  The first position resolved
+kinds and texts, two parallel lists.  A node's position is its first
+token's index, which the parse's one ``_Source`` resolves, as Go's
+``go/token`` resolves a ``Pos`` through its ``FileSet``.  The parse cuts
+its tokens into blocks of 256, and a node keeps the index within its
+block, 0 to 255, and the ``_Block``: CPython caches those ints, while a
+larger one is a 32-byte object per node.  The first position resolved
 finds the tokens' offsets and the lines' starts, by a second pass that
 reads what the lexer dropped.  A column is the character offset from the
 start of the line plus one, so a tab or a carriage return counts as one
@@ -126,10 +128,10 @@ def _offsets(text: str, dropped: dict) -> tuple[list[int], list[int], tuple[int,
 
 
 class _Source:
-    """One parse's file and text, which each node of the parse shares; it
-    resolves a node's token index to a ``Span``, as a ``go/token``
-    ``FileSet`` resolves a ``Pos``.  The tokens' offsets and the lines'
-    starts are found once, when the first position is resolved."""
+    """One parse's file and text, which each ``_Block`` of the parse shares;
+    it resolves a token index to a ``Span``, as a ``go/token`` ``FileSet``
+    resolves a ``Pos``.  The tokens' offsets and the lines' starts are found
+    once, when the first position is resolved."""
 
     def __init__(self, file: str, text: str, dropped: dict[str, str | None]):
         self.file, self.text, self.dropped = file, text, dropped
@@ -149,6 +151,21 @@ class _Source:
         return Span(self.file, line, offset - lines[line - 1] + 1)
 
 
+class _Block:
+    """Tokens ``base`` to ``base + 255`` of one parse, which each node whose
+    first token is among them shares; the node keeps that token's index
+    less ``base``."""
+
+    __slots__ = ("source", "base")
+
+    def __init__(self, source: _Source, base: int):
+        self.source, self.base = source, base
+
+    def resolve(self, k: int) -> Span:
+        """Where token ``base + k`` starts."""
+        return self.source.resolve(self.base + k)
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -158,14 +175,16 @@ _KEYWORDS = ("data", "scheme", "variable", "rule")
 class _Parser:
     """One text's tokens and the index ``pos`` of the next one, which never
     passes ``eof``.  Token ``i`` has kind ``kinds[i]`` and text
-    ``texts[i]`` (an ``Ident`` for a word, ``""`` for ``eof``).  A node's
-    position is its first token's index, passed with the parse's one
-    ``source``, which resolves it when it is read, as a ``go/token``
-    ``FileSet`` resolves a ``Pos``."""
+    ``texts[i]`` (an ``Ident`` for a word, ``""`` for ``eof``).  A node
+    whose first token is ``i`` gets ``i & 255`` and ``blocks[i >> 8]``,
+    the ``_Block`` that resolves it through the parse's one ``source``
+    when it is read, as a ``go/token`` ``FileSet`` resolves a ``Pos``;
+    ``fail`` resolves ``i`` through ``source`` itself."""
 
     def __init__(self, text: str, file: str):
         self.kinds, self.texts, dropped = _lex(text)
         self.source = source = _Source(file, text, dropped)
+        self.blocks = [_Block(source, b) for b in range(0, len(self.kinds), 256)]
         self.pos = 0
         self.errors = [] if None not in dropped.values() else [
             Diagnostic("parse", source.at(o), f"unexpected character {text[o]!r}")
@@ -211,7 +230,7 @@ class _Parser:
         kinds = self.kinds
         if kinds[i] == "var":
             self.pos = i + 1
-            return SortVar(self.texts[i], i, self.source)
+            return SortVar(self.texts[i], i & 255, self.blocks[i >> 8])
         if kinds[i] != "con":
             self.expected("a sort")
         self.pos = i + 1
@@ -224,7 +243,7 @@ class _Parser:
                 items.append(self.sort())
             self.expect(">")
             args = tuple(items)
-        return SortCons(self.texts[i], args, i, self.source)
+        return SortCons(self.texts[i], args, i & 255, self.blocks[i >> 8])
 
     def form(self) -> Form:
         i = self.pos
@@ -232,14 +251,14 @@ class _Parser:
         if kind == "[":
             self.pos = i + 1
             binders = self.listed(self.sort, "]")
-            return ScopeForm(tuple(binders), self.sort(), i, self.source)
+            return ScopeForm(tuple(binders), self.sort(), i & 255, self.blocks[i >> 8])
         if kind == "{":
             self.pos = i + 1
             key = self.sort()
             self.expect(":")
             value = self.sort()
             self.expect("}")
-            return AssocForm(key, value, i, self.source)
+            return AssocForm(key, value, i & 255, self.blocks[i >> 8])
         body = self.sort()
         return ScopeForm((), body, body.span, body.source)
 
@@ -251,7 +270,7 @@ class _Parser:
         kind = kinds[i]
         if kind == "var":
             self.pos = i + 1
-            return Var(self.texts[i], i, self.source)
+            return Var(self.texts[i], i & 255, self.blocks[i >> 8])
         if kind != "con" and kind != "meta":
             self.expected("a term")
         self.pos = i + 1
@@ -260,7 +279,7 @@ class _Parser:
             self.pos = i + 2
             items = self.listed(self.piece if kind == "con" else self.term, ")")
         cls = Construction if kind == "con" else MetaApp
-        return cls(self.texts[i], tuple(items), i, self.source)
+        return cls(self.texts[i], tuple(items), i & 255, self.blocks[i >> 8])
 
     def piece(self) -> Piece:
         i = self.pos
@@ -271,11 +290,11 @@ class _Parser:
                                   "]")
             if len(set(binders)) != len(binders):
                 self.fail("binders in one scope must be pairwise distinct", i)
-            return ScopePiece(tuple(binders), self.term(), i, self.source)
+            return ScopePiece(tuple(binders), self.term(), i & 255, self.blocks[i >> 8])
         if kind == "{":
             self.pos = i + 1
             entries = self.listed(self.association, "}", (",", ";"))
-            return AssocPiece(tuple(entries), i, self.source)
+            return AssocPiece(tuple(entries), i & 255, self.blocks[i >> 8])
         body = self.term()
         return ScopePiece((), body, body.span, body.source)
 
@@ -286,14 +305,14 @@ class _Parser:
             self.pos = i + 1
             key = self.expect("var", "a key variable")
             self.expect(":")
-            return NotKey(self.texts[key], i, self.source)
+            return NotKey(self.texts[key], i & 255, self.blocks[i >> 8])
         if kind == "meta":
             meta = self.term()
             return CatchAll(meta.meta, meta.args, meta.span, meta.source)
         if kind == "var":
             self.pos = i + 1
             self.expect(":")
-            return MapEntry(self.texts[i], self.term(), i, self.source)
+            return MapEntry(self.texts[i], self.term(), i & 255, self.blocks[i >> 8])
         self.expected("an association entry")
 
     # -- declarations ----------------------------------------------------------

@@ -16,11 +16,12 @@ class are equal when those are, the hash is that of their tuple, and the
 its comparison of ``name`` and ``args``, because checking compares sorts
 at every construction; its hash stays ``_Record``'s.  A parsed node's
 position is two slots, the last two ``__init__`` arguments: ``span``, its
-first token's index, a bare ``int``, and ``source``, the one ``_Source`` its
-whole parse shares, which resolves the index to a line and column only
-when read, as Go's ``go/token`` resolves a ``Pos`` through its
-``FileSet``.  A node's position is none of its fields, so it takes no part
-in equality, hashing or ``repr``; a node the engine builds has neither.
+first token's index within a block of 256 tokens, an ``int`` from 0 to 255
+that CPython caches, and ``source``, that block, a ``_Block`` of the parser
+whose one ``_Source`` resolves the index to a line and column only when
+read, as Go's ``go/token`` resolves a ``Pos`` through its ``FileSet``.  A
+node's position is none of its fields, so it takes no part in equality,
+hashing or ``repr``; a node the engine builds has neither.
 ``Diagnostic``, the one diagnostic type of the parser, the environment
 builder and the checker, holds a resolved ``Span``, a ``namedtuple``: the
 runtime rejects a store to its fields, which a ``_Record`` could do only by
@@ -141,17 +142,17 @@ class Diagnostic(_Record):
 
 
 def _err(rule: str, node: "Node", message: str) -> Diagnostic:
-    """A diagnostic at the start of a node: its token index, resolved now
-    through its parse's source, as ``go/token`` resolves a ``Pos`` through
-    its ``FileSet``."""
+    """A diagnostic at the start of a node: its token index within its
+    block, resolved now through that block, as ``go/token`` resolves a
+    ``Pos`` through its ``FileSet``."""
     span = node.span
     return Diagnostic(rule, None if span is None else node.source.resolve(span), message)
 
 
 class _Node(_Record):
     """Base of the AST node classes; ``str`` renders a node.  A parsed
-    node's ``span`` is its first token's index and its ``source`` the
-    ``_Source`` that resolves it; neither is a field."""
+    node's ``span`` is its first token's index within a block of 256 and its
+    ``source`` that ``_Block``, which resolves it; neither is a field."""
 
     __slots__ = ("span", "source")
 
@@ -169,7 +170,7 @@ class SortCons(_Node):
     __slots__ = _fields = ("name", "args")
 
     def __init__(self, name: Ident, args: tuple[Sort, ...] = (), span: int | None = None,
-                 source: _Source | None = None):
+                 source: _Block | None = None):
         self.name = name
         self.args = args
         self.span = span
@@ -188,7 +189,7 @@ class SortVar(_Node):
 
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: Ident, span: int | None = None, source: _Source | None = None):
+    def __init__(self, name: Ident, span: int | None = None, source: _Block | None = None):
         self.name = name
         self.span = span
         self.source = source
@@ -203,7 +204,7 @@ class ScopeForm(_Node):
     __slots__ = _fields = ("binder_sorts", "body_sort")
 
     def __init__(self, binder_sorts: tuple[Sort, ...], body_sort: Sort, span: int | None = None,
-                 source: _Source | None = None):
+                 source: _Block | None = None):
         self.binder_sorts = binder_sorts
         self.body_sort = body_sort
         self.span = span
@@ -216,7 +217,7 @@ class AssocForm(_Node):
     __slots__ = _fields = ("key_sort", "value_sort")
 
     def __init__(self, key_sort: Sort, value_sort: Sort, span: int | None = None,
-                 source: _Source | None = None):
+                 source: _Block | None = None):
         self.key_sort = key_sort
         self.value_sort = value_sort
         self.span = span
@@ -237,7 +238,7 @@ class Construction(_Node):
     __slots__ = _fields + ("_idents",)
 
     def __init__(self, head: Ident, args: tuple[Piece, ...] = (), span: int | None = None,
-                 source: _Source | None = None):
+                 source: _Block | None = None):
         self.head = head
         self.args = args
         self.span = span
@@ -248,7 +249,7 @@ class Construction(_Node):
 class Var(_Node):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: Ident, span: int | None = None, source: _Source | None = None):
+    def __init__(self, name: Ident, span: int | None = None, source: _Block | None = None):
         self.name = name
         self.span = span
         self.source = source
@@ -261,7 +262,7 @@ class MetaApp(_Node):
     __slots__ = _fields + ("_idents",)
 
     def __init__(self, meta: Ident, args: tuple[Term, ...] = (), span: int | None = None,
-                 source: _Source | None = None):
+                 source: _Block | None = None):
         self.meta = meta
         self.args = args
         self.span = span
@@ -278,7 +279,7 @@ class ScopePiece(_Node):
     __slots__ = _fields = ("binders", "body")
 
     def __init__(self, binders: tuple[Ident, ...], body: Term, span: int | None = None,
-                 source: _Source | None = None):
+                 source: _Block | None = None):
         self.binders = binders
         self.body = body
         self.span = span
@@ -291,7 +292,7 @@ class AssocPiece(_Node):
     __slots__ = _fields = ("entries",)
 
     def __init__(self, entries: tuple[Association, ...], span: int | None = None,
-                 source: _Source | None = None):
+                 source: _Block | None = None):
         self.entries = entries
         self.span = span
         self.source = source
@@ -306,7 +307,7 @@ class MapEntry(_Node):
     __slots__ = _fields = ("key", "value")
 
     def __init__(self, key: Ident, value: Term, span: int | None = None,
-                 source: _Source | None = None):
+                 source: _Block | None = None):
         self.key = key
         self.value = value
         self.span = span
@@ -318,7 +319,7 @@ class NotKey(_Node):
 
     __slots__ = _fields = ("key",)
 
-    def __init__(self, key: Ident, span: int | None = None, source: _Source | None = None):
+    def __init__(self, key: Ident, span: int | None = None, source: _Block | None = None):
         self.key = key
         self.span = span
         self.source = source
@@ -330,7 +331,7 @@ class CatchAll(_Node):
     __slots__ = _fields = ("meta", "args")
 
     def __init__(self, meta: Ident, args: tuple[Term, ...] = (), span: int | None = None,
-                 source: _Source | None = None):
+                 source: _Block | None = None):
         self.meta = meta
         self.args = args
         self.span = span
@@ -348,7 +349,7 @@ class DataDecl(_Node):
     __slots__ = _fields = ("sort", "name", "forms")
 
     def __init__(self, sort: Sort, name: Ident, forms: tuple[Form, ...], span: int | None = None,
-                 source: _Source | None = None):
+                 source: _Block | None = None):
         self.sort = sort
         self.name = name
         self.forms = forms
@@ -360,7 +361,7 @@ class SchemeDecl(_Node):
     __slots__ = _fields = ("sort", "name", "forms")
 
     def __init__(self, sort: Sort, name: Ident, forms: tuple[Form, ...], span: int | None = None,
-                 source: _Source | None = None):
+                 source: _Block | None = None):
         self.sort = sort
         self.name = name
         self.forms = forms
@@ -371,7 +372,7 @@ class SchemeDecl(_Node):
 class VariableDecl(_Node):
     __slots__ = _fields = ("sort",)
 
-    def __init__(self, sort: Sort, span: int | None = None, source: _Source | None = None):
+    def __init__(self, sort: Sort, span: int | None = None, source: _Block | None = None):
         self.sort = sort
         self.span = span
         self.source = source
@@ -381,7 +382,7 @@ class RuleDecl(_Node):
     __slots__ = _fields = ("sort", "lhs", "rhs")
 
     def __init__(self, sort: Sort, lhs: Term, rhs: Term, span: int | None = None,
-                 source: _Source | None = None):
+                 source: _Block | None = None):
         self.sort = sort
         self.lhs = lhs
         self.rhs = rhs
@@ -396,7 +397,7 @@ class Script(_Node):
     __slots__ = _fields = ("declarations",)
 
     def __init__(self, declarations: tuple[Declaration, ...] = (), span: int | None = None,
-                 source: _Source | None = None):
+                 source: _Block | None = None):
         self.declarations = declarations
         self.span = span
         self.source = source

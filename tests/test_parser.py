@@ -18,7 +18,7 @@ from plank import (
     parse_term,
     render,
 )
-from plank.parser import _Parser, _Source
+from plank.parser import _Block, _Parser, _Source
 from plank.terms import (
     AssocForm,
     AssocPiece,
@@ -553,23 +553,88 @@ _SKELETON = parse_script("Box<a> data B(a, [a]Box<a>, {a:L}); L variable;"
 _ENDS = ["", "\n", "// end", "\r\n// end", "\t//"]
 
 
-def _positions_as_eagerly_resolved(parsed, text, file):
-    """Every node of ``parsed`` but the script keeps its first token's index,
-    an ``int``, and the parse's one ``_Source``, which resolves the index to
-    the span the reference lexer gives that token."""
+def _positions_as_eagerly_resolved(parsed, text, file) -> set[int]:
+    """Every node of ``parsed`` but the script keeps its first token's index
+    within a block of 256 tokens, an ``int`` in ``range(256)``, and that
+    ``_Block``; the blocks share the parse's one ``_Source``, and token
+    ``block.base + span`` resolves to the span the reference lexer gives
+    that token.  Returns the first tokens' indices."""
     tokens, _ = _reference_lex(text, file)
-    sources = set()
+    sources, firsts = set(), set()
     for node in _nodes(parsed):
         if isinstance(node, Script):
             continue
-        assert type(node.span) is int and type(node.source) is _Source, node
-        sources.add(node.source)
-        kind, word, span = tokens[node.span]
-        assert node.source.resolve(node.span) == span
+        block = node.source
+        assert type(block) is _Block and type(node.span) is int and node.span in range(256), node
+        assert type(block.source) is _Source and block.base % 256 == 0, node
+        sources.add(block.source)
+        token = block.base + node.span
+        firsts.add(token)
+        kind, word, span = tokens[token]
+        assert node.source.resolve(node.span) == block.source.resolve(token) == span
         first = _Parser(render(node), file)
         assert first.kinds[0] == kind and (kind not in ("con", "var", "meta")
                                             or first.texts[0] == word), (text, node)
     assert len(sources) == 1
+    return firsts
+
+
+def _spread(start: int, size, draw, pad, odd, placed) -> list:
+    """Items of a list whose first starts at token ``start``: ``draw()``s,
+    then ``odd`` and ``pad``s to fill, so that the item of each ``(token,
+    item)`` of ``placed`` starts at that token.  ``size`` counts an item's
+    tokens and the comma after it: 2 for ``pad`` and 5 for ``odd``."""
+    items, n = [], start
+    for target, item in placed:
+        while n + size(drawn := draw()) <= target - 6:
+            items.append(drawn)
+            n += size(drawn)
+        if (target - n) % 2:
+            items.append(odd)
+            n += size(odd)
+        items += [pad] * ((target - n) // size(pad))
+        items.append(item)
+        n = target + size(item)
+    return items
+
+
+# Nodes for the first tokens around block boundaries: a term of each kind
+# that starts with its own token, and each kind of association entry.
+_X, _Y, _L, _A = Ident("x"), Ident("y"), SortCons(Ident("L")), SortVar(Ident("a"))
+_PAD = ScopePiece((), Var(_X))
+_STARTS = [ScopePiece((), Construction(Ident("A"), (_PAD,))), _PAD,
+           ScopePiece((), MetaApp(Ident("#M"), (Var(_X),))), ScopePiece((_Y,), Var(_X))]
+_ENTRIES = [MapEntry(_Y, Var(_X)), NotKey(_Y), CatchAll(Ident("#e"), ())]
+_SKELETON_FORMS = [f for d in _SKELETON if isinstance(d, (DataDecl, SchemeDecl)) for f in d.forms]
+
+
+def _long_term(rng: random.Random, start: int, j: int):
+    """A construction with random pieces that, put at token ``start``, runs
+    past token 1023: an association list at 255, whose entry starts at 256,
+    a piece at 512, a list at 766, whose entry starts at 767, and a piece
+    at 1023, the pieces and entries chosen by ``j``."""
+    def size(piece):
+        return len(_reference_lex(render(Construction(Ident("Wrap"), (piece,))), "")[0]) - 3
+
+    placed = [(255, AssocPiece((_ENTRIES[j % 3],))), (512, _STARTS[j % 4]),
+              (766, AssocPiece((_ENTRIES[(j + 1) % 3],))), (1023, _STARTS[(j + 1) % 4])]
+    return Construction(Ident("Wrap"), tuple(_spread(
+        start + 2, size, lambda: ScopePiece((), random_term(rng, 3)), _PAD, _STARTS[0], placed)))
+
+
+def _wide_scheme(rng: random.Random):
+    """``L scheme Wide(...)`` whose forms, drawn from ``_SKELETON``'s, run
+    past token 1023, with a form of each kind and sorts on both sides of
+    the boundaries: ``[L, a]L`` at 255, ``{a:L}`` at 511, ``Box<a>`` at 767
+    and ``a`` at 1023."""
+    def size(form):
+        return len(_reference_lex(render(SchemeDecl(_L, Ident("Wide"), (form,))), "")[0]) - 6
+
+    box = ScopeForm((), SortCons(Ident("Box"), (_A,)))
+    placed = [(255, ScopeForm((_L, _A), _L)), (511, AssocForm(_A, _L)), (767, box),
+              (1023, ScopeForm((), _A))]
+    return SchemeDecl(_L, Ident("Wide"), tuple(_spread(
+        4, size, lambda: rng.choice(_SKELETON_FORMS), ScopeForm((), _L), box, placed)))
 
 
 def test_positions_resolve_to_the_spans_of_their_first_tokens():
@@ -585,6 +650,23 @@ def test_positions_resolve_to_the_spans_of_their_first_tokens():
         parsed = parse_script(text, file="s.plank")
         assert parsed == script
         _positions_as_eagerly_resolved(parsed, text, "s.plank")
+    # Inputs of five blocks, with first tokens on both sides of each boundary.
+    lhs = len(_reference_lex(render(Script(_SKELETON)), "")[0]) + 1  # less eof, plus ``L rule``
+    for j in range(12):
+        term = _long_term(rng, 0, j)
+        text = _scattered(render(term), rng) + rng.choice(_ENDS)
+        parsed = parse_term(text, file="t.plank")
+        assert parsed == term
+        assert {255, 256, 512, 766, 767, 1023} <= _positions_as_eagerly_resolved(
+            parsed, text, "t.plank")
+        for script, at in ((Script(_SKELETON + (RuleDecl(_L, _long_term(rng, lhs, j),
+                                                           random_term(rng, 2)),)),
+                            {255, 256, 512, 766, 767, 1023}),
+                           (Script((_wide_scheme(rng),)), {255, 256, 511, 512, 767, 1023})):
+            text = _scattered(render(script, unicode=True), rng) + rng.choice(_ENDS)
+            parsed = parse_script(text, file="s.plank")
+            assert parsed == script
+            assert at <= _positions_as_eagerly_resolved(parsed, text, "s.plank")
 
 
 # One script per diagnostic source: lexer, parser, environment builder,

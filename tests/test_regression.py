@@ -96,7 +96,7 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import plank
 import plank.checker
@@ -870,7 +870,8 @@ def _draw_term(draw, gamma, sort, budget, scope, free="xyz"):
     z, so nested binders reuse names and shadow each other; keys are such
     names of ``free`` or binders of their sort.  Past ``budget`` levels
     only leaves are drawn, or, where the sort has none, a construction that
-    binds a name."""
+    binds a name; where it has neither, as for a sort with no finite term,
+    the example is rejected."""
     names = sorted({w for w, s in scope.items() if s == sort}
                    | (set(free) - scope.keys() if sort.name in gamma.hasvar else set()))
     heads = sorted(h for h, sig in gamma.con.items() if sig.result == sort)
@@ -880,6 +881,8 @@ def _draw_term(draw, gamma, sort, budget, scope, free="xyz"):
             isinstance(f, ScopeForm) and f.binder_sorts for f in gamma.con[h].forms)]
     else:
         heads = names + heads
+    if not heads:
+        reject()
     choice = draw(st.sampled_from(heads))
     if choice in names:
         return Var(Ident(choice))
@@ -913,6 +916,17 @@ def _subjects(draw, gamma):
 
 
 GENERATED = {"beta-eta": BETA_ETA, "cbv": CBV_EVAL, "nonlinear-meta": NONLINEAR}
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_draws_at_a_sort_with_no_finite_term_are_rejected(data):
+    # The one constructor of ``L`` is ``Ap(L, L)`` and ``L`` has no
+    # variables, so only a binder of ``Lam`` ends a term of it: drawing an
+    # ``Ap`` subject rejects the example instead of failing the test.
+    gamma, _ = _engine("y scheme Lam([L]L); L scheme Ap(L,L);")
+    subject = data.draw(_subjects(gamma))
+    assert subject.head == "Lam" and free_vars(subject) == set(), render(subject)
 
 
 @pytest.mark.parametrize("label", sorted(GENERATED))
@@ -1470,6 +1484,32 @@ def test_offsets_are_found_once_and_only_when_read(monkeypatch):
     assert calls == [len(mutant)]
 
 
+def test_diagnostics_past_the_first_block_are_pinned():
+    # A parsed node keeps its first token's index within its block of 256
+    # tokens.  The script has 6,001 tokens, so the appended rules and the
+    # last declaration lie in its 24th block; the subject has 459.
+    text = _script_325()
+    ill = (text + "Lb0 rule Apb0(Lamb0([x]#M(x)), #N) → #M();\n"
+           "Lc3 rule Evalc3(Apc3(#F, #A), {#env})\n"
+           "  → Applyc3(Evalc3(#F, {#env}), Lamc3([x, y]#A), {#env});\n")
+    assert [e.format() for e in check_script(parse_script(ill, "big.plank")).errors] == [
+        "big.plank:475:38: error[MetaFormConflict]: meta-variable #M used with 0 argument(s) "
+        "at Lb0 but its meta-form is (Lb0) => Lb0",
+        "big.plank:477:39: error[SP-Bind]: scope binds 2 variable(s) but the form declares 1 "
+        "(BinderArityMismatch)"]
+    gamma = check_script(parse_script(CBV_EVAL)).gamma
+    subject = _identity_chain(40).replace("[y]y", "[y]\n  y")[:-4] + "{x : Nope()})"
+    assert [e.format() for e in check_ground_subject(gamma, parse_term(subject, "s.plank"))[2]
+            ] == ["s.plank:42:51: error[SMC-Cons]: constructor Nope is not declared"]
+    for bad, error in ((text[:-4] + "};\n", "big.plank:474:34: error[parse]: expected ')', "
+                        "found ';'"),
+                       (text[:-2] + "\n", "big.plank:475:1: error[parse]: expected ';', "
+                        "found 'end of input'")):
+        with pytest.raises(ParseFailure) as exc:
+            parse_script(bad, "big.plank")
+        assert [e.format() for e in exc.value.errors] == [error]
+
+
 def test_the_lexer_runs_no_python_code_per_token():
     # Opcodes that ``_lex``'s own frame executes: about 48 per distinct word
     # here (10,170), against about 41 per token for a loop over the tokens.
@@ -1524,9 +1564,11 @@ def test_the_front_end_runs_few_python_frames():
 
 
 def test_a_parsed_tree_keeps_little_memory():
-    # Each parsed node keeps its first token's index and the parse's one
-    # source.  With a position tuple per node the tree held 512.0 KiB on
-    # CPython 3.11; with the bare index it holds 362.0 KiB.
+    # Each parsed node keeps its first token's index within its block of
+    # 256 tokens and that block.  With a position tuple per node the tree
+    # held 512.0 KiB on CPython 3.11, and 362.0 KiB with the bare index, of
+    # which an int object per node above token 256 took 71.8 KiB; with the
+    # index within the block, an int that CPython caches, it holds 292.1 KiB.
     text = _script_325()
     gc.collect()
     tracemalloc.start()
@@ -1537,7 +1579,7 @@ def test_a_parsed_tree_keeps_little_memory():
     finally:
         tracemalloc.stop()
     assert len(script.declarations) == 325
-    assert kept < 400 * 1024, kept / 1024
+    assert kept < 320 * 1024, kept / 1024
 
 
 def test_beta_eta_walks_no_names(monkeypatch):
