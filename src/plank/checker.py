@@ -276,7 +276,8 @@ class _Check:
                 return [_err("SP-Bind", p, f"scope binds {len(p.binders)} variable(s) but the "
                              f"form declares {len(f.binder_sorts)} (BinderArityMismatch)")]
             if p.binders:
-                bound = bound | dict(zip(p.binders, f.binder_sorts))
+                bound = dict(bound)  # not ``bound | ...``: see the ``terms`` docstring
+                bound.update(zip(p.binders, f.binder_sorts))
             return self.term(p.body, f.body_sort, v, bound)
 
         if f.__class__ is not AssocForm:

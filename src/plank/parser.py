@@ -18,8 +18,10 @@ reads what the lexer dropped.  A column is the character offset from the
 start of the line plus one, so a tab or a carriage return counts as one
 column.  A comment does not advance the column: input that ends in a
 comment without a newline reports end of input at the comment's first
-column.  Each distinct word becomes one ``Ident`` per call, and its token
-kind follows from its first character.
+column.  Each distinct word is kept as one exact ``str`` per call, which
+every token of that spelling shares, and its token kind follows from its
+first character.  The word pattern accepts exactly the spellings that
+``terms.Ident`` checks, so a word needs no second check.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .terms import (
     Declaration,
     Diagnostic,
     Form,
-    Ident,
     MapEntry,
     MetaApp,
     NotKey,
@@ -93,7 +94,9 @@ def _lex(text: str) -> tuple[list[str], list[str], dict[str, str | None]]:
     """The kinds and texts of the tokens, the last one ``eof``, and the
     spellings that make no token: a comment, mapped to ``""``, and a
     character no token accepts, to None.  No Python code runs per token,
-    only per distinct one."""
+    only per distinct one; a word's text is the one exact ``str`` of its
+    spelling that the set of spellings holds, a well-spelled name as it
+    stands."""
     toks = _TOKEN_RE.findall(text)
     kind, texts, dropped = dict(_KIND), dict(zip(_KIND, _KIND)), {}
     for w in set(toks).difference(kind):
@@ -104,7 +107,7 @@ def _lex(text: str) -> tuple[list[str], list[str], dict[str, str | None]]:
             dropped[w] = None
         else:
             kind[w] = "meta" if first == "#" else "con" if first.isupper() else "var"
-            texts[w] = Ident(w)
+            texts[w] = w
     if dropped:
         toks = list(filter(kind.__contains__, toks))
     return [*map(kind.__getitem__, toks), "eof"], [*map(texts.__getitem__, toks), ""], dropped
@@ -175,7 +178,7 @@ _KEYWORDS = ("data", "scheme", "variable", "rule")
 class _Parser:
     """One text's tokens and the index ``pos`` of the next one, which never
     passes ``eof``.  Token ``i`` has kind ``kinds[i]`` and text
-    ``texts[i]`` (an ``Ident`` for a word, ``""`` for ``eof``).  A node
+    ``texts[i]`` (a name for a word, ``""`` for ``eof``).  A node
     whose first token is ``i`` gets ``i & 255`` and ``blocks[i >> 8]``,
     the ``_Block`` that resolves it through the parse's one ``source``
     when it is read, as a ``go/token`` ``FileSet`` resolves a ``Pos``;

@@ -465,15 +465,17 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident], *,
 
     ``avoid`` is every name of the subject ``val`` was matched against; the
     engine passes every name of the whole term.  Variables pass through the
-    valuation's variable bindings.  Each right-side variable bound by
-    neither the valuation nor an enclosing scope becomes one consistent
-    fresh variable, and each right-side binder a fresh binder, drawn against
-    ``avoid`` and the names drawn so far.  ``avoid`` is read once, when the
-    first fresh name is drawn.  A catch-all splices the entries of its
-    abstraction's body, with the contracted arguments substituted for the
-    parameters; a None parameter names no variable, so nothing is put for
-    it.  The engine passes ``_rhs_vars``, the rule's
-    ``sorted(free_vars(rhs))``, from ``prepare_rules``.
+    valuation's variable bindings, which are read as they stand, not
+    copied.  Each right-side variable bound by neither the valuation nor an
+    enclosing scope becomes one consistent fresh variable (only then is a
+    new map built, the drawn names first), and each right-side binder a
+    fresh binder, drawn against ``avoid`` and the names drawn so far.
+    ``avoid`` is read once, when the first fresh name is drawn.  A
+    catch-all splices the entries of its abstraction's body, with the
+    contracted arguments substituted for the parameters; a None parameter
+    names no variable, so nothing is put for it.  The engine passes
+    ``_rhs_vars``, the rule's ``sorted(free_vars(rhs))``, from
+    ``prepare_rules``.
     """
     taken: set[Ident] | None = None
 
@@ -485,12 +487,13 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident], *,
         taken.add(name)
         return name
 
-    rho: dict[Ident, Ident] = dict(val.var_bind)
+    rho = val.var_bind
     if _rhs_vars is None:
         _rhs_vars = sorted(free_vars(rhs))
-    for w in _rhs_vars:
-        if w not in rho:
-            rho[w] = fresh(w)
+    drawn = {w: fresh(w) for w in _rhs_vars if w not in rho}
+    if drawn:
+        drawn.update(rho)
+        rho = drawn
 
     return _inst(rhs, rho, val, fresh)
 
@@ -510,7 +513,9 @@ def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
         return Construction(t.head, tuple(args))
     if cls is ScopePiece:
         binders = tuple(map(fresh, t.binders))
-        return ScopePiece(binders, _inst(t.body, rho | dict(zip(t.binders, binders)), val, fresh))
+        inner = dict(rho)  # not ``rho | ...``: see the ``terms`` docstring
+        inner.update(zip(t.binders, binders))
+        return ScopePiece(binders, _inst(t.body, inner, val, fresh))
     if cls is MetaApp or cls is CatchAll:
         ab = val.meta_bind.get(t.meta)
         if ab is None:

@@ -18,7 +18,7 @@ from plank import (
     parse_term,
     render,
 )
-from plank.parser import _Block, _Parser, _Source
+from plank.parser import _TOKEN_RE, _Block, _Parser, _Source, _lex
 from plank.terms import (
     AssocForm,
     AssocPiece,
@@ -359,8 +359,20 @@ def test_lexer_shares_one_ident_per_word():
     p = _Parser("F(x, x, F(x))", "f")
     words = [t for k, t in zip(p.kinds, p.texts) if k in ("con", "var")]
     assert words == ["F", "x", "x", "F", "x"]
-    assert all(isinstance(w, Ident) for w in words)
+    assert all(type(w) is str for w in words)
     assert words[0] is words[3] and words[1] is words[2] is words[4]
+
+
+@given(st.text(alphabet="aqZ09_#é-/>( ", max_size=5))
+@example("#")
+@example("//")
+@example("_a")
+def test_a_word_token_is_exactly_a_checked_spelling(text):
+    # The lexer keeps each word as it stands, with no second check, because
+    # its word tokens are exactly the spellings ``Ident`` accepts.
+    kinds = _lex(text)[0]
+    word = _TOKEN_RE.findall(text) == [text] and kinds[0] in ("con", "var", "meta")
+    assert word == bool(plank.terms._SPELLING.fullmatch(text))
 
 
 # The lexer as it was when each token was a record: one compiled pattern run

@@ -1430,24 +1430,27 @@ def _script_325() -> str:
 
 
 def test_lexer_classifies_each_distinct_word_once():
-    # Counts the frames of ``Ident.__new__``, which checks each spelling.
+    # The lexer runs no Python frame per word, and the string methods that
+    # classify a word run a few times per distinct spelling, not per token.
     text = _script_325()
     words = set(re.findall(r"[#A-Za-z][A-Za-z0-9_]*", text))
-    calls = []
-    code = Ident.__new__.__code__
+    frames, methods = [], []
 
-    def profile(frame, event, _arg):
-        if event == "call" and frame.f_code is code:
-            calls.append(frame.f_locals["text"])
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+        elif event == "c_call" and isinstance(arg.__self__, str):
+            methods.append(arg.__name__)
 
     outer = sys.getprofile()
     sys.setprofile(profile)
     try:
-        script = parse_script(text)
+        kinds, texts, dropped = plank.parser._lex(text)
     finally:
         sys.setprofile(outer)
-    assert len(script.declarations) == 325
-    assert calls and len(calls) <= len(words)
+    assert frames == ["_lex"]
+    assert (len(texts), len(words), dropped) == (6001, 213, {})
+    assert methods and len(methods) <= 4 * len(words)
 
 
 def test_offsets_are_found_once_and_only_when_read(monkeypatch):
@@ -1545,7 +1548,9 @@ def test_the_front_end_runs_few_python_frames():
     # each ``__init__`` dearer, and before sorts were compared by identity
     # first and ``listed`` closed its list inline; 21,475 after, on a text
     # whose copies shared their names and so checked with 75 diagnostics.
-    # The clean text runs 20,911.
+    # The clean text ran 20,548 when the lexer called ``Ident`` on each
+    # distinct word; it runs 20,335 now that it keeps each word as it
+    # stands.
     text = _script_325()
     frames = 0
 
@@ -1560,7 +1565,7 @@ def test_the_front_end_runs_few_python_frames():
     finally:
         sys.setprofile(outer)
     assert len(checked.rule_envs) == 150
-    assert frames < 22_000, frames
+    assert frames < 21_000, frames
 
 
 def test_a_parsed_tree_keeps_little_memory():
@@ -1568,7 +1573,8 @@ def test_a_parsed_tree_keeps_little_memory():
     # 256 tokens and that block.  With a position tuple per node the tree
     # held 512.0 KiB on CPython 3.11, and 362.0 KiB with the bare index, of
     # which an int object per node above token 256 took 71.8 KiB; with the
-    # index within the block, an int that CPython caches, it holds 292.1 KiB.
+    # index within the block, an int that CPython caches, 292.1 KiB; with
+    # each name an exact ``str``, a compact object, it holds 282.2 KiB.
     text = _script_325()
     gc.collect()
     tracemalloc.start()
@@ -1579,7 +1585,35 @@ def test_a_parsed_tree_keeps_little_memory():
     finally:
         tracemalloc.stop()
     assert len(script.declarations) == 325
-    assert kept < 320 * 1024, kept / 1024
+    assert kept < 300 * 1024, kept / 1024
+
+
+def test_scopes_leave_no_keys_tables_on_the_free_list():
+    # CPython 3.11 keeps freed minimum-size keys tables of exact-``str`` dicts
+    # on a free list of 80, which a full collection empties; a copy of a
+    # non-empty dict (``dict(d)``, ``d | e``) clones its table and never takes
+    # one from the list, so a copy per scope or per step leaves the list full
+    # of traced tables.  On the identity chain of 80 a full collection frees
+    # 23.3 KiB after the check and the run; with the checker's scope,
+    # ``_inst``'s scope or ``contract``'s ``rho`` built as a copy, 32.2 KiB.
+    script = parse_script(CBV_EVAL)
+    checked = check_script(script)
+    rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+    term = parse_term(_identity_chain(80))
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        errors = check_ground_subject(checked.gamma, term)[2]
+        steps = len(normalize(checked.gamma, rules, term).steps)
+        left = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        freed = left - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert (errors, steps) == ([], 321)
+    assert freed < 27 * 1024, freed / 1024
 
 
 def test_beta_eta_walks_no_names(monkeypatch):
@@ -1815,7 +1849,8 @@ def test_binder_names_do_not_change_a_step(case, data):
     if hit is not None:
         assert again[1] == hit[1]
         assert alpha_equal(_fresh_bound(again[0], renamed), _fresh_bound(hit[0], term))
-        assert all(type(n) is Ident for n in all_idents(again[0]))
+        assert all(type(n) is str and plank.terms._SPELLING.fullmatch(n)
+                   for n in all_idents(again[0]))
 
 
 def test_a_fresh_name_avoids_the_subject_binders(ex2_checked, ex2_rules):
@@ -1924,12 +1959,12 @@ def test_alpha_equal_agrees_with_de_bruijn_forms(data, lists):
 
 @pytest.mark.parametrize("label,source,term,fuel", NAMED_CASES, ids=[c[0] for c in NAMED_CASES])
 def test_traced_terms_hold_checked_names_and_parse_back(label, source, term, fuel):
-    # Every name of every term a run traces is an ``Ident``, whose spelling
-    # was checked when it was made, not a plain ``str`` (from a fresh name
-    # that skipped ``Ident``, say), and the term renders to text that
-    # parses back to it.
+    # Every name of every term a run traces is an exact ``str`` with a
+    # well-formed spelling (a fresh name drawn from a bad hint, say, would
+    # not be), and the term renders to text that parses back to it.
     for t in _traced(source, term, fuel)[2]:
-        assert all(type(n) is Ident for n in all_idents(t))
+        assert all(type(n) is str and plank.terms._SPELLING.fullmatch(n)
+                   for n in all_idents(t))
         assert parse_term(render(t)) == t
 
 

@@ -53,6 +53,14 @@ class TestIdent:
         with pytest.raises(ValueError):
             Ident(bad)
 
+    def test_returns_the_text_as_an_exact_str(self):
+        # Names key the checker's and the engine's dicts and sets, where only
+        # exact strings take CPython's string fast paths.
+        name = Ident("x_1")
+        assert type(name) is str and name == "x_1"
+        with pytest.raises(ValueError):
+            Ident("a b")
+
     def test_equality_is_text_equality(self):
         assert Ident("x") == "x"
         assert Ident("x") != Ident("y")
@@ -345,6 +353,16 @@ def test_alpha_equal_preserves_free_vars(term):
 @given(st.sampled_from(_VARS), st.sets(st.sampled_from(["x", "y", "z", "x1", "y1", "z1"])))
 def test_fresh_var_avoids(hint, avoid):
     assert fresh_var(Ident(hint), avoid) not in avoid
+
+
+@given(st.from_regex(plank.terms._SPELLING, fullmatch=True), st.sets(st.integers(0, 12)))
+def test_fresh_var_keeps_a_checked_spelling(hint, suffixes):
+    # ``fresh_var`` does not check its result: a digit suffix on a checked
+    # hint is a checked spelling.
+    avoid = {f"{hint}{i}" if i else hint for i in suffixes}
+    name = fresh_var(Ident(hint), avoid)
+    assert type(name) is str and plank.terms._SPELLING.fullmatch(name)
+    assert name not in avoid
 
 
 @given(_terms())
