@@ -14,7 +14,9 @@ argument, an immediate child of a contraction's meta-application
 called where they occur.
 
 Every ``Diagnostic`` carries the tag of the violated rule or side condition
-(``SMP-Meta``, ``SA-Map``, ...) so callers can pin the exact failure.
+(``SMP-Meta``, ``SA-Map``, ...) so callers can pin the exact failure.  Each
+check appends its diagnostics, in the order it meets them, to the one list
+its caller passes in; a script's is the list ``build_global_env`` returned.
 """
 
 from __future__ import annotations
@@ -87,19 +89,17 @@ class ScriptCheck(_Record):
 # Sorts
 
 
-def check_sort(gamma: GlobalEnv, s: Sort) -> list[Diagnostic]:
+def check_sort(gamma: GlobalEnv, s: Sort, errors: list[Diagnostic]) -> None:
     """Sorts are well-formed when every constructor is used at its rank;
     ``build_global_env`` ranks every sort name of every declaration."""
     if s.__class__ is SortVar:
-        return []
-    errors: list[Diagnostic] = []
+        return
     rank = gamma.rank[s.name]
     if rank != len(s.args):
         errors.append(_err("SS-Cons", s, f"sort {s.name} applied to {len(s.args)} argument(s) but "
                            f"has rank {rank}"))
     for a in s.args:
-        errors.extend(check_sort(gamma, a))
-    return errors
+        check_sort(gamma, a, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,9 @@ _CONTRACTION_TAGS = ("SMC-Cons", "SMC-Meta", "SMC-Var", "SAC-All")
 
 class _Check:
     """One judgment, a pattern's if ``in_pat`` and a contraction's
-    otherwise, over one rule side or ground subject.
+    otherwise, over one rule side or ground subject.  Each diagnostic is
+    appended to ``errors``, the caller's list, in the order the walk meets
+    it; a diagnostic stops the check of its node.
 
     Its methods take what changes during the walk.  ``v`` is the set of
     names usable as association keys: on a rule side, its free variables
@@ -126,21 +128,23 @@ class _Check:
     meets it at.
     """
 
-    def __init__(self, gamma: GlobalEnv, delta: RuleEnv, in_pat: bool):
-        self.gamma, self.delta, self.in_pat = gamma, delta, in_pat
+    def __init__(self, gamma: GlobalEnv, delta: RuleEnv, in_pat: bool, errors: list[Diagnostic]):
+        self.gamma, self.delta, self.in_pat, self.errors = gamma, delta, in_pat, errors
         self.cons_tag, self.meta_tag, self.var_tag, self.all_tag = (
             _PATTERN_TAGS if in_pat else _CONTRACTION_TAGS)
 
-    def pattern(self, t: Term, expected: Sort, v: frozenset[Ident]) -> list[Diagnostic]:
+    def fail(self, tag: str, at: Node, message: str) -> None:
+        self.errors.append(_err(tag, at, message))
+
+    def pattern(self, t: Term, expected: Sort, v: frozenset[Ident]) -> None:
         """SMP-Fun: a rule's pattern is a scheme construction."""
         if t.__class__ is not Construction:
-            return [_err("SMP-Fun", t, "a rule pattern must be a scheme construction")]
+            return self.fail("SMP-Fun", t, "a rule pattern must be a scheme construction")
         if t.head not in self.gamma.fun:
-            return [_err("SMP-Fun", t, f"pattern head {t.head} is not a scheme")]
-        return self.construction(t, expected, v, {}, "SMP-Fun")
+            return self.fail("SMP-Fun", t, f"pattern head {t.head} is not a scheme")
+        self.construction(t, expected, v, {}, "SMP-Fun")
 
-    def term(self, t: Term, expected: Sort, v: frozenset[Ident], bound: dict[Ident, Sort]
-             ) -> list[Diagnostic]:
+    def term(self, t: Term, expected: Sort, v: frozenset[Ident], bound: dict[Ident, Sort]) -> None:
         """Check a term at the expected sort."""
         if t.__class__ is Construction:
             # SMP-Data: inside a pattern only data constructors are allowed.
@@ -150,62 +154,61 @@ class _Check:
             if self.in_pat and t.head in self.gamma.fun:
                 sort_name = expected.name if expected.__class__ is SortCons else None
                 if sort_name in self.gamma.sorts_with_data:
-                    return [_err("SMP-Data", t, f"scheme {t.head} cannot appear inside a pattern "
-                                 f"at sort {render(expected)}")]
+                    return self.fail("SMP-Data", t, f"scheme {t.head} cannot appear inside a "
+                                     f"pattern at sort {render(expected)}")
             return self.construction(t, expected, v, bound, self.cons_tag)
         if t.__class__ is MetaApp:
             return self.meta(t, expected, v, bound)
         if t.__class__ is not Var:
-            return [_err(self.var_tag, t, f"expected a variable, got {render(t)}")]
-        return self.variable(t.name, t, expected, bound, self.var_tag)
+            return self.fail(self.var_tag, t, f"expected a variable, got {render(t)}")
+        self.variable(t.name, t, expected, bound, self.var_tag)
 
     def construction(self, t: Construction, expected: Sort, v: frozenset[Ident],
-                     bound: dict[Ident, Sort], tag: str) -> list[Diagnostic]:
+                     bound: dict[Ident, Sort], tag: str) -> None:
         sig = self.gamma.con.get(t.head)
         if sig is None:
-            return [_err(tag, t, f"constructor {t.head} is not declared")]
+            return self.fail(tag, t, f"constructor {t.head} is not declared")
         forms = instantiated_forms(sig, expected)
         if forms is None:
-            return [_err(tag, t, f"construction {t.head} has sort {render(sig.result)}, which "
-                         f"does not match the expected sort {render(expected)}")]
+            return self.fail(tag, t, f"construction {t.head} has sort {render(sig.result)}, which "
+                             f"does not match the expected sort {render(expected)}")
         if len(t.args) != len(forms):
-            return [_err(tag, t, f"constructor {t.head} expects {len(forms)} argument(s), got "
-                         f"{len(t.args)}")]
-        errors: list[Diagnostic] = []
+            return self.fail(tag, t, f"constructor {t.head} expects {len(forms)} argument(s), got "
+                             f"{len(t.args)}")
         for p, f in zip(t.args, forms):
-            errors.extend(self.piece(p, f, v, bound))
-        return errors
+            self.piece(p, f, v, bound)
 
     def substitute(self, t: Term, expected: Sort, v: frozenset[Ident], bound: dict[Ident, Sort]
-                   ) -> list[Diagnostic]:
+                   ) -> None:
         """SMS-*: a substitution argument of a contraction's meta-application."""
         if t.__class__ is Var:
             # SMS-Var places no syntactic-variable requirement on the sort.
             return self.variable(t.name, t, expected, bound, "SMS-Var", need_hasvar=False)
         tag = "SMS-Cons" if t.__class__ is Construction else "SMS-Meta"
         if expected.__class__ is not SortCons:
-            return [_err(tag, t, f"cannot substitute a non-variable at sort {render(expected)}")]
+            return self.fail(tag, t, f"cannot substitute a non-variable at sort "
+                             f"{render(expected)}")
         if expected.name in self.gamma.hasvar:
-            return [_err(tag, t, f"cannot substitute a non-variable at sort {render(expected)}, "
-                         "which admits syntactic variables")]
-        return self.term(t, expected, v, bound)
+            return self.fail(tag, t, f"cannot substitute a non-variable at sort "
+                             f"{render(expected)}, which admits syntactic variables")
+        self.term(t, expected, v, bound)
 
     def meta(self, t: MetaApp, expected: Sort, v: frozenset[Ident], bound: dict[Ident, Sort]
-             ) -> list[Diagnostic]:
+             ) -> None:
         """A meta-application used as a term."""
         mf = self.delta.meta.get(t.meta)
         if mf is None:
-            return [_err(self.meta_tag, t, f"meta-variable {t.meta} has no meta-form")]
+            return self.fail(self.meta_tag, t, f"meta-variable {t.meta} has no meta-form")
         if mf.result.__class__ is AssocForm:
-            return [_err(self.meta_tag, t, f"catch-all meta-variable {t.meta} cannot be used as "
-                         "a term")]
+            return self.fail(self.meta_tag, t, f"catch-all meta-variable {t.meta} cannot be used "
+                             "as a term")
         if mf.result is not expected and mf.result != expected:
-            return [_err(self.meta_tag, t, f"meta-variable {t.meta} produces "
-                         f"{render(mf.result)}, expected {render(expected)}")]
-        return self.meta_args(t, mf, v, bound, self.meta_tag)
+            return self.fail(self.meta_tag, t, f"meta-variable {t.meta} produces "
+                             f"{render(mf.result)}, expected {render(expected)}")
+        self.meta_args(t, mf, v, bound, self.meta_tag)
 
     def meta_args(self, m: MetaApp | CatchAll, mf: MetaForm, v: frozenset[Ident],
-                  bound: dict[Ident, Sort], tag: str) -> list[Diagnostic]:
+                  bound: dict[Ident, Sort], tag: str) -> None:
         """Arguments of a meta-variable with meta-form ``mf``.
 
         In a pattern they are bound variables of the declared sorts, pairwise
@@ -213,38 +216,37 @@ class _Check:
         substitution arguments.
         """
         if len(m.args) != len(mf.arg_sorts):
-            return [_err(tag, m, f"meta-variable {m.meta} takes {len(mf.arg_sorts)} argument(s), "
-                         f"got {len(m.args)}")]
+            return self.fail(tag, m, f"meta-variable {m.meta} takes {len(mf.arg_sorts)} "
+                             f"argument(s), got {len(m.args)}")
         if not m.args:
-            return []
+            return
         if not self.in_pat:
-            errors: list[Diagnostic] = []
             for a, s in zip(m.args, mf.arg_sorts):
-                errors.extend(self.substitute(a, s, v, bound))
-            return errors
+                self.substitute(a, s, v, bound)
+            return
         seen: set[Ident] = set()
         for a, s in zip(m.args, mf.arg_sorts):
             if a.__class__ is not Var:
-                return [_err(tag, m, f"pattern arguments of {m.meta} must be bound variables, "
-                             f"got {render(a)}")]
+                return self.fail(tag, m, f"pattern arguments of {m.meta} must be bound "
+                                 f"variables, got {render(a)}")
             if a.name not in bound:
-                return [_err(tag, a, f"{a.name} is not bound in the enclosing pattern")]
+                return self.fail(tag, a, f"{a.name} is not bound in the enclosing pattern")
             have = bound[a.name]
             if have is not s and have != s:
-                return [_err(tag, a, f"argument {a.name} of {m.meta} has {render(have)}, "
-                             f"expected {render(s)}")]
+                return self.fail(tag, a, f"argument {a.name} of {m.meta} has {render(have)}, "
+                                 f"expected {render(s)}")
             if m.__class__ is MetaApp and a.name in seen:
-                return [_err(tag, a, f"arguments of {m.meta} must be pairwise distinct variables")]
+                return self.fail(tag, a, f"arguments of {m.meta} must be pairwise distinct "
+                                 "variables")
             seen.add(a.name)
-        return []
 
     def variable(self, name: Ident, at: Node, expected: Sort, bound: dict[Ident, Sort], tag: str,
-                 need_hasvar: bool = True, key: bool = False) -> list[Diagnostic]:
+                 need_hasvar: bool = True, key: bool = False) -> None:
         """Check ``name`` at the expected sort; ``at`` is its variable or its entry."""
         have = bound.get(name) or self.delta.var.setdefault(name, expected)
         if have is not expected and have != expected:
-            return [_err(tag, at, f"variable {name} has sort {render(have)}, expected "
-                         f"{render(expected)}")]
+            return self.fail(tag, at, f"variable {name} has sort {render(have)}, expected "
+                             f"{render(expected)}")
         if need_hasvar:
             # A bound variable of the rule itself is tolerated without a
             # 'variable' declaration at a pure scheme sort (one with no data
@@ -262,118 +264,112 @@ class _Check:
             if not waived and not (
                 expected.__class__ is SortCons and expected.name in self.gamma.hasvar
             ):
-                return [_err(tag, at, f"variable {name} occurs at sort {render(expected)}, which "
-                             "has no 'variable' declaration")]
-        return []
+                self.fail(tag, at, f"variable {name} occurs at sort {render(expected)}, which "
+                          "has no 'variable' declaration")
 
-    def piece(self, p: Piece, f: Form, v: frozenset[Ident], bound: dict[Ident, Sort]
-              ) -> list[Diagnostic]:
+    def piece(self, p: Piece, f: Form, v: frozenset[Ident], bound: dict[Ident, Sort]) -> None:
         """Check a construction argument against its declared form."""
         if p.__class__ is ScopePiece:
             if f.__class__ is not ScopeForm:
-                return [_err("SP-Bind", p, "scope argument where an association form is declared")]
+                return self.fail("SP-Bind", p, "scope argument where an association form is "
+                                 "declared")
             if len(p.binders) != len(f.binder_sorts):
-                return [_err("SP-Bind", p, f"scope binds {len(p.binders)} variable(s) but the "
-                             f"form declares {len(f.binder_sorts)} (BinderArityMismatch)")]
+                return self.fail("SP-Bind", p, f"scope binds {len(p.binders)} variable(s) but the "
+                                 f"form declares {len(f.binder_sorts)} (BinderArityMismatch)")
             if p.binders:
                 bound = dict(bound)  # not ``bound | ...``: see the ``terms`` docstring
                 bound.update(zip(p.binders, f.binder_sorts))
             return self.term(p.body, f.body_sort, v, bound)
 
         if f.__class__ is not AssocForm:
-            return [_err("SP-Assoc", p, "association argument where a scope form is declared")]
-        errors: list[Diagnostic] = []
+            return self.fail("SP-Assoc", p, "association argument where a scope form is declared")
         for e in p.entries:
-            errors.extend(self.association(e, f, v, bound))
+            self.association(e, f, v, bound)
         if self.in_pat:
             # Which entries each catch-all would take is not determined.
             catchalls = [e for e in p.entries if e.__class__ is CatchAll]
             if len(catchalls) > 1:
-                errors.append(_err("SAP-All", catchalls[1], "a pattern association list has "
-                                   f"{len(catchalls)} catch-alls, but matching takes at most one "
-                                   "(MultipleCatchAll)"))
-        return errors
+                self.fail("SAP-All", catchalls[1], "a pattern association list has "
+                          f"{len(catchalls)} catch-alls, but matching takes at most one "
+                          "(MultipleCatchAll)")
 
     def association(self, a: Association, f: AssocForm, v: frozenset[Ident],
-                    bound: dict[Ident, Sort]) -> list[Diagnostic]:
-        """Check one association entry against its list's form."""
+                    bound: dict[Ident, Sort]) -> None:
+        """Check one association entry against its list's form.  A key is a
+        variable of the key sort that always needs the 'variable'
+        declaration (see ``variable``)."""
         if a.__class__ is MapEntry:
-            errors: list[Diagnostic] = []
             if a.key not in v and a.key not in bound:
-                errors.append(_err("SA-Map", a, f"association key {a.key} does not occur outside "
-                                   "an association (KeyNotElsewhere)"))
-            errors.extend(self.key(a, f.key_sort, bound))
-            errors.extend(self.term(a.value, f.value_sort, v | non_assoc_vars(a.value), bound))
-            return errors
+                self.fail("SA-Map", a, f"association key {a.key} does not occur outside an "
+                          "association (KeyNotElsewhere)")
+            self.variable(a.key, a, f.key_sort, bound, self.var_tag, key=True)
+            return self.term(a.value, f.value_sort, v | non_assoc_vars(a.value), bound)
 
         if a.__class__ is NotKey:
             if not self.in_pat:
-                return [_err("SAP-Not", a, "absence entries are only allowed in patterns "
-                             "(NotKeyInContraction)")]
-            if a.key in bound or a.key in self.delta.pattern_vars:
-                return self.key(a, f.key_sort, bound)
-            # KeyNotElsewhere: the matcher resolves an absence key through a
-            # variable bound anywhere in the pattern, after every list is matched.
-            return [_err("SAP-Not", a, f"absence key {a.key} is not a variable of the pattern "
-                         "(KeyNotElsewhere)"), *self.key(a, f.key_sort, bound)]
+                return self.fail("SAP-Not", a, "absence entries are only allowed in patterns "
+                                 "(NotKeyInContraction)")
+            if a.key not in bound and a.key not in self.delta.pattern_vars:
+                # KeyNotElsewhere: the matcher resolves an absence key through a
+                # variable bound anywhere in the pattern, after every list is matched.
+                self.fail("SAP-Not", a, f"absence key {a.key} is not a variable of the pattern "
+                          "(KeyNotElsewhere)")
+            return self.variable(a.key, a, f.key_sort, bound, self.var_tag, key=True)
 
         # Catch-all meta-variable.
         mf = self.delta.meta.get(a.meta)
         if mf is None:
-            return [_err(self.all_tag, a, f"meta-variable {a.meta} has no meta-form")]
+            return self.fail(self.all_tag, a, f"meta-variable {a.meta} has no meta-form")
         if mf.result.__class__ is not AssocForm:
-            return [_err(self.all_tag, a, f"meta-variable {a.meta} is not a catch-all")]
+            return self.fail(self.all_tag, a, f"meta-variable {a.meta} is not a catch-all")
         if mf.result is not f and mf.result != f:
-            return [_err(self.all_tag, a, f"catch-all {a.meta} covers {render(mf.result)}, "
-                         f"expected {render(f)}")]
-        return self.meta_args(a, mf, v, bound, self.all_tag)
-
-    def key(self, a: MapEntry | NotKey, key_sort: Sort, bound: dict[Ident, Sort]
-            ) -> list[Diagnostic]:
-        """A key is a variable of the key sort that always needs the
-        'variable' declaration (see ``variable``)."""
-        return self.variable(a.key, a, key_sort, bound, self.var_tag, key=True)
+            return self.fail(self.all_tag, a, f"catch-all {a.meta} covers {render(mf.result)}, "
+                             f"expected {render(f)}")
+        self.meta_args(a, mf, v, bound, self.all_tag)
 
 
 # ---------------------------------------------------------------------------
 # Declarations and scripts
 
 
-def check_declaration(gamma: GlobalEnv, d: DataDecl | SchemeDecl | VariableDecl) -> list[Diagnostic]:
-    """Check a data, scheme or variable declaration of ``gamma``'s script;
-    ``check_script`` checks rules.  ``build_global_env`` reports a conflicting
-    signature, and its sorts need checking only if it met a sort at two ranks.
-    SD-Fun (a scheme is in ``gamma.fun``) and SD-Var's premise that a named
-    sort is in ``gamma.hasvar`` hold by construction of ``gamma``: it records
-    every scheme and every named 'variable' sort of the script."""
-    errors: list[Diagnostic] = []
+def check_declaration(gamma: GlobalEnv, d: DataDecl | SchemeDecl | VariableDecl,
+                      errors: list[Diagnostic]) -> None:
+    """Check a data, scheme or variable declaration of ``gamma``'s script,
+    appending each diagnostic to ``errors``; ``check_script`` checks rules.
+    ``build_global_env`` reports a conflicting signature, and its sorts need
+    checking only if it met a sort at two ranks.  SD-Fun (a scheme is in
+    ``gamma.fun``) and SD-Var's premise that a named sort is in
+    ``gamma.hasvar`` hold by construction of ``gamma``: it records every
+    scheme and every named 'variable' sort of the script."""
     if gamma.misranked:
         for s in decl_sorts(d):
-            errors.extend(check_sort(gamma, s))
+            check_sort(gamma, s, errors)
     if d.__class__ is DataDecl:
         if d.name in gamma.fun:
             errors.append(_err("SD-Data", d, f"constructor {d.name} is declared as data "
                                "but is a scheme"))
     elif d.__class__ is VariableDecl and d.sort.__class__ is not SortCons:
         errors.append(_err("SD-Var", d, "a 'variable' declaration needs a named sort"))
-    return errors
 
 
-def _check_rule(gamma: GlobalEnv, d: RuleDecl, delta: RuleEnv,
-                env_errors: list[Diagnostic]) -> list[Diagnostic]:
-    """Check a rule against its inferred environment and inference diagnostics."""
-    errors = check_sort(gamma, d.sort) if gamma.misranked else []
+def _check_rule(gamma: GlobalEnv, d: RuleDecl, delta: RuleEnv, env_errors: list[Diagnostic],
+                errors: list[Diagnostic]) -> None:
+    """Check a rule against its inferred environment and inference
+    diagnostics, appending to ``errors`` its sort's diagnostics, then either
+    ``env_errors`` or those of its pattern and then its contraction."""
+    if gamma.misranked:
+        check_sort(gamma, d.sort, errors)
     if env_errors:
-        return errors + env_errors
-    errors.extend(_Check(gamma, delta, True).pattern(d.lhs, d.sort, delta.lhs_keys))
-    errors.extend(_Check(gamma, delta, False).term(d.rhs, d.sort, delta.rhs_keys, {}))
-    return errors
+        return errors.extend(env_errors)
+    _Check(gamma, delta, True, errors).pattern(d.lhs, d.sort, delta.lhs_keys)
+    _Check(gamma, delta, False, errors).term(d.rhs, d.sort, delta.rhs_keys, {})
 
 
 def check_script(script: Script) -> ScriptCheck:
     """Build the global environment and check every declaration.
 
-    All diagnostics are collected; the per-rule environments come back in
+    All diagnostics are collected, in declaration order, in the list
+    ``build_global_env`` returns; the per-rule environments come back in
     declaration order regardless of success.
     """
     gamma, errors = build_global_env(script)
@@ -382,9 +378,9 @@ def check_script(script: Script) -> ScriptCheck:
         if d.__class__ is RuleDecl:
             delta, env_errors = infer_rule_env(gamma, d)
             rule_envs.append(delta)
-            errors.extend(_check_rule(gamma, d, delta, env_errors))
+            _check_rule(gamma, d, delta, env_errors, errors)
         else:
-            errors.extend(check_declaration(gamma, d))
+            check_declaration(gamma, d, errors)
     return ScriptCheck(gamma, rule_envs, errors)
 
 
@@ -415,8 +411,9 @@ def check_ground_subject(gamma: GlobalEnv, t: Term) -> tuple[Sort | None, RuleEn
         return None, RuleEnv(), [_err("SMC-Cons", t, "cannot determine a ground sort for "
                                       f"{t.head}: its declared sort {render(sort)} is "
                                       "polymorphic")]
-    check = _Check(gamma, RuleEnv(), False)
-    return sort, check.delta, check.term(t, sort, all_idents(t), {})
+    check = _Check(gamma, RuleEnv(), False, [])
+    check.term(t, sort, all_idents(t), {})
+    return sort, check.delta, check.errors
 
 
 def _has_sort_vars(s: Sort) -> bool:

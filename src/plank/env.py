@@ -278,11 +278,11 @@ def infer_rule_env(gamma: GlobalEnv, rule: RuleDecl) -> tuple[RuleEnv, list[Diag
     """
     delta = RuleEnv()
     binders: dict[Ident, Sort] = {}
-    lhs = _SortWalk(gamma, delta, binders, rule.lhs, rule.sort, True)
-    rhs = _SortWalk(gamma, delta, binders, rule.rhs, rule.sort, False)
+    errors: list[Diagnostic] = []
+    lhs = _SortWalk(gamma, delta, binders, errors, rule.lhs, rule.sort, True)
+    rhs = _SortWalk(gamma, delta, binders, errors, rule.rhs, rule.sort, False)
     for b, s in binders.items():
         delta.var.setdefault(b, s)
-    errors = lhs.errors + rhs.errors
     for m in sorted(rhs.metas - lhs.metas):
         errors.append(_err("UnboundMetaOnRhs", rule, f"meta-variable {m} occurs in the "
                            "contraction but not in the pattern"))
@@ -303,7 +303,8 @@ class _SortWalk:
     first sort seen for each binder name also goes to ``binders``.  On the
     left-hand side a meta-application records its meta-form in
     ``delta.meta``; elsewhere it must agree with the recorded one, or an
-    error goes to ``errors``.  The walk also collects names as ``_names``
+    error is appended to ``errors``, the list both walks of a rule share, in
+    the order the walks meet them.  The walk also collects names as ``_names``
     would: meta-variables in ``metas``, free variables in ``out``, which is
     ``outside`` or ``inside`` association lists, or a set thrown away under a
     scope whose extra binders ``scope`` lacks.  Where the walk does not
@@ -311,9 +312,9 @@ class _SortWalk:
     """
 
     def __init__(self, gamma: GlobalEnv, delta: RuleEnv, binders: dict[Ident, Sort],
-                 t: Term, expected: Sort, in_lhs: bool):
+                 errors: list[Diagnostic], t: Term, expected: Sort, in_lhs: bool):
         self.gamma, self.delta, self.binders, self.in_lhs = gamma, delta, binders, in_lhs
-        self.errors: list[Diagnostic] = []
+        self.errors = errors
         self.metas, self.outside, self.inside = set(), set(), set()
         self.walk(t, expected, {}, self.outside)
 

@@ -52,9 +52,10 @@ L = SortCons(Ident("L"))
 
 def walker(gamma, in_pat, *, var=None, meta=None, v=(), bound=()):
     """A walker of one judgment over ``gamma``, with the key set ``v`` and
-    the binders in scope that its methods take after a node and a sort."""
+    the binders in scope that its methods take after a node and a sort; its
+    methods append their diagnostics to ``check.errors``."""
     delta = RuleEnv(dict(var or {}), dict(meta or {}))
-    return (_Check(gamma, delta, in_pat), frozenset(Ident(x) for x in v),
+    return (_Check(gamma, delta, in_pat, []), frozenset(Ident(x) for x in v),
             {Ident(b): delta.var[b] for b in bound})
 
 
@@ -144,7 +145,9 @@ def _declaration_scripts(draw):
 class TestCheckDeclaration:
     def test_data_decl_ok(self, g2, ex2):
         lam = ex2.declarations[0]
-        assert check_declaration(g2, lam) == []
+        errors = []
+        check_declaration(g2, lam, errors)
+        assert errors == []
 
     def test_data_name_in_scheme_set(self, g2):
         decl = parse_script("L data Ap(L, L);").declarations[0]
@@ -152,7 +155,8 @@ class TestCheckDeclaration:
         gamma_fun_backup = set(gamma.fun)
         gamma.fun.add(Ident("Ap"))
         try:
-            errors = check_declaration(gamma, decl)
+            errors = []
+            check_declaration(gamma, decl, errors)
             assert [e.rule for e in errors] == ["SD-Data"]
         finally:
             gamma.fun.clear()
@@ -183,7 +187,8 @@ class TestCheckDeclaration:
 
     def test_variable_decl_needs_named_sort(self, g2):
         decl = parse_script("a variable;").declarations[0]
-        errors = check_declaration(g2, decl)
+        errors = []
+        check_declaration(g2, decl, errors)
         assert [e.rule for e in errors] == ["SD-Var"]
 
     def test_redeclarations(self):
@@ -222,21 +227,27 @@ class TestCheckDeclaration:
 
 class TestCheckSort:
     def test_monomorphic_ok(self, g1):
-        assert check_sort(g1, L) == []
+        errors = []
+        check_sort(g1, L, errors)
+        assert errors == []
 
     def test_sort_variable_ok(self, g1):
-        assert check_sort(g1, SortVar(Ident("a"))) == []
+        errors = []
+        check_sort(g1, SortVar(Ident("a")), errors)
+        assert errors == []
 
     def test_rank_mismatch(self, g1):
-        errors = check_sort(g1, SortCons(Ident("L"), (L,)))
+        errors = []
+        check_sort(g1, SortCons(Ident("L"), (L,)), errors)
         assert [e.rule for e in errors] == ["SS-Cons"]
 
     def test_nested_rank_checking(self):
         gamma, _ = build_global_env(parse_script("Box<a> data B(a); L data One();"))
-        ok = SortCons(Ident("Box"), (L,))
-        assert check_sort(gamma, ok) == []
-        bad = SortCons(Ident("Box"), (SortCons(Ident("Box"), ()),))
-        assert [e.rule for e in check_sort(gamma, bad)] == ["SS-Cons"]
+        errors = []
+        check_sort(gamma, SortCons(Ident("Box"), (L,)), errors)
+        assert errors == []
+        check_sort(gamma, SortCons(Ident("Box"), (SortCons(Ident("Box"), ()),)), errors)
+        assert [e.rule for e in errors] == ["SS-Cons"]
 
 
 class TestCheckTerm:
@@ -245,9 +256,9 @@ class TestCheckTerm:
             g2, True,
             var={"x": L}, meta={"#M": MetaForm((L, L), L)}, bound=("x",),
         )
-        errors = check.term(parse_term("#M(x, x)"), L, v, bound)
-        assert [e.rule for e in errors] == ["SMP-Meta"]
-        assert "distinct" in errors[0].message
+        check.term(parse_term("#M(x, x)"), L, v, bound)
+        assert [e.rule for e in check.errors] == ["SMP-Meta"]
+        assert "distinct" in check.errors[0].message
 
     def test_meta_argument_of_another_sort_rejected(self, g2):
         # Inference reports such a rule as MetaFormConflict first, so only a
@@ -256,8 +267,8 @@ class TestCheckTerm:
             g2, True,
             var={"x": L}, meta={"#M": MetaForm((SortCons(Ident("B")),), L)}, bound=("x",),
         )
-        errors = check.term(parse_term("#M(x)"), L, v, bound)
-        assert [e.format() for e in errors] == [
+        check.term(parse_term("#M(x)"), L, v, bound)
+        assert [e.format() for e in check.errors] == [
             "<term>:1:4: error[SMP-Meta]: argument x of #M has L, expected B"]
 
     def test_beta_rhs_checks_in_con(self, g1):
@@ -266,70 +277,75 @@ class TestCheckTerm:
             var={"x": L},
             meta={"#M": MetaForm((L,), L), "#N": MetaForm((), L)},
         )
-        assert check.term(parse_term("#M(#N)"), L, v, bound) == []
+        check.term(parse_term("#M(#N)"), L, v, bound)
+        assert check.errors == []
 
     def test_substituted_variable_ok_at_hasvar_sort(self, g2):
         check, v, bound = walker(
             g2, False,
             var={"z": L}, meta={"#B": MetaForm((L,), L)},
         )
-        assert check.term(parse_term("#B(z)"), L, v, bound) == []
+        check.term(parse_term("#B(z)"), L, v, bound)
+        assert check.errors == []
 
     def test_substituted_construction_rejected_at_hasvar_sort(self, g2):
         check, v, bound = walker(g2, False, meta={"#B": MetaForm((L,), L)})
-        errors = check.term(parse_term("#B(Lam([y]y))"), L, v, bound)
-        assert [e.rule for e in errors] == ["SMS-Cons"]
+        check.term(parse_term("#B(Lam([y]y))"), L, v, bound)
+        assert [e.rule for e in check.errors] == ["SMS-Cons"]
 
     def test_substituted_construction_ok_without_hasvar(self, g1):
         check, v, bound = walker(g1, False, meta={"#M": MetaForm((L,), L)})
-        assert check.term(parse_term("#M(Lam([y]y))"), L, v, bound) == []
+        check.term(parse_term("#M(Lam([y]y))"), L, v, bound)
+        assert check.errors == []
 
     def test_pattern_top_must_be_scheme(self, g2):
         check, v, bound = walker(g2, True)
-        errors = check.pattern(parse_term("Lam([x]x)"), L, v)
-        assert [e.rule for e in errors] == ["SMP-Fun"]
+        check.pattern(parse_term("Lam([x]x)"), L, v)
+        assert [e.rule for e in check.errors] == ["SMP-Fun"]
 
     def test_scheme_inside_pattern_rejected_with_data(self, g2):
         check, v, bound = walker(g2, True, meta={"#A": MetaForm((), L)})
-        errors = check.term(parse_term("Eval(#A, {#env})"), L, v, bound)
-        assert errors and errors[0].rule == "SMP-Data"
+        check.term(parse_term("Eval(#A, {#env})"), L, v, bound)
+        assert check.errors and check.errors[0].rule == "SMP-Data"
 
     def test_scheme_inside_pattern_tolerated_without_data(self, g1):
         # a pure scheme signature has no data patterns at all
         check, v, bound = walker(g1, True, meta={"#M": MetaForm((L,), L)},
                    bound=("x",), var={"x": L})
-        assert check.term(parse_term("Lam([y]Ap(#M(y), x))"), L, v, bound) == []
+        check.term(parse_term("Lam([y]Ap(#M(y), x))"), L, v, bound)
+        assert check.errors == []
 
     def test_free_variable_needs_hasvar_even_without_data(self, g1):
         check, v, bound = walker(g1, True, var={"x": L})
-        errors = check.term(parse_term("x"), L, v, bound)
-        assert [e.rule for e in errors] == ["SMP-Var"]
+        check.term(parse_term("x"), L, v, bound)
+        assert [e.rule for e in check.errors] == ["SMP-Var"]
 
     def test_unknown_constructor_in_con(self, g1):
         check, v, bound = walker(g1, False)
-        errors = check.term(parse_term("Zap()"), L, v, bound)
-        assert [e.rule for e in errors] == ["SMC-Cons"]
+        check.term(parse_term("Zap()"), L, v, bound)
+        assert [e.rule for e in check.errors] == ["SMC-Cons"]
 
     @pytest.mark.parametrize("in_pat,tag", [(True, "SMP-Var"), (False, "SMC-Var")])
     def test_a_node_that_is_no_term_is_not_taken_for_a_variable(self, g1, in_pat, tag):
         # A parsed term that is neither a construction nor a meta-application
         # is a variable; only a hand-built node reaches the variable guard.
         check, v, bound = walker(g1, in_pat)
-        errors = check.term(CatchAll(Ident("#e")), L, v, bound)
-        assert [(e.rule, e.message) for e in errors] == [(tag, "expected a variable, got #e")]
+        check.term(CatchAll(Ident("#e")), L, v, bound)
+        assert [(e.rule, e.message) for e in check.errors] == [(tag, "expected a variable, got #e")]
 
 
 class TestCheckPiece:
     def test_scope_piece_ok(self, g1):
         check, v, bound = walker(g1, True, meta={"#M": MetaForm((L,), L)})
-        assert check.piece(parse_term("F([x]#M(x))").args[0], ScopeForm((L,), L), v, bound) == []
+        check.piece(parse_term("F([x]#M(x))").args[0], ScopeForm((L,), L), v, bound)
+        assert check.errors == []
 
     def test_binder_arity_mismatch(self, g1):
         check, v, bound = walker(g1, True)
         piece = parse_term("F([x,y]x)").args[0]
-        errors = check.piece(piece, ScopeForm((L,), L), v, bound)
-        assert [e.rule for e in errors] == ["SP-Bind"]
-        assert "BinderArityMismatch" in errors[0].message
+        check.piece(piece, ScopeForm((L,), L), v, bound)
+        assert [e.rule for e in check.errors] == ["SP-Bind"]
+        assert "BinderArityMismatch" in check.errors[0].message
 
     def test_assoc_piece_ok(self, g2):
         check, v, bound = walker(
@@ -339,7 +355,8 @@ class TestCheckPiece:
             v=("x",),
         )
         piece = parse_term("E({#env; x : #V})").args[0]
-        assert check.piece(piece, AssocForm(L, L), v, bound) == []
+        check.piece(piece, AssocForm(L, L), v, bound)
+        assert check.errors == []
 
     def test_shadowed_binder_is_freshened(self, g1):
         check, v, bound = walker(g1, True, meta={"#M": MetaForm((L, L), L)},
@@ -347,15 +364,14 @@ class TestCheckPiece:
         # inner [x] shadows the outer one; both arguments of the meta name
         # the inner binder
         piece = parse_term("F([x]#M(x, x))").args[0]
-        errors = check.piece(piece, ScopeForm((L,), L), v, bound)
-        assert [e.rule for e in errors] == ["SMP-Meta"]  # still not distinct
+        check.piece(piece, ScopeForm((L,), L), v, bound)
+        assert [e.rule for e in check.errors] == ["SMP-Meta"]  # still not distinct
 
     def test_piece_kind_mismatch(self, g2):
         check, v, bound = walker(g2, True)
-        scope = parse_term("F([x]x)").args[0]
-        assert [e.rule for e in check.piece(scope, AssocForm(L, L), v, bound)] == ["SP-Bind"]
-        assoc = parse_term("F({})").args[0]
-        assert [e.rule for e in check.piece(assoc, ScopeForm((), L), v, bound)] == ["SP-Assoc"]
+        check.piece(parse_term("F([x]x)").args[0], AssocForm(L, L), v, bound)
+        check.piece(parse_term("F({})").args[0], ScopeForm((), L), v, bound)
+        assert [e.rule for e in check.errors] == ["SP-Bind", "SP-Assoc"]
 
 
 class TestCheckAssociation:
@@ -370,30 +386,32 @@ class TestCheckAssociation:
     def test_map_entry_ok(self, g2):
         check, v, bound = self.setup_walker(g2, True)
         entry = parse_term("E({x : #V})").args[0].entries[0]
-        assert check.association(entry, AssocForm(L, L), v, bound) == []
+        check.association(entry, AssocForm(L, L), v, bound)
+        assert check.errors == []
 
     def test_key_not_elsewhere(self, g2):
         check, v, bound = self.setup_walker(g2, True)
         entry = parse_term("E({y : #V})").args[0].entries[0]
-        errors = check.association(entry, AssocForm(L, L), v, bound)
-        assert [e.rule for e in errors] == ["SA-Map"]
-        assert "KeyNotElsewhere" in errors[0].message
+        check.association(entry, AssocForm(L, L), v, bound)
+        assert [e.rule for e in check.errors] == ["SA-Map"]
+        assert "KeyNotElsewhere" in check.errors[0].message
 
     def test_not_key_in_contraction(self, g2):
         check, v, bound = self.setup_walker(g2, False)
         entry = parse_term("E({~x:})").args[0].entries[0]
-        errors = check.association(entry, AssocForm(L, L), v, bound)
-        assert [e.rule for e in errors] == ["SAP-Not"]
-        assert "NotKeyInContraction" in errors[0].message
+        check.association(entry, AssocForm(L, L), v, bound)
+        assert [e.rule for e in check.errors] == ["SAP-Not"]
+        assert "NotKeyInContraction" in check.errors[0].message
 
     def test_not_key_ok_in_pattern(self, g2):
         check, v, bound = self.setup_walker(g2, True)
         entry = parse_term("E({~x:})").args[0].entries[0]
         check.delta.pattern_vars = frozenset({Ident("x")})
-        assert check.association(entry, AssocForm(L, L), v, bound) == []
+        check.association(entry, AssocForm(L, L), v, bound)
+        assert check.errors == []
         check.delta.pattern_vars = frozenset()
-        errors = check.association(entry, AssocForm(L, L), v, bound)
-        assert [e.rule for e in errors] == ["SAP-Not"]
+        check.association(entry, AssocForm(L, L), v, bound)
+        assert [e.rule for e in check.errors] == ["SAP-Not"]
 
     def test_not_key_waits_for_the_whole_pattern(self, g2):
         # A key that is no binder in scope may be bound by any variable of
@@ -401,17 +419,19 @@ class TestCheckAssociation:
         check, v, bound = self.setup_walker(g2, True)
         entry = parse_term("E({~y:})").args[0].entries[0]
         check.delta.pattern_vars = frozenset({Ident("x"), Ident("y")})
-        assert check.association(entry, AssocForm(L, L), v, bound) == []
+        check.association(entry, AssocForm(L, L), v, bound)
+        assert check.errors == []
         check.delta.pattern_vars = frozenset({Ident("x")})
-        errors = check.association(entry, AssocForm(L, L), v, bound)
-        assert [e.rule for e in errors] == ["SAP-Not"]
-        assert "KeyNotElsewhere" in errors[0].message
+        check.association(entry, AssocForm(L, L), v, bound)
+        assert [e.rule for e in check.errors] == ["SAP-Not"]
+        assert "KeyNotElsewhere" in check.errors[0].message
 
     def test_catchall_in_pattern_and_contraction(self, g2):
         for in_pat in (True, False):
             check, v, bound = self.setup_walker(g2, in_pat)
             entry = parse_term("E({#env})").args[0].entries[0]
-            assert check.association(entry, AssocForm(L, L), v, bound) == []
+            check.association(entry, AssocForm(L, L), v, bound)
+            assert check.errors == []
 
     def test_catchall_args_in_contraction_are_substitutions(self, g2):
         check, v, bound = walker(
@@ -421,8 +441,8 @@ class TestCheckAssociation:
             v=("x",),
         )
         entry = parse_term("E({#env(Lam([y]y))})").args[0].entries[0]
-        errors = check.association(entry, AssocForm(L, L), v, bound)
-        assert [e.rule for e in errors] == ["SMS-Cons"]
+        check.association(entry, AssocForm(L, L), v, bound)
+        assert [e.rule for e in check.errors] == ["SMS-Cons"]
 
     def test_value_extends_v(self, g2):
         # the value's own non-association variables may justify nested keys
@@ -431,9 +451,9 @@ class TestCheckAssociation:
             var={"x": L, "y": L}, meta={"#V": MetaForm((), L)}, v=("x",),
         )
         entry = parse_term("E({x : Ap(y, F({y : #V}))})").args[0].entries[0]
-        errors = check.association(entry, AssocForm(L, L), v, bound)
+        check.association(entry, AssocForm(L, L), v, bound)
         # F is undeclared: the only error is the unknown constructor, not SA-Map
-        assert [e.rule for e in errors] == ["SMC-Cons"]
+        assert [e.rule for e in check.errors] == ["SMC-Cons"]
 
 
 class TestKeys:

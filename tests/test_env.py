@@ -250,9 +250,10 @@ class TestInferRuleEnv:
                 delta, errors = infer_rule_env(gamma, rule)
                 assert errors == []
                 lhs_keys = frozenset(non_assoc_vars(rule.lhs))
-                assert _Check(gamma, delta, True).pattern(rule.lhs, rule.sort, lhs_keys) == []
+                _Check(gamma, delta, True, errors).pattern(rule.lhs, rule.sort, lhs_keys)
                 rhs_keys = frozenset(non_assoc_vars(rule.rhs))
-                assert _Check(gamma, delta, False).term(rule.rhs, rule.sort, rhs_keys, {}) == []
+                _Check(gamma, delta, False, errors).term(rule.rhs, rule.sort, rhs_keys, {})
+                assert errors == []
 
     def test_rhs_meta_in_delta(self, ex1, ex2):
         for script in (ex1, ex2):

@@ -35,7 +35,7 @@
   head once, and the lexer classifies each distinct word once, runs no
   Python code per token, and
   finds the tokens' offsets once per parse, only when a position is read.
-  Parsing and checking 325 declarations runs fewer than 22,000 Python
+  Parsing and checking 325 declarations runs fewer than 20,400 Python
   frames.
 * On generated subjects, ``check_ground_subject`` gives the sort,
   environment and diagnostics of sorting every name first and checking
@@ -1030,6 +1030,19 @@ def test_steps_in_two_entries_follow_list_order():
     assert alpha_equal(runs[0].term, runs[1].term)
 
 
+def test_a_catch_all_with_a_repeated_parameter_keeps_its_last_argument():
+    # The checker lets a pattern catch-all repeat a parameter, and
+    # instantiating its fragment pairs parameters with arguments in a dict,
+    # so on the right side the last argument for the repeated parameter
+    # wins and the other is dropped without a diagnostic.
+    for rhs, result in (("#e(z, w)", "Env({w : w, a : w})"), ("#e(w, z)", "Env({z : z, a : z})")):
+        gamma, rules = _engine("L variable; L data B(); L data C(L, L); L data Env({L:L}); "
+                               f"L scheme Drop([L]L); L rule Drop([x]Env({{#e(x, x)}})) -> "
+                               f"Env({{{rhs}}});")
+        subject = parse_term("Drop([y]Env({y : y, a : y}))")
+        assert render(normalize(gamma, rules, subject).term) == result, rhs
+
+
 def test_fresh_names_in_two_entries_follow_list_order():
     # Fresh names are drawn in step order, and steps follow list order, so
     # with two entries swapped the entry that draws z and the one that draws
@@ -1055,8 +1068,9 @@ def _assert_sorted_as(gamma, term, sort):
         have, _, errors = check_ground_subject(gamma, term)
         assert (have, errors) == (sort, []), render(term)
         return
-    assert _Check(gamma, RuleEnv(), False).term(term, sort, all_idents(term), {}) == [], \
-        render(term)
+    check = _Check(gamma, RuleEnv(), False, [])
+    check.term(term, sort, all_idents(term), {})
+    assert check.errors == [], render(term)
 
 
 # Call-by-value subjects whose normal form is a bare variable of sort L,
@@ -1078,8 +1092,10 @@ def _two_pass_check(gamma, subject):
     name at its first position, then the check reads those sorts back."""
     sort = gamma.con[subject.head].result
     delta = RuleEnv()
-    _SortWalk(gamma, delta, {}, subject, sort, False)
-    return sort, delta, _Check(gamma, delta, False).term(subject, sort, all_idents(subject), {})
+    _SortWalk(gamma, delta, {}, [], subject, sort, False)
+    check = _Check(gamma, delta, False, [])
+    check.term(subject, sort, all_idents(subject), {})
+    return sort, delta, check.errors
 
 
 def _constructions(t):
@@ -1368,21 +1384,25 @@ def test_a_well_formed_rule_side_runs_no_name_walk(monkeypatch, source):
 def test_each_rule_side_and_subject_builds_one_walker(monkeypatch):
     # A walker holds one judgment over a whole rule side or subject; scopes
     # and map values pass their binders and key sets down as arguments.
+    # Every walker appends to the one list of diagnostics its caller returns.
     walkers = []
 
     class Counting(_Check):
         def __init__(self, *args):
-            walkers.append(args)
+            walkers.append(self)
             super().__init__(*args)
 
     monkeypatch.setattr(plank.checker, "_Check", Counting)
     checked = check_script(parse_script(CBV_EVAL))
     assert checked.ok
     assert len(walkers) == 8
+    assert all(w.errors is checked.errors for w in walkers)
     walkers.clear()
     subject = parse_term("Eval(Ap(Lam([x]x), Lam([y]y)), {})")
-    assert check_ground_subject(checked.gamma, subject)[2] == []
+    _, _, errors = check_ground_subject(checked.gamma, subject)
+    assert errors == []
     assert len(walkers) == 1
+    assert walkers[0].errors is errors
     source = (REPO / "src" / "plank" / "checker.py").read_text(encoding="utf-8")
     assert _callers(source, "_Check") == {"_check_rule", "check_ground_subject"}
     sample = "def f():\n    def g():\n        _Check()\n    return C._Check()\n_Check()\n"
@@ -1549,8 +1569,9 @@ def test_the_front_end_runs_few_python_frames():
     # first and ``listed`` closed its list inline; 21,475 after, on a text
     # whose copies shared their names and so checked with 75 diagnostics.
     # The clean text ran 20,548 when the lexer called ``Ident`` on each
-    # distinct word; it runs 20,335 now that it keeps each word as it
-    # stands.
+    # distinct word, 20,335 once it kept each word as it stands, and 20,285
+    # now that every check walk appends to one list of diagnostics instead
+    # of building, extending and returning a list at each node.
     text = _script_325()
     frames = 0
 
@@ -1565,7 +1586,7 @@ def test_the_front_end_runs_few_python_frames():
     finally:
         sys.setprofile(outer)
     assert len(checked.rule_envs) == 150
-    assert frames < 21_000, frames
+    assert frames < 20_400, frames
 
 
 def test_a_parsed_tree_keeps_little_memory():
