@@ -19,8 +19,11 @@ node costs one Python frame, and a plain argument none: a construction's
 loop, and the matcher's, recurses on its body (substitution's looks a
 variable up).  An argument-free meta-variable or catch-all outside every
 binder needs no abstraction: the matcher records its fragment as it is,
-with no ``bind_meta`` call, and contraction spends one ``_inst`` frame on
-it, which returns that fragment and substitutes nothing.
+with no ``bind_meta`` call, and as a plain argument with no frame.
+Contraction puts the fragment of one whose binding has no parameters in
+place with no frame where its parent's loop meets it, as a plain argument,
+a list's lone entry or an entry's value, and looks up a meta's variable
+argument in place.
 
 The matcher tells binders apart by number, so each fragment a valuation
 holds is the subject's own, and a parameter is its binder's own name, or
@@ -311,7 +314,11 @@ class _Matcher:
             raise _NoMatch
         for pp, sp in zip(p.args, s.args):
             if pp.__class__ is sp.__class__ is ScopePiece and not (pp.binders or sp.binders):
-                self.term(pp.body, sp.body, penv, senv)
+                if (pp.body.__class__ is MetaApp and not (pp.body.args or senv)
+                        and pp.body.meta not in self.meta_bind):
+                    self.meta_bind[pp.body.meta] = Abstraction((), sp.body)  # as ``_record_meta``
+                else:
+                    self.term(pp.body, sp.body, penv, senv)
             else:
                 self.piece(pp, sp, penv, senv)
 
@@ -500,16 +507,34 @@ def contract(rhs: Term, val: Valuation, avoid: Iterable[Ident], *,
 
 def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
           fresh: Callable[[Ident], Ident]) -> Term | Piece:
+    # The loops read in place an argument-free meta bound with no parameters
+    # (see the module docstring); any other meta, unbound ones too, comes here.
     cls = t.__class__
     if cls is Var:
         return Var(rho[t.name])  # rho maps every free name and binder of the right side
+    meta_bind = val.meta_bind
     if cls is Construction:
         args = []
         for p in t.args:
-            if p.__class__ is ScopePiece and not p.binders:
-                args.append(ScopePiece((), _inst(p.body, rho, val, fresh)))
-            else:
-                args.append(_inst(p, rho, val, fresh))
+            if p.__class__ is ScopePiece:
+                if p.binders:
+                    args.append(_inst(p, rho, val, fresh))
+                    continue
+                body = p.body
+                if body.__class__ is MetaApp and not body.args:
+                    ab = meta_bind.get(body.meta)
+                    if ab is not None and not ab.params:
+                        args.append(ScopePiece((), ab.body))
+                        continue
+                args.append(ScopePiece((), _inst(body, rho, val, fresh)))
+                continue
+            # A lone catch-all gives its list, whose keys the matcher filed in a dict.
+            if len(p.entries) == 1 and p.entries[0].__class__ is CatchAll and not p.entries[0].args:
+                ab = meta_bind.get(p.entries[0].meta)
+                if ab is not None and not ab.params:
+                    args.append(ab.body)
+                    continue
+            args.append(_inst(p, rho, val, fresh))
         return Construction(t.head, tuple(args))
     if cls is ScopePiece:
         binders = tuple(map(fresh, t.binders))
@@ -517,7 +542,7 @@ def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
         inner.update(zip(t.binders, binders))
         return ScopePiece(binders, _inst(t.body, inner, val, fresh))
     if cls is MetaApp or cls is CatchAll:
-        ab = val.meta_bind.get(t.meta)
+        ab = meta_bind.get(t.meta)
         if ab is None:
             # UnboundMetaOnRhs: a successful match binds every pattern meta-variable.
             raise EngineError(f"no binding for meta-variable {t.meta} (MissingBinding)")
@@ -526,19 +551,20 @@ def _inst(t: Term | Piece, rho: dict[Ident, Ident], val: Valuation,
         if len(ab.params) != len(t.args):
             # SMC-Meta, SMP-Meta, SAC-All, SAP-All: both sides use the meta-form's arity.
             raise EngineError(f"arity mismatch instantiating {t.meta}")
-        args = map(_inst, t.args, repeat(rho), repeat(val), repeat(fresh))
-        return substitute(ab.body, dict(zip(ab.params, args)))
+        sub = {}
+        for w, a in zip(ab.params, t.args):
+            sub[w] = Var(rho[a.name]) if a.__class__ is Var else _inst(a, rho, val, fresh)
+        return substitute(ab.body, sub)
     # An association list: a later key overrides an earlier one and keeps its
     # first position.  A catch-all's substituted entries are spliced in as they
-    # are; a lone catch-all without arguments gives its whole list, whose keys
-    # the matcher filed in a dict and so never repeat.
-    if len(t.entries) == 1 and t.entries[0].__class__ is CatchAll and not t.entries[0].args:
-        return _inst(t.entries[0], rho, val, fresh)
+    # are.
     merged: dict[Ident, MapEntry] = {}
     for e in t.entries:
         if e.__class__ is MapEntry:
-            k = rho[e.key]
-            merged[k] = MapEntry(k, _inst(e.value, rho, val, fresh))
+            k, v = rho[e.key], e.value
+            ab = meta_bind.get(v.meta) if v.__class__ is MetaApp and not v.args else None
+            merged[k] = MapEntry(k, ab.body if ab is not None and not ab.params
+                                 else _inst(v, rho, val, fresh))
         elif e.__class__ is NotKey:
             # SAP-Not: absence entries stand only in patterns.
             raise EngineError("an absence entry cannot be contracted")

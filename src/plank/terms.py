@@ -77,8 +77,8 @@ behind is freed by reference counting.  Each walk dispatches once on a
 node's exact class (``cls is C``; node classes are final: a test checks
 that none is subclassed) and calls itself on the children in a loop: in
 CPython 3.11 a call from ``map`` or ``str.join`` re-enters the interpreter,
-which is slower and takes a second recursion level.  ``rewrite._subst`` and
-``_inst`` still ``map``: engine edits wait for a bench of the per-step cost.
+which is slower and takes a second recursion level.  ``rewrite._subst``
+still ``map``s a meta-application's arguments and a list's entries.
 """
 
 from __future__ import annotations
@@ -576,38 +576,46 @@ def _idents(t: Term, memo: dict[frozenset[Ident], frozenset[Ident]]) -> frozense
     # stale.  One plain slot store keeps it; ``__init__`` sets it to None, as an
     # unset slot would raise and clear an AttributeError on every first query.
     # A ``Var`` keeps nothing.  The recursion stays here, not in ``all_idents``,
-    # so one query is one call of it; pieces are walked inline, so it takes one
-    # frame per term level; a child's set is reused when it holds every name.
-    # The set a node builds from its loose names is hash-consed through
-    # ``memo``, the query's own ``{set: set}`` table: the node keeps the first
-    # equal set the query built, as a frozenset costs 216 B or more.  A reused
-    # child's set is kept already, and a union of two children's sets is rare
-    # enough on the bench that looking it up costs more than it saves.
-    cls = t.__class__
-    if cls is Var:
+    # so one query is one call of it.  One pass over the pieces, inline, merges
+    # each child's set as it meets the child, so it takes one frame per term
+    # level and builds no list of children; a child's set is reused when it
+    # holds every name met so far.  The set a node builds from its loose names
+    # (binders, keys, variable children) is hash-consed through ``memo``, the
+    # query's own ``{set: set}`` table: the node keeps the first equal set the
+    # query built, as a frozenset costs 216 B or more.  A reused child's set
+    # is kept already, and a union of two children's sets is rare enough on
+    # the bench that looking it up costs more than it saves.  A catch-all's
+    # arguments, met only in rules, are merged plainly.
+    if t.__class__ is Var:
         return frozenset((t.name,))
     names = t._idents
     if names is not None:
         return names
     loose: list[Ident] = []
-    kids: list[Term] = []
-    if cls is MetaApp:
-        kids.extend(t.args)
-    else:
-        for p in t.args:
-            if p.__class__ is ScopePiece:
-                loose.extend(p.binders)
-                kids.append(p.body)
-                continue
-            for e in p.entries:
+    names = frozenset()
+    for k in t.args:
+        if k.__class__ is ScopePiece:
+            if k.binders:
+                loose.extend(k.binders)
+            k = k.body
+        elif k.__class__ is AssocPiece:
+            for e in k.entries:
                 if e.__class__ is CatchAll:
-                    kids.extend(e.args)
+                    for a in e.args:
+                        names = names | _idents(a, memo)
                     continue
                 loose.append(e.key)
                 if e.__class__ is MapEntry:
-                    kids.append(e.value)
-    names = frozenset()
-    for k in kids:
+                    v = e.value
+                    if v.__class__ is Var:
+                        loose.append(v.name)
+                        continue
+                    s = _idents(v, memo)
+                    if len(s) > len(names):
+                        names, s = s, names
+                    if not s <= names:
+                        names = names | s
+            continue
         if k.__class__ is Var:
             loose.append(k.name)
             continue

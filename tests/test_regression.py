@@ -36,7 +36,7 @@
   Python code per token, and
   finds the tokens' offsets once per parse, only when a position is read.
   Parsing and checking 325 declarations runs fewer than 20,400 Python
-  frames.
+  frames, and normalizing the six pinned inputs fewer than 19,100.
 * On generated subjects, ``check_ground_subject`` gives the sort,
   environment and diagnostics of sorting every name first and checking
   second.  On a subject made ill-formed, the verdicts and the diagnostics
@@ -624,19 +624,29 @@ def test_a_lone_catch_all_list_equals_its_merged_rebuild(monkeypatch):
     # as the list the catch-all captured.  On every call-by-value pin that
     # list equals the rebuild every other list gets: entry by entry through
     # a dict by key, where a later key overrides an earlier one in its first
-    # position.
+    # position.  Each such list is found in the contractum at its place in
+    # the right side, under constructions and scopes.
     lone = []
-    original = plank.rewrite._inst
+    original = plank.rewrite.contract
 
-    def recording(t, rho, val, fresh):
-        out = original(t, rho, val, fresh)
-        if (isinstance(t, AssocPiece) and len(t.entries) == 1
-                and isinstance(t.entries[0], CatchAll) and not t.entries[0].args):
-            assert out is val.meta_bind[t.entries[0].meta].body
-            lone.append(out)
+    def recording(rhs, val, avoid, **kw):
+        out = original(rhs, val, avoid, **kw)
+        todo = [(rhs, out)]
+        while todo:
+            r, o = todo.pop()
+            if not isinstance(r, Construction):
+                continue
+            assert isinstance(o, Construction) and o.head == r.head
+            for rp, op in zip(r.args, o.args, strict=True):
+                if isinstance(rp, ScopePiece):
+                    todo.append((rp.body, op.body))
+                elif (len(rp.entries) == 1 and isinstance(rp.entries[0], CatchAll)
+                        and not rp.entries[0].args):
+                    assert op is val.meta_bind[rp.entries[0].meta].body
+                    lone.append(op)
         return out
 
-    monkeypatch.setattr(plank.rewrite, "_inst", recording)
+    monkeypatch.setattr(plank.rewrite, "contract", recording)
     for label, source, term, fuel, *_ in ENGINE_PINS:
         if source != CBV_EVAL:
             continue
@@ -1587,6 +1597,34 @@ def test_the_front_end_runs_few_python_frames():
         sys.setprofile(outer)
     assert len(checked.rule_envs) == 150
     assert frames < 20_400, frames
+
+
+def test_the_engine_runs_few_python_frames():
+    # Normalizing the six pinned inputs, each checked first as ``plank
+    # normalize`` checks it, ran 20,771 Python frames (chain-80: 13,013)
+    # when contraction spent a frame on each argument-free meta-variable,
+    # catch-all and lone ``{#env}`` list and the matcher one on each
+    # argument-free meta-variable; 19,034 (chain-80: 11,652) with those read
+    # and recorded in their construction's loop.
+    frames = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        frames += event == "call"
+
+    for _, source, term, fuel, *_ in ENGINE_PINS:
+        script = parse_script(source)
+        checked = check_script(script)
+        rules = prepare_rules(checked.gamma, script.rules, checked.rule_envs)
+        subject = parse_term(term)
+        check_ground_subject(checked.gamma, subject)
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            normalize(checked.gamma, rules, subject, fuel=fuel)
+        finally:
+            sys.setprofile(outer)
+    assert frames < 19_100, frames
 
 
 def test_a_parsed_tree_keeps_little_memory():

@@ -657,10 +657,12 @@ def _frames(names, call):
 
 class TestFramesPerLevel:
     """Substitution, contraction and matching spend at most one frame on a
-    node, and none on a plain argument.  For an argument-free meta-variable
-    or catch-all outside every binder the matcher spends no ``bind_meta``
-    call, and contraction one ``_inst`` frame, which returns the fragment
-    and substitutes nothing."""
+    node, and none on a plain argument.  An argument-free meta-variable
+    outside every binder costs the matcher no frame under a plain argument,
+    and a catch-all no ``bind_meta`` call.  Contraction spends no frame on
+    an argument-free meta whose binding has no parameters under a plain
+    argument or as an entry's value, on a list that is one such catch-all,
+    or on a variable argument of a meta."""
 
     def test_substitute(self):
         # F, G and H: a plain argument costs nothing, and a variable under
@@ -672,18 +674,18 @@ class TestFramesPerLevel:
 
     def test_contract(self):
         # Call-by-value beta: Eval(#B(z), {#env, z : #V}) costs Eval, #B(z),
-        # z, the list, #env and #V.
+        # the list and #env; #B's argument z and the value #V are read in place.
         rule = parse_script(CBV_EVAL).rules[3]
         subject = t("Apply(Lam([x]Ap(x, x)), Lam([y]y), {w : Lam([v]v)})")
         val = match_term(rule.lhs, subject)
         out, n = _frames({"_inst"}, lambda: contract(rule.rhs, val, all_idents(subject)))
         assert render(out) == "Eval(Ap(z, z), {w : Lam([v]v), z : Lam([y]y)})"
-        assert n == {"_inst": 6}
+        assert n == {"_inst": 4}
 
     def test_contract_argument_free_metas(self):
-        # Apply(Eval(#F, {#env}), Eval(#A, {#env}), {#env}) costs Apply,
-        # each Eval, its #F or #A, each list and each #env, and no
-        # substitution.
+        # Apply(Eval(#F, {#env}), Eval(#A, {#env}), {#env}) costs Apply and
+        # each Eval: each #F, #A and lone {#env} is read in place, and
+        # nothing is substituted.
         rule = parse_script(CBV_EVAL).rules[1]
         subject = t("Eval(Ap(Lam([x]x), y), {w : Lam([v]v)})")
         val = match_term(rule.lhs, subject)
@@ -691,7 +693,7 @@ class TestFramesPerLevel:
                          lambda: contract(rule.rhs, val, all_idents(subject)))
         assert render(out) == ("Apply(Eval(Lam([x]x), {w : Lam([v]v)}), "
                                "Eval(y, {w : Lam([v]v)}), {w : Lam([v]v)})")
-        assert n == {"_inst": 11}
+        assert n == {"_inst": 3}
 
     def test_match_term(self):
         # F, G, a, H and b, each matched by ``term``; ``piece`` is not called.
@@ -700,14 +702,15 @@ class TestFramesPerLevel:
         assert val is not None and n == {"term": 5}
 
     def test_match_argument_free_metas(self):
-        # Eval, Ap, #F and #A through ``term``, the list through ``piece``;
-        # #F, #A and #env are recorded without ``bind_meta``.
+        # Eval and Ap through ``term``, the list through ``piece``; #F and #A
+        # are recorded in Ap's loop, and #env through ``_record_meta``, all
+        # without ``bind_meta``.
         rule = parse_script(CBV_EVAL).rules[1]  # Eval(Ap(#F, #A), {#env})
         subject = t("Eval(Ap(Lam([x]x), y), {w : Lam([v]v)})")
         val, n = _frames({"term", "piece", "bind_meta", "_record_meta"},
                          lambda: match_term(rule.lhs, subject))
         assert val is not None
-        assert n == {"term": 4, "piece": 1, "_record_meta": 3}
+        assert n == {"term": 2, "piece": 1, "_record_meta": 1}
 
 
 class TestContract:
@@ -780,6 +783,20 @@ class TestContract:
     def test_missing_binding_raises(self):
         with pytest.raises(EngineError):
             contract(t("#M(#N)"), Valuation(), avoid=set())
+
+    @pytest.mark.parametrize("rhs,meta", [("Eval(#V, {#env})", "#V"),
+                                          ("Eval(#F, {#env})", "#env"),
+                                          ("Eval(#F, {#env, z : #V})", "#V")],
+                             ids=["plain-argument", "lone-list", "entry-value"])
+    def test_an_unbound_argument_free_meta_raises_where_it_is_read_in_place(self, rhs, meta):
+        # Contraction reads a bound argument-free meta in place in each of
+        # these three places; an unbound one, which only a hand-built
+        # valuation leaves, raises there as anywhere else.
+        bound = {Ident("#F"): Abstraction((), t("One()")), Ident("#V"): Abstraction((), t("Two()")),
+                 Ident("#env"): captured(("a", "One()"))}
+        del bound[meta]
+        with pytest.raises(EngineError, match=f"{meta} \\(MissingBinding\\)"):
+            contract(t(rhs), Valuation(bound), avoid=set())
 
     def test_an_arity_mismatch_raises(self):
         # The checker gives a meta-variable one meta-form on both sides
